@@ -33,6 +33,12 @@ fi
 run cargo build --release $OFFLINE
 run cargo test --workspace -q $OFFLINE
 
+# The benchmark is a package of its own (benchmark/, own lock file), so the
+# workspace build above does not cover it. check.sh builds it offline and
+# runs every workload at 1/20 size: a metric or workload name that drifted
+# from BENCHMARK.json, or a failed result oracle, fails CI here.
+run benchmark/check.sh
+
 # Benchmarks must keep compiling even though CI doesn't time them. The
 # micro-benches are named explicitly so a [[bench]] stanza typo can't
 # silently drop them from the sweep.

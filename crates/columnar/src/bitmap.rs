@@ -21,13 +21,12 @@ impl Bitmap {
 
     /// A bitmap of `len` bits, all set (no NULLs).
     pub fn all_valid(len: usize) -> Self {
-        let mut words = vec![u64::MAX; len.div_ceil(64)];
-        if !len.is_multiple_of(64) {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
-            }
-        }
-        Bitmap { words, len }
+        let mut out = Bitmap {
+            words: vec![u64::MAX; len.div_ceil(64)],
+            len,
+        };
+        out.clear_padding();
+        out
     }
 
     /// A bitmap of `len` bits, all clear.
@@ -182,40 +181,78 @@ impl Bitmap {
         }
     }
 
-    /// Append all bits of `other`.
+    /// Append all bits of `other`, whole words at a time: a straight copy
+    /// when `self` ends on a word boundary, a shift-merge otherwise.
     pub fn extend(&mut self, other: &Bitmap) {
-        for i in 0..other.len {
-            self.push(other.get(i));
+        let shift = self.len % 64;
+        let new_len = self.len + other.len;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else if other.len > 0 {
+            let nwords = new_len.div_ceil(64);
+            self.words.reserve(nwords - self.words.len());
+            // Each incoming word straddles two of ours: its low bits top up
+            // the partial word, its high bits start the next one.
+            let mut carry = self.words.pop().expect("partial last word");
+            for &w in &other.words {
+                self.words.push(carry | (w << shift));
+                carry = w >> (64 - shift);
+            }
+            // `other`'s padding bits are zero, so a carry that does not fit
+            // in `new_len` is empty and is dropped.
+            if self.words.len() < nwords {
+                self.words.push(carry);
+            }
         }
+        self.len = new_len;
     }
 
-    /// Bits `[from, to)` as a new bitmap.
+    /// Bits `[from, to)` as a new bitmap, whole words at a time.
     pub fn slice(&self, from: usize, to: usize) -> Bitmap {
         assert!(from <= to && to <= self.len);
-        let mut out = Bitmap::new();
-        for i in from..to {
-            out.push(self.get(i));
+        let len = to - from;
+        let nwords = len.div_ceil(64);
+        let (first, shift) = (from / 64, from % 64);
+        let mut words = Vec::with_capacity(nwords);
+        if shift == 0 {
+            words.extend_from_slice(&self.words[first..first + nwords]);
+        } else {
+            let src = &self.words[first..];
+            for i in 0..nwords {
+                let hi = src.get(i + 1).map_or(0, |w| w << (64 - shift));
+                words.push((src[i] >> shift) | hi);
+            }
         }
+        let mut out = Bitmap { words, len };
+        out.clear_padding();
         out
+    }
+
+    /// Zero the bits of the last word past `len`. Every constructor keeps
+    /// them clear: `==`, `count_set` and the word-wise `extend` rely on it.
+    fn clear_padding(&mut self) {
+        if !self.len.is_multiple_of(64) {
+            if let Some(last) = self.words.last_mut() {
+                *last &= (1u64 << (self.len % 64)) - 1;
+            }
+        }
     }
 
     /// Serialize: bit count then words.
     pub fn to_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        for w in &self.words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
+        write_u64s_le(self.words.iter().copied(), out);
     }
 
-    /// Deserialize from `bytes` starting at `*pos`; advances `*pos`.
+    /// Deserialize from `bytes` starting at `*pos`; advances `*pos`. The bit
+    /// count comes from the bytes, so the words it implies are checked
+    /// against what is left of `bytes` before anything is allocated.
     pub fn from_bytes(bytes: &[u8], pos: &mut usize) -> Option<Bitmap> {
-        let len = read_u64(bytes, pos)? as usize;
-        let nwords = len.div_ceil(64);
-        let mut words = Vec::with_capacity(nwords);
-        for _ in 0..nwords {
-            words.push(read_u64(bytes, pos)?);
-        }
-        Some(Bitmap { words, len })
+        let len = usize::try_from(read_u64(bytes, pos)?).ok()?;
+        let words = read_u64s_le(bytes, pos, len.div_ceil(64))?.collect();
+        let mut out = Bitmap { words, len };
+        out.clear_padding();
+        Some(out)
     }
 }
 
@@ -224,6 +261,33 @@ pub(crate) fn read_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let slice = bytes.get(*pos..end)?;
     *pos = end;
     Some(u64::from_le_bytes(slice.try_into().expect("8-byte slice")))
+}
+
+/// Append `values` as little-endian 8-byte words in one sized pass (the bulk
+/// form of `extend_from_slice(&v.to_le_bytes())` per value).
+pub(crate) fn write_u64s_le(values: impl ExactSizeIterator<Item = u64>, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + values.len() * 8, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// `count` little-endian 8-byte words from `bytes` at `*pos`, bounds-checked
+/// once for the whole run; advances `*pos`. `None` if `bytes` is too short
+/// (or `count * 8` overflows), before the caller allocates for `count`.
+pub(crate) fn read_u64s_le<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    count: usize,
+) -> Option<impl ExactSizeIterator<Item = u64> + 'a> {
+    let end = pos.checked_add(count.checked_mul(8)?)?;
+    let src = bytes.get(*pos..end)?;
+    *pos = end;
+    Some(
+        src.chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+    )
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use crate::batch::Batch;
 use crate::checksum::crc32;
 use crate::column::Column;
 use crate::encoded::{EncodedBatch, EncodedColumn, ScanColumn};
-use crate::encoding::{self, read_uvarint, write_uvarint, Encoding};
+use crate::encoding::{self, read_uvarint, uvarint_len, write_uvarint, Encoding};
 use crate::error::{ColumnarError, Result};
 use crate::schema::{Field, Schema};
 use crate::value::DataType;
@@ -92,37 +92,66 @@ impl DecodeStats {
 
 /// Serialize a batch, choosing each column's encoding heuristically.
 pub fn encode_batch(batch: &Batch) -> Bytes {
-    encode_batch_with(batch, None)
+    encode_block(batch, None, VERSION_V2)
 }
 
 /// Serialize a batch forcing one encoding for every column (used by the
 /// encoding ablation bench). `None` selects per-column heuristics.
 pub fn encode_batch_with(batch: &Batch, force: Option<Encoding>) -> Bytes {
-    encode_batch_version(batch, force, VERSION_V2)
+    encode_block(batch, force, VERSION_V2)
 }
 
 /// Serialize in the legacy v1 layout (no column offset index). Kept so the
 /// backward-compatibility tests can manufacture old-format containers; the
 /// engine itself always writes v2.
 pub fn encode_batch_v1(batch: &Batch) -> Bytes {
-    encode_batch_version(batch, None, VERSION_V1)
+    encode_block(batch, None, VERSION_V1)
 }
 
 /// Legacy v1 layout with a forced per-column encoding (property tests use
 /// this to cover every `Encoding` variant in both block versions).
 pub fn encode_batch_v1_with(batch: &Batch, force: Option<Encoding>) -> Bytes {
-    encode_batch_version(batch, force, VERSION_V1)
+    encode_block(batch, force, VERSION_V1)
 }
 
-fn encode_batch_version(batch: &Batch, force: Option<Encoding>, version: u8) -> Bytes {
+fn encode_block(batch: &Batch, force: Option<Encoding>, version: u8) -> Bytes {
+    const HEADER_LEN: usize = 9; // magic + version + crc32
+    const BODY_FIXED: usize = 8 + 2; // rows + ncols
+    const ENTRY_FIXED: usize = 1 + 1 + 8; // dtype + encoding + payload-len
     let ncols = batch.num_columns();
+    let index_len = if version >= VERSION_V2 { ncols * 8 } else { 0 };
+    let fields = batch.schema().fields();
+
+    // Encodings are settled before the first byte is written, so the one
+    // output buffer is allocated at its final size: a `Vec` that doubles its
+    // way up would park up to half its capacity, unused, inside the `Bytes`
+    // that goes to the simulated disk. A forced encoding that does not apply
+    // to a column's type (Dictionary on floats) falls back to plain.
+    let encodings: Vec<Encoding> = batch
+        .columns()
+        .iter()
+        .map(|col| match force {
+            Some(enc) if encoding::supports(col.data_type(), enc) => enc,
+            Some(_) => Encoding::Plain,
+            None => encoding::choose_encoding(col),
+        })
+        .collect();
+    let entries_len: usize = fields
+        .iter()
+        .zip(batch.columns())
+        .zip(&encodings)
+        .map(|((field, col), &enc)| {
+            uvarint_len(field.name.len() as u64)
+                + field.name.len()
+                + ENTRY_FIXED
+                + encoding::encoded_len_bound(col, enc)
+        })
+        .sum();
+
     // Single-buffer encode: header, index, and every column entry are written
     // straight into `out`; the per-column offsets, payload lengths, and the
-    // body crc are back-patched once their values are known. No intermediate
-    // per-entry or whole-body buffers — the only copy is the encode itself.
-    const HEADER_LEN: usize = 9; // magic + version + crc32
-    let index_len = if version >= VERSION_V2 { ncols * 8 } else { 0 };
-    let mut out = Vec::with_capacity(HEADER_LEN + 10 + index_len);
+    // body crc are back-patched once their values are known.
+    let mut out = Vec::with_capacity(HEADER_LEN + BODY_FIXED + index_len + entries_len);
     out.extend_from_slice(MAGIC);
     out.push(version);
     out.extend_from_slice(&[0u8; 4]); // crc placeholder, patched last
@@ -133,11 +162,10 @@ fn encode_batch_version(batch: &Batch, force: Option<Encoding>, version: u8) -> 
     let index_pos = out.len();
     out.resize(out.len() + index_len, 0);
 
-    for (c, (field, col)) in batch
-        .schema()
-        .fields()
+    for (c, ((field, col), &enc)) in fields
         .iter()
         .zip(batch.columns())
+        .zip(&encodings)
         .enumerate()
     {
         if version >= VERSION_V2 {
@@ -148,33 +176,22 @@ fn encode_batch_version(batch: &Batch, force: Option<Encoding>, version: u8) -> 
         write_uvarint(field.name.len() as u64, &mut out);
         out.extend_from_slice(field.name.as_bytes());
         out.push(dtype_to_u8(field.dtype));
-        let enc_pos = out.len();
-        out.push(0); // encoding placeholder
+        out.push(enc as u8);
+        let len_pos = out.len();
         out.extend_from_slice(&[0u8; 8]); // payload-len placeholder
         let payload_start = out.len();
-        let enc = match force {
-            Some(enc) => {
-                // Fall back to plain when the forced encoding doesn't apply
-                // to this type (e.g. Dictionary on floats).
-                match encoding::encode_column(col, enc, &mut out) {
-                    Ok(()) => enc,
-                    Err(_) => {
-                        out.truncate(payload_start);
-                        encoding::encode_column(col, Encoding::Plain, &mut out)
-                            .expect("plain supports all types");
-                        Encoding::Plain
-                    }
-                }
-            }
-            None => encoding::encode_auto_into(col, &mut out),
-        };
-        out[enc_pos] = enc as u8;
+        encoding::encode_column(col, enc, &mut out).expect("encoding fits the column type");
         let payload_len = (out.len() - payload_start) as u64;
-        out[enc_pos + 1..enc_pos + 9].copy_from_slice(&payload_len.to_le_bytes());
+        out[len_pos..len_pos + 8].copy_from_slice(&payload_len.to_le_bytes());
     }
 
     let crc = crc32(&out[HEADER_LEN..]);
     out[5..9].copy_from_slice(&crc.to_le_bytes());
+    // Only a Dictionary column's size is an over-estimate; give the excess
+    // back when it is worth a reallocation.
+    if out.capacity() - out.len() > out.capacity() / 8 {
+        out.shrink_to_fit();
+    }
     Bytes::from(out)
 }
 
@@ -591,6 +608,98 @@ mod tests {
             decode_batch(&bad),
             Err(ColumnarError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// A crc proves the bytes are the ones that were written, not that the
+    /// writer was honest: a hostile block carries a *valid* crc. Counts read
+    /// from such bytes must be checked against the bytes that back them
+    /// before anything is allocated: an unchecked one reaches
+    /// `Vec::with_capacity(1 << 40)` and aborts the process.
+    #[test]
+    fn hostile_counts_with_valid_crc_are_corrupt_not_an_abort() {
+        const HUGE: u64 = 1 << 40;
+        fn reseal(mut block: Vec<u8>) -> Vec<u8> {
+            let crc = crc32(&block[9..]);
+            block[5..9].copy_from_slice(&crc.to_le_bytes());
+            block
+        }
+        // Single-column blocks, so the column's payload is the block's tail.
+        let one_column = |name: &str, col: Column, enc: Encoding| {
+            let schema = Schema::of(&[(name, col.data_type())]);
+            let batch = Batch::new(schema, vec![col]).unwrap();
+            let block = encode_batch_with(&batch, Some(enc)).to_vec();
+            let info = block_column_info(&block).unwrap();
+            assert_eq!(info[0].encoding, enc);
+            let payload_start = block.len() - info[0].encoded_bytes as usize;
+            (block, payload_start)
+        };
+        let columns = [
+            ("p", Column::from_i64((0..200).collect()), Encoding::Plain),
+            (
+                "d",
+                Column::from_i64((0..200).collect()),
+                Encoding::DeltaVarint,
+            ),
+            ("r", Column::from_f64(vec![1.5; 200]), Encoding::Rle),
+            ("s", Column::from_strings(vec!["ab"; 200]), Encoding::Plain),
+            (
+                "t",
+                Column::from_strings(vec!["ab"; 200]),
+                Encoding::Dictionary,
+            ),
+        ];
+        let mut hostile: Vec<(String, Vec<u8>)> = Vec::new();
+        for (name, col, enc) in columns {
+            let (block, payload_start) = one_column(name, col, enc);
+            // The block's row count and the validity bitmap's bit count both
+            // claim 2^40 rows; nothing else changes.
+            let mut b = block.clone();
+            b[9..17].copy_from_slice(&HUGE.to_le_bytes());
+            b[payload_start..payload_start + 8].copy_from_slice(&HUGE.to_le_bytes());
+            hostile.push((format!("{enc:?}: rows and bitmap length 2^40"), reseal(b)));
+            // Only the bitmap lies.
+            let mut b = block.clone();
+            b[payload_start..payload_start + 8].copy_from_slice(&HUGE.to_le_bytes());
+            hostile.push((format!("{enc:?}: bitmap length 2^40"), reseal(b)));
+        }
+        // A dictionary that claims 2^40 entries: the one-byte varint after
+        // the bitmap grows, so the entry's payload length is patched too.
+        let (block, payload_start) = one_column(
+            "t",
+            Column::from_strings(vec!["ab"; 200]),
+            Encoding::Dictionary,
+        );
+        let dict_len_pos = payload_start + 8 + 8 * 200usize.div_ceil(64);
+        assert_eq!(block[dict_len_pos], 1, "one distinct string");
+        let mut varint = Vec::new();
+        write_uvarint(HUGE, &mut varint);
+        let mut b = block[..dict_len_pos].to_vec();
+        b.extend_from_slice(&varint);
+        b.extend_from_slice(&block[dict_len_pos + 1..]);
+        let payload_len = (b.len() - payload_start) as u64;
+        b[payload_start - 8..payload_start].copy_from_slice(&payload_len.to_le_bytes());
+        hostile.push(("Dictionary: 2^40 entries".into(), reseal(b)));
+
+        for (what, block) in &hostile {
+            assert!(
+                matches!(decode_batch(block), Err(ColumnarError::Corrupt(_))),
+                "decode_batch, {what}"
+            );
+            assert!(
+                matches!(
+                    decode_batch_columns(block, None),
+                    Err(ColumnarError::Corrupt(_))
+                ),
+                "decode_batch_columns, {what}"
+            );
+            assert!(
+                matches!(
+                    decode_batch_encoded(block, None),
+                    Err(ColumnarError::Corrupt(_))
+                ),
+                "decode_batch_encoded, {what}"
+            );
+        }
     }
 
     #[test]

@@ -357,13 +357,54 @@ impl Column {
         })
     }
 
-    /// Gather rows at `indices` (in order, duplicates allowed).
+    /// Gather rows at `indices` (in order, duplicates allowed; panics past
+    /// the end). Typed loops — no boxed [`Value`] per cell. A NULL source
+    /// slot lands as the type's default value, exactly what
+    /// [`ColumnBuilder::push`] writes for `Value::Null`: `Column`'s derived
+    /// `PartialEq` compares the data under NULLs too.
     pub fn take(&self, indices: &[usize]) -> Column {
-        let mut b = ColumnBuilder::new(self.data_type());
-        for &i in indices {
-            b.push(self.get(i)).expect("same type");
+        fn gather<T: Clone + Default>(
+            data: &[T],
+            validity: &Bitmap,
+            indices: &[usize],
+        ) -> (Vec<T>, Bitmap) {
+            if validity.all_set() {
+                let out = indices.iter().map(|&i| data[i].clone()).collect();
+                return (out, Bitmap::all_valid(indices.len()));
+            }
+            let mut valid = Bitmap::all_clear(indices.len());
+            let out = indices
+                .iter()
+                .enumerate()
+                .map(|(o, &i)| {
+                    if validity.get(i) {
+                        valid.set(o);
+                        data[i].clone()
+                    } else {
+                        T::default()
+                    }
+                })
+                .collect();
+            (out, valid)
         }
-        b.finish()
+        match self {
+            Column::Int64 { data, validity } => {
+                let (data, validity) = gather(data, validity, indices);
+                Column::Int64 { data, validity }
+            }
+            Column::Float64 { data, validity } => {
+                let (data, validity) = gather(data, validity, indices);
+                Column::Float64 { data, validity }
+            }
+            Column::Bool { data, validity } => {
+                let (data, validity) = gather(data, validity, indices);
+                Column::Bool { data, validity }
+            }
+            Column::Varchar { data, validity } => {
+                let (data, validity) = gather(data, validity, indices);
+                Column::Varchar { data, validity }
+            }
+        }
     }
 
     /// Approximate in-memory footprint, in bytes. Drives the ledger's

@@ -19,7 +19,9 @@
 
 use crate::bitmap::Bitmap;
 use crate::column::Column;
-use crate::encoding::{read_i64_le, read_string, read_uvarint, unzigzag, Encoding};
+use crate::encoding::{
+    check_count, read_dictionary, read_i64_le, read_run_length, read_uvarint, unzigzag, Encoding,
+};
 use crate::error::{ColumnarError, Result};
 use crate::schema::Schema;
 use crate::value::DataType;
@@ -99,14 +101,12 @@ impl EncodedColumn {
                 })?)
             }
             (DataType::Varchar, Encoding::Dictionary) => {
-                let dict_len = read_uvarint(bytes, pos)? as usize;
+                let dict = read_dictionary(bytes, pos)?;
+                let dict_len = dict.len();
                 if dict_len > u32::MAX as usize {
                     return Err(ColumnarError::Corrupt("dictionary too large".into()));
                 }
-                let mut dict = Vec::with_capacity(dict_len);
-                for _ in 0..dict_len {
-                    dict.push(read_string(bytes, pos)?);
-                }
+                check_count(rows, bytes, *pos, "dictionary codes")?;
                 let mut codes = Vec::with_capacity(rows);
                 for _ in 0..rows {
                     let code = read_uvarint(bytes, pos)?;
@@ -513,12 +513,7 @@ fn read_runs<T: Copy>(
     let mut runs = Vec::new();
     let mut total = 0usize;
     while total < rows {
-        let count = read_uvarint(bytes, pos)? as usize;
-        if count == 0 || total + count > rows {
-            return Err(ColumnarError::Corrupt(format!(
-                "bad run length {count} at row {total}"
-            )));
-        }
+        let count = read_run_length(bytes, pos, rows - total, total)?;
         let v = read_value(bytes, pos)?;
         runs.push((count as u64, v));
         total += count;

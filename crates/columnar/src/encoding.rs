@@ -29,7 +29,7 @@
 //! paths read the identical payload bytes, so the choice is per-column and
 //! invisible to results.
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{read_u64s_le, write_u64s_le, Bitmap};
 use crate::column::Column;
 use crate::error::{ColumnarError, Result};
 use crate::value::DataType;
@@ -70,6 +70,11 @@ pub(crate) fn write_uvarint(mut v: u64, out: &mut Vec<u8>) {
     }
 }
 
+/// Bytes [`write_uvarint`] emits for `v`.
+pub(crate) fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 pub(crate) fn read_uvarint(bytes: &[u8], pos: &mut usize) -> Result<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -99,14 +104,32 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 
 // --------------------------------------------------------------- encoding
 
-/// Encode `col` with `enc`, appending to `out`.
+/// Whether `enc` can represent a column of `dtype`.
+pub fn supports(dtype: DataType, enc: Encoding) -> bool {
+    matches!(
+        (dtype, enc),
+        (_, Encoding::Plain)
+            | (
+                DataType::Int64 | DataType::Float64 | DataType::Bool,
+                Encoding::Rle
+            )
+            | (DataType::Varchar, Encoding::Dictionary)
+            | (DataType::Int64, Encoding::DeltaVarint)
+    )
+}
+
+/// Encode `col` with `enc`, appending to `out` (untouched on error).
 pub fn encode_column(col: &Column, enc: Encoding, out: &mut Vec<u8>) -> Result<()> {
+    if !supports(col.data_type(), enc) {
+        return Err(ColumnarError::Corrupt(format!(
+            "encoding {enc:?} not supported for {:?}",
+            col.data_type()
+        )));
+    }
     col.validity().to_bytes(out);
     match (col, enc) {
         (Column::Int64 { data, .. }, Encoding::Plain) => {
-            for v in data {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            write_u64s_le(data.iter().map(|&v| v as u64), out);
         }
         (Column::Int64 { data, .. }, Encoding::Rle) => {
             encode_runs(data.iter().copied(), out, |v, o| {
@@ -121,9 +144,7 @@ pub fn encode_column(col: &Column, enc: Encoding, out: &mut Vec<u8>) -> Result<(
             }
         }
         (Column::Float64 { data, .. }, Encoding::Plain) => {
-            for v in data {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            write_u64s_le(data.iter().map(|v| v.to_bits()), out);
         }
         (Column::Float64 { data, .. }, Encoding::Rle) => {
             // Runs compare bit patterns so NaNs and -0.0 round-trip exactly.
@@ -132,11 +153,7 @@ pub fn encode_column(col: &Column, enc: Encoding, out: &mut Vec<u8>) -> Result<(
             });
         }
         (Column::Bool { data, .. }, Encoding::Plain) => {
-            let mut bits = Bitmap::new();
-            for &b in data {
-                bits.push(b);
-            }
-            bits.to_bytes(out);
+            Bitmap::from_bools(data).to_bytes(out);
         }
         (Column::Bool { data, .. }, Encoding::Rle) => {
             encode_runs(data.iter().copied(), out, |v, o| o.push(v as u8));
@@ -167,14 +184,73 @@ pub fn encode_column(col: &Column, enc: Encoding, out: &mut Vec<u8>) -> Result<(
                 write_uvarint(c, out);
             }
         }
-        (col, enc) => {
-            return Err(ColumnarError::Corrupt(format!(
-                "encoding {enc:?} not supported for {:?}",
-                col.data_type()
-            )))
-        }
+        _ => unreachable!("supports() checked above"),
     }
     Ok(())
+}
+
+/// How many bytes [`encode_column`] appends for `(col, enc)`, computed
+/// without encoding: exact for every encoding except Dictionary, where it is
+/// an upper bound (as if every string were distinct). The block writer sizes
+/// its one output buffer from this.
+pub(crate) fn encoded_len_bound(col: &Column, enc: Encoding) -> usize {
+    let rows = col.len();
+    let bitmap = 8 + 8 * rows.div_ceil(64);
+    let strings = |data: &[String]| -> usize {
+        data.iter()
+            .map(|s| uvarint_len(s.len() as u64) + s.len())
+            .sum()
+    };
+    let mut values = 0usize;
+    match (col, enc) {
+        (Column::Int64 { .. } | Column::Float64 { .. }, Encoding::Plain) => values = 8 * rows,
+        (Column::Bool { .. }, Encoding::Plain) => values = bitmap,
+        (Column::Varchar { data, .. }, Encoding::Plain) => values = strings(data),
+        (Column::Int64 { data, .. }, Encoding::Rle) => {
+            for_each_run(data.iter().copied(), |v, n| {
+                values += uvarint_len(n) + uvarint_len(zigzag(v))
+            })
+        }
+        (Column::Float64 { data, .. }, Encoding::Rle) => {
+            for_each_run(data.iter().map(|v| v.to_bits()), |_, n| {
+                values += uvarint_len(n) + 8
+            })
+        }
+        (Column::Bool { data, .. }, Encoding::Rle) => {
+            for_each_run(data.iter().copied(), |_, n| values += uvarint_len(n) + 1)
+        }
+        (Column::Int64 { data, .. }, Encoding::DeltaVarint) => {
+            let mut prev = 0i64;
+            for &v in data {
+                values += uvarint_len(zigzag(v.wrapping_sub(prev)));
+                prev = v;
+            }
+        }
+        (Column::Varchar { data, .. }, Encoding::Dictionary) => {
+            values = uvarint_len(rows as u64) + strings(data) + rows * uvarint_len(rows as u64)
+        }
+        // Unsupported pair: `encode_column` writes nothing.
+        _ => return 0,
+    }
+    bitmap + values
+}
+
+/// Call `f(value, length)` for each maximal run of equal adjacent values.
+fn for_each_run<T: PartialEq + Copy>(values: impl Iterator<Item = T>, mut f: impl FnMut(T, u64)) {
+    let mut current: Option<(T, u64)> = None;
+    for v in values {
+        match &mut current {
+            Some((cv, count)) if *cv == v => *count += 1,
+            _ => {
+                if let Some((cv, count)) = current.replace((v, 1)) {
+                    f(cv, count);
+                }
+            }
+        }
+    }
+    if let Some((cv, count)) = current {
+        f(cv, count);
+    }
 }
 
 fn encode_runs<T: PartialEq + Copy>(
@@ -182,23 +258,10 @@ fn encode_runs<T: PartialEq + Copy>(
     out: &mut Vec<u8>,
     mut write_value: impl FnMut(T, &mut Vec<u8>),
 ) {
-    let mut current: Option<(T, u64)> = None;
-    for v in values {
-        match &mut current {
-            Some((cv, count)) if *cv == v => *count += 1,
-            _ => {
-                if let Some((cv, count)) = current.take() {
-                    write_uvarint(count, out);
-                    write_value(cv, out);
-                }
-                current = Some((v, 1));
-            }
-        }
-    }
-    if let Some((cv, count)) = current {
+    for_each_run(values, |v, count| {
         write_uvarint(count, out);
-        write_value(cv, out);
-    }
+        write_value(v, out);
+    });
 }
 
 // --------------------------------------------------------------- decoding
@@ -221,18 +284,18 @@ pub fn decode_column(
         )));
     }
     let col = match (dtype, enc) {
-        (DataType::Int64, Encoding::Plain) => {
-            let mut data = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                data.push(read_i64_le(bytes, pos)?);
-            }
-            Column::Int64 { data, validity }
-        }
+        (DataType::Int64, Encoding::Plain) => Column::Int64 {
+            data: read_plain_words(bytes, pos, rows)?
+                .map(|v| v as i64)
+                .collect(),
+            validity,
+        },
         (DataType::Int64, Encoding::Rle) => {
             let data = decode_runs(rows, bytes, pos, |b, p| Ok(unzigzag(read_uvarint(b, p)?)))?;
             Column::Int64 { data, validity }
         }
         (DataType::Int64, Encoding::DeltaVarint) => {
+            check_count(rows, bytes, *pos, "delta values")?;
             let mut data = Vec::with_capacity(rows);
             let mut prev = 0i64;
             for _ in 0..rows {
@@ -241,13 +304,12 @@ pub fn decode_column(
             }
             Column::Int64 { data, validity }
         }
-        (DataType::Float64, Encoding::Plain) => {
-            let mut data = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                data.push(f64::from_bits(read_i64_le(bytes, pos)? as u64));
-            }
-            Column::Float64 { data, validity }
-        }
+        (DataType::Float64, Encoding::Plain) => Column::Float64 {
+            data: read_plain_words(bytes, pos, rows)?
+                .map(f64::from_bits)
+                .collect(),
+            validity,
+        },
         (DataType::Float64, Encoding::Rle) => {
             let bits = decode_runs(rows, bytes, pos, |b, p| read_i64_le(b, p).map(|v| v as u64))?;
             Column::Float64 {
@@ -277,6 +339,7 @@ pub fn decode_column(
             Column::Bool { data, validity }
         }
         (DataType::Varchar, Encoding::Plain) => {
+            check_count(rows, bytes, *pos, "strings")?;
             let mut data = Vec::with_capacity(rows);
             for _ in 0..rows {
                 data.push(read_string(bytes, pos)?);
@@ -284,11 +347,8 @@ pub fn decode_column(
             Column::Varchar { data, validity }
         }
         (DataType::Varchar, Encoding::Dictionary) => {
-            let dict_len = read_uvarint(bytes, pos)? as usize;
-            let mut dict = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                dict.push(read_string(bytes, pos)?);
-            }
+            let dict = read_dictionary(bytes, pos)?;
+            check_count(rows, bytes, *pos, "dictionary codes")?;
             let mut data = Vec::with_capacity(rows);
             for _ in 0..rows {
                 let code = read_uvarint(bytes, pos)? as usize;
@@ -308,6 +368,9 @@ pub fn decode_column(
     Ok(col)
 }
 
+/// Expand `(count, value)` runs into `rows` values. `rows` has already been
+/// matched against the validity bitmap the payload carries, so it is backed
+/// by `rows / 8` bytes of input.
 fn decode_runs<T: Copy>(
     rows: usize,
     bytes: &[u8],
@@ -316,17 +379,65 @@ fn decode_runs<T: Copy>(
 ) -> Result<Vec<T>> {
     let mut data = Vec::with_capacity(rows);
     while data.len() < rows {
-        let count = read_uvarint(bytes, pos)? as usize;
-        if count == 0 || data.len() + count > rows {
-            return Err(ColumnarError::Corrupt(format!(
-                "bad run length {count} at row {}",
-                data.len()
-            )));
-        }
+        let count = read_run_length(bytes, pos, rows - data.len(), data.len())?;
         let v = read_value(bytes, pos)?;
         data.resize(data.len() + count, v);
     }
     Ok(data)
+}
+
+/// One run's length: non-zero and no longer than the `remaining` rows
+/// (compared without adding, so a 2⁶⁴-sized count cannot wrap past the check).
+pub(crate) fn read_run_length(
+    bytes: &[u8],
+    pos: &mut usize,
+    remaining: usize,
+    at_row: usize,
+) -> Result<usize> {
+    let count = read_uvarint(bytes, pos)?;
+    if count == 0 || count > remaining as u64 {
+        return Err(ColumnarError::Corrupt(format!(
+            "bad run length {count} at row {at_row}"
+        )));
+    }
+    Ok(count as usize)
+}
+
+/// A count read from (or implied by) the bytes must be backed by the bytes
+/// that are left — every counted item here takes at least one byte — before
+/// anything is allocated for it. A crc only proves the bytes are the ones
+/// that were written, not that whoever wrote them was honest.
+pub(crate) fn check_count(count: usize, bytes: &[u8], pos: usize, what: &str) -> Result<()> {
+    let left = bytes.len().saturating_sub(pos);
+    if count > left {
+        return Err(ColumnarError::Corrupt(format!(
+            "{count} {what} claimed with {left} bytes left"
+        )));
+    }
+    Ok(())
+}
+
+/// `rows` fixed-width plain values: one bounds check for the whole run.
+fn read_plain_words<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    rows: usize,
+) -> Result<impl ExactSizeIterator<Item = u64> + 'a> {
+    read_u64s_le(bytes, pos, rows)
+        .ok_or_else(|| ColumnarError::Corrupt("plain values past end".into()))
+}
+
+/// A dictionary payload's distinct strings (length-checked before the
+/// allocation it sizes).
+pub(crate) fn read_dictionary(bytes: &[u8], pos: &mut usize) -> Result<Vec<String>> {
+    let dict_len = usize::try_from(read_uvarint(bytes, pos)?)
+        .map_err(|_| ColumnarError::Corrupt("dictionary too large".into()))?;
+    check_count(dict_len, bytes, *pos, "dictionary entries")?;
+    let mut dict = Vec::with_capacity(dict_len);
+    for _ in 0..dict_len {
+        dict.push(read_string(bytes, pos)?);
+    }
+    Ok(dict)
 }
 
 pub(crate) fn read_i64_le(bytes: &[u8], pos: &mut usize) -> Result<i64> {
@@ -406,21 +517,6 @@ fn count_runs<T: PartialEq>(data: &[T]) -> usize {
         return 0;
     }
     1 + data.windows(2).filter(|w| w[0] != w[1]).count()
-}
-
-/// Encode with the heuristically chosen encoding.
-pub fn encode_auto(col: &Column) -> (Encoding, Vec<u8>) {
-    let mut out = Vec::new();
-    let enc = encode_auto_into(col, &mut out);
-    (enc, out)
-}
-
-/// Encode with the heuristically chosen encoding, appending to `out`
-/// (the copy-free form the block writer uses).
-pub fn encode_auto_into(col: &Column, out: &mut Vec<u8>) -> Encoding {
-    let enc = choose_encoding(col);
-    encode_column(col, enc, out).expect("chosen encoding always valid for its type");
-    enc
 }
 
 #[cfg(test)]
@@ -563,6 +659,55 @@ mod tests {
         buf[bitmap_len] = 200;
         let mut pos = 0;
         assert!(decode_column(DataType::Int64, Encoding::Rle, 3, &buf, &mut pos).is_err());
+        // A run length near 2^64 must not wrap past the "fits in the rows
+        // left" check after the first, honest run.
+        let mut buf = buf[..bitmap_len].to_vec();
+        for (count, value) in [(1, 1i64), (u64::MAX, 1)] {
+            write_uvarint(count, &mut buf);
+            write_uvarint(zigzag(value), &mut buf);
+        }
+        let mut pos = 0;
+        assert!(decode_column(DataType::Int64, Encoding::Rle, 3, &buf, &mut pos).is_err());
+    }
+
+    #[test]
+    fn encoded_len_bound_is_exact_except_for_dictionaries() {
+        let mut nullable = ColumnBuilder::new(DataType::Int64);
+        for i in 0..130 {
+            if i % 7 == 0 {
+                nullable.push_null();
+            } else {
+                nullable.push(Value::Int64(i / 9 * 1_000_003)).unwrap();
+            }
+        }
+        let columns = [
+            nullable.finish(),
+            Column::from_i64(vec![i64::MIN, i64::MAX, 0, -1, -1, 63, 64, 8192]),
+            Column::from_i64(vec![]),
+            Column::from_f64(vec![0.0, -0.0, f64::NAN, f64::NAN, 2.5, 2.5]),
+            Column::from_bool((0..100).map(|i| i / 30 % 2 == 0).collect()),
+            Column::from_strings(vec!["", "a", "a", "bb", &"x".repeat(300)]),
+        ];
+        for col in &columns {
+            for enc in [
+                Encoding::Plain,
+                Encoding::Rle,
+                Encoding::Dictionary,
+                Encoding::DeltaVarint,
+            ] {
+                let mut buf = Vec::new();
+                if encode_column(col, enc, &mut buf).is_err() {
+                    assert!(buf.is_empty(), "a refused encoding writes nothing");
+                    continue;
+                }
+                let bound = encoded_len_bound(col, enc);
+                if enc == Encoding::Dictionary {
+                    assert!(bound >= buf.len(), "{enc:?} {:?}", col.data_type());
+                } else {
+                    assert_eq!(bound, buf.len(), "{enc:?} {:?}", col.data_type());
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! block format survives arbitrary batches.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::collections::HashSet;
 use vdr_columnar::encoding::{decode_column, encode_column, Encoding};
 use vdr_columnar::kernels::{cmp_scalar, cmp_scalar_dict, cmp_scalar_rle, CmpOp};
@@ -85,6 +86,53 @@ fn string_column() -> impl Strategy<Value = Column> {
         }
         b.finish()
     })
+}
+
+/// NaN-free floats, so the derived `Column == Column` (which also compares
+/// the data parked under NULL slots) can be used on the result.
+fn finite_float_column() -> impl Strategy<Value = Column> {
+    prop::collection::vec(prop::option::of(-1.0e9f64..1.0e9), 0..300).prop_map(|vals| {
+        let mut b = ColumnBuilder::new(DataType::Float64);
+        for v in vals {
+            match v {
+                Some(x) => b.push(Value::Float64(x)).unwrap(),
+                None => b.push_null(),
+            }
+        }
+        b.finish()
+    })
+}
+
+fn bool_column() -> impl Strategy<Value = Column> {
+    prop::collection::vec(prop::option::of(any::<bool>()), 0..300).prop_map(|vals| {
+        let mut b = ColumnBuilder::new(DataType::Bool);
+        for v in vals {
+            match v {
+                Some(x) => b.push(Value::Bool(x)).unwrap(),
+                None => b.push_null(),
+            }
+        }
+        b.finish()
+    })
+}
+
+/// `Bitmap` built one `push` at a time — the reference the word-wise
+/// `extend` / `slice` must equal, padding bits included.
+fn bitmap_by_push(bits: impl IntoIterator<Item = bool>) -> Bitmap {
+    let mut out = Bitmap::new();
+    for b in bits {
+        out.push(b);
+    }
+    out
+}
+
+/// `==` (which sees stray padding bits), `count_set` and `all_set` all
+/// agree with the reference.
+fn assert_same_bitmap(fast: &Bitmap, reference: &Bitmap) -> Result<(), TestCaseError> {
+    prop_assert_eq!(fast, reference);
+    prop_assert_eq!(fast.count_set(), reference.count_set());
+    prop_assert_eq!(fast.all_set(), reference.all_set());
+    Ok(())
 }
 
 /// Compare columns treating NaN bit patterns as equal (PartialEq on f64
@@ -432,6 +480,92 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// Word-wise `extend` ≡ pushing every bit, for every alignment of the
+    /// seam (lengths straddle 0–4 words), and stays so when chained.
+    #[test]
+    fn bitmap_extend_matches_bit_by_bit(
+        a in prop::collection::vec(any::<bool>(), 0..260),
+        b in prop::collection::vec(any::<bool>(), 0..260),
+        ones in 0usize..200,
+    ) {
+        let mut fast = Bitmap::from_bools(&a);
+        fast.extend(&Bitmap::from_bools(&b));
+        let mut all: Vec<bool> = a.iter().chain(&b).copied().collect();
+        assert_same_bitmap(&fast, &bitmap_by_push(all.iter().copied()))?;
+        // All-ones input is where a dirty carry or padding bit would show.
+        fast.extend(&Bitmap::all_valid(ones));
+        all.resize(all.len() + ones, true);
+        fast.extend(&Bitmap::from_bools(&a));
+        all.extend_from_slice(&a);
+        assert_same_bitmap(&fast, &bitmap_by_push(all.iter().copied()))?;
+    }
+
+    /// Word-wise `slice` ≡ pushing bits `[from, to)`, including ends that
+    /// are not multiples of 64, and the result is clean enough to extend.
+    #[test]
+    fn bitmap_slice_matches_bit_by_bit(
+        bits in prop::collection::vec(any::<bool>(), 0..400),
+        dense in any::<bool>(),
+        x in any::<usize>(),
+        y in any::<usize>(),
+    ) {
+        // Half the cases run on an all-set bitmap: every padding bit a
+        // sloppy slice leaves behind is then a set bit.
+        let bits: Vec<bool> = if dense { vec![true; bits.len()] } else { bits };
+        let (x, y) = (x % (bits.len() + 1), y % (bits.len() + 1));
+        let (from, to) = (x.min(y), x.max(y));
+        let source = Bitmap::from_bools(&bits);
+        let mut fast = source.slice(from, to);
+        prop_assert_eq!(fast.len(), to - from);
+        assert_same_bitmap(&fast, &bitmap_by_push(bits[from..to].iter().copied()))?;
+        fast.extend(&source.slice(0, from));
+        let rotated = bits[from..to].iter().chain(&bits[..from]).copied();
+        assert_same_bitmap(&fast, &bitmap_by_push(rotated))?;
+    }
+
+    /// Bitmap wire form round-trips, and a reader never trusts padding bits
+    /// it was handed.
+    #[test]
+    fn bitmap_bytes_roundtrip(bits in prop::collection::vec(any::<bool>(), 0..300)) {
+        let bm = Bitmap::from_bools(&bits);
+        let mut buf = Vec::new();
+        bm.to_bytes(&mut buf);
+        prop_assert_eq!(buf.len(), 8 + 8 * bits.len().div_ceil(64));
+        let mut pos = 0;
+        prop_assert_eq!(&Bitmap::from_bytes(&buf, &mut pos).unwrap(), &bm);
+        prop_assert_eq!(pos, buf.len());
+        if let Some(last) = buf.last_mut().filter(|_| bits.len() % 64 != 0) {
+            *last |= 0x80; // a set bit past `len`
+            let mut pos = 0;
+            prop_assert_eq!(&Bitmap::from_bytes(&buf, &mut pos).unwrap(), &bm);
+        }
+    }
+
+    /// Typed `Column::take` ≡ the boxed `get` + `ColumnBuilder::push` path it
+    /// replaced — for all four types, with NULLs (whose slots must hold the
+    /// type's default, or the derived `==` fails) and duplicate indices.
+    #[test]
+    fn take_matches_builder_path(
+        ints in int_column(),
+        floats in finite_float_column(),
+        bools in bool_column(),
+        strs in string_column(),
+        picks in prop::collection::vec(any::<usize>(), 0..400),
+    ) {
+        for col in [ints, floats, bools, strs] {
+            let indices: Vec<usize> = if col.is_empty() {
+                Vec::new()
+            } else {
+                picks.iter().map(|p| p % col.len()).collect()
+            };
+            let mut reference = ColumnBuilder::new(col.data_type());
+            for &i in &indices {
+                reference.push(col.get(i)).unwrap();
+            }
+            prop_assert_eq!(col.take(&indices), reference.finish());
         }
     }
 

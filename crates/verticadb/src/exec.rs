@@ -1365,6 +1365,9 @@ fn sort_by_exprs(batch: Batch, keys: &[(Expr, bool)]) -> Result<Batch> {
 }
 
 fn apply_offset_limit(stmt: &SelectStmt, batch: Batch) -> Batch {
+    if stmt.offset.is_none() && stmt.limit.is_none() {
+        return batch;
+    }
     let n = batch.num_rows();
     let start = stmt.offset.unwrap_or(0).min(n as u64) as usize;
     let end = match stmt.limit {

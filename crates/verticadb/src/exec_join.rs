@@ -26,7 +26,7 @@
 //! the output deterministic.
 
 use super::*;
-use crate::segmentation::Segmentation;
+use crate::segmentation::{hash_routes, Segmentation};
 use crate::sql::{JoinClause, JoinKind};
 use bytes::Bytes;
 use rayon::prelude::*;
@@ -658,11 +658,7 @@ fn concat_parts(parts: Vec<Batch>) -> Result<Batch> {
 /// [`Segmentation::Hash`] applies at load time, so a shuffled side lands
 /// co-resident with a hash-segmented one.
 fn partition_batch(batch: &Batch, key: &str, n: usize) -> Result<Vec<Batch>> {
-    let col = batch.column_by_name(key)?;
-    let mut idx: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
-    for i in 0..batch.num_rows() {
-        idx[(hash_value(&col.get(i)) % n as u64) as usize].push(i);
-    }
+    let idx = hash_routes(batch.column_by_name(key)?, n);
     Ok(idx.iter().map(|ix| batch.take(ix)).collect())
 }
 

@@ -8,7 +8,7 @@
 
 use crate::error::{DbError, Result};
 
-use vdr_columnar::{Batch, Value};
+use vdr_columnar::{Batch, Column, Value};
 
 /// A segmentation scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,11 +35,7 @@ impl Segmentation {
         let mut routes: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
         match self {
             Segmentation::Hash { column } => {
-                let col = batch.column_by_name(column)?;
-                for i in 0..n {
-                    let h = hash_value(&col.get(i));
-                    routes[(h % num_nodes as u64) as usize].push(i);
-                }
+                routes = hash_routes(batch.column_by_name(column)?, num_nodes);
             }
             Segmentation::RoundRobin => {
                 for i in 0..n {
@@ -97,32 +93,69 @@ impl Segmentation {
 /// Independent of Rust's `Hash` so the routing is stable across releases —
 /// it is part of the storage layout.
 pub fn hash_value(v: &Value) -> u64 {
+    match v {
+        Value::Null => fnv1a(TAG_NULL, &[]),
+        Value::Int64(x) => fnv1a(TAG_INT64, &x.to_le_bytes()),
+        Value::Float64(x) => fnv1a(TAG_FLOAT64, &x.to_bits().to_le_bytes()),
+        Value::Bool(b) => fnv1a(TAG_BOOL, &[*b as u8]),
+        Value::Varchar(s) => fnv1a(TAG_VARCHAR, s.as_bytes()),
+    }
+}
+
+// The canonical byte form is a type tag followed by the value's bytes.
+const TAG_NULL: u8 = 0;
+const TAG_INT64: u8 = 1;
+const TAG_FLOAT64: u8 = 2;
+const TAG_BOOL: u8 = 3;
+const TAG_VARCHAR: u8 = 4;
+
+fn fnv1a(tag: u8, payload: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    match v {
-        Value::Null => eat(&[0]),
-        Value::Int64(x) => {
-            eat(&[1]);
-            eat(&x.to_le_bytes());
-        }
-        Value::Float64(x) => {
-            eat(&[2]);
-            eat(&x.to_bits().to_le_bytes());
-        }
-        Value::Bool(b) => eat(&[3, *b as u8]),
-        Value::Varchar(s) => {
-            eat(&[4]);
-            eat(s.as_bytes());
-        }
+    let mut h = (OFFSET ^ tag as u64).wrapping_mul(PRIME);
+    for &b in payload {
+        h = (h ^ b as u64).wrapping_mul(PRIME);
     }
     h
+}
+
+/// Row indices of `col` grouped by `hash_value(row) % n` — the routing of
+/// [`Segmentation::Hash`], computed over the typed column so no [`Value`]
+/// (and no `String` clone) is built per row.
+pub(crate) fn hash_routes(col: &Column, n: usize) -> Vec<Vec<usize>> {
+    let mut routes: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let validity = col.validity();
+    let mut route = |i: usize, tag: u8, payload: &[u8]| {
+        let h = if validity.get(i) {
+            fnv1a(tag, payload)
+        } else {
+            fnv1a(TAG_NULL, &[])
+        };
+        routes[(h % n as u64) as usize].push(i);
+    };
+    match col {
+        Column::Int64 { data, .. } => {
+            for (i, x) in data.iter().enumerate() {
+                route(i, TAG_INT64, &x.to_le_bytes());
+            }
+        }
+        Column::Float64 { data, .. } => {
+            for (i, x) in data.iter().enumerate() {
+                route(i, TAG_FLOAT64, &x.to_bits().to_le_bytes());
+            }
+        }
+        Column::Bool { data, .. } => {
+            for (i, b) in data.iter().enumerate() {
+                route(i, TAG_BOOL, &[*b as u8]);
+            }
+        }
+        Column::Varchar { data, .. } => {
+            for (i, s) in data.iter().enumerate() {
+                route(i, TAG_VARCHAR, s.as_bytes());
+            }
+        }
+    }
+    routes
 }
 
 #[cfg(test)]
@@ -226,6 +259,60 @@ mod tests {
             hash_value(&Value::Varchar("ab".into()))
         );
         assert_ne!(hash_value(&Value::Null), hash_value(&Value::Bool(false)));
+    }
+
+    proptest::proptest! {
+        /// The typed router is `hash_value(&col.get(i)) % n` row for row —
+        /// the routing is part of the storage layout — for every key type,
+        /// NULL keys included, and `split` keeps row order inside a node.
+        #[test]
+        fn hash_routes_match_hash_value_per_row(
+            keys in proptest::collection::vec(
+                proptest::option::of((proptest::arbitrary::any::<i64>(), "[a-zé]{0,9}")),
+                0..200,
+            ),
+            n in 1usize..6,
+        ) {
+            use vdr_columnar::ColumnBuilder;
+            type ToValue = fn(&(i64, String)) -> Value;
+            let typed: [(DataType, ToValue); 4] = [
+                (DataType::Int64, |k| Value::Int64(k.0)),
+                (DataType::Float64, |k| Value::Float64(f64::from_bits(k.0 as u64))),
+                (DataType::Bool, |k| Value::Bool(k.0 & 1 == 1)),
+                (DataType::Varchar, |k| Value::Varchar(k.1.clone())),
+            ];
+            for (dtype, value) in typed {
+                let mut b = ColumnBuilder::new(dtype);
+                for k in &keys {
+                    b.push(k.as_ref().map_or(Value::Null, value)).unwrap();
+                }
+                let col = b.finish();
+                let mut want: Vec<Vec<usize>> = vec![Vec::new(); n];
+                for i in 0..col.len() {
+                    want[(hash_value(&col.get(i)) % n as u64) as usize].push(i);
+                }
+                proptest::prop_assert_eq!(&hash_routes(&col, n), &want);
+
+                let ids = Column::from_i64((0..col.len() as i64).collect());
+                let batch = Batch::new(
+                    Schema::of(&[("k", dtype), ("row", DataType::Int64)]),
+                    vec![col, ids],
+                )
+                .unwrap();
+                let seg = Segmentation::Hash { column: "k".into() };
+                let parts = seg.split(&batch, n, 0).unwrap();
+                for (part, rows) in parts.iter().zip(&want) {
+                    let got: Vec<usize> = part
+                        .column(1)
+                        .i64_data()
+                        .unwrap()
+                        .iter()
+                        .map(|&r| r as usize)
+                        .collect();
+                    proptest::prop_assert_eq!(&got, rows);
+                }
+            }
+        }
     }
 
     #[test]

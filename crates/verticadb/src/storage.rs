@@ -32,7 +32,7 @@ use std::time::Instant;
 use vdr_cluster::{NodeId, PhaseRecorder, SimCluster};
 use vdr_columnar::{
     block_checksum, block_column_info, decode_batch_columns, decode_batch_encoded, encode_batch,
-    encoding::Encoding, Batch, EncodedBatch,
+    encoding::Encoding, Batch, DecodeStats, EncodedBatch, Schema,
 };
 
 /// Fraction of a node's RAM given to the decoded-block cache (1/32 of the
@@ -227,9 +227,7 @@ impl SegmentStore {
         wanted: Option<&HashSet<String>>,
     ) -> Result<Vec<Arc<Batch>>> {
         assert!(slice < num_slices, "slice index out of range");
-        // Lowercase once so the cache's coverage check is a plain set test.
-        let wanted_lc: Option<HashSet<String>> =
-            wanted.map(|w| w.iter().map(|s| s.to_ascii_lowercase()).collect());
+        let wanted_lc = lowercase_set(wanted);
         let containers = self.containers(table, node);
         let disk = self.cluster.node(node).disk();
         let scan_cost = self.cluster.profile().costs.db_scan_ns_per_value;
@@ -267,18 +265,7 @@ impl SegmentStore {
                 }
                 cols_skipped.fetch_add(stats.cols_skipped() as u64, Ordering::Relaxed);
                 let batch = Arc::new(batch);
-                let cache_cols = if stats.cols_decoded == stats.cols_total {
-                    None
-                } else {
-                    Some(
-                        batch
-                            .schema()
-                            .fields()
-                            .iter()
-                            .map(|f| f.name.to_ascii_lowercase())
-                            .collect(),
-                    )
-                };
+                let cache_cols = cached_columns(&stats, batch.schema());
                 self.cache
                     .insert(node, &c.path, c.crc, cache_cols, Arc::clone(&batch));
                 Ok(batch)
@@ -306,8 +293,7 @@ impl SegmentStore {
         cached: bool,
         wanted: Option<&HashSet<String>>,
     ) -> Result<Vec<Arc<EncodedBatch>>> {
-        let wanted_lc: Option<HashSet<String>> =
-            wanted.map(|w| w.iter().map(|s| s.to_ascii_lowercase()).collect());
+        let wanted_lc = lowercase_set(wanted);
         let containers = self.containers(table, node);
         let disk = self.cluster.node(node).disk();
         let scan_cost = self.cluster.profile().costs.db_scan_ns_per_value;
@@ -341,19 +327,7 @@ impl SegmentStore {
                 }
                 cols_skipped.fetch_add(stats.cols_skipped() as u64, Ordering::Relaxed);
                 let batch = Arc::new(batch);
-                let covers_all = stats.cols_decoded + stats.cols_kept_encoded == stats.cols_total;
-                let cache_cols = if covers_all {
-                    None
-                } else {
-                    Some(
-                        batch
-                            .schema()
-                            .fields()
-                            .iter()
-                            .map(|f| f.name.to_ascii_lowercase())
-                            .collect(),
-                    )
-                };
+                let cache_cols = cached_columns(&stats, batch.schema());
                 self.cache
                     .insert_encoded(node, &c.path, c.crc, cache_cols, Arc::clone(&batch));
                 Ok(batch)
@@ -401,6 +375,27 @@ impl SegmentStore {
         }
         Ok(loaded)
     }
+}
+
+/// The projection set, lowercased once so the block cache's coverage check
+/// is a plain set test.
+fn lowercase_set(wanted: Option<&HashSet<String>>) -> Option<HashSet<String>> {
+    wanted.map(|w| w.iter().map(|s| s.to_ascii_lowercase()).collect())
+}
+
+/// Which columns a block-cache entry covers: `None` when the scan produced
+/// every column of the block, otherwise the (lowercased) names it did.
+fn cached_columns(stats: &DecodeStats, schema: &Schema) -> Option<HashSet<String>> {
+    if stats.cols_skipped() == 0 {
+        return None;
+    }
+    Some(
+        schema
+            .fields()
+            .iter()
+            .map(|f| f.name.to_ascii_lowercase())
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -584,6 +579,54 @@ mod tests {
         assert!(grp.encoded_bytes * 10 < grp.decoded_bytes, "{grp:?}");
         let x = meta[0].columns.iter().find(|c| c.name == "x").unwrap();
         assert_eq!(x.encoding, Encoding::Plain);
+    }
+
+    /// What `append` records about a container must equal what a reader
+    /// derives from the bytes that reached the node's disk.
+    #[test]
+    fn append_metadata_matches_the_bytes_on_disk() {
+        let cluster = SimCluster::for_tests(2);
+        let store = SegmentStore::new(cluster.clone());
+        let schema = Schema::of(&[
+            ("id", DataType::Int64),
+            ("grp", DataType::Int64),
+            ("x", DataType::Float64),
+            ("tag", DataType::Varchar),
+        ]);
+        let def = TableDef {
+            name: "M".into(),
+            schema: schema.clone(),
+            segmentation: Segmentation::Hash {
+                column: "id".into(),
+            },
+        };
+        let n = 3000i64;
+        let batch = Batch::new(
+            schema,
+            vec![
+                Column::from_i64((0..n).collect()),
+                Column::from_i64((0..n).map(|i| i / 700).collect()),
+                Column::from_f64((0..n).map(|i| (i as f64).sin()).collect()),
+                Column::from_strings((0..n).map(|i| format!("t{}", i % 3)).collect()),
+            ],
+        )
+        .unwrap();
+        store.load(&def, vec![batch], &rec(2)).unwrap();
+        for node in cluster.node_ids() {
+            let metas = store.containers("m", node);
+            assert_eq!(metas.len(), 1);
+            let meta = &metas[0];
+            let on_disk = cluster.node(node).disk().read(&meta.path).unwrap();
+            assert_eq!(meta.bytes, on_disk.len() as u64);
+            assert_eq!(meta.crc, block_checksum(&on_disk).unwrap());
+            let info = block_column_info(&on_disk).unwrap();
+            assert_eq!(meta.columns.len(), info.len());
+            for (stat, info) in meta.columns.iter().zip(&info) {
+                assert_eq!(stat.name, info.name);
+                assert_eq!(stat.encoding, info.encoding);
+                assert_eq!(stat.encoded_bytes, info.encoded_bytes);
+            }
+        }
     }
 
     #[test]
