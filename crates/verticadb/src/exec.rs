@@ -12,17 +12,56 @@
 //! returns [`EncodedBatch`]es whose Rle/Dictionary columns are still in
 //! run/code form. Predicates then evaluate per *run* or per *distinct
 //! dictionary code* ([`vdr_columnar::kernels::cmp_scalar_rle`] /
-//! [`cmp_scalar_dict`]), a single-column dictionary GROUP BY aggregates into
-//! a dense per-code table without hashing decoded strings, and everything
-//! else is **late-materialized**: non-predicate columns decode only the rows
-//! that survived the filter bitmap. The whole path is an executor-internal
-//! optimization — results are bit-for-bit those of the decoded path.
+//! [`cmp_scalar_dict`]), a single-column dictionary GROUP BY takes its group
+//! ids from the dictionary codes without hashing decoded strings, and
+//! everything else is **late-materialized**: non-predicate columns decode
+//! only the rows that survived the filter bitmap. The whole path is an
+//! executor-internal optimization — results are bit-for-bit those of the
+//! decoded path.
+//!
+//! # Aggregation
+//!
+//! One columnar aggregator (`agg.rs`) runs from scan to finalize. A plan,
+//! made once per statement from the select list and the input schema, names
+//! the state columns each aggregate keeps per group — and the output dtypes,
+//! which therefore never depend on the data:
+//!
+//! | aggregate           | state columns                                 |
+//! |---------------------|-----------------------------------------------|
+//! | `COUNT(*)`          | `rows: Int64`                                 |
+//! | `COUNT(e)`          | `non_null: Int64`                             |
+//! | `SUM(e)` / `AVG(e)` | `sum: Float64`, `non_null: Int64`             |
+//! | `MIN(e)` / `MAX(e)` | one column of `e`'s type, NULL until a value  |
+//! | `COUNT(DISTINCT e)` | none; a pair set (below)                      |
+//!
+//! Each node feeds one group table container after container; its state is
+//! an ordinary [`Batch`] (`key columns ++ state columns`, a row per group)
+//! that the shuffled GROUP BY partitions by key hash and ships through the
+//! block codec — the exchange carries one payload type — and that the
+//! initiator-merge path gathers and merges with the same code. The two
+//! toggles only choose *where* the aggregator merges and whether group ids
+//! come from dictionary codes.
+//!
+//! `COUNT(DISTINCT)` ships as deduplicated `(group, value)` pairs because a
+//! count cannot be merged: two nodes that each saw `'a'` must count it once.
+//! The pairs are normalized — a `value` batch holding each distinct value
+//! once, and two integer columns naming rows of the state batch and of the
+//! value batch — so a string that occurs in ten thousand groups is hashed
+//! per input row but copied, encoded and decoded once.
+//!
+//! Keys and DISTINCT values are equal by bit pattern (`NaN` is one group,
+//! `-0.0` and `0.0` are two), NULL is its own group, integers compare as
+//! integers, and float `MIN`/`MAX` and the key order use the IEEE total
+//! order, so no answer depends on arrival order. Float `SUM` adds in row
+//! order within a node and in node order across merges (own partition
+//! first under the shuffle) — fixed orders, so a sum repeats run to run.
 
+use crate::agg::{self, AggPlan, Aggregator};
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
 use crate::expr::{cmp_op, compare_values, literal_num, BinOp, Expr};
 use crate::segmentation::hash_value;
-use crate::sql::{AggFunc, Partition, SelectItem, SelectStmt, Statement};
+use crate::sql::{Partition, SelectItem, SelectStmt, Statement};
 use crate::udx::UdxContext;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -224,265 +263,237 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
     };
 
     // Per-node pipelines.
-    let per_node: Vec<Result<NodeResult>> = if let Some(sys) =
-        crate::monitor::v_monitor_table(table)
-    {
+    let initiator_local = if let Some(sys) = crate::monitor::v_monitor_table(table) {
         // System tables materialize cluster-wide: every node contributes its
         // rows (framed and streamed to the initiator, charged to `rec`),
         // the union gains a `node_name` column, then the ordinary
         // WHERE/projection/ORDER BY machinery runs over it like any
         // gathered result.
-        select_span.record("table", table);
-        let batch = db.monitor().materialize_cluster(sys, db, rec)?;
-        let filtered = apply_where(stmt, &batch)?;
-        vec![Ok(node_result(stmt, &filtered)?)]
+        Some(db.monitor().materialize_cluster(sys, db, rec)?)
     } else if table.eq_ignore_ascii_case("r_models") {
         // The metadata table lives on the initiator.
-        let models = db.models().as_batch();
-        let filtered = apply_where(stmt, &models)?;
-        vec![Ok(node_result(stmt, &filtered)?)]
+        Some(db.models().as_batch())
     } else {
-        let def = db.catalog().get(table)?;
-        let _ = def; // existence check; schema validated during evaluation
-        select_span.record("table", table);
-        // Planner: push the referenced-column set down to the scan so
-        // unused column payloads are never decoded.
-        let wanted = referenced_columns(stmt);
-        // Planner rule: run on encoded data when the statement shape allows
-        // it (see `encoded_execution_eligible`).
-        let use_encoded = encoded_execution_eligible(stmt);
-        // Scatter spawns one OS thread per node: the query scope is
-        // thread-local, so re-enter it in each worker (as span parents are
-        // passed explicitly).
-        let query_id = vdr_obs::current_query_id();
-        db.cluster().scatter(|node| -> Result<NodeResult> {
-            let _q = vdr_obs::QueryScope::enter(query_id);
-            let _n = vdr_obs::NodeScope::enter(node.id().0);
-            let mut scan_span = vdr_obs::detail_span_with_parent("exec.scan", select_span_id);
-            scan_span.set_node(node.id().0);
-            if use_encoded {
-                return encoded_node_pipeline(
-                    db,
-                    stmt,
-                    table,
-                    node.id(),
-                    rec,
-                    wanted.as_ref(),
-                    &mut scan_span,
-                );
-            }
-            let batches =
-                db.storage()
-                    .scan_node_projected(table, node.id(), rec, false, wanted.as_ref())?;
-            let mut rows_in = 0u64;
-            let mut rows_out = 0u64;
-            let mut combined: Option<NodeResult> = None;
-            for batch in batches {
-                rows_in += batch.num_rows() as u64;
-                let filtered = apply_where(stmt, &batch)?;
-                rows_out += filtered.num_rows() as u64;
-                let nr = node_result(stmt, &filtered)?;
-                combined = Some(match combined {
-                    None => nr,
-                    Some(acc) => acc.merge(nr)?,
-                });
-            }
-            scan_span.record("rows_in", rows_in);
-            scan_span.record("rows_out", rows_out);
-            vdr_obs::counter_on("exec.scan.rows", node.id().0, rows_in);
-            vdr_obs::counter_on("exec.filter.rows", node.id().0, rows_out);
-            match combined {
-                Some(c) => Ok(c),
-                // Node holds no containers: contribute an empty result.
-                None => node_result(stmt, &empty_table_batch(db, table)?),
-            }
-        })
+        None
     };
+    select_span.record("table", table);
+    let (per_node, plan, seg_aligned): (Vec<Result<NodeResult>>, Option<AggPlan>, bool) =
+        if let Some(batch) = initiator_local {
+            let plan = agg_plan(stmt, batch.schema())?;
+            let filtered = apply_where(stmt, &batch)?;
+            let nr = node_result(stmt, plan.as_ref(), &filtered);
+            (vec![nr], plan, true)
+        } else {
+            let def = db.catalog().get(table)?;
+            let plan = agg_plan(stmt, &def.schema)?;
+            // Planner: push the referenced-column set down to the scan so
+            // unused column payloads are never decoded.
+            let wanted = referenced_columns(stmt);
+            // Planner rule: run on encoded data when the statement shape allows
+            // it (see `encoded_execution_eligible`).
+            let use_encoded = encoded_execution_eligible(stmt);
+            // Scatter spawns one OS thread per node: the query scope is
+            // thread-local, so re-enter it in each worker (as span parents are
+            // passed explicitly).
+            let query_id = vdr_obs::current_query_id();
+            let per_node = db.cluster().scatter(|node| -> Result<NodeResult> {
+                let _q = vdr_obs::QueryScope::enter(query_id);
+                let _n = vdr_obs::NodeScope::enter(node.id().0);
+                let mut scan_span = vdr_obs::detail_span_with_parent("exec.scan", select_span_id);
+                scan_span.set_node(node.id().0);
+                // One accumulator per node per statement, fed container
+                // after container.
+                let mut acc = NodeAcc::new(stmt, plan.as_ref(), &def.schema)?;
+                let (rows_in, rows_out) = if use_encoded {
+                    encoded_node_pipeline(
+                        db,
+                        stmt,
+                        table,
+                        node.id(),
+                        rec,
+                        wanted.as_ref(),
+                        &mut acc,
+                    )?
+                } else {
+                    let batches = db.storage().scan_node_projected(
+                        table,
+                        node.id(),
+                        rec,
+                        false,
+                        wanted.as_ref(),
+                    )?;
+                    let (mut rows_in, mut rows_out) = (0u64, 0u64);
+                    for batch in batches {
+                        rows_in += batch.num_rows() as u64;
+                        let filtered = apply_where(stmt, &batch)?;
+                        rows_out += filtered.num_rows() as u64;
+                        acc.push(&filtered)?;
+                    }
+                    (rows_in, rows_out)
+                };
+                scan_span.record("rows_in", rows_in);
+                scan_span.record("rows_out", rows_out);
+                vdr_obs::counter_on("exec.scan.rows", node.id().0, rows_in);
+                vdr_obs::counter_on("exec.filter.rows", node.id().0, rows_out);
+                acc.finish()
+            });
+            // GROUP BY partials whose key contains the segmentation key are
+            // already node-disjoint; everything else benefits from the
+            // shuffled merge.
+            let seg_aligned = match &def.segmentation {
+                crate::segmentation::Segmentation::Hash { column } => stmt
+                    .group_by
+                    .iter()
+                    .any(|g| matches!(g, Expr::Column(c) if c.eq_ignore_ascii_case(column))),
+                _ => false,
+            };
+            (per_node, plan, seg_aligned)
+        };
 
-    // GROUP BY partials whose key contains the segmentation key are already
-    // node-disjoint; everything else benefits from the shuffled merge.
-    let seg_aligned = db
-        .catalog()
-        .get(table)
-        .ok()
-        .map(|def| match &def.segmentation {
-            crate::segmentation::Segmentation::Hash { column } => stmt
-                .group_by
-                .iter()
-                .any(|g| matches!(g, Expr::Column(c) if c.eq_ignore_ascii_case(column))),
-            _ => false,
-        })
-        .unwrap_or(true);
-
-    let out = gather_and_finalize(db, stmt, rec, per_node, seg_aligned)?;
+    let out = gather_and_finalize(db, stmt, plan.as_ref(), rec, per_node, seg_aligned)?;
     select_span.record("rows_out", out.num_rows());
     vdr_obs::counter("exec.output.rows", out.num_rows() as u64);
     Ok(out)
 }
 
-/// The common tail of every SELECT: optionally repartition GROUP BY partials
-/// across the cluster (shuffled two-phase merge), then gather the per-node
-/// results to the initiator, merge, and finalize.
+/// The common tail of every SELECT: gather the per-node results to the
+/// initiator and finish there (sort / offset / limit of rows, or merge and
+/// finalize of aggregate partials) — or, for a GROUP BY off the segmentation
+/// key, repartition the partials so every node merges and finalizes a
+/// disjoint key range first (shuffled two-phase merge).
 fn gather_and_finalize(
     db: &VerticaDb,
     stmt: &SelectStmt,
+    plan: Option<&AggPlan>,
     rec: &Arc<PhaseRecorder>,
     per_node: Vec<Result<NodeResult>>,
     groupby_seg_aligned: bool,
 ) -> Result<Batch> {
-    let mut partials = Vec::with_capacity(per_node.len());
+    let mut rows = Vec::new();
+    let mut partials = Vec::new();
     for r in per_node {
-        partials.push(r?);
-    }
-    let partials = match maybe_shuffle_group_by(db, stmt, rec, partials, groupby_seg_aligned)? {
-        GroupByMerge::Local(batch) => return order_limit_aggregate_output(stmt, batch),
-        GroupByMerge::Gather(p) => p,
-    };
-
-    // Gather partial results to the initiator, charging the network.
-    let mut gather_span = vdr_obs::span("exec.gather");
-    let mut gathered: Vec<NodeResult> = Vec::with_capacity(partials.len());
-    let mut gather_bytes = 0u64;
-    let mut merge_bytes = 0u64;
-    for (i, nr) in partials.into_iter().enumerate() {
-        gather_bytes += nr.byte_size();
-        rec.net(NodeId(i), INITIATOR, nr.byte_size());
-        if i != INITIATOR.0
-            && !groupby_seg_aligned
-            && !stmt.group_by.is_empty()
-            && matches!(nr, NodeResult::Aggregated { .. })
-        {
-            merge_bytes += nr.byte_size();
+        match r? {
+            NodeResult::Rows(b) => rows.push(b),
+            NodeResult::Partial(p) => partials.push(p),
         }
-        gathered.push(nr);
     }
-    // Merging shipped GROUP BY partials whose key ranges overlap is the
-    // initiator's CPU work — the serial bottleneck the shuffled two-phase
-    // merge exists to remove. Segmentation-aligned partials are key-disjoint
-    // (merging them is mere concatenation) and scalar aggregates merge O(n)
-    // states, so neither is charged. The charge mirrors the per-byte rate
-    // receivers pay in the shuffled path, so the two strategies are costed
-    // symmetrically.
-    if merge_bytes > 0 {
-        let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
-        rec.cpu_work(INITIATOR, merge_bytes as f64 / 8.0, scan_cost);
-    }
-    gather_span.record("bytes", gather_bytes);
-    vdr_obs::counter("exec.gather.bytes", gather_bytes);
-    drop(gather_span);
-    let merged = gathered
-        .into_iter()
-        .reduce(|a, b| a.merge(b).expect("schemas identical across nodes"))
-        .ok_or_else(|| DbError::Exec("no nodes produced results".into()))?;
-
-    merged.finalize(stmt)
-}
-
-// ------------------------------------------------- shuffled two-phase GROUP BY
-
-/// Combine the per-value segmentation hashes of a group key into one routing
-/// hash (FNV-style fold, matching [`hash_value`]'s constants).
-fn group_key_hash(k: &GroupKey) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in &k.0 {
-        h ^= hash_value(v);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// How the GROUP BY partials reach their final form.
-enum GroupByMerge {
-    /// The shuffle ran: every node finalized its disjoint key range locally
-    /// and the initiator already concatenated the finished row batches —
-    /// only the global ORDER BY / OFFSET / LIMIT remain.
-    Local(Batch),
-    /// No shuffle: partials flow to the classic gather-and-merge path.
-    Gather(Vec<NodeResult>),
-}
-
-/// Repartition per-node GROUP BY partials by group-key hash so every node
-/// merges — and finalizes — a disjoint key range in parallel, instead of the
-/// initiator merging everything single-threaded. Because post-shuffle ranges
-/// are disjoint, each node ships one finished row per group back to the
-/// initiator rather than raw aggregate states (a COUNT(DISTINCT) set
-/// collapses to a single integer before it crosses the wire). Skipped when
-/// it cannot help: single node, partials that aren't grouped aggregates, a
-/// group key containing the segmentation key (already node-disjoint), or
-/// the toggle off.
-fn maybe_shuffle_group_by(
-    db: &VerticaDb,
-    stmt: &SelectStmt,
-    rec: &Arc<PhaseRecorder>,
-    partials: Vec<NodeResult>,
-    seg_aligned: bool,
-) -> Result<GroupByMerge> {
+    let Some(plan) = plan else {
+        let bytes: Vec<u64> = rows.iter().map(Batch::byte_size).collect();
+        charge_gather(rec, &bytes);
+        // Append to the first node's rows in place: no second copy of them.
+        let mut rows = rows.into_iter();
+        let Some(mut gathered) = rows.next() else {
+            return Err(DbError::Exec("no nodes produced results".into()));
+        };
+        for b in rows {
+            gathered.extend(&b)?;
+        }
+        let sorted = apply_order_by_hidden(stmt, gathered)?;
+        return Ok(apply_offset_limit(stmt, sorted));
+    };
+    // The shuffle is skipped when it cannot help: a single node, a global
+    // aggregate, a group key containing the segmentation key (already
+    // node-disjoint), or the toggle off.
     let n = partials.len();
-    if n <= 1
-        || n != db.cluster().num_nodes()
-        || seg_aligned
-        || stmt.group_by.is_empty()
-        || !group_by_shuffle()
-        || !partials
-            .iter()
-            .all(|p| matches!(p, NodeResult::Aggregated { .. }))
-    {
-        return Ok(GroupByMerge::Gather(partials));
-    }
-    // One slot per node: the scatter closure takes its node's partial map
-    // exactly once, so the Mutex<Option<…>> is just a Sync-safe hand-off.
-    type PartialSlot = std::sync::Mutex<Option<HashMap<GroupKey, Vec<AggState>>>>;
-    let mut num_aggs = 0usize;
-    let slots: Vec<PartialSlot> = partials
-        .into_iter()
-        .map(|p| match p {
-            NodeResult::Aggregated {
-                groups,
-                num_aggs: na,
-            } => {
-                num_aggs = na;
-                std::sync::Mutex::new(Some(groups))
+    let shuffle = n > 1
+        && n == db.cluster().num_nodes()
+        && !groupby_seg_aligned
+        && plan.has_keys()
+        && group_by_shuffle();
+    let batch = if shuffle {
+        shuffle_group_by(db, plan, rec, &partials)?
+    } else {
+        let bytes: Vec<u64> = partials.iter().map(agg::Partial::byte_size).collect();
+        charge_gather(rec, &bytes);
+        // Merging shipped GROUP BY partials whose key ranges overlap is the
+        // initiator's CPU work — the serial bottleneck the shuffled merge
+        // exists to remove. Segmentation-aligned partials are key-disjoint
+        // and scalar aggregates merge one row per node, so neither is
+        // charged. The charge mirrors the per-byte rate receivers pay in the
+        // shuffled path, so the two strategies are costed symmetrically.
+        if !groupby_seg_aligned && plan.has_keys() {
+            let shipped: u64 = bytes
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != INITIATOR.0)
+                .map(|(_, b)| b)
+                .sum();
+            if shipped > 0 {
+                let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
+                rec.cpu_work(INITIATOR, shipped as f64 / 8.0, scan_cost);
             }
-            NodeResult::Rows(_) => unreachable!("checked above"),
-        })
-        .collect();
+        }
+        let mut merged = Aggregator::new(plan)?;
+        for p in &partials {
+            merged.merge(p)?;
+        }
+        merged.finalize()?
+    };
+    order_limit_aggregate_output(stmt, batch)
+}
+
+/// Charge shipping `bytes[i]` from node `i` to the initiator.
+fn charge_gather(rec: &Arc<PhaseRecorder>, bytes: &[u64]) {
+    let mut gather_span = vdr_obs::span("exec.gather");
+    for (i, &b) in bytes.iter().enumerate() {
+        rec.net(NodeId(i), INITIATOR, b);
+    }
+    let total: u64 = bytes.iter().sum();
+    gather_span.record("bytes", total);
+    vdr_obs::counter("exec.gather.bytes", total);
+}
+
+/// Shuffled two-phase GROUP BY: repartition the per-node partials by
+/// group-key hash so every node merges — and finalizes — a disjoint key
+/// range in parallel, instead of the initiator merging everything
+/// single-threaded. A partition is the aggregate state itself, an ordinary
+/// batch per [`agg::Partial::encode`], so it crosses the exchange through the
+/// block codec like a JOIN partition does. Because post-shuffle ranges are
+/// disjoint, each node ships one finished row per group back to the
+/// initiator rather than state (a COUNT(DISTINCT) pair set collapses to one
+/// integer per group before it crosses the wire again).
+fn shuffle_group_by(
+    db: &VerticaDb,
+    plan: &AggPlan,
+    rec: &Arc<PhaseRecorder>,
+    partials: &[agg::Partial],
+) -> Result<Batch> {
+    let n = partials.len();
     let query_id = vdr_obs::current_query_id();
     let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
     let as_io = |e: DbError| vdr_cluster::ClusterError::Io(e.to_string());
-    let merged = vdr_cluster::exchange_framed(
+    let finished = vdr_cluster::exchange_framed(
         db.cluster(),
         rec,
         "exec.groupby.shuffle",
         |node| {
             let _q = vdr_obs::QueryScope::enter(query_id);
             let _ns = vdr_obs::NodeScope::enter(node.id().0);
-            let groups = slots[node.id().0]
-                .lock()
-                .expect("slot")
-                .take()
-                .expect("each node's partial is taken once");
-            let mut parts: Vec<Vec<(GroupKey, Vec<AggState>)>> =
-                (0..n).map(|_| Vec::new()).collect();
-            for (k, s) in groups {
-                parts[(group_key_hash(&k) % n as u64) as usize].push((k, s));
-            }
-            // The partition addressed to this node never leaves it: it rides
-            // as the exchange's local carry, skipping ser/de through the
-            // loopback entirely.
-            let own = std::mem::take(&mut parts[node.id().0]);
+            let me = node.id().0;
+            let mut own = None;
             let mut sent = 0u64;
-            let frames: Vec<Vec<bytes::Bytes>> = parts
-                .iter()
-                .map(|p| {
-                    if p.is_empty() {
-                        return Vec::new();
-                    }
-                    let f = serialize_group_partition(p, num_aggs);
-                    sent += f.len() as u64;
-                    vec![f]
-                })
-                .collect();
-            // Serializing partial states is byte-proportional CPU work.
+            let mut frames: Vec<Vec<bytes::Bytes>> = Vec::with_capacity(n);
+            for (dst, part) in plan
+                .split(&partials[me], n)
+                .map_err(as_io)?
+                .into_iter()
+                .enumerate()
+            {
+                if dst == me {
+                    // The partition addressed to this node never leaves it:
+                    // it rides as the exchange's local carry, skipping the
+                    // codec and the loopback entirely.
+                    own = Some(part);
+                    frames.push(Vec::new());
+                } else if part.num_groups() == 0 {
+                    frames.push(Vec::new());
+                } else {
+                    let f = part.encode();
+                    sent += f.iter().map(|b| b.len() as u64).sum::<u64>();
+                    frames.push(f);
+                }
+            }
+            // Encoding partial state is byte-proportional CPU work.
             if sent > 0 {
                 rec.cpu_work(node.id(), sent as f64 / 8.0, scan_cost);
             }
@@ -492,24 +503,15 @@ fn maybe_shuffle_group_by(
             let _q = vdr_obs::QueryScope::enter(query_id);
             let _ns = vdr_obs::NodeScope::enter(node.id().0);
             let me = node.id().0;
-            let mut groups: HashMap<GroupKey, Vec<AggState>> = own.into_iter().collect();
+            let mut merged = Aggregator::new(plan).map_err(as_io)?;
+            if let Some(own) = &own {
+                merged.merge(own).map_err(as_io)?;
+            }
             let mut rows = 0u64;
-            for frames in &recv.frames {
-                for f in frames {
-                    for (k, states) in deserialize_group_partition(f).map_err(as_io)? {
-                        rows += 1;
-                        match groups.get_mut(&k) {
-                            Some(mine) => {
-                                for (m, o) in mine.iter_mut().zip(states) {
-                                    m.merge_owned(o);
-                                }
-                            }
-                            None => {
-                                groups.insert(k, states);
-                            }
-                        }
-                    }
-                }
+            for frames in recv.frames.iter().filter(|f| !f.is_empty()) {
+                let part = plan.decode(frames).map_err(as_io)?;
+                rows += part.num_groups() as u64;
+                merged.merge(&part).map_err(as_io)?;
             }
             vdr_obs::counter_on("exchange.rows", me, rows);
             vdr_obs::counter_on("exchange.bytes", me, recv.bytes);
@@ -521,259 +523,17 @@ fn maybe_shuffle_group_by(
             // The key range is disjoint across nodes after the shuffle, so
             // this node's groups are final: materialize the output rows here
             // and ship those instead of the (much heavier) aggregate states.
-            finalize_aggregates(stmt, groups).map_err(as_io)
+            merged.finalize().map_err(as_io)
         },
     )
     .map_err(DbError::from)?;
     vdr_obs::counter("exec.groupby.shuffled", 1);
 
-    // Gather the finished row slices — one row per group, so a shuffled
-    // COUNT(DISTINCT) never ships its sets twice — and concatenate.
-    let mut gather_span = vdr_obs::span("exec.gather");
-    let mut gather_bytes = 0u64;
-    for (i, b) in merged.iter().enumerate() {
-        gather_bytes += b.byte_size();
-        rec.net(NodeId(i), INITIATOR, b.byte_size());
-    }
-    gather_span.record("bytes", gather_bytes);
-    vdr_obs::counter("exec.gather.bytes", gather_bytes);
-    drop(gather_span);
-    Ok(GroupByMerge::Local(concat_group_slices(merged)?))
-}
-
-/// Concatenate per-node finalized GROUP BY slices into one batch.
-///
-/// Each node inferred output dtypes from the first group of *its* slice, so
-/// a slice whose every value in some column is NULL (e.g. the NULL group key
-/// landed alone on one node) falls back to `Float64` while its peers carry
-/// the real dtype. Those all-NULL columns are retyped to the consensus
-/// schema before appending; empty slices are skipped outright.
-fn concat_group_slices(mut slices: Vec<Batch>) -> Result<Batch> {
-    if slices.iter().all(|b| b.num_rows() == 0) {
-        // No groups anywhere: every node produced the same empty fallback
-        // schema, so any one of them is the correct empty result.
-        return Ok(slices.swap_remove(0));
-    }
-    let mut nonempty: Vec<Batch> = slices.into_iter().filter(|b| b.num_rows() > 0).collect();
-    // Consensus dtype per column: the first slice holding a non-NULL value.
-    let mut fields: Vec<Field> = nonempty[0].schema().fields().to_vec();
-    for (ci, f) in fields.iter_mut().enumerate() {
-        if let Some(b) = nonempty
-            .iter()
-            .find(|b| (0..b.num_rows()).any(|r| !b.column(ci).get(r).is_null()))
-        {
-            f.dtype = b.schema().fields()[ci].dtype;
-        }
-    }
-    let schema = Schema::new(fields.clone());
-    let mut out = Batch::empty(schema.clone());
-    for b in nonempty.drain(..) {
-        if *b.schema() == schema {
-            out.extend(&b)?;
-        } else {
-            // Retype all-NULL columns to the consensus dtype row-by-row;
-            // only slices that hit the fallback take this path.
-            let mut builders: Vec<ColumnBuilder> =
-                fields.iter().map(|f| ColumnBuilder::new(f.dtype)).collect();
-            for row in 0..b.num_rows() {
-                for (ci, builder) in builders.iter_mut().enumerate() {
-                    builder.push(b.column(ci).get(row))?;
-                }
-            }
-            let cols: Vec<Column> = builders.into_iter().map(|bld| bld.finish()).collect();
-            out.extend(&Batch::new(schema.clone(), cols)?)?;
-        }
-    }
-    Ok(out)
-}
-
-/// Wire format for one shuffled partition of GROUP BY partials:
-/// `[num_groups u64][num_keys u64][num_aggs u64]` then per group its key
-/// values and aggregate states. Values serialize as a tag byte plus payload
-/// (the [`value_key`] shape, with explicit lengths for strings).
-fn serialize_group_partition(
-    groups: &[(GroupKey, Vec<AggState>)],
-    num_aggs: usize,
-) -> bytes::Bytes {
-    let num_keys = groups.first().map_or(0, |(k, _)| k.0.len());
-    let mut out = Vec::new();
-    out.extend_from_slice(&(groups.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(num_keys as u64).to_le_bytes());
-    out.extend_from_slice(&(num_aggs as u64).to_le_bytes());
-    for (key, states) in groups {
-        debug_assert_eq!(key.0.len(), num_keys);
-        debug_assert_eq!(states.len(), num_aggs);
-        for v in &key.0 {
-            ser_value(&mut out, v);
-        }
-        for s in states {
-            s.serialize_into(&mut out);
-        }
-    }
-    bytes::Bytes::from(out)
-}
-
-fn deserialize_group_partition(buf: &[u8]) -> Result<Vec<(GroupKey, Vec<AggState>)>> {
-    let mut r = WireReader { buf, pos: 0 };
-    let num_groups = r.u64()? as usize;
-    let num_keys = r.u64()? as usize;
-    let num_aggs = r.u64()? as usize;
-    let mut out = Vec::with_capacity(num_groups);
-    for _ in 0..num_groups {
-        let mut key = Vec::with_capacity(num_keys);
-        for _ in 0..num_keys {
-            key.push(de_value(&mut r)?);
-        }
-        let mut states = Vec::with_capacity(num_aggs);
-        for _ in 0..num_aggs {
-            states.push(AggState::deserialize_from(&mut r)?);
-        }
-        out.push((GroupKey(key), states));
-    }
-    if r.pos != buf.len() {
-        return Err(DbError::Exec(format!(
-            "group partition frame has {} trailing bytes",
-            buf.len() - r.pos
-        )));
-    }
-    Ok(out)
-}
-
-/// Bounds-checked cursor over a received frame.
-struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl WireReader<'_> {
-    fn bytes(&mut self, n: usize) -> Result<&[u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(DbError::Exec("truncated group partition frame".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-}
-
-fn ser_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int64(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Float64(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Bool(b) => {
-            out.push(3);
-            out.push(*b as u8);
-        }
-        Value::Varchar(s) => {
-            out.push(4);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-fn de_value(r: &mut WireReader<'_>) -> Result<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Null,
-        1 => Value::Int64(i64::from_le_bytes(r.bytes(8)?.try_into().expect("8"))),
-        2 => Value::Float64(r.f64()?),
-        3 => Value::Bool(r.u8()? != 0),
-        4 => {
-            let len = r.u32()? as usize;
-            let s = std::str::from_utf8(r.bytes(len)?)
-                .map_err(|_| DbError::Exec("non-UTF8 string in group partition".into()))?;
-            Value::Varchar(s.to_string())
-        }
-        t => {
-            return Err(DbError::Exec(format!(
-                "bad value tag {t} in group partition"
-            )))
-        }
-    })
-}
-
-impl AggState {
-    /// Append this state's wire form: the three fixed counters, a presence
-    /// flag byte, then min/max values and the distinct key set if carried.
-    fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.rows.to_le_bytes());
-        out.extend_from_slice(&self.non_null.to_le_bytes());
-        out.extend_from_slice(&self.sum.to_bits().to_le_bytes());
-        let flags = u8::from(self.min.is_some())
-            | (u8::from(self.max.is_some()) << 1)
-            | (u8::from(self.distinct.is_some()) << 2);
-        out.push(flags);
-        if let Some(v) = &self.min {
-            ser_value(out, v);
-        }
-        if let Some(v) = &self.max {
-            ser_value(out, v);
-        }
-        if let Some(set) = &self.distinct {
-            out.extend_from_slice(&(set.len() as u64).to_le_bytes());
-            for k in set {
-                out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                out.extend_from_slice(k);
-            }
-        }
-    }
-
-    fn deserialize_from(r: &mut WireReader<'_>) -> Result<AggState> {
-        let rows = r.u64()?;
-        let non_null = r.u64()?;
-        let sum = r.f64()?;
-        let flags = r.u8()?;
-        let min = (flags & 1 != 0).then(|| de_value(r)).transpose()?;
-        let max = (flags & 2 != 0).then(|| de_value(r)).transpose()?;
-        let distinct = if flags & 4 != 0 {
-            let count = r.u64()? as usize;
-            // Entries were written in BTreeSet iteration order, so the
-            // sorted bulk-build path applies instead of n ordered inserts.
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let len = r.u32()? as usize;
-                entries.push(r.bytes(len)?.to_vec());
-            }
-            Some(entries.into_iter().collect())
-        } else {
-            None
-        };
-        Ok(AggState {
-            rows,
-            non_null,
-            sum,
-            min,
-            max,
-            distinct,
-        })
-    }
-}
-
-fn empty_table_batch(db: &VerticaDb, table: &str) -> Result<Batch> {
-    Ok(Batch::empty(db.catalog().get(table)?.schema))
+    // Gather the finished row slices — every one in the planned output
+    // schema — and concatenate.
+    let bytes: Vec<u64> = finished.iter().map(Batch::byte_size).collect();
+    charge_gather(rec, &bytes);
+    Ok(Batch::concat(plan.out_schema().clone(), &finished)?)
 }
 
 /// Apply the WHERE clause, borrowing the input when nothing is filtered
@@ -889,7 +649,8 @@ struct EncodedScanStats {
 }
 
 /// Per-node compressed-execution pipeline: encoded scan → encoded predicate
-/// → dictionary GROUP BY or late materialization → partial result.
+/// → dictionary GROUP BY or late materialization → the node's accumulator.
+/// Returns `(rows scanned, rows that passed the filter)`.
 fn encoded_node_pipeline(
     db: &VerticaDb,
     stmt: &SelectStmt,
@@ -897,8 +658,8 @@ fn encoded_node_pipeline(
     node: NodeId,
     rec: &Arc<PhaseRecorder>,
     wanted: Option<&HashSet<String>>,
-    scan_span: &mut vdr_obs::SpanGuard<'static>,
-) -> Result<NodeResult> {
+    acc: &mut NodeAcc<'_>,
+) -> Result<(u64, u64)> {
     let batches = db
         .storage()
         .scan_node_encoded(table, node, rec, false, wanted)?;
@@ -906,7 +667,6 @@ fn encoded_node_pipeline(
     let mut stats = EncodedScanStats::default();
     let mut rows_in = 0u64;
     let mut rows_out = 0u64;
-    let mut combined: Option<NodeResult> = None;
     for eb in batches {
         rows_in += eb.num_rows() as u64;
         let mask = match &stmt.where_clause {
@@ -914,21 +674,13 @@ fn encoded_node_pipeline(
             None => Bitmap::all_valid(eb.num_rows()),
         };
         rows_out += mask.count_set() as u64;
-        let nr = encoded_node_result(stmt, &eb, &mask, &mut stats)?;
-        combined = Some(match combined {
-            None => nr,
-            Some(acc) => acc.merge(nr)?,
-        });
+        acc.push_encoded(&eb, &mask, &mut stats)?;
     }
     // Expansion out of encoded form is the decode work this path deferred;
     // charge it at the same per-value scan cost the eager decoder pays.
     if stats.expanded_values > 0 {
         rec.cpu_work(node, stats.expanded_values as f64, scan_cost);
     }
-    scan_span.record("rows_in", rows_in);
-    scan_span.record("rows_out", rows_out);
-    vdr_obs::counter_on("exec.scan.rows", node.0, rows_in);
-    vdr_obs::counter_on("exec.filter.rows", node.0, rows_out);
     if stats.runs_skipped > 0 {
         vdr_obs::counter_on("scan.encoded.runs_skipped", node.0, stats.runs_skipped);
     }
@@ -945,32 +697,7 @@ fn encoded_node_pipeline(
             stats.late_materialized_rows,
         );
     }
-    match combined {
-        Some(c) => Ok(c),
-        None => node_result(stmt, &empty_table_batch(db, table)?),
-    }
-}
-
-/// Turn one filtered encoded batch into a partial result: the dictionary
-/// GROUP BY fast path when it applies, otherwise late materialization of the
-/// survivors followed by the ordinary per-node operators.
-fn encoded_node_result(
-    stmt: &SelectStmt,
-    eb: &EncodedBatch,
-    mask: &Bitmap,
-    stats: &mut EncodedScanStats,
-) -> Result<NodeResult> {
-    if stmt.has_aggregates() || !stmt.group_by.is_empty() {
-        if let Some(nr) = aggregate_partial_dict(stmt, eb, mask, stats)? {
-            return Ok(nr);
-        }
-    }
-    let (batch, expanded) = eb.materialize(mask, None)?;
-    stats.expanded_values += expanded;
-    if expanded > 0 {
-        stats.late_materialized_rows += mask.count_set() as u64;
-    }
-    node_result(stmt, &batch)
+    Ok((rows_in, rows_out))
 }
 
 /// Evaluate a WHERE predicate against an encoded batch, producing the same
@@ -1057,162 +784,96 @@ fn decoded_predicate_leaf(e: &Expr, eb: &EncodedBatch) -> Result<Bitmap> {
     e.eval_predicate(&batch)
 }
 
-/// Dictionary-code GROUP BY: a single `GROUP BY col` over a
-/// dictionary-encoded column aggregates into a dense per-code table (slot =
-/// code, one extra slot for NULL) instead of hashing decoded strings. Only
-/// the aggregate-argument columns materialize, and only for mask survivors.
-/// Returns `Ok(None)` when the shape doesn't fit and the caller should late-
-/// materialize instead.
-fn aggregate_partial_dict(
-    stmt: &SelectStmt,
-    eb: &EncodedBatch,
-    mask: &Bitmap,
-    stats: &mut EncodedScanStats,
-) -> Result<Option<NodeResult>> {
-    let [Expr::Column(key_name)] = stmt.group_by.as_slice() else {
-        return Ok(None);
-    };
-    let Ok(ScanColumn::Encoded(key)) = eb.column_by_name(key_name) else {
-        return Ok(None);
-    };
-    let Some((dict, codes)) = key.dict() else {
-        return Ok(None);
-    };
-    let specs = agg_specs(stmt)?;
-    let mut arg_cols_set = HashSet::new();
-    for (_, arg, _) in &specs {
-        if let Some(a) = arg {
-            add_expr_columns(&mut arg_cols_set, a);
-        }
-    }
-    let (arg_batch, expanded) = eb.materialize(mask, Some(&arg_cols_set))?;
-    stats.expanded_values += expanded;
-    let arg_cols: Vec<Option<Column>> = specs
-        .iter()
-        .map(|(_, arg, _)| arg.as_ref().map(|e| e.eval(&arg_batch)).transpose())
-        .collect::<Result<_>>()?;
-    let validity = key.validity();
-    // Dense per-code accumulators; the last slot collects NULL keys.
-    let mut dense: Vec<Option<Vec<AggState>>> = vec![None; dict.len() + 1];
-    let mut dense_row = 0usize;
-    mask.for_each_set(|row| {
-        let slot = if validity.get(row) {
-            codes[row] as usize
-        } else {
-            dict.len()
-        };
-        let states = dense[slot].get_or_insert_with(|| {
-            specs
-                .iter()
-                .map(|(_, _, d)| AggState::for_spec(*d))
-                .collect()
-        });
-        for (s, col) in states.iter_mut().zip(&arg_cols) {
-            s.update(col.as_ref().map(|c| c.get(dense_row)).as_ref());
-        }
-        dense_row += 1;
-    });
-    // Re-key into the merge-compatible hash form; codes map back to their
-    // dictionary strings exactly as a decoded GROUP BY would produce them.
-    let mut groups: HashMap<GroupKey, Vec<AggState>> = HashMap::new();
-    for (slot, states) in dense.into_iter().enumerate() {
-        let Some(states) = states else { continue };
-        let key_val = if slot == dict.len() {
-            Value::Null
-        } else {
-            Value::Varchar(dict[slot].clone())
-        };
-        groups.insert(GroupKey(vec![key_val]), states);
-    }
-    Ok(Some(NodeResult::Aggregated {
-        groups,
-        num_aggs: specs.len(),
-    }))
-}
-
 // --------------------------------------------------- per-node partial state
 
 /// What a node contributes to the final answer: either projected rows (with
-/// hidden ORDER BY key columns appended) or partial aggregate states.
+/// hidden ORDER BY key columns appended) or its partial aggregate state.
 enum NodeResult {
     Rows(Batch),
-    Aggregated {
-        /// key → (group key values, per-aggregate partial state)
-        groups: HashMap<GroupKey, Vec<AggState>>,
-        num_aggs: usize,
-    },
+    Partial(agg::Partial),
 }
 
-fn node_result(stmt: &SelectStmt, batch: &Batch) -> Result<NodeResult> {
-    if stmt.has_aggregates() || !stmt.group_by.is_empty() {
-        aggregate_partial(stmt, batch)
-    } else {
-        Ok(NodeResult::Rows(project_rows_with_order_keys(stmt, batch)?))
+/// The aggregation plan of `stmt` over rows of schema `input`, if it
+/// aggregates at all.
+fn agg_plan(stmt: &SelectStmt, input: &Schema) -> Result<Option<AggPlan>> {
+    (stmt.has_aggregates() || !stmt.group_by.is_empty())
+        .then(|| AggPlan::new(stmt, input))
+        .transpose()
+}
+
+/// One node's accumulator for one statement: filtered batches go in,
+/// container after container, and a [`NodeResult`] comes out — projected rows
+/// appended to one batch, or one group table updated in place.
+enum NodeAcc<'a> {
+    Rows(&'a SelectStmt, Batch),
+    Agg(Aggregator<'a>),
+}
+
+impl<'a> NodeAcc<'a> {
+    /// `input` is the schema of the batches to come: a node that holds no
+    /// containers still answers in the projected schema.
+    fn new(stmt: &'a SelectStmt, plan: Option<&'a AggPlan>, input: &Schema) -> Result<Self> {
+        Ok(match plan {
+            Some(plan) => NodeAcc::Agg(Aggregator::new(plan)?),
+            None => {
+                let no_rows = Batch::empty(input.clone());
+                NodeAcc::Rows(stmt, project_rows_with_order_keys(stmt, &no_rows)?)
+            }
+        })
     }
-}
 
-impl NodeResult {
-    fn byte_size(&self) -> u64 {
+    fn push(&mut self, batch: &Batch) -> Result<()> {
         match self {
-            NodeResult::Rows(b) => b.byte_size(),
-            // Each group ships its key values plus per-aggregate state —
-            // a COUNT(DISTINCT) state carrying thousands of keys costs
-            // what it actually weighs on the wire.
-            NodeResult::Aggregated { groups, .. } => groups
-                .iter()
-                .map(|(key, states)| {
-                    key.0.iter().map(value_size).sum::<u64>()
-                        + states.iter().map(AggState::byte_size).sum::<u64>()
-                })
-                .sum(),
+            NodeAcc::Agg(agg) => agg.update(batch),
+            NodeAcc::Rows(stmt, rows) => {
+                Ok(rows.extend(&project_rows_with_order_keys(stmt, batch)?)?)
+            }
         }
     }
 
-    fn merge(self, other: NodeResult) -> Result<NodeResult> {
-        match (self, other) {
-            (NodeResult::Rows(mut a), NodeResult::Rows(b)) => {
-                a.extend(&b)?;
-                Ok(NodeResult::Rows(a))
-            }
-            (
-                NodeResult::Aggregated {
-                    mut groups,
-                    num_aggs,
-                },
-                NodeResult::Aggregated { groups: og, .. },
-            ) => {
-                for (k, states) in og {
-                    match groups.get_mut(&k) {
-                        Some(mine) => {
-                            for (m, o) in mine.iter_mut().zip(states) {
-                                m.merge_owned(o);
-                            }
-                        }
-                        None => {
-                            groups.insert(k, states);
-                        }
-                    }
+    /// Take the `mask`-selected rows of an encoded batch. A single
+    /// `GROUP BY col` over a dictionary-encoded column takes its group ids
+    /// from the dictionary codes — only the aggregate-argument columns
+    /// materialize, and only for mask survivors; everything else
+    /// late-materializes the survivors and goes through [`NodeAcc::push`].
+    fn push_encoded(
+        &mut self,
+        eb: &EncodedBatch,
+        mask: &Bitmap,
+        stats: &mut EncodedScanStats,
+    ) -> Result<()> {
+        if let NodeAcc::Agg(agg) = self {
+            let key = agg.plan().dict_key().map(|name| eb.column_by_name(name));
+            if let Some(Ok(ScanColumn::Encoded(key))) = key {
+                if let Some((dict, codes)) = key.dict() {
+                    let (args, expanded) = eb.materialize(mask, Some(agg.plan().arg_columns()))?;
+                    stats.expanded_values += expanded;
+                    let ids = agg.dict_group_ids(dict, codes, key.validity(), mask)?;
+                    return agg.accumulate(&ids, &args);
                 }
-                Ok(NodeResult::Aggregated { groups, num_aggs })
             }
-            _ => Err(DbError::Exec("mixed partial result kinds".into())),
         }
+        let (batch, expanded) = eb.materialize(mask, None)?;
+        stats.expanded_values += expanded;
+        if expanded > 0 {
+            stats.late_materialized_rows += mask.count_set() as u64;
+        }
+        self.push(&batch)
     }
 
-    /// Build the final batch on the initiator: final aggregation or
-    /// sort/offset/limit of gathered rows.
-    fn finalize(self, stmt: &SelectStmt) -> Result<Batch> {
-        match self {
-            NodeResult::Rows(batch) => {
-                let sorted = apply_order_by_hidden(stmt, batch)?;
-                Ok(apply_offset_limit(stmt, sorted))
-            }
-            NodeResult::Aggregated { groups, .. } => {
-                let batch = finalize_aggregates(stmt, groups)?;
-                order_limit_aggregate_output(stmt, batch)
-            }
-        }
+    fn finish(self) -> Result<NodeResult> {
+        Ok(match self {
+            NodeAcc::Agg(agg) => NodeResult::Partial(agg.into_partial()?),
+            NodeAcc::Rows(_, rows) => NodeResult::Rows(rows),
+        })
     }
+}
+
+/// The [`NodeResult`] of one already-filtered batch.
+fn node_result(stmt: &SelectStmt, plan: Option<&AggPlan>, batch: &Batch) -> Result<NodeResult> {
+    let mut acc = NodeAcc::new(stmt, plan, batch.schema())?;
+    acc.push(batch)?;
+    acc.finish()
 }
 
 /// ORDER BY (over aggregate output column names) plus OFFSET/LIMIT — the
@@ -1235,7 +896,7 @@ fn order_limit_aggregate_output(stmt: &SelectStmt, batch: Batch) -> Result<Batch
 
 // ------------------------------------------------------------- projections
 
-fn item_name(i: usize, item: &SelectItem) -> String {
+pub(crate) fn item_name(i: usize, item: &SelectItem) -> String {
     match item {
         SelectItem::Wildcard => unreachable!("wildcard expanded before naming"),
         SelectItem::Expr { expr, alias } => alias.clone().unwrap_or_else(|| match expr {
@@ -1375,376 +1036,6 @@ fn apply_offset_limit(stmt: &SelectStmt, batch: Batch) -> Batch {
         None => n,
     };
     batch.slice(start, end)
-}
-
-// -------------------------------------------------------------- aggregation
-
-/// Group key: values compared with float-bit equality so NaN groups behave.
-#[derive(Debug, Clone)]
-struct GroupKey(Vec<Value>);
-
-impl PartialEq for GroupKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len()
-            && self.0.iter().zip(&other.0).all(|(a, b)| match (a, b) {
-                (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
-                (a, b) => a == b,
-            })
-    }
-}
-
-impl Eq for GroupKey {}
-
-impl std::hash::Hash for GroupKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            state.write_u64(hash_value(v));
-        }
-    }
-}
-
-/// A partial aggregate: enough to compute COUNT/SUM/AVG/MIN/MAX after any
-/// number of merges.
-#[derive(Debug, Clone, Default)]
-struct AggState {
-    rows: u64,
-    non_null: u64,
-    sum: f64,
-    min: Option<Value>,
-    max: Option<Value>,
-    /// Canonical encodings of values seen, for `COUNT(DISTINCT e)`.
-    /// `None` when the aggregate isn't distinct (no memory overhead).
-    distinct: Option<std::collections::BTreeSet<Vec<u8>>>,
-}
-
-/// A canonical byte encoding for grouping/distinct purposes: type tag plus
-/// value bytes (floats by bit pattern so NaNs dedupe).
-fn value_key(v: &Value) -> Vec<u8> {
-    match v {
-        Value::Null => vec![0],
-        Value::Int64(x) => {
-            let mut out = vec![1];
-            out.extend_from_slice(&x.to_le_bytes());
-            out
-        }
-        Value::Float64(x) => {
-            let mut out = vec![2];
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-            out
-        }
-        Value::Bool(b) => vec![3, *b as u8],
-        Value::Varchar(s) => {
-            let mut out = vec![4];
-            out.extend_from_slice(s.as_bytes());
-            out
-        }
-    }
-}
-
-/// Serialized size of one [`Value`] in the gather wire accounting: a type
-/// tag plus the payload ([`value_key`]'s shape).
-fn value_size(v: &Value) -> u64 {
-    match v {
-        Value::Null => 1,
-        Value::Int64(_) | Value::Float64(_) => 9,
-        Value::Bool(_) => 2,
-        Value::Varchar(s) => 1 + s.len() as u64,
-    }
-}
-
-impl AggState {
-    /// Wire size of this partial state: the three fixed counters, the
-    /// min/max values if set, and every distinct key actually carried.
-    fn byte_size(&self) -> u64 {
-        let mut n = 24; // rows + non_null + sum
-        if let Some(v) = &self.min {
-            n += value_size(v);
-        }
-        if let Some(v) = &self.max {
-            n += value_size(v);
-        }
-        if let Some(set) = &self.distinct {
-            n += set.iter().map(|k| k.len() as u64).sum::<u64>();
-        }
-        n
-    }
-
-    fn for_spec(distinct: bool) -> AggState {
-        AggState {
-            distinct: distinct.then(std::collections::BTreeSet::new),
-            ..Default::default()
-        }
-    }
-
-    fn update(&mut self, v: Option<&Value>) {
-        self.rows += 1;
-        let Some(v) = v else { return };
-        if v.is_null() {
-            return;
-        }
-        self.non_null += 1;
-        if let Some(set) = &mut self.distinct {
-            set.insert(value_key(v));
-        }
-        if let Some(x) = v.as_f64() {
-            self.sum += x;
-        }
-        let better_min = match &self.min {
-            None => true,
-            Some(m) => compare_values(v, m).map(|o| o.is_lt()).unwrap_or(false),
-        };
-        if better_min {
-            self.min = Some(v.clone());
-        }
-        let better_max = match &self.max {
-            None => true,
-            Some(m) => compare_values(v, m).map(|o| o.is_gt()).unwrap_or(false),
-        };
-        if better_max {
-            self.max = Some(v.clone());
-        }
-    }
-
-    /// Merge a partial state we own: distinct keys and min/max values move
-    /// instead of cloning, which matters when shuffled COUNT(DISTINCT)
-    /// states carry large sets.
-    fn merge_owned(&mut self, mut other: AggState) {
-        self.rows += other.rows;
-        self.non_null += other.non_null;
-        self.sum += other.sum;
-        if let (Some(mine), Some(theirs)) = (&mut self.distinct, &mut other.distinct) {
-            if mine.len() < theirs.len() {
-                std::mem::swap(mine, theirs);
-            }
-            if theirs.len() >= 16 {
-                mine.append(theirs);
-            } else {
-                mine.extend(std::mem::take(theirs));
-            }
-        }
-        if let Some(om) = other.min {
-            let better = match &self.min {
-                None => true,
-                Some(m) => compare_values(&om, m).map(|o| o.is_lt()).unwrap_or(false),
-            };
-            if better {
-                self.min = Some(om);
-            }
-        }
-        if let Some(om) = other.max {
-            let better = match &self.max {
-                None => true,
-                Some(m) => compare_values(&om, m).map(|o| o.is_gt()).unwrap_or(false),
-            };
-            if better {
-                self.max = Some(om);
-            }
-        }
-    }
-
-    fn finalize(&self, func: AggFunc, counting_star: bool) -> Value {
-        match func {
-            AggFunc::Count => {
-                if let Some(set) = &self.distinct {
-                    Value::Int64(set.len() as i64)
-                } else if counting_star {
-                    Value::Int64(self.rows as i64)
-                } else {
-                    Value::Int64(self.non_null as i64)
-                }
-            }
-            AggFunc::Sum => {
-                if self.non_null == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(self.sum)
-                }
-            }
-            AggFunc::Avg => {
-                if self.non_null == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(self.sum / self.non_null as f64)
-                }
-            }
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
-/// Validate the select list of an aggregating statement and collect the
-/// aggregate specs: every non-aggregate item must be a GROUP BY expression.
-fn agg_specs(stmt: &SelectStmt) -> Result<Vec<(AggFunc, Option<Expr>, bool)>> {
-    let mut specs: Vec<(AggFunc, Option<Expr>, bool)> = Vec::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Aggregate {
-                func,
-                arg,
-                distinct,
-                ..
-            } => specs.push((*func, arg.clone(), *distinct)),
-            SelectItem::Expr { expr, .. } => {
-                if !stmt.group_by.iter().any(|g| g == expr) {
-                    return Err(DbError::Plan(format!(
-                        "'{expr}' must appear in GROUP BY or inside an aggregate"
-                    )));
-                }
-            }
-            SelectItem::Wildcard => {
-                return Err(DbError::Plan("'*' cannot mix with aggregates".into()))
-            }
-            SelectItem::Transform { .. } => unreachable!("handled earlier"),
-        }
-    }
-    Ok(specs)
-}
-
-fn aggregate_partial(stmt: &SelectStmt, batch: &Batch) -> Result<NodeResult> {
-    let agg_specs = agg_specs(stmt)?;
-
-    let key_cols: Vec<Column> = stmt
-        .group_by
-        .iter()
-        .map(|e| e.eval(batch))
-        .collect::<Result<_>>()?;
-    let arg_cols: Vec<Option<Column>> = agg_specs
-        .iter()
-        .map(|(_, arg, _)| arg.as_ref().map(|e| e.eval(batch)).transpose())
-        .collect::<Result<_>>()?;
-
-    let mut groups: HashMap<GroupKey, Vec<AggState>> = HashMap::new();
-    for row in 0..batch.num_rows() {
-        let key = GroupKey(key_cols.iter().map(|c| c.get(row)).collect());
-        let states = groups.entry(key).or_insert_with(|| {
-            agg_specs
-                .iter()
-                .map(|(_, _, d)| AggState::for_spec(*d))
-                .collect()
-        });
-        for (s, col) in states.iter_mut().zip(&arg_cols) {
-            s.update(col.as_ref().map(|c| c.get(row)).as_ref());
-        }
-    }
-    // Global aggregation (no GROUP BY) over an empty input still yields one
-    // group so `SELECT count(*) FROM empty` returns 0.
-    if groups.is_empty() && stmt.group_by.is_empty() {
-        groups.insert(
-            GroupKey(vec![]),
-            agg_specs
-                .iter()
-                .map(|(_, _, d)| AggState::for_spec(*d))
-                .collect(),
-        );
-    }
-    Ok(NodeResult::Aggregated {
-        groups,
-        num_aggs: agg_specs.len(),
-    })
-}
-
-fn finalize_aggregates(
-    stmt: &SelectStmt,
-    groups: HashMap<GroupKey, Vec<AggState>>,
-) -> Result<Batch> {
-    // Deterministic output: sort groups by key.
-    let mut entries: Vec<(GroupKey, Vec<AggState>)> = groups.into_iter().collect();
-    entries.sort_by(|(a, _), (b, _)| {
-        for (x, y) in a.0.iter().zip(&b.0) {
-            let ord = match (x.is_null(), y.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                _ => compare_values(x, y).unwrap_or(std::cmp::Ordering::Equal),
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-
-    // Output columns follow the select list order.
-    let mut builders: Vec<(String, ColumnBuilder)> = Vec::new();
-    for (i, item) in stmt.items.iter().enumerate() {
-        let name = item_name(i, item);
-        let dtype = match item {
-            SelectItem::Aggregate { func, .. } => match func {
-                AggFunc::Count => DataType::Int64,
-                AggFunc::Sum | AggFunc::Avg => DataType::Float64,
-                // MIN/MAX keep input type; infer from the first group later.
-                AggFunc::Min | AggFunc::Max => DataType::Float64,
-            },
-            _ => DataType::Float64,
-        };
-        builders.push((name, ColumnBuilder::new(dtype)));
-    }
-
-    // MIN/MAX and group keys need real types: rebuild builders by peeking at
-    // the first group's values.
-    if let Some((key, states)) = entries.first() {
-        let mut agg_idx = 0usize;
-        for (i, item) in stmt.items.iter().enumerate() {
-            let dtype = match item {
-                SelectItem::Aggregate { func, .. } => {
-                    let v = states[agg_idx].finalize(
-                        *func,
-                        matches!(item, SelectItem::Aggregate { arg: None, .. }),
-                    );
-                    agg_idx += 1;
-                    match (func, v.data_type()) {
-                        (AggFunc::Count, _) => DataType::Int64,
-                        (AggFunc::Sum | AggFunc::Avg, _) => DataType::Float64,
-                        (_, Some(dt)) => dt,
-                        (_, None) => DataType::Float64,
-                    }
-                }
-                SelectItem::Expr { expr, .. } => {
-                    let gi = stmt
-                        .group_by
-                        .iter()
-                        .position(|g| g == expr)
-                        .expect("validated in aggregate_partial");
-                    key.0[gi].data_type().unwrap_or(DataType::Float64)
-                }
-                _ => DataType::Float64,
-            };
-            builders[i] = (builders[i].0.clone(), ColumnBuilder::new(dtype));
-        }
-    }
-
-    for (key, states) in &entries {
-        let mut agg_idx = 0usize;
-        for (i, item) in stmt.items.iter().enumerate() {
-            let value = match item {
-                SelectItem::Aggregate { func, arg, .. } => {
-                    let v = states[agg_idx].finalize(*func, arg.is_none());
-                    agg_idx += 1;
-                    v
-                }
-                SelectItem::Expr { expr, .. } => {
-                    let gi = stmt
-                        .group_by
-                        .iter()
-                        .position(|g| g == expr)
-                        .expect("validated");
-                    key.0[gi].clone()
-                }
-                _ => unreachable!(),
-            };
-            builders[i].1.push(value)?;
-        }
-    }
-
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    for (name, b) in builders {
-        let col = b.finish();
-        fields.push(Field::new(name, col.data_type()));
-        columns.push(col);
-    }
-    Ok(Batch::new(Schema::new(fields), columns)?)
 }
 
 // --------------------------------------------------------------- transforms
@@ -2155,15 +1446,6 @@ mod tests {
         assert_eq!(out.row(0)[0], Value::Int64(3));
         // Name collisions fail before any data moves.
         assert!(db.query("CREATE TABLE evens AS SELECT id FROM t").is_err());
-    }
-
-    #[test]
-    fn group_key_nan_equality() {
-        let a = GroupKey(vec![Value::Float64(f64::NAN)]);
-        let b = GroupKey(vec![Value::Float64(f64::NAN)]);
-        assert_eq!(a, b);
-        let c = GroupKey(vec![Value::Float64(0.0)]);
-        assert_ne!(a, c);
     }
 
     // --------------------------------------------- compressed execution

@@ -384,27 +384,37 @@ pub(super) fn execute_join_select(
 ) -> Result<Batch> {
     let plan = JoinPlan::resolve(db, stmt)?;
     let inner = plan.rewrite(stmt)?;
+    // The joined namespace's schema is what joining no rows produces.
+    let no_rows = |table: &str| db.catalog().get(table).map(|def| Batch::empty(def.schema));
+    let (left, right) = (no_rows(&plan.left_table)?, no_rows(&plan.right_table)?);
+    let joined = materialize_join(&plan, &left, &right, &[], &[])?;
+    let agg = agg_plan(&inner, joined.schema())?;
+    let agg = agg.as_ref();
     let mut join_span = vdr_obs::span("exec.join");
     join_span.record("strategy", plan.strategy.name());
     join_span.record("left", &plan.left_table);
     join_span.record("right", &plan.right_table);
     let span_id = join_span.id();
     let per_node = match plan.strategy {
-        Strategy::CoLocated => colocated(db, &plan, &inner, rec, span_id),
+        Strategy::CoLocated => colocated(db, &plan, &inner, agg, rec, span_id),
         Strategy::Shuffle { left, right } => {
-            shuffled(db, &plan, &inner, rec, left, right, false, span_id)?
+            shuffled(db, &plan, &inner, agg, rec, left, right, false, span_id)?
         }
-        Strategy::BroadcastRight => shuffled(db, &plan, &inner, rec, false, true, true, span_id)?,
+        Strategy::BroadcastRight => {
+            shuffled(db, &plan, &inner, agg, rec, false, true, true, span_id)?
+        }
     };
     drop(join_span);
     // The joined per-node partials flow through the ordinary gather / merge /
     // finalize machinery (including the shuffled two-phase GROUP BY — a
     // joined GROUP BY key is never segmentation-aligned).
-    gather_and_finalize(db, &inner, rec, per_node, false)
+    gather_and_finalize(db, &inner, agg, rec, per_node, false)
 }
 
 /// Scan one side of the join on one node, concatenated into a single batch
-/// restricted to the `wanted` columns.
+/// restricted to the `wanted` columns. The block cache may serve a wider
+/// batch than was asked for, and an empty segment serves none: every node
+/// must still ship the same columns.
 fn scan_side(
     db: &VerticaDb,
     table: &str,
@@ -415,31 +425,25 @@ fn scan_side(
     let batches = db
         .storage()
         .scan_node_projected(table, node.id(), rec, false, wanted)?;
-    match batches.len() {
-        0 => {
-            // Empty segment: synthesize the projected schema so downstream
-            // column lookups still resolve.
-            let def = db.catalog().get(table)?;
-            let keep = |name: &str| match wanted {
-                None => true,
-                Some(set) => set.iter().any(|w| w.eq_ignore_ascii_case(name)),
-            };
-            let fields: Vec<Field> = def
-                .schema
-                .fields()
-                .iter()
-                .filter(|f| keep(&f.name))
-                .cloned()
-                .collect();
-            Ok(Batch::empty(Schema::new(fields)))
-        }
-        1 => Ok(batches[0].as_ref().clone()),
-        _ => {
-            let schema = batches[0].schema().clone();
-            let owned: Vec<Batch> = batches.iter().map(|b| b.as_ref().clone()).collect();
-            Ok(Batch::concat(schema, &owned)?)
+    let def = db.catalog().get(table)?;
+    let keep =
+        |name: &&str| wanted.is_none_or(|set| set.iter().any(|w| w.eq_ignore_ascii_case(name)));
+    let names: Vec<&str> = def.schema.names().into_iter().filter(keep).collect();
+    let schema = def.schema.project(&names)?;
+    if let [one] = batches.as_slice() {
+        if *one.schema() == schema {
+            return Ok(one.as_ref().clone());
         }
     }
+    let mut out = Batch::empty(schema);
+    for b in &batches {
+        if b.schema() == out.schema() {
+            out.extend(b)?;
+        } else {
+            out.extend(&b.project(&names)?)?;
+        }
+    }
+    Ok(out)
 }
 
 /// Co-located fast path: plain scatter, both sides scanned locally, no
@@ -448,6 +452,7 @@ fn colocated(
     db: &VerticaDb,
     plan: &JoinPlan,
     inner: &SelectStmt,
+    agg: Option<&AggPlan>,
     rec: &Arc<PhaseRecorder>,
     span_id: u64,
 ) -> Vec<Result<NodeResult>> {
@@ -458,7 +463,7 @@ fn colocated(
         let _n = vdr_obs::NodeScope::enter(node.id().0);
         let left = scan_side(db, &plan.left_table, node, rec, lw.as_ref())?;
         let right = scan_side(db, &plan.right_table, node, rec, rw.as_ref())?;
-        join_and_partial(db, plan, inner, node, &left, &right, rec, span_id)
+        join_and_partial(db, plan, inner, agg, node, &left, &right, rec, span_id)
     })
 }
 
@@ -469,6 +474,7 @@ fn shuffled(
     db: &VerticaDb,
     plan: &JoinPlan,
     inner: &SelectStmt,
+    agg: Option<&AggPlan>,
     rec: &Arc<PhaseRecorder>,
     ship_left: bool,
     ship_right: bool,
@@ -561,7 +567,7 @@ fn shuffled(
                 Some(b) => b,
                 None => concat_parts(right_parts).map_err(as_io)?,
             };
-            join_and_partial(db, plan, inner, node, &left, &right, rec, span_id).map_err(as_io)
+            join_and_partial(db, plan, inner, agg, node, &left, &right, rec, span_id).map_err(as_io)
         },
     )
     .map_err(DbError::from)?;
@@ -671,6 +677,7 @@ fn join_and_partial(
     db: &VerticaDb,
     plan: &JoinPlan,
     inner: &SelectStmt,
+    agg: Option<&AggPlan>,
     node: &Arc<Node>,
     left: &Batch,
     right: &Batch,
@@ -692,7 +699,7 @@ fn join_and_partial(
     span.record("rows_out", li.len());
     let joined = materialize_join(plan, left, right, &li, &ri)?;
     let filtered = apply_where(inner, &joined)?;
-    node_result(inner, &filtered)
+    node_result(inner, agg, &filtered)
 }
 
 /// The rayon-parallel partitioned build+probe kernel. Returns matched row
@@ -716,14 +723,14 @@ fn hash_join_indices(
             (!v.is_null()).then(|| hash_value(&v))
         })
         .collect();
-    let tables: Vec<HashMap<Vec<u8>, Vec<usize>>> = (0..P)
+    let tables: Vec<HashMap<JoinKey<'_>, Vec<usize>>> = (0..P)
         .into_par_iter()
         .map(|p| {
-            let mut m: HashMap<Vec<u8>, Vec<usize>> = HashMap::new();
+            let mut m: HashMap<JoinKey<'_>, Vec<usize>> = HashMap::new();
             for (i, h) in rhash.iter().enumerate() {
-                if let Some(h) = h {
+                if let (Some(h), Some(key)) = (h, join_key(rk, i)) {
                     if (h % P as u64) as usize == p {
-                        m.entry(value_key(&rk.get(i))).or_default().push(i);
+                        m.entry(key).or_default().push(i);
                     }
                 }
             }
@@ -739,13 +746,10 @@ fn hash_join_indices(
         .map(|c| {
             let mut out = Vec::new();
             for i in c * CHUNK..((c + 1) * CHUNK).min(nrows) {
-                let v = lk.get(i);
-                let hit = if v.is_null() {
-                    None
-                } else {
-                    let h = hash_value(&v);
-                    tables[(h % P as u64) as usize].get(&value_key(&v))
-                };
+                let hit = join_key(lk, i).and_then(|key| {
+                    let h = hash_value(&lk.get(i));
+                    tables[(h % P as u64) as usize].get(&key)
+                });
                 match hit {
                     Some(rows) => out.extend(rows.iter().map(|&r| (i, Some(r)))),
                     None => {
@@ -767,6 +771,26 @@ fn hash_join_indices(
         }
     }
     Ok((li, ri))
+}
+
+/// A non-NULL join key borrowed from its column: equal keys are equal values
+/// of one type, floats by bit pattern.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum JoinKey<'a> {
+    Int(i64),
+    FloatBits(u64),
+    Bool(bool),
+    Str(&'a str),
+}
+
+/// Row `i` of `col` as a join key; `None` for NULL, which never matches.
+fn join_key(col: &Column, i: usize) -> Option<JoinKey<'_>> {
+    col.validity().get(i).then(|| match col {
+        Column::Int64 { data, .. } => JoinKey::Int(data[i]),
+        Column::Float64 { data, .. } => JoinKey::FloatBits(data[i].to_bits()),
+        Column::Bool { data, .. } => JoinKey::Bool(data[i]),
+        Column::Varchar { data, .. } => JoinKey::Str(&data[i]),
+    })
 }
 
 /// Materialize the joined batch in the output namespace: left columns gather

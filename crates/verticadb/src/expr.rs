@@ -523,6 +523,8 @@ pub fn compare_values(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
     match (a, b) {
         (Value::Varchar(x), Value::Varchar(y)) => Ok(x.cmp(y)),
         (Value::Bool(x), Value::Bool(y)) => Ok(x.cmp(y)),
+        // Not through f64: integers at or above 2^53 would tie.
+        (Value::Int64(x), Value::Int64(y)) => Ok(x.cmp(y)),
         _ => match (a.as_f64(), b.as_f64()) {
             (Some(x), Some(y)) => Ok(x.partial_cmp(&y).unwrap_or(Ordering::Equal)),
             _ => Err(DbError::Exec(format!("cannot compare {a:?} with {b:?}"))),

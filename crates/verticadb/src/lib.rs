@@ -24,6 +24,7 @@
 //!   of simultaneous ODBC queries queue (Section 1.1).
 
 pub mod admission;
+mod agg;
 pub mod blockcache;
 pub mod catalog;
 pub mod db;

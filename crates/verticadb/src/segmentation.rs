@@ -109,53 +109,71 @@ const TAG_FLOAT64: u8 = 2;
 const TAG_BOOL: u8 = 3;
 const TAG_VARCHAR: u8 = 4;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 fn fnv1a(tag: u8, payload: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = (OFFSET ^ tag as u64).wrapping_mul(PRIME);
+    let mut h = (FNV_OFFSET ^ tag as u64).wrapping_mul(FNV_PRIME);
     for &b in payload {
-        h = (h ^ b as u64).wrapping_mul(PRIME);
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// Row indices of `col` grouped by `hash_value(row) % n` — the routing of
-/// [`Segmentation::Hash`], computed over the typed column so no [`Value`]
-/// (and no `String` clone) is built per row.
-pub(crate) fn hash_routes(col: &Column, n: usize) -> Vec<Vec<usize>> {
-    let mut routes: Vec<Vec<usize>> = vec![Vec::new(); n];
+/// Call `f(row, hash_value(row))` for every row of `col`, computed over the
+/// typed column so no [`Value`] (and no `String` clone) is built per row.
+fn for_each_hash(col: &Column, mut f: impl FnMut(usize, u64)) {
     let validity = col.validity();
-    let mut route = |i: usize, tag: u8, payload: &[u8]| {
-        let h = if validity.get(i) {
-            fnv1a(tag, payload)
+    let no_nulls = validity.all_set();
+    let null_hash = fnv1a(TAG_NULL, &[]);
+    let mut emit = |i: usize, tag: u8, payload: &[u8]| {
+        if no_nulls || validity.get(i) {
+            f(i, fnv1a(tag, payload));
         } else {
-            fnv1a(TAG_NULL, &[])
-        };
-        routes[(h % n as u64) as usize].push(i);
+            f(i, null_hash);
+        }
     };
     match col {
         Column::Int64 { data, .. } => {
             for (i, x) in data.iter().enumerate() {
-                route(i, TAG_INT64, &x.to_le_bytes());
+                emit(i, TAG_INT64, &x.to_le_bytes());
             }
         }
         Column::Float64 { data, .. } => {
             for (i, x) in data.iter().enumerate() {
-                route(i, TAG_FLOAT64, &x.to_bits().to_le_bytes());
+                emit(i, TAG_FLOAT64, &x.to_bits().to_le_bytes());
             }
         }
         Column::Bool { data, .. } => {
             for (i, b) in data.iter().enumerate() {
-                route(i, TAG_BOOL, &[*b as u8]);
+                emit(i, TAG_BOOL, &[*b as u8]);
             }
         }
         Column::Varchar { data, .. } => {
             for (i, s) in data.iter().enumerate() {
-                route(i, TAG_VARCHAR, s.as_bytes());
+                emit(i, TAG_VARCHAR, s.as_bytes());
             }
         }
     }
+}
+
+/// Row indices of `col` grouped by `hash_value(row) % n` — the routing of
+/// [`Segmentation::Hash`].
+pub(crate) fn hash_routes(col: &Column, n: usize) -> Vec<Vec<usize>> {
+    let mut routes: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for_each_hash(col, |i, h| routes[(h % n as u64) as usize].push(i));
     routes
+}
+
+/// One 64-bit hash per row over several key columns: each column's
+/// [`hash_value`] folded FNV-style, a column at a time. The aggregator probes
+/// its group table and routes shuffled partials with this one hash.
+pub(crate) fn row_hashes(cols: &[&Column], rows: usize) -> Vec<u64> {
+    let mut acc = vec![FNV_OFFSET; rows];
+    for col in cols {
+        for_each_hash(col, |i, h| acc[i] = (acc[i] ^ h).wrapping_mul(FNV_PRIME));
+    }
+    acc
 }
 
 #[cfg(test)]
