@@ -28,7 +28,7 @@
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Default samples retained per ring (per node, and for the query-summary
 /// ring). Override with [`DataCollector::set_capacity`].
@@ -121,7 +121,6 @@ struct DcInner {
 
 /// The process-global data-collector state (held by [`crate::Obs`]).
 pub struct DataCollector {
-    enabled: AtomicBool,
     capacity: AtomicUsize,
     ticks: AtomicU64,
     evicted: AtomicU64,
@@ -131,7 +130,6 @@ pub struct DataCollector {
 impl DataCollector {
     pub fn new() -> Self {
         DataCollector {
-            enabled: AtomicBool::new(true),
             capacity: AtomicUsize::new(DC_DEFAULT_CAPACITY),
             ticks: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
@@ -142,19 +140,10 @@ impl DataCollector {
         }
     }
 
-    /// Whether sampling is on (it also requires recording verbosity).
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn sampling on or off at runtime (retained samples are kept).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether a tick recorded now would be sampled.
+    /// Whether a tick recorded now would be sampled: the collector follows
+    /// the recording verbosity (`VDR_OBS=off` switches it off).
     pub fn sampling(&self) -> bool {
-        self.enabled() && crate::Verbosity::current().recording()
+        crate::Verbosity::current().recording()
     }
 
     /// Retention bound per ring.
@@ -403,20 +392,17 @@ mod tests {
     }
 
     #[test]
-    fn disabled_or_off_ticks_are_skipped() {
+    fn off_verbosity_ticks_are_skipped() {
         let dc = DataCollector::new();
         {
             let _v = crate::verbosity_guard(crate::Verbosity::Off);
+            assert!(!dc.sampling());
             assert_eq!(dc.tick(ctx(1, 1)), 0, "off verbosity skips");
+            assert_eq!(dc.ticks(), 0);
+            assert!(dc.samples_on(0).is_empty());
         }
         let _v = crate::verbosity_guard(crate::Verbosity::Summary);
-        dc.set_enabled(false);
-        assert!(!dc.sampling());
-        assert_eq!(dc.tick(ctx(2, 1)), 0, "disabled collector skips");
-        assert_eq!(dc.ticks(), 0);
-        assert!(dc.samples_on(0).is_empty());
-        dc.set_enabled(true);
-        assert!(dc.tick(ctx(3, 1)) > 0);
+        assert!(dc.tick(ctx(2, 1)) > 0);
     }
 
     #[test]

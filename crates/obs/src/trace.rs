@@ -147,8 +147,7 @@ impl TraceSink {
     /// Open a *detail* span: per-partition / per-instance / per-worker
     /// inner spans on hot execution paths. Recorded only at
     /// [`Verbosity::Trace`] — at `summary` the hot paths keep their
-    /// counters and histograms but skip the span allocations, which is
-    /// what holds the instrumented-path overhead under the BENCH_obs gate.
+    /// counters and histograms but skip the span allocations.
     pub fn detail_span(&self, name: &str) -> SpanGuard<'_> {
         self.detail_span_with_parent(name, current_span_id())
     }

@@ -36,13 +36,60 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vdr_cluster::NodeId;
-use vdr_columnar::{Batch, EncodedBatch};
+use vdr_columnar::{Batch, EncodedBatch, Schema};
 
 /// A cached scan product: one tier per scan path.
 #[derive(Clone)]
-enum CachedBlock {
+pub(crate) enum CachedBlock {
     Decoded(Arc<Batch>),
     Encoded(Arc<EncodedBatch>),
+}
+
+/// A scan product the cache can hold. The implementing type picks the tier:
+/// [`Batch`] is the decoded tier, [`EncodedBatch`] the encoded one.
+pub(crate) trait CacheTier: Sized {
+    fn into_block(this: Arc<Self>) -> CachedBlock;
+    /// The entry's payload if it is on this tier.
+    fn from_block(block: &CachedBlock) -> Option<Arc<Self>>;
+    /// Bytes charged against the node's budget.
+    fn charged_bytes(&self) -> u64;
+    fn schema(&self) -> &Schema;
+}
+
+impl CacheTier for Batch {
+    fn into_block(this: Arc<Self>) -> CachedBlock {
+        CachedBlock::Decoded(this)
+    }
+    fn from_block(block: &CachedBlock) -> Option<Arc<Self>> {
+        match block {
+            CachedBlock::Decoded(b) => Some(Arc::clone(b)),
+            CachedBlock::Encoded(_) => None,
+        }
+    }
+    fn charged_bytes(&self) -> u64 {
+        self.byte_size()
+    }
+    fn schema(&self) -> &Schema {
+        self.schema()
+    }
+}
+
+impl CacheTier for EncodedBatch {
+    fn into_block(this: Arc<Self>) -> CachedBlock {
+        CachedBlock::Encoded(this)
+    }
+    fn from_block(block: &CachedBlock) -> Option<Arc<Self>> {
+        match block {
+            CachedBlock::Encoded(b) => Some(Arc::clone(b)),
+            CachedBlock::Decoded(_) => None,
+        }
+    }
+    fn charged_bytes(&self) -> u64 {
+        self.byte_size()
+    }
+    fn schema(&self) -> &Schema {
+        self.schema()
+    }
 }
 
 struct Entry {
@@ -98,58 +145,19 @@ impl BlockCache {
         self.capacity_per_node.store(bytes, Ordering::Relaxed);
     }
 
-    /// Look up the decoded batch for `(node, path)`. Hits require the
-    /// content tag to match, the entry to be on the decoded tier, and the
-    /// cached projection to cover `wanted` (`None` = all columns). A tag
-    /// mismatch drops the stale entry and counts an invalidation; an
-    /// uncovered projection or a tier mismatch counts a plain miss (the
-    /// caller re-decodes and the wider/newer entry replaces this one).
-    pub fn get(
+    /// Look up the tier-`T` scan product for `(node, path)`. Hits require the
+    /// content tag to match, the entry to be on `T`'s tier, and the cached
+    /// projection to cover `wanted` (`None` = all columns). A tag mismatch
+    /// drops the stale entry and counts an invalidation; an uncovered
+    /// projection or a tier mismatch counts a plain miss (the caller
+    /// re-decodes and the wider/newer entry replaces this one).
+    pub(crate) fn get<T: CacheTier>(
         &self,
         node: NodeId,
         path: &str,
         crc: u32,
         wanted: Option<&HashSet<String>>,
-    ) -> Option<Arc<Batch>> {
-        match self.lookup(node, path, crc, wanted)? {
-            CachedBlock::Decoded(b) => Some(b),
-            CachedBlock::Encoded(_) => unreachable!("lookup filters tiers"),
-        }
-    }
-
-    /// Encoded-tier counterpart of [`BlockCache::get`]: returns the cached
-    /// [`EncodedBatch`] under the same crc/coverage rules.
-    pub fn get_encoded(
-        &self,
-        node: NodeId,
-        path: &str,
-        crc: u32,
-        wanted: Option<&HashSet<String>>,
-    ) -> Option<Arc<EncodedBatch>> {
-        match self.lookup_tier(node, path, crc, wanted, true)? {
-            CachedBlock::Encoded(b) => Some(b),
-            CachedBlock::Decoded(_) => unreachable!("lookup filters tiers"),
-        }
-    }
-
-    fn lookup(
-        &self,
-        node: NodeId,
-        path: &str,
-        crc: u32,
-        wanted: Option<&HashSet<String>>,
-    ) -> Option<CachedBlock> {
-        self.lookup_tier(node, path, crc, wanted, false)
-    }
-
-    fn lookup_tier(
-        &self,
-        node: NodeId,
-        path: &str,
-        crc: u32,
-        wanted: Option<&HashSet<String>>,
-        want_encoded: bool,
-    ) -> Option<CachedBlock> {
+    ) -> Option<Arc<T>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -167,17 +175,16 @@ impl BlockCache {
                     format!("path={path} reason=crc"),
                 );
             } else {
-                let tier_matches = matches!(e.block, CachedBlock::Encoded(_)) == want_encoded;
                 let covered = match (&e.cols, wanted) {
                     (None, _) => true,
                     (Some(_), None) => false,
                     (Some(have), Some(want)) => want.iter().all(|w| have.contains(w)),
                 };
-                if tier_matches && covered {
+                if let Some(hit) = T::from_block(&e.block).filter(|_| covered) {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     vdr_obs::counter_on("scan.cache.hit", node.0, 1);
-                    return Some(e.block.clone());
+                    return Some(hit);
                 }
             }
         }
@@ -186,47 +193,23 @@ impl BlockCache {
         None
     }
 
-    /// Cache a decoded batch, charged at its decoded byte size. `cols` is
-    /// the lowercased set of columns the batch holds (`None` for a full
-    /// decode). Evicts the node's least-recently-used entries until the
-    /// batch fits; a batch larger than the whole per-node budget is not
-    /// cached at all.
-    pub fn insert(
+    /// Cache a scan product on its tier: a decoded batch is charged at its
+    /// decoded byte size, an encoded one at its *encoded* size — the point
+    /// of that tier: a dictionary or RLE column occupies budget at
+    /// compressed size, not expanded size. `cols` is the lowercased set of
+    /// columns the batch holds (`None` for a full decode). Evicts the node's
+    /// least-recently-used entries until the batch fits; a batch larger than
+    /// the whole per-node budget is not cached at all.
+    pub(crate) fn insert<T: CacheTier>(
         &self,
         node: NodeId,
         path: &str,
         crc: u32,
         cols: Option<HashSet<String>>,
-        batch: Arc<Batch>,
+        batch: Arc<T>,
     ) {
-        let bytes = batch.byte_size();
-        self.insert_block(node, path, crc, cols, CachedBlock::Decoded(batch), bytes);
-    }
-
-    /// Cache an encoded-tier batch, charged at its *encoded* byte size —
-    /// the point of the tier: a dictionary or RLE column occupies budget at
-    /// compressed size, not expanded size.
-    pub fn insert_encoded(
-        &self,
-        node: NodeId,
-        path: &str,
-        crc: u32,
-        cols: Option<HashSet<String>>,
-        batch: Arc<EncodedBatch>,
-    ) {
-        let bytes = batch.byte_size();
-        self.insert_block(node, path, crc, cols, CachedBlock::Encoded(batch), bytes);
-    }
-
-    fn insert_block(
-        &self,
-        node: NodeId,
-        path: &str,
-        crc: u32,
-        cols: Option<HashSet<String>>,
-        block: CachedBlock,
-        bytes: u64,
-    ) {
+        let bytes = batch.charged_bytes();
+        let block = T::into_block(batch);
         let capacity = self.capacity_per_node.load(Ordering::Relaxed);
         if bytes > capacity {
             return;
@@ -371,20 +354,24 @@ mod tests {
             b.clone(),
         );
         assert!(cache
-            .get(NodeId(0), "tables/t/c0", 7, Some(&set(&["a"])))
+            .get::<Batch>(NodeId(0), "tables/t/c0", 7, Some(&set(&["a"])))
             .is_some());
         assert!(cache
-            .get(NodeId(0), "tables/t/c0", 7, Some(&set(&["a", "b"])))
+            .get::<Batch>(NodeId(0), "tables/t/c0", 7, Some(&set(&["a", "b"])))
             .is_some());
         assert!(cache
-            .get(NodeId(0), "tables/t/c0", 7, Some(&set(&["c"])))
+            .get::<Batch>(NodeId(0), "tables/t/c0", 7, Some(&set(&["c"])))
             .is_none());
-        assert!(cache.get(NodeId(0), "tables/t/c0", 7, None).is_none());
+        assert!(cache
+            .get::<Batch>(NodeId(0), "tables/t/c0", 7, None)
+            .is_none());
         // Full entry serves everything.
         cache.insert(NodeId(0), "tables/t/c0", 7, None, b);
-        assert!(cache.get(NodeId(0), "tables/t/c0", 7, None).is_some());
         assert!(cache
-            .get(NodeId(0), "tables/t/c0", 7, Some(&set(&["z"])))
+            .get::<Batch>(NodeId(0), "tables/t/c0", 7, None)
+            .is_some());
+        assert!(cache
+            .get::<Batch>(NodeId(0), "tables/t/c0", 7, Some(&set(&["z"])))
             .is_some());
     }
 
@@ -392,7 +379,9 @@ mod tests {
     fn crc_mismatch_invalidates() {
         let cache = BlockCache::new(1 << 20);
         cache.insert(NodeId(1), "tables/t/c0", 1, None, batch(5));
-        assert!(cache.get(NodeId(1), "tables/t/c0", 2, None).is_none());
+        assert!(cache
+            .get::<Batch>(NodeId(1), "tables/t/c0", 2, None)
+            .is_none());
         assert_eq!(cache.invalidations(), 1);
         // The stale entry is gone entirely.
         assert!(cache.is_empty());
@@ -409,12 +398,15 @@ mod tests {
         cache.insert(NodeId(1), "p0", 0, None, b.clone());
         assert_eq!(cache.len(), 3, "node budgets are independent");
         // Touch p0 so p1 becomes the LRU victim.
-        assert!(cache.get(NodeId(0), "p0", 0, None).is_some());
+        assert!(cache.get::<Batch>(NodeId(0), "p0", 0, None).is_some());
         cache.insert(NodeId(0), "p2", 0, None, b.clone());
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.get(NodeId(0), "p1", 0, None).is_none(), "LRU evicted");
-        assert!(cache.get(NodeId(0), "p0", 0, None).is_some());
-        assert!(cache.get(NodeId(0), "p2", 0, None).is_some());
+        assert!(
+            cache.get::<Batch>(NodeId(0), "p1", 0, None).is_none(),
+            "LRU evicted"
+        );
+        assert!(cache.get::<Batch>(NodeId(0), "p0", 0, None).is_some());
+        assert!(cache.get::<Batch>(NodeId(0), "p2", 0, None).is_some());
         assert!(cache.bytes_on(NodeId(0)) <= size * 2);
         // An oversized batch is refused outright.
         let tiny = BlockCache::new(8);
@@ -430,7 +422,9 @@ mod tests {
         cache.insert(NodeId(0), "tables/u/c0", 0, None, batch(1));
         cache.invalidate_prefix("tables/t/");
         assert_eq!(cache.len(), 1);
-        assert!(cache.get(NodeId(0), "tables/u/c0", 0, None).is_some());
+        assert!(cache
+            .get::<Batch>(NodeId(0), "tables/u/c0", 0, None)
+            .is_some());
     }
 
     fn encoded_batch(rows: usize) -> Arc<EncodedBatch> {
@@ -452,37 +446,41 @@ mod tests {
         assert!(eb.byte_size() * 10 < decoded_size);
         // A budget far below decoded size still accepts the encoded entry.
         let cache = BlockCache::new(decoded_size / 4);
-        cache.insert_encoded(NodeId(0), "tables/t/c0", 5, None, eb.clone());
+        cache.insert(NodeId(0), "tables/t/c0", 5, None, eb.clone());
         assert_eq!(cache.encoded_len(), 1);
         assert_eq!(cache.bytes_on(NodeId(0)), eb.byte_size());
         assert!(cache
-            .get_encoded(NodeId(0), "tables/t/c0", 5, None)
+            .get::<EncodedBatch>(NodeId(0), "tables/t/c0", 5, None)
             .is_some());
     }
 
     #[test]
     fn tiers_share_keys_but_not_hits() {
         let cache = BlockCache::new(1 << 20);
-        cache.insert_encoded(NodeId(0), "tables/t/c0", 5, None, encoded_batch(100));
+        cache.insert(NodeId(0), "tables/t/c0", 5, None, encoded_batch(100));
         // A decoded-path lookup must not see the encoded entry (tier miss,
         // not invalidation — the entry survives).
-        assert!(cache.get(NodeId(0), "tables/t/c0", 5, None).is_none());
+        assert!(cache
+            .get::<Batch>(NodeId(0), "tables/t/c0", 5, None)
+            .is_none());
         assert_eq!(cache.invalidations(), 0);
         assert!(cache
-            .get_encoded(NodeId(0), "tables/t/c0", 5, None)
+            .get::<EncodedBatch>(NodeId(0), "tables/t/c0", 5, None)
             .is_some());
         // Inserting the decoded form replaces the encoded entry outright.
         cache.insert(NodeId(0), "tables/t/c0", 5, None, batch(100));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.encoded_len(), 0);
         assert!(cache
-            .get_encoded(NodeId(0), "tables/t/c0", 5, None)
+            .get::<EncodedBatch>(NodeId(0), "tables/t/c0", 5, None)
             .is_none());
-        assert!(cache.get(NodeId(0), "tables/t/c0", 5, None).is_some());
-        // crc mismatch invalidates encoded entries just like decoded ones.
-        cache.insert_encoded(NodeId(0), "tables/t/c1", 5, None, encoded_batch(100));
         assert!(cache
-            .get_encoded(NodeId(0), "tables/t/c1", 6, None)
+            .get::<Batch>(NodeId(0), "tables/t/c0", 5, None)
+            .is_some());
+        // crc mismatch invalidates encoded entries just like decoded ones.
+        cache.insert(NodeId(0), "tables/t/c1", 5, None, encoded_batch(100));
+        assert!(cache
+            .get::<EncodedBatch>(NodeId(0), "tables/t/c1", 6, None)
             .is_none());
         assert_eq!(cache.invalidations(), 1);
     }
@@ -491,13 +489,13 @@ mod tests {
     fn prefix_invalidation_covers_both_tiers() {
         let cache = BlockCache::new(1 << 20);
         cache.insert(NodeId(0), "tables/t/c0", 0, None, batch(1));
-        cache.insert_encoded(NodeId(1), "tables/t/c1", 0, None, encoded_batch(100));
-        cache.insert_encoded(NodeId(0), "tables/u/c0", 0, None, encoded_batch(100));
+        cache.insert(NodeId(1), "tables/t/c1", 0, None, encoded_batch(100));
+        cache.insert(NodeId(0), "tables/u/c0", 0, None, encoded_batch(100));
         cache.invalidate_prefix("tables/t/");
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.encoded_len(), 1);
         assert!(cache
-            .get_encoded(NodeId(0), "tables/u/c0", 0, None)
+            .get::<EncodedBatch>(NodeId(0), "tables/u/c0", 0, None)
             .is_some());
     }
 }

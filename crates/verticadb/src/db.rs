@@ -5,12 +5,13 @@ use crate::admission::AdmissionController;
 use crate::catalog::{Catalog, TableDef};
 use crate::dfs::Dfs;
 use crate::error::Result;
-use crate::exec;
+use crate::exec::{self, ExecOptions};
 use crate::models::ModelStore;
 use crate::monitor::{Monitor, QueryRecord, SystemTableProvider};
 use crate::sql;
 use crate::storage::SegmentStore;
 use crate::udx::{TransformFunction, UdxRegistry};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use vdr_cluster::{Ledger, PhaseKind, PhaseRecorder, SimCluster, SimDuration};
 use vdr_columnar::Batch;
@@ -36,6 +37,7 @@ pub struct VerticaDb {
     admission: AdmissionController,
     ledger: Arc<Ledger>,
     monitor: Monitor,
+    exec_options: Mutex<ExecOptions>,
 }
 
 impl VerticaDb {
@@ -53,6 +55,7 @@ impl VerticaDb {
             admission: AdmissionController::new(max_q),
             ledger: Arc::new(Ledger::new()),
             monitor: Monitor::new(),
+            exec_options: Mutex::new(ExecOptions::default()),
             cluster,
         })
     }
@@ -372,6 +375,18 @@ impl VerticaDb {
     /// The `v_monitor` registry and query history.
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
+    }
+
+    /// The planner options statements on this database run under. The
+    /// executor reads them once at the top of each SELECT.
+    pub fn exec_options(&self) -> ExecOptions {
+        *self.exec_options.lock()
+    }
+
+    /// Replace the planner options for statements that start after this
+    /// call; other databases in the process are unaffected.
+    pub fn set_exec_options(&self, opts: ExecOptions) {
+        *self.exec_options.lock() = opts;
     }
 
     /// Expose extra state as a `v_monitor` table.

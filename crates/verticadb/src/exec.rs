@@ -38,9 +38,9 @@
 //! an ordinary [`Batch`] (`key columns ++ state columns`, a row per group)
 //! that the shuffled GROUP BY partitions by key hash and ships through the
 //! block codec — the exchange carries one payload type — and that the
-//! initiator-merge path gathers and merges with the same code. The two
-//! toggles only choose *where* the aggregator merges and whether group ids
-//! come from dictionary codes.
+//! initiator-merge path gathers and merges with the same code. The
+//! database's [`ExecOptions`] only choose *where* the aggregator merges and
+//! whether group ids come from dictionary codes.
 //!
 //! `COUNT(DISTINCT)` ships as deduplicated `(group, value)` pairs because a
 //! count cannot be merged: two nodes that each saw `'a'` must count it once.
@@ -65,7 +65,6 @@ use crate::sql::{Partition, SelectItem, SelectStmt, Statement};
 use crate::udx::UdxContext;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use vdr_cluster::{NodeId, PhaseRecorder};
 use vdr_columnar::kernels::{self, CmpOp};
@@ -79,42 +78,27 @@ mod join;
 /// The node that runs final merges — where the client is connected.
 const INITIATOR: NodeId = NodeId(0);
 
-/// Process-wide compressed-execution toggle (on by default). Off forces
-/// every scan down the decoded path — used by equivalence tests and as an
-/// escape hatch.
-static COMPRESSED_EXECUTION: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable compressed execution for subsequent queries.
-pub fn set_compressed_execution(on: bool) {
-    COMPRESSED_EXECUTION.store(on, Ordering::Relaxed);
+/// Which physical alternatives the planner may pick, held per database
+/// ([`VerticaDb::exec_options`]) and read once per statement. Both default
+/// to on; the alternative each one disables still runs whenever the
+/// statement's shape requires it (non-encodable `WHERE`, single node,
+/// segmentation-aligned key, global aggregate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecOptions {
+    /// Scan Rle/Dictionary columns in run/code form when the statement
+    /// shape allows it ([`encoded_execution_eligible`]).
+    pub compressed_execution: bool,
+    /// Repartition GROUP BY partials by key hash so every node merges a
+    /// disjoint key range, instead of the initiator merging them all.
+    pub group_by_shuffle: bool,
 }
 
-/// Whether compressed execution is currently enabled.
-pub fn compressed_execution() -> bool {
-    COMPRESSED_EXECUTION.load(Ordering::Relaxed)
-}
-
-/// Process-wide shuffled-GROUP-BY toggle (on by default). When on, a
-/// multi-node GROUP BY whose key is not the segmentation key repartitions
-/// partial aggregates by group-key hash so the final merge is distributed
-/// instead of initiator-bound. Off forces the initiator-only merge — used by
-/// the A/B bench and equivalence tests.
-static GROUP_BY_SHUFFLE: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the shuffled two-phase GROUP BY for subsequent queries.
-pub fn set_group_by_shuffle(on: bool) {
-    GROUP_BY_SHUFFLE.store(on, Ordering::Relaxed);
-}
-
-/// Whether the shuffled two-phase GROUP BY is currently enabled. The
-/// `VDR_GROUP_BY_SHUFFLE` environment variable, when set, overrides the
-/// in-process toggle ("0"/"off" disables, anything else enables) so
-/// benchmark harnesses can A/B the strategy through the public SQL surface
-/// alone.
-pub fn group_by_shuffle() -> bool {
-    match std::env::var("VDR_GROUP_BY_SHUFFLE") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off")),
-        Err(_) => GROUP_BY_SHUFFLE.load(Ordering::Relaxed),
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            compressed_execution: true,
+            group_by_shuffle: true,
+        }
     }
 }
 
@@ -226,6 +210,8 @@ fn status_batch(msg: &str) -> Result<Batch> {
 // ------------------------------------------------------------------ SELECT
 
 fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -> Result<Batch> {
+    // Read once, so every decision of this statement sees the same values.
+    let opts = db.exec_options();
     if let Some(SelectItem::Transform {
         name,
         args,
@@ -247,7 +233,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
     }
 
     if stmt.join.is_some() {
-        return join::execute_join_select(db, stmt, rec);
+        return join::execute_join_select(db, stmt, opts, rec);
     }
 
     let mut select_span = vdr_obs::span("exec.select");
@@ -291,7 +277,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
             let wanted = referenced_columns(stmt);
             // Planner rule: run on encoded data when the statement shape allows
             // it (see `encoded_execution_eligible`).
-            let use_encoded = encoded_execution_eligible(stmt);
+            let use_encoded = encoded_execution_eligible(stmt, opts);
             // Scatter spawns one OS thread per node: the query scope is
             // thread-local, so re-enter it in each worker (as span parents are
             // passed explicitly).
@@ -350,7 +336,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
             (per_node, plan, seg_aligned)
         };
 
-    let out = gather_and_finalize(db, stmt, plan.as_ref(), rec, per_node, seg_aligned)?;
+    let out = gather_and_finalize(db, stmt, plan.as_ref(), rec, per_node, seg_aligned, opts)?;
     select_span.record("rows_out", out.num_rows());
     vdr_obs::counter("exec.output.rows", out.num_rows() as u64);
     Ok(out)
@@ -368,6 +354,7 @@ fn gather_and_finalize(
     rec: &Arc<PhaseRecorder>,
     per_node: Vec<Result<NodeResult>>,
     groupby_seg_aligned: bool,
+    opts: ExecOptions,
 ) -> Result<Batch> {
     let mut rows = Vec::new();
     let mut partials = Vec::new();
@@ -393,13 +380,13 @@ fn gather_and_finalize(
     };
     // The shuffle is skipped when it cannot help: a single node, a global
     // aggregate, a group key containing the segmentation key (already
-    // node-disjoint), or the toggle off.
+    // node-disjoint), or the option off.
     let n = partials.len();
     let shuffle = n > 1
         && n == db.cluster().num_nodes()
         && !groupby_seg_aligned
         && plan.has_keys()
-        && group_by_shuffle();
+        && opts.group_by_shuffle;
     let batch = if shuffle {
         shuffle_group_by(db, plan, rec, &partials)?
     } else {
@@ -621,14 +608,12 @@ fn encodable_predicate(e: &Expr) -> bool {
 /// (encodable WHERE) or when a GROUP BY can aggregate over dictionary codes;
 /// a bare full-table SELECT gains nothing from the detour, so it stays on
 /// the decoded path (whose cache tier it already warms).
-fn encoded_execution_eligible(stmt: &SelectStmt) -> bool {
-    if !compressed_execution() {
-        return false;
-    }
-    match &stmt.where_clause {
-        Some(w) => encodable_predicate(w),
-        None => !stmt.group_by.is_empty(),
-    }
+fn encoded_execution_eligible(stmt: &SelectStmt, opts: ExecOptions) -> bool {
+    opts.compressed_execution
+        && match &stmt.where_clause {
+            Some(w) => encodable_predicate(w),
+            None => !stmt.group_by.is_empty(),
+        }
 }
 
 /// What one node's encoded pipeline did, for the cost ledger and the
@@ -1231,6 +1216,7 @@ fn run_transform(
 mod tests {
     use super::*;
     use crate::db::VerticaDb;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use vdr_cluster::SimCluster;
 
     fn db_with_data() -> Arc<VerticaDb> {
@@ -1450,32 +1436,35 @@ mod tests {
 
     // --------------------------------------------- compressed execution
 
-    /// The compressed-execution toggle is process-global; tests that flip it
-    /// serialize here so parallel test threads don't observe each other's
-    /// setting.
-    static TOGGLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// Both planner options off: every scan decodes, every GROUP BY merges
+    /// on the initiator.
+    const ALTERNATIVES_OFF: ExecOptions = ExecOptions {
+        compressed_execution: false,
+        group_by_shuffle: false,
+    };
 
-    /// A table whose blocks actually pick RLE (sorted low-cardinality `grp`)
-    /// and Dictionary (3-value `tag`) encodings, with NULLs in both.
+    /// `(id, grp, x, tag)` for row `i` of the `lc` table: `grp` is sorted
+    /// and low-cardinality so its blocks pick RLE, `tag` has 3 values so it
+    /// picks Dictionary, and both carry NULLs.
+    fn lc_row(i: i64) -> (i64, Option<i64>, f64, Option<&'static str>) {
+        let grp = (i % 97 != 0).then_some(i / 200);
+        let tag = (i % 89 != 0).then(|| ["a", "b", "c"][(i % 3) as usize]);
+        (i, grp, (i % 7) as f64 + 0.5, tag)
+    }
+
     fn db_low_cardinality() -> Arc<VerticaDb> {
         let cluster = SimCluster::for_tests(2);
         let db = VerticaDb::new(cluster);
         db.query("CREATE TABLE lc (id INTEGER, grp INTEGER, x FLOAT, tag VARCHAR)")
             .unwrap();
-        let mut values = Vec::new();
-        for i in 0..600i64 {
-            let grp = if i % 97 == 0 {
-                "NULL".to_string()
-            } else {
-                (i / 200).to_string()
-            };
-            let tag = if i % 89 == 0 {
-                "NULL".to_string()
-            } else {
-                format!("'{}'", ["a", "b", "c"][(i % 3) as usize])
-            };
-            values.push(format!("({i}, {grp}, {}.5, {tag})", i % 7));
-        }
+        let values: Vec<String> = (0..600)
+            .map(|i| {
+                let (id, grp, x, tag) = lc_row(i);
+                let grp = grp.map_or("NULL".to_string(), |g| g.to_string());
+                let tag = tag.map_or("NULL".to_string(), |t| format!("'{t}'"));
+                format!("({id}, {grp}, {x}, {tag})")
+            })
+            .collect();
         db.query(&format!("INSERT INTO lc VALUES {}", values.join(", ")))
             .unwrap();
         db
@@ -1485,9 +1474,16 @@ mod tests {
         (0..b.num_rows()).map(|r| b.row(r)).collect()
     }
 
+    /// Run `sql` on `db` under `opts`, then put the defaults back.
+    fn rows_under(db: &VerticaDb, opts: ExecOptions, sql: &str) -> Vec<Vec<Value>> {
+        db.set_exec_options(opts);
+        let out = db.query(sql).unwrap().batch;
+        db.set_exec_options(ExecOptions::default());
+        rows_of(&out)
+    }
+
     #[test]
     fn compressed_and_decoded_execution_agree() {
-        let _g = TOGGLE_LOCK.lock().unwrap();
         let db = db_low_cardinality();
         let queries = [
             // RLE predicate, late-materialized projection.
@@ -1505,15 +1501,14 @@ mod tests {
             // Non-dictionary GROUP BY falls back to late materialization.
             "SELECT grp, count(*) FROM lc WHERE tag = 'c' GROUP BY grp ORDER BY grp",
         ];
+        let decoded = ExecOptions {
+            compressed_execution: false,
+            ..ExecOptions::default()
+        };
         for sql in queries {
-            set_compressed_execution(true);
-            let on = db.query(sql).unwrap().batch;
-            set_compressed_execution(false);
-            let off = db.query(sql).unwrap().batch;
-            set_compressed_execution(true);
             assert_eq!(
-                rows_of(&on),
-                rows_of(&off),
+                rows_under(&db, ExecOptions::default(), sql),
+                rows_under(&db, decoded, sql),
                 "encoded and decoded paths disagree for {sql}"
             );
         }
@@ -1521,8 +1516,6 @@ mod tests {
 
     #[test]
     fn encoded_predicate_skips_runs_under_profile() {
-        let _g = TOGGLE_LOCK.lock().unwrap();
-        set_compressed_execution(true);
         let db = db_low_cardinality();
         db.query("PROFILE SELECT count(*) FROM lc WHERE grp = 1")
             .unwrap();
@@ -1559,8 +1552,6 @@ mod tests {
 
     #[test]
     fn sorted_rle_predicates_binary_search_run_boundaries() {
-        let _g = TOGGLE_LOCK.lock().unwrap();
-        set_compressed_execution(true);
         let db = VerticaDb::new(SimCluster::for_tests(2));
         db.query("CREATE TABLE st (s INTEGER, x FLOAT)").unwrap();
         // `s` is sorted with 64 runs of 40 rows: each node's round-robin
@@ -1576,11 +1567,11 @@ mod tests {
             "SELECT s, count(*) FROM st WHERE s = 7 GROUP BY s",
         ];
         for sql in queries {
-            let on = db.query(sql).unwrap().batch;
-            set_compressed_execution(false);
-            let off = db.query(sql).unwrap().batch;
-            set_compressed_execution(true);
-            assert_eq!(rows_of(&on), rows_of(&off), "paths disagree for {sql}");
+            assert_eq!(
+                rows_under(&db, ExecOptions::default(), sql),
+                rows_under(&db, ALTERNATIVES_OFF, sql),
+                "paths disagree for {sql}"
+            );
         }
         let m = db
             .query(
@@ -1597,36 +1588,130 @@ mod tests {
         );
     }
 
+    const ENCODED_ELIGIBLE: [&str; 3] = [
+        "SELECT id FROM t WHERE grp = 1",
+        "SELECT count(*) FROM t WHERE 1 <= grp AND tag = 'b'",
+        "SELECT tag, count(*) FROM t GROUP BY tag",
+    ];
+    const ENCODED_INELIGIBLE: [&str; 5] = [
+        // No WHERE, no GROUP BY: plain scans stay decoded (and keep
+        // warming the decoded cache tier).
+        "SELECT * FROM t",
+        // Column-vs-column comparison.
+        "SELECT id FROM t WHERE grp = id",
+        // Arithmetic inside the comparison.
+        "SELECT id FROM t WHERE grp + 1 = 2",
+        // LIKE / IN need decoded values.
+        "SELECT id FROM t WHERE tag LIKE 'a%'",
+        "SELECT id FROM t WHERE grp IN (1, 2)",
+    ];
+
+    fn as_select(sql: &str) -> SelectStmt {
+        match crate::sql::parse(sql).unwrap() {
+            Statement::Select(s) => s,
+            other => panic!("expected SELECT, got {other:?}"),
+        }
+    }
+
+    fn assert_planner_rule(opts: ExecOptions) {
+        for sql in ENCODED_ELIGIBLE {
+            assert_eq!(
+                encoded_execution_eligible(&as_select(sql), opts),
+                opts.compressed_execution,
+                "{sql}"
+            );
+        }
+        for sql in ENCODED_INELIGIBLE {
+            assert!(!encoded_execution_eligible(&as_select(sql), opts), "{sql}");
+        }
+    }
+
     #[test]
     fn planner_rule_picks_encoded_only_for_eligible_shapes() {
-        let eligible = [
-            "SELECT id FROM t WHERE grp = 1",
-            "SELECT count(*) FROM t WHERE 1 <= grp AND tag = 'b'",
-            "SELECT tag, count(*) FROM t GROUP BY tag",
-        ];
-        let ineligible = [
-            // No WHERE, no GROUP BY: plain scans stay decoded (and keep
-            // warming the decoded cache tier).
-            "SELECT * FROM t",
-            // Column-vs-column comparison.
-            "SELECT id FROM t WHERE grp = id",
-            // Arithmetic inside the comparison.
-            "SELECT id FROM t WHERE grp + 1 = 2",
-            // LIKE / IN need decoded values.
-            "SELECT id FROM t WHERE tag LIKE 'a%'",
-            "SELECT id FROM t WHERE grp IN (1, 2)",
-        ];
-        let as_select = |sql: &str| -> SelectStmt {
-            match crate::sql::parse(sql).unwrap() {
-                Statement::Select(s) => s,
-                other => panic!("expected SELECT, got {other:?}"),
-            }
+        assert_planner_rule(ExecOptions::default());
+        assert_planner_rule(ALTERNATIVES_OFF);
+    }
+
+    /// Options belong to a database: while another database in the process
+    /// runs with both alternatives off, a default-options database keeps
+    /// planning encoded scans and shuffled merges, and keeps answering what
+    /// a row-at-a-time pass over the same rows answers.
+    #[test]
+    fn exec_options_are_per_database() {
+        let rle_scan = "SELECT count(*), sum(x) FROM lc WHERE grp = 1";
+        let shuffled = "SELECT tag, count(*) FROM lc GROUP BY tag ORDER BY tag";
+        let rows: Vec<_> = (0..600).map(lc_row).collect();
+        let in_grp1: Vec<_> = rows.iter().filter(|r| r.1 == Some(1)).collect();
+        let want_scan = vec![vec![
+            Value::Int64(in_grp1.len() as i64),
+            Value::Float64(in_grp1.iter().map(|r| r.2).sum()),
+        ]];
+        // Output order: 'a' < 'b' < 'c', NULL last.
+        let want_groups: Vec<Vec<Value>> = [Some("a"), Some("b"), Some("c"), None]
+            .into_iter()
+            .map(|tag| {
+                let n = rows.iter().filter(|r| r.3 == tag).count() as i64;
+                let key = tag.map_or(Value::Null, |t| Value::Varchar(t.into()));
+                vec![key, Value::Int64(n)]
+            })
+            .collect();
+        // `PROFILE` rows naming a counter: the statement took that path.
+        let profile_names = |db: &VerticaDb, sql: &str| -> Vec<String> {
+            let out = db.query(&format!("PROFILE {sql}")).unwrap().batch;
+            (0..out.num_rows())
+                .map(|r| out.row(r)[2].to_string())
+                .collect()
         };
-        for sql in eligible {
-            assert!(encoded_execution_eligible(&as_select(sql)), "{sql}");
+
+        let defaults = db_low_cardinality();
+        let off = db_low_cardinality();
+        off.set_exec_options(ALTERNATIVES_OFF);
+        // A panic on either side must end the test, not hang it: the other
+        // thread's death closes `started`, and `stop` is set on unwind too.
+        struct SetOnDrop<'a>(&'a AtomicBool);
+        impl Drop for SetOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
         }
-        for sql in ineligible {
-            assert!(!encoded_execution_eligible(&as_select(sql)), "{sql}");
-        }
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let stop = AtomicBool::new(false);
+        let (off, stop, want_scan, want_groups) = (&off, &stop, &want_scan, &want_groups);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    assert_eq!(&rows_of(&off.query(rle_scan).unwrap().batch), want_scan);
+                    assert_eq!(&rows_of(&off.query(shuffled).unwrap().batch), want_groups);
+                    assert_planner_rule(off.exec_options());
+                    // The receiver may be gone once the checks below are done.
+                    started_tx.send(()).ok();
+                }
+            });
+            // The other database has run a full round with both options off
+            // and keeps going while this one is checked.
+            started.recv().expect("the other database's thread died");
+            let _stop = SetOnDrop(stop);
+            for _ in 0..20 {
+                assert_planner_rule(defaults.exec_options());
+                assert_eq!(
+                    &rows_of(&defaults.query(rle_scan).unwrap().batch),
+                    want_scan
+                );
+                assert_eq!(
+                    &rows_of(&defaults.query(shuffled).unwrap().batch),
+                    want_groups
+                );
+            }
+            let names = profile_names(&defaults, rle_scan);
+            assert!(
+                names.iter().any(|n| n == "scan.encoded.runs_skipped"),
+                "default database must scan encoded: {names:?}"
+            );
+            let names = profile_names(&defaults, shuffled);
+            assert!(
+                names.iter().any(|n| n == "exec.groupby.shuffled"),
+                "default database must shuffle its GROUP BY: {names:?}"
+            );
+        });
     }
 }

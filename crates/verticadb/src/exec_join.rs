@@ -380,6 +380,7 @@ impl JoinPlan {
 pub(super) fn execute_join_select(
     db: &VerticaDb,
     stmt: &SelectStmt,
+    opts: ExecOptions,
     rec: &Arc<PhaseRecorder>,
 ) -> Result<Batch> {
     let plan = JoinPlan::resolve(db, stmt)?;
@@ -408,13 +409,23 @@ pub(super) fn execute_join_select(
     // The joined per-node partials flow through the ordinary gather / merge /
     // finalize machinery (including the shuffled two-phase GROUP BY — a
     // joined GROUP BY key is never segmentation-aligned).
-    gather_and_finalize(db, &inner, agg, rec, per_node, false)
+    gather_and_finalize(db, &inner, agg, rec, per_node, false, opts)
+}
+
+/// The schema one side of the join is planned to carry: the table's columns
+/// restricted to `wanted`, in table order.
+fn side_schema(db: &VerticaDb, table: &str, wanted: Option<&HashSet<String>>) -> Result<Schema> {
+    let def = db.catalog().get(table)?;
+    let keep =
+        |name: &&str| wanted.is_none_or(|set| set.iter().any(|w| w.eq_ignore_ascii_case(name)));
+    let names: Vec<&str> = def.schema.names().into_iter().filter(keep).collect();
+    Ok(def.schema.project(&names)?)
 }
 
 /// Scan one side of the join on one node, concatenated into a single batch
-/// restricted to the `wanted` columns. The block cache may serve a wider
-/// batch than was asked for, and an empty segment serves none: every node
-/// must still ship the same columns.
+/// of the planned [`side_schema`]. The block cache may serve a wider batch
+/// than was asked for, and an empty segment serves none: every node must
+/// still ship the same columns.
 fn scan_side(
     db: &VerticaDb,
     table: &str,
@@ -425,17 +436,14 @@ fn scan_side(
     let batches = db
         .storage()
         .scan_node_projected(table, node.id(), rec, false, wanted)?;
-    let def = db.catalog().get(table)?;
-    let keep =
-        |name: &&str| wanted.is_none_or(|set| set.iter().any(|w| w.eq_ignore_ascii_case(name)));
-    let names: Vec<&str> = def.schema.names().into_iter().filter(keep).collect();
-    let schema = def.schema.project(&names)?;
+    let schema = side_schema(db, table, wanted)?;
+    let names = schema.names();
     if let [one] = batches.as_slice() {
         if *one.schema() == schema {
             return Ok(one.as_ref().clone());
         }
     }
-    let mut out = Batch::empty(schema);
+    let mut out = Batch::empty(schema.clone());
     for b in &batches {
         if b.schema() == out.schema() {
             out.extend(b)?;
@@ -486,6 +494,17 @@ fn shuffled(
     let query_id = vdr_obs::current_query_id();
     let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
     let as_io = |e: DbError| ClusterError::Io(e.to_string());
+    // The sides that cross the wire, in the frame order senders use, each
+    // with the schema receivers hold its frames to.
+    let mut shipped = Vec::new();
+    if ship_left {
+        let schema = side_schema(db, &plan.left_table, lw.as_ref())?;
+        shipped.push((Side::Left, schema));
+    }
+    if ship_right || broadcast {
+        let schema = side_schema(db, &plan.right_table, rw.as_ref())?;
+        shipped.push((Side::Right, schema));
+    }
     type Carry = (Option<Batch>, Option<Batch>);
     let results = exchange_framed(
         db.cluster(),
@@ -545,8 +564,7 @@ fn shuffled(
             let _n = vdr_obs::NodeScope::enter(node.id().0);
             let me = node.id().0;
             let (left_parts, right_parts, stats) =
-                decode_received(node, plan, ship_left, ship_right || broadcast, &recv)
-                    .map_err(as_io)?;
+                decode_received(node, &shipped, &recv).map_err(as_io)?;
             // Receive-side telemetry and cost: rows/bytes/frames/wait land on
             // the *receiving* node, so PROFILE shows the probe side too.
             vdr_obs::counter_on("exchange.rows", me, stats.rows);
@@ -585,50 +603,49 @@ struct RecvStats {
 /// Decode every received frame in parallel on the node's pool. Frames keep
 /// their VCOL encodings through [`decode_batch_encoded`]; RLE/dictionary
 /// columns expand only here, on the receiver (late materialization across
-/// the wire).
+/// the wire). Every source must have sent exactly one frame per `shipped`
+/// side, in that order, and each frame must decode to that side's planned
+/// schema — a crc-valid block of anything else is a protocol error, not
+/// join input.
 fn decode_received(
     node: &Arc<Node>,
-    plan: &JoinPlan,
-    left_shipped: bool,
-    right_shipped: bool,
+    shipped: &[(Side, Schema)],
     recv: &ExchangeRecv,
 ) -> Result<(Vec<Batch>, Vec<Batch>, RecvStats)> {
-    let _ = plan;
-    // (side, frame bytes): side 0 = left, 1 = right, per the positional
-    // protocol in `shuffled`.
-    let mut tagged: Vec<(usize, &Bytes)> = Vec::new();
-    for frames in &recv.frames {
-        let mut expect = usize::from(left_shipped) + usize::from(right_shipped);
-        if frames.is_empty() {
-            continue;
-        }
-        if frames.len() != expect {
+    let mut tagged: Vec<(Side, &Schema, &Bytes)> = Vec::new();
+    for (src, frames) in recv.frames.iter().enumerate() {
+        if frames.len() != shipped.len() {
             return Err(DbError::Exec(format!(
-                "exchange stream carried {} frames, expected {expect}",
-                frames.len()
+                "exchange stream from node {src} carried {} frames, expected {}",
+                frames.len(),
+                shipped.len()
             )));
         }
-        let mut it = frames.iter();
-        if left_shipped {
-            tagged.push((0, it.next().expect("counted")));
-            expect -= 1;
-        }
-        if right_shipped {
-            tagged.push((1, it.next().expect("counted")));
-        }
-        let _ = expect;
+        tagged.extend(
+            shipped
+                .iter()
+                .zip(frames)
+                .map(|((side, schema), frame)| (*side, schema, frame)),
+        );
     }
-    let decoded: Vec<Result<(usize, Batch, u64, u64)>> = node.run(|| {
+    let decoded: Vec<Result<(Side, Batch, u64, u64)>> = node.run(|| {
         tagged
             .par_iter()
-            .map(|(side, bytes)| {
+            .map(|&(side, schema, bytes)| {
                 let (eb, dstats) = decode_batch_encoded(bytes, None)
                     .map_err(|e| DbError::Exec(format!("exchange decode: {e}")))?;
+                if eb.schema() != schema {
+                    return Err(DbError::Exec(format!(
+                        "exchange frame for the {side:?} side carries columns {:?}, planned {:?}",
+                        eb.schema().names(),
+                        schema.names()
+                    )));
+                }
                 let mask = Bitmap::all_valid(eb.num_rows());
                 let (batch, expanded) = eb
                     .materialize(&mask, None)
                     .map_err(|e| DbError::Exec(format!("exchange materialize: {e}")))?;
-                Ok((*side, batch, dstats.cols_kept_encoded as u64, expanded))
+                Ok((side, batch, dstats.cols_kept_encoded as u64, expanded))
             })
             .collect()
     });
@@ -640,10 +657,9 @@ fn decode_received(
         stats.rows += batch.num_rows() as u64;
         stats.encoded_cols += kept;
         stats.expanded_values += expanded;
-        if side == 0 {
-            left_parts.push(batch);
-        } else {
-            right_parts.push(batch);
+        match side {
+            Side::Left => left_parts.push(batch),
+            Side::Right => right_parts.push(batch),
         }
     }
     Ok((left_parts, right_parts, stats))
@@ -832,4 +848,119 @@ fn materialize_join(
         }
     }
     Ok(Batch::new(Schema::new(fields), columns)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vdr_cluster::SimCluster;
+
+    fn recv_of(frames: Vec<Vec<Bytes>>) -> ExchangeRecv {
+        ExchangeRecv {
+            frames,
+            wait_ns: 0,
+            num_frames: 0,
+            bytes: 0,
+        }
+    }
+
+    /// Whatever bytes arrive on JOIN's receive side, the outcome is the
+    /// planned partitions or a `DbError` — never a panic, and never a join
+    /// over fewer or other rows than were shipped.
+    #[test]
+    fn hostile_exchange_frames_are_errors_not_joins() {
+        let cluster = SimCluster::for_tests(2);
+        let node = cluster.node(NodeId(0));
+        let left = Batch::from_rows(
+            Schema::of(&[("k", DataType::Int64), ("v", DataType::Float64)]),
+            &[
+                vec![Value::Int64(1), Value::Float64(0.5)],
+                vec![Value::Int64(1), Value::Null],
+                vec![Value::Int64(2), Value::Float64(2.5)],
+            ],
+        )
+        .unwrap();
+        // Same key column as the left side, so only the schema check can
+        // tell a misplaced frame from join input.
+        let right = Batch::from_rows(
+            Schema::of(&[("k", DataType::Int64), ("name", DataType::Varchar)]),
+            &[
+                vec![Value::Int64(1), Value::Varchar("one".into())],
+                vec![Value::Int64(2), Value::Varchar("two".into())],
+            ],
+        )
+        .unwrap();
+        let (lf, rf) = (encode_batch(&left), encode_batch(&right));
+        let shipped = [
+            (Side::Left, left.schema().clone()),
+            (Side::Right, right.schema().clone()),
+        ];
+        let decode = |frames: Vec<Vec<Bytes>>| decode_received(node, &shipped, &recv_of(frames));
+        let rows = |parts: &[Batch]| parts.iter().map(Batch::num_rows).sum::<usize>();
+
+        // Two sources, one frame per shipped side each.
+        let (l, r, stats) = decode(vec![vec![lf.clone(), rf.clone()]; 2]).unwrap();
+        assert_eq!((rows(&l), rows(&r), stats.rows), (6, 4, 10));
+        assert!(l.iter().all(|b| b.schema() == left.schema()));
+        assert!(r.iter().all(|b| b.schema() == right.schema()));
+        // A side that did not ship is not expected on the wire.
+        let right_only = [(Side::Right, right.schema().clone())];
+        let (l, r, _) =
+            decode_received(node, &right_only, &recv_of(vec![vec![rf.clone()]; 2])).unwrap();
+        assert_eq!((rows(&l), rows(&r)), (0, 4));
+
+        let is_exec_err = |res: Result<(Vec<Batch>, Vec<Batch>, RecvStats)>, what: &str| match res {
+            Err(DbError::Exec(_)) => {}
+            Err(other) => panic!("{what}: unexpected error kind {other}"),
+            Ok((l, r, _)) => panic!("{what}: joined {} + {} rows", rows(&l), rows(&r)),
+        };
+
+        // Truncated at every offset, in either position.
+        for cut in 0..lf.len() {
+            let frames = vec![
+                vec![lf.slice(..cut), rf.clone()],
+                vec![lf.clone(), rf.clone()],
+            ];
+            is_exec_err(decode(frames), &format!("left frame cut at {cut}"));
+        }
+        for cut in 0..rf.len() {
+            let frames = vec![
+                vec![lf.clone(), rf.clone()],
+                vec![lf.clone(), rf.slice(..cut)],
+            ];
+            is_exec_err(decode(frames), &format!("right frame cut at {cut}"));
+        }
+        // Any one bit flipped.
+        for bit in 0..rf.len() * 8 {
+            let mut bad = rf.to_vec();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let frames = vec![
+                vec![lf.clone(), Bytes::from(bad)],
+                vec![lf.clone(), rf.clone()],
+            ];
+            is_exec_err(decode(frames), &format!("bit {bit} flipped"));
+        }
+        // The wrong number of frames from one source: none, one short, one
+        // over.
+        for bad in [
+            vec![],
+            vec![lf.clone()],
+            vec![lf.clone(), rf.clone(), rf.clone()],
+        ] {
+            let what = format!("{} frames from one source", bad.len());
+            is_exec_err(decode(vec![vec![lf.clone(), rf.clone()], bad]), &what);
+        }
+        // Crc-valid blocks of the other side's schema.
+        is_exec_err(
+            decode(vec![
+                vec![rf.clone(), lf.clone()],
+                vec![lf.clone(), rf.clone()],
+            ]),
+            "sides swapped",
+        );
+        is_exec_err(
+            decode(vec![vec![lf.clone(), lf.clone()]; 2]),
+            "left block in the right slot",
+        );
+    }
 }

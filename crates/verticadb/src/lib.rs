@@ -44,9 +44,7 @@ pub use catalog::{Catalog, TableDef};
 pub use db::{QueryOutput, VerticaDb};
 pub use dfs::Dfs;
 pub use error::{DbError, Result};
-pub use exec::{
-    compressed_execution, group_by_shuffle, set_compressed_execution, set_group_by_shuffle,
-};
+pub use exec::ExecOptions;
 pub use models::{ModelMeta, ModelStore};
 pub use monitor::{
     Monitor, QueryHistory, QueryRecord, SystemTableProvider, QUERY_HISTORY_CAPACITY,

@@ -20,7 +20,7 @@
 //!   for the executor's encoded kernels and late materialization; those
 //!   entries cache at *encoded* size on the block cache's encoded tier.
 
-use crate::blockcache::BlockCache;
+use crate::blockcache::{BlockCache, CacheTier};
 use crate::catalog::TableDef;
 use crate::error::{DbError, Result};
 use parking_lot::RwLock;
@@ -64,6 +64,10 @@ pub struct ContainerMeta {
     /// Per-column encoding and size facts.
     pub columns: Vec<ColumnStat>,
 }
+
+/// A block decoder restricted to the wanted columns: the plain
+/// ([`decode_batch_columns`]) or the encoded ([`decode_batch_encoded`]) one.
+type DecodeFn<T> = fn(&[u8], Option<&HashSet<String>>) -> vdr_columnar::Result<(T, DecodeStats)>;
 
 /// Per-table, per-node container lists.
 #[derive(Default)]
@@ -226,56 +230,16 @@ impl SegmentStore {
         cached: bool,
         wanted: Option<&HashSet<String>>,
     ) -> Result<Vec<Arc<Batch>>> {
-        assert!(slice < num_slices, "slice index out of range");
-        let wanted_lc = lowercase_set(wanted);
-        let containers = self.containers(table, node);
-        let disk = self.cluster.node(node).disk();
-        let scan_cost = self.cluster.profile().costs.db_scan_ns_per_value;
-        let cols_skipped = AtomicU64::new(0);
-        let out: Vec<Arc<Batch>> = containers
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % num_slices == slice)
-            .map(|(_, c)| c)
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|c| -> Result<Arc<Batch>> {
-                if let Some(hit) = self.cache.get(node, &c.path, c.crc, wanted_lc.as_ref()) {
-                    // Decoded bytes are already resident: memory-speed
-                    // re-read of the container, no decode CPU at all.
-                    rec.disk_cached_read(node, c.bytes);
-                    return Ok(hit);
-                }
-                let raw = disk.read(&c.path)?;
-                if cached {
-                    rec.disk_cached_read(node, c.bytes);
-                } else {
-                    rec.disk_read(node, c.bytes);
-                }
-                let started = Instant::now();
-                let (batch, stats) = decode_batch_columns(&raw, wanted_lc.as_ref())?;
-                let values = stats.values_decoded();
-                rec.cpu_work(node, values as f64, scan_cost);
-                if values > 0 {
-                    vdr_obs::observe_on(
-                        "scan.decode.ns_per_value",
-                        node.0,
-                        started.elapsed().as_nanos() as f64 / values as f64,
-                    );
-                }
-                cols_skipped.fetch_add(stats.cols_skipped() as u64, Ordering::Relaxed);
-                let batch = Arc::new(batch);
-                let cache_cols = cached_columns(&stats, batch.schema());
-                self.cache
-                    .insert(node, &c.path, c.crc, cache_cols, Arc::clone(&batch));
-                Ok(batch)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let skipped = cols_skipped.load(Ordering::Relaxed);
-        if skipped > 0 {
-            vdr_obs::counter_on("exec.scan.cols_skipped", node.0, skipped);
-        }
-        Ok(out)
+        self.scan_containers(
+            table,
+            node,
+            slice,
+            num_slices,
+            rec,
+            cached,
+            wanted,
+            decode_batch_columns,
+        )
     }
 
     /// Compressed-execution scan: like [`Self::scan_node_projected`] but
@@ -293,18 +257,40 @@ impl SegmentStore {
         cached: bool,
         wanted: Option<&HashSet<String>>,
     ) -> Result<Vec<Arc<EncodedBatch>>> {
+        self.scan_containers(table, node, 0, 1, rec, cached, wanted, decode_batch_encoded)
+    }
+
+    /// The one container-scan body: cache probe on `T`'s tier, else disk
+    /// read, `decode` and cache insert, with every charge to `rec`.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_containers<T: CacheTier + Send + Sync>(
+        &self,
+        table: &str,
+        node: NodeId,
+        slice: usize,
+        num_slices: usize,
+        rec: &PhaseRecorder,
+        cached: bool,
+        wanted: Option<&HashSet<String>>,
+        decode: DecodeFn<T>,
+    ) -> Result<Vec<Arc<T>>> {
+        assert!(slice < num_slices, "slice index out of range");
         let wanted_lc = lowercase_set(wanted);
         let containers = self.containers(table, node);
         let disk = self.cluster.node(node).disk();
         let scan_cost = self.cluster.profile().costs.db_scan_ns_per_value;
         let cols_skipped = AtomicU64::new(0);
-        let out: Vec<Arc<EncodedBatch>> = containers
+        let out: Vec<Arc<T>> = containers
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % num_slices == slice)
+            .map(|(_, c)| c)
+            .collect::<Vec<_>>()
             .par_iter()
-            .map(|c| -> Result<Arc<EncodedBatch>> {
-                if let Some(hit) = self
-                    .cache
-                    .get_encoded(node, &c.path, c.crc, wanted_lc.as_ref())
-                {
+            .map(|c| -> Result<Arc<T>> {
+                if let Some(hit) = self.cache.get(node, &c.path, c.crc, wanted_lc.as_ref()) {
+                    // The scan product is already resident: memory-speed
+                    // re-read of the container, no decode CPU at all.
                     rec.disk_cached_read(node, c.bytes);
                     return Ok(hit);
                 }
@@ -315,7 +301,7 @@ impl SegmentStore {
                     rec.disk_read(node, c.bytes);
                 }
                 let started = Instant::now();
-                let (batch, stats) = decode_batch_encoded(&raw, wanted_lc.as_ref())?;
+                let (batch, stats) = decode(&raw, wanted_lc.as_ref())?;
                 let values = stats.values_decoded();
                 rec.cpu_work(node, values as f64, scan_cost);
                 if values > 0 {
@@ -329,7 +315,7 @@ impl SegmentStore {
                 let batch = Arc::new(batch);
                 let cache_cols = cached_columns(&stats, batch.schema());
                 self.cache
-                    .insert_encoded(node, &c.path, c.crc, cache_cols, Arc::clone(&batch));
+                    .insert(node, &c.path, c.crc, cache_cols, Arc::clone(&batch));
                 Ok(batch)
             })
             .collect::<Result<Vec<_>>>()?;

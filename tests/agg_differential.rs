@@ -1,26 +1,16 @@
 //! Differential oracle for aggregation: the engine's answer to a GROUP BY
 //! must equal a row-at-a-time reference over `Vec<Vec<Value>>` — no
 //! segmentation, no encoding, no exchange — whatever the node count, the
-//! segmentation, and the two executor toggles. Plus the regressions that
+//! segmentation, and the database's two `ExecOptions`. Plus the regressions that
 //! came with the columnar aggregator: Int64 compared as integers, and
 //! aggregate output dtypes that come from the plan, not from the data.
 
 use proptest::prelude::*;
 use std::cmp::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use vertica_dr::cluster::SimCluster;
 use vertica_dr::columnar::{Batch, DataType, Schema, Value};
-use vertica_dr::verticadb::{
-    set_compressed_execution, set_group_by_shuffle, Segmentation, TableDef, VerticaDb,
-};
-
-/// The two toggles are process-global; every test that runs queries holds
-/// this lock so none observes another's setting.
-static TOGGLES: Mutex<()> = Mutex::new(());
-
-fn toggles() -> std::sync::MutexGuard<'static, ()> {
-    TOGGLES.lock().unwrap_or_else(|e| e.into_inner())
-}
+use vertica_dr::verticadb::{ExecOptions, Segmentation, TableDef, VerticaDb};
 
 // ------------------------------------------------------------- reference
 
@@ -231,7 +221,6 @@ proptest! {
         t in prop::collection::vec(row_strategy(), 0..48),
         d in prop::collection::vec((0..8usize, 0..9usize), 0..12),
     ) {
-        let _g = toggles();
         let t: Vec<Vec<Value>> = t.into_iter().enumerate().map(|(r, p)| pooled(r, p)).collect();
         let d: Vec<Vec<Value>> = d
             .into_iter()
@@ -271,8 +260,10 @@ proptest! {
             for seg in [&Segmentation::RoundRobin, &on_key, &off_key] {
                 let db = load(nodes, seg, &t, &d);
                 for (compressed, shuffle) in [(true, true), (true, false), (false, true), (false, false)] {
-                    set_compressed_execution(compressed);
-                    set_group_by_shuffle(shuffle);
+                    db.set_exec_options(ExecOptions {
+                        compressed_execution: compressed,
+                        group_by_shuffle: shuffle,
+                    });
                     let what = |sql: &str| format!(
                         "{sql} on {nodes} nodes, {seg:?}, compressed {compressed}, shuffle {shuffle}"
                     );
@@ -295,8 +286,6 @@ proptest! {
                     let out = db.query(join_sql).unwrap().batch;
                     assert_same_rows(rows_of(&out), &join_want, 0, &what(join_sql));
                 }
-                set_compressed_execution(true);
-                set_group_by_shuffle(true);
             }
         }
     }
@@ -307,7 +296,6 @@ proptest! {
 /// Integers at or above 2^53 tie when compared through `f64`.
 #[test]
 fn int64_min_max_and_order_by_compare_as_integers() {
-    let _g = toggles();
     let db = VerticaDb::new(SimCluster::for_tests(1));
     db.query("CREATE TABLE big (id INTEGER)").unwrap();
     let (lo, hi) = (1i64 << 53, (1i64 << 53) + 1);
@@ -331,13 +319,15 @@ fn int64_min_max_and_order_by_compare_as_integers() {
 /// NULL key alone on a node must not turn a column into `Float64`.
 #[test]
 fn aggregate_output_dtypes_do_not_depend_on_the_data() {
-    let _g = toggles();
     let dtypes =
         |b: &Batch| -> Vec<DataType> { b.schema().fields().iter().map(|f| f.dtype).collect() };
     for nodes in [1, 3, 5] {
         for shuffle in [true, false] {
-            set_group_by_shuffle(shuffle);
             let db = VerticaDb::new(SimCluster::for_tests(nodes));
+            db.set_exec_options(ExecOptions {
+                group_by_shuffle: shuffle,
+                ..ExecOptions::default()
+            });
             db.query("CREATE TABLE t (id INTEGER, s VARCHAR, n INTEGER)")
                 .unwrap();
             // `n` is all NULL; the NULL `s` key has one row, so it sits
@@ -382,7 +372,6 @@ fn aggregate_output_dtypes_do_not_depend_on_the_data() {
             );
         }
     }
-    set_group_by_shuffle(true);
 }
 
 /// The block cache may serve a node a wider batch than the JOIN asked for
@@ -390,7 +379,6 @@ fn aggregate_output_dtypes_do_not_depend_on_the_data() {
 /// on one schema (found by the oracle above; an exchange error before).
 #[test]
 fn join_after_a_wider_scan_ships_one_schema() {
-    let _g = toggles();
     let db = VerticaDb::new(SimCluster::for_tests(5));
     db.query("CREATE TABLE t (i INTEGER, f FLOAT, x FLOAT)")
         .unwrap();

@@ -375,9 +375,19 @@ fn profile_deltas_include_encoded_scan_and_train_counters() {
     let prof_names: Vec<String> = (0..prof.num_rows())
         .map(|r| as_str(&prof.row(r)[2]).to_string())
         .collect();
+    for want in [
+        "ml.train.overlap_ns",
+        "ml.train.rows_per_sec",
+        "ml.train.deviance",
+    ] {
+        assert!(
+            prof_names.iter().any(|n| n == want),
+            "{want} in the train profile: {prof_names:?}"
+        );
+    }
     assert!(
-        prof_names.iter().any(|n| n.starts_with("ml.train.")),
-        "ml.train.* in the train profile: {prof_names:?}"
+        (0..prof.num_rows()).all(|r| as_i64(&prof.row(r)[0]) == fit.query_id as i64),
+        "every train profile row is stamped with the train query id"
     );
     assert!(
         prof_names.iter().any(|n| n.starts_with("vft.")),
@@ -428,6 +438,25 @@ fn query_history_capacity_is_runtime_configurable() {
     history.set_capacity(256);
 }
 
+/// The metric name of one Prometheus sample line,
+/// `name[{labels}] value`, or `None` if the line is not one.
+fn prometheus_sample_name(line: &str) -> Option<&str> {
+    let (series, value) = line.rsplit_once(' ')?;
+    value.parse::<f64>().ok()?;
+    let name = match series.split_once('{') {
+        Some((name, labels)) => {
+            let labels = labels.strip_suffix('}')?;
+            (!labels.contains(['{', '}'])).then_some(name)?
+        }
+        None => series,
+    };
+    let mut chars = name.chars();
+    let first_ok = chars
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_');
+    (first_ok && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')).then_some(name)
+}
+
 /// The session export surface: Prometheus text with DC gauges, and a Chrome
 /// trace whose event-ring entries render as instant events.
 #[test]
@@ -442,18 +471,47 @@ fn session_exports_prometheus_text_and_chrome_instant_events() {
     assert!(text.contains("vdr_exec_scan_rows_total{node="));
     assert!(text.contains("# TYPE vdr_dc_ticks_total counter"));
     assert!(text.contains("vdr_dc_samples{node="));
-    for line in text
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-    {
-        let name_end = line.find(['{', ' ']).unwrap();
-        assert!(
-            line[..name_end].starts_with("vdr_"),
-            "metric carries the vdr_ prefix: {line}"
-        );
-        let value = line.rsplit(' ').next().unwrap();
-        assert!(value.parse::<f64>().is_ok(), "sample value parses: {line}");
+    // Every line is Prometheus exposition format: a `# TYPE` comment or a
+    // `name{labels} value` sample in the vdr_ namespace, and every sampled
+    // series is announced by a TYPE comment (summaries by their base name).
+    let (mut typed, mut series) = (HashSet::new(), HashSet::new());
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        if line.starts_with('#') {
+            let parts: Vec<&str> = line.split_whitespace().collect();
+            assert!(
+                matches!(
+                    parts[..],
+                    [
+                        "#",
+                        "TYPE",
+                        _,
+                        "counter" | "gauge" | "summary" | "histogram"
+                    ]
+                ),
+                "malformed TYPE comment: {line}"
+            );
+            typed.insert(parts[2]);
+        } else {
+            let name =
+                prometheus_sample_name(line).unwrap_or_else(|| panic!("unparsable sample: {line}"));
+            assert!(name.starts_with("vdr_"), "vdr_ prefix: {line}");
+            series.insert(name);
+        }
     }
+    for want in [
+        "vdr_dc_ticks_total",
+        "vdr_dc_samples",
+        "vdr_dc_query_summaries",
+        "vdr_dc_capacity",
+        "vdr_exec_scan_rows_total",
+    ] {
+        assert!(series.contains(want), "export is missing {want}");
+    }
+    let untyped: Vec<_> = series
+        .iter()
+        .filter(|s| !typed.iter().any(|t| s.starts_with(t)))
+        .collect();
+    assert!(untyped.is_empty(), "series without a TYPE: {untyped:?}");
 
     let path = std::env::temp_dir().join(format!("vdr_dc_trace_{}.json", std::process::id()));
     session.export_trace(&path).unwrap();

@@ -7,11 +7,11 @@
 use std::sync::{Arc, Mutex, OnceLock};
 use vertica_dr::cluster::SimCluster;
 use vertica_dr::columnar::{Batch, Column, DataType, Schema, Value};
-use vertica_dr::verticadb::{set_group_by_shuffle, Segmentation, TableDef, VerticaDb};
+use vertica_dr::verticadb::{ExecOptions, Segmentation, TableDef, VerticaDb};
 
-/// The metrics registry and the GROUP BY shuffle toggle are process-global,
-/// so every test here serializes on this lock — any concurrently running
-/// query would bleed into another test's counter diff.
+/// The metrics registry is process-global, so every test here serializes on
+/// this lock — any concurrently running query would bleed into another
+/// test's counter diff.
 fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -271,6 +271,11 @@ fn shuffled_join_emits_exchange_counters() {
         delta.counter_total("exchange.encoded_cols") > 0,
         "dict/RLE columns should stay encoded across the wire"
     );
+    assert_eq!(
+        delta.counter_total("exec.join.output_rows"),
+        out.num_rows() as u64,
+        "every joined row is counted where it was produced"
+    );
     // Per-node attribution: receive-side counters are labelled by node, so a
     // PROFILE-style drill-down sees every node's share, not one initiator row.
     let by_node = delta.counter_by_node("exchange.rows");
@@ -345,9 +350,11 @@ fn shuffled_group_by_matches_initiator_merge() {
     );
     assert!(delta.counter_total("exchange.rows") > 0);
 
-    set_group_by_shuffle(false);
+    multi.set_exec_options(ExecOptions {
+        group_by_shuffle: false,
+        ..ExecOptions::default()
+    });
     let initiator = multi.query(q).unwrap().batch;
-    set_group_by_shuffle(true);
     let reference = single.query(q).unwrap().batch;
 
     assert_eq!(rows_sorted(&shuffled), rows_sorted(&initiator));

@@ -2,7 +2,7 @@
 //! (load → transfer → train → deploy → predict) through a session and check
 //! that `Session::trace_report()` / `Session::metrics()` see every stage.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 use vertica_dr::cluster::SimCluster;
 use vertica_dr::core::{Model, Session, SessionOptions};
@@ -159,6 +159,73 @@ fn session_observes_the_whole_figure3_pipeline() {
         .iter()
         .filter(|s| s.name == "vft.convert")
         .all(|s| s.node.is_some()));
+
+    // `TRACE <stmt>` returns the statement's span tree over SQL: spans from
+    // several nodes, every one under the traced statement's query id.
+    // Columns: span_id, parent_id, query_id, name, node, ...
+    let traced = session
+        .sql("TRACE SELECT a, b FROM mytable WHERE b >= 0.0")
+        .unwrap();
+    assert!(traced.batch.num_rows() > 0);
+    let mut trace_nodes = BTreeSet::new();
+    for r in 0..traced.batch.num_rows() {
+        let row = traced.batch.row(r);
+        assert_eq!(
+            row[2],
+            vertica_dr::columnar::Value::Int64(traced.query_id as i64),
+            "span row {row:?} not attributed to the traced statement"
+        );
+        if let vertica_dr::columnar::Value::Int64(node) = row[4] {
+            trace_nodes.insert(node);
+        }
+    }
+    assert!(
+        trace_nodes.len() >= 2,
+        "TRACE shows work on several nodes: {trace_nodes:?}"
+    );
+
+    // The exported Chrome trace parses, reconstructs a distributed
+    // statement as one tree (several node pids under one query id), and
+    // covers the transfer path.
+    let path = std::env::temp_dir().join(format!("vdr_obs_trace_{}.json", std::process::id()));
+    session.export_trace(&path).unwrap();
+    let doc: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    std::fs::remove_file(&path).ok();
+    let complete: Vec<&serde_json::Value> = doc
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("ph").and_then(|v| v.as_str()) == Some("X"))
+        .collect();
+    assert!(!complete.is_empty(), "trace has complete events");
+    let mut nodes_by_query: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    for ev in &complete {
+        let pid = ev.get("pid").and_then(|v| v.as_u64());
+        let qid = ev
+            .get("args")
+            .and_then(|a| a.get("query_id"))
+            .and_then(|v| v.as_u64());
+        if let (Some(pid), Some(qid)) = (pid, qid) {
+            if pid > 0 && qid > 0 {
+                nodes_by_query.entry(qid).or_default().insert(pid);
+            }
+        }
+    }
+    assert!(
+        nodes_by_query
+            .get(&traced.query_id)
+            .is_some_and(|n| n.len() >= 2),
+        "the traced statement spans several node pids: {nodes_by_query:?}"
+    );
+    assert!(
+        complete.iter().any(|e| e
+            .get("name")
+            .and_then(|v| v.as_str())
+            .is_some_and(|n| n.starts_with("vft."))),
+        "transfer spans exported"
+    );
 
     // Rendering and JSON export.
     let text = tr.render_with(Verbosity::Trace);

@@ -169,6 +169,8 @@ fn profile_of_a_scan_surfaces_scan_cache_counters() {
 #[test]
 fn system_tables_materialize_and_filter_like_ordinary_tables() {
     let db = db_with_table(2, 500);
+    // Every statement takes longer than 1 ns, so each lands in the slow ring.
+    db.monitor().set_slow_threshold_ns(1);
     let session = Session::connect_colocated(Arc::clone(&db), opts()).unwrap();
     let scanned = session.sql("SELECT a FROM samples").unwrap();
 
@@ -199,6 +201,32 @@ fn system_tables_materialize_and_filter_like_ordinary_tables() {
         as_str(&failed.row(0)[0]).starts_with("error:"),
         "failure status recorded: {:?}",
         failed.row(0)[0]
+    );
+
+    // The slow-query ring and the event log answer over SQL, every slow row
+    // attributed to the statement that crossed the threshold.
+    let slow = session
+        .sql("SELECT query_id, sql, wall_ms, threshold_ms FROM v_monitor.slow_requests")
+        .unwrap()
+        .batch;
+    assert!(slow.num_rows() >= 2, "both completed statements were slow");
+    let slow_ids: Vec<i64> = (0..slow.num_rows())
+        .map(|r| as_i64(&slow.row(r)[0]))
+        .collect();
+    assert!(slow_ids.iter().all(|&id| id > 0), "{slow_ids:?}");
+    assert!(slow_ids.contains(&(scanned.query_id as i64)));
+    for r in 0..slow.num_rows() {
+        assert!(as_f64(&slow.row(r)[2]) > 0.0, "wall time recorded");
+        assert_eq!(as_f64(&slow.row(r)[3]), 1e-6, "threshold of 1 ns, in ms");
+    }
+    let events = session
+        .sql("SELECT kind, detail FROM v_monitor.events")
+        .unwrap()
+        .batch;
+    assert!(
+        (0..events.num_rows()).any(|r| as_str(&events.row(r)[0]) == "query.slow"
+            && as_str(&events.row(r)[1]).contains(&format!("query_id={}", scanned.query_id))),
+        "crossing the threshold is announced in v_monitor.events"
     );
 
     // Live metrics snapshot, filterable by name.
