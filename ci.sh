@@ -32,6 +32,9 @@ fi
 
 run cargo build --release $OFFLINE
 run cargo test --workspace -q $OFFLINE
+# The model bits the benchmark and the golden tests pin come from release
+# code: run the ml kernels' bit-identity and property tests in that profile.
+run cargo test -p vdr-ml --release -q $OFFLINE
 
 # The benchmark is a package of its own (benchmark/, own lock file), so the
 # workspace build above does not cover it. check.sh builds it offline and

@@ -9,19 +9,34 @@
 //! The per-partition map step is *blocked*: rows are processed in
 //! [`TILE_ROWS`]-row tiles transposed into a column-major scratch, so
 //! `η = X·β` is the same column-sweep gemv the batch prediction kernels use,
-//! the `μ/w/z` link math runs as one vectorized sweep, and `XᵀWX` is built
-//! syrk-style from `dot` products over contiguous columns (upper triangle
-//! only, mirrored once at the end) instead of `p` rank-1 `axpy` updates per
-//! row. Within a partition, tiles are split across worker instance lanes and
-//! tree-merged deterministically (see [`crate::reduce`]).
+//! the `μ/w/z` link math runs as one vectorized sweep, and `XᵀWX` is one
+//! symmetric rank-update per tile instead of `p` rank-1 `axpy` updates per
+//! row: every tile column is scaled by `w` once into a second scratch (`XᵀWz`
+//! is a `dot` of each scaled column with `z`), and
+//! [`crate::linalg::syrk_upper`] walks the upper triangle in 2 × 2 blocks of
+//! columns, each block's four accumulators — four row lanes wide — held in
+//! registers across the tile, so a four-row chunk is loaded once per
+//! multiply-add where a `dot` per cell loads two (the kernel is load-bound,
+//! not flop-bound). The triangle is mirrored once at the end.
+//!
+//! **Bit-identity contract.** Every cell of `XᵀWX` and `XᵀWz` is added in
+//! [`crate::linalg::dot`]'s association — lanes `(s0+s1)+(s2+s3)`, then the
+//! `t mod 4` tail — whatever the block shape, so the blocked kernel returns
+//! the same bits as a `dot` per cell: same IRLS iterates, same iteration
+//! count, same deployed model bytes. The unit tests hold it to a copy of the
+//! dot-per-cell loop, and `tests/glm_golden.rs` to coefficient bits captured
+//! before the block kernel existed. Within a partition, tiles are split
+//! across worker instance lanes and tree-merged deterministically (see
+//! [`crate::reduce`]).
 //!
 //! Besides exact IRLS, [`GlmSolver::Sgd`] provides Bismarck-style incremental
 //! gradient descent — sequential minibatch updates per partition with
 //! row-weighted model averaging across workers — the unified-solver shape
 //! that makes training overlappable with data loading.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{MlError, Result};
-use crate::linalg::{axpy, dot, solve_spd, Matrix};
+use crate::linalg::{axpy, dot, solve_spd, syrk_upper, Matrix};
 use crate::models::GlmModel;
 use crate::reduce::{lane_chunk, tree_merge, TILE_ROWS};
 use rayon::prelude::*;
@@ -216,7 +231,8 @@ fn tile_eta(cols: &[f64], cap: usize, t: usize, beta: &[f64], eta: &mut [f64]) {
 /// Blocked accumulation of the IRLS sufficient statistics over row-major
 /// rows `x` (`d` features wide) with responses `y`, at coefficients `beta`.
 /// This is the training map kernel; it is public so the train-while-loading
-/// path can run it on batches as they arrive from the VFT.
+/// path can run it on batches as they arrive from the VFT. `beta` must hold
+/// `d + intercept` coefficients and `x` exactly `y.len() · d` values.
 pub fn accumulate_rows(
     x: &[f64],
     y: &[f64],
@@ -224,21 +240,32 @@ pub fn accumulate_rows(
     beta: &[f64],
     family: Family,
     intercept: bool,
-) -> GlmPartials {
+) -> Result<GlmPartials> {
     let p = beta.len();
-    debug_assert_eq!(p, d + usize::from(intercept));
+    if p != d + usize::from(intercept) {
+        return Err(MlError::Invalid(format!(
+            "beta has {p} coefficients, model needs {}",
+            d + usize::from(intercept)
+        )));
+    }
     let nrow = y.len();
+    if x.len() != nrow * d {
+        return Err(MlError::Invalid(format!(
+            "{} feature values for {nrow} responses × {d} features",
+            x.len()
+        )));
+    }
     let mut out = GlmPartials::zeros(p);
     out.rows = nrow as u64;
     if nrow == 0 {
-        return out;
+        return Ok(out);
     }
     let cap = TILE_ROWS.min(nrow);
     let mut cols = vec![0.0; p * cap];
     let mut eta = vec![0.0; cap];
     let mut wbuf = vec![0.0; cap];
     let mut zbuf = vec![0.0; cap];
-    let mut wx = vec![0.0; cap];
+    let mut wcols = vec![0.0; p * cap];
     let mut row0 = 0;
     while row0 < nrow {
         let t = cap.min(nrow - row0);
@@ -254,22 +281,18 @@ pub fn accumulate_rows(
             zbuf[r] = eta[r] + (yv - mu) / w;
             out.deviance += family.deviance(yv, mu);
         }
-        // Syrk-style blocked XᵀWX: scale column i by the weights once, then
-        // the update is dot products over contiguous columns — upper
-        // triangle only, half the flops of the per-row rank-1 form.
+        // Scale every column by the weights once (XᵀWz falls out of the
+        // scaled columns), then XᵀWX is one register-blocked symmetric
+        // update over the upper triangle.
         for i in 0..p {
             let ci = &cols[i * cap..i * cap + t];
+            let wci = &mut wcols[i * cap..i * cap + t];
             for r in 0..t {
-                wx[r] = wbuf[r] * ci[r];
+                wci[r] = wbuf[r] * ci[r];
             }
-            let wxt = &wx[..t];
-            out.xtwz[i] += dot(wxt, &zbuf[..t]);
-            let row = &mut out.xtwx.data[i * p..(i + 1) * p];
-            row[i] += dot(wxt, ci);
-            for j in (i + 1)..p {
-                row[j] += dot(wxt, &cols[j * cap..j * cap + t]);
-            }
+            out.xtwz[i] += dot(wci, &zbuf[..t]);
         }
+        syrk_upper(&wcols, &cols, cap, t, p, &mut out.xtwx.data)?;
         row0 += t;
     }
     // Mirror the accumulated upper triangle once at the end.
@@ -278,7 +301,7 @@ pub fn accumulate_rows(
             out.xtwx.data[i * p + j] = out.xtwx.data[j * p + i];
         }
     }
-    out
+    Ok(out)
 }
 
 /// Row-at-a-time reference accumulator (the pre-blocking kernel): `p` rank-1
@@ -352,8 +375,9 @@ pub fn deviance_rows(
 }
 
 /// Per-partition accumulation: this is the distributed map step. Exposed so
-/// the cost model's unit definition (`rows × p²` per iteration) matches the
-/// code that actually runs. Rows split into contiguous, tile-aligned chunks
+/// the cost model's unit definition (`rows × p²` per iteration; the kernel
+/// computes the `p(p+1)/2` upper-triangle cells of each and mirrors them)
+/// names the code that actually runs. Rows split into contiguous, tile-aligned chunks
 /// accumulated across `lanes` rayon tasks (the worker's instance lanes,
 /// mirroring the VFT's per-stream decode), then tree-merged so the
 /// floating-point reduction order is a pure function of the row count.
@@ -364,14 +388,14 @@ pub fn accumulate_partition(
     family: Family,
     intercept: bool,
     lanes: usize,
-) -> GlmPartials {
+) -> Result<GlmPartials> {
     let d = x.ncol;
     let chunk = lane_chunk(x.nrow, lanes);
     if chunk >= x.nrow {
         return accumulate_rows(&x.data, &y.data, d, beta, family, intercept);
     }
     let starts: Vec<usize> = (0..x.nrow).step_by(chunk).collect();
-    let partials: Vec<GlmPartials> = starts
+    let partials = starts
         .par_iter()
         .map(|&s| {
             let e = (s + chunk).min(x.nrow);
@@ -384,8 +408,9 @@ pub fn accumulate_partition(
                 intercept,
             )
         })
-        .collect();
-    tree_merge(partials, |a, b| a.merge(&b)).expect("nonempty chunk list")
+        .collect::<Result<Vec<_>>>()?;
+    tree_merge(partials, |a, b| a.merge(&b))
+        .ok_or_else(|| MlError::Invalid("partition split into no lane chunks".into()))
 }
 
 /// One epoch of sequential minibatch gradient descent over row-major rows
@@ -507,11 +532,15 @@ pub fn hpdglm(x: &DArray, y: &DArray, family: Family, opts: &GlmOptions) -> Resu
         let pass_start = std::time::Instant::now();
         // Map: per-partition partials, in parallel on the owning workers and
         // across instance lanes within each partition.
-        let partials = x.zip_map(y, |_, xp, yp| {
-            accumulate_partition(xp, yp, &beta, family, opts.add_intercept, lanes)
-        })?;
+        let partials = x
+            .zip_map(y, |_, xp, yp| {
+                accumulate_partition(xp, yp, &beta, family, opts.add_intercept, lanes)
+            })?
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?;
         // Reduce on the master: deterministic pairwise tree.
-        let reduced = tree_merge(partials, |a, b| a.merge(&b)).expect("at least one partition");
+        let reduced = tree_merge(partials, |a, b| a.merge(&b))
+            .ok_or_else(|| MlError::Invalid("feature array has no partitions".into()))?;
         observe_pass(reduced.rows, pass_start.elapsed());
         let deviance = reduced.deviance;
         beta = reduced.solve()?;
@@ -676,6 +705,7 @@ fn hpdglm_sgd(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -873,7 +903,7 @@ mod tests {
             let p = d + usize::from(intercept);
             let beta: Vec<f64> = (0..p).map(|_| rng.gen_range(-0.5..0.5)).collect();
             for family in [Family::Gaussian, Family::Binomial, Family::Poisson] {
-                let blocked = accumulate_rows(&x, &y, d, &beta, family, intercept);
+                let blocked = accumulate_rows(&x, &y, d, &beta, family, intercept).unwrap();
                 let rowwise = accumulate_rows_reference(&x, &y, d, &beta, family, intercept);
                 assert_eq!(blocked.rows, rowwise.rows);
                 let scale = rowwise.deviance.abs().max(1.0);
@@ -888,6 +918,127 @@ mod tests {
         }
     }
 
+    /// The parent commit's (`8688b90`) map kernel, kept verbatim as the
+    /// bit-identity reference: one `dot` per upper-triangle cell per tile.
+    fn accumulate_rows_dot_per_cell(
+        x: &[f64],
+        y: &[f64],
+        d: usize,
+        beta: &[f64],
+        family: Family,
+        intercept: bool,
+    ) -> GlmPartials {
+        let p = beta.len();
+        let nrow = y.len();
+        let mut out = GlmPartials::zeros(p);
+        out.rows = nrow as u64;
+        if nrow == 0 {
+            return out;
+        }
+        let cap = TILE_ROWS.min(nrow);
+        let mut cols = vec![0.0; p * cap];
+        let mut eta = vec![0.0; cap];
+        let mut wbuf = vec![0.0; cap];
+        let mut zbuf = vec![0.0; cap];
+        let mut wx = vec![0.0; cap];
+        let mut row0 = 0;
+        while row0 < nrow {
+            let t = cap.min(nrow - row0);
+            fill_tile(x, d, row0, t, cap, intercept, &mut cols);
+            tile_eta(&cols, cap, t, beta, &mut eta);
+            // One vectorized sweep for the link math: working weight w, working
+            // response z = η + (y − μ)/w, and the deviance trace.
+            for r in 0..t {
+                let mu = family.link_inverse(eta[r]);
+                let w = family.weight(mu);
+                let yv = y[row0 + r];
+                wbuf[r] = w;
+                zbuf[r] = eta[r] + (yv - mu) / w;
+                out.deviance += family.deviance(yv, mu);
+            }
+            // Syrk-style blocked XᵀWX: scale column i by the weights once, then
+            // the update is dot products over contiguous columns — upper
+            // triangle only, half the flops of the per-row rank-1 form.
+            for i in 0..p {
+                let ci = &cols[i * cap..i * cap + t];
+                for r in 0..t {
+                    wx[r] = wbuf[r] * ci[r];
+                }
+                let wxt = &wx[..t];
+                out.xtwz[i] += dot(wxt, &zbuf[..t]);
+                let row = &mut out.xtwx.data[i * p..(i + 1) * p];
+                row[i] += dot(wxt, ci);
+                for j in (i + 1)..p {
+                    row[j] += dot(wxt, &cols[j * cap..j * cap + t]);
+                }
+            }
+            row0 += t;
+        }
+        // Mirror the accumulated upper triangle once at the end.
+        for i in 1..p {
+            for j in 0..i {
+                out.xtwx.data[i * p + j] = out.xtwx.data[j * p + i];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn block_kernel_is_bit_identical_to_the_dot_per_cell_loop() {
+        let mut rng = StdRng::seed_from_u64(20);
+        // One full tile plus a last tile of every `t mod 4` class, and short
+        // single-tile inputs below one four-row chunk.
+        let row_counts = [1usize, 2, 3, 260, 261, 262, 263];
+        for p in (1..=20).chain([48, 49, 50]) {
+            for intercept in [true, false] {
+                let d = p - usize::from(intercept);
+                if d == 0 {
+                    continue;
+                }
+                for &nrow in &row_counts {
+                    let x: Vec<f64> = (0..nrow * d).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                    let y: Vec<f64> = (0..nrow).map(|_| rng.gen_range(0.0..1.0)).collect();
+                    let beta: Vec<f64> = (0..p).map(|_| rng.gen_range(-0.3..0.3)).collect();
+                    for family in [Family::Gaussian, Family::Binomial, Family::Poisson] {
+                        let new = accumulate_rows(&x, &y, d, &beta, family, intercept).unwrap();
+                        let old = accumulate_rows_dot_per_cell(&x, &y, d, &beta, family, intercept);
+                        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                        let at = format!("p={p} nrow={nrow} {family:?} intercept={intercept}");
+                        assert_eq!(bits(&new.xtwx.data), bits(&old.xtwx.data), "xtwx {at}");
+                        assert_eq!(bits(&new.xtwz), bits(&old.xtwz), "xtwz {at}");
+                        assert_eq!(new.deviance.to_bits(), old.deviance.to_bits(), "{at}");
+                        assert_eq!(new.rows, old.rows);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_rows_rejects_mis_shaped_input() {
+        let x = vec![0.5; 12];
+        let y = vec![1.0; 4];
+        // Short and long beta, with and without the intercept slot.
+        for (beta_len, intercept) in [(3usize, true), (5, true), (2, false), (4, false)] {
+            let err = accumulate_rows(&x, &y, 3, &vec![0.0; beta_len], Family::Gaussian, intercept);
+            assert!(
+                matches!(err, Err(MlError::Invalid(_))),
+                "{beta_len} {intercept}"
+            );
+        }
+        // Feature buffer that is not rows × d.
+        for bad in [&x[..11], &x[..9]] {
+            let err = accumulate_rows(bad, &y, 3, &[0.0; 4], Family::Gaussian, true);
+            assert!(matches!(err, Err(MlError::Invalid(_))));
+        }
+        assert!(accumulate_rows(&x, &y, 3, &[0.0; 4], Family::Gaussian, true).is_ok());
+        // The lane-split path reports the same error instead of panicking.
+        let xp = vdr_distr::PartData::new(600, 2, vec![0.5; 1200]).unwrap();
+        let yp = vdr_distr::PartData::new(600, 1, vec![1.0; 600]).unwrap();
+        let err = accumulate_partition(&xp, &yp, &[0.0; 2], Family::Gaussian, true, 2);
+        assert!(matches!(err, Err(MlError::Invalid(_))));
+    }
+
     #[test]
     fn lane_parallel_accumulation_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -897,13 +1048,13 @@ mod tests {
         let xp = vdr_distr::PartData::new(nrow, d, xd).unwrap();
         let yp = vdr_distr::PartData::new(nrow, 1, yd).unwrap();
         let beta = vec![0.1; d + 1];
-        let a = accumulate_partition(&xp, &yp, &beta, Family::Gaussian, true, 4);
-        let b = accumulate_partition(&xp, &yp, &beta, Family::Gaussian, true, 4);
+        let a = accumulate_partition(&xp, &yp, &beta, Family::Gaussian, true, 4).unwrap();
+        let b = accumulate_partition(&xp, &yp, &beta, Family::Gaussian, true, 4).unwrap();
         assert_eq!(a.xtwx.data, b.xtwx.data, "same lanes ⇒ bit-identical");
         assert_eq!(a.xtwz, b.xtwz);
         assert_eq!(a.deviance, b.deviance);
         // And close to the single-lane result (different summation order).
-        let serial = accumulate_partition(&xp, &yp, &beta, Family::Gaussian, true, 1);
+        let serial = accumulate_partition(&xp, &yp, &beta, Family::Gaussian, true, 1).unwrap();
         for (p, q) in a.xtwx.data.iter().zip(&serial.xtwx.data) {
             assert!((p - q).abs() < 1e-9 * q.abs().max(1.0));
         }

@@ -1,5 +1,6 @@
 //! Small dense linear algebra: everything the GLM solver and the serial `lm`
 //! baseline need, implemented from scratch (no external BLAS).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{MlError, Result};
 
@@ -112,6 +113,116 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         y[i] += alpha * x[i];
         i += 1;
     }
+}
+
+/// Columns per side of one [`syrk_upper`] register block. 2 × 2 holds four
+/// four-lane accumulators plus four loaded chunks — the sixteen SSE2
+/// registers exactly — and reads one chunk per multiply-add where a
+/// [`dot`] per cell reads two. Chosen by measurement (DESIGN.md, "Training
+/// kernels"); a constant, not an option — [`syrk_upper`]'s dispatch spells
+/// out this shape's edge blocks and changes with it.
+const SYRK_BLOCK: usize = 2;
+
+/// The four-row-lane partial sums of one `MI × NJ` block: lane `l` of cell
+/// `(i, j)` is `Σ a[i][4k+l] · b[j][4k+l]` over the whole four-row chunks,
+/// added in `k` order — [`dot`]'s `s0..s3`. The `len mod 4` tail rows are
+/// the caller's.
+///
+/// Out of line on purpose. Inlined, the only consumers of the accumulators
+/// are the per-cell `(s0+s1)+(s2+s3)` sums, and the vectorizer pairs up
+/// *cells* to match them — a register shuffle per multiply. Returned as
+/// arrays, each cell's lanes are stored side by side, so it pairs *lanes*:
+/// contiguous two-row loads and one `mulpd`/`addpd` per two multiply-adds,
+/// with all `MI·NJ` accumulators live in registers across the row sweep.
+#[inline(never)]
+fn syrk_lanes<const MI: usize, const NJ: usize>(
+    a: [&[f64]; MI],
+    b: [&[f64]; NJ],
+) -> [[[f64; 4]; NJ]; MI] {
+    let ac = a.map(|s| s.as_chunks::<4>().0);
+    let bc = b.map(|s| s.as_chunks::<4>().0);
+    let chunks = ac.iter().chain(&bc).map(|c| c.len()).min().unwrap_or(0);
+    let (ac, bc) = (ac.map(|c| &c[..chunks]), bc.map(|c| &c[..chunks]));
+    let mut lanes = [[[0.0f64; 4]; NJ]; MI];
+    for k in 0..chunks {
+        for i in 0..MI {
+            for j in 0..NJ {
+                for l in 0..4 {
+                    lanes[i][j][l] += ac[i][k][l] * bc[j][k][l];
+                }
+            }
+        }
+    }
+    lanes
+}
+
+/// One `MI × NJ` block of [`syrk_upper`], whose top-left cell is `(i0, j0)`
+/// of the row-major `p × p` matrix `c`: `c[i0+i][j0+j] += dot(a[i], b[j])`
+/// for the cells on or above the diagonal, each with exactly [`dot`]'s
+/// association — four lanes along the row dimension, a scalar tail for the
+/// `len mod 4` rows, combined as `(s0+s1)+(s2+s3)+tail`.
+fn syrk_block<const MI: usize, const NJ: usize>(
+    a: [&[f64]; MI],
+    b: [&[f64]; NJ],
+    c: &mut [f64],
+    p: usize,
+    i0: usize,
+    j0: usize,
+) {
+    let lanes = syrk_lanes(a, b);
+    let at = a.map(|s| s.as_chunks::<4>().1);
+    let bt = b.map(|s| s.as_chunks::<4>().1);
+    for i in 0..MI {
+        // A diagonal block also computes the cell below the diagonal; it is
+        // dropped here.
+        for j in (0..NJ).filter(|j| j0 + j >= i0 + i) {
+            let tail = at[i].iter().zip(bt[j]).fold(0.0, |t, (x, y)| t + x * y);
+            let s = lanes[i][j];
+            c[(i0 + i) * p + j0 + j] += (s[0] + s[1]) + (s[2] + s[3]) + tail;
+        }
+    }
+}
+
+/// Symmetric rank-`t` update on one triangle, register-blocked:
+/// `c[i·p + j] += dot(aᵢ, bⱼ)` for every `i ≤ j < p`, where column `k` of
+/// `a` / `b` is `[k·ld .. k·ld + t]`. With `a = W·X` and `b = X` (both
+/// column-major tiles) this is the `XᵀWX` accumulation of the IRLS map step;
+/// the strict lower triangle of `c` is left untouched.
+///
+/// The triangle is walked in [`SYRK_BLOCK`]² blocks of columns (narrower at
+/// the right edge and the bottom-right corner), each block keeping its
+/// accumulators in registers across the whole row sweep, so every loaded
+/// chunk feeds two multiply-adds. Each cell is **bit-identical** to
+/// `c[i·p + j] += dot(aᵢ, bⱼ)`: blocking changes which cells are computed
+/// together, never the order of additions within a cell.
+pub fn syrk_upper(
+    a: &[f64],
+    b: &[f64],
+    ld: usize,
+    t: usize,
+    p: usize,
+    c: &mut [f64],
+) -> Result<()> {
+    if t > ld || a.len() < p * ld || b.len() < p * ld || c.len() != p * p {
+        return Err(MlError::Invalid("syrk_upper shape mismatch".into()));
+    }
+    let (ca, cb) = (
+        |k: usize| &a[k * ld..k * ld + t],
+        |k: usize| &b[k * ld..k * ld + t],
+    );
+    for i0 in (0..p).step_by(SYRK_BLOCK) {
+        for j0 in (i0..p).step_by(SYRK_BLOCK) {
+            // Column blocks start on the diagonal (j0 ≥ i0), so a block is
+            // never wider than it is tall: 2 × 2, 2 × 1 at the right edge
+            // of an odd p, or the 1 × 1 bottom-right corner.
+            match ((p - i0).min(SYRK_BLOCK), (p - j0).min(SYRK_BLOCK)) {
+                (2, 2) => syrk_block([ca(i0), ca(i0 + 1)], [cb(j0), cb(j0 + 1)], c, p, i0, j0),
+                (2, _) => syrk_block([ca(i0), ca(i0 + 1)], [cb(j0)], c, p, i0, j0),
+                _ => syrk_block([ca(i0)], [cb(j0)], c, p, i0, j0),
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Squared euclidean distance, 4-wide unrolled like [`dot`].
@@ -282,6 +393,7 @@ pub fn qr_least_squares(x: &Matrix, y: &[f64]) -> Result<Vec<f64>> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -408,6 +520,51 @@ mod tests {
                 assert!((y[i] - (b[i] + 3.5 * a[i])).abs() < 1e-12, "axpy n={n}");
             }
         }
+    }
+
+    #[test]
+    fn syrk_upper_is_dot_per_cell_on_the_upper_triangle() {
+        // Every block shape (full, right edge, bottom-right corner), every
+        // `t mod 4` class, columns shorter than their stride, and a
+        // non-zero `c` to accumulate into.
+        for p in 1..=7usize {
+            for t in [0usize, 1, 3, 4, 5, 6, 7, 8, 13] {
+                let ld = t + 2;
+                let a: Vec<f64> = (0..p * ld).map(|i| 0.25 + (i % 11) as f64 * 0.37).collect();
+                let b: Vec<f64> = (0..p * ld).map(|i| 1.5 - (i % 7) as f64 * 0.61).collect();
+                let start: Vec<f64> = (0..p * p).map(|i| i as f64 * 0.125).collect();
+                let mut c = start.clone();
+                syrk_upper(&a, &b, ld, t, p, &mut c).unwrap();
+                for i in 0..p {
+                    for j in 0..p {
+                        let expect = if j >= i {
+                            start[i * p + j] + dot(&a[i * ld..i * ld + t], &b[j * ld..j * ld + t])
+                        } else {
+                            start[i * p + j]
+                        };
+                        assert_eq!(
+                            c[i * p + j].to_bits(),
+                            expect.to_bits(),
+                            "p={p} t={t} ({i},{j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn syrk_upper_rejects_bad_shapes() {
+        let (a, b) = (vec![1.0; 8], vec![1.0; 8]);
+        let mut c = vec![0.0; 4];
+        assert!(syrk_upper(&a, &b, 4, 4, 2, &mut c).is_ok());
+        assert!(syrk_upper(&a, &b, 4, 5, 2, &mut c).is_err(), "t > ld");
+        assert!(syrk_upper(&a[..7], &b, 4, 4, 2, &mut c).is_err(), "short a");
+        assert!(syrk_upper(&a, &b[..7], 4, 4, 2, &mut c).is_err(), "short b");
+        assert!(
+            syrk_upper(&a, &b, 4, 4, 2, &mut c[..3]).is_err(),
+            "c not p×p"
+        );
     }
 
     #[test]

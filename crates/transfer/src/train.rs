@@ -160,10 +160,12 @@ pub struct GlmLoadFit {
 
 /// Per-solver accumulator the receive pools fold into.
 enum Fold {
-    /// Iteration-0 normal equations at the starting coefficients.
+    /// Iteration-0 normal equations at the starting coefficients, or the
+    /// first error a batch's accumulation reported (the receive pools have
+    /// no other way to fail the load-and-train).
     Irls {
         beta0: Vec<f64>,
-        partials: Mutex<GlmPartials>,
+        partials: Mutex<vdr_ml::Result<GlmPartials>>,
     },
     /// One running (model, rows-seen) per worker: Bismarck-style sequential
     /// updates within a worker, averaged across workers after the load.
@@ -207,7 +209,7 @@ pub fn glm_while_loading(
     let state = Arc::new(match opts.solver {
         GlmSolver::Irls => Fold::Irls {
             beta0: vec![0.0; p],
-            partials: Mutex::new(GlmPartials::zeros(p)),
+            partials: Mutex::new(Ok(GlmPartials::zeros(p))),
         },
         GlmSolver::Sgd {
             learning_rate,
@@ -249,7 +251,12 @@ pub fn glm_while_loading(
             match &*state {
                 Fold::Irls { beta0, partials } => {
                     let part = accumulate_rows(&xb, &yb, d, beta0, family, intercept);
-                    partials.lock().merge(&part);
+                    let mut merged = partials.lock();
+                    match (&mut *merged, part) {
+                        (Ok(m), Ok(part)) => m.merge(&part),
+                        (Ok(_), Err(e)) => *merged = Err(e),
+                        (Err(_), _) => {}
+                    }
                 }
                 Fold::Sgd {
                     workers,
@@ -276,6 +283,7 @@ pub fn glm_while_loading(
     fit_opts.initial_beta = match &*state {
         Fold::Irls { partials, .. } => {
             let merged = partials.lock();
+            let merged = merged.as_ref().map_err(exec)?;
             // A singular or under-determined system just means no warm
             // start — the staged path from scratch still runs.
             if merged.rows >= p as u64 {
