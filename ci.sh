@@ -30,6 +30,9 @@ else
   echo "==> clippy not installed; skipping lints"
 fi
 
+# A deletion must not leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace $OFFLINE
+
 run cargo build --release $OFFLINE
 run cargo test --workspace -q $OFFLINE
 # The model bits the benchmark and the golden tests pin come from release

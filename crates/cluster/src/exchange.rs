@@ -13,7 +13,7 @@
 //! rest of the simulator.
 
 use crate::error::{ClusterError, Result};
-use crate::frame::FrameAssembler;
+use crate::frame::{stream_chunks, FrameAssembler};
 use crate::ledger::PhaseRecorder;
 use crate::net::{StreamRx, StreamTx};
 use crate::node::Node;
@@ -114,16 +114,8 @@ where
         let shm = node.shm();
         for (dst, frames) in parts.into_iter().enumerate() {
             let key = format!("{stage_key}.{me}.{dst}");
-            let mut header = Vec::with_capacity(16);
-            header.extend_from_slice(&(me as u64).to_le_bytes());
-            header.extend_from_slice(&(dst as u64).to_le_bytes());
-            shm.append_bytes(&key, Bytes::from(header))?;
-            for frame in frames {
-                shm.append_bytes(
-                    &key,
-                    Bytes::from((frame.len() as u64).to_le_bytes().to_vec()),
-                )?;
-                shm.append_bytes(&key, frame)?;
+            for chunk in stream_chunks(Some((me as u64, dst as u64)), frames) {
+                shm.append_bytes(&key, chunk)?;
             }
             for chunk in shm.take_bytes(&key)? {
                 txs[dst].send(chunk)?;

@@ -12,14 +12,12 @@
 //! matching the rest of the simulator.
 
 use crate::error::Result;
+use crate::frame::{stream_chunks, FrameAssembler};
 use crate::ledger::PhaseRecorder;
 use crate::node::{Node, NodeId};
 use crate::SimCluster;
 use bytes::Bytes;
 use std::sync::Arc;
-
-/// Bytes in the `[src][instance]` stream header.
-const STREAM_HEADER_LEN: usize = 16;
 
 /// Run `produce` on every node in parallel, stream each node's frames to
 /// node 0, and return the reassembled frames in node order
@@ -46,16 +44,8 @@ where
         let frames = produce(node)?;
         let shm = node.shm();
         let key = format!("{stage_key}.{}", node.id().0);
-        let mut header = Vec::with_capacity(STREAM_HEADER_LEN);
-        header.extend_from_slice(&(node.id().0 as u64).to_le_bytes());
-        header.extend_from_slice(&0u64.to_le_bytes());
-        shm.append_bytes(&key, Bytes::from(header))?;
-        for frame in frames {
-            shm.append_bytes(
-                &key,
-                Bytes::from((frame.len() as u64).to_le_bytes().to_vec()),
-            )?;
-            shm.append_bytes(&key, frame)?;
+        for chunk in stream_chunks(Some((node.id().0 as u64, 0)), frames) {
+            shm.append_bytes(&key, chunk)?;
         }
         let staged = shm.take_bytes(&key)?;
         let (tx, rx) = cluster.network().connect(rec, node.id(), initiator)?;
@@ -67,34 +57,19 @@ where
     // Drain on the initiator, in node order.
     let mut out = Vec::with_capacity(streams.len());
     for rx in streams {
-        let raw = Bytes::from(rx?.recv_all());
-        out.push(parse_frames(&raw)?);
+        let rx = rx?;
+        let mut asm = FrameAssembler::default();
+        let mut frames = Vec::new();
+        while let Some(chunk) = rx.recv() {
+            asm.push(chunk);
+            while let Some(frame) = asm.next_frame() {
+                frames.push(frame);
+            }
+        }
+        asm.finish()?;
+        out.push(frames);
     }
     Ok(out)
-}
-
-/// Split a drained stream back into its frames (zero-copy slices of `raw`).
-fn parse_frames(raw: &Bytes) -> Result<Vec<Bytes>> {
-    use crate::error::ClusterError;
-    let malformed = |what: &str| ClusterError::Io(format!("gather stream: {what}"));
-    if raw.len() < STREAM_HEADER_LEN {
-        return Err(malformed("missing stream header"));
-    }
-    let mut frames = Vec::new();
-    let mut pos = STREAM_HEADER_LEN;
-    while pos < raw.len() {
-        if pos + 8 > raw.len() {
-            return Err(malformed("truncated frame length"));
-        }
-        let len = u64::from_le_bytes(raw[pos..pos + 8].try_into().unwrap()) as usize;
-        pos += 8;
-        if pos + len > raw.len() {
-            return Err(malformed("truncated frame payload"));
-        }
-        frames.push(raw.slice(pos..pos + len));
-        pos += len;
-    }
-    Ok(frames)
 }
 
 #[cfg(test)]
@@ -166,15 +141,5 @@ mod tests {
             }
         });
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn truncated_streams_are_rejected() {
-        let short = Bytes::from_static(b"tooshort");
-        assert!(parse_frames(&short).is_err());
-        let mut raw = vec![0u8; STREAM_HEADER_LEN];
-        raw.extend_from_slice(&100u64.to_le_bytes());
-        raw.extend_from_slice(b"partial");
-        assert!(parse_frames(&Bytes::from(raw)).is_err());
     }
 }

@@ -1,18 +1,40 @@
-//! Incremental frame assembly for the cluster wire format.
+//! The cluster wire format: one writer and one incremental reader.
 //!
 //! Every framed stream in the repository — VFT export lanes (PR 5), the
 //! `v_monitor` gather (PR 9), and the exchange shuffle — shares one layout:
 //! a 16-byte stream header `[a u64 LE][b u64 LE]` (source node plus an
 //! instance or destination discriminator) followed by `[len u64 LE][payload]`
 //! frames, each sent as separate header and payload chunks so payload bytes
-//! stay refcounted (`Bytes`) end to end. This module holds the receive half:
-//! an ordered [`ChunkBuf`] of arrived chunks and a [`FrameAssembler`] that
-//! yields complete frames as soon as their bytes exist, which is what lets a
-//! receiver decode while the sender is still producing.
+//! stay refcounted (`Bytes`) end to end. [`stream_chunks`] is the send half;
+//! the receive half is an ordered [`ChunkBuf`] of arrived chunks and a
+//! [`FrameAssembler`] that yields complete frames as soon as their bytes
+//! exist, which is what lets a receiver decode while the sender is still
+//! producing.
 
 use crate::error::{ClusterError, Result};
 use bytes::Bytes;
 use std::collections::VecDeque;
+
+/// The chunks a sender puts on a framed stream: the 16-byte stream header
+/// when `header` opens one (`None` continues a stream opened earlier — VFT
+/// opens lazily and appends a block at a time), then per frame a length chunk
+/// and the payload itself, refcounted, not copied.
+pub fn stream_chunks(
+    header: Option<(u64, u64)>,
+    frames: impl IntoIterator<Item = Bytes>,
+) -> impl Iterator<Item = Bytes> {
+    let header = header.map(|(a, b)| {
+        let mut h = Vec::with_capacity(16);
+        h.extend_from_slice(&a.to_le_bytes());
+        h.extend_from_slice(&b.to_le_bytes());
+        Bytes::from(h)
+    });
+    let frames = frames.into_iter().flat_map(|payload| {
+        let len = Bytes::copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        [len, payload]
+    });
+    header.into_iter().chain(frames)
+}
 
 /// An ordered queue of received byte chunks with zero-copy extraction when a
 /// request lines up with chunk boundaries — the common case, because senders
@@ -151,6 +173,21 @@ mod tests {
             w.extend_from_slice(f);
         }
         w
+    }
+
+    #[test]
+    fn stream_chunks_are_the_wire_layout_without_copying_payloads() {
+        let flat =
+            |chunks: &[Bytes]| -> Vec<u8> { chunks.iter().flat_map(|c| c.to_vec()).collect() };
+        let payload = Bytes::from_static(b"third-frame");
+        let frames = [Bytes::from_static(b"first"), Bytes::new(), payload.clone()];
+        let chunks: Vec<Bytes> = stream_chunks(Some((3, 9)), frames).collect();
+        assert_eq!(chunks.len(), 7, "header, then length + payload per frame");
+        assert_eq!(chunks[6].as_ptr(), payload.as_ptr());
+        assert_eq!(flat(&chunks), wire(3, 9, &[b"first", b"", b"third-frame"]));
+        // Continuing a stream adds frames only.
+        let more: Vec<Bytes> = stream_chunks(None, [payload]).collect();
+        assert_eq!(flat(&more), wire(3, 9, &[b"third-frame"])[16..]);
     }
 
     #[test]

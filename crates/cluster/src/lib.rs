@@ -34,7 +34,7 @@ pub use disk::SimDisk;
 pub use error::{ClusterError, Result};
 pub use exchange::{exchange_framed, ExchangeRecv};
 pub use fetch::gather_framed;
-pub use frame::{ChunkBuf, FrameAssembler};
+pub use frame::{stream_chunks, ChunkBuf, FrameAssembler};
 pub use ledger::{Ledger, NodePhase, NodeUsage, PhaseKind, PhaseRecorder, PhaseReport};
 pub use net::{Network, StreamRx, StreamTx};
 pub use node::{Node, NodeId};

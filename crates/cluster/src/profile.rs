@@ -226,11 +226,6 @@ impl HardwareProfile {
         SimDuration::from_secs(bytes as f64 / self.disk_read_bps)
     }
 
-    /// Time to write `bytes` sequentially to disk.
-    pub fn disk_write_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs(bytes as f64 / self.disk_write_bps)
-    }
-
     /// Time to push `bytes` through one node's NIC, split over `streams`
     /// parallel streams (they share the NIC, so streams only help against
     /// per-stream protocol limits, not raw bandwidth).

@@ -418,7 +418,7 @@ impl EncodedBatch {
         self.cols.iter().map(|c| c.byte_size()).sum()
     }
 
-    /// Materialize a plain [`Batch`] of the rows selected by `mask`,
+    /// Materialize a plain [`crate::Batch`] of the rows selected by `mask`,
     /// restricted to `subset` columns when given (names matched
     /// case-insensitively). Returns the batch plus the number of values that
     /// had to be expanded out of *encoded* columns — the late-materialization

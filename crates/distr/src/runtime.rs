@@ -315,11 +315,6 @@ impl DistributedR {
             self.inner.workers[worker].node.0,
             1,
         );
-        vdr_obs::gauge_on(
-            "distr.worker.mem_bytes",
-            self.inner.workers[worker].node.0,
-            used[worker] as f64,
-        );
         *meta = PartMeta {
             worker,
             nrow,
@@ -378,9 +373,6 @@ impl DistributedR {
         worker_set: &[usize],
         f: impl Fn(usize) -> R + Sync,
     ) -> Vec<(usize, R)> {
-        // Tasks dispatched but not yet finished, across every concurrent
-        // run_on_workers call in the process — the runtime's queue depth.
-        static TASKS_IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
         let parent_span = vdr_obs::current_span_id();
         // Worker threads don't inherit thread-locals: carry the query id
         // across the fan-out so every distr.task (and the spans/events the
@@ -396,18 +388,11 @@ impl DistributedR {
                     scope.spawn(move || {
                         let _q = vdr_obs::QueryScope::enter(query_id);
                         let _n = vdr_obs::NodeScope::enter(node_id.0);
-                        let depth = TASKS_IN_FLIGHT.fetch_add(1, Ordering::SeqCst) + 1;
-                        vdr_obs::gauge("distr.task_queue.depth", depth as f64);
-                        vdr_obs::observe("distr.task_queue.depth.hist", depth as f64);
                         let mut task_span =
                             vdr_obs::detail_span_with_parent("distr.task", parent_span);
                         task_span.set_node(node_id.0);
                         task_span.record("worker", w);
-                        let out = (w, node.run(|| f(w)));
-                        drop(task_span);
-                        let depth = TASKS_IN_FLIGHT.fetch_sub(1, Ordering::SeqCst) - 1;
-                        vdr_obs::gauge("distr.task_queue.depth", depth as f64);
-                        out
+                        (w, node.run(|| f(w)))
                     })
                 })
                 .collect();

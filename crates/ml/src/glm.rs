@@ -28,11 +28,6 @@
 //! before the block kernel existed. Within a partition, tiles are split
 //! across worker instance lanes and tree-merged deterministically (see
 //! [`crate::reduce`]).
-//!
-//! Besides exact IRLS, [`GlmSolver::Sgd`] provides Bismarck-style incremental
-//! gradient descent — sequential minibatch updates per partition with
-//! row-weighted model averaging across workers — the unified-solver shape
-//! that makes training overlappable with data loading.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{MlError, Result};
@@ -105,27 +100,6 @@ impl Family {
     }
 }
 
-/// Optimizer used by [`hpdglm`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GlmSolver {
-    /// Exact distributed Newton–Raphson (IRLS). The default.
-    Irls,
-    /// Bismarck-style incremental gradient descent: every epoch each worker
-    /// runs sequential minibatch updates over its partition starting from
-    /// the broadcast model, and the master averages the per-worker models
-    /// weighted by their row counts. Approximate, but each epoch is a single
-    /// streaming pass — the shape that overlaps with data loading.
-    Sgd {
-        /// Base step size; decayed by `1/√epoch`.
-        learning_rate: f64,
-        /// Number of passes over the data (also bounded by
-        /// [`GlmOptions::tolerance`] on the deviance trace).
-        epochs: usize,
-        /// Rows per gradient step.
-        minibatch: usize,
-    },
-}
-
 /// Fit options.
 #[derive(Debug, Clone)]
 pub struct GlmOptions {
@@ -133,11 +107,9 @@ pub struct GlmOptions {
     pub max_iterations: usize,
     /// Relative deviance-change convergence threshold.
     pub tolerance: f64,
-    pub solver: GlmSolver,
     /// Explicit starting coefficients (length `d + intercept`). This is how
     /// the train-while-loading path resumes from the iteration-0 statistics
-    /// (or streamed SGD models) it accumulated while the VFT was still
-    /// delivering batches.
+    /// it accumulated while the VFT was still delivering batches.
     pub initial_beta: Option<Vec<f64>>,
 }
 
@@ -147,7 +119,6 @@ impl Default for GlmOptions {
             add_intercept: true,
             max_iterations: 25,
             tolerance: 1e-8,
-            solver: GlmSolver::Irls,
             initial_beta: None,
         }
     }
@@ -344,7 +315,7 @@ pub fn accumulate_rows_reference(
 }
 
 /// Deviance of `beta` over a row set: the blocked η pass without the
-/// weighted accumulation (final Gaussian deviance, SGD objective trace).
+/// weighted accumulation (the final Gaussian deviance).
 pub fn deviance_rows(
     x: &[f64],
     y: &[f64],
@@ -413,51 +384,6 @@ pub fn accumulate_partition(
         .ok_or_else(|| MlError::Invalid("partition split into no lane chunks".into()))
 }
 
-/// One epoch of sequential minibatch gradient descent over row-major rows
-/// `x` (`d` features wide), starting from the broadcast model (Bismarck's
-/// incremental scheme). The canonical-link gradient is `Xᵀ(μ − y)/t` per
-/// minibatch; tiles reuse the blocked transpose/η kernels. Public so the
-/// train-while-loading path can run streaming updates on batches as they
-/// arrive from the VFT.
-#[allow(clippy::too_many_arguments)]
-pub fn sgd_rows(
-    x: &[f64],
-    y: &[f64],
-    d: usize,
-    beta0: &[f64],
-    family: Family,
-    intercept: bool,
-    step: f64,
-    minibatch: usize,
-) -> Vec<f64> {
-    let p = beta0.len();
-    let mut beta = beta0.to_vec();
-    let nrow = y.len();
-    if nrow == 0 {
-        return beta;
-    }
-    let cap = minibatch.clamp(1, nrow);
-    let mut cols = vec![0.0; p * cap];
-    let mut eta = vec![0.0; cap];
-    let mut resid = vec![0.0; cap];
-    let mut row0 = 0;
-    while row0 < nrow {
-        let t = cap.min(nrow - row0);
-        fill_tile(x, d, row0, t, cap, intercept, &mut cols);
-        tile_eta(&cols, cap, t, &beta, &mut eta);
-        for r in 0..t {
-            resid[r] = family.link_inverse(eta[r]) - y[row0 + r];
-        }
-        let scale = step / t as f64;
-        for i in 0..p {
-            let g = dot(&cols[i * cap..i * cap + t], &resid[..t]);
-            beta[i] -= scale * g;
-        }
-        row0 += t;
-    }
-    beta
-}
-
 fn observe_pass(rows: u64, elapsed: std::time::Duration) {
     vdr_obs::observe(
         "ml.train.rows_per_sec",
@@ -505,15 +431,6 @@ pub fn hpdglm(x: &DArray, y: &DArray, family: Family, opts: &GlmOptions) -> Resu
             )));
         }
         beta.copy_from_slice(b0);
-    }
-
-    if let GlmSolver::Sgd {
-        learning_rate,
-        epochs,
-        minibatch,
-    } = opts.solver
-    {
-        return hpdglm_sgd(x, y, family, opts, beta, learning_rate, epochs, minibatch);
     }
 
     let lanes = x.instance_lanes();
@@ -597,103 +514,6 @@ pub fn hpdglm(x: &DArray, y: &DArray, family: Family, opts: &GlmOptions) -> Resu
             deviance: last_deviance,
         });
     }
-    Ok(GlmModel {
-        coefficients: beta,
-        intercept: opts.add_intercept,
-        family,
-        deviance: last_deviance,
-        iterations,
-        converged,
-    })
-}
-
-/// The [`GlmSolver::Sgd`] path: per-worker sequential minibatch passes with
-/// row-weighted model averaging per epoch. Returns the model after `epochs`
-/// passes (or earlier if the deviance trace settles below the tolerance) —
-/// unlike IRLS it never fails with `NoConvergence`, matching its role as a
-/// best-effort streaming solver.
-#[allow(clippy::too_many_arguments)]
-fn hpdglm_sgd(
-    x: &DArray,
-    y: &DArray,
-    family: Family,
-    opts: &GlmOptions,
-    mut beta: Vec<f64>,
-    learning_rate: f64,
-    epochs: usize,
-    minibatch: usize,
-) -> Result<GlmModel> {
-    if learning_rate <= 0.0 || epochs == 0 {
-        return Err(MlError::Invalid(
-            "sgd needs learning_rate > 0 and epochs > 0".into(),
-        ));
-    }
-    let p = beta.len();
-    let mut fit_span = vdr_obs::span("ml.glm.fit");
-    fit_span.record("family", family.name());
-    fit_span.record("solver", "sgd");
-    fit_span.record("p", p);
-    let mut last_deviance = f64::INFINITY;
-    let mut iterations = 0usize;
-    let mut converged = false;
-    for epoch in 1..=epochs {
-        iterations = epoch;
-        let mut iter_span = vdr_obs::span("ml.glm.iteration");
-        iter_span.record("iter", epoch);
-        let step = learning_rate / (epoch as f64).sqrt();
-        let pass_start = std::time::Instant::now();
-        let locals: Vec<(Vec<f64>, u64)> = x.zip_map(y, |_, xp, yp| {
-            (
-                sgd_rows(
-                    &xp.data,
-                    &yp.data,
-                    xp.ncol,
-                    &beta,
-                    family,
-                    opts.add_intercept,
-                    step,
-                    minibatch,
-                ),
-                xp.nrow as u64,
-            )
-        })?;
-        // Row-weighted model averaging across workers.
-        let mut avg = vec![0.0; p];
-        let mut rows = 0u64;
-        for (local, nrow) in &locals {
-            axpy(*nrow as f64, local, &mut avg);
-            rows += nrow;
-        }
-        for a in avg.iter_mut() {
-            *a /= rows.max(1) as f64;
-        }
-        beta = avg;
-        observe_pass(rows, pass_start.elapsed());
-        let deviance: f64 = x
-            .zip_map(y, |_, xp, yp| {
-                deviance_rows(
-                    &xp.data,
-                    &yp.data,
-                    xp.ncol,
-                    &beta,
-                    family,
-                    opts.add_intercept,
-                )
-            })?
-            .into_iter()
-            .sum();
-        iter_span.record("deviance", deviance);
-        vdr_obs::observe("ml.glm.deviance", deviance);
-        vdr_obs::gauge("ml.train.deviance", deviance);
-        let rel = (deviance - last_deviance).abs() / (deviance.abs() + 0.1);
-        last_deviance = deviance;
-        if rel < opts.tolerance {
-            converged = true;
-            break;
-        }
-    }
-    fit_span.record("iterations", iterations);
-    fit_span.record("converged", converged);
     Ok(GlmModel {
         coefficients: beta,
         intercept: opts.add_intercept,
@@ -1058,63 +878,5 @@ mod tests {
         for (p, q) in a.xtwx.data.iter().zip(&serial.xtwx.data) {
             assert!((p - q).abs() < 1e-9 * q.abs().max(1.0));
         }
-    }
-
-    #[test]
-    fn sgd_solver_approximates_gaussian_fit() {
-        let dr = runtime(2);
-        let (x, y) = dataset(&dr, 4, 800, 2, |_, f| 1.0 + 2.0 * f[0] - 3.0 * f[1]);
-        let opts = GlmOptions {
-            solver: GlmSolver::Sgd {
-                learning_rate: 0.3,
-                epochs: 60,
-                minibatch: 64,
-            },
-            ..Default::default()
-        };
-        let m = hpdglm(&x, &y, Family::Gaussian, &opts).unwrap();
-        let expect = [1.0, 2.0, -3.0];
-        for (c, e) in m.coefficients.iter().zip(expect) {
-            assert!((c - e).abs() < 0.1, "{:?}", m.coefficients);
-        }
-        // Deterministic: the epoch/minibatch schedule has no randomness.
-        let m2 = hpdglm(&x, &y, Family::Gaussian, &opts).unwrap();
-        assert_eq!(m.coefficients, m2.coefficients);
-    }
-
-    #[test]
-    fn sgd_solver_separates_classes() {
-        let dr = runtime(2);
-        let (x, y) = dataset(&dr, 2, 2000, 1, |rng, f| {
-            let p = 1.0 / (1.0 + (-(2.0 * f[0])).exp());
-            f64::from(rng.gen_range(0.0..1.0) < p)
-        });
-        let opts = GlmOptions {
-            solver: GlmSolver::Sgd {
-                learning_rate: 0.5,
-                epochs: 40,
-                minibatch: 128,
-            },
-            ..Default::default()
-        };
-        let m = hpdglm(&x, &y, Family::Binomial, &opts).unwrap();
-        assert!(m.coefficients[1] > 1.0, "{:?}", m.coefficients);
-        assert!(m.predict(&[2.0]) > 0.8);
-        assert!(m.predict(&[-2.0]) < 0.2);
-    }
-
-    #[test]
-    fn sgd_rejects_bad_hyperparameters() {
-        let dr = runtime(1);
-        let (x, y) = dataset(&dr, 1, 50, 1, |_, f| f[0]);
-        let opts = GlmOptions {
-            solver: GlmSolver::Sgd {
-                learning_rate: 0.0,
-                epochs: 5,
-                minibatch: 32,
-            },
-            ..Default::default()
-        };
-        assert!(hpdglm(&x, &y, Family::Gaussian, &opts).is_err());
     }
 }

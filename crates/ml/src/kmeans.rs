@@ -9,7 +9,7 @@
 //! and hence an apples-to-apples comparison".
 //!
 //! Centers travel as one contiguous `k×d` row-major buffer, and the
-//! assignment pass is blocked by row width ([`crate::kernels::RowScorer`]):
+//! assignment pass is blocked by row width (`kernels::RowScorer`):
 //! narrow rows score four centers per sweep with register accumulators, wide
 //! rows sweep all k scores per element through a transposed center stripe,
 //! instead of a `squared_distance` call per (row, center) pair.
@@ -24,15 +24,6 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use vdr_distr::DArray;
 
-/// Center initialization strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KmeansInit {
-    /// Sample k distinct rows uniformly.
-    Random,
-    /// k-means++ seeding (D² sampling) — better spreads, fewer iterations.
-    PlusPlus,
-}
-
 /// Clustering options.
 #[derive(Debug, Clone)]
 pub struct KmeansOptions {
@@ -41,12 +32,12 @@ pub struct KmeansOptions {
     /// Stop when no assignment changes (exact) or center movement falls
     /// below this squared threshold.
     pub tolerance: f64,
-    pub init: KmeansInit,
+    /// Seed of the k-means++ (D² sampling) seeding.
     pub seed: u64,
-    /// Explicit starting centers (`k×d`, row-major). When set, `init` and
-    /// `seed` are ignored for seeding — this is how the train-while-loading
-    /// path warm-starts Lloyd iterations from the centers it already scored
-    /// batches against during the transfer.
+    /// Explicit starting centers (`k×d`, row-major). When set, `seed` is
+    /// ignored — this is how the train-while-loading path warm-starts Lloyd
+    /// iterations from the centers it already scored batches against during
+    /// the transfer.
     pub initial_centers: Option<Vec<f64>>,
 }
 
@@ -56,7 +47,6 @@ impl Default for KmeansOptions {
             k: 2,
             max_iterations: 100,
             tolerance: 1e-9,
-            init: KmeansInit::PlusPlus,
             seed: 20150531, // SIGMOD'15 opened May 31, 2015
             initial_centers: None,
         }
@@ -88,7 +78,7 @@ impl KmeansPartial {
 /// its nearest center (`centers` is `k×d` row-major) and accumulate partial
 /// sums. Used by `hpdkmeans`, the serial R baseline, the Spark comparator,
 /// and the train-while-loading path. Distances run through the
-/// shared [`RowScorer`] kernel: `‖c‖² − 2·x·c` scoring with the center
+/// shared `RowScorer` kernel: `‖c‖² − 2·x·c` scoring with the center
 /// norms and (for wide rows) the center transpose hoisted out of the row
 /// loop, blocked by row width.
 pub fn assign_partial(data: &[f64], d: usize, centers: &[f64]) -> KmeansPartial {
@@ -204,59 +194,43 @@ fn init_centers(x: &DArray, opts: &KmeansOptions) -> Result<Vec<f64>> {
         Err(MlError::Invalid(format!("row {global} out of range")))
     };
 
-    match opts.init {
-        KmeansInit::Random => {
-            let mut picked = std::collections::BTreeSet::new();
-            while picked.len() < opts.k {
-                picked.insert(rng.gen_range(0..n));
-            }
-            let mut centers = Vec::with_capacity(opts.k * d);
-            for g in picked {
-                centers.extend_from_slice(&fetch_row(g)?);
-            }
-            Ok(centers)
+    // k-means++ seeding (D² sampling).
+    let mut centers = fetch_row(rng.gen_range(0..n))?;
+    while centers.len() < opts.k * d {
+        let chosen_so_far = centers.len() / d;
+        // D² weights computed distributed.
+        let dists: Vec<Vec<f64>> = x.map_partitions(|_, part| {
+            (0..part.nrow)
+                .map(|r| {
+                    (0..chosen_so_far)
+                        .map(|c| squared_distance(part.row(r), &centers[c * d..(c + 1) * d]))
+                        .fold(f64::INFINITY, f64::min)
+                })
+                .collect()
+        })?;
+        let total: f64 = dists.iter().flatten().sum();
+        if total <= 0.0 {
+            // All points identical to existing centers: duplicate.
+            let first = centers[..d].to_vec();
+            centers.extend_from_slice(&first);
+            continue;
         }
-        KmeansInit::PlusPlus => {
-            let mut centers = fetch_row(rng.gen_range(0..n))?;
-            while centers.len() < opts.k * d {
-                let chosen_so_far = centers.len() / d;
-                // D² weights computed distributed.
-                let dists: Vec<Vec<f64>> = x.map_partitions(|_, part| {
-                    (0..part.nrow)
-                        .map(|r| {
-                            (0..chosen_so_far)
-                                .map(|c| {
-                                    squared_distance(part.row(r), &centers[c * d..(c + 1) * d])
-                                })
-                                .fold(f64::INFINITY, f64::min)
-                        })
-                        .collect()
-                })?;
-                let total: f64 = dists.iter().flatten().sum();
-                if total <= 0.0 {
-                    // All points identical to existing centers: duplicate.
-                    let first = centers[..d].to_vec();
-                    centers.extend_from_slice(&first);
-                    continue;
+        let mut target = rng.gen_range(0.0..total);
+        let mut chosen = None;
+        'outer: for (p, pd) in dists.iter().enumerate() {
+            for (r, w) in pd.iter().enumerate() {
+                target -= w;
+                if target <= 0.0 {
+                    chosen = Some((p, r));
+                    break 'outer;
                 }
-                let mut target = rng.gen_range(0.0..total);
-                let mut chosen = None;
-                'outer: for (p, pd) in dists.iter().enumerate() {
-                    for (r, w) in pd.iter().enumerate() {
-                        target -= w;
-                        if target <= 0.0 {
-                            chosen = Some((p, r));
-                            break 'outer;
-                        }
-                    }
-                }
-                let (p, r) = chosen.unwrap_or((x.npartitions() - 1, 0));
-                let part = x.partition(p)?;
-                centers.extend_from_slice(part.row(r.min(part.nrow - 1)));
             }
-            Ok(centers)
         }
+        let (p, r) = chosen.unwrap_or((x.npartitions() - 1, 0));
+        let part = x.partition(p)?;
+        centers.extend_from_slice(part.row(r.min(part.nrow - 1)));
     }
+    Ok(centers)
 }
 
 /// Cluster the rows of `x` into `opts.k` groups.
@@ -323,11 +297,9 @@ pub fn hpdkmeans(x: &DArray, opts: &KmeansOptions) -> Result<KmeansModel> {
         }
         centers = new_centers;
         wss = merged.wss;
-        // The per-iteration objective trace: exact values on the span,
-        // iteration counts and magnitudes in the histogram.
+        // The per-iteration objective trace.
         iter_span.record("wss", wss);
         iter_span.record("moved", moved);
-        vdr_obs::observe("ml.kmeans.wss", wss);
         if moved <= opts.tolerance {
             break;
         }
@@ -411,19 +383,6 @@ mod tests {
         let b = hpdkmeans(&x, &opts).unwrap();
         assert_eq!(a.centers, b.centers);
         assert_eq!(a.iterations, b.iterations);
-    }
-
-    #[test]
-    fn random_init_also_converges() {
-        let dr = runtime(2);
-        let x = blobs(&dr, 2, 150);
-        let opts = KmeansOptions {
-            k: 3,
-            init: KmeansInit::Random,
-            ..Default::default()
-        };
-        let m = hpdkmeans(&x, &opts).unwrap();
-        assert!(m.total_withinss / 450.0 < 40.0);
     }
 
     #[test]

@@ -9,14 +9,12 @@
 //!   decomposition (Section 7.3.1): every partition accumulates its
 //!   `XᵀWX` / `XᵀWz` contributions, the master reduces and solves.
 //!   Families: gaussian/identity, binomial/logit, poisson/log.
-//! * [`kmeans`] — `hpdkmeans`: distributed Lloyd iterations with random or
-//!   k-means++ initialization; the per-partition kernel is shared with the
-//!   Spark comparator so Figure 20 is apples-to-apples.
+//! * [`kmeans`] — `hpdkmeans`: distributed Lloyd iterations from k-means++
+//!   (or caller-supplied) centers; the per-partition kernel is shared with
+//!   the Spark comparator so Figure 20 is apples-to-apples.
 //! * [`rf`] — `hpdrf`: a bagged random forest (the paper ships a
 //!   `randomforest` prediction function in Vertica).
 //! * [`cv`] — `cv.hpdglm`: k-fold cross validation (Figure 3, line 7).
-//! * [`pagerank`] — `hpdpagerank`: distributed PageRank over a partitioned
-//!   edge list (the graph-processing side of Distributed R's heritage).
 //! * [`serial`] — the stock-R baselines of Figures 17–18: single-threaded
 //!   K-means and `lm` via QR decomposition.
 //! * [`models`] — the trained-model types and their (serial, per-row)
@@ -32,15 +30,13 @@ pub mod kernels;
 pub mod kmeans;
 pub mod linalg;
 pub mod models;
-pub mod pagerank;
 pub mod reduce;
 pub mod rf;
 pub mod serial;
 
 pub use cv::{cv_hpdglm, CvResult};
 pub use error::{MlError, Result};
-pub use glm::{hpdglm, Family, GlmOptions, GlmPartials, GlmSolver};
-pub use kmeans::{hpdkmeans, KmeansInit, KmeansOptions, KmeansPartial};
+pub use glm::{hpdglm, Family, GlmOptions, GlmPartials};
+pub use kmeans::{hpdkmeans, KmeansOptions, KmeansPartial};
 pub use models::{GlmModel, KmeansModel, RandomForestModel};
-pub use pagerank::{hpdpagerank, PageRankOptions, PageRankResult};
 pub use rf::{hpdrf, RfOptions};

@@ -189,7 +189,7 @@ fn syrk_block<const MI: usize, const NJ: usize>(
 /// column-major tiles) this is the `XᵀWX` accumulation of the IRLS map step;
 /// the strict lower triangle of `c` is left untouched.
 ///
-/// The triangle is walked in [`SYRK_BLOCK`]² blocks of columns (narrower at
+/// The triangle is walked in `SYRK_BLOCK`² blocks of columns (narrower at
 /// the right edge and the bottom-right corner), each block keeping its
 /// accumulators in registers across the whole row sweep, so every loaded
 /// chunk feeds two multiply-adds. Each cell is **bit-identical** to

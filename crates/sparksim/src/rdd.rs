@@ -100,10 +100,6 @@ impl SparkMatrix {
         self.partitions.iter().map(|p| p.rows).sum()
     }
 
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Map-reduce over partitions: `map` runs on each partition's node in
     /// parallel; results are folded on the driver.
     pub fn map_partitions<R: Send>(

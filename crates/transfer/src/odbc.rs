@@ -36,7 +36,6 @@ impl OdbcConnection {
             client,
             SimDuration::from_millis(db.cluster().profile().costs.odbc_connect_ms),
         );
-        vdr_obs::counter_on("odbc.connections", client.0, 1);
         OdbcConnection { client }
     }
 
@@ -74,14 +73,6 @@ impl OdbcConnection {
         db_rec.net(INITIATOR, self.client, text.len() as u64);
         fetch_span.record("rows", result.num_rows());
         fetch_span.record("wire_bytes", text.len());
-        // Per-connection progress: rows and wire bytes delivered to each
-        // client node.
-        vdr_obs::counter_on(
-            "odbc.connection.rows",
-            self.client.0,
-            result.num_rows() as u64,
-        );
-        vdr_obs::counter_on("odbc.connection.bytes", self.client.0, text.len() as u64);
 
         // Client side: parse every value.
         client_rec.set_lanes(self.client, parse_lanes);

@@ -7,17 +7,12 @@
 //! that hook to fold iteration-0 training statistics while the export query
 //! is still producing:
 //!
-//! * **GLM / IRLS** — each arriving batch contributes its share of the
+//! * **GLM** — each arriving batch contributes its share of the
 //!   normal equations `XᵀWX β = XᵀWz` at the starting coefficients
 //!   ([`vdr_ml::glm::accumulate_rows`]). Partials merge by addition, so
 //!   stream arrival order doesn't matter. After the transfer the merged
 //!   system is solved once and [`vdr_ml::glm::hpdglm`] resumes from that β:
 //!   the first Newton iteration rode along with the load.
-//! * **GLM / SGD** — each worker keeps a running model and takes sequential
-//!   minibatch steps over every batch it receives ([`vdr_ml::glm::sgd_rows`],
-//!   the Bismarck incremental scheme). After the load the per-worker models
-//!   are row-weighted-averaged and `hpdglm` continues its remaining epochs
-//!   from there.
 //! * **K-means** — arriving batches are scored against the caller's initial
 //!   centers ([`vdr_ml::kmeans::assign_partial`]); the merged partial yields
 //!   the iteration-1 centers and [`vdr_ml::kmeans::hpdkmeans`] warm-starts
@@ -38,7 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vdr_cluster::Ledger;
 use vdr_distr::{DArray, DistributedR};
-use vdr_ml::glm::{accumulate_rows, hpdglm, sgd_rows, Family, GlmOptions, GlmPartials, GlmSolver};
+use vdr_ml::glm::{accumulate_rows, hpdglm, Family, GlmOptions, GlmPartials};
 use vdr_ml::kmeans::{assign_partial, hpdkmeans, merge_partials, KmeansOptions, KmeansPartial};
 use vdr_ml::models::{GlmModel, KmeansModel};
 use vdr_verticadb::{DbError, Result, VerticaDb};
@@ -158,28 +153,10 @@ pub struct GlmLoadFit {
     pub overlap_ns: u64,
 }
 
-/// Per-solver accumulator the receive pools fold into.
-enum Fold {
-    /// Iteration-0 normal equations at the starting coefficients, or the
-    /// first error a batch's accumulation reported (the receive pools have
-    /// no other way to fail the load-and-train).
-    Irls {
-        beta0: Vec<f64>,
-        partials: Mutex<vdr_ml::Result<GlmPartials>>,
-    },
-    /// One running (model, rows-seen) per worker: Bismarck-style sequential
-    /// updates within a worker, averaged across workers after the load.
-    Sgd {
-        workers: Vec<Mutex<(Vec<f64>, u64)>>,
-        step: f64,
-        minibatch: usize,
-    },
-}
-
 /// Fit `hpdglm(y ~ x_features)` on `table`, starting the training during the
-/// transfer itself: iteration-0 statistics (IRLS) or streaming minibatch
-/// updates (SGD) are folded on each block as the receive pools decode it,
-/// and the post-load fit resumes from the resulting warm start.
+/// transfer itself: iteration-0 IRLS statistics are folded on each block as
+/// the receive pools decode it, and the post-load fit resumes from the
+/// resulting warm start.
 #[allow(clippy::too_many_arguments)]
 pub fn glm_while_loading(
     vft: &FastTransfer,
@@ -206,36 +183,17 @@ pub fn glm_while_loading(
     let _scope = train_query_scope();
     let attribution = TrainAttribution::open(format!("TRAIN GLM WHILE LOADING {table}"));
 
-    let state = Arc::new(match opts.solver {
-        GlmSolver::Irls => Fold::Irls {
-            beta0: vec![0.0; p],
-            partials: Mutex::new(Ok(GlmPartials::zeros(p))),
-        },
-        GlmSolver::Sgd {
-            learning_rate,
-            epochs,
-            minibatch,
-        } => {
-            if learning_rate <= 0.0 || epochs == 0 {
-                return Err(DbError::Plan(
-                    "sgd needs learning_rate > 0 and epochs > 0".into(),
-                ));
-            }
-            Fold::Sgd {
-                workers: (0..dr.num_workers())
-                    .map(|_| Mutex::new((vec![0.0; p], 0)))
-                    .collect(),
-                step: learning_rate,
-                minibatch,
-            }
-        }
-    });
+    // Iteration-0 normal equations at the starting coefficients, or the
+    // first error a batch's accumulation reported (the receive pools have
+    // no other way to fail the load-and-train).
+    let beta0 = vec![0.0; p];
+    let partials = Arc::new(Mutex::new(Ok(GlmPartials::zeros(p))));
     let overlap = Arc::new(AtomicU64::new(0));
     let observer: BatchObserver = {
-        let state = Arc::clone(&state);
+        let partials = Arc::clone(&partials);
         let overlap = Arc::clone(&overlap);
         let intercept = opts.add_intercept;
-        Arc::new(move |w, _src, _inst, batch| {
+        Arc::new(move |_w, _src, _inst, batch| {
             let t = Instant::now();
             let Ok(rows) = crate::batch_to_f64_rows(batch) else {
                 return;
@@ -248,25 +206,12 @@ pub fn glm_while_loading(
                 xb.extend_from_slice(&row[..d]);
                 yb.push(row[d]);
             }
-            match &*state {
-                Fold::Irls { beta0, partials } => {
-                    let part = accumulate_rows(&xb, &yb, d, beta0, family, intercept);
-                    let mut merged = partials.lock();
-                    match (&mut *merged, part) {
-                        (Ok(m), Ok(part)) => m.merge(&part),
-                        (Ok(_), Err(e)) => *merged = Err(e),
-                        (Err(_), _) => {}
-                    }
-                }
-                Fold::Sgd {
-                    workers,
-                    step,
-                    minibatch,
-                } => {
-                    let mut slot = workers[w].lock();
-                    slot.0 = sgd_rows(&xb, &yb, d, &slot.0, family, intercept, *step, *minibatch);
-                    slot.1 += nrow as u64;
-                }
+            let part = accumulate_rows(&xb, &yb, d, &beta0, family, intercept);
+            let mut merged = partials.lock();
+            match (&mut *merged, part) {
+                (Ok(m), Ok(part)) => m.merge(&part),
+                (Ok(_), Err(e)) => *merged = Err(e),
+                (Err(_), _) => {}
             }
             overlap.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
         })
@@ -280,34 +225,15 @@ pub fn glm_while_loading(
 
     let (x, y) = split_xy(dr, &xy, d)?;
     let mut fit_opts = opts.clone();
-    fit_opts.initial_beta = match &*state {
-        Fold::Irls { partials, .. } => {
-            let merged = partials.lock();
-            let merged = merged.as_ref().map_err(exec)?;
-            // A singular or under-determined system just means no warm
-            // start — the staged path from scratch still runs.
-            if merged.rows >= p as u64 {
-                merged.solve().ok()
-            } else {
-                None
-            }
-        }
-        Fold::Sgd { workers, .. } => {
-            let mut avg = vec![0.0; p];
-            let mut total = 0u64;
-            for slot in workers {
-                let (model, rows) = &*slot.lock();
-                if *rows > 0 {
-                    vdr_ml::linalg::axpy(*rows as f64, model, &mut avg);
-                    total += rows;
-                }
-            }
-            (total > 0).then(|| {
-                for a in avg.iter_mut() {
-                    *a /= total as f64;
-                }
-                avg
-            })
+    fit_opts.initial_beta = {
+        let merged = partials.lock();
+        let merged = merged.as_ref().map_err(exec)?;
+        // A singular or under-determined system just means no warm
+        // start — the staged path from scratch still runs.
+        if merged.rows >= p as u64 {
+            merged.solve().ok()
+        } else {
+            None
         }
     };
     let model = hpdglm(&x, &y, family, &fit_opts).map_err(exec)?;
@@ -633,36 +559,6 @@ mod tests {
         .unwrap();
         for (c, e) in fit.model.coefficients.iter().zip([2.0, 1.5, -0.5]) {
             assert!((c - e).abs() < 1e-9, "{:?}", fit.model.coefficients);
-        }
-    }
-
-    #[test]
-    fn sgd_streams_updates_during_load() {
-        let (db, dr, vft) = regression_db(2, 4000);
-        let opts = GlmOptions {
-            solver: GlmSolver::Sgd {
-                learning_rate: 0.3,
-                epochs: 40,
-                minibatch: 64,
-            },
-            ..Default::default()
-        };
-        let fit = glm_while_loading(
-            &vft,
-            &db,
-            &dr,
-            "train",
-            &["f0", "f1"],
-            "y_gauss",
-            Family::Gaussian,
-            &opts,
-            TransferPolicy::Locality,
-            &Ledger::new(),
-        )
-        .unwrap();
-        assert!(fit.overlap_ns > 0);
-        for (c, e) in fit.model.coefficients.iter().zip([2.0, 1.5, -0.5]) {
-            assert!((c - e).abs() < 0.15, "{:?}", fit.model.coefficients);
         }
     }
 

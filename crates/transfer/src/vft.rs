@@ -41,7 +41,6 @@
 
 use crate::report::TransferReport;
 use crate::{check_features, gather_f64_rows};
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -49,7 +48,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use vdr_cluster::{FrameAssembler, NodeId, PhaseKind, PhaseRecorder, SharedMem, StreamRx};
+use vdr_cluster::{
+    stream_chunks, FrameAssembler, NodeId, PhaseKind, PhaseRecorder, SharedMem, StreamRx,
+};
 use vdr_columnar::{decode_batch, encode_batch, Batch, Column, DataType, Schema};
 use vdr_distr::{DArray, DFrame, DistributedR};
 use vdr_verticadb::{DbError, Result, TransformFunction, UdxContext, VerticaDb};
@@ -163,11 +164,11 @@ type FrameObserver<'a> = &'a dyn Fn(u64, u64, &Batch);
 /// length header into one buffer. The live sender now ships header and block
 /// as two chunks instead; tests keep this as the known-good oracle.
 #[cfg(test)]
-fn frame_block(block: &Bytes) -> Bytes {
+fn frame_block(block: &bytes::Bytes) -> bytes::Bytes {
     let mut framed = Vec::with_capacity(block.len() + 8);
     framed.extend_from_slice(&(block.len() as u64).to_le_bytes());
     framed.extend_from_slice(block);
-    Bytes::from(framed)
+    bytes::Bytes::from(framed)
 }
 
 /// Whole-stream splitter over a fully buffered stream body; the reference
@@ -394,30 +395,26 @@ impl TransformFunction for ExportToDistributedR {
             // Rows landing per worker node: the policy-skew signal (locality
             // inherits segment skew; uniform should flatten it).
             vdr_obs::counter_on("vft.worker.rows", worker_nodes[target].0, block_rows);
+            let mut header = None;
             if let std::collections::hash_map::Entry::Vacant(e) = streams.entry(target) {
-                let tx = self
-                    .hub
-                    .connect(ctx, transfer, target, worker_nodes[target])?;
+                e.insert(
+                    self.hub
+                        .connect(ctx, transfer, target, worker_nodes[target])?,
+                );
                 // Stream header: (source node, instance). Receivers sort
                 // accepted streams by it so conversion order is
                 // deterministic — two transfers of the same table then
                 // produce identically ordered partitions, which keeps
                 // separately loaded X and Y arrays row-aligned.
-                let mut header = Vec::with_capacity(16);
-                header.extend_from_slice(&(ctx.node.0 as u64).to_le_bytes());
-                header.extend_from_slice(&(ctx.instance as u64).to_le_bytes());
-                tx.send(Bytes::from(header)).map_err(DbError::from)?;
-                e.insert(tx);
+                header = Some((ctx.node.0 as u64, ctx.instance as u64));
             }
             // Vectored write: the 8-byte length header and the encoded block
             // go out as two chunks, so the block bytes are the encoder's
             // buffer all the way to the receiver — no framing copy.
             let tx = streams.get(&target).expect("stream just inserted");
-            tx.send(Bytes::copy_from_slice(
-                &(encoded.len() as u64).to_le_bytes(),
-            ))
-            .map_err(DbError::from)?;
-            tx.send(encoded).map_err(DbError::from)?;
+            for chunk in stream_chunks(header, [encoded]) {
+                tx.send(chunk).map_err(DbError::from)?;
+            }
             Ok(())
         };
 
@@ -996,6 +993,7 @@ impl FastTransfer {
 mod tests {
     use super::*;
     use crate::batch_to_f64_rows;
+    use bytes::Bytes;
     use proptest::prelude::*;
     use vdr_cluster::{Ledger, SimCluster};
     use vdr_verticadb::Segmentation;

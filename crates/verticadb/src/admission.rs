@@ -54,7 +54,6 @@ impl AdmissionController {
                 self.cv.wait(&mut state);
             }
             let wait_ms = waited.elapsed().as_nanos() as f64 / 1e6;
-            vdr_obs::observe("admission.wait_ms", wait_ms);
             vdr_obs::event("admission.admitted", format!("waited_ms={wait_ms:.2}"));
         }
         state.active += 1;

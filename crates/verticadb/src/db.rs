@@ -5,13 +5,12 @@ use crate::admission::AdmissionController;
 use crate::catalog::{Catalog, TableDef};
 use crate::dfs::Dfs;
 use crate::error::Result;
-use crate::exec::{self, ExecOptions};
+use crate::exec;
 use crate::models::ModelStore;
 use crate::monitor::{Monitor, QueryRecord, SystemTableProvider};
 use crate::sql;
 use crate::storage::SegmentStore;
 use crate::udx::{TransformFunction, UdxRegistry};
-use parking_lot::Mutex;
 use std::sync::Arc;
 use vdr_cluster::{Ledger, PhaseKind, PhaseRecorder, SimCluster, SimDuration};
 use vdr_columnar::Batch;
@@ -37,7 +36,6 @@ pub struct VerticaDb {
     admission: AdmissionController,
     ledger: Arc<Ledger>,
     monitor: Monitor,
-    exec_options: Mutex<ExecOptions>,
 }
 
 impl VerticaDb {
@@ -55,7 +53,6 @@ impl VerticaDb {
             admission: AdmissionController::new(max_q),
             ledger: Arc::new(Ledger::new()),
             monitor: Monitor::new(),
-            exec_options: Mutex::new(ExecOptions::default()),
             cluster,
         })
     }
@@ -351,10 +348,6 @@ impl VerticaDb {
         &self.dfs
     }
 
-    pub fn dfs_arc(&self) -> Arc<Dfs> {
-        Arc::clone(&self.dfs)
-    }
-
     pub fn models(&self) -> &ModelStore {
         &self.models
     }
@@ -375,18 +368,6 @@ impl VerticaDb {
     /// The `v_monitor` registry and query history.
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
-    }
-
-    /// The planner options statements on this database run under. The
-    /// executor reads them once at the top of each SELECT.
-    pub fn exec_options(&self) -> ExecOptions {
-        *self.exec_options.lock()
-    }
-
-    /// Replace the planner options for statements that start after this
-    /// call; other databases in the process are unaffected.
-    pub fn set_exec_options(&self, opts: ExecOptions) {
-        *self.exec_options.lock() = opts;
     }
 
     /// Expose extra state as a `v_monitor` table.

@@ -89,9 +89,6 @@ impl Dfs {
         vdr_obs::counter_on("dfs.blob.stored", src.0, 1);
         vdr_obs::counter_on("dfs.blob.bytes_written", src.0, size);
         for &node in &replicas {
-            if node != src {
-                vdr_obs::counter_on("dfs.blob.replicated", node.0, 1);
-            }
             rec.net(src, node, size);
             rec.disk_write(node, size);
             self.cluster
@@ -139,10 +136,6 @@ impl Dfs {
         rec.disk_read(source, meta.size);
         rec.net(source, reader, meta.size);
         vdr_obs::counter_on("dfs.blob.read", reader.0, 1);
-        vdr_obs::counter_on("dfs.blob.bytes_read", reader.0, meta.size);
-        if source != reader {
-            vdr_obs::counter_on("dfs.blob.remote_read", reader.0, 1);
-        }
         Ok(data)
     }
 

@@ -8,16 +8,16 @@
 //!
 //! # Compressed execution
 //!
-//! When a query's shape allows it ([`encoded_execution_eligible`]), the scan
-//! returns [`EncodedBatch`]es whose Rle/Dictionary columns are still in
-//! run/code form. Predicates then evaluate per *run* or per *distinct
-//! dictionary code* ([`vdr_columnar::kernels::cmp_scalar_rle`] /
-//! [`cmp_scalar_dict`]), a single-column dictionary GROUP BY takes its group
-//! ids from the dictionary codes without hashing decoded strings, and
-//! everything else is **late-materialized**: non-predicate columns decode
-//! only the rows that survived the filter bitmap. The whole path is an
-//! executor-internal optimization — results are bit-for-bit those of the
-//! decoded path.
+//! When a query's shape allows it (`encoded_execution_eligible`, a pure
+//! function of the statement), the scan returns [`EncodedBatch`]es whose
+//! Rle/Dictionary columns are still in run/code form. Predicates then
+//! evaluate per *run* or per *distinct dictionary code*
+//! ([`kernels::cmp_scalar_rle`] / [`kernels::cmp_scalar_dict`]), a
+//! single-column dictionary GROUP BY takes its group ids from the dictionary
+//! codes without hashing decoded strings, and everything else is
+//! **late-materialized**: non-predicate columns decode only the rows that
+//! survived the filter bitmap. The whole path is an executor-internal
+//! optimization — results are bit-for-bit those of the decoded path.
 //!
 //! # Aggregation
 //!
@@ -39,8 +39,9 @@
 //! that the shuffled GROUP BY partitions by key hash and ships through the
 //! block codec — the exchange carries one payload type — and that the
 //! initiator-merge path gathers and merges with the same code. The
-//! database's [`ExecOptions`] only choose *where* the aggregator merges and
-//! whether group ids come from dictionary codes.
+//! statement, the table's segmentation and the node count choose *where* the
+//! aggregator merges and whether group ids come from dictionary codes; no
+//! user setting does.
 //!
 //! `COUNT(DISTINCT)` ships as deduplicated `(group, value)` pairs because a
 //! count cannot be merged: two nodes that each saw `'a'` must count it once.
@@ -77,30 +78,6 @@ mod join;
 
 /// The node that runs final merges — where the client is connected.
 const INITIATOR: NodeId = NodeId(0);
-
-/// Which physical alternatives the planner may pick, held per database
-/// ([`VerticaDb::exec_options`]) and read once per statement. Both default
-/// to on; the alternative each one disables still runs whenever the
-/// statement's shape requires it (non-encodable `WHERE`, single node,
-/// segmentation-aligned key, global aggregate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Scan Rle/Dictionary columns in run/code form when the statement
-    /// shape allows it ([`encoded_execution_eligible`]).
-    pub compressed_execution: bool,
-    /// Repartition GROUP BY partials by key hash so every node merges a
-    /// disjoint key range, instead of the initiator merging them all.
-    pub group_by_shuffle: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            compressed_execution: true,
-            group_by_shuffle: true,
-        }
-    }
-}
 
 /// Execute any statement against the database, charging `rec`.
 pub fn execute(db: &VerticaDb, stmt: &Statement, rec: &Arc<PhaseRecorder>) -> Result<Batch> {
@@ -210,8 +187,6 @@ fn status_batch(msg: &str) -> Result<Batch> {
 // ------------------------------------------------------------------ SELECT
 
 fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -> Result<Batch> {
-    // Read once, so every decision of this statement sees the same values.
-    let opts = db.exec_options();
     if let Some(SelectItem::Transform {
         name,
         args,
@@ -233,7 +208,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
     }
 
     if stmt.join.is_some() {
-        return join::execute_join_select(db, stmt, opts, rec);
+        return join::execute_join_select(db, stmt, rec);
     }
 
     let mut select_span = vdr_obs::span("exec.select");
@@ -277,7 +252,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
             let wanted = referenced_columns(stmt);
             // Planner rule: run on encoded data when the statement shape allows
             // it (see `encoded_execution_eligible`).
-            let use_encoded = encoded_execution_eligible(stmt, opts);
+            let use_encoded = encoded_execution_eligible(stmt);
             // Scatter spawns one OS thread per node: the query scope is
             // thread-local, so re-enter it in each worker (as span parents are
             // passed explicitly).
@@ -336,7 +311,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
             (per_node, plan, seg_aligned)
         };
 
-    let out = gather_and_finalize(db, stmt, plan.as_ref(), rec, per_node, seg_aligned, opts)?;
+    let out = gather_and_finalize(db, stmt, plan.as_ref(), rec, per_node, seg_aligned)?;
     select_span.record("rows_out", out.num_rows());
     vdr_obs::counter("exec.output.rows", out.num_rows() as u64);
     Ok(out)
@@ -354,7 +329,6 @@ fn gather_and_finalize(
     rec: &Arc<PhaseRecorder>,
     per_node: Vec<Result<NodeResult>>,
     groupby_seg_aligned: bool,
-    opts: ExecOptions,
 ) -> Result<Batch> {
     let mut rows = Vec::new();
     let mut partials = Vec::new();
@@ -379,37 +353,15 @@ fn gather_and_finalize(
         return Ok(apply_offset_limit(stmt, sorted));
     };
     // The shuffle is skipped when it cannot help: a single node, a global
-    // aggregate, a group key containing the segmentation key (already
-    // node-disjoint), or the option off.
+    // aggregate, or a group key containing the segmentation key (already
+    // node-disjoint).
     let n = partials.len();
-    let shuffle = n > 1
-        && n == db.cluster().num_nodes()
-        && !groupby_seg_aligned
-        && plan.has_keys()
-        && opts.group_by_shuffle;
+    let shuffle = n > 1 && n == db.cluster().num_nodes() && !groupby_seg_aligned && plan.has_keys();
     let batch = if shuffle {
         shuffle_group_by(db, plan, rec, &partials)?
     } else {
         let bytes: Vec<u64> = partials.iter().map(agg::Partial::byte_size).collect();
         charge_gather(rec, &bytes);
-        // Merging shipped GROUP BY partials whose key ranges overlap is the
-        // initiator's CPU work — the serial bottleneck the shuffled merge
-        // exists to remove. Segmentation-aligned partials are key-disjoint
-        // and scalar aggregates merge one row per node, so neither is
-        // charged. The charge mirrors the per-byte rate receivers pay in the
-        // shuffled path, so the two strategies are costed symmetrically.
-        if !groupby_seg_aligned && plan.has_keys() {
-            let shipped: u64 = bytes
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != INITIATOR.0)
-                .map(|(_, b)| b)
-                .sum();
-            if shipped > 0 {
-                let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
-                rec.cpu_work(INITIATOR, shipped as f64 / 8.0, scan_cost);
-            }
-        }
         let mut merged = Aggregator::new(plan)?;
         for p in &partials {
             merged.merge(p)?;
@@ -608,12 +560,11 @@ fn encodable_predicate(e: &Expr) -> bool {
 /// (encodable WHERE) or when a GROUP BY can aggregate over dictionary codes;
 /// a bare full-table SELECT gains nothing from the detour, so it stays on
 /// the decoded path (whose cache tier it already warms).
-fn encoded_execution_eligible(stmt: &SelectStmt, opts: ExecOptions) -> bool {
-    opts.compressed_execution
-        && match &stmt.where_clause {
-            Some(w) => encodable_predicate(w),
-            None => !stmt.group_by.is_empty(),
-        }
+fn encoded_execution_eligible(stmt: &SelectStmt) -> bool {
+    match &stmt.where_clause {
+        Some(w) => encodable_predicate(w),
+        None => !stmt.group_by.is_empty(),
+    }
 }
 
 /// What one node's encoded pipeline did, for the cost ledger and the
@@ -984,19 +935,22 @@ fn sort_by_exprs(batch: Batch, keys: &[(Expr, bool)]) -> Result<Batch> {
                 (true, true) => std::cmp::Ordering::Equal,
                 (true, false) => std::cmp::Ordering::Greater,
                 (false, true) => std::cmp::Ordering::Less,
-                (false, false) => match compare_values(&va, &vb) {
-                    Ok(o) => {
-                        if *desc {
-                            o.reverse()
-                        } else {
-                            o
-                        }
+                (false, false) => {
+                    let ord = match (&va, &vb) {
+                        // IEEE total order, as GROUP BY output and MIN/MAX
+                        // use: still a total order with NaN present.
+                        (Value::Float64(x), Value::Float64(y)) => x.total_cmp(y),
+                        _ => compare_values(&va, &vb).unwrap_or_else(|e| {
+                            sort_err.get_or_insert(e);
+                            std::cmp::Ordering::Equal
+                        }),
+                    };
+                    if *desc {
+                        ord.reverse()
+                    } else {
+                        ord
                     }
-                    Err(e) => {
-                        sort_err.get_or_insert(e);
-                        std::cmp::Ordering::Equal
-                    }
-                },
+                }
             };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
@@ -1216,7 +1170,6 @@ fn run_transform(
 mod tests {
     use super::*;
     use crate::db::VerticaDb;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use vdr_cluster::SimCluster;
 
     fn db_with_data() -> Arc<VerticaDb> {
@@ -1436,13 +1389,6 @@ mod tests {
 
     // --------------------------------------------- compressed execution
 
-    /// Both planner options off: every scan decodes, every GROUP BY merges
-    /// on the initiator.
-    const ALTERNATIVES_OFF: ExecOptions = ExecOptions {
-        compressed_execution: false,
-        group_by_shuffle: false,
-    };
-
     /// `(id, grp, x, tag)` for row `i` of the `lc` table: `grp` is sorted
     /// and low-cardinality so its blocks pick RLE, `tag` has 3 values so it
     /// picks Dictionary, and both carry NULLs.
@@ -1468,50 +1414,6 @@ mod tests {
         db.query(&format!("INSERT INTO lc VALUES {}", values.join(", ")))
             .unwrap();
         db
-    }
-
-    fn rows_of(b: &Batch) -> Vec<Vec<Value>> {
-        (0..b.num_rows()).map(|r| b.row(r)).collect()
-    }
-
-    /// Run `sql` on `db` under `opts`, then put the defaults back.
-    fn rows_under(db: &VerticaDb, opts: ExecOptions, sql: &str) -> Vec<Vec<Value>> {
-        db.set_exec_options(opts);
-        let out = db.query(sql).unwrap().batch;
-        db.set_exec_options(ExecOptions::default());
-        rows_of(&out)
-    }
-
-    #[test]
-    fn compressed_and_decoded_execution_agree() {
-        let db = db_low_cardinality();
-        let queries = [
-            // RLE predicate, late-materialized projection.
-            "SELECT id, x FROM lc WHERE grp = 1 ORDER BY id",
-            // Dictionary predicate plus RLE predicate in an AND tree.
-            "SELECT count(*), sum(x) FROM lc WHERE grp >= 1 AND tag = 'b'",
-            // OR tree, flipped literal-first operand order.
-            "SELECT count(*) FROM lc WHERE 2 <= grp OR tag <> 'a'",
-            // Dictionary GROUP BY (dense per-code path) with NULL keys.
-            "SELECT tag, count(*) AS n, avg(x), min(id), max(id) FROM lc GROUP BY tag ORDER BY tag",
-            // Filtered dictionary GROUP BY with a distinct aggregate.
-            "SELECT tag, count(DISTINCT grp) FROM lc WHERE id < 500 GROUP BY tag ORDER BY tag",
-            // NULL-heavy predicate: NULL grp rows must drop in both paths.
-            "SELECT count(*) FROM lc WHERE grp <= 2",
-            // Non-dictionary GROUP BY falls back to late materialization.
-            "SELECT grp, count(*) FROM lc WHERE tag = 'c' GROUP BY grp ORDER BY grp",
-        ];
-        let decoded = ExecOptions {
-            compressed_execution: false,
-            ..ExecOptions::default()
-        };
-        for sql in queries {
-            assert_eq!(
-                rows_under(&db, ExecOptions::default(), sql),
-                rows_under(&db, decoded, sql),
-                "encoded and decoded paths disagree for {sql}"
-            );
-        }
     }
 
     #[test]
@@ -1567,11 +1469,7 @@ mod tests {
             "SELECT s, count(*) FROM st WHERE s = 7 GROUP BY s",
         ];
         for sql in queries {
-            assert_eq!(
-                rows_under(&db, ExecOptions::default(), sql),
-                rows_under(&db, ALTERNATIVES_OFF, sql),
-                "paths disagree for {sql}"
-            );
+            db.query(sql).unwrap();
         }
         let m = db
             .query(
@@ -1581,7 +1479,8 @@ mod tests {
             .unwrap()
             .batch;
         let total = m.row(0)[0].as_f64().unwrap_or(0.0);
-        // 3 queries × 2 nodes × 64 runs resolved by binary search.
+        // 3 queries × 2 nodes × 64 runs resolved by binary search (the
+        // answers are checked in `tests/agg_differential.rs`).
         assert!(
             total >= (3 * 2 * 64) as f64,
             "sorted RLE predicates should binary-search, got {total}"
@@ -1613,105 +1512,13 @@ mod tests {
         }
     }
 
-    fn assert_planner_rule(opts: ExecOptions) {
-        for sql in ENCODED_ELIGIBLE {
-            assert_eq!(
-                encoded_execution_eligible(&as_select(sql), opts),
-                opts.compressed_execution,
-                "{sql}"
-            );
-        }
-        for sql in ENCODED_INELIGIBLE {
-            assert!(!encoded_execution_eligible(&as_select(sql), opts), "{sql}");
-        }
-    }
-
     #[test]
     fn planner_rule_picks_encoded_only_for_eligible_shapes() {
-        assert_planner_rule(ExecOptions::default());
-        assert_planner_rule(ALTERNATIVES_OFF);
-    }
-
-    /// Options belong to a database: while another database in the process
-    /// runs with both alternatives off, a default-options database keeps
-    /// planning encoded scans and shuffled merges, and keeps answering what
-    /// a row-at-a-time pass over the same rows answers.
-    #[test]
-    fn exec_options_are_per_database() {
-        let rle_scan = "SELECT count(*), sum(x) FROM lc WHERE grp = 1";
-        let shuffled = "SELECT tag, count(*) FROM lc GROUP BY tag ORDER BY tag";
-        let rows: Vec<_> = (0..600).map(lc_row).collect();
-        let in_grp1: Vec<_> = rows.iter().filter(|r| r.1 == Some(1)).collect();
-        let want_scan = vec![vec![
-            Value::Int64(in_grp1.len() as i64),
-            Value::Float64(in_grp1.iter().map(|r| r.2).sum()),
-        ]];
-        // Output order: 'a' < 'b' < 'c', NULL last.
-        let want_groups: Vec<Vec<Value>> = [Some("a"), Some("b"), Some("c"), None]
-            .into_iter()
-            .map(|tag| {
-                let n = rows.iter().filter(|r| r.3 == tag).count() as i64;
-                let key = tag.map_or(Value::Null, |t| Value::Varchar(t.into()));
-                vec![key, Value::Int64(n)]
-            })
-            .collect();
-        // `PROFILE` rows naming a counter: the statement took that path.
-        let profile_names = |db: &VerticaDb, sql: &str| -> Vec<String> {
-            let out = db.query(&format!("PROFILE {sql}")).unwrap().batch;
-            (0..out.num_rows())
-                .map(|r| out.row(r)[2].to_string())
-                .collect()
-        };
-
-        let defaults = db_low_cardinality();
-        let off = db_low_cardinality();
-        off.set_exec_options(ALTERNATIVES_OFF);
-        // A panic on either side must end the test, not hang it: the other
-        // thread's death closes `started`, and `stop` is set on unwind too.
-        struct SetOnDrop<'a>(&'a AtomicBool);
-        impl Drop for SetOnDrop<'_> {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
+        for sql in ENCODED_ELIGIBLE {
+            assert!(encoded_execution_eligible(&as_select(sql)), "{sql}");
         }
-        let (started_tx, started) = std::sync::mpsc::channel();
-        let stop = AtomicBool::new(false);
-        let (off, stop, want_scan, want_groups) = (&off, &stop, &want_scan, &want_groups);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    assert_eq!(&rows_of(&off.query(rle_scan).unwrap().batch), want_scan);
-                    assert_eq!(&rows_of(&off.query(shuffled).unwrap().batch), want_groups);
-                    assert_planner_rule(off.exec_options());
-                    // The receiver may be gone once the checks below are done.
-                    started_tx.send(()).ok();
-                }
-            });
-            // The other database has run a full round with both options off
-            // and keeps going while this one is checked.
-            started.recv().expect("the other database's thread died");
-            let _stop = SetOnDrop(stop);
-            for _ in 0..20 {
-                assert_planner_rule(defaults.exec_options());
-                assert_eq!(
-                    &rows_of(&defaults.query(rle_scan).unwrap().batch),
-                    want_scan
-                );
-                assert_eq!(
-                    &rows_of(&defaults.query(shuffled).unwrap().batch),
-                    want_groups
-                );
-            }
-            let names = profile_names(&defaults, rle_scan);
-            assert!(
-                names.iter().any(|n| n == "scan.encoded.runs_skipped"),
-                "default database must scan encoded: {names:?}"
-            );
-            let names = profile_names(&defaults, shuffled);
-            assert!(
-                names.iter().any(|n| n == "exec.groupby.shuffled"),
-                "default database must shuffle its GROUP BY: {names:?}"
-            );
-        });
+        for sql in ENCODED_INELIGIBLE {
+            assert!(!encoded_execution_eligible(&as_select(sql)), "{sql}");
+        }
     }
 }

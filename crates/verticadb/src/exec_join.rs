@@ -380,7 +380,6 @@ impl JoinPlan {
 pub(super) fn execute_join_select(
     db: &VerticaDb,
     stmt: &SelectStmt,
-    opts: ExecOptions,
     rec: &Arc<PhaseRecorder>,
 ) -> Result<Batch> {
     let plan = JoinPlan::resolve(db, stmt)?;
@@ -409,7 +408,7 @@ pub(super) fn execute_join_select(
     // The joined per-node partials flow through the ordinary gather / merge /
     // finalize machinery (including the shuffled two-phase GROUP BY — a
     // joined GROUP BY key is never segmentation-aligned).
-    gather_and_finalize(db, &inner, agg, rec, per_node, false, opts)
+    gather_and_finalize(db, &inner, agg, rec, per_node, false)
 }
 
 /// The schema one side of the join is planned to carry: the table's columns
@@ -709,8 +708,6 @@ fn join_and_partial(
     let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
     let work = (left.num_rows() + right.num_rows() + li.len()) as f64;
     rec.cpu_work(node.id(), work, scan_cost);
-    vdr_obs::counter_on("exec.join.build_rows", node.id().0, right.num_rows() as u64);
-    vdr_obs::counter_on("exec.join.probe_rows", node.id().0, left.num_rows() as u64);
     vdr_obs::counter_on("exec.join.output_rows", node.id().0, li.len() as u64);
     span.record("rows_out", li.len());
     let joined = materialize_join(plan, left, right, &li, &ri)?;

@@ -44,7 +44,6 @@ pub use catalog::{Catalog, TableDef};
 pub use db::{QueryOutput, VerticaDb};
 pub use dfs::Dfs;
 pub use error::{DbError, Result};
-pub use exec::ExecOptions;
 pub use models::{ModelMeta, ModelStore};
 pub use monitor::{
     Monitor, QueryHistory, QueryRecord, SystemTableProvider, QUERY_HISTORY_CAPACITY,

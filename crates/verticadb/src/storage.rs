@@ -190,19 +190,9 @@ impl SegmentStore {
     }
 
     /// Read and decode every container of `table` on `node`, charging cold
-    /// disk reads (or cached re-reads) and decode CPU to `rec`.
-    pub fn scan_node(
-        &self,
-        table: &str,
-        node: NodeId,
-        rec: &PhaseRecorder,
-        cached: bool,
-    ) -> Result<Vec<Arc<Batch>>> {
-        self.scan_node_slice(table, node, 0, 1, rec, cached, None)
-    }
-
-    /// [`Self::scan_node`] with projection pushdown: only the columns named
-    /// in `wanted` are decoded (`None` decodes all).
+    /// disk reads (or cached re-reads) and decode CPU to `rec`. Projection
+    /// pushdown: only the columns named in `wanted` are decoded (`None`
+    /// decodes all).
     pub fn scan_node_projected(
         &self,
         table: &str,
@@ -406,6 +396,12 @@ mod tests {
         PhaseRecorder::new("t", PhaseKind::Sequential, n)
     }
 
+    /// A cold scan of every column of `table` on `node`.
+    fn scan(s: &SegmentStore, table: &str, node: NodeId, rec: &PhaseRecorder) -> Vec<Arc<Batch>> {
+        s.scan_node_projected(table, node, rec, false, None)
+            .unwrap()
+    }
+
     fn ids(n: i64) -> Batch {
         Batch::new(
             Schema::of(&[("id", DataType::Int64)]),
@@ -447,7 +443,7 @@ mod tests {
 
         let mut all = 0;
         for node in cluster.node_ids() {
-            for b in store.scan_node("t", node, &r, false).unwrap() {
+            for b in scan(&store, "t", node, &r) {
                 all += b.num_rows();
             }
         }
@@ -460,7 +456,7 @@ mod tests {
         let load_rec = rec(3);
         store.load(&def, vec![ids(3000)], &load_rec).unwrap();
         let r = rec(3);
-        store.scan_node("t", NodeId(0), &r, false).unwrap();
+        scan(&store, "t", NodeId(0), &r);
         let report = r.finish(cluster.profile());
         assert!(report.total_disk_read > 0);
         assert!(report.total_cpu_core_ns > 0.0);
@@ -478,7 +474,7 @@ mod tests {
         store.load(&def, vec![wide(4000)], &rec(1)).unwrap();
 
         let full = rec(1);
-        store.scan_node("w", NodeId(0), &full, false).unwrap();
+        scan(&store, "w", NodeId(0), &full);
         let full_cpu = full.finish(cluster.profile()).total_cpu_core_ns;
 
         // Fresh store so the cache can't serve the projected scan.
@@ -501,11 +497,11 @@ mod tests {
     fn repeated_scan_hits_cache_with_zero_decode_cpu() {
         let (cluster, store, def) = setup();
         store.load(&def, vec![ids(3000)], &rec(3)).unwrap();
-        store.scan_node("t", NodeId(0), &rec(3), false).unwrap();
+        scan(&store, "t", NodeId(0), &rec(3));
         assert!(store.block_cache().hits() == 0);
 
         let r = rec(3);
-        store.scan_node("t", NodeId(0), &r, false).unwrap();
+        scan(&store, "t", NodeId(0), &r);
         let report = r.finish(cluster.profile());
         assert!(store.block_cache().hits() > 0);
         assert_eq!(
@@ -528,7 +524,7 @@ mod tests {
             segmentation: Segmentation::RoundRobin,
         };
         store.load(&def, vec![wide(100)], &rec(1)).unwrap();
-        store.scan_node("w", NodeId(0), &rec(1), false).unwrap();
+        scan(&store, "w", NodeId(0), &rec(1));
         let r = rec(1);
         let batches = store
             .scan_node_projected("w", NodeId(0), &r, false, Some(&set(&["A"])))
@@ -665,7 +661,7 @@ mod tests {
         // A decoded-path scan of the same container misses (tier mismatch)
         // and replaces the entry with a decoded one.
         let r3 = rec(1);
-        store.scan_node("lc", NodeId(0), &r3, false).unwrap();
+        scan(&store, "lc", NodeId(0), &r3);
         assert_eq!(store.block_cache().encoded_len(), 0);
         assert_eq!(store.block_cache().len(), 1);
     }
@@ -674,14 +670,14 @@ mod tests {
     fn drop_and_recreate_does_not_serve_stale_blocks() {
         let (_, store, def) = setup();
         store.load(&def, vec![ids(90)], &rec(3)).unwrap();
-        store.scan_node("t", NodeId(0), &rec(3), false).unwrap();
+        scan(&store, "t", NodeId(0), &rec(3));
         store.drop_table("t");
         assert!(store.block_cache().is_empty(), "drop must purge the cache");
 
         // Re-create under the same name: container paths repeat from
         // c000000, so only the crc tag tells old from new.
         store.load(&def, vec![ids(30)], &rec(3)).unwrap();
-        let batches = store.scan_node("t", NodeId(0), &rec(3), false).unwrap();
+        let batches = scan(&store, "t", NodeId(0), &rec(3));
         let total: usize = batches.iter().map(|b| b.num_rows()).sum();
         assert_eq!(total, 10);
     }
@@ -695,9 +691,7 @@ mod tests {
             store.load(&def, vec![ids(300)], &r).unwrap();
         }
         let node = NodeId(1);
-        let full: usize = store
-            .scan_node("t", node, &r, false)
-            .unwrap()
+        let full: usize = scan(&store, "t", node, &r)
             .iter()
             .map(|b| b.num_rows())
             .sum();

@@ -147,16 +147,11 @@ impl ResourceManager {
     /// container is granted or the state is untouched.
     pub fn allocate(&self, app_id: AppId, req: &ResourceRequest) -> Result<Vec<Container>> {
         vdr_obs::counter("yarn.container.requested", req.count as u64);
-        let outcome = self.try_allocate(app_id, req);
-        match &outcome {
-            Ok(granted) => {
-                for c in granted {
-                    vdr_obs::counter_on("yarn.container.granted", c.node.0, 1);
-                }
-            }
-            Err(_) => vdr_obs::counter("yarn.container.denied", req.count as u64),
+        let granted = self.try_allocate(app_id, req)?;
+        for c in &granted {
+            vdr_obs::counter_on("yarn.container.granted", c.node.0, 1);
         }
-        outcome
+        Ok(granted)
     }
 
     fn try_allocate(&self, app_id: AppId, req: &ResourceRequest) -> Result<Vec<Container>> {

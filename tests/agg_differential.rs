@@ -1,16 +1,27 @@
-//! Differential oracle for aggregation: the engine's answer to a GROUP BY
-//! must equal a row-at-a-time reference over `Vec<Vec<Value>>` — no
-//! segmentation, no encoding, no exchange — whatever the node count, the
-//! segmentation, and the database's two `ExecOptions`. Plus the regressions that
-//! came with the columnar aggregator: Int64 compared as integers, and
-//! aggregate output dtypes that come from the plan, not from the data.
+//! Differential oracle for aggregation: the engine's answer must equal a
+//! row-at-a-time reference over `Vec<Vec<Value>>` — no segmentation, no
+//! encoding, no exchange — whatever the node count, the segmentation, and the
+//! physical path the statement's shape selects (encoded or decoded scan,
+//! dictionary GROUP BY, shuffled or initiator merge, each JOIN strategy).
+//! Plus the regressions that came with the columnar aggregator: Int64
+//! compared as integers, aggregate output dtypes that come from the plan, not
+//! from the data, and an `ORDER BY` that is a total order with NaN present.
 
 use proptest::prelude::*;
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use vertica_dr::cluster::SimCluster;
 use vertica_dr::columnar::{Batch, DataType, Schema, Value};
-use vertica_dr::verticadb::{ExecOptions, Segmentation, TableDef, VerticaDb};
+use vertica_dr::obs::MetricsSnapshot;
+use vertica_dr::verticadb::{Segmentation, TableDef, VerticaDb};
+
+/// The metrics registry is process-global and the path census below reads
+/// counter deltas per statement, so the tests of this file run one at a time.
+fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 // ------------------------------------------------------------- reference
 
@@ -119,6 +130,8 @@ fn reference(rows: &[Vec<Value>], keys: &[usize], aggs: &[(Func, usize)]) -> Vec
 
 // ----------------------------------------------------------------- tables
 
+type Cols = [(&'static str, DataType)];
+
 const COLS: [(&str, DataType); 6] = [
     ("id", DataType::Int64),
     ("i", DataType::Int64),
@@ -133,6 +146,8 @@ const F: usize = 2;
 const B: usize = 3;
 const S: usize = 4;
 const X: usize = 5;
+
+const D_COLS: [(&str, DataType); 2] = [("i", DataType::Int64), ("w", DataType::Float64)];
 
 /// Index 0 of every pool is NULL.
 fn pooled(row: usize, (i, f, b, s, x): (usize, usize, usize, usize, usize)) -> Vec<Value> {
@@ -155,47 +170,133 @@ fn row_strategy() -> impl Strategy<Value = (usize, usize, usize, usize, usize)> 
     (0..8usize, 0..7usize, 0..3usize, 0..6usize, 0..9usize)
 }
 
-fn load(nodes: usize, seg: &Segmentation, t: &[Vec<Value>], d: &[Vec<Value>]) -> Arc<VerticaDb> {
-    let db = VerticaDb::new(SimCluster::for_tests(nodes));
-    let t_schema = Schema::of(&COLS);
-    let d_schema = Schema::of(&[("i", DataType::Int64), ("w", DataType::Float64)]);
-    for (name, schema, rows) in [("t", t_schema, t), ("d", d_schema, d)] {
-        let segmentation = if name == "t" {
-            seg.clone()
-        } else {
-            Segmentation::RoundRobin
-        };
-        db.create_table(TableDef {
-            name: name.into(),
-            schema: schema.clone(),
-            segmentation,
-        })
-        .unwrap();
-        // Two batches: every node folds more than one container.
-        let (a, b) = rows.split_at(rows.len() / 2);
-        let batches = [a, b].map(|half| Batch::from_rows(schema.clone(), half).unwrap());
-        db.copy(name, batches).unwrap();
-    }
-    db
+fn d_row((i, w): (usize, usize)) -> Vec<Value> {
+    let row = pooled(0, (i, 0, 0, 0, w));
+    vec![row[I].clone(), row[X].clone()]
+}
+
+/// Round-robin, hash on `on`, hash on `off`: the three segmentations every
+/// table of the matrix is loaded under.
+fn segmentations(on: &str, off: &str) -> [Segmentation; 3] {
+    let hash = |c: &str| Segmentation::Hash { column: c.into() };
+    [Segmentation::RoundRobin, hash(on), hash(off)]
+}
+
+fn load(db: &VerticaDb, name: &str, cols: &Cols, seg: &Segmentation, rows: &[Vec<Value>]) {
+    let schema = Schema::of(cols);
+    db.create_table(TableDef {
+        name: name.into(),
+        schema: schema.clone(),
+        segmentation: seg.clone(),
+    })
+    .unwrap();
+    // Two batches: every node folds more than one container.
+    let (a, b) = rows.split_at(rows.len() / 2);
+    let batches = [a, b].map(|half| Batch::from_rows(schema.clone(), half).unwrap());
+    db.copy(name, batches).unwrap();
 }
 
 fn rows_of(b: &Batch) -> Vec<Vec<Value>> {
     (0..b.num_rows()).map(|r| b.row(r)).collect()
 }
 
-fn assert_same_rows(mut got: Vec<Vec<Value>>, want: &[Vec<Value>], nkeys: usize, what: &str) {
-    // Under the shuffle the engine emits one key-ordered slice per node.
-    got.sort_by(|a, b| order_rows(&a[..nkeys], &b[..nkeys]));
-    let equal = got.len() == want.len()
-        && got
-            .iter()
-            .zip(want)
-            .all(|(g, w)| g.len() == w.len() && g.iter().zip(w).all(|(a, b)| same(a, b)));
-    assert!(equal, "{what}\n   got {got:?}\n  want {want:?}");
+// ------------------------------------------------------------- statements
+
+/// A WHERE clause and the same test on one row.
+type Pred = (&'static str, fn(&[Value]) -> bool);
+
+/// NULL as NaN: every comparison with it is false, as SQL's is not TRUE.
+fn num(v: &Value) -> f64 {
+    v.as_f64().unwrap_or(f64::NAN)
 }
 
-const AGGS: [(&str, Func, usize); 16] = [
-    ("count(*)", Func::CountStar, X),
+fn text(v: &Value) -> Option<&str> {
+    match v {
+        Value::Varchar(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// One statement and its row-at-a-time answer.
+struct Case {
+    sql: String,
+    /// Leading output columns that form the group key.
+    nkeys: usize,
+    types: Vec<DataType>,
+    want: Vec<Vec<Value>>,
+    /// The WHERE is not an And/Or tree of column-vs-literal comparisons, so
+    /// the scan must stay decoded: no `scan.encoded.*` counter may move.
+    decoded: bool,
+}
+
+type Agg = (&'static str, Func, usize);
+const COUNT: Agg = ("count(*)", Func::CountStar, 0);
+
+/// `SELECT keys.., aggs.. FROM name [WHERE pred] [GROUP BY keys] tail`.
+fn agg_case(
+    (name, cols, rows): (&str, &Cols, &[Vec<Value>]),
+    pred: Option<Pred>,
+    keys: &[usize],
+    aggs: &[Agg],
+    tail: &str,
+) -> Case {
+    let key_names: Vec<&str> = keys.iter().map(|&k| cols[k].0).collect();
+    let items: Vec<&str> = key_names
+        .iter()
+        .copied()
+        .chain(aggs.iter().map(|a| a.0))
+        .collect();
+    let mut sql = format!("SELECT {} FROM {name}", items.join(", "));
+    if let Some((where_sql, _)) = pred {
+        sql += &format!(" WHERE {where_sql}");
+    }
+    if !keys.is_empty() {
+        sql += &format!(" GROUP BY {}", key_names.join(", "));
+    }
+    let agg_types = aggs.iter().map(|&(_, func, col)| match func {
+        Func::CountStar | Func::Count | Func::CountDistinct => DataType::Int64,
+        Func::Sum | Func::Avg => DataType::Float64,
+        Func::Min | Func::Max => cols[col].1,
+    });
+    let kept: Vec<Vec<Value>> = rows
+        .iter()
+        .filter(|r| pred.is_none_or(|(_, keep)| keep(r)))
+        .cloned()
+        .collect();
+    let funcs: Vec<(Func, usize)> = aggs.iter().map(|&(_, f, c)| (f, c)).collect();
+    Case {
+        sql: sql + tail,
+        nkeys: keys.len(),
+        types: keys.iter().map(|&k| cols[k].1).chain(agg_types).collect(),
+        want: reference(&kept, keys, &funcs),
+        decoded: false,
+    }
+}
+
+/// Run `case` on `db` and hold dtypes and rows to the reference. Returns the
+/// statement's metric delta.
+fn check(db: &VerticaDb, case: &Case, ctx: &str) -> MetricsSnapshot {
+    let metrics = vertica_dr::obs::global().metrics();
+    let before = metrics.snapshot();
+    let out = db.query(&case.sql).unwrap().batch;
+    let delta = metrics.snapshot().diff(&before);
+    let what = format!("{} on {ctx}", case.sql);
+    let got_types: Vec<DataType> = out.schema().fields().iter().map(|f| f.dtype).collect();
+    assert_eq!(got_types, case.types, "{what}");
+    // Under the shuffle the engine emits one key-ordered slice per node.
+    let mut got = rows_of(&out);
+    got.sort_by(|a, b| order_rows(&a[..case.nkeys], &b[..case.nkeys]));
+    let equal = got.len() == case.want.len()
+        && got
+            .iter()
+            .zip(&case.want)
+            .all(|(g, w)| g.len() == w.len() && g.iter().zip(w).all(|(a, b)| same(a, b)));
+    assert!(equal, "{what}\n   got {got:?}\n  want {:?}", case.want);
+    delta
+}
+
+const AGGS: [Agg; 16] = [
+    COUNT,
     ("count(x)", Func::Count, X),
     ("sum(x)", Func::Sum, X),
     ("avg(x)", Func::Avg, X),
@@ -213,6 +314,81 @@ const AGGS: [(&str, Func, usize); 16] = [
     ("count(DISTINCT f)", Func::CountDistinct, F),
 ];
 
+/// Every statement shape over `t`: {no WHERE, encodable WHERE, two
+/// non-encodable WHEREs} × {global, each single key — `s` is the dictionary
+/// one, `i` the segmentation one — and two key pairs}.
+fn t_cases(t: &[Vec<Value>]) -> Vec<Case> {
+    let preds: [(Option<Pred>, bool); 4] = [
+        (None, false),
+        (
+            Some(("s <> 'b' AND x >= 1", |r| {
+                text(&r[S]).is_some_and(|s| s != "b") && num(&r[X]) >= 1.0
+            })),
+            false,
+        ),
+        // Arithmetic and LIKE need decoded values.
+        (Some(("x + 1 > 2", |r| num(&r[X]) + 1.0 > 2.0)), true),
+        (
+            Some(("s LIKE 'a%'", |r| {
+                text(&r[S]).is_some_and(|s| s.starts_with('a'))
+            })),
+            true,
+        ),
+    ];
+    let key_sets: [&[usize]; 7] = [&[], &[I], &[F], &[B], &[S], &[I, S], &[F, B]];
+    let mut cases = Vec::new();
+    for (pred, decoded) in preds {
+        for keys in key_sets {
+            let case = agg_case(("t", &COLS, t), pred, keys, &AGGS, "");
+            cases.push(Case { decoded, ..case });
+        }
+    }
+    cases
+}
+
+/// The JOIN feeding a global aggregate, by nested loops.
+fn join_case(t: &[Vec<Value>], d: &[Vec<Value>]) -> Case {
+    const JOINED: [(&str, DataType); 3] = [
+        ("t.x", DataType::Float64),
+        ("d.w", DataType::Float64),
+        ("t.s", DataType::Varchar),
+    ];
+    let mut joined = Vec::new();
+    for l in t {
+        for r in d.iter().filter(|r| !l[I].is_null() && same(&l[I], &r[0])) {
+            joined.push(vec![l[X].clone(), r[1].clone(), l[S].clone()]);
+        }
+    }
+    let aggs = [
+        COUNT,
+        ("sum(t.x)", Func::Sum, 0),
+        ("sum(d.w)", Func::Sum, 1),
+        ("min(d.w)", Func::Min, 1),
+        ("count(DISTINCT t.s)", Func::CountDistinct, 2),
+    ];
+    agg_case(
+        ("t JOIN d ON t.i = d.i", &JOINED, &joined),
+        None,
+        &[],
+        &aggs,
+        "",
+    )
+}
+
+/// `t` (hash on `i` is on the GROUP BY and JOIN key, hash on `id` off it)
+/// and the round-robin `d`, on `nodes` nodes.
+fn load_t_d(
+    nodes: usize,
+    seg: &Segmentation,
+    t: &[Vec<Value>],
+    d: &[Vec<Value>],
+) -> Arc<VerticaDb> {
+    let db = VerticaDb::new(SimCluster::for_tests(nodes));
+    load(&db, "t", &COLS, seg, t);
+    load(&db, "d", &D_COLS, &Segmentation::RoundRobin, d);
+    db
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -221,74 +397,194 @@ proptest! {
         t in prop::collection::vec(row_strategy(), 0..48),
         d in prop::collection::vec((0..8usize, 0..9usize), 0..12),
     ) {
+        let _guard = metrics_lock();
         let t: Vec<Vec<Value>> = t.into_iter().enumerate().map(|(r, p)| pooled(r, p)).collect();
-        let d: Vec<Vec<Value>> = d
-            .into_iter()
-            .map(|(i, w)| {
-                let row = pooled(0, (i, 0, 0, 0, w));
-                vec![row[I].clone(), row[X].clone()]
-            })
-            .collect();
-        let aggs: Vec<(Func, usize)> = AGGS.iter().map(|&(_, f, c)| (f, c)).collect();
-        let agg_sql = AGGS.map(|(sql, ..)| sql).join(", ");
-        let mut agg_types = Vec::new();
-        for (_, func, col) in AGGS {
-            agg_types.push(match func {
-                Func::CountStar | Func::Count | Func::CountDistinct => DataType::Int64,
-                Func::Sum | Func::Avg => DataType::Float64,
-                Func::Min | Func::Max => COLS[col].1,
-            });
-        }
-        let key_sets: [&[usize]; 7] = [&[], &[I], &[F], &[B], &[S], &[I, S], &[F, B]];
-        // The JOIN feeding a global aggregate, by nested loops.
-        let mut joined = Vec::new();
-        for l in &t {
-            for r in d.iter().filter(|r| !l[I].is_null() && same(&l[I], &r[0])) {
-                joined.push(vec![l[X].clone(), r[1].clone(), l[S].clone()]);
-            }
-        }
-        let join_aggs = [
-            (Func::CountStar, 0), (Func::Sum, 0), (Func::Sum, 1), (Func::Min, 1), (Func::CountDistinct, 2),
-        ];
-        let join_want = reference(&joined, &[], &join_aggs);
-        let join_sql = "SELECT count(*), sum(t.x), sum(d.w), min(d.w), count(DISTINCT t.s) \
-                        FROM t JOIN d ON t.i = d.i";
-
-        let on_key = Segmentation::Hash { column: "i".into() };
-        let off_key = Segmentation::Hash { column: "id".into() };
+        let d: Vec<Vec<Value>> = d.into_iter().map(d_row).collect();
+        let mut cases = t_cases(&t);
+        cases.push(join_case(&t, &d));
         for nodes in [1, 3, 5] {
-            for seg in [&Segmentation::RoundRobin, &on_key, &off_key] {
-                let db = load(nodes, seg, &t, &d);
-                for (compressed, shuffle) in [(true, true), (true, false), (false, true), (false, false)] {
-                    db.set_exec_options(ExecOptions {
-                        compressed_execution: compressed,
-                        group_by_shuffle: shuffle,
-                    });
-                    let what = |sql: &str| format!(
-                        "{sql} on {nodes} nodes, {seg:?}, compressed {compressed}, shuffle {shuffle}"
-                    );
-                    for keys in key_sets {
-                        let names: Vec<&str> = keys.iter().map(|&k| COLS[k].0).collect();
-                        let sql = if keys.is_empty() {
-                            format!("SELECT {agg_sql} FROM t")
-                        } else {
-                            let names = names.join(", ");
-                            format!("SELECT {names}, {agg_sql} FROM t GROUP BY {names}")
-                        };
-                        let out = db.query(&sql).unwrap().batch;
-                        let got_types: Vec<DataType> =
-                            out.schema().fields().iter().map(|f| f.dtype).collect();
-                        let want_types: Vec<DataType> =
-                            keys.iter().map(|&k| COLS[k].1).chain(agg_types.iter().copied()).collect();
-                        assert_eq!(got_types, want_types, "{}", what(&sql));
-                        assert_same_rows(rows_of(&out), &reference(&t, keys, &aggs), keys.len(), &what(&sql));
-                    }
-                    let out = db.query(join_sql).unwrap().batch;
-                    assert_same_rows(rows_of(&out), &join_want, 0, &what(join_sql));
+            for seg in segmentations("i", "id") {
+                let db = load_t_d(nodes, &seg, &t, &d);
+                let ctx = format!("{nodes} nodes, {seg:?}");
+                for case in &cases {
+                    check(&db, case, &ctx);
                 }
             }
         }
     }
+}
+
+// ------------------------------------------------------------ path census
+
+/// `lc(id, grp, x, tag)`: `grp` is sorted and low-cardinality so its blocks
+/// pick RLE, `tag` has 3 values so it picks Dictionary, both carry NULLs.
+/// `st(s, x)`: `s` is sorted in 64 runs, so RLE predicates binary-search.
+const LC_COLS: [(&str, DataType); 4] = [
+    ("id", DataType::Int64),
+    ("grp", DataType::Int64),
+    ("x", DataType::Float64),
+    ("tag", DataType::Varchar),
+];
+const ST_COLS: [(&str, DataType); 2] = [("s", DataType::Int64), ("x", DataType::Float64)];
+const GRP: usize = 1;
+const TAG: usize = 3;
+
+fn lc_rows() -> Vec<Vec<Value>> {
+    let unless = |null: bool, v: Value| if null { Value::Null } else { v };
+    let row = |i: i64| {
+        let tag = Value::Varchar(["a", "b", "c"][(i % 3) as usize].into());
+        let x = Value::Float64((i % 7) as f64 + 0.5);
+        vec![
+            Value::Int64(i),
+            unless(i % 97 == 0, Value::Int64(i / 200)),
+            x,
+            unless(i % 89 == 0, tag),
+        ]
+    };
+    (0..600).map(row).collect()
+}
+
+fn st_rows() -> Vec<Vec<Value>> {
+    let row = |i: i64| vec![Value::Int64(i / 60), Value::Float64((i % 9) as f64 + 0.25)];
+    (0..3840).map(row).collect()
+}
+
+/// Encodable predicates over RLE and dictionary columns: And/Or trees,
+/// either operand order, NULL-heavy columns, dictionary and non-dictionary
+/// GROUP BY keys, sorted runs, a late-materialized projection.
+fn encoded_cases(lc: &[Vec<Value>], st: &[Vec<Value>]) -> Vec<Case> {
+    let lc_t = ("lc", &LC_COLS as &Cols, lc);
+    let st_t = ("st", &ST_COLS as &Cols, st);
+    let tag_aggs = [
+        ("count(*) AS n", Func::CountStar, 0),
+        ("avg(x)", Func::Avg, 2),
+        ("min(id)", Func::Min, 0),
+        ("max(id)", Func::Max, 0),
+    ];
+    let preds: [Pred; 8] = [
+        ("grp >= 1 AND tag = 'b'", |r| {
+            num(&r[GRP]) >= 1.0 && text(&r[TAG]) == Some("b")
+        }),
+        ("2 <= grp OR tag <> 'a'", |r| {
+            2.0 <= num(&r[GRP]) || text(&r[TAG]).is_some_and(|t| t != "a")
+        }),
+        ("id < 500", |r| num(&r[0]) < 500.0),
+        ("grp <= 2", |r| num(&r[GRP]) <= 2.0),
+        ("tag = 'c'", |r| text(&r[TAG]) == Some("c")),
+        ("s < 20", |r| num(&r[0]) < 20.0),
+        ("s >= 48", |r| num(&r[0]) >= 48.0),
+        ("s = 7", |r| num(&r[0]) == 7.0),
+    ];
+    let [and, or, id, grp, tag, lt, ge, eq] = preds.map(Some);
+    vec![
+        agg_case(lc_t, and, &[], &[COUNT, ("sum(x)", Func::Sum, 2)], ""),
+        agg_case(lc_t, or, &[], &[COUNT], ""),
+        agg_case(lc_t, None, &[TAG], &tag_aggs, " ORDER BY tag"),
+        agg_case(
+            lc_t,
+            id,
+            &[TAG],
+            &[("count(DISTINCT grp)", Func::CountDistinct, GRP)],
+            " ORDER BY tag",
+        ),
+        agg_case(lc_t, grp, &[], &[COUNT], ""),
+        agg_case(lc_t, tag, &[GRP], &[COUNT], " ORDER BY grp"),
+        agg_case(st_t, lt, &[], &[COUNT], ""),
+        agg_case(st_t, ge, &[], &[COUNT, ("sum(x)", Func::Sum, 1)], ""),
+        agg_case(st_t, eq, &[0], &[COUNT], ""),
+        // Not an aggregate: rows come back in `id` order.
+        Case {
+            sql: "SELECT id, x FROM lc WHERE grp = 1 ORDER BY id".into(),
+            nkeys: 0,
+            types: vec![DataType::Int64, DataType::Float64],
+            want: lc
+                .iter()
+                .filter(|r| num(&r[GRP]) == 1.0)
+                .map(|r| vec![r[0].clone(), r[2].clone()])
+                .collect(),
+            decoded: false,
+        },
+    ]
+}
+
+/// Every physical path the executor can select is selected by some statement
+/// of the matrix — read off each statement's metric delta — and every answer
+/// equals the reference.
+#[test]
+fn every_physical_path_runs_and_matches_the_reference() {
+    let _guard = metrics_lock();
+    // Containers of 36+ rows, so the five strings of `s` pick Dictionary.
+    let t: Vec<Vec<Value>> = (0..360)
+        .map(|r| pooled(r, (r % 8, r % 7, r % 3, r % 6, r % 9)))
+        .collect();
+    // 100 rows against t's 360: broadcast on 3 nodes (300 ≤ 460 shipped
+    // rows), shuffle both sides on 5 (500 > 460).
+    let d: Vec<Vec<Value>> = (0..100).map(|r| d_row((r % 8, r % 9))).collect();
+    let (lc, st) = (lc_rows(), st_rows());
+    let mut cases = t_cases(&t);
+    cases.extend(encoded_cases(&lc, &st));
+    let join = join_case(&t, &d);
+
+    let mut seen = BTreeSet::new();
+    for nodes in [1usize, 3, 5] {
+        let segs = segmentations("i", "id")
+            .into_iter()
+            .zip(segmentations("tag", "id"))
+            .zip(segmentations("s", "x"));
+        for ((t_seg, lc_seg), st_seg) in segs {
+            let db = load_t_d(nodes, &t_seg, &t, &d);
+            load(&db, "lc", &LC_COLS, &lc_seg, &lc);
+            load(&db, "st", &ST_COLS, &st_seg, &st);
+            let ctx = format!("{nodes} nodes, t {t_seg:?}, lc {lc_seg:?}, st {st_seg:?}");
+            for case in &cases {
+                let delta = check(&db, case, &ctx);
+                let count = |name: &str| delta.counter_total(name);
+                let codes = count("scan.encoded.codes_tested");
+                let late = count("scan.encoded.late_materialized_rows");
+                let encoded = codes + late + count("scan.encoded.runs_skipped");
+                assert!(count("exec.scan.rows") > 0, "{} on {ctx}", case.sql);
+                if case.decoded {
+                    assert_eq!(encoded, 0, "{} on {ctx}", case.sql);
+                    seen.insert("decoded scan");
+                } else if encoded > 0 {
+                    seen.insert("encoded scan");
+                }
+                // A single dictionary key takes its group ids from the
+                // codes the predicate tested: nothing late-materializes.
+                if case.nkeys == 1 && codes > 0 && late == 0 {
+                    seen.insert("dictionary GROUP BY");
+                }
+                if count("exec.groupby.shuffled") > 0 {
+                    assert!(count("exchange.rows") > 0, "{} on {ctx}", case.sql);
+                    seen.insert("shuffled merge");
+                } else if case.nkeys > 0 && nodes > 1 {
+                    seen.insert("initiator merge");
+                }
+            }
+            // `exchange.rows` counts what every node received, its own
+            // partition included.
+            let shipped = check(&db, &join, &ctx).counter_total("exchange.rows") as usize;
+            seen.insert(match shipped {
+                0 => "co-located JOIN",
+                n if n == d.len() => "shuffle-right JOIN",
+                n if n == d.len() * nodes => "broadcast JOIN",
+                n if n == t.len() + d.len() => "shuffle-both JOIN",
+                n => panic!("JOIN shipped {n} rows on {ctx}"),
+            });
+        }
+    }
+    let all = [
+        "encoded scan",
+        "decoded scan",
+        "dictionary GROUP BY",
+        "shuffled merge",
+        "initiator merge",
+        "co-located JOIN",
+        "shuffle-right JOIN",
+        "broadcast JOIN",
+        "shuffle-both JOIN",
+    ];
+    assert_eq!(seen, BTreeSet::from(all));
 }
 
 // ------------------------------------------------------------ regressions
@@ -296,6 +592,7 @@ proptest! {
 /// Integers at or above 2^53 tie when compared through `f64`.
 #[test]
 fn int64_min_max_and_order_by_compare_as_integers() {
+    let _guard = metrics_lock();
     let db = VerticaDb::new(SimCluster::for_tests(1));
     db.query("CREATE TABLE big (id INTEGER)").unwrap();
     let (lo, hi) = (1i64 << 53, (1i64 << 53) + 1);
@@ -316,25 +613,25 @@ fn int64_min_max_and_order_by_compare_as_integers() {
 }
 
 /// Output dtypes come from the plan: no group, an all-NULL argument, or the
-/// NULL key alone on a node must not turn a column into `Float64`.
+/// NULL key alone on a node must not turn a column into `Float64` — under the
+/// shuffled merge (round-robin) and the initiator merge (hash on the key).
 #[test]
 fn aggregate_output_dtypes_do_not_depend_on_the_data() {
+    let _guard = metrics_lock();
     let dtypes =
         |b: &Batch| -> Vec<DataType> { b.schema().fields().iter().map(|f| f.dtype).collect() };
     for nodes in [1, 3, 5] {
-        for shuffle in [true, false] {
+        for seg in ["", " SEGMENTED BY HASH(s)"] {
             let db = VerticaDb::new(SimCluster::for_tests(nodes));
-            db.set_exec_options(ExecOptions {
-                group_by_shuffle: shuffle,
-                ..ExecOptions::default()
-            });
-            db.query("CREATE TABLE t (id INTEGER, s VARCHAR, n INTEGER)")
-                .unwrap();
+            db.query(&format!(
+                "CREATE TABLE t (id INTEGER, s VARCHAR, n INTEGER){seg}"
+            ))
+            .unwrap();
             // `n` is all NULL; the NULL `s` key has one row, so it sits
             // alone on whichever node it lands on.
             db.query("INSERT INTO t VALUES (1, 'a', NULL), (2, 'a', NULL), (3, 'b', NULL), (4, NULL, NULL)")
                 .unwrap();
-            let what = format!("{nodes} nodes, shuffle {shuffle}");
+            let what = format!("{nodes} nodes{seg}");
 
             // Empty input: no row passes the filter.
             let out = db
@@ -379,6 +676,7 @@ fn aggregate_output_dtypes_do_not_depend_on_the_data() {
 /// on one schema (found by the oracle above; an exchange error before).
 #[test]
 fn join_after_a_wider_scan_ships_one_schema() {
+    let _guard = metrics_lock();
     let db = VerticaDb::new(SimCluster::for_tests(5));
     db.query("CREATE TABLE t (i INTEGER, f FLOAT, x FLOAT)")
         .unwrap();
@@ -392,4 +690,35 @@ fn join_after_a_wider_scan_ships_one_schema() {
         .unwrap()
         .batch;
     assert_eq!(out.row(0), vec![Value::Int64(1), Value::Float64(2.0)]);
+}
+
+/// `ORDER BY` over floats is the IEEE total order GROUP BY output and
+/// MIN/MAX use, NULL last in both directions: with NaN compared as "equal to
+/// everything" the sort was not a total order and left the rows as loaded.
+#[test]
+fn order_by_is_a_total_order_with_nan() {
+    let _guard = metrics_lock();
+    let db = VerticaDb::new(SimCluster::for_tests(1));
+    let cols = [("v", DataType::Float64)];
+    let loaded = [3.0, f64::NAN, 1.0, -f64::NAN, 2.0].map(Value::Float64);
+    let mut rows: Vec<Vec<Value>> = loaded.into_iter().map(|v| vec![v]).collect();
+    rows.insert(2, vec![Value::Null]);
+    load(&db, "t", &cols, &Segmentation::RoundRobin, &rows);
+    let asc = [-f64::NAN, 1.0, 2.0, 3.0, f64::NAN];
+    let mut desc = asc;
+    desc.reverse();
+    for (order, floats) in [("ASC", asc), ("DESC", desc)] {
+        let sql = format!("SELECT v FROM t ORDER BY v {order}");
+        let want: Vec<Value> = floats
+            .into_iter()
+            .map(Value::Float64)
+            .chain([Value::Null])
+            .collect();
+        let got = db.query(&sql).unwrap().batch;
+        let got: Vec<Value> = rows_of(&got).into_iter().flatten().collect();
+        assert!(
+            got.len() == want.len() && got.iter().zip(&want).all(|(g, w)| same(g, w)),
+            "{sql}: got {got:?}, want {want:?}"
+        );
+    }
 }

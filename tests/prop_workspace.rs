@@ -1,6 +1,6 @@
 //! Cross-crate property tests: model codec round-trips for arbitrary
-//! models, transfer exactly-once under arbitrary shapes and policies, SQL
-//! robustness, and PageRank invariants.
+//! models, transfer exactly-once under arbitrary shapes and policies, and
+//! SQL robustness.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -214,29 +214,6 @@ proptest! {
         let total: f64 = sums.iter().sum();
         prop_assert_eq!(total, (rows as f64 - 1.0) * rows as f64 / 2.0);
         let _ = Arc::strong_count(&db);
-    }
-}
-
-// ------------------------------------------------------ pagerank invariant
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn pagerank_mass_is_conserved_on_random_graphs(
-        edges in prop::collection::vec((0usize..12, 0usize..12), 1..60),
-        damping in 0.05f64..0.95,
-    ) {
-        use vertica_dr::ml::pagerank::{serial_pagerank, PageRankOptions};
-        let opts = PageRankOptions {
-            damping,
-            max_iterations: 200,
-            tolerance: 1e-12,
-        };
-        let result = serial_pagerank(&edges, 12, &opts).unwrap();
-        let total: f64 = result.ranks.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-6, "mass {total}");
-        prop_assert!(result.ranks.iter().all(|r| *r > 0.0));
     }
 }
 
