@@ -326,6 +326,7 @@ mod tests {
 
     #[test]
     fn ticks_sample_per_node_rings_with_sliced_deltas() {
+        let _lock = crate::tests::verbosity_lock();
         let _v = crate::verbosity_guard(crate::Verbosity::Summary);
         let dc = DataCollector::new();
         let t1 = dc.tick(ctx(7, 2));
@@ -352,6 +353,7 @@ mod tests {
 
     #[test]
     fn rings_evict_under_wraparound_and_count() {
+        let _lock = crate::tests::verbosity_lock();
         let _v = crate::verbosity_guard(crate::Verbosity::Summary);
         let before = crate::global().metrics().snapshot();
         let dc = DataCollector::new();
@@ -378,6 +380,7 @@ mod tests {
 
     #[test]
     fn shrinking_capacity_trims_immediately() {
+        let _lock = crate::tests::verbosity_lock();
         let _v = crate::verbosity_guard(crate::Verbosity::Summary);
         let dc = DataCollector::new();
         for i in 1..=6 {
@@ -393,6 +396,7 @@ mod tests {
 
     #[test]
     fn off_verbosity_ticks_are_skipped() {
+        let _lock = crate::tests::verbosity_lock();
         let dc = DataCollector::new();
         {
             let _v = crate::verbosity_guard(crate::Verbosity::Off);
@@ -407,6 +411,7 @@ mod tests {
 
     #[test]
     fn rollups_extract_rolling_percentiles() {
+        let _lock = crate::tests::verbosity_lock();
         let _v = crate::verbosity_guard(crate::Verbosity::Summary);
         let dc = DataCollector::new();
         let reg = crate::MetricsRegistry::new();

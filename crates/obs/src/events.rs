@@ -118,6 +118,7 @@ mod tests {
 
     #[test]
     fn events_carry_scope_attribution() {
+        let _lock = crate::tests::verbosity_lock();
         let log = EventLog::new();
         let qid = crate::query::next_query_id();
         {
@@ -139,6 +140,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
+        let _lock = crate::tests::verbosity_lock();
         let log = EventLog::new();
         for i in 0..EVENT_LOG_CAPACITY + 10 {
             log.record("e", None, format!("i={i}"));
@@ -152,6 +154,7 @@ mod tests {
 
     #[test]
     fn watermark_scopes_events() {
+        let _lock = crate::tests::verbosity_lock();
         let log = EventLog::new();
         log.record("before", None, "");
         let seq = log.current_seq();

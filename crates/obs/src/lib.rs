@@ -315,6 +315,14 @@ pub fn event_on(kind: &str, node: usize, detail: impl Into<String>) {
 mod tests {
     use super::*;
 
+    /// The verbosity override is process-global and every recording gate
+    /// reads it: a unit test that sets it, or that asserts on what was
+    /// recorded, holds this lock so no other test flips it mid-test.
+    pub(crate) fn verbosity_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn verbosity_parses_all_documented_values() {
         assert_eq!(Verbosity::parse("off"), Verbosity::Off);
@@ -328,6 +336,7 @@ mod tests {
 
     #[test]
     fn global_helpers_record() {
+        let _lock = crate::tests::verbosity_lock();
         let before = global().metrics().snapshot();
         counter("lib.test.counter", 2);
         counter_on("lib.test.counter", 1, 3);
@@ -343,6 +352,7 @@ mod tests {
 
     #[test]
     fn span_helpers_nest_through_the_global_sink() {
+        let _lock = crate::tests::verbosity_lock();
         let seq = global().trace().current_seq();
         {
             let outer = span("lib.test.outer");

@@ -611,6 +611,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_per_node() {
+        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         r.counter("rows", Some(0), 10);
         r.counter("rows", Some(1), 20);
@@ -623,6 +624,7 @@ mod tests {
 
     #[test]
     fn gauges_keep_last_level() {
+        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         r.gauge("depth", None, 3.0);
         r.gauge("depth", None, 1.0);
@@ -634,6 +636,7 @@ mod tests {
 
     #[test]
     fn histograms_track_distribution() {
+        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         for v in [0.5, 1.5, 3.0, 3.5, 100.0] {
             r.observe("lat", Some(2), v);
@@ -654,6 +657,7 @@ mod tests {
 
     #[test]
     fn percentiles_from_buckets_are_tight() {
+        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         // 100 samples: 1..=98 plus two large outliers.
         for v in 1..=98 {
@@ -678,6 +682,7 @@ mod tests {
 
     #[test]
     fn diff_isolates_a_window() {
+        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         r.counter("c", None, 7);
         r.observe("h", None, 2.0);
@@ -772,6 +777,7 @@ mod tests {
 
     #[test]
     fn snapshots_serialize_to_json() {
+        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         r.counter("vft.bytes", Some(0), 1024);
         r.observe("exec.rows", None, 10.0);
@@ -804,6 +810,7 @@ mod tests {
 
     #[test]
     fn cross_node_histogram_merge_with_disjoint_buckets() {
+        let _lock = crate::tests::verbosity_lock();
         // Node 0 and node 1 observe latencies in completely disjoint
         // octaves; the cluster-wide percentile must be computable from the
         // merged buckets exactly as if one registry had seen all samples.
@@ -838,6 +845,7 @@ mod tests {
 
     #[test]
     fn cross_node_histogram_merge_with_empty_sides() {
+        let _lock = crate::tests::verbosity_lock();
         // MetricsSnapshot::merge where one side's node never observed the
         // histogram: the populated side must pass through unchanged, and an
         // empty-against-empty merge must stay percentile-safe (all zeros).

@@ -103,6 +103,7 @@ mod tests {
 
     #[test]
     fn renders_counters_gauges_and_summaries() {
+        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         r.counter("scan.cache.hit", Some(0), 5);
         r.counter("scan.cache.hit", Some(1), 7);
@@ -133,6 +134,7 @@ mod tests {
 
     #[test]
     fn every_line_is_comment_or_sample() {
+        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         r.counter("a.b-c", Some(3), 1);
         r.observe("lat", Some(2), 9.0);

@@ -340,6 +340,7 @@ mod tests {
 
     #[test]
     fn nesting_links_parents() {
+        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         {
             let mut a = sink.span("a");
@@ -365,6 +366,7 @@ mod tests {
 
     #[test]
     fn explicit_parent_crosses_threads() {
+        let _lock = crate::tests::verbosity_lock();
         let sink = std::sync::Arc::new(TraceSink::new());
         let root = sink.span("root");
         let root_id = root.id();
@@ -384,6 +386,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
+        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         for i in 0..(SHARDS * SHARD_CAPACITY + 100) {
             drop(sink.span(&format!("s{i}")));
@@ -393,6 +396,7 @@ mod tests {
 
     #[test]
     fn watermark_scopes_spans() {
+        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         drop(sink.span("before"));
         let seq = sink.current_seq();
@@ -404,6 +408,7 @@ mod tests {
 
     #[test]
     fn sim_time_is_attributed() {
+        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         {
             let mut s = sink.span("p");
@@ -414,6 +419,7 @@ mod tests {
 
     #[test]
     fn out_of_lifo_drop_keeps_live_spans_current() {
+        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         let outer = sink.span("outer");
         let inner = sink.span("inner");
@@ -433,6 +439,7 @@ mod tests {
 
     #[test]
     fn cross_thread_drop_does_not_corrupt_opening_stack() {
+        let _lock = crate::tests::verbosity_lock();
         let sink = std::sync::Arc::new(TraceSink::new());
         let root = sink.span("root");
         let root_id = root.id();
@@ -455,6 +462,7 @@ mod tests {
 
     #[test]
     fn unwind_through_open_spans_leaves_a_clean_stack() {
+        let _lock = crate::tests::verbosity_lock();
         let sink = std::sync::Arc::new(TraceSink::new());
         let s2 = std::sync::Arc::clone(&sink);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
@@ -469,6 +477,7 @@ mod tests {
 
     #[test]
     fn spans_inherit_node_scope_and_timestamps() {
+        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         {
             let _n = crate::query::NodeScope::enter(4);
@@ -491,6 +500,7 @@ mod tests {
 
     #[test]
     fn spans_carry_the_current_query_id() {
+        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         let qid = crate::query::next_query_id();
         {

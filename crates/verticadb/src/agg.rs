@@ -14,6 +14,7 @@
 use crate::error::{DbError, Result};
 use crate::expr::Expr;
 use crate::segmentation::row_hashes;
+use crate::sort::{self, TotalOrder};
 use crate::sql::{AggFunc, SelectItem, SelectStmt};
 use bytes::Bytes;
 use std::borrow::Cow;
@@ -47,24 +48,20 @@ macro_rules! typed_pair {
     };
 }
 
-/// What the kernels need of a column's element type.
-trait Elem: Clone + Default {
+/// What the kernels need of a column's element type; `MIN`/`MAX` compare in
+/// the ORDER BY total order ([`TotalOrder`]).
+trait Elem: TotalOrder + Clone + Default {
     /// Key and DISTINCT equality: floats by bit pattern, so NaN is one group.
     fn same(&self, other: &Self) -> bool;
-    /// A total order: integers as integers, floats in IEEE total order.
-    fn order(&self, other: &Self) -> Ordering;
     /// `SUM`'s view: integers widen, booleans are 0/1, strings add nothing.
     fn as_f64(&self) -> f64;
 }
 
 macro_rules! elem {
-    ($t:ty, $same:expr, $order:expr, $as_f64:expr) => {
+    ($t:ty, $same:expr, $as_f64:expr) => {
         impl Elem for $t {
             fn same(&self, other: &Self) -> bool {
                 $same(self, other)
-            }
-            fn order(&self, other: &Self) -> Ordering {
-                $order(self, other)
             }
             fn as_f64(&self) -> f64 {
                 $as_f64(self)
@@ -72,15 +69,14 @@ macro_rules! elem {
         }
     };
 }
-elem!(i64, |a, b| a == b, i64::cmp, |x: &i64| *x as f64);
+elem!(i64, |a, b| a == b, |x: &i64| *x as f64);
 elem!(
     f64,
     |a: &f64, b: &f64| a.to_bits() == b.to_bits(),
-    f64::total_cmp,
     |x: &f64| *x
 );
-elem!(bool, |a, b| a == b, bool::cmp, |x: &bool| *x as u8 as f64);
-elem!(String, |a, b| a == b, String::cmp, |_| 0.0);
+elem!(bool, |a, b| a == b, |x: &bool| *x as u8 as f64);
+elem!(String, |a, b| a == b, |_| 0.0);
 
 fn state_error() -> DbError {
     DbError::Exec("aggregate state does not match the plan".into())
@@ -510,32 +506,16 @@ impl GroupTable {
         Ok(ids)
     }
 
-    /// Group indices in key order: column by column, NULL last.
-    fn order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let by_col = self.keys.iter().map(|col| {
-                typed!(
-                    col,
-                    |data, validity| match (validity.get(a), validity.get(b)) {
-                        (true, true) => data[a].order(&data[b]),
-                        (a_valid, b_valid) => b_valid.cmp(&a_valid),
-                    }
-                )
-            });
-            by_col
-                .into_iter()
-                .find(|o| o.is_ne())
-                .unwrap_or(Ordering::Equal)
-        });
-        order
+    /// Group indices in key order: the ORDER BY of every key ascending.
+    fn order(&self) -> Result<Vec<usize>> {
+        sort::sorted_rows(&self.keys.iter().collect::<Vec<_>>())
     }
 }
 
 // ---------------------------------------------------------- state kernels
 
 /// `e` over `batch`, borrowing when `e` is a plain column reference.
-fn eval<'a>(e: &Expr, batch: &'a Batch) -> Result<Cow<'a, Column>> {
+pub(crate) fn eval<'a>(e: &Expr, batch: &'a Batch) -> Result<Cow<'a, Column>> {
     Ok(match e {
         Expr::Column(name) => Cow::Borrowed(batch.column_by_name(name)?),
         other => Cow::Owned(other.eval(batch)?),
@@ -870,7 +850,7 @@ impl<'p> Aggregator<'p> {
         }
         let batch = Batch::new(self.plan.out_schema.clone(), cols)?;
         Ok(if groups > 1 {
-            batch.take(&self.table.order())
+            batch.take(&self.table.order()?)
         } else {
             batch
         })

@@ -56,12 +56,30 @@
 //! order, so no answer depends on arrival order. Float `SUM` adds in row
 //! order within a node and in node order across merges (own partition
 //! first under the shuffle) — fixed orders, so a sum repeats run to run.
+//!
+//! # Ordering
+//!
+//! ORDER BY keys that point into the select list — a bare integer is a
+//! 1-based position after `*` expands, a bare name that is a select alias
+//! wins over an input column — are resolved once per statement. Without
+//! GROUP BY every node then appends one hidden column per key (the key's
+//! value) to its projected rows and the gather ships all of them; the
+//! initiator orders the per-node batches in place with the typed operator
+//! of `sort.rs` and keeps only the select items. GROUP BY output orders by
+//! its output columns through the same operator. It compares in the order
+//! the aggregator keeps its keys in, NULL last both ways; under `LIMIT` it
+//! selects the first `OFFSET + LIMIT` rows instead of sorting them all,
+//! and rows equal on every key stay in gather order. `LIMIT` is applied
+//! only at the initiator, after the gather: the ODBC baseline's `ORDER BY
+//! … LIMIT … OFFSET` range queries are modeled as a full scan plus a
+//! gather of every node's rows.
 
 use crate::agg::{self, AggPlan, Aggregator};
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
-use crate::expr::{cmp_op, compare_values, literal_num, BinOp, Expr};
+use crate::expr::{cmp_op, literal_num, BinOp, Expr};
 use crate::segmentation::hash_value;
+use crate::sort;
 use crate::sql::{Partition, SelectItem, SelectStmt, Statement};
 use crate::udx::UdxContext;
 use std::borrow::Cow;
@@ -220,7 +238,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
             Schema::of(&[("dummy", DataType::Int64)]),
             &[vec![Value::Int64(0)]],
         )?;
-        return project_batch(stmt, &one);
+        return project_batch(&*resolve_order_by(stmt, one.schema())?, &one);
     };
 
     // Per-node pipelines.
@@ -238,80 +256,74 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
         None
     };
     select_span.record("table", table);
-    let (per_node, plan, seg_aligned): (Vec<Result<NodeResult>>, Option<AggPlan>, bool) =
-        if let Some(batch) = initiator_local {
-            let plan = agg_plan(stmt, batch.schema())?;
-            let filtered = apply_where(stmt, &batch)?;
-            let nr = node_result(stmt, plan.as_ref(), &filtered);
-            (vec![nr], plan, true)
-        } else {
-            let def = db.catalog().get(table)?;
-            let plan = agg_plan(stmt, &def.schema)?;
-            // Planner: push the referenced-column set down to the scan so
-            // unused column payloads are never decoded.
-            let wanted = referenced_columns(stmt);
-            // Planner rule: run on encoded data when the statement shape allows
-            // it (see `encoded_execution_eligible`).
-            let use_encoded = encoded_execution_eligible(stmt);
-            // Scatter spawns one OS thread per node: the query scope is
-            // thread-local, so re-enter it in each worker (as span parents are
-            // passed explicitly).
-            let query_id = vdr_obs::current_query_id();
-            let per_node = db.cluster().scatter(|node| -> Result<NodeResult> {
-                let _q = vdr_obs::QueryScope::enter(query_id);
-                let _n = vdr_obs::NodeScope::enter(node.id().0);
-                let mut scan_span = vdr_obs::detail_span_with_parent("exec.scan", select_span_id);
-                scan_span.set_node(node.id().0);
-                // One accumulator per node per statement, fed container
-                // after container.
-                let mut acc = NodeAcc::new(stmt, plan.as_ref(), &def.schema)?;
-                let (rows_in, rows_out) = if use_encoded {
-                    encoded_node_pipeline(
-                        db,
-                        stmt,
-                        table,
-                        node.id(),
-                        rec,
-                        wanted.as_ref(),
-                        &mut acc,
-                    )?
-                } else {
-                    let batches = db.storage().scan_node_projected(
-                        table,
-                        node.id(),
-                        rec,
-                        false,
-                        wanted.as_ref(),
-                    )?;
-                    let (mut rows_in, mut rows_out) = (0u64, 0u64);
-                    for batch in batches {
-                        rows_in += batch.num_rows() as u64;
-                        let filtered = apply_where(stmt, &batch)?;
-                        rows_out += filtered.num_rows() as u64;
-                        acc.push(&filtered)?;
-                    }
-                    (rows_in, rows_out)
-                };
-                scan_span.record("rows_in", rows_in);
-                scan_span.record("rows_out", rows_out);
-                vdr_obs::counter_on("exec.scan.rows", node.id().0, rows_in);
-                vdr_obs::counter_on("exec.filter.rows", node.id().0, rows_out);
-                acc.finish()
-            });
-            // GROUP BY partials whose key contains the segmentation key are
-            // already node-disjoint; everything else benefits from the
-            // shuffled merge.
-            let seg_aligned = match &def.segmentation {
-                crate::segmentation::Segmentation::Hash { column } => stmt
-                    .group_by
-                    .iter()
-                    .any(|g| matches!(g, Expr::Column(c) if c.eq_ignore_ascii_case(column))),
-                _ => false,
+    let (stmt, per_node, plan, seg_aligned) = if let Some(batch) = initiator_local {
+        let stmt = resolve_order_by(stmt, batch.schema())?;
+        let plan = agg_plan(&stmt, batch.schema())?;
+        let filtered = apply_where(&stmt, &batch)?;
+        let nr = node_result(&stmt, plan.as_ref(), &filtered);
+        (stmt, vec![nr], plan, true)
+    } else {
+        let def = db.catalog().get(table)?;
+        let resolved = resolve_order_by(stmt, &def.schema)?;
+        let stmt: &SelectStmt = &resolved;
+        let plan = agg_plan(stmt, &def.schema)?;
+        // Planner: push the referenced-column set down to the scan so
+        // unused column payloads are never decoded.
+        let wanted = referenced_columns(stmt);
+        // Planner rule: run on encoded data when the statement shape allows
+        // it (see `encoded_execution_eligible`).
+        let use_encoded = encoded_execution_eligible(stmt);
+        // Scatter spawns one OS thread per node: the query scope is
+        // thread-local, so re-enter it in each worker (as span parents are
+        // passed explicitly).
+        let query_id = vdr_obs::current_query_id();
+        let per_node = db.cluster().scatter(|node| -> Result<NodeResult> {
+            let _q = vdr_obs::QueryScope::enter(query_id);
+            let _n = vdr_obs::NodeScope::enter(node.id().0);
+            let mut scan_span = vdr_obs::detail_span_with_parent("exec.scan", select_span_id);
+            scan_span.set_node(node.id().0);
+            // One accumulator per node per statement, fed container
+            // after container.
+            let mut acc = NodeAcc::new(stmt, plan.as_ref(), &def.schema)?;
+            let (rows_in, rows_out) = if use_encoded {
+                encoded_node_pipeline(db, stmt, table, node.id(), rec, wanted.as_ref(), &mut acc)?
+            } else {
+                let batches = db.storage().scan_node_projected(
+                    table,
+                    node.id(),
+                    rec,
+                    false,
+                    wanted.as_ref(),
+                )?;
+                let (mut rows_in, mut rows_out) = (0u64, 0u64);
+                for batch in batches {
+                    rows_in += batch.num_rows() as u64;
+                    let filtered = apply_where(stmt, &batch)?;
+                    rows_out += filtered.num_rows() as u64;
+                    acc.push(&filtered)?;
+                }
+                (rows_in, rows_out)
             };
-            (per_node, plan, seg_aligned)
+            scan_span.record("rows_in", rows_in);
+            scan_span.record("rows_out", rows_out);
+            vdr_obs::counter_on("exec.scan.rows", node.id().0, rows_in);
+            vdr_obs::counter_on("exec.filter.rows", node.id().0, rows_out);
+            acc.finish()
+        });
+        // GROUP BY partials whose key contains the segmentation key are
+        // already node-disjoint; everything else benefits from the
+        // shuffled merge.
+        let seg_aligned = match &def.segmentation {
+            crate::segmentation::Segmentation::Hash { column } => stmt
+                .group_by
+                .iter()
+                .any(|g| matches!(g, Expr::Column(c) if c.eq_ignore_ascii_case(column))),
+            _ => false,
         };
+        (resolved, per_node, plan, seg_aligned)
+    };
 
-    let out = gather_and_finalize(db, stmt, plan.as_ref(), rec, per_node, seg_aligned)?;
+    let out = gather_and_finalize(db, &stmt, plan.as_ref(), rec, per_node, seg_aligned)?;
     select_span.record("rows_out", out.num_rows());
     vdr_obs::counter("exec.output.rows", out.num_rows() as u64);
     Ok(out)
@@ -341,16 +353,7 @@ fn gather_and_finalize(
     let Some(plan) = plan else {
         let bytes: Vec<u64> = rows.iter().map(Batch::byte_size).collect();
         charge_gather(rec, &bytes);
-        // Append to the first node's rows in place: no second copy of them.
-        let mut rows = rows.into_iter();
-        let Some(mut gathered) = rows.next() else {
-            return Err(DbError::Exec("no nodes produced results".into()));
-        };
-        for b in rows {
-            gathered.extend(&b)?;
-        }
-        let sorted = apply_order_by_hidden(stmt, gathered)?;
-        return Ok(apply_offset_limit(stmt, sorted));
+        return order_limit_rows(stmt, rows);
     };
     // The shuffle is skipped when it cannot help: a single node, a global
     // aggregate, or a group key containing the segmentation key (already
@@ -812,22 +815,28 @@ fn node_result(stmt: &SelectStmt, plan: Option<&AggPlan>, batch: &Batch) -> Resu
     acc.finish()
 }
 
-/// ORDER BY (over aggregate output column names) plus OFFSET/LIMIT — the
-/// shared tail of the initiator-merge and shuffled local-finalization paths.
+/// ORDER BY (over aggregate output columns, read in place when a key names
+/// one) plus OFFSET/LIMIT — the shared tail of the initiator-merge and
+/// shuffled local-finalization paths.
 fn order_limit_aggregate_output(stmt: &SelectStmt, batch: Batch) -> Result<Batch> {
-    let sorted = if stmt.order_by.is_empty() {
-        batch
-    } else {
-        sort_by_exprs(
-            batch,
-            &stmt
-                .order_by
-                .iter()
-                .map(|k| (k.expr.clone(), k.desc))
-                .collect::<Vec<_>>(),
-        )?
-    };
-    Ok(apply_offset_limit(stmt, sorted))
+    if stmt.order_by.is_empty() {
+        return Ok(apply_offset_limit(stmt, batch));
+    }
+    let cols = stmt.order_by.iter().map(|k| agg::eval(&k.expr, &batch));
+    let cols = cols.collect::<Result<Vec<_>>>()?;
+    let keys = cols.iter().zip(&stmt.order_by).map(|(col, k)| sort::Key {
+        cols: vec![col.as_ref()],
+        desc: k.desc,
+    });
+    let keys: Vec<sort::Key<'_>> = keys.collect();
+    let (offset, limit) = (stmt.offset.unwrap_or(0), stmt.limit);
+    sort::sort_limit(
+        std::slice::from_ref(&batch),
+        batch.num_columns(),
+        &keys,
+        offset,
+        limit,
+    )
 }
 
 // ------------------------------------------------------------- projections
@@ -846,13 +855,13 @@ pub(crate) fn item_name(i: usize, item: &SelectItem) -> String {
     }
 }
 
-/// Expand `*` into per-column expression items against `batch`'s schema.
-fn expand_items(stmt: &SelectStmt, batch: &Batch) -> Vec<SelectItem> {
+/// Expand `*` into per-column expression items against `input`.
+fn expand_items(stmt: &SelectStmt, input: &Schema) -> Vec<SelectItem> {
     let mut out = Vec::new();
     for item in &stmt.items {
         match item {
             SelectItem::Wildcard => {
-                for f in batch.schema().fields() {
+                for f in input.fields() {
                     out.push(SelectItem::Expr {
                         expr: Expr::Column(f.name.clone()),
                         alias: None,
@@ -865,12 +874,65 @@ fn expand_items(stmt: &SelectStmt, batch: &Batch) -> Vec<SelectItem> {
     out
 }
 
-/// Hidden ORDER BY key columns use this prefix and are stripped after the
-/// final sort.
+/// The select item a bare ORDER BY column names by its alias.
+fn aliased_item(items: &[SelectItem], key: &Expr) -> Option<usize> {
+    let Expr::Column(name) = key else {
+        return None;
+    };
+    items.iter().position(|item| match item {
+        SelectItem::Expr { alias, .. } | SelectItem::Aggregate { alias, .. } => {
+            alias.as_ref().is_some_and(|a| a.eq_ignore_ascii_case(name))
+        }
+        _ => false,
+    })
+}
+
+/// Resolve the ORDER BY keys that point into the select list, once per
+/// statement: a bare integer `k` is the `k`-th item (1-based, after `*`
+/// expands against `input`), and a bare column naming a select alias is
+/// that item — the output name wins over an input column of the same name.
+/// After GROUP BY such a key becomes the item's output column; otherwise it
+/// becomes the item's expression, which the hidden sort column then holds.
+fn resolve_order_by<'a>(stmt: &'a SelectStmt, input: &Schema) -> Result<Cow<'a, SelectStmt>> {
+    let mut out = Cow::Borrowed(stmt);
+    if stmt.order_by.is_empty() {
+        return Ok(out);
+    }
+    let items = expand_items(stmt, input);
+    let aggregated = stmt.has_aggregates() || !stmt.group_by.is_empty();
+    for (n, key) in stmt.order_by.iter().enumerate() {
+        let i = match &key.expr {
+            Expr::Literal(Value::Int64(k)) => {
+                let i = usize::try_from(*k)
+                    .ok()
+                    .filter(|i| (1..=items.len()).contains(i));
+                i.ok_or_else(|| {
+                    let n = items.len();
+                    DbError::Plan(format!("ORDER BY {k}: the select list has {n} items"))
+                })? - 1
+            }
+            e => match aliased_item(&items, e) {
+                Some(i) => i,
+                None => continue,
+            },
+        };
+        let expr = match &items[i] {
+            item if aggregated => Expr::Column(item_name(i, item)),
+            SelectItem::Expr { expr, .. } => expr.clone(),
+            _ => continue,
+        };
+        out.to_mut().order_by[n].expr = expr;
+    }
+    Ok(out)
+}
+
+/// Hidden ORDER BY key columns use this prefix and follow the select items;
+/// the sort reads them by position (an alias may reuse the name) and leaves
+/// them out of the answer.
 const HIDDEN: &str = "__sortkey_";
 
 fn project_rows_with_order_keys(stmt: &SelectStmt, batch: &Batch) -> Result<Batch> {
-    let items = expand_items(stmt, batch);
+    let items = expand_items(stmt, batch.schema());
     let mut fields = Vec::new();
     let mut columns = Vec::new();
     for (i, item) in items.iter().enumerate() {
@@ -892,76 +954,33 @@ fn project_rows_with_order_keys(stmt: &SelectStmt, batch: &Batch) -> Result<Batc
 }
 
 fn project_batch(stmt: &SelectStmt, batch: &Batch) -> Result<Batch> {
-    let projected = project_rows_with_order_keys(stmt, batch)?;
-    let sorted = apply_order_by_hidden(stmt, projected)?;
-    Ok(apply_offset_limit(stmt, sorted))
+    order_limit_rows(stmt, vec![project_rows_with_order_keys(stmt, batch)?])
 }
 
-fn apply_order_by_hidden(stmt: &SelectStmt, batch: Batch) -> Result<Batch> {
+/// ORDER BY / OFFSET / LIMIT over projected rows — one batch per node, in
+/// node order, each ending in the hidden sort-key columns, which the answer
+/// leaves out. Unordered rows are concatenated and cut.
+fn order_limit_rows(stmt: &SelectStmt, mut rows: Vec<Batch>) -> Result<Batch> {
+    if rows.is_empty() {
+        return Err(DbError::Exec("no nodes produced results".into()));
+    }
     if stmt.order_by.is_empty() {
-        return Ok(batch);
-    }
-    let keys: Vec<(Expr, bool)> = stmt
-        .order_by
-        .iter()
-        .enumerate()
-        .map(|(i, k)| (Expr::col(&format!("{HIDDEN}{i}")), k.desc))
-        .collect();
-    let sorted = sort_by_exprs(batch, &keys)?;
-    // Strip hidden columns.
-    let visible: Vec<&str> = sorted
-        .schema()
-        .names()
-        .into_iter()
-        .filter(|n| !n.starts_with(HIDDEN))
-        .collect();
-    Ok(sorted.project(&visible)?)
-}
-
-/// Stable sort of `batch` rows by the given key expressions.
-fn sort_by_exprs(batch: Batch, keys: &[(Expr, bool)]) -> Result<Batch> {
-    let mut key_cols = Vec::with_capacity(keys.len());
-    for (e, desc) in keys {
-        key_cols.push((e.eval(&batch)?, *desc));
-    }
-    let mut idx: Vec<usize> = (0..batch.num_rows()).collect();
-    let mut sort_err = None;
-    idx.sort_by(|&a, &b| {
-        for (col, desc) in &key_cols {
-            let va = col.get(a);
-            let vb = col.get(b);
-            // SQL: NULLs sort last regardless of direction.
-            let ord = match (va.is_null(), vb.is_null()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                (false, false) => {
-                    let ord = match (&va, &vb) {
-                        // IEEE total order, as GROUP BY output and MIN/MAX
-                        // use: still a total order with NaN present.
-                        (Value::Float64(x), Value::Float64(y)) => x.total_cmp(y),
-                        _ => compare_values(&va, &vb).unwrap_or_else(|e| {
-                            sort_err.get_or_insert(e);
-                            std::cmp::Ordering::Equal
-                        }),
-                    };
-                    if *desc {
-                        ord.reverse()
-                    } else {
-                        ord
-                    }
-                }
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
+        // Append to the first node's rows in place: no second copy of them.
+        let mut gathered = rows.remove(0);
+        for b in &rows {
+            gathered.extend(b)?;
         }
-        std::cmp::Ordering::Equal
-    });
-    if let Some(e) = sort_err {
-        return Err(e);
+        return Ok(apply_offset_limit(stmt, gathered));
     }
-    Ok(batch.take(&idx))
+    let width = rows[0].num_columns().saturating_sub(stmt.order_by.len());
+    let mut keys = Vec::with_capacity(stmt.order_by.len());
+    for (i, k) in stmt.order_by.iter().enumerate() {
+        let cols: Option<Vec<&Column>> = rows.iter().map(|b| b.columns().get(width + i)).collect();
+        let cols = cols.ok_or_else(|| DbError::Exec("a node's rows lack a sort key".into()))?;
+        keys.push(sort::Key { cols, desc: k.desc });
+    }
+    let (offset, limit) = (stmt.offset.unwrap_or(0), stmt.limit);
+    sort::sort_limit(&rows, width, &keys, offset, limit)
 }
 
 fn apply_offset_limit(stmt: &SelectStmt, batch: Batch) -> Batch {

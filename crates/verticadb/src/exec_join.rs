@@ -297,7 +297,11 @@ impl JoinPlan {
             self.rewrite_expr(g)?;
         }
         for k in &mut out.order_by {
-            self.rewrite_expr(&mut k.expr)?;
+            // A select alias names an output column, not a joined one; the
+            // executor resolves it after the rewrite.
+            if aliased_item(&stmt.items, &k.expr).is_none() {
+                self.rewrite_expr(&mut k.expr)?;
+            }
         }
         Ok(out)
     }
@@ -383,12 +387,14 @@ pub(super) fn execute_join_select(
     rec: &Arc<PhaseRecorder>,
 ) -> Result<Batch> {
     let plan = JoinPlan::resolve(db, stmt)?;
-    let inner = plan.rewrite(stmt)?;
+    let rewritten = plan.rewrite(stmt)?;
     // The joined namespace's schema is what joining no rows produces.
     let no_rows = |table: &str| db.catalog().get(table).map(|def| Batch::empty(def.schema));
     let (left, right) = (no_rows(&plan.left_table)?, no_rows(&plan.right_table)?);
     let joined = materialize_join(&plan, &left, &right, &[], &[])?;
-    let agg = agg_plan(&inner, joined.schema())?;
+    let inner = resolve_order_by(&rewritten, joined.schema())?;
+    let inner: &SelectStmt = &inner;
+    let agg = agg_plan(inner, joined.schema())?;
     let agg = agg.as_ref();
     let mut join_span = vdr_obs::span("exec.join");
     join_span.record("strategy", plan.strategy.name());
@@ -396,19 +402,19 @@ pub(super) fn execute_join_select(
     join_span.record("right", &plan.right_table);
     let span_id = join_span.id();
     let per_node = match plan.strategy {
-        Strategy::CoLocated => colocated(db, &plan, &inner, agg, rec, span_id),
+        Strategy::CoLocated => colocated(db, &plan, inner, agg, rec, span_id),
         Strategy::Shuffle { left, right } => {
-            shuffled(db, &plan, &inner, agg, rec, left, right, false, span_id)?
+            shuffled(db, &plan, inner, agg, rec, left, right, false, span_id)?
         }
         Strategy::BroadcastRight => {
-            shuffled(db, &plan, &inner, agg, rec, false, true, true, span_id)?
+            shuffled(db, &plan, inner, agg, rec, false, true, true, span_id)?
         }
     };
     drop(join_span);
     // The joined per-node partials flow through the ordinary gather / merge /
     // finalize machinery (including the shuffled two-phase GROUP BY — a
     // joined GROUP BY key is never segmentation-aligned).
-    gather_and_finalize(db, &inner, agg, rec, per_node, false)
+    gather_and_finalize(db, inner, agg, rec, per_node, false)
 }
 
 /// The schema one side of the join is planned to carry: the table's columns

@@ -517,7 +517,8 @@ fn eval_binary(op: BinOp, l: &Column, r: &Column, n: usize) -> Result<Column> {
 }
 
 /// Total order across comparable values (numerics inter-compare; strings and
-/// bools compare within type). Used by comparisons and ORDER BY.
+/// bools compare within type). Used by comparisons and `IN` lists; ORDER BY
+/// orders typed columns instead (`sort.rs`).
 pub fn compare_values(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
     use std::cmp::Ordering;
     match (a, b) {

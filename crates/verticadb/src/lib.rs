@@ -35,6 +35,7 @@ pub mod expr;
 pub mod models;
 pub mod monitor;
 pub mod segmentation;
+mod sort;
 pub mod sql;
 pub mod storage;
 pub mod udx;

@@ -1,11 +1,13 @@
-//! Differential oracle for aggregation: the engine's answer must equal a
-//! row-at-a-time reference over `Vec<Vec<Value>>` — no segmentation, no
-//! encoding, no exchange — whatever the node count, the segmentation, and the
-//! physical path the statement's shape selects (encoded or decoded scan,
-//! dictionary GROUP BY, shuffled or initiator merge, each JOIN strategy).
-//! Plus the regressions that came with the columnar aggregator: Int64
-//! compared as integers, aggregate output dtypes that come from the plan, not
-//! from the data, and an `ORDER BY` that is a total order with NaN present.
+//! Differential oracle for aggregation and ordering: the engine's answer must
+//! equal a row-at-a-time reference over `Vec<Vec<Value>>` — no segmentation,
+//! no encoding, no exchange — whatever the node count, the segmentation, and
+//! the physical path the statement's shape selects (encoded or decoded scan,
+//! dictionary GROUP BY, shuffled or initiator merge, each JOIN strategy), and
+//! row for row under `ORDER BY … LIMIT … OFFSET` on plain, grouped and joined
+//! rows. Plus the regressions that came with the columnar aggregator and the
+//! typed sort: Int64 compared as integers, aggregate output dtypes that come
+//! from the plan, not from the data, an `ORDER BY` that is a total order with
+//! NaN present, and ORDER BY keys that name select items by position or alias.
 
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -14,7 +16,7 @@ use std::sync::Arc;
 use vertica_dr::cluster::SimCluster;
 use vertica_dr::columnar::{Batch, DataType, Schema, Value};
 use vertica_dr::obs::MetricsSnapshot;
-use vertica_dr::verticadb::{Segmentation, TableDef, VerticaDb};
+use vertica_dr::verticadb::{DbError, Segmentation, TableDef, VerticaDb};
 
 /// The metrics registry is process-global and the path census below reads
 /// counter deltas per statement, so the tests of this file run one at a time.
@@ -152,7 +154,15 @@ const D_COLS: [(&str, DataType); 2] = [("i", DataType::Int64), ("w", DataType::F
 /// Index 0 of every pool is NULL.
 fn pooled(row: usize, (i, f, b, s, x): (usize, usize, usize, usize, usize)) -> Vec<Value> {
     let ints = [i64::MIN, i64::MAX, -1, 0, 1, (1 << 53) + 1, 1 << 53];
-    let floats = [f64::NAN, -0.0, 0.0, 1.5, f64::NEG_INFINITY, f64::INFINITY];
+    let floats = [
+        f64::NAN,
+        -0.0,
+        0.0,
+        1.5,
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+        -f64::NAN,
+    ];
     let strings = ["", "a", "b", "é", "ab"];
     let pick = |n: usize, v: &dyn Fn(usize) -> Value| if n == 0 { Value::Null } else { v(n - 1) };
     vec![
@@ -167,7 +177,7 @@ fn pooled(row: usize, (i, f, b, s, x): (usize, usize, usize, usize, usize)) -> V
 }
 
 fn row_strategy() -> impl Strategy<Value = (usize, usize, usize, usize, usize)> {
-    (0..8usize, 0..7usize, 0..3usize, 0..6usize, 0..9usize)
+    (0..8usize, 0..8usize, 0..3usize, 0..6usize, 0..9usize)
 }
 
 fn d_row((i, w): (usize, usize)) -> Vec<Value> {
@@ -404,6 +414,156 @@ proptest! {
         cases.push(join_case(&t, &d));
         for nodes in [1, 3, 5] {
             for seg in segmentations("i", "id") {
+                let db = load_t_d(nodes, &seg, &t, &d);
+                let ctx = format!("{nodes} nodes, {seg:?}");
+                for case in &cases {
+                    check(&db, case, &ctx);
+                }
+            }
+        }
+    }
+}
+
+// --------------------------------------------------------------- ORDER BY
+
+/// One ORDER BY key of the reference: NULL last in both directions, values
+/// reversed under DESC.
+fn directed(a: &Value, b: &Value, desc: bool) -> Ordering {
+    if desc && !a.is_null() && !b.is_null() {
+        order(b, a)
+    } else {
+        order(a, b)
+    }
+}
+
+/// `rows` sorted by `keys` (column, DESC?), ties broken on the whole row
+/// ascending, then cut to `OFFSET .. OFFSET + LIMIT`.
+fn ordered(
+    mut rows: Vec<Vec<Value>>,
+    keys: &[(usize, bool)],
+    limit: Option<usize>,
+    offset: usize,
+) -> Vec<Vec<Value>> {
+    rows.sort_by(|a, b| {
+        let by_key = keys.iter().map(|&(k, desc)| directed(&a[k], &b[k], desc));
+        let mut by = by_key.chain([order_rows(a, b)]);
+        by.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    });
+    let end = limit.map_or(rows.len(), |l| (offset + l).min(rows.len()));
+    rows.get(offset..end).map_or_else(Vec::new, <[_]>::to_vec)
+}
+
+/// `select` (whose output columns are `names`, of `types`, and whose
+/// unordered answer is `rows`) ordered by each of `key_sets` — output names
+/// with their directions, then every column ascending by position, so the
+/// answer is unique — under every LIMIT and OFFSET of the matrix.
+fn order_cases(
+    select: &str,
+    (names, types): (&[&str], &[DataType]),
+    rows: &[Vec<Value>],
+    key_sets: &[&[(usize, bool)]],
+) -> Vec<Case> {
+    let n = rows.len();
+    let mut cases = Vec::new();
+    for keys in key_sets {
+        let named = keys.iter().map(|&(k, desc)| {
+            let dir = if desc { " DESC" } else { "" };
+            format!("{}{dir}", names[k])
+        });
+        let by: Vec<String> = named
+            .chain((1..=names.len()).map(|p| p.to_string()))
+            .collect();
+        for limit in [None, Some(0), Some(1), Some(3), Some(n), Some(n + 7)] {
+            for offset in [0, n / 2, n, n + 2] {
+                let mut sql = format!("{select} ORDER BY {}", by.join(", "));
+                if let Some(l) = limit {
+                    sql += &format!(" LIMIT {l}");
+                }
+                if offset > 0 {
+                    sql += &format!(" OFFSET {offset}");
+                }
+                cases.push(Case {
+                    sql,
+                    nkeys: 0,
+                    types: types.to_vec(),
+                    want: ordered(rows.to_vec(), keys, limit, offset),
+                    decoded: false,
+                });
+            }
+        }
+    }
+    cases
+}
+
+/// Ordered plain rows (`x` under an alias), grouped rows and joined rows —
+/// the JOIN once with `*`, whose positions count the joined columns.
+fn ordered_cases(t: &[Vec<Value>], d: &[Vec<Value>]) -> Vec<Case> {
+    use DataType::{Bool, Float64, Int64, Varchar};
+    let mut cases = order_cases(
+        "SELECT id, i, f, b, s, x AS y FROM t",
+        (
+            &["id", "i", "f", "b", "s", "y"],
+            &[Int64, Int64, Float64, Bool, Varchar, Float64],
+        ),
+        t,
+        &[
+            &[(F, false)],
+            &[(I, true)],
+            &[(X, true), (S, false)],
+            &[(B, false), (F, true), (S, true)],
+        ],
+    );
+    let groups = reference(t, &[S, B], &[(Func::CountStar, 0), (Func::Max, F)]);
+    cases.extend(order_cases(
+        "SELECT s, b, count(*) AS n, max(f) AS m FROM t GROUP BY s, b",
+        (&["s", "b", "n", "m"], &[Varchar, Bool, Int64, Float64]),
+        &groups,
+        &[&[(2, true)], &[(1, false), (3, true), (0, true)]],
+    ));
+    let mut joined = Vec::new();
+    for l in t {
+        for r in d.iter().filter(|r| !l[I].is_null() && same(&l[I], &r[0])) {
+            joined.push(l.iter().chain(r).cloned().collect::<Vec<_>>());
+        }
+    }
+    let picked: Vec<Vec<Value>> = joined
+        .iter()
+        .map(|r| vec![r[0].clone(), r[S].clone(), r[7].clone()])
+        .collect();
+    cases.extend(order_cases(
+        "SELECT t.id, t.s, d.w FROM t JOIN d ON t.i = d.i",
+        (&["t.id", "t.s", "d.w"], &[Int64, Varchar, Float64]),
+        &picked,
+        &[&[(1, false), (2, true)]],
+    ));
+    cases.extend(order_cases(
+        "SELECT * FROM t JOIN d ON t.i = d.i",
+        (
+            &["id", "t.i", "f", "b", "s", "x", "d.i", "w"],
+            &[
+                Int64, Int64, Float64, Bool, Varchar, Float64, Int64, Float64,
+            ],
+        ),
+        &joined,
+        &[&[(7, true), (2, false)]],
+    ));
+    cases
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn ordered_answers_match_the_reference_row_for_row(
+        t in prop::collection::vec(row_strategy(), 0..40),
+        d in prop::collection::vec((0..8usize, 0..9usize), 0..10),
+    ) {
+        let _guard = metrics_lock();
+        let t: Vec<Vec<Value>> = t.into_iter().enumerate().map(|(r, p)| pooled(r, p)).collect();
+        let d: Vec<Vec<Value>> = d.into_iter().map(d_row).collect();
+        let cases = ordered_cases(&t, &d);
+        for nodes in [1, 3, 5] {
+            for seg in segmentations("f", "id") {
                 let db = load_t_d(nodes, &seg, &t, &d);
                 let ctx = format!("{nodes} nodes, {seg:?}");
                 for case in &cases {
@@ -721,4 +881,104 @@ fn order_by_is_a_total_order_with_nan() {
             "{sql}: got {got:?}, want {want:?}"
         );
     }
+}
+
+/// `(id, x, tag)` rows whose `x` runs opposite to `id`, on three nodes.
+fn five_rows() -> Arc<VerticaDb> {
+    let db = VerticaDb::new(SimCluster::for_tests(3));
+    db.query("CREATE TABLE t (id INTEGER, x INTEGER, tag VARCHAR)")
+        .unwrap();
+    db.query(
+        "INSERT INTO t VALUES (1, 50, 'b'), (2, 40, 'a'), (3, 30, 'b'), (4, 20, 'a'), (5, 10, 'c')",
+    )
+    .unwrap();
+    db
+}
+
+fn column(db: &VerticaDb, sql: &str, col: usize) -> Vec<Value> {
+    let out = db.query(sql).unwrap().batch;
+    (0..out.num_rows())
+        .map(|r| out.column(col).get(r))
+        .collect()
+}
+
+/// A bare integer ORDER BY key is a 1-based select-list position — after
+/// `*` expands, and after GROUP BY — not the constant it spells (which left
+/// rows in gather order); 0 or a position past the end is a plan error.
+#[test]
+fn order_by_position_names_a_select_item() {
+    let _guard = metrics_lock();
+    let db = five_rows();
+    let ints = |v: [i64; 5]| v.map(Value::Int64).to_vec();
+    let s = |t: &str| Value::Varchar(t.into());
+    assert_eq!(
+        column(&db, "SELECT * FROM t ORDER BY 2", 0),
+        ints([5, 4, 3, 2, 1])
+    );
+    assert_eq!(
+        column(&db, "SELECT tag, id FROM t ORDER BY 1 DESC, 2 DESC", 1),
+        ints([5, 3, 1, 4, 2])
+    );
+    assert_eq!(
+        column(
+            &db,
+            "SELECT tag, count(*) FROM t GROUP BY tag ORDER BY 1 DESC",
+            0
+        ),
+        vec![s("c"), s("b"), s("a")]
+    );
+    assert_eq!(
+        column(
+            &db,
+            "SELECT tag, sum(x) FROM t GROUP BY tag ORDER BY 2 LIMIT 1",
+            0
+        ),
+        vec![s("c")]
+    );
+    for sql in [
+        "SELECT * FROM t ORDER BY 0",
+        "SELECT * FROM t ORDER BY 4",
+        "SELECT tag, count(*) FROM t GROUP BY tag ORDER BY 3",
+    ] {
+        assert!(matches!(db.query(sql), Err(DbError::Plan(_))), "{sql}");
+    }
+}
+
+/// Without GROUP BY, an ORDER BY column naming a select alias sorts by that
+/// item — over an input column of the same name — and ships the same hidden
+/// key bytes as writing the expression out.
+#[test]
+fn order_by_a_select_alias_without_group_by() {
+    let _guard = metrics_lock();
+    let db = five_rows();
+    let ints = |v: [i64; 5]| v.map(Value::Int64).to_vec();
+    let by_d = "SELECT id, x * 2 AS d FROM t ORDER BY d";
+    assert_eq!(column(&db, by_d, 0), ints([5, 4, 3, 2, 1]));
+    assert_eq!(
+        column(&db, "SELECT id AS x, x AS id FROM t ORDER BY id DESC", 0),
+        ints([1, 2, 3, 4, 5])
+    );
+    db.query("CREATE TABLE u (id INTEGER, w FLOAT)").unwrap();
+    db.query("INSERT INTO u VALUES (1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5), (5, 0.5)")
+        .unwrap();
+    assert_eq!(
+        column(
+            &db,
+            "SELECT t.id, t.x * 2 AS d FROM t JOIN u ON t.id = u.id ORDER BY d",
+            0
+        ),
+        ints([5, 4, 3, 2, 1])
+    );
+    let gathered = |sql: &str| {
+        let metrics = vertica_dr::obs::global().metrics();
+        let before = metrics.snapshot();
+        db.query(sql).unwrap();
+        metrics
+            .snapshot()
+            .diff(&before)
+            .counter_total("exec.gather.bytes")
+    };
+    let written_out = gathered("SELECT id, x * 2 AS d FROM t ORDER BY x * 2");
+    assert!(written_out > 0);
+    assert_eq!(gathered(by_d), written_out);
 }
