@@ -34,6 +34,7 @@ macro_rules! typed {
         }
     };
 }
+pub(crate) use typed;
 
 /// [`typed!`] over two columns of one type; `$else` when the types differ.
 macro_rules! typed_pair {
@@ -47,11 +48,13 @@ macro_rules! typed_pair {
         }
     };
 }
+pub(crate) use typed_pair;
 
 /// What the kernels need of a column's element type; `MIN`/`MAX` compare in
 /// the ORDER BY total order ([`TotalOrder`]).
-trait Elem: TotalOrder + Clone + Default {
-    /// Key and DISTINCT equality: floats by bit pattern, so NaN is one group.
+pub(crate) trait Elem: TotalOrder + Clone + Default {
+    /// Key, DISTINCT and JOIN key equality: floats by bit pattern, so NaN is
+    /// one group.
     fn same(&self, other: &Self) -> bool;
     /// `SUM`'s view: integers widen, booleans are 0/1, strings add nothing.
     fn as_f64(&self) -> f64;
@@ -370,9 +373,10 @@ const EMPTY: u32 = u32::MAX;
 
 /// Open-addressing index from a 64-bit hash to a dense id, ids assigned in
 /// insertion order. What an entry *is* lives with the caller, who supplies
-/// the equality check.
+/// the equality check: the group table, DISTINCT pair sets and the JOIN
+/// build table all index with it.
 #[derive(Debug)]
-struct HashIndex {
+pub(crate) struct HashIndex {
     /// Hash of every entry, by id.
     hashes: Vec<u64>,
     /// Entry id per slot, [`EMPTY`] when free; length is a power of two.
@@ -382,7 +386,7 @@ struct HashIndex {
 }
 
 impl HashIndex {
-    fn new() -> HashIndex {
+    pub(crate) fn new() -> HashIndex {
         HashIndex {
             hashes: Vec::new(),
             slots: vec![EMPTY; 16],
@@ -398,7 +402,11 @@ impl HashIndex {
 
     /// The id of the entry with hash `h` that `same(id)` accepts, or — with
     /// `true` — the id just given to a new entry.
-    fn find_or_insert(&mut self, h: u64, same: impl Fn(usize) -> bool) -> Result<(u32, bool)> {
+    pub(crate) fn find_or_insert(
+        &mut self,
+        h: u64,
+        same: impl Fn(usize) -> bool,
+    ) -> Result<(u32, bool)> {
         if (self.hashes.len() + 1) * 2 > self.slots.len() {
             self.slots = vec![EMPTY; self.slots.len() * 2];
             self.shift -= 1;
@@ -418,6 +426,11 @@ impl HashIndex {
         self.slots[s] = id;
         self.hashes.push(h);
         Ok((id, true))
+    }
+
+    /// The id of the entry with hash `h` that `same(id)` accepts, if any.
+    pub(crate) fn find(&self, h: u64, same: impl Fn(usize) -> bool) -> Option<u32> {
+        self.free_slot(h, same).1
     }
 
     /// Probe from `h`'s home slot: the slot of the entry `same` accepts (and

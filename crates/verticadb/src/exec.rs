@@ -88,7 +88,7 @@ use std::sync::Arc;
 use vdr_cluster::{NodeId, PhaseRecorder};
 use vdr_columnar::kernels::{self, CmpOp};
 use vdr_columnar::{
-    Batch, Bitmap, Column, ColumnBuilder, DataType, EncodedBatch, Field, ScanColumn, Schema, Value,
+    Batch, Bitmap, Column, DataType, EncodedBatch, Field, ScanColumn, Schema, Value,
 };
 
 #[path = "exec_join.rs"]

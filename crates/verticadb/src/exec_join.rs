@@ -1,5 +1,5 @@
-//! Distributed hash JOIN: planning, repartitioning, and the partitioned
-//! build+probe executor.
+//! Distributed hash JOIN: planning, repartitioning, and the node-local
+//! build table and streaming probe.
 //!
 //! A JOIN resolves to one of three strategies against the two tables'
 //! segmentation metadata:
@@ -20,14 +20,24 @@
 //! across the wire and decodes late on the receiver
 //! ([`decode_batch_encoded`] + [`EncodedBatch::materialize`]); the
 //! `exchange.encoded_cols` counter reports how many columns arrived still
-//! encoded. The local join itself is a rayon-parallel partitioned hash join:
-//! build tables are split `hash(key) % P` ways and built concurrently, then
-//! probe chunks run in parallel and concatenate in left-row order, keeping
-//! the output deterministic.
+//! encoded.
+//!
+//! Each node builds one table over its right side's key column — the
+//! aggregator's row hash and `HashIndex`, keys equal as GROUP BY keys are but
+//! NULL never matching — holding each key's rows contiguously, ascending.
+//! The left side streams through it a batch at a time (scanned containers or
+//! decoded partitions, read in place); each joined chunk holds only the
+//! columns the statement reads (one if none) and goes through WHERE into the
+//! node's one accumulator. Parallelism is per node. Output order is node
+//! order, then left rows in scan order, then matches by ascending right row,
+//! unmatched LEFT rows in place: float sums repeat bit for bit.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use super::*;
-use crate::segmentation::{hash_routes, Segmentation};
-use crate::sql::{JoinClause, JoinKind};
+use crate::agg::{typed, typed_pair, Elem, HashIndex};
+use crate::segmentation::{hash_routes, row_hashes, Segmentation};
+use crate::sql::JoinKind;
 use bytes::Bytes;
 use rayon::prelude::*;
 use vdr_cluster::{exchange_framed, ClusterError, ExchangeRecv, Node};
@@ -81,11 +91,11 @@ pub(super) struct JoinPlan {
     right_table: String,
     left_key: String,
     right_key: String,
-    /// Per side, in schema order: `(original column name, output name)`.
-    /// Output names are the bare column name when unique across both sides,
-    /// `alias.column` otherwise.
-    left_out: Vec<(String, String)>,
-    right_out: Vec<(String, String)>,
+    /// Per side, in schema order: the original column name and its output
+    /// field. Output names are the bare column name when unique across both
+    /// sides, `alias.column` otherwise.
+    left_out: Vec<(String, Field)>,
+    right_out: Vec<(String, Field)>,
     /// Lowercased lookup (bare and alias-qualified) → output name.
     name_map: HashMap<String, NameRes>,
     pub(super) strategy: Strategy,
@@ -97,7 +107,11 @@ impl JoinPlan {
             .from
             .clone()
             .ok_or_else(|| DbError::Plan("JOIN requires a FROM table".into()))?;
-        let j: &JoinClause = stmt.join.as_ref().expect("caller checked");
+        let Some(j) = &stmt.join else {
+            return Err(DbError::Plan(
+                "JOIN plan for a statement without JOIN".into(),
+            ));
+        };
         if crate::monitor::v_monitor_table(&left_table).is_some()
             || crate::monitor::v_monitor_table(&j.table).is_some()
             || left_table.eq_ignore_ascii_case("r_models")
@@ -177,7 +191,7 @@ impl JoinPlan {
         let mut side_out = |def: &crate::catalog::TableDef,
                             other: &crate::catalog::TableDef,
                             alias: &str|
-         -> Vec<(String, String)> {
+         -> Vec<(String, Field)> {
             let mut out = Vec::new();
             for f in def.schema.fields() {
                 let unique = other.schema.index_of(&f.name).is_err();
@@ -186,31 +200,18 @@ impl JoinPlan {
                 } else {
                     format!("{alias}.{}", f.name)
                 };
-                name_map.insert(
-                    format!(
-                        "{}.{}",
-                        alias.to_ascii_lowercase(),
-                        f.name.to_ascii_lowercase()
-                    ),
-                    NameRes::Out(out_name.clone()),
-                );
+                let qualified = |table: &str| format!("{table}.{}", f.name).to_ascii_lowercase();
+                name_map.insert(qualified(alias), NameRes::Out(out_name.clone()));
                 if !alias.eq_ignore_ascii_case(&def.name) {
-                    name_map.insert(
-                        format!(
-                            "{}.{}",
-                            def.name.to_ascii_lowercase(),
-                            f.name.to_ascii_lowercase()
-                        ),
-                        NameRes::Out(out_name.clone()),
-                    );
+                    name_map.insert(qualified(&def.name), NameRes::Out(out_name.clone()));
                 }
-                let bare = f.name.to_ascii_lowercase();
-                if unique {
-                    name_map.insert(bare, NameRes::Out(out_name.clone()));
+                let bare = if unique {
+                    NameRes::Out(out_name.clone())
                 } else {
-                    name_map.insert(bare, NameRes::Ambiguous);
-                }
-                out.push((f.name.clone(), out_name));
+                    NameRes::Ambiguous
+                };
+                name_map.insert(f.name.to_ascii_lowercase(), bare);
+                out.push((f.name.clone(), Field::new(out_name, f.dtype)));
             }
             out
         };
@@ -340,43 +341,44 @@ impl JoinPlan {
         }
     }
 
-    /// The per-side scan column sets implied by the rewritten statement's
-    /// referenced columns: output names map back to original side columns,
-    /// plus the join key on each side. `None` = wildcard = scan everything.
-    fn side_wanted(
-        &self,
-        inner: &SelectStmt,
-    ) -> (Option<HashSet<String>>, Option<HashSet<String>>) {
-        let Some(outs) = referenced_columns(inner) else {
-            return (None, None);
+    /// The joined columns a statement reads (`reads`, from
+    /// [`referenced_columns`]), left then right in table order: all of them
+    /// under `*`, the left key alone when it names none — the joined batch
+    /// must still carry the row count.
+    fn joined(&self, reads: Option<&HashSet<String>>) -> Joined<'_> {
+        let sides = [(Side::Left, &self.left_out), (Side::Right, &self.right_out)];
+        let all = sides
+            .into_iter()
+            .flat_map(|(side, out)| out.iter().map(move |(orig, f)| (side, orig.as_str(), f)));
+        let read = |f: &Field| reads.is_none_or(|r| r.contains(&f.name.to_ascii_lowercase()));
+        let mut cols: Vec<_> = all.clone().filter(|c| read(c.2)).collect();
+        if cols.is_empty() {
+            cols.extend(all.filter(|c| c.0 == Side::Left && c.1 == self.left_key));
+        }
+        let wanted = |side: Side, key: &str| {
+            let names = cols.iter().filter(|c| c.0 == side).map(|c| c.1);
+            reads.map(|_| names.chain([key]).map(str::to_ascii_lowercase).collect())
         };
-        let pick = |side: &[(String, String)], key: &str| -> HashSet<String> {
-            let mut w: HashSet<String> = side
-                .iter()
-                .filter(|(_, out)| outs.contains(&out.to_ascii_lowercase()))
-                .map(|(orig, _)| orig.to_ascii_lowercase())
-                .collect();
-            w.insert(key.to_ascii_lowercase());
-            w
-        };
-        (
-            Some(pick(&self.left_out, &self.left_key)),
-            Some(pick(&self.right_out, &self.right_key)),
-        )
+        Joined {
+            wanted: [
+                wanted(Side::Left, &self.left_key),
+                wanted(Side::Right, &self.right_key),
+            ],
+            schema: Schema::new(cols.iter().map(|c| c.2.clone()).collect()),
+            cols: cols.iter().map(|c| (c.0, c.1)).collect(),
+        }
     }
+}
 
-    /// Output name of an original column on the given side.
-    fn out_name(&self, side: Side, orig: &str) -> String {
-        let table = match side {
-            Side::Left => &self.left_out,
-            Side::Right => &self.right_out,
-        };
-        table
-            .iter()
-            .find(|(o, _)| o.eq_ignore_ascii_case(orig))
-            .map(|(_, out)| out.clone())
-            .unwrap_or_else(|| orig.to_string())
-    }
+/// The joined batch's columns — the side each is read from and its name
+/// there — and their schema in the output namespace: what joining no rows
+/// produces, so the rest of the statement is planned on it.
+struct Joined<'p> {
+    cols: Vec<(Side, &'p str)>,
+    schema: Schema,
+    /// Per side, what its scan decodes: its joined columns and its key, or
+    /// every column (`None`) under `*`.
+    wanted: [Option<HashSet<String>>; 2],
 }
 
 // ------------------------------------------------------------- entry point
@@ -388,114 +390,114 @@ pub(super) fn execute_join_select(
 ) -> Result<Batch> {
     let plan = JoinPlan::resolve(db, stmt)?;
     let rewritten = plan.rewrite(stmt)?;
-    // The joined namespace's schema is what joining no rows produces.
-    let no_rows = |table: &str| db.catalog().get(table).map(|def| Batch::empty(def.schema));
-    let (left, right) = (no_rows(&plan.left_table)?, no_rows(&plan.right_table)?);
-    let joined = materialize_join(&plan, &left, &right, &[], &[])?;
-    let inner = resolve_order_by(&rewritten, joined.schema())?;
+    // An ORDER BY position counts the joined columns only under `*`, where
+    // every column is joined.
+    let inner = resolve_order_by(&rewritten, &plan.joined(None).schema)?;
     let inner: &SelectStmt = &inner;
-    let agg = agg_plan(inner, joined.schema())?;
-    let agg = agg.as_ref();
+    let joined = plan.joined(referenced_columns(inner).as_ref());
+    let agg = agg_plan(inner, &joined.schema)?;
     let mut join_span = vdr_obs::span("exec.join");
     join_span.record("strategy", plan.strategy.name());
     join_span.record("left", &plan.left_table);
     join_span.record("right", &plan.right_table);
-    let span_id = join_span.id();
+    let q = Query {
+        db,
+        plan: &plan,
+        joined: &joined,
+        inner,
+        agg: agg.as_ref(),
+        rec,
+        span_id: join_span.id(),
+    };
     let per_node = match plan.strategy {
-        Strategy::CoLocated => colocated(db, &plan, inner, agg, rec, span_id),
-        Strategy::Shuffle { left, right } => {
-            shuffled(db, &plan, inner, agg, rec, left, right, false, span_id)?
-        }
-        Strategy::BroadcastRight => {
-            shuffled(db, &plan, inner, agg, rec, false, true, true, span_id)?
-        }
+        Strategy::CoLocated => colocated(&q),
+        Strategy::Shuffle { left, right } => shuffled(&q, left, right, false)?,
+        Strategy::BroadcastRight => shuffled(&q, false, true, true)?,
     };
     drop(join_span);
     // The joined per-node partials flow through the ordinary gather / merge /
     // finalize machinery (including the shuffled two-phase GROUP BY — a
     // joined GROUP BY key is never segmentation-aligned).
-    gather_and_finalize(db, inner, agg, rec, per_node, false)
+    gather_and_finalize(db, inner, agg.as_ref(), rec, per_node, false)
 }
 
-/// The schema one side of the join is planned to carry: the table's columns
-/// restricted to `wanted`, in table order.
-fn side_schema(db: &VerticaDb, table: &str, wanted: Option<&HashSet<String>>) -> Result<Schema> {
-    let def = db.catalog().get(table)?;
-    let keep =
-        |name: &&str| wanted.is_none_or(|set| set.iter().any(|w| w.eq_ignore_ascii_case(name)));
-    let names: Vec<&str> = def.schema.names().into_iter().filter(keep).collect();
-    Ok(def.schema.project(&names)?)
+/// What every node of one JOIN statement shares.
+struct Query<'a> {
+    db: &'a VerticaDb,
+    plan: &'a JoinPlan,
+    joined: &'a Joined<'a>,
+    inner: &'a SelectStmt,
+    agg: Option<&'a AggPlan>,
+    rec: &'a Arc<PhaseRecorder>,
+    span_id: u64,
 }
 
-/// Scan one side of the join on one node, concatenated into a single batch
-/// of the planned [`side_schema`]. The block cache may serve a wider batch
-/// than was asked for, and an empty segment serves none: every node must
-/// still ship the same columns.
-fn scan_side(
-    db: &VerticaDb,
-    table: &str,
-    node: &Arc<Node>,
-    rec: &Arc<PhaseRecorder>,
-    wanted: Option<&HashSet<String>>,
-) -> Result<Batch> {
-    let batches = db
-        .storage()
-        .scan_node_projected(table, node.id(), rec, false, wanted)?;
-    let schema = side_schema(db, table, wanted)?;
-    let names = schema.names();
-    if let [one] = batches.as_slice() {
-        if *one.schema() == schema {
-            return Ok(one.as_ref().clone());
-        }
+impl Query<'_> {
+    /// One side's containers on `node`, read in place.
+    fn scan(&self, side: Side, node: &Arc<Node>) -> Result<Vec<Arc<Batch>>> {
+        let (table, wanted) = self.side(side);
+        self.db
+            .storage()
+            .scan_node_projected(table, node.id(), self.rec, false, wanted)
     }
-    let mut out = Batch::empty(schema.clone());
-    for b in &batches {
-        if b.schema() == out.schema() {
-            out.extend(b)?;
-        } else {
-            out.extend(&b.project(&names)?)?;
-        }
+
+    /// One side's table and the columns its scan decodes.
+    fn side(&self, side: Side) -> (&str, Option<&HashSet<String>>) {
+        let table = [&self.plan.left_table, &self.plan.right_table][side as usize];
+        (table, self.joined.wanted[side as usize].as_ref())
     }
-    Ok(out)
+
+    /// The schema one side is planned to carry: the table's columns its scan
+    /// decodes, in table order.
+    fn schema(&self, side: Side) -> Result<Schema> {
+        let (table, wanted) = self.side(side);
+        let def = self.db.catalog().get(table)?;
+        let keep = |name: &&str| wanted.is_none_or(|set| set.contains(&name.to_ascii_lowercase()));
+        let names: Vec<&str> = def.schema.names().into_iter().filter(keep).collect();
+        Ok(def.schema.project(&names)?)
+    }
+
+    /// Scanned batches of one side as one batch of its planned schema. The
+    /// block cache may serve a wider batch than was asked for, and an empty
+    /// segment serves none: every node must still ship the same columns.
+    fn planned(&self, side: Side, batches: &[Arc<Batch>]) -> Result<Batch> {
+        let schema = self.schema(side)?;
+        let names = schema.names();
+        let mut out = Batch::empty(schema.clone());
+        for b in batches {
+            if b.schema() == out.schema() {
+                out.extend(b)?;
+            } else {
+                out.extend(&b.project(&names)?)?;
+            }
+        }
+        Ok(out)
+    }
 }
 
 /// Co-located fast path: plain scatter, both sides scanned locally, no
 /// serialization and no wire traffic at all.
-fn colocated(
-    db: &VerticaDb,
-    plan: &JoinPlan,
-    inner: &SelectStmt,
-    agg: Option<&AggPlan>,
-    rec: &Arc<PhaseRecorder>,
-    span_id: u64,
-) -> Vec<Result<NodeResult>> {
-    let (lw, rw) = plan.side_wanted(inner);
+fn colocated(q: &Query<'_>) -> Vec<Result<NodeResult>> {
     let query_id = vdr_obs::current_query_id();
-    db.cluster().scatter(|node| -> Result<NodeResult> {
+    q.db.cluster().scatter(|node| -> Result<NodeResult> {
         let _q = vdr_obs::QueryScope::enter(query_id);
         let _n = vdr_obs::NodeScope::enter(node.id().0);
-        let left = scan_side(db, &plan.left_table, node, rec, lw.as_ref())?;
-        let right = scan_side(db, &plan.right_table, node, rec, rw.as_ref())?;
-        join_and_partial(db, plan, inner, agg, node, &left, &right, rec, span_id)
+        let left = q.scan(Side::Left, node)?;
+        let right = q.planned(Side::Right, &q.scan(Side::Right, node)?)?;
+        join_node(q, node, left.iter().map(Arc::as_ref), &right)
     })
 }
 
 /// Shuffle / broadcast path: one all-to-all exchange moves the flagged
 /// side(s); the non-shuffled side rides along locally as the exchange carry.
-#[allow(clippy::too_many_arguments)]
 fn shuffled(
-    db: &VerticaDb,
-    plan: &JoinPlan,
-    inner: &SelectStmt,
-    agg: Option<&AggPlan>,
-    rec: &Arc<PhaseRecorder>,
+    q: &Query<'_>,
     ship_left: bool,
     ship_right: bool,
     broadcast: bool,
-    span_id: u64,
 ) -> Result<Vec<Result<NodeResult>>> {
+    let (db, plan, rec) = (q.db, q.plan, q.rec);
     let n = db.cluster().num_nodes();
-    let (lw, rw) = plan.side_wanted(inner);
     let query_id = vdr_obs::current_query_id();
     let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
     let as_io = |e: DbError| ClusterError::Io(e.to_string());
@@ -503,14 +505,12 @@ fn shuffled(
     // with the schema receivers hold its frames to.
     let mut shipped = Vec::new();
     if ship_left {
-        let schema = side_schema(db, &plan.left_table, lw.as_ref())?;
-        shipped.push((Side::Left, schema));
+        shipped.push((Side::Left, q.schema(Side::Left)?));
     }
     if ship_right || broadcast {
-        let schema = side_schema(db, &plan.right_table, rw.as_ref())?;
-        shipped.push((Side::Right, schema));
+        shipped.push((Side::Right, q.schema(Side::Right)?));
     }
-    type Carry = (Option<Batch>, Option<Batch>);
+    type Carry = (Option<Vec<Arc<Batch>>>, Option<Batch>);
     let results = exchange_framed(
         db.cluster(),
         rec,
@@ -518,8 +518,9 @@ fn shuffled(
         |node| -> vdr_cluster::Result<(Vec<Vec<Bytes>>, Carry)> {
             let _q = vdr_obs::QueryScope::enter(query_id);
             let _n = vdr_obs::NodeScope::enter(node.id().0);
-            let left = scan_side(db, &plan.left_table, node, rec, lw.as_ref()).map_err(as_io)?;
-            let right = scan_side(db, &plan.right_table, node, rec, rw.as_ref()).map_err(as_io)?;
+            let left = q.scan(Side::Left, node).map_err(as_io)?;
+            let right = q.scan(Side::Right, node).map_err(as_io)?;
+            let right = q.planned(Side::Right, &right).map_err(as_io)?;
             let mut parts: Vec<Vec<Bytes>> = (0..n).map(|_| Vec::new()).collect();
             let mut sent_values = 0u64;
             // Positional frame protocol per destination: the left partition
@@ -528,14 +529,8 @@ fn shuffled(
             // partition is empty, so receivers never guess.
             let mut carry: Carry = (None, None);
             if ship_left {
-                for (dst, part) in partition_batch(&left, &plan.left_key, n)
-                    .map_err(as_io)?
-                    .into_iter()
-                    .enumerate()
-                {
-                    sent_values += part.num_values();
-                    parts[dst].push(encode_batch(&part));
-                }
+                let left = q.planned(Side::Left, &left).map_err(as_io)?;
+                sent_values += partition(&left, &plan.left_key, &mut parts).map_err(as_io)?;
             } else {
                 carry.0 = Some(left);
             }
@@ -547,14 +542,7 @@ fn shuffled(
                     p.push(frame.clone());
                 }
             } else if ship_right {
-                for (dst, part) in partition_batch(&right, &plan.right_key, n)
-                    .map_err(as_io)?
-                    .into_iter()
-                    .enumerate()
-                {
-                    sent_values += part.num_values();
-                    parts[dst].push(encode_batch(&part));
-                }
+                sent_values += partition(&right, &plan.right_key, &mut parts).map_err(as_io)?;
             } else {
                 carry.1 = Some(right);
             }
@@ -582,15 +570,15 @@ fn shuffled(
             if stats.expanded_values > 0 {
                 rec.cpu_work(node.id(), stats.expanded_values as f64, scan_cost);
             }
-            let left = match carry.0 {
-                Some(b) => b,
-                None => concat_parts(left_parts).map_err(as_io)?,
-            };
             let right = match carry.1 {
                 Some(b) => b,
                 None => concat_parts(right_parts).map_err(as_io)?,
             };
-            join_and_partial(db, plan, inner, agg, node, &left, &right, rec, span_id).map_err(as_io)
+            match carry.0 {
+                Some(left) => join_node(q, node, left.iter().map(Arc::as_ref), &right),
+                None => join_node(q, node, &left_parts, &right),
+            }
+            .map_err(as_io)
         },
     )
     .map_err(DbError::from)?;
@@ -670,193 +658,206 @@ fn decode_received(
     Ok((left_parts, right_parts, stats))
 }
 
+/// The received partitions of one side as one batch, in source order.
 fn concat_parts(parts: Vec<Batch>) -> Result<Batch> {
-    let Some(first) = parts.first() else {
+    let mut parts = parts.into_iter();
+    let Some(mut out) = parts.next() else {
         return Err(DbError::Exec("exchange produced no partitions".into()));
     };
-    if parts.len() == 1 {
-        return Ok(parts.into_iter().next().expect("len checked"));
+    for b in parts {
+        out.extend(&b)?;
     }
-    let schema = first.schema().clone();
-    Ok(Batch::concat(schema, &parts)?)
+    Ok(out)
 }
 
-/// Split `batch` into `n` partitions by `hash(key) % n` — the exact routing
+/// Split `batch` by `hash(key) % n` — the exact routing
 /// [`Segmentation::Hash`] applies at load time, so a shuffled side lands
-/// co-resident with a hash-segmented one.
-fn partition_batch(batch: &Batch, key: &str, n: usize) -> Result<Vec<Batch>> {
-    let idx = hash_routes(batch.column_by_name(key)?, n);
-    Ok(idx.iter().map(|ix| batch.take(ix)).collect())
+/// co-resident with a hash-segmented one — and append each partition's
+/// frame to its destination's `parts`. Returns the values encoded.
+fn partition(batch: &Batch, key: &str, parts: &mut [Vec<Bytes>]) -> Result<u64> {
+    let routes = hash_routes(batch.column_by_name(key)?, parts.len());
+    let mut sent = 0;
+    for (rows, frames) in routes.iter().zip(parts) {
+        let part = batch.take(rows);
+        sent += part.num_values();
+        frames.push(encode_batch(&part));
+    }
+    Ok(sent)
 }
 
 // -------------------------------------------------------- local hash join
 
-/// Join the node-local sides, apply WHERE, and fold into the standard
-/// per-node partial result.
-#[allow(clippy::too_many_arguments)]
-fn join_and_partial(
-    db: &VerticaDb,
-    plan: &JoinPlan,
-    inner: &SelectStmt,
-    agg: Option<&AggPlan>,
+/// Build the node's table over `right`, stream every `left` batch through it
+/// — probe, gather the joined columns, WHERE — into the node's one
+/// accumulator, and charge the node's build + probe work once.
+fn join_node<'b>(
+    q: &Query<'_>,
     node: &Arc<Node>,
-    left: &Batch,
+    left: impl IntoIterator<Item = &'b Batch>,
     right: &Batch,
-    rec: &Arc<PhaseRecorder>,
-    span_id: u64,
 ) -> Result<NodeResult> {
-    let mut span = vdr_obs::detail_span_with_parent("exec.join.node", span_id);
+    let mut span = vdr_obs::detail_span_with_parent("exec.join.node", q.span_id);
     span.set_node(node.id().0);
-    let (li, ri) =
-        node.run(|| hash_join_indices(plan.kind, left, &plan.left_key, right, &plan.right_key))?;
+    let table = BuildTable::new(right.column_by_name(&q.plan.right_key)?)?;
+    let mut acc = NodeAcc::new(q.inner, q.agg, &q.joined.schema)?;
+    let (mut left_rows, mut out_rows) = (0, 0);
+    for batch in left {
+        let (li, ri) = table.probe(q.plan.kind, batch.column_by_name(&q.plan.left_key)?)?;
+        left_rows += batch.num_rows();
+        out_rows += li.len();
+        let cols = q.joined.cols.iter().map(|&(side, name)| match side {
+            Side::Left => Ok(gather(batch.column_by_name(name)?, &li)),
+            Side::Right => Ok(gather(right.column_by_name(name)?, &ri)),
+        });
+        let chunk = Batch::new(q.joined.schema.clone(), cols.collect::<Result<_>>()?)?;
+        acc.push(&*apply_where(q.inner, &chunk)?)?;
+    }
     // Build + probe cost: one hash/compare per build row and per probe row,
     // plus per-output-row materialization, at scan-value cost.
-    let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
-    let work = (left.num_rows() + right.num_rows() + li.len()) as f64;
-    rec.cpu_work(node.id(), work, scan_cost);
-    vdr_obs::counter_on("exec.join.output_rows", node.id().0, li.len() as u64);
-    span.record("rows_out", li.len());
-    let joined = materialize_join(plan, left, right, &li, &ri)?;
-    let filtered = apply_where(inner, &joined)?;
-    node_result(inner, agg, &filtered)
+    let scan_cost = q.db.cluster().profile().costs.db_scan_ns_per_value;
+    let work = (left_rows + right.num_rows() + out_rows) as f64;
+    q.rec.cpu_work(node.id(), work, scan_cost);
+    vdr_obs::counter_on("exec.join.output_rows", node.id().0, out_rows as u64);
+    span.record("rows_out", out_rows);
+    acc.finish()
 }
 
-/// The rayon-parallel partitioned build+probe kernel. Returns matched row
-/// index pairs in left-row order (`right = None` marks a LEFT JOIN row with
-/// no match). NULL keys never match.
-fn hash_join_indices(
-    kind: JoinKind,
-    left: &Batch,
-    left_key: &str,
-    right: &Batch,
-    right_key: &str,
-) -> Result<(Vec<usize>, Vec<Option<usize>>)> {
-    let lk = left.column_by_name(left_key)?;
-    let rk = right.column_by_name(right_key)?;
-    // Partitioned build: P sub-tables built concurrently, each owning the
-    // keys whose hash lands in its stripe.
-    const P: usize = 16;
-    let rhash: Vec<Option<u64>> = (0..right.num_rows())
-        .map(|i| {
-            let v = rk.get(i);
-            (!v.is_null()).then(|| hash_value(&v))
-        })
-        .collect();
-    let tables: Vec<HashMap<JoinKey<'_>, Vec<usize>>> = (0..P)
-        .into_par_iter()
-        .map(|p| {
-            let mut m: HashMap<JoinKey<'_>, Vec<usize>> = HashMap::new();
-            for (i, h) in rhash.iter().enumerate() {
-                if let (Some(h), Some(key)) = (h, join_key(rk, i)) {
-                    if (h % P as u64) as usize == p {
-                        m.entry(key).or_default().push(i);
-                    }
+/// A right row id that names no row: the right side of an unmatched LEFT
+/// JOIN row.
+const NO_ROW: u32 = u32::MAX;
+
+/// Row ids are `u32`s short of [`NO_ROW`]: a longer side is an error, not a
+/// truncation.
+fn row_ids(col: &Column) -> Result<usize> {
+    match u32::try_from(col.len()) {
+        Ok(n) if n != NO_ROW => Ok(col.len()),
+        _ => Err(DbError::Exec(format!(
+            "a JOIN side of {} rows: more than a u32 row id can name",
+            col.len()
+        ))),
+    }
+}
+
+/// The build side's key column as a hash table: a [`HashIndex`] over its
+/// distinct non-NULL keys by the aggregator's row hash, and the right rows
+/// of key `id` at `rows[starts[id]..starts[id + 1]]`, ascending — the first
+/// of them holds the key.
+struct BuildTable<'a> {
+    key: &'a Column,
+    index: HashIndex,
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl<'a> BuildTable<'a> {
+    fn new(key: &'a Column) -> Result<BuildTable<'a>> {
+        let n = row_ids(key)?;
+        let hashes = row_hashes(&[key], n);
+        let mut index = HashIndex::new();
+        // Per row its key id (NULL: none), per key id its first row.
+        let (mut ids, mut first) = (vec![NO_ROW; n], Vec::<usize>::new());
+        typed!(key, |data, validity| {
+            for (r, &h) in hashes.iter().enumerate().filter(|(r, _)| validity.get(*r)) {
+                let same = |id: usize| data[first[id]].same(&data[r]);
+                let (id, new) = index.find_or_insert(h, same)?;
+                if new {
+                    first.push(r);
                 }
+                ids[r] = id;
             }
-            m
+        });
+        // A stable counting sort of the rows by key id.
+        let mut starts = vec![0u32; first.len() + 1];
+        for &id in ids.iter().filter(|&&id| id != NO_ROW) {
+            starts[id as usize + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let (mut next, mut rows) = (starts.clone(), vec![0u32; n - key.null_count()]);
+        for (r, &id) in ids.iter().enumerate().filter(|(_, &id)| id != NO_ROW) {
+            rows[next[id as usize] as usize] = r as u32;
+            next[id as usize] += 1;
+        }
+        Ok(BuildTable {
+            key,
+            index,
+            starts,
+            rows,
         })
-        .collect();
-    // Chunked probe: chunks run in parallel and concatenate in order, so the
-    // output is deterministic regardless of thread count.
-    const CHUNK: usize = 8192;
-    let nrows = left.num_rows();
-    let chunks: Vec<Vec<(usize, Option<usize>)>> = (0..nrows.div_ceil(CHUNK))
-        .into_par_iter()
-        .map(|c| {
-            let mut out = Vec::new();
-            for i in c * CHUNK..((c + 1) * CHUNK).min(nrows) {
-                let hit = join_key(lk, i).and_then(|key| {
-                    let h = hash_value(&lk.get(i));
-                    tables[(h % P as u64) as usize].get(&key)
-                });
-                match hit {
-                    Some(rows) => out.extend(rows.iter().map(|&r| (i, Some(r)))),
-                    None => {
-                        if kind == JoinKind::Left {
-                            out.push((i, None));
+    }
+
+    /// Every row of `probe` against the table, as row id pairs: each probe
+    /// row's matches by ascending right row, in probe row order; under LEFT
+    /// a row without one (a NULL key included) pairs with [`NO_ROW`].
+    fn probe(&self, kind: JoinKind, probe: &Column) -> Result<(Vec<u32>, Vec<u32>)> {
+        let n = row_ids(probe)?;
+        let hashes = row_hashes(&[probe], n);
+        let (starts, rows) = (&self.starts, &self.rows);
+        let (mut li, mut ri) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        typed_pair!(
+            self.key,
+            probe,
+            |keys, _kv, data, validity| {
+                for (l, &h) in hashes.iter().enumerate() {
+                    let same = |id: usize| keys[rows[starts[id] as usize] as usize].same(&data[l]);
+                    let hit = validity.get(l).then(|| self.index.find(h, same)).flatten();
+                    let range = match hit {
+                        Some(id) => starts[id as usize] as usize..starts[id as usize + 1] as usize,
+                        None if kind == JoinKind::Left => {
+                            li.push(l as u32);
+                            ri.push(NO_ROW);
+                            continue;
                         }
-                    }
+                        None => continue,
+                    };
+                    li.extend(std::iter::repeat_n(l as u32, range.len()));
+                    ri.extend_from_slice(&rows[range]);
                 }
+            },
+            return Err(DbError::Exec("JOIN key columns differ in type".into()))
+        );
+        Ok((li, ri))
+    }
+}
+
+/// `col`'s rows at `ids`, NULL where an id is [`NO_ROW`]: one typed gather
+/// for the left side, INNER's right side and LEFT's NULL-filled one.
+fn gather(col: &Column, ids: &[u32]) -> Column {
+    fn rows<T: Clone + Default>(data: &[T], validity: &Bitmap, ids: &[u32]) -> (Vec<T>, Bitmap) {
+        if validity.all_set() && !ids.contains(&NO_ROW) {
+            let out = ids.iter().map(|&i| data[i as usize].clone()).collect();
+            return (out, Bitmap::all_valid(ids.len()));
+        }
+        // A NULL holds the type's default value, as `Column::take` leaves it.
+        let mut valid = Bitmap::all_clear(ids.len());
+        let mut out = Vec::with_capacity(ids.len());
+        for (o, i) in ids.iter().map(|&i| i as usize).enumerate() {
+            if i != NO_ROW as usize && validity.get(i) {
+                valid.set(o);
+                out.push(data[i].clone());
+            } else {
+                out.push(T::default());
             }
-            out
-        })
-        .collect();
-    let mut li = Vec::new();
-    let mut ri = Vec::new();
-    for chunk in chunks {
-        for (l, r) in chunk {
-            li.push(l);
-            ri.push(r);
         }
+        (out, valid)
     }
-    Ok((li, ri))
-}
-
-/// A non-NULL join key borrowed from its column: equal keys are equal values
-/// of one type, floats by bit pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum JoinKey<'a> {
-    Int(i64),
-    FloatBits(u64),
-    Bool(bool),
-    Str(&'a str),
-}
-
-/// Row `i` of `col` as a join key; `None` for NULL, which never matches.
-fn join_key(col: &Column, i: usize) -> Option<JoinKey<'_>> {
-    col.validity().get(i).then(|| match col {
-        Column::Int64 { data, .. } => JoinKey::Int(data[i]),
-        Column::Float64 { data, .. } => JoinKey::FloatBits(data[i].to_bits()),
-        Column::Bool { data, .. } => JoinKey::Bool(data[i]),
-        Column::Varchar { data, .. } => JoinKey::Str(&data[i]),
-    })
-}
-
-/// Materialize the joined batch in the output namespace: left columns gather
-/// by `take`, right columns gather by take when every row matched (INNER) or
-/// through a null-injecting builder otherwise (LEFT outer rows).
-fn materialize_join(
-    plan: &JoinPlan,
-    left: &Batch,
-    right: &Batch,
-    li: &[usize],
-    ri: &[Option<usize>],
-) -> Result<Batch> {
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    let ltaken = left.take(li);
-    for (f, col) in ltaken.schema().fields().iter().zip(ltaken.columns()) {
-        fields.push(Field::new(plan.out_name(Side::Left, &f.name), f.dtype));
-        columns.push(col.clone());
-    }
-    if ri.iter().all(Option::is_some) {
-        let ridx: Vec<usize> = ri.iter().map(|r| r.expect("all matched")).collect();
-        let rtaken = right.take(&ridx);
-        for (f, col) in rtaken.schema().fields().iter().zip(rtaken.columns()) {
-            fields.push(Field::new(plan.out_name(Side::Right, &f.name), f.dtype));
-            columns.push(col.clone());
-        }
-    } else {
-        for (fi, f) in right.schema().fields().iter().enumerate() {
-            let src = &right.columns()[fi];
-            let mut b = ColumnBuilder::new(f.dtype);
-            for r in ri {
-                match r {
-                    Some(r) => b.push(src.get(*r))?,
-                    None => b.push(Value::Null)?,
-                }
-            }
-            fields.push(Field::new(plan.out_name(Side::Right, &f.name), f.dtype));
-            columns.push(b.finish());
-        }
-    }
-    Ok(Batch::new(Schema::new(fields), columns)?)
+    let mut out = Column::empty(col.data_type());
+    typed_pair!(
+        &mut out,
+        col,
+        |to, valid, data, validity| (*to, *valid) = rows(data, validity, ids),
+        ()
+    );
+    out
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use vdr_cluster::SimCluster;
+    use vdr_columnar::ColumnBuilder;
 
     fn recv_of(frames: Vec<Vec<Bytes>>) -> ExchangeRecv {
         ExchangeRecv {
@@ -965,5 +966,95 @@ mod tests {
             decode(vec![vec![lf.clone(), lf.clone()]; 2]),
             "left block in the right slot",
         );
+    }
+
+    /// A key column of `dtype` from pool indices; index 0 is NULL. The pools
+    /// hold the equalities that matter: both NaN signs, ±0.0 (equal by bit
+    /// pattern, so not equal), `i64::MIN`/`MAX`, the empty string.
+    fn key_column(dtype: DataType, picks: &[usize]) -> Column {
+        let value = |i: usize| match dtype {
+            DataType::Int64 => Value::Int64([i64::MIN, i64::MAX, -1, 0, 1, 7][i % 6]),
+            DataType::Float64 => {
+                let floats = [f64::NAN, -f64::NAN, 0.0, -0.0, 1.5, f64::INFINITY];
+                Value::Float64(floats[i % 6])
+            }
+            DataType::Bool => Value::Bool(i % 2 == 1),
+            DataType::Varchar => Value::Varchar(["", "a", "b", "é", "ab", "ba"][i % 6].into()),
+        };
+        let mut b = ColumnBuilder::new(dtype);
+        for &p in picks {
+            b.push(if p == 0 { Value::Null } else { value(p - 1) })
+                .unwrap();
+        }
+        b.finish()
+    }
+
+    /// The nested loop: every (left, right) pair of equal non-NULL keys in
+    /// left-then-right order, floats equal by bit pattern; under LEFT a left
+    /// row with no pair pairs with `None`.
+    fn nested_loop(left: &Column, right: &Column, kind: JoinKind) -> Vec<(usize, Option<usize>)> {
+        let same = |a: Value, b: Value| match (a, b) {
+            (Value::Null, _) | (_, Value::Null) => false,
+            (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
+            (a, b) => a == b,
+        };
+        let mut out = Vec::new();
+        for l in 0..left.len() {
+            let hits = (0..right.len()).filter(|&r| same(left.get(l), right.get(r)));
+            let before = out.len();
+            out.extend(hits.map(|r| (l, Some(r))));
+            if out.len() == before && kind == JoinKind::Left {
+                out.push((l, None));
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(200))]
+
+        /// One build over the right keys, the left keys probed in batches
+        /// split at random points: the row id pairs, offset by each batch's
+        /// start, are the nested loop's, pair for pair and in its order.
+        #[test]
+        fn build_and_probe_is_the_nested_loop(
+            right in proptest::collection::vec(0..8usize, 0..40),
+            left in proptest::collection::vec(0..8usize, 0..60),
+            cuts in proptest::collection::vec(0..61usize, 0..4),
+            outer in proptest::arbitrary::any::<bool>(),
+        ) {
+            let kind = if outer { JoinKind::Left } else { JoinKind::Inner };
+            for dtype in [DataType::Int64, DataType::Float64, DataType::Bool, DataType::Varchar] {
+                let (rk, lk) = (key_column(dtype, &right), key_column(dtype, &left));
+                let table = BuildTable::new(&rk).unwrap();
+                let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(lk.len())).collect();
+                bounds.extend([0, lk.len()]);
+                bounds.sort_unstable();
+                let mut got = Vec::new();
+                for w in bounds.windows(2) {
+                    let (li, ri) = table.probe(kind, &lk.slice(w[0], w[1])).unwrap();
+                    let pairs = li.iter().zip(&ri);
+                    got.extend(pairs.map(|(&l, &r)| (w[0] + l as usize, (r != NO_ROW).then_some(r as usize))));
+                }
+                let want = nested_loop(&lk, &rk, kind);
+                proptest::prop_assert!(got == want, "{dtype:?}: got {got:?}, want {want:?}");
+            }
+        }
+    }
+
+    /// The gather behind every joined column: rows by id, NULL where the id
+    /// is `NO_ROW` or the source row is NULL; and probing with a key of
+    /// another type is an error, not a join.
+    #[test]
+    fn gather_fills_null_and_probe_checks_the_key_type() {
+        let col = key_column(DataType::Varchar, &[2, 0, 3]);
+        let got = gather(&col, &[2, NO_ROW, 1, 0, 2]);
+        let want = key_column(DataType::Varchar, &[3, 0, 0, 2, 3]);
+        assert_eq!(got, want);
+        let ints = key_column(DataType::Int64, &[1, 2]);
+        assert_eq!(gather(&ints, &[1, 0]), key_column(DataType::Int64, &[2, 1]));
+        let table = BuildTable::new(&ints).unwrap();
+        let probe = table.probe(JoinKind::Inner, &col);
+        assert!(matches!(probe, Err(DbError::Exec(_))), "{probe:?}");
     }
 }

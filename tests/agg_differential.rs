@@ -4,10 +4,14 @@
 //! the physical path the statement's shape selects (encoded or decoded scan,
 //! dictionary GROUP BY, shuffled or initiator merge, each JOIN strategy), and
 //! row for row under `ORDER BY … LIMIT … OFFSET` on plain, grouped and joined
-//! rows. Plus the regressions that came with the columnar aggregator and the
-//! typed sort: Int64 compared as integers, aggregate output dtypes that come
-//! from the plan, not from the data, an `ORDER BY` that is a total order with
-//! NaN present, and ORDER BY keys that name select items by position or alias.
+//! rows. INNER and LEFT JOIN get a matrix of their own — every key type,
+//! NULL and duplicate keys, every strategy — whose joined rows are compared
+//! row for row in the order the engine emits them, against a nested loop
+//! that models where each row lives and moves. Plus the regressions that
+//! came with the columnar aggregator and the typed sort: Int64 compared as
+//! integers, aggregate output dtypes that come from the plan, not from the
+//! data, an `ORDER BY` that is a total order with NaN present, and ORDER BY
+//! keys that name select items by position or alias.
 
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -16,6 +20,7 @@ use std::sync::Arc;
 use vertica_dr::cluster::SimCluster;
 use vertica_dr::columnar::{Batch, DataType, Schema, Value};
 use vertica_dr::obs::MetricsSnapshot;
+use vertica_dr::verticadb::segmentation::hash_value;
 use vertica_dr::verticadb::{DbError, Segmentation, TableDef, VerticaDb};
 
 /// The metrics registry is process-global and the path census below reads
@@ -743,6 +748,263 @@ fn every_physical_path_runs_and_matches_the_reference() {
         "shuffle-right JOIN",
         "broadcast JOIN",
         "shuffle-both JOIN",
+    ];
+    assert_eq!(seen, BTreeSet::from(all));
+}
+
+// ------------------------------------------------------------ JOIN matrix
+
+/// One JOIN key of `dtype` from a pool index, 0 being NULL: `i64::MIN`/`MAX`,
+/// both NaN signs and ±0.0 (equal by bit pattern only), the empty string.
+fn pooled_key(dtype: DataType, pick: usize) -> Value {
+    let Some(i) = pick.checked_sub(1) else {
+        return Value::Null;
+    };
+    match dtype {
+        DataType::Int64 => Value::Int64([i64::MIN, i64::MAX, -1, 0, 1][i % 5]),
+        DataType::Float64 => Value::Float64([f64::NAN, -f64::NAN, 0.0, -0.0, 1.5][i % 5]),
+        DataType::Bool => Value::Bool(i % 2 == 1),
+        DataType::Varchar => Value::Varchar(["", "a", "b", "é", "ab"][i % 5].into()),
+    }
+}
+
+/// `l(id, k, x)` or `r(rid, k, w)` rows: an id, a key, an integer-valued
+/// float.
+fn join_rows(dtype: DataType, picks: &[(usize, usize)]) -> Vec<Vec<Value>> {
+    let row = |(i, &(k, v)): (usize, &(usize, usize))| {
+        vec![
+            Value::Int64(i as i64),
+            pooled_key(dtype, k),
+            Value::Float64(v as f64 - 3.0),
+        ]
+    };
+    picks.iter().enumerate().map(row).collect()
+}
+
+/// How the planner moves the sides of `l JOIN r ON l.k = r.k`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Moves {
+    None,
+    Left,
+    Right,
+    Both,
+    Broadcast,
+}
+
+/// The planner's rule: a side hash-segmented on its key (or any side on one
+/// node) stays put; a small enough right side is broadcast; otherwise the
+/// unaligned sides shuffle.
+fn moves(nodes: usize, (l, ls): (usize, &Segmentation), (r, rs): (usize, &Segmentation)) -> Moves {
+    let on_key = |s: &Segmentation| nodes == 1 || *s != Segmentation::RoundRobin;
+    match (on_key(ls), on_key(rs)) {
+        (true, true) => Moves::None,
+        (true, false) => Moves::Right,
+        (false, true) => Moves::Left,
+        (false, false) if r * nodes <= l + r => Moves::Broadcast,
+        (false, false) => Moves::Both,
+    }
+}
+
+/// Each node's rows of one side (by index) in the order the node joins
+/// them: the node's own rows in load order — round-robin by load position
+/// or by `hash(k) % nodes` — or, when the side moves, what every node sends
+/// it, source by source: the rows whose key hashes to it, or all of them
+/// under broadcast.
+fn arrivals(
+    rows: &[Vec<Value>],
+    seg: &Segmentation,
+    nodes: usize,
+    moved: bool,
+    broadcast: bool,
+) -> Vec<Vec<usize>> {
+    let hash = |i: usize| (hash_value(&rows[i][1]) % nodes as u64) as usize;
+    let home = |i: usize| match seg {
+        Segmentation::RoundRobin => i % nodes,
+        _ => hash(i),
+    };
+    let by_source = (0..nodes).flat_map(|s| (0..rows.len()).filter(move |&i| home(i) == s));
+    let by_source: Vec<usize> = by_source.collect();
+    let to = |k: usize, i: usize| match (broadcast, moved) {
+        (true, _) => true,
+        (false, true) => hash(i) == k,
+        (false, false) => home(i) == k,
+    };
+    let node = |k| by_source.iter().copied().filter(|&i| to(k, i)).collect();
+    (0..nodes).map(node).collect()
+}
+
+/// The joined `(l, r)` row pairs in the engine's output order — node order,
+/// then left rows as the node scans or receives them, then each one's
+/// matches in the node's right order; `None` for a LEFT row without one.
+fn engine_order(
+    (l, ls): (&[Vec<Value>], &Segmentation),
+    (r, rs): (&[Vec<Value>], &Segmentation),
+    nodes: usize,
+    left_join: bool,
+) -> (Vec<(usize, Option<usize>)>, Moves) {
+    let m = moves(nodes, (l.len(), ls), (r.len(), rs));
+    let shuffles = |side: Moves| m == side || m == Moves::Both;
+    let lk = arrivals(l, ls, nodes, shuffles(Moves::Left), false);
+    let rk = arrivals(r, rs, nodes, shuffles(Moves::Right), m == Moves::Broadcast);
+    let mut out = Vec::new();
+    for (lrows, rrows) in lk.iter().zip(&rk) {
+        for &i in lrows {
+            let key = &l[i][1];
+            let hits = rrows
+                .iter()
+                .filter(|&&j| !key.is_null() && same(key, &r[j][1]));
+            let before = out.len();
+            out.extend(hits.map(|&j| (i, Some(j))));
+            if left_join && out.len() == before {
+                out.push((i, None));
+            }
+        }
+    }
+    (out, m)
+}
+
+/// INNER and LEFT JOIN of `l` with `r` on a key of every type, under each
+/// segmentation pair and on 1, 3 and 5 nodes, against the nested loop: the
+/// joined rows row for row in the engine's order (plain, `*`, filtered), and
+/// `count(*)`, global and grouped aggregates over them. The probe side loads
+/// in three batches, the build side in two. Returns how the sides moved,
+/// read off `exchange.rows`.
+fn join_matrix(l: &[(usize, usize)], r: &[(usize, usize)]) -> BTreeSet<Moves> {
+    use DataType::{Float64, Int64};
+    let mut seen = BTreeSet::new();
+    for dtype in [Int64, Float64, DataType::Bool, DataType::Varchar] {
+        let (lt, rt) = (join_rows(dtype, l), join_rows(dtype, r));
+        let l_cols = [("id", Int64), ("k", dtype), ("x", Float64)];
+        let r_cols = [("rid", Int64), ("k", dtype), ("w", Float64)];
+        let joined_cols = [
+            ("id", Int64),
+            ("l.k", dtype),
+            ("x", Float64),
+            ("rid", Int64),
+            ("r.k", dtype),
+            ("w", Float64),
+        ];
+        let k_seg = Segmentation::Hash { column: "k".into() };
+        let segs = [Segmentation::RoundRobin, k_seg];
+        for nodes in [1, 3, 5] {
+            for (ls, rs) in segs
+                .iter()
+                .flat_map(|ls| segs.iter().map(move |rs| (ls, rs)))
+            {
+                let db = VerticaDb::new(SimCluster::for_tests(nodes));
+                let schema = Schema::of(&l_cols);
+                db.create_table(TableDef {
+                    name: "l".into(),
+                    schema: schema.clone(),
+                    segmentation: ls.clone(),
+                })
+                .unwrap();
+                let thirds = lt.chunks(lt.len().div_ceil(3).max(1));
+                db.copy(
+                    "l",
+                    thirds.map(|c| Batch::from_rows(schema.clone(), c).unwrap()),
+                )
+                .unwrap();
+                load(&db, "r", &r_cols, rs, &rt);
+                for (kind, left_join) in [("JOIN", false), ("LEFT JOIN", true)] {
+                    let (pairs, m) = engine_order((&lt, ls), (&rt, rs), nodes, left_join);
+                    let joined: Vec<Vec<Value>> = pairs
+                        .iter()
+                        .map(|&(i, j)| {
+                            let right = j.map_or(vec![Value::Null; 3], |j| rt[j].clone());
+                            lt[i].iter().chain(&right).cloned().collect()
+                        })
+                        .collect();
+                    let from = format!("l {kind} r ON l.k = r.k");
+                    let pick = |cols: &[usize]| -> Vec<Vec<Value>> {
+                        let row = |r: &Vec<Value>| cols.iter().map(|&c| r[c].clone()).collect();
+                        joined.iter().map(row).collect()
+                    };
+                    let rows_case = |items: &str, cols: &[usize], filter: Option<Pred>| Case {
+                        sql: format!(
+                            "SELECT {items} FROM {from}{}",
+                            filter.map_or(String::new(), |(w, _)| format!(" WHERE {w}"))
+                        ),
+                        nkeys: 0,
+                        types: cols.iter().map(|&c| joined_cols[c].1).collect(),
+                        want: pick(cols)
+                            .into_iter()
+                            .zip(&joined)
+                            .filter(|(_, full)| filter.is_none_or(|(_, keep)| keep(full)))
+                            .map(|(row, _)| row)
+                            .collect(),
+                        decoded: false,
+                    };
+                    let positive: Pred = ("x + w > 0", |r| num(&r[2]) + num(&r[5]) > 0.0);
+                    let aggs = [
+                        COUNT,
+                        ("count(rid)", Func::Count, 3),
+                        ("sum(x)", Func::Sum, 2),
+                        ("sum(w)", Func::Sum, 5),
+                        ("min(r.k)", Func::Min, 4),
+                        ("max(id)", Func::Max, 0),
+                    ];
+                    let table = (from.as_str(), &joined_cols as &Cols, joined.as_slice());
+                    let cases = [
+                        rows_case("id, rid, l.k, r.k, w", &[0, 3, 1, 4, 5], None),
+                        rows_case("*", &[0, 1, 2, 3, 4, 5], None),
+                        rows_case("id, w", &[0, 5], Some(positive)),
+                        agg_case(table, None, &[], &[COUNT], ""),
+                        agg_case(table, None, &[], &aggs, ""),
+                        agg_case(table, None, &[1], &[COUNT, aggs[3]], ""),
+                    ];
+                    let ctx = format!("{nodes} nodes, l {ls:?}, r {rs:?}, {m:?}");
+                    for case in &cases {
+                        let shipped = check(&db, case, &ctx).counter_total("exchange.rows");
+                        if case.nkeys > 0 {
+                            continue; // The grouped partials shuffle too.
+                        }
+                        let want = match m {
+                            Moves::None => 0,
+                            Moves::Left => lt.len(),
+                            Moves::Right => rt.len(),
+                            Moves::Both => lt.len() + rt.len(),
+                            Moves::Broadcast => rt.len() * nodes,
+                        };
+                        assert_eq!(shipped as usize, want, "{} on {ctx}", case.sql);
+                    }
+                    seen.insert(m);
+                }
+            }
+        }
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn join_matrix_matches_the_nested_loop_row_for_row(
+        l in prop::collection::vec((0..7usize, 0..7usize), 0..30),
+        r in prop::collection::vec((0..7usize, 0..7usize), 0..12),
+    ) {
+        let _guard = metrics_lock();
+        join_matrix(&l, &r);
+    }
+}
+
+/// The matrix on chosen sizes: an empty build side, and both broadcast and
+/// shuffle-both on 3 and on 5 nodes — every way the sides can move.
+#[test]
+fn join_matrix_covers_every_strategy_and_an_empty_build_side() {
+    let _guard = metrics_lock();
+    let picks = |n: usize| -> Vec<(usize, usize)> { (0..n).map(|i| (i * 5 % 7, i % 7)).collect() };
+    let mut seen = BTreeSet::new();
+    for (l, r) in [(30, 4), (10, 8), (12, 0)] {
+        seen.extend(join_matrix(&picks(l), &picks(r)));
+    }
+    let all = [
+        Moves::None,
+        Moves::Left,
+        Moves::Right,
+        Moves::Both,
+        Moves::Broadcast,
     ];
     assert_eq!(seen, BTreeSet::from(all));
 }
