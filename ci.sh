@@ -36,8 +36,10 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace $OFFLINE
 run cargo build --release $OFFLINE
 run cargo test --workspace -q $OFFLINE
 # The model bits the benchmark and the golden tests pin come from release
-# code: run the ml kernels' bit-identity and property tests in that profile.
+# code: run the ml kernels' bit-identity and property tests, and the root
+# training goldens, in that profile.
 run cargo test -p vdr-ml --release -q $OFFLINE
+run cargo test --release -q $OFFLINE --test glm_golden --test train_golden
 
 # The benchmark is a package of its own (benchmark/, own lock file), so the
 # workspace build above does not cover it. check.sh builds it offline and

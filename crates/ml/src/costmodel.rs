@@ -7,7 +7,7 @@
 //! * GLM: one (row × p²) cell of the `XᵀWX` accumulation. The modeled unit
 //!   is the full square, `rows·p²` per iteration, which is what the paper's
 //!   R-side timings were calibrated against; the kernel that runs here,
-//!   `glm::accumulate_partition` → `linalg::syrk_upper`, computes only the
+//!   `glm::accumulate_rows` → `linalg::syrk_upper`, computes only the
 //!   upper triangle — `rows·p(p+1)/2` cells — and mirrors it. The unit rates
 //!   price the modeled unit, not the kernel's flops, so making the kernel
 //!   faster (or halving its cells) moves wall time and no `sim_ms`.

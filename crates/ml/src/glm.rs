@@ -25,17 +25,23 @@
 //! the same bits as a `dot` per cell: same IRLS iterates, same iteration
 //! count, same deployed model bytes. The unit tests hold it to a copy of the
 //! dot-per-cell loop, and `tests/glm_golden.rs` to coefficient bits captured
-//! before the block kernel existed. Within a partition, tiles are split
-//! across worker instance lanes and tree-merged deterministically (see
-//! [`crate::reduce`]).
+//! before the block kernel existed.
+//!
+//! [`GlmFit`] is IRLS as an [`IterativeFit`]; every fit iterates in
+//! [`crate::fit::drive`], which splits each partition's rows across the
+//! worker's instance lanes and tree-merges the partials deterministically.
+//! The kernel reads rows by stride, so the response is read in place
+//! whether it sits in its own array (`hpdglm(x, y, …)`) or in the last
+//! column of the `[X | y]` array a train-while-loading transfer produced.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{MlError, Result};
+use crate::fit::{drive, IterativeFit, Rows, Source};
 use crate::linalg::{axpy, dot, solve_spd, syrk_upper, Matrix};
 use crate::models::GlmModel;
-use crate::reduce::{lane_chunk, tree_merge, TILE_ROWS};
-use rayon::prelude::*;
+use crate::reduce::TILE_ROWS;
 use vdr_distr::DArray;
+use vdr_obs::SpanGuard;
 
 /// Exponential-family response distributions with canonical links.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,10 +113,6 @@ pub struct GlmOptions {
     pub max_iterations: usize,
     /// Relative deviance-change convergence threshold.
     pub tolerance: f64,
-    /// Explicit starting coefficients (length `d + intercept`). This is how
-    /// the train-while-loading path resumes from the iteration-0 statistics
-    /// it accumulated while the VFT was still delivering batches.
-    pub initial_beta: Option<Vec<f64>>,
 }
 
 impl Default for GlmOptions {
@@ -119,7 +121,6 @@ impl Default for GlmOptions {
             add_intercept: true,
             max_iterations: 25,
             tolerance: 1e-8,
-            initial_beta: None,
         }
     }
 }
@@ -133,7 +134,6 @@ pub struct GlmPartials {
     pub xtwx: Matrix,
     pub xtwz: Vec<f64>,
     pub deviance: f64,
-    pub rows: u64,
 }
 
 impl GlmPartials {
@@ -142,7 +142,6 @@ impl GlmPartials {
             xtwx: Matrix::zeros(p, p),
             xtwz: vec![0.0; p],
             deviance: 0.0,
-            rows: 0,
         }
     }
 
@@ -155,7 +154,6 @@ impl GlmPartials {
             *a += b;
         }
         self.deviance += other.deviance;
-        self.rows += other.rows;
     }
 
     /// Newton step: solve `(XᵀWX) β = XᵀWz`.
@@ -164,70 +162,64 @@ impl GlmPartials {
     }
 }
 
-/// Transpose rows `[row0, row0+t)` of row-major `x` (`d` wide) into the
-/// column-major tile scratch `cols` (`cap` rows of capacity per column),
-/// with an implicit leading ones column when `intercept` is set.
-fn fill_tile(
-    x: &[f64],
-    d: usize,
+/// Load rows `[row0, row0+t)` of `rows` into the column-major tile `cols`
+/// (ones column first when `intercept` is set) and `η = X_tile · β` into
+/// `eta`: one [`axpy`] sweep per column, exactly like
+/// [`crate::models::GlmModel::linear_predictor_batch`].
+fn load_tile(
+    rows: Rows<'_>,
     row0: usize,
     t: usize,
-    cap: usize,
+    beta: &[f64],
     intercept: bool,
     cols: &mut [f64],
+    eta: &mut [f64],
 ) {
-    let off = usize::from(intercept);
+    let (off, cap) = (
+        usize::from(intercept),
+        cols.len().checked_div(beta.len()).unwrap_or(0),
+    );
     if intercept {
         cols[..t].fill(1.0);
     }
-    for j in 0..d {
+    for j in 0..beta.len() - off {
         let col = &mut cols[(j + off) * cap..(j + off) * cap + t];
-        let mut idx = row0 * d + j;
+        let mut idx = row0 * rows.stride + j;
         for v in col.iter_mut() {
-            *v = x[idx];
-            idx += d;
+            *v = rows.data[idx];
+            idx += rows.stride;
         }
     }
-}
-
-/// `η = X_tile · β` as a column-major gemv: one [`axpy`] sweep per column,
-/// exactly like [`crate::models::GlmModel::linear_predictor_batch`].
-fn tile_eta(cols: &[f64], cap: usize, t: usize, beta: &[f64], eta: &mut [f64]) {
     eta[..t].fill(0.0);
     for (i, &b) in beta.iter().enumerate() {
         axpy(b, &cols[i * cap..i * cap + t], &mut eta[..t]);
     }
 }
 
-/// Blocked accumulation of the IRLS sufficient statistics over row-major
-/// rows `x` (`d` features wide) with responses `y`, at coefficients `beta`.
-/// This is the training map kernel; it is public so the train-while-loading
-/// path can run it on batches as they arrive from the VFT. `beta` must hold
-/// `d + intercept` coefficients and `x` exactly `y.len() · d` values.
+/// Blocked accumulation of the IRLS sufficient statistics over `rows` (`d`
+/// features, then the response: kept apart, or in column `d` of `[X | y]`
+/// rows, read in place) at coefficients `beta` (`d + intercept` of them).
+/// This is the training map kernel, [`GlmFit`]'s transition.
 pub fn accumulate_rows(
-    x: &[f64],
-    y: &[f64],
+    rows: Rows<'_>,
     d: usize,
     beta: &[f64],
     family: Family,
     intercept: bool,
 ) -> Result<GlmPartials> {
-    let p = beta.len();
-    if p != d + usize::from(intercept) {
+    let (nrow, p) = (rows.nrow(), beta.len());
+    if p != d + usize::from(intercept)
+        || rows.stride < d + usize::from(rows.y.is_none())
+        || rows.data.len() != nrow * rows.stride
+        || rows.y.is_some_and(|y| y.len() != nrow)
+    {
+        let (n, stride) = (rows.data.len(), rows.stride);
         return Err(MlError::Invalid(format!(
-            "beta has {p} coefficients, model needs {}",
-            d + usize::from(intercept)
+            "{p} coefficients and {n} values in rows of {stride} are not a {d}-feature design"
         )));
     }
-    let nrow = y.len();
-    if x.len() != nrow * d {
-        return Err(MlError::Invalid(format!(
-            "{} feature values for {nrow} responses × {d} features",
-            x.len()
-        )));
-    }
+    let (y, step) = rows.response(d);
     let mut out = GlmPartials::zeros(p);
-    out.rows = nrow as u64;
     if nrow == 0 {
         return Ok(out);
     }
@@ -240,14 +232,13 @@ pub fn accumulate_rows(
     let mut row0 = 0;
     while row0 < nrow {
         let t = cap.min(nrow - row0);
-        fill_tile(x, d, row0, t, cap, intercept, &mut cols);
-        tile_eta(&cols, cap, t, beta, &mut eta);
+        load_tile(rows, row0, t, beta, intercept, &mut cols, &mut eta);
         // One vectorized sweep for the link math: working weight w, working
         // response z = η + (y − μ)/w, and the deviance trace.
         for r in 0..t {
             let mu = family.link_inverse(eta[r]);
             let w = family.weight(mu);
-            let yv = y[row0 + r];
+            let yv = y[(row0 + r) * step];
             wbuf[r] = w;
             zbuf[r] = eta[r] + (yv - mu) / w;
             out.deviance += family.deviance(yv, mu);
@@ -289,7 +280,6 @@ pub fn accumulate_rows_reference(
     let p = beta.len();
     let nrow = y.len();
     let mut out = GlmPartials::zeros(p);
-    out.rows = nrow as u64;
     let mut xrow = vec![0.0; p];
     for r in 0..nrow {
         let feats = &x[r * d..(r + 1) * d];
@@ -314,17 +304,17 @@ pub fn accumulate_rows_reference(
     out
 }
 
-/// Deviance of `beta` over a row set: the blocked η pass without the
-/// weighted accumulation (the final Gaussian deviance).
+/// Deviance of `beta` over `rows` (laid out as for [`accumulate_rows`]):
+/// the blocked η pass without the weighted accumulation (the final Gaussian
+/// deviance).
 pub fn deviance_rows(
-    x: &[f64],
-    y: &[f64],
+    rows: Rows<'_>,
     d: usize,
     beta: &[f64],
     family: Family,
     intercept: bool,
 ) -> f64 {
-    let nrow = y.len();
+    let (nrow, (y, step)) = (rows.nrow(), rows.response(d));
     if nrow == 0 {
         return 0.0;
     }
@@ -335,60 +325,137 @@ pub fn deviance_rows(
     let mut row0 = 0;
     while row0 < nrow {
         let t = cap.min(nrow - row0);
-        fill_tile(x, d, row0, t, cap, intercept, &mut cols);
-        tile_eta(&cols, cap, t, beta, &mut eta);
+        load_tile(rows, row0, t, beta, intercept, &mut cols, &mut eta);
         for r in 0..t {
-            deviance += family.deviance(y[row0 + r], family.link_inverse(eta[r]));
+            deviance += family.deviance(y[(row0 + r) * step], family.link_inverse(eta[r]));
         }
         row0 += t;
     }
     deviance
 }
 
-/// Per-partition accumulation: this is the distributed map step. Exposed so
-/// the cost model's unit definition (`rows × p²` per iteration; the kernel
-/// computes the `p(p+1)/2` upper-triangle cells of each and mirrors them)
-/// names the code that actually runs. Rows split into contiguous, tile-aligned chunks
-/// accumulated across `lanes` rayon tasks (the worker's instance lanes,
-/// mirroring the VFT's per-stream decode), then tree-merged so the
-/// floating-point reduction order is a pure function of the row count.
-pub fn accumulate_partition(
-    x: &vdr_distr::PartData,
-    y: &vdr_distr::PartData,
-    beta: &[f64],
+/// IRLS as an [`IterativeFit`]: the transition accumulates `XᵀWX` / `XᵀWz`
+/// at the current β ([`accumulate_rows`]), the step solves for the next β
+/// and stops when the relative deviance change falls under the tolerance.
+#[derive(Debug, Clone)]
+pub struct GlmFit {
+    d: usize,
     family: Family,
-    intercept: bool,
-    lanes: usize,
-) -> Result<GlmPartials> {
-    let d = x.ncol;
-    let chunk = lane_chunk(x.nrow, lanes);
-    if chunk >= x.nrow {
-        return accumulate_rows(&x.data, &y.data, d, beta, family, intercept);
-    }
-    let starts: Vec<usize> = (0..x.nrow).step_by(chunk).collect();
-    let partials = starts
-        .par_iter()
-        .map(|&s| {
-            let e = (s + chunk).min(x.nrow);
-            accumulate_rows(
-                &x.data[s * d..e * d],
-                &y.data[s..e],
-                d,
-                beta,
-                family,
-                intercept,
-            )
-        })
-        .collect::<Result<Vec<_>>>()?;
-    tree_merge(partials, |a, b| a.merge(&b))
-        .ok_or_else(|| MlError::Invalid("partition split into no lane chunks".into()))
+    opts: GlmOptions,
+    beta: Vec<f64>,
+    /// Deviance of the last pass (∞ before the first).
+    deviance: f64,
 }
 
-fn observe_pass(rows: u64, elapsed: std::time::Duration) {
-    vdr_obs::observe(
-        "ml.train.rows_per_sec",
-        rows as f64 / elapsed.as_secs_f64().max(1e-9),
-    );
+impl GlmFit {
+    /// A fit of `d` features starting at β = 0.
+    pub fn new(d: usize, family: Family, opts: &GlmOptions) -> Self {
+        GlmFit {
+            d,
+            family,
+            opts: opts.clone(),
+            beta: vec![0.0; d + usize::from(opts.add_intercept)],
+            deviance: f64::INFINITY,
+        }
+    }
+}
+
+impl IterativeFit for GlmFit {
+    type Partial = GlmPartials;
+    type Model = GlmModel;
+    const NAME: &'static str = "ml.glm";
+
+    fn max_iterations(&self) -> usize {
+        self.opts.max_iterations
+    }
+
+    fn transition(&self, rows: Rows<'_>) -> Result<GlmPartials> {
+        let intercept = self.opts.add_intercept;
+        accumulate_rows(rows, self.d, &self.beta, self.family, intercept)
+    }
+
+    fn merge(acc: &mut GlmPartials, other: GlmPartials) {
+        acc.merge(&other);
+    }
+
+    fn step(
+        &mut self,
+        merged: GlmPartials,
+        source: &Source<'_>,
+        span: &mut SpanGuard<'_>,
+    ) -> Result<bool> {
+        self.beta = merged.solve()?;
+        // Gaussian/identity is exact in one step: one more pass for the
+        // final deviance at the solution.
+        let gaussian = self.family == Family::Gaussian;
+        let deviance = if gaussian {
+            let (d, beta, intercept) = (self.d, &self.beta, self.opts.add_intercept);
+            source
+                .map(|rows| deviance_rows(rows, d, beta, Family::Gaussian, intercept))?
+                .into_iter()
+                .sum()
+        } else {
+            merged.deviance
+        };
+        // The per-iteration objective trace: exact values on the span,
+        // magnitudes in the histogram, the latest value on the gauge.
+        span.record("deviance", deviance);
+        let rel = (deviance - self.deviance).abs() / (deviance.abs() + 0.1);
+        if !gaussian {
+            span.record("delta", rel);
+        }
+        vdr_obs::observe("ml.glm.deviance", deviance);
+        vdr_obs::gauge("ml.train.deviance", deviance);
+        self.deviance = deviance;
+        Ok(gaussian || rel < self.opts.tolerance)
+    }
+
+    /// A solvable iteration-0 system becomes the starting β; without one
+    /// (none given, or singular) β starts at 0, except that a binomial
+    /// intercept starts at the logit of the base rate, which keeps early
+    /// iterations stable.
+    fn warm_start(&mut self, first: Option<GlmPartials>, source: &Source<'_>) -> Result<()> {
+        let (n, ncol) = source.rows.dim();
+        let (d, p) = (self.d, self.beta.len());
+        if d == 0 || ncol as usize != d + usize::from(source.y.is_none()) || n < p as u64 {
+            let shape = format!("{n}×{ncol} array for {d} features and {p} parameters");
+            return Err(MlError::Invalid(shape));
+        }
+        if let Some(beta) = first.and_then(|f| f.solve().ok()) {
+            self.beta = beta;
+        } else if self.family == Family::Binomial && self.opts.add_intercept {
+            let pos: f64 = source
+                .map(|rows| {
+                    let (y, step) = rows.response(d);
+                    y.iter().step_by(step).sum::<f64>()
+                })?
+                .into_iter()
+                .sum();
+            let rate = (pos / n as f64).clamp(1e-6, 1.0 - 1e-6);
+            self.beta[0] = (rate / (1.0 - rate)).ln();
+        }
+        Ok(())
+    }
+
+    fn finish(self, iterations: usize, done: bool, span: &mut SpanGuard<'_>) -> Result<GlmModel> {
+        span.record("family", self.family.name());
+        span.record("p", self.beta.len());
+        span.record("converged", done);
+        if !done {
+            return Err(MlError::NoConvergence {
+                iterations,
+                deviance: self.deviance,
+            });
+        }
+        Ok(GlmModel {
+            coefficients: self.beta,
+            intercept: self.opts.add_intercept,
+            family: self.family,
+            deviance: self.deviance,
+            iterations,
+            converged: true,
+        })
+    }
 }
 
 /// Fit a GLM on co-partitioned features `x` (n×p) and response `y` (n×1).
@@ -396,132 +463,13 @@ fn observe_pass(rows: u64, elapsed: std::time::Duration) {
 /// Mirrors Figure 3 line 6: `model <- hpdglm(data$Y, data$X,
 /// family=binomial(link=logit))`.
 pub fn hpdglm(x: &DArray, y: &DArray, family: Family, opts: &GlmOptions) -> Result<GlmModel> {
-    let (n, d) = x.dim();
-    if n == 0 || d == 0 {
-        return Err(MlError::Invalid("empty feature matrix".into()));
-    }
-    if y.dim() != (n, 1) {
-        return Err(MlError::Invalid(format!(
-            "response must be {n}×1, got {:?}",
-            y.dim()
-        )));
-    }
-    x.check_copartitioned(y)?;
-    let p = d as usize + usize::from(opts.add_intercept);
-    if n < p as u64 {
-        return Err(MlError::Invalid(format!("{n} rows < {p} parameters")));
-    }
-
-    let mut beta = vec![0.0f64; p];
-    // Sensible binomial start: intercept at logit of the base rate keeps
-    // early iterations stable.
-    if family == Family::Binomial && opts.add_intercept {
-        let pos: f64 = x
-            .zip_map(y, |_, _, yp| yp.data.iter().sum::<f64>())?
-            .into_iter()
-            .sum();
-        let rate = (pos / n as f64).clamp(1e-6, 1.0 - 1e-6);
-        beta[0] = (rate / (1.0 - rate)).ln();
-    }
-    if let Some(b0) = &opts.initial_beta {
-        if b0.len() != p {
-            return Err(MlError::Invalid(format!(
-                "initial_beta has {} coefficients, model needs {p}",
-                b0.len()
-            )));
-        }
-        beta.copy_from_slice(b0);
-    }
-
-    let lanes = x.instance_lanes();
-    let mut fit_span = vdr_obs::span("ml.glm.fit");
-    fit_span.record("family", family.name());
-    fit_span.record("n", n);
-    fit_span.record("p", p);
-
-    let mut last_deviance = f64::INFINITY;
-    let mut iterations = 0usize;
-    let mut converged = false;
-    while iterations < opts.max_iterations {
-        iterations += 1;
-        let mut iter_span = vdr_obs::span("ml.glm.iteration");
-        iter_span.record("iter", iterations);
-        let pass_start = std::time::Instant::now();
-        // Map: per-partition partials, in parallel on the owning workers and
-        // across instance lanes within each partition.
-        let partials = x
-            .zip_map(y, |_, xp, yp| {
-                accumulate_partition(xp, yp, &beta, family, opts.add_intercept, lanes)
-            })?
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-        // Reduce on the master: deterministic pairwise tree.
-        let reduced = tree_merge(partials, |a, b| a.merge(&b))
-            .ok_or_else(|| MlError::Invalid("feature array has no partitions".into()))?;
-        observe_pass(reduced.rows, pass_start.elapsed());
-        let deviance = reduced.deviance;
-        beta = reduced.solve()?;
-        // Gaussian/identity is exact in one step.
-        if family == Family::Gaussian {
-            // One more pass for the final deviance at the solution.
-            let final_dev: f64 = x
-                .zip_map(y, |_, xp, yp| {
-                    deviance_rows(
-                        &xp.data,
-                        &yp.data,
-                        xp.ncol,
-                        &beta,
-                        family,
-                        opts.add_intercept,
-                    )
-                })?
-                .into_iter()
-                .sum();
-            iter_span.record("deviance", final_dev);
-            vdr_obs::observe("ml.glm.deviance", final_dev);
-            vdr_obs::gauge("ml.train.deviance", final_dev);
-            fit_span.record("iterations", iterations);
-            return Ok(GlmModel {
-                coefficients: beta,
-                intercept: opts.add_intercept,
-                family,
-                deviance: final_dev,
-                iterations,
-                converged: true,
-            });
-        }
-        let rel = (deviance - last_deviance).abs() / (deviance.abs() + 0.1);
-        // The per-iteration objective trace: exact values on the span,
-        // iteration counts and magnitudes in the histogram, the latest
-        // value on the gauge.
-        iter_span.record("deviance", deviance);
-        iter_span.record("delta", rel);
-        vdr_obs::observe("ml.glm.deviance", deviance);
-        vdr_obs::gauge("ml.train.deviance", deviance);
-        if rel < opts.tolerance {
-            converged = true;
-            last_deviance = deviance;
-            break;
-        }
-        last_deviance = deviance;
-    }
-    fit_span.record("iterations", iterations);
-    fit_span.record("converged", converged);
-
-    if !converged && iterations >= opts.max_iterations {
-        return Err(MlError::NoConvergence {
-            iterations,
-            deviance: last_deviance,
-        });
-    }
-    Ok(GlmModel {
-        coefficients: beta,
-        intercept: opts.add_intercept,
-        family,
-        deviance: last_deviance,
-        iterations,
-        converged,
-    })
+    let source = Source {
+        rows: x,
+        y: Some(y),
+    };
+    let mut fit = GlmFit::new(x.dim().1 as usize, family, opts);
+    fit.warm_start(None, &source)?;
+    drive(fit, &source)
 }
 
 #[cfg(test)]
@@ -532,6 +480,11 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use vdr_cluster::SimCluster;
     use vdr_distr::DistributedR;
+
+    /// Features `x` (`d` wide) beside a separate response `y`.
+    fn split<'a>(x: &'a [f64], d: usize, y: &'a [f64]) -> Rows<'a> {
+        Rows::new(x, d, Some(y))
+    }
 
     fn runtime(nodes: usize) -> DistributedR {
         DistributedR::on_all_nodes(SimCluster::for_tests(nodes), 2).unwrap()
@@ -723,9 +676,9 @@ mod tests {
             let p = d + usize::from(intercept);
             let beta: Vec<f64> = (0..p).map(|_| rng.gen_range(-0.5..0.5)).collect();
             for family in [Family::Gaussian, Family::Binomial, Family::Poisson] {
-                let blocked = accumulate_rows(&x, &y, d, &beta, family, intercept).unwrap();
+                let blocked =
+                    accumulate_rows(split(&x, d, &y), d, &beta, family, intercept).unwrap();
                 let rowwise = accumulate_rows_reference(&x, &y, d, &beta, family, intercept);
-                assert_eq!(blocked.rows, rowwise.rows);
                 let scale = rowwise.deviance.abs().max(1.0);
                 assert!((blocked.deviance - rowwise.deviance).abs() < 1e-9 * scale);
                 for (a, b) in blocked.xtwx.data.iter().zip(&rowwise.xtwx.data) {
@@ -751,7 +704,6 @@ mod tests {
         let p = beta.len();
         let nrow = y.len();
         let mut out = GlmPartials::zeros(p);
-        out.rows = nrow as u64;
         if nrow == 0 {
             return out;
         }
@@ -764,8 +716,15 @@ mod tests {
         let mut row0 = 0;
         while row0 < nrow {
             let t = cap.min(nrow - row0);
-            fill_tile(x, d, row0, t, cap, intercept, &mut cols);
-            tile_eta(&cols, cap, t, beta, &mut eta);
+            load_tile(
+                split(x, d, y),
+                row0,
+                t,
+                beta,
+                intercept,
+                &mut cols,
+                &mut eta,
+            );
             // One vectorized sweep for the link math: working weight w, working
             // response z = η + (y − μ)/w, and the deviance trace.
             for r in 0..t {
@@ -820,14 +779,14 @@ mod tests {
                     let y: Vec<f64> = (0..nrow).map(|_| rng.gen_range(0.0..1.0)).collect();
                     let beta: Vec<f64> = (0..p).map(|_| rng.gen_range(-0.3..0.3)).collect();
                     for family in [Family::Gaussian, Family::Binomial, Family::Poisson] {
-                        let new = accumulate_rows(&x, &y, d, &beta, family, intercept).unwrap();
+                        let new =
+                            accumulate_rows(split(&x, d, &y), d, &beta, family, intercept).unwrap();
                         let old = accumulate_rows_dot_per_cell(&x, &y, d, &beta, family, intercept);
                         let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
                         let at = format!("p={p} nrow={nrow} {family:?} intercept={intercept}");
                         assert_eq!(bits(&new.xtwx.data), bits(&old.xtwx.data), "xtwx {at}");
                         assert_eq!(bits(&new.xtwz), bits(&old.xtwz), "xtwz {at}");
                         assert_eq!(new.deviance.to_bits(), old.deviance.to_bits(), "{at}");
-                        assert_eq!(new.rows, old.rows);
                     }
                 }
             }
@@ -840,7 +799,8 @@ mod tests {
         let y = vec![1.0; 4];
         // Short and long beta, with and without the intercept slot.
         for (beta_len, intercept) in [(3usize, true), (5, true), (2, false), (4, false)] {
-            let err = accumulate_rows(&x, &y, 3, &vec![0.0; beta_len], Family::Gaussian, intercept);
+            let beta = vec![0.0; beta_len];
+            let err = accumulate_rows(split(&x, 3, &y), 3, &beta, Family::Gaussian, intercept);
             assert!(
                 matches!(err, Err(MlError::Invalid(_))),
                 "{beta_len} {intercept}"
@@ -848,15 +808,15 @@ mod tests {
         }
         // Feature buffer that is not rows × d.
         for bad in [&x[..11], &x[..9]] {
-            let err = accumulate_rows(bad, &y, 3, &[0.0; 4], Family::Gaussian, true);
+            let err = accumulate_rows(split(bad, 3, &y), 3, &[0.0; 4], Family::Gaussian, true);
             assert!(matches!(err, Err(MlError::Invalid(_))));
         }
-        assert!(accumulate_rows(&x, &y, 3, &[0.0; 4], Family::Gaussian, true).is_ok());
-        // The lane-split path reports the same error instead of panicking.
-        let xp = vdr_distr::PartData::new(600, 2, vec![0.5; 1200]).unwrap();
-        let yp = vdr_distr::PartData::new(600, 1, vec![1.0; 600]).unwrap();
-        let err = accumulate_partition(&xp, &yp, &[0.0; 2], Family::Gaussian, true, 2);
+        assert!(accumulate_rows(split(&x, 3, &y), 3, &[0.0; 4], Family::Gaussian, true).is_ok());
+        // [X | y] rows need a column past the features for the response.
+        let joined = |stride| Rows::new(&x, stride, None);
+        let err = accumulate_rows(joined(3), 3, &[0.0; 4], Family::Gaussian, true);
         assert!(matches!(err, Err(MlError::Invalid(_))));
+        assert!(accumulate_rows(joined(4), 3, &[0.0; 4], Family::Gaussian, true).is_ok());
     }
 
     #[test]
@@ -865,16 +825,15 @@ mod tests {
         let (nrow, d) = (1500usize, 4usize);
         let xd: Vec<f64> = (0..nrow * d).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let yd: Vec<f64> = (0..nrow).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let xp = vdr_distr::PartData::new(nrow, d, xd).unwrap();
-        let yp = vdr_distr::PartData::new(nrow, 1, yd).unwrap();
-        let beta = vec![0.1; d + 1];
-        let a = accumulate_partition(&xp, &yp, &beta, Family::Gaussian, true, 4).unwrap();
-        let b = accumulate_partition(&xp, &yp, &beta, Family::Gaussian, true, 4).unwrap();
+        let fit = GlmFit::new(d, Family::Gaussian, &GlmOptions::default());
+        let rows = split(&xd, d, &yd);
+        let a = crate::fit::partition_pass(&fit, rows, 4).unwrap();
+        let b = crate::fit::partition_pass(&fit, rows, 4).unwrap();
         assert_eq!(a.xtwx.data, b.xtwx.data, "same lanes ⇒ bit-identical");
         assert_eq!(a.xtwz, b.xtwz);
         assert_eq!(a.deviance, b.deviance);
         // And close to the single-lane result (different summation order).
-        let serial = accumulate_partition(&xp, &yp, &beta, Family::Gaussian, true, 1).unwrap();
+        let serial = crate::fit::partition_pass(&fit, rows, 1).unwrap();
         for (p, q) in a.xtwx.data.iter().zip(&serial.xtwx.data) {
             assert!((p - q).abs() < 1e-9 * q.abs().max(1.0));
         }

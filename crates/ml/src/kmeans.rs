@@ -3,26 +3,28 @@
 //! "In each iteration, points are first mapped to their closest centers and
 //! then new centers are calculated by averaging the groups" (Section 7.3.1).
 //! Each partition computes assignments and partial center sums; the master
-//! reduces and re-averages. The per-partition kernel is public so the Spark
-//! comparator runs the *identical* inner loop — Figure 20's caption insists
-//! "Spark and DR denote the same implementation of the K-means algorithm,
-//! and hence an apples-to-apples comparison".
+//! reduces and re-averages ([`KmeansFit`], iterated by [`crate::fit::drive`]).
+//! The per-partition kernel, the center update and the seeding are public
+//! so the Spark comparator runs the *identical* code — Figure 20's caption
+//! insists "Spark and DR denote the same implementation of the K-means
+//! algorithm, and hence an apples-to-apples comparison".
 //!
 //! Centers travel as one contiguous `k×d` row-major buffer, and the
 //! assignment pass is blocked by row width (`kernels::RowScorer`):
 //! narrow rows score four centers per sweep with register accumulators, wide
 //! rows sweep all k scores per element through a transposed center stripe,
 //! instead of a `squared_distance` call per (row, center) pair.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{MlError, Result};
+use crate::fit::{drive, IterativeFit, Rows, Source};
 use crate::kernels::RowScorer;
 use crate::linalg::squared_distance;
 use crate::models::KmeansModel;
-use crate::reduce::{lane_chunk, tree_merge};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use vdr_distr::DArray;
+use vdr_obs::SpanGuard;
 
 /// Clustering options.
 #[derive(Debug, Clone)]
@@ -71,6 +73,40 @@ impl KmeansPartial {
             counts: vec![0; k],
             wss: 0.0,
         }
+    }
+
+    /// The Lloyd update: every center of `centers` (`k×d`, row-major) moves
+    /// to the mean of the rows assigned to it. A center no row chose goes to
+    /// `empty` instead, which may move it (`hpdkmeans` reseeds it) or leave
+    /// it where it is. Returns the summed squared distance the centers moved.
+    pub fn update_centers(
+        &self,
+        centers: &mut [f64],
+        mut empty: impl FnMut(&mut [f64]) -> Result<()>,
+    ) -> Result<f64> {
+        let k = self.counts.len();
+        if k == 0 || centers.len() != self.sums.len() {
+            return Err(MlError::Invalid(
+                "centers do not match the partial's".into(),
+            ));
+        }
+        let d = centers.len() / k;
+        let mut new = vec![0.0; d];
+        let mut moved = 0.0;
+        for (c, old) in centers.chunks_exact_mut(d.max(1)).enumerate() {
+            if self.counts[c] == 0 {
+                new.copy_from_slice(old);
+                empty(&mut new)?;
+            } else {
+                let count = self.counts[c] as f64;
+                for (nj, s) in new.iter_mut().zip(&self.sums[c * d..(c + 1) * d]) {
+                    *nj = s / count;
+                }
+            }
+            moved += squared_distance(&new, old);
+            old.copy_from_slice(&new);
+        }
+        Ok(moved)
     }
 }
 
@@ -132,26 +168,6 @@ pub fn assign_partial_reference(data: &[f64], d: usize, centers: &[Vec<f64>]) ->
     out
 }
 
-/// Per-partition assignment with rows split across `lanes` parallel
-/// accumulators (contiguous, tile-aligned chunks) and a deterministic
-/// pairwise tree-merge of the lane partials.
-pub fn assign_partition(data: &[f64], d: usize, centers: &[f64], lanes: usize) -> KmeansPartial {
-    let nrow = data.len().checked_div(d).unwrap_or(0);
-    let chunk = lane_chunk(nrow, lanes);
-    if chunk >= nrow {
-        return assign_partial(data, d, centers);
-    }
-    let starts: Vec<usize> = (0..nrow).step_by(chunk).collect();
-    let partials: Vec<KmeansPartial> = starts
-        .par_iter()
-        .map(|&s| {
-            let e = (s + chunk).min(nrow);
-            assign_partial(&data[s * d..e * d], d, centers)
-        })
-        .collect();
-    tree_merge(partials, |a, b| merge_partials(a, &b)).expect("nonempty chunk list")
-}
-
 /// Merge partials (the reduce step), in place and allocation-free.
 pub fn merge_partials(acc: &mut KmeansPartial, other: &KmeansPartial) {
     for (a, b) in acc.sums.iter_mut().zip(&other.sums) {
@@ -163,51 +179,43 @@ pub fn merge_partials(acc: &mut KmeansPartial, other: &KmeansPartial) {
     acc.wss += other.wss;
 }
 
-/// Seed `k` centers, returned as one contiguous `k×d` row-major buffer.
-fn init_centers(x: &DArray, opts: &KmeansOptions) -> Result<Vec<f64>> {
+/// Check that `x` can be clustered into `k` groups; returns its width.
+fn check_shape(x: &DArray, k: usize) -> Result<usize> {
     let (n, d) = x.dim();
-    let (n, d) = (n as usize, d as usize);
-    if let Some(init) = &opts.initial_centers {
-        if init.len() != opts.k * d {
-            return Err(MlError::Invalid(format!(
-                "initial_centers must be k×d = {}, got {}",
-                opts.k * d,
-                init.len()
-            )));
-        }
-        return Ok(init.clone());
+    if d == 0 || k == 0 || k as u64 > n {
+        return Err(MlError::Invalid(format!("k={k} with n={n} rows of {d}")));
     }
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    // Small k relative to n: gather candidate rows by global index. Row
-    // lookup walks the partition size table (cheap; sizes come from the
-    // master's symbol table).
-    let sizes = x.partition_sizes();
-    let fetch_row = |global: usize| -> Result<Vec<f64>> {
-        let mut remaining = global;
-        for (p, (rows, _)) in sizes.iter().enumerate() {
-            if remaining < *rows as usize {
-                let part = x.partition(p)?;
-                return Ok(part.row(remaining).to_vec());
-            }
-            remaining -= *rows as usize;
-        }
-        Err(MlError::Invalid(format!("row {global} out of range")))
-    };
+    Ok(d as usize)
+}
 
-    // k-means++ seeding (D² sampling).
-    let mut centers = fetch_row(rng.gen_range(0..n))?;
-    while centers.len() < opts.k * d {
-        let chosen_so_far = centers.len() / d;
-        // D² weights computed distributed.
-        let dists: Vec<Vec<f64>> = x.map_partitions(|_, part| {
-            (0..part.nrow)
-                .map(|r| {
-                    (0..chosen_so_far)
-                        .map(|c| squared_distance(part.row(r), &centers[c * d..(c + 1) * d]))
-                        .fold(f64::INFINITY, f64::min)
-                })
-                .collect()
-        })?;
+/// Every row's squared distance to the nearest of `centers` (both row-major,
+/// `d` wide).
+pub fn nearest_distances(data: &[f64], d: usize, centers: &[f64]) -> Vec<f64> {
+    let nearest = |row| {
+        let dists = centers.chunks_exact(d).map(|c| squared_distance(row, c));
+        dists.fold(f64::INFINITY, f64::min)
+    };
+    data.chunks_exact(d).map(nearest).collect()
+}
+
+/// k-means++ (D² sampling) seeding of `k` centers from `n` partitioned rows
+/// of width `d`, as one `k×d` row-major buffer: each next center is drawn
+/// with probability proportional to its squared distance from the nearest
+/// center chosen so far. `nearest(centers)` returns those distances
+/// partition by partition ([`nearest_distances`]), `row(i)` fetches global
+/// row `i`. `hpdkmeans` and the Spark comparator both seed here.
+pub fn kmeans_pp(
+    n: usize,
+    d: usize,
+    k: usize,
+    seed: u64,
+    nearest: impl Fn(&[f64]) -> Result<Vec<Vec<f64>>>,
+    row: impl Fn(usize) -> Result<Vec<f64>>,
+) -> Result<Vec<f64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut centers = row(rng.gen_range(0..n))?;
+    while centers.len() < k * d {
+        let dists = nearest(&centers)?;
         let total: f64 = dists.iter().flatten().sum();
         if total <= 0.0 {
             // All points identical to existing centers: duplicate.
@@ -216,104 +224,152 @@ fn init_centers(x: &DArray, opts: &KmeansOptions) -> Result<Vec<f64>> {
             continue;
         }
         let mut target = rng.gen_range(0.0..total);
-        let mut chosen = None;
-        'outer: for (p, pd) in dists.iter().enumerate() {
-            for (r, w) in pd.iter().enumerate() {
-                target -= w;
-                if target <= 0.0 {
-                    chosen = Some((p, r));
-                    break 'outer;
-                }
-            }
-        }
-        let (p, r) = chosen.unwrap_or((x.npartitions() - 1, 0));
-        let part = x.partition(p)?;
-        centers.extend_from_slice(part.row(r.min(part.nrow - 1)));
+        let mut weights = dists.iter().flatten();
+        let chosen = weights.position(|w| {
+            target -= w;
+            target <= 0.0
+        });
+        centers.extend(row(chosen.unwrap_or(n - 1))?);
     }
     Ok(centers)
 }
 
+/// Global row `global` of `x`: a walk over the partition size table (sizes
+/// come from the master's symbol table), then one partition fetch.
+fn row_at(x: &DArray, mut global: usize) -> Result<Vec<f64>> {
+    for (p, (rows, _)) in x.partition_sizes().into_iter().enumerate() {
+        if global < rows as usize {
+            return Ok(x.partition(p)?.row(global).to_vec());
+        }
+        global -= rows as usize;
+    }
+    Err(MlError::Invalid(format!("row {global} past the end")))
+}
+
+/// Lloyd as an [`IterativeFit`]: the transition assigns rows to their
+/// nearest center ([`assign_partial`]); the step moves each center to its
+/// mean, reseeds empty ones, and stops once the centers barely moved.
+#[derive(Debug, Clone)]
+pub struct KmeansFit {
+    d: usize,
+    opts: KmeansOptions,
+    /// `k×d`, row-major.
+    centers: Vec<f64>,
+    /// Draws the rows empty clusters are reseeded at.
+    rng: StdRng,
+    wss: f64,
+}
+
+impl KmeansFit {
+    /// Lloyd from `centers` (`opts.k × d`, row-major) under `opts`' budget,
+    /// tolerance and seed.
+    pub fn new(d: usize, opts: &KmeansOptions, centers: Vec<f64>) -> Result<Self> {
+        let (want, got) = (opts.k * d, centers.len());
+        if got != want {
+            return Err(MlError::Invalid(format!(
+                "initial_centers must be k×d = {want}, got {got}"
+            )));
+        }
+        Ok(KmeansFit {
+            d,
+            opts: opts.clone(),
+            centers,
+            rng: StdRng::seed_from_u64(opts.seed ^ 0x5eed),
+            wss: f64::INFINITY,
+        })
+    }
+}
+
+impl IterativeFit for KmeansFit {
+    type Partial = KmeansPartial;
+    type Model = KmeansModel;
+    const NAME: &'static str = "ml.kmeans";
+
+    fn max_iterations(&self) -> usize {
+        self.opts.max_iterations
+    }
+
+    fn transition(&self, rows: Rows<'_>) -> Result<KmeansPartial> {
+        if rows.stride != self.d {
+            return Err(MlError::Invalid(
+                "rows are not as wide as the centers".into(),
+            ));
+        }
+        Ok(assign_partial(rows.data, self.d, &self.centers))
+    }
+
+    fn merge(acc: &mut KmeansPartial, other: KmeansPartial) {
+        merge_partials(acc, &other);
+    }
+
+    fn step(
+        &mut self,
+        merged: KmeansPartial,
+        source: &Source<'_>,
+        span: &mut SpanGuard<'_>,
+    ) -> Result<bool> {
+        // An empty cluster is reseeded at a random row.
+        let (x, rng) = (source.rows, &mut self.rng);
+        let moved = merged.update_centers(&mut self.centers, |c| {
+            c.copy_from_slice(&row_at(x, rng.gen_range(0..x.dim().0) as usize)?);
+            Ok(())
+        })?;
+        self.wss = merged.wss;
+        // The per-iteration objective trace.
+        span.record("wss", self.wss);
+        span.record("moved", moved);
+        Ok(moved <= self.opts.tolerance)
+    }
+
+    /// The streamed assignment pass is Lloyd's first iteration: its update
+    /// gives the starting centers (one that saw no rows stays put, and is
+    /// reseeded if it stays empty) and uses up one iteration of the budget.
+    fn warm_start(&mut self, first: Option<KmeansPartial>, source: &Source<'_>) -> Result<()> {
+        check_shape(source.rows, self.centers.len() / self.d)?;
+        if let Some(first) = first {
+            first.update_centers(&mut self.centers, |_| Ok(()))?;
+        }
+        self.opts.max_iterations = self.opts.max_iterations.saturating_sub(1).max(1);
+        Ok(())
+    }
+
+    fn finish(self, iterations: usize, _: bool, span: &mut SpanGuard<'_>) -> Result<KmeansModel> {
+        span.record("k", self.centers.len() / self.d);
+        span.record("wss", self.wss);
+        Ok(KmeansModel {
+            centers: self
+                .centers
+                .chunks_exact(self.d)
+                .map(<[f64]>::to_vec)
+                .collect(),
+            iterations,
+            total_withinss: self.wss,
+        })
+    }
+}
+
 /// Cluster the rows of `x` into `opts.k` groups.
 pub fn hpdkmeans(x: &DArray, opts: &KmeansOptions) -> Result<KmeansModel> {
-    let (n, d) = x.dim();
-    let (n, d) = (n as usize, d as usize);
-    if n == 0 || d == 0 {
-        return Err(MlError::Invalid("empty input".into()));
-    }
-    if opts.k == 0 || opts.k > n {
-        return Err(MlError::Invalid(format!("k={} with n={n}", opts.k)));
-    }
-    let mut fit_span = vdr_obs::span("ml.kmeans.fit");
-    fit_span.record("k", opts.k);
-    fit_span.record("n", n);
-
-    let lanes = x.instance_lanes();
-    let mut centers = init_centers(x, opts)?;
-    let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x5eed);
-    let mut iterations = 0usize;
-    let mut wss = f64::INFINITY;
-    while iterations < opts.max_iterations {
-        iterations += 1;
-        let mut iter_span = vdr_obs::span("ml.kmeans.iteration");
-        iter_span.record("iter", iterations);
-        let pass_start = std::time::Instant::now();
-        // Map: every partition assigns its rows against the broadcast
-        // centers, in parallel on its worker and across instance lanes.
-        let partials =
-            x.map_partitions(|_, part| assign_partition(&part.data, d, &centers, lanes))?;
-        let merged =
-            tree_merge(partials, |a, b| merge_partials(a, &b)).expect("at least one partition");
-        vdr_obs::observe(
-            "ml.train.rows_per_sec",
-            n as f64 / pass_start.elapsed().as_secs_f64().max(1e-9),
-        );
-        // Update step + empty-cluster reseeding.
-        let mut moved = 0.0f64;
-        let mut new_centers = vec![0.0f64; opts.k * d];
-        for c in 0..opts.k {
-            let old = &centers[c * d..(c + 1) * d];
-            let new = &mut new_centers[c * d..(c + 1) * d];
-            if merged.counts[c] == 0 {
-                // Re-seed an empty cluster at a random row.
-                let sizes = x.partition_sizes();
-                let total_rows: u64 = sizes.iter().map(|s| s.0).sum();
-                let mut target = rng.gen_range(0..total_rows);
-                new.copy_from_slice(old);
-                for (p, (rows, _)) in sizes.iter().enumerate() {
-                    if target < *rows {
-                        let part = x.partition(p)?;
-                        new.copy_from_slice(part.row(target as usize));
-                        break;
-                    }
-                    target -= rows;
-                }
-            } else {
-                let count = merged.counts[c] as f64;
-                for (nj, s) in new.iter_mut().zip(&merged.sums[c * d..(c + 1) * d]) {
-                    *nj = s / count;
-                }
-            }
-            moved += squared_distance(new, old);
+    let d = check_shape(x, opts.k)?;
+    let centers = match &opts.initial_centers {
+        Some(init) => init.clone(),
+        None => {
+            // D² weights computed distributed.
+            let nearest =
+                |c: &[f64]| Ok(x.map_partitions(|_, part| nearest_distances(&part.data, d, c))?);
+            kmeans_pp(x.dim().0 as usize, d, opts.k, opts.seed, nearest, |g| {
+                row_at(x, g)
+            })?
         }
-        centers = new_centers;
-        wss = merged.wss;
-        // The per-iteration objective trace.
-        iter_span.record("wss", wss);
-        iter_span.record("moved", moved);
-        if moved <= opts.tolerance {
-            break;
-        }
-    }
-    fit_span.record("iterations", iterations);
-    fit_span.record("wss", wss);
-    Ok(KmeansModel {
-        centers: centers.chunks_exact(d).map(<[f64]>::to_vec).collect(),
-        iterations,
-        total_withinss: wss,
-    })
+    };
+    drive(
+        KmeansFit::new(d, opts, centers)?,
+        &Source { rows: x, y: None },
+    )
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use vdr_cluster::SimCluster;
@@ -469,6 +525,27 @@ mod tests {
     }
 
     #[test]
+    fn lloyd_update_averages_and_hands_empty_centers_to_the_caller() {
+        // Both rows pick center 0; centers 1 and 2 stay empty.
+        let p = assign_partial(&[1.0, 3.0], 1, &[0.0, 10.0, 100.0]);
+        let mut centers = vec![0.0, 10.0, 100.0];
+        assert_eq!(p.update_centers(&mut centers, |_| Ok(())).unwrap(), 4.0);
+        assert_eq!(centers, [2.0, 10.0, 100.0]);
+        let mut centers = vec![0.0, 10.0, 100.0];
+        let moved = p
+            .update_centers(&mut centers, |c| {
+                c[0] = -1.0;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(
+            (centers, moved),
+            (vec![2.0, -1.0, -1.0], 4.0 + 121.0 + 10201.0)
+        );
+        assert!(p.update_centers(&mut [0.0; 2], |_| Ok(())).is_err());
+    }
+
+    #[test]
     fn blocked_assignment_matches_nested_reference() {
         let mut rng = StdRng::seed_from_u64(77);
         for &(nrow, d, k) in &[(1usize, 2usize, 1usize), (300, 3, 4), (513, 7, 5)] {
@@ -491,12 +568,18 @@ mod tests {
         let (nrow, d, k) = (2000usize, 3usize, 4usize);
         let data: Vec<f64> = (0..nrow * d).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let centers: Vec<f64> = (0..k * d).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let a = assign_partition(&data, d, &centers, 4);
-        let b = assign_partition(&data, d, &centers, 4);
+        let opts = KmeansOptions {
+            k,
+            ..Default::default()
+        };
+        let fit = KmeansFit::new(d, &opts, centers).unwrap();
+        let rows = Rows::new(&data, d, None);
+        let pass = |lanes| crate::fit::partition_pass(&fit, rows, lanes).unwrap();
+        let (a, b) = (pass(4), pass(4));
         assert_eq!(a.sums, b.sums, "same lanes ⇒ bit-identical");
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.wss, b.wss);
-        let serial = assign_partition(&data, d, &centers, 1);
+        let serial = pass(1);
         assert_eq!(a.counts, serial.counts);
         assert!((a.wss - serial.wss).abs() < 1e-9 * serial.wss.max(1.0));
     }

@@ -10,8 +10,12 @@
 //!   `XᵀWX` / `XᵀWz` contributions, the master reduces and solves.
 //!   Families: gaussian/identity, binomial/logit, poisson/log.
 //! * [`kmeans`] — `hpdkmeans`: distributed Lloyd iterations from k-means++
-//!   (or caller-supplied) centers; the per-partition kernel is shared with
-//!   the Spark comparator so Figure 20 is apples-to-apples.
+//!   (or caller-supplied) centers; the per-partition kernel, the center
+//!   update and the k-means++ seeding are shared with the Spark comparator
+//!   so Figure 20 is apples-to-apples.
+//! * [`fit`] — the one training loop both iterate in: an
+//!   [`IterativeFit`] (transition / merge / step, Bismarck's shape) driven
+//!   over a darray's partitions, or warm-started from the VFT stream.
 //! * [`rf`] — `hpdrf`: a bagged random forest (the paper ships a
 //!   `randomforest` prediction function in Vertica).
 //! * [`cv`] — `cv.hpdglm`: k-fold cross validation (Figure 3, line 7).
@@ -25,6 +29,7 @@
 pub mod costmodel;
 pub mod cv;
 pub mod error;
+pub mod fit;
 pub mod glm;
 pub mod kernels;
 pub mod kmeans;
@@ -36,7 +41,8 @@ pub mod serial;
 
 pub use cv::{cv_hpdglm, CvResult};
 pub use error::{MlError, Result};
-pub use glm::{hpdglm, Family, GlmOptions, GlmPartials};
-pub use kmeans::{hpdkmeans, KmeansOptions, KmeansPartial};
+pub use fit::{drive, IterativeFit, Rows, Source};
+pub use glm::{hpdglm, Family, GlmFit, GlmOptions, GlmPartials};
+pub use kmeans::{hpdkmeans, KmeansFit, KmeansOptions, KmeansPartial};
 pub use models::{GlmModel, KmeansModel, RandomForestModel};
 pub use rf::{hpdrf, RfOptions};

@@ -2,8 +2,8 @@
 //! single-node comparisons (Figures 17–18).
 
 use crate::error::{MlError, Result};
-use crate::kmeans::{assign_partial, merge_partials};
-use crate::linalg::{qr_least_squares, squared_distance, Matrix};
+use crate::kmeans::assign_partial;
+use crate::linalg::{qr_least_squares, Matrix};
 use crate::models::{GlmModel, KmeansModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,21 +39,8 @@ pub fn serial_kmeans(
     let mut wss = f64::INFINITY;
     while iterations < max_iterations {
         iterations += 1;
-        let mut merged = assign_partial(data, d, &centers);
-        merge_partials(&mut merged, &crate::kmeans::KmeansPartial::zeros(k, d));
-        let mut moved = 0.0;
-        for c in 0..k {
-            if merged.counts[c] == 0 {
-                continue;
-            }
-            let count = merged.counts[c] as f64;
-            let center: Vec<f64> = merged.sums[c * d..(c + 1) * d]
-                .iter()
-                .map(|s| s / count)
-                .collect();
-            moved += squared_distance(&center, &centers[c * d..(c + 1) * d]);
-            centers[c * d..(c + 1) * d].copy_from_slice(&center);
-        }
+        let merged = assign_partial(data, d, &centers);
+        let moved = merged.update_centers(&mut centers, |_| Ok(()))?;
         wss = merged.wss;
         if moved <= 1e-9 {
             break;

@@ -3,16 +3,19 @@
 //! accumulators agree with the row-at-a-time reference implementations. The
 //! IRLS accumulator is drawn up to 64 features wide — past the 48-feature
 //! shape the benchmark's `loop_wide` trains — at row counts on both sides of
-//! the 256-row tile and the 4-row lane boundary.
+//! the 256-row tile and the 4-row lane boundary, and must return the same
+//! bits whether the response sits in its own array or in the last column of
+//! `[X | y]` rows (how a train-while-loading transfer delivers it).
 //!
 //! K-means assignment counts must be exact (same strict-`<` tie-break as the
 //! prediction kernels); the summed statistics get a 1e-9 relative tolerance
 //! because blocking changes the floating-point accumulation order.
 
 use proptest::prelude::*;
+use vdr_ml::fit::{partition_pass, Rows};
 use vdr_ml::glm::{accumulate_rows, accumulate_rows_reference};
-use vdr_ml::kmeans::{assign_partial, assign_partial_reference, assign_partition};
-use vdr_ml::Family;
+use vdr_ml::kmeans::{assign_partial, assign_partial_reference, KmeansFit};
+use vdr_ml::{Family, GlmPartials, KmeansOptions};
 
 /// Row-major rows from a cheap deterministic generator.
 fn rows(n: usize, d: usize, seed: u64, scale: f64) -> Vec<f64> {
@@ -31,6 +34,11 @@ const IRLS_ROW_COUNTS: [usize; 8] = [0, 1, 3, 255, 256, 257, 259, 1000];
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * b.abs().max(1.0)
+}
+
+fn bits(p: &GlmPartials) -> Vec<u64> {
+    let cells = p.xtwx.data.iter().chain(&p.xtwz).chain([&p.deviance]);
+    cells.map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -56,9 +64,18 @@ proptest! {
         // Coefficients shrink with the width so η stays in the links' sane
         // range (|η| ≲ 4) at every p.
         let beta = rows(p, 1, seed ^ 0xbe7a, 0.5 / (p as f64).sqrt());
-        let blocked = accumulate_rows(&x, &y, d, &beta, family, intercept).unwrap();
+        let split = Rows::new(&x, d, Some(&y));
+        let blocked = accumulate_rows(split, d, &beta, family, intercept).unwrap();
         let reference = accumulate_rows_reference(&x, &y, d, &beta, family, intercept);
-        prop_assert_eq!(blocked.rows, reference.rows);
+        // The same rows as [X | y], read in place: bit for bit the same.
+        let xy: Vec<f64> = x
+            .chunks_exact(d)
+            .zip(&y)
+            .flat_map(|(row, yv)| row.iter().chain([yv]).copied())
+            .collect();
+        let joined = Rows::new(&xy, d + 1, None);
+        let strided = accumulate_rows(joined, d, &beta, family, intercept).unwrap();
+        prop_assert_eq!(bits(&strided), bits(&blocked));
         prop_assert!(close(blocked.deviance, reference.deviance));
         for (a, b) in blocked.xtwx.data.iter().zip(&reference.xtwx.data) {
             prop_assert!(close(*a, *b), "xtwx {} vs {}", a, b);
@@ -97,8 +114,11 @@ proptest! {
     ) {
         let data = rows(nrow, d, seed, 5.0);
         let centers = rows(k, d, seed ^ 0x11, 5.0);
-        let a = assign_partition(&data, d, &centers, lanes);
-        let b = assign_partition(&data, d, &centers, lanes);
+        let opts = KmeansOptions { k, ..Default::default() };
+        let fit = KmeansFit::new(d, &opts, centers).unwrap();
+        let rows = Rows::new(&data, d, None);
+        let a = partition_pass(&fit, rows, lanes).unwrap();
+        let b = partition_pass(&fit, rows, lanes).unwrap();
         // Fixed lane count ⇒ bit-identical reduction.
         prop_assert_eq!(&a.sums, &b.sums);
         prop_assert_eq!(&a.counts, &b.counts);

@@ -1,14 +1,12 @@
 //! MLlib-style K-means over a [`SparkMatrix`].
 //!
-//! The per-partition kernel is literally `vdr_ml::kmeans::assign_partial` —
-//! the same code the Distributed R implementation runs — so Figure 20
-//! compares scheduling/runtime stacks, not algorithm variants.
+//! The per-partition kernel, the seeding and the center update are literally
+//! `vdr_ml::kmeans`' — the same code the Distributed R implementation runs —
+//! so Figure 20 compares scheduling/runtime stacks, not algorithm variants.
 
 use crate::rdd::SparkMatrix;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use vdr_cluster::SimCluster;
-use vdr_ml::kmeans::{assign_partial, merge_partials, KmeansPartial};
+use vdr_ml::kmeans::{assign_partial, kmeans_pp, merge_partials, nearest_distances, KmeansPartial};
 use vdr_ml::models::KmeansModel;
 use vdr_ml::{MlError, Result};
 
@@ -25,50 +23,21 @@ pub fn spark_kmeans(
         return Err(MlError::Invalid(format!("k={k} with n={n}")));
     }
     let d = matrix.cols;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let fetch = |global: usize| -> Vec<f64> {
-        let mut remaining = global;
-        for part in &matrix.partitions {
-            if remaining < part.rows {
-                return part.data[remaining * d..(remaining + 1) * d].to_vec();
-            }
-            remaining -= part.rows;
-        }
-        unreachable!("global row within bounds");
+    let row = |global: usize| {
+        let mut rows = matrix
+            .partitions
+            .iter()
+            .flat_map(|p| p.data.chunks_exact(d));
+        let row = rows.nth(global).map(<[f64]>::to_vec);
+        row.ok_or_else(|| MlError::Invalid(format!("row {global} out of range")))
     };
-    // D² sampling: each next center drawn proportional to squared distance
-    // from the nearest existing center (computed distributed).
-    let mut centers = vec![fetch(rng.gen_range(0..n))];
-    while centers.len() < k {
-        let weights: Vec<Vec<f64>> = matrix.map_partitions(cluster, |part| {
-            part.data
-                .chunks_exact(d)
-                .map(|row| {
-                    centers
-                        .iter()
-                        .map(|c| vdr_ml::linalg::squared_distance(row, c))
-                        .fold(f64::INFINITY, f64::min)
-                })
-                .collect()
-        });
-        let total: f64 = weights.iter().flatten().sum();
-        if total <= 0.0 {
-            centers.push(centers[0].clone());
-            continue;
-        }
-        let mut target = rng.gen_range(0.0..total);
-        let mut global = 0usize;
-        'outer: for pw in &weights {
-            for w in pw {
-                target -= w;
-                if target <= 0.0 {
-                    break 'outer;
-                }
-                global += 1;
-            }
-        }
-        centers.push(fetch(global.min(n - 1)));
-    }
+    // D² sampling, the distances computed distributed, through the same
+    // seeding code `hpdkmeans` runs.
+    let nearest = |centers: &[f64]| {
+        Ok(matrix.map_partitions(cluster, |part| nearest_distances(&part.data, d, centers)))
+    };
+    let centers = kmeans_pp(n, d, k, seed, nearest, row)?;
+    let centers = centers.chunks_exact(d).map(<[f64]>::to_vec).collect();
     spark_kmeans_with_centers(cluster, matrix, centers, max_iterations)
 }
 
@@ -96,19 +65,8 @@ pub fn spark_kmeans_with_centers(
             matrix.map_partitions(cluster, |part| assign_partial(&part.data, d, &centers));
         let merged = vdr_ml::reduce::tree_merge(partials, |a, b| merge_partials(a, &b))
             .ok_or_else(|| MlError::Invalid("matrix has no partitions".into()))?;
-        let mut moved = 0.0;
-        for c in 0..k {
-            if merged.counts[c] == 0 {
-                continue; // MLlib keeps empty centers in place
-            }
-            let count = merged.counts[c] as f64;
-            let center: Vec<f64> = merged.sums[c * d..(c + 1) * d]
-                .iter()
-                .map(|s| s / count)
-                .collect();
-            moved += vdr_ml::linalg::squared_distance(&center, &centers[c * d..(c + 1) * d]);
-            centers[c * d..(c + 1) * d].copy_from_slice(&center);
-        }
+        // MLlib keeps empty centers in place.
+        let moved = merged.update_centers(&mut centers, |_| Ok(()))?;
         wss = merged.wss;
         if moved <= 1e-9 {
             break;
@@ -126,6 +84,8 @@ mod tests {
     use super::*;
     use crate::hdfs::HdfsSim;
     use crate::rdd::SparkContext;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
     use vdr_cluster::Ledger;
     use vdr_ml::serial::serial_kmeans;

@@ -33,7 +33,7 @@ pub use local::LocalLoader;
 pub use model::{ClusterShape, TableShape};
 pub use odbc::{OdbcConnection, OdbcLoader};
 pub use report::TransferReport;
-pub use train::{glm_while_loading, kmeans_while_loading, GlmLoadFit, KmeansLoadFit};
+pub use train::{glm_while_loading, kmeans_while_loading, LoadFit};
 pub use vft::{install_export_function, BatchObserver, FastTransfer, TransferPolicy};
 
 use vdr_verticadb::{DbError, Result};

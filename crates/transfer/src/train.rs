@@ -3,20 +3,22 @@
 //! creation" halves composed end to end instead of run back to back.
 //!
 //! [`FastTransfer::db2darray_observed`] invokes a [`BatchObserver`] on every
-//! decoded block inside the worker receive pools. The functions here use
-//! that hook to fold iteration-0 training statistics while the export query
-//! is still producing:
+//! decoded block inside the worker receive pools. One load-and-train serves
+//! both algorithms: the [`IterativeFit`]'s transition folds each block at the
+//! fit's starting parameters while the export query is still producing; the
+//! merged pass goes to [`IterativeFit::warm_start`], and [`drive`] — the loop
+//! `hpdglm` and `hpdkmeans` run — iterates over the loaded array.
 //!
-//! * **GLM** — each arriving batch contributes its share of the
-//!   normal equations `XᵀWX β = XᵀWz` at the starting coefficients
-//!   ([`vdr_ml::glm::accumulate_rows`]). Partials merge by addition, so
-//!   stream arrival order doesn't matter. After the transfer the merged
-//!   system is solved once and [`vdr_ml::glm::hpdglm`] resumes from that β:
-//!   the first Newton iteration rode along with the load.
-//! * **K-means** — arriving batches are scored against the caller's initial
-//!   centers ([`vdr_ml::kmeans::assign_partial`]); the merged partial yields
-//!   the iteration-1 centers and [`vdr_ml::kmeans::hpdkmeans`] warm-starts
-//!   from them.
+//! * **GLM** — the load is `[X | y]`, read in place: the blocks' normal
+//!   equations at β = 0, solved once, give the starting β, so the first
+//!   Newton iteration rode along with the load.
+//! * **K-means** — the blocks' assignments to the caller's initial centers
+//!   give the iteration-1 centers.
+//!
+//! **Merge order.** Each receive stream folds its own blocks in frame order;
+//! after the transfer the stream partials are tree-merged in `(worker,
+//! source node, instance)` order, the order the receive pools lay rows into
+//! the array — never in arrival order — so a fit is bit-identical run to run.
 //!
 //! The wall-clock time spent inside the callbacks — training work hidden
 //! under the transfer — is returned as `overlap_ns` and recorded on the
@@ -28,28 +30,21 @@
 use crate::report::TransferReport;
 use crate::vft::{BatchObserver, FastTransfer, TransferPolicy};
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use vdr_cluster::Ledger;
 use vdr_distr::{DArray, DistributedR};
-use vdr_ml::glm::{accumulate_rows, hpdglm, Family, GlmOptions, GlmPartials};
-use vdr_ml::kmeans::{assign_partial, hpdkmeans, merge_partials, KmeansOptions, KmeansPartial};
+use vdr_ml::fit::{drive, IterativeFit, Rows, Source};
+use vdr_ml::glm::{Family, GlmFit, GlmOptions};
+use vdr_ml::kmeans::{KmeansFit, KmeansOptions};
 use vdr_ml::models::{GlmModel, KmeansModel};
+use vdr_ml::reduce::tree_merge;
 use vdr_verticadb::{DbError, Result, VerticaDb};
 
 fn exec<E: std::fmt::Display>(e: E) -> DbError {
     DbError::Exec(e.to_string())
-}
-
-/// Enter (or inherit) one query scope for the whole load-and-train, so the
-/// `ml.train.*` metrics land on the same `PROFILE` row as the `vft.*` ones.
-fn train_query_scope() -> vdr_obs::QueryScope {
-    let query_id = match vdr_obs::current_query_id() {
-        0 => vdr_obs::next_query_id(),
-        id => id,
-    };
-    vdr_obs::QueryScope::enter(query_id)
 }
 
 /// Attribution bracket around one load-and-train: snapshots metrics on open
@@ -60,6 +55,7 @@ fn train_query_scope() -> vdr_obs::QueryScope {
 /// statements.
 struct TrainAttribution {
     query_id: u64,
+    _scope: vdr_obs::QueryScope,
     label: String,
     started: Instant,
     before: Option<vdr_obs::MetricsSnapshot>,
@@ -67,8 +63,14 @@ struct TrainAttribution {
 
 impl TrainAttribution {
     fn open(label: String) -> Self {
+        // Enter (or inherit) one query id for the whole load-and-train.
+        let query_id = match vdr_obs::current_query_id() {
+            0 => vdr_obs::next_query_id(),
+            id => id,
+        };
         TrainAttribution {
-            query_id: vdr_obs::current_query_id(),
+            query_id,
+            _scope: vdr_obs::QueryScope::enter(query_id),
             label,
             started: Instant::now(),
             // Mirror the tracked SQL path: with recording off nothing moves
@@ -115,12 +117,8 @@ impl TrainAttribution {
                 usage: vec![vdr_obs::TickUsage {
                     node: 0,
                     sim_secs: report.total().as_secs(),
-                    cpu_core_ns: 0.0,
-                    disk_read_bytes: 0,
-                    disk_write_bytes: 0,
-                    net_in_bytes: 0,
-                    net_out_bytes: 0,
                     cache_bytes: cache.bytes_on(vdr_cluster::NodeId(0)),
+                    ..Default::default()
                 }],
             });
         }
@@ -138,11 +136,11 @@ impl TrainAttribution {
     }
 }
 
-/// A GLM fitted while its data loaded.
-pub struct GlmLoadFit {
-    pub model: GlmModel,
-    pub x: DArray,
-    pub y: DArray,
+/// A model fitted while its data loaded.
+pub struct LoadFit<M> {
+    pub model: M,
+    /// The loaded array: `[X | y]` for a GLM, the features for k-means.
+    pub array: DArray,
     pub report: TransferReport,
     /// Query id the whole load-and-train ran under (shared with the
     /// transfer's `vft.*` metrics; keyed into `v_monitor.query_requests`).
@@ -169,128 +167,17 @@ pub fn glm_while_loading(
     opts: &GlmOptions,
     policy: TransferPolicy,
     ledger: &Ledger,
-) -> Result<GlmLoadFit> {
-    let d = x_features.len();
-    if d == 0 {
-        return Err(DbError::Plan("no feature columns requested".into()));
-    }
-    if opts.initial_beta.is_some() {
-        return Err(DbError::Plan(
-            "glm_while_loading computes its own warm start; leave initial_beta unset".into(),
-        ));
-    }
-    let p = d + usize::from(opts.add_intercept);
-    let _scope = train_query_scope();
-    let attribution = TrainAttribution::open(format!("TRAIN GLM WHILE LOADING {table}"));
-
-    // Iteration-0 normal equations at the starting coefficients, or the
-    // first error a batch's accumulation reported (the receive pools have
-    // no other way to fail the load-and-train).
-    let beta0 = vec![0.0; p];
-    let partials = Arc::new(Mutex::new(Ok(GlmPartials::zeros(p))));
-    let overlap = Arc::new(AtomicU64::new(0));
-    let observer: BatchObserver = {
-        let partials = Arc::clone(&partials);
-        let overlap = Arc::clone(&overlap);
-        let intercept = opts.add_intercept;
-        Arc::new(move |_w, _src, _inst, batch| {
-            let t = Instant::now();
-            let Ok(rows) = crate::batch_to_f64_rows(batch) else {
-                return;
-            };
-            // The block carries [X | y]: peel the response off each row.
-            let nrow = batch.num_rows();
-            let mut xb = Vec::with_capacity(nrow * d);
-            let mut yb = Vec::with_capacity(nrow);
-            for row in rows.chunks_exact(d + 1) {
-                xb.extend_from_slice(&row[..d]);
-                yb.push(row[d]);
-            }
-            let part = accumulate_rows(&xb, &yb, d, &beta0, family, intercept);
-            let mut merged = partials.lock();
-            match (&mut *merged, part) {
-                (Ok(m), Ok(part)) => m.merge(&part),
-                (Ok(_), Err(e)) => *merged = Err(e),
-                (Err(_), _) => {}
-            }
-            overlap.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        })
-    };
-
+) -> Result<LoadFit<GlmModel>> {
     let mut columns = x_features.to_vec();
     columns.push(y_feature);
-    let (xy, report) = vft.db2darray_observed(db, dr, table, &columns, policy, ledger, observer)?;
-    let overlap_ns = overlap.load(Ordering::Relaxed);
-    vdr_obs::counter("ml.train.overlap_ns", overlap_ns);
-
-    let (x, y) = split_xy(dr, &xy, d)?;
-    let mut fit_opts = opts.clone();
-    fit_opts.initial_beta = {
-        let merged = partials.lock();
-        let merged = merged.as_ref().map_err(exec)?;
-        // A singular or under-determined system just means no warm
-        // start — the staged path from scratch still runs.
-        if merged.rows >= p as u64 {
-            merged.solve().ok()
-        } else {
-            None
-        }
-    };
-    let model = hpdglm(&x, &y, family, &fit_opts).map_err(exec)?;
-    let query_id = attribution.query_id;
-    attribution.finish(db, &report);
-    Ok(GlmLoadFit {
-        model,
-        x,
-        y,
-        report,
-        query_id,
-        overlap_ns,
-    })
-}
-
-/// Split a combined `[X | y]` darray (`d + 1` columns) into co-partitioned
-/// feature and response arrays on the same workers.
-fn split_xy(dr: &DistributedR, xy: &DArray, d: usize) -> Result<(DArray, DArray)> {
-    let nparts = xy.npartitions();
-    let x = dr.darray(nparts).map_err(exec)?;
-    let y = dr.darray(nparts).map_err(exec)?;
-    let parts = xy
-        .map_partitions(|p, part| {
-            let mut xd = Vec::with_capacity(part.nrow * d);
-            let mut yd = Vec::with_capacity(part.nrow);
-            for row in part.data.chunks_exact(d + 1) {
-                xd.extend_from_slice(&row[..d]);
-                yd.push(row[d]);
-            }
-            (p, part.nrow, xd, yd)
-        })
-        .map_err(exec)?;
-    for (p, nrow, xd, yd) in parts {
-        let w = xy.worker_of(p).map_err(exec)?;
-        x.fill_partition_on(w, p, nrow, d, xd).map_err(exec)?;
-        y.fill_partition_on(w, p, nrow, 1, yd).map_err(exec)?;
-    }
-    Ok((x, y))
-}
-
-/// A K-means model fitted while its data loaded.
-pub struct KmeansLoadFit {
-    pub model: KmeansModel,
-    pub x: DArray,
-    pub report: TransferReport,
-    /// Query id the whole load-and-train ran under (shared with the
-    /// transfer's `vft.*` metrics; keyed into `v_monitor.query_requests`).
-    pub query_id: u64,
-    /// Wall-clock nanoseconds of assignment work folded into the receive
-    /// pools while the export was still running (also recorded on the
-    /// `ml.train.overlap_ns` counter).
-    pub overlap_ns: u64,
+    let fit = GlmFit::new(x_features.len(), family, opts);
+    load_and_train(vft, db, dr, table, &columns, policy, ledger, "GLM", fit)
 }
 
 /// Cluster `table`'s feature columns, running the first Lloyd assignment
 /// pass against `opts.initial_centers` *during* the transfer and
-/// warm-starting [`hpdkmeans`] from the resulting iteration-1 centers.
+/// warm-starting the remaining iterations from the resulting iteration-1
+/// centers.
 ///
 /// `initial_centers` is required: scoring starts before the data is
 /// complete, so centers cannot be sampled from it.
@@ -304,77 +191,91 @@ pub fn kmeans_while_loading(
     opts: &KmeansOptions,
     policy: TransferPolicy,
     ledger: &Ledger,
-) -> Result<KmeansLoadFit> {
-    let d = features.len();
-    if d == 0 {
-        return Err(DbError::Plan("no feature columns requested".into()));
-    }
+) -> Result<LoadFit<KmeansModel>> {
     let Some(init) = opts.initial_centers.clone() else {
         return Err(DbError::Plan(
-            "kmeans_while_loading needs opts.initial_centers: scoring starts before \
-             the data is complete, so centers cannot be sampled from it"
-                .into(),
+            "kmeans_while_loading needs initial_centers".into(),
         ));
     };
-    if init.len() != opts.k * d {
-        return Err(DbError::Plan(format!(
-            "initial_centers must be k×d = {}, got {}",
-            opts.k * d,
-            init.len()
-        )));
-    }
-    let _scope = train_query_scope();
-    let attribution = TrainAttribution::open(format!("TRAIN KMEANS WHILE LOADING {table}"));
+    let fit =
+        KmeansFit::new(features.len(), opts, init).map_err(|e| DbError::Plan(e.to_string()))?;
+    load_and_train(vft, db, dr, table, features, policy, ledger, "KMEANS", fit)
+}
 
-    let partial = Arc::new(Mutex::new(KmeansPartial::zeros(opts.k, d)));
+/// Load `columns` of `table` while `fit`'s transition folds every block the
+/// receive pools decode at the fit's starting parameters, then warm-start
+/// `fit` from that pass and drive the rest of it over the loaded array.
+#[allow(clippy::too_many_arguments)]
+fn load_and_train<F>(
+    vft: &FastTransfer,
+    db: &VerticaDb,
+    dr: &DistributedR,
+    table: &str,
+    columns: &[&str],
+    policy: TransferPolicy,
+    ledger: &Ledger,
+    algorithm: &str,
+    fit: F,
+) -> Result<LoadFit<F::Model>>
+where
+    F: IterativeFit + Send + 'static,
+    F::Partial: 'static,
+{
+    let attribution = TrainAttribution::open(format!("TRAIN {algorithm} WHILE LOADING {table}"));
+    let fit = Arc::new(fit);
+    // The streamed pass per `(worker, source node, instance)` stream, or the
+    // first error its blocks reported (a receive pool has no other way to fail).
+    let streams: Arc<Mutex<BTreeMap<_, Result<F::Partial>>>> = Arc::default();
     let overlap = Arc::new(AtomicU64::new(0));
     let observer: BatchObserver = {
-        let partial = Arc::clone(&partial);
-        let overlap = Arc::clone(&overlap);
-        let centers = init.clone();
-        Arc::new(move |_w, _src, _inst, batch| {
+        let (fit, streams, overlap) =
+            (Arc::clone(&fit), Arc::clone(&streams), Arc::clone(&overlap));
+        let stride = columns.len();
+        Arc::new(move |w, src, inst, batch| {
             let t = Instant::now();
-            let Ok(rows) = crate::batch_to_f64_rows(batch) else {
-                return;
+            let part = crate::batch_to_f64_rows(batch)
+                .and_then(|data| fit.transition(Rows::new(&data, stride, None)).map_err(exec));
+            // A stream's blocks arrive in frame order on one pool thread, so
+            // each stream's partial folds in that order.
+            let mut streams = streams.lock();
+            let folded = match streams.remove(&(w, src, inst)) {
+                None => part,
+                Some(Ok(mut acc)) => part.map(|p| {
+                    F::merge(&mut acc, p);
+                    acc
+                }),
+                Some(Err(e)) => Err(e),
             };
-            let part = assign_partial(&rows, d, &centers);
-            merge_partials(&mut partial.lock(), &part);
+            streams.insert((w, src, inst), folded);
             overlap.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
         })
     };
 
-    let (x, report) = vft.db2darray_observed(db, dr, table, features, policy, ledger, observer)?;
+    let (array, report) =
+        vft.db2darray_observed(db, dr, table, columns, policy, ledger, observer)?;
     let overlap_ns = overlap.load(Ordering::Relaxed);
     vdr_obs::counter("ml.train.overlap_ns", overlap_ns);
 
-    // Iteration-1 centers from the statistics folded during the load. A
-    // center that saw no rows keeps its initial position (hpdkmeans reseeds
-    // it if it stays empty).
-    let mut centers = init;
-    {
-        let merged = partial.lock();
-        for c in 0..opts.k {
-            if merged.counts[c] > 0 {
-                let n = merged.counts[c] as f64;
-                for (cj, s) in centers[c * d..(c + 1) * d]
-                    .iter_mut()
-                    .zip(&merged.sums[c * d..(c + 1) * d])
-                {
-                    *cj = s / n;
-                }
-            }
-        }
-    }
-    let mut fit_opts = opts.clone();
-    fit_opts.initial_centers = Some(centers);
-    // One Lloyd iteration already happened under the transfer.
-    fit_opts.max_iterations = opts.max_iterations.saturating_sub(1).max(1);
-    let model = hpdkmeans(&x, &fit_opts).map_err(exec)?;
+    // Merge the streams in key order — the order the receive pools lay
+    // their rows into the array — never in arrival order, so the warm start
+    // is a pure function of the data.
+    let partials = std::mem::take(&mut *streams.lock())
+        .into_values()
+        .collect::<Result<Vec<_>>>()?;
+    let mut fit = Arc::into_inner(fit)
+        .ok_or_else(|| DbError::Exec("a receive pool still holds the fit".into()))?;
+    let source = Source {
+        rows: &array,
+        y: None,
+    };
+    fit.warm_start(tree_merge(partials, F::merge), &source)
+        .map_err(exec)?;
+    let model = drive(fit, &source).map_err(exec)?;
     let query_id = attribution.query_id;
     attribution.finish(db, &report);
-    Ok(KmeansLoadFit {
+    Ok(LoadFit {
         model,
-        x,
+        array,
         report,
         query_id,
         overlap_ns,
@@ -387,6 +288,8 @@ mod tests {
     use crate::vft::install_export_function;
     use vdr_cluster::SimCluster;
     use vdr_columnar::{Batch, Column, DataType, Schema};
+    use vdr_ml::glm::hpdglm;
+    use vdr_ml::kmeans::hpdkmeans;
     use vdr_verticadb::{Segmentation, TableDef};
 
     /// Deterministic pseudo-uniform in [0, 1) from a row index (splitmix64,
@@ -527,9 +430,11 @@ mod tests {
                 fit.overlap_ns > 0,
                 "iteration-0 work must overlap the transfer"
             );
-            // Staged reference: same data (the arrays the fit returned),
-            // trained from scratch after the load.
-            let staged = hpdglm(&fit.x, &fit.y, family, &opts).unwrap();
+            // Staged reference: same data (the [X | y] array the fit
+            // returned, split), trained from scratch after the load.
+            let x = fit.array.split_columns(&[0, 1]).unwrap();
+            let y = fit.array.split_columns(&[2]).unwrap();
+            let staged = hpdglm(&x, &y, family, &opts).unwrap();
             for (a, b) in fit.model.coefficients.iter().zip(&staged.coefficients) {
                 assert!(
                     (a - b).abs() < tol * b.abs().max(1.0),
@@ -586,7 +491,7 @@ mod tests {
         assert!(fit.overlap_ns > 0, "assignment must overlap the transfer");
         // Staged reference: same data, Lloyd from the same initial centers
         // entirely after the load.
-        let staged = hpdkmeans(&fit.x, &opts).unwrap();
+        let staged = hpdkmeans(&fit.array, &opts).unwrap();
         for (a, b) in fit.model.centers.iter().zip(&staged.centers) {
             for (x, y) in a.iter().zip(b) {
                 assert!(
@@ -623,20 +528,16 @@ mod tests {
             &ledger,
         )
         .is_err());
-        // A caller-set warm start would be silently overwritten — reject it.
-        let preset = GlmOptions {
-            initial_beta: Some(vec![0.0; 3]),
-            ..Default::default()
-        };
+        // No feature columns.
         assert!(glm_while_loading(
             &vft,
             &db,
             &dr,
             "pts",
-            &["px"],
+            &[],
             "py",
             Family::Gaussian,
-            &preset,
+            &GlmOptions::default(),
             TransferPolicy::Locality,
             &ledger,
         )
