@@ -302,16 +302,6 @@ impl Ledger {
         self.phases.lock().clone()
     }
 
-    /// Duration of the most recent phase matching `name`, if any.
-    pub fn phase_duration(&self, name: &str) -> Option<SimDuration> {
-        self.phases
-            .lock()
-            .iter()
-            .rev()
-            .find(|p| p.name == name)
-            .map(|p| p.duration())
-    }
-
     /// Drop all recorded phases (reuse one ledger across bench repetitions).
     pub fn reset(&self) {
         self.phases.lock().clear();
@@ -394,8 +384,9 @@ mod tests {
         assert!((d1.as_secs() - 1.0).abs() < 1e-6);
         assert!((d2.as_secs() - 2.0).abs() < 1e-6);
         assert!((ledger.total().as_secs() - 3.0).abs() < 1e-6);
-        assert_eq!(ledger.reports().len(), 2);
-        assert_eq!(ledger.phase_duration("a").unwrap().as_secs(), d1.as_secs());
+        let reports = ledger.reports();
+        assert_eq!(reports.len(), 2);
+        assert_eq!((reports[0].name.as_str(), reports[0].duration()), ("a", d1));
         ledger.reset();
         assert_eq!(ledger.total(), SimDuration::ZERO);
     }

@@ -220,24 +220,6 @@ impl HardwareProfile {
         let l = lanes.clamp(1, self.physical_cores) as f64;
         l / (1.0 + self.contention * (l - 1.0))
     }
-
-    /// Time to read `bytes` sequentially from a cold disk.
-    pub fn disk_read_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs(bytes as f64 / self.disk_read_bps)
-    }
-
-    /// Time to push `bytes` through one node's NIC, split over `streams`
-    /// parallel streams (they share the NIC, so streams only help against
-    /// per-stream protocol limits, not raw bandwidth).
-    pub fn net_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs(bytes as f64 / self.net_bps)
-    }
-
-    /// CPU time for `units` of work at `ns_per_unit`, spread over `lanes`
-    /// on one node.
-    pub fn cpu_time(&self, units: f64, ns_per_unit: f64, lanes: usize) -> SimDuration {
-        SimDuration::from_nanos(units * ns_per_unit) / self.parallel_speedup(lanes)
-    }
 }
 
 impl EngineCosts {
@@ -336,30 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn disk_and_net_times() {
-        let hp = p();
-        // 500 MB at 500 MB/s = 1 s.
-        assert!((hp.disk_read_time(500_000_000).as_secs() - 1.0).abs() < 1e-9);
-        // 1.15 GB at 10 Gbps ≈ 1 s.
-        assert!((hp.net_time(1_150_000_000).as_secs() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cpu_time_uses_speedup_model() {
-        let hp = p();
-        let serial = hp.cpu_time(1e9, 10.0, 1);
-        let parallel = hp.cpu_time(1e9, 10.0, 12);
-        assert!((serial.as_secs() - 10.0).abs() < 1e-9);
-        let ratio = serial / parallel;
-        assert!((8.8..9.5).contains(&ratio));
-    }
-
-    #[test]
     fn fig1_calibration_single_odbc_50gb_takes_about_an_hour() {
         // Cross-check the headline derivation: 6.5e9 values parsed
         // single-threaded at the client should land near 55 minutes.
         let hp = p();
-        let t = hp.cpu_time(6.5e9, hp.costs.odbc_client_parse_ns_per_value, 1);
+        let t = SimDuration::from_nanos(6.5e9 * hp.costs.odbc_client_parse_ns_per_value);
         assert!(
             (50.0..62.0).contains(&t.as_minutes()),
             "single-ODBC 50GB parse ≈ {} min",

@@ -99,11 +99,6 @@ impl SharedMem {
         Ok(out)
     }
 
-    /// Current size of a segment, if present.
-    pub fn len_of(&self, key: &str) -> Option<usize> {
-        self.inner.lock().files.get(key).map(|f| f.len as usize)
-    }
-
     /// All segment keys, sorted.
     pub fn keys(&self) -> Vec<String> {
         let mut keys: Vec<String> = self.inner.lock().files.keys().cloned().collect();
@@ -130,7 +125,6 @@ mod tests {
         let shm = SharedMem::new(NodeId(0), 1024);
         shm.append("s", b"abc").unwrap();
         shm.append("s", b"def").unwrap();
-        assert_eq!(shm.len_of("s"), Some(6));
         assert_eq!(shm.used_bytes(), 6);
         assert_eq!(shm.take("s").unwrap(), b"abcdef");
         assert_eq!(shm.used_bytes(), 0);
@@ -155,7 +149,6 @@ mod tests {
         let b = Bytes::from(vec![4u8, 5]);
         shm.append_bytes("s", a.clone()).unwrap();
         shm.append_bytes("s", b).unwrap();
-        assert_eq!(shm.len_of("s"), Some(5));
         assert_eq!(shm.used_bytes(), 5);
         let chunks = shm.take_bytes("s").unwrap();
         assert_eq!(chunks.len(), 2, "chunk boundaries preserved");
@@ -200,7 +193,7 @@ mod tests {
         });
         assert_eq!(shm.used_bytes(), 4 * 500 * 7);
         for t in 0..4 {
-            assert_eq!(shm.len_of(&format!("k{t}")), Some(3500));
+            assert_eq!(shm.take(&format!("k{t}")).unwrap().len(), 3500);
         }
     }
 }

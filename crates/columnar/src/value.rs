@@ -22,15 +22,6 @@ impl DataType {
             DataType::Varchar => "VARCHAR",
         }
     }
-
-    /// Width of one plain-encoded value, if fixed.
-    pub fn fixed_width(self) -> Option<usize> {
-        match self {
-            DataType::Int64 | DataType::Float64 => Some(8),
-            DataType::Bool => Some(1),
-            DataType::Varchar => None,
-        }
-    }
 }
 
 impl fmt::Display for DataType {
@@ -146,11 +137,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn type_names_and_widths() {
+    fn type_names() {
         assert_eq!(DataType::Int64.sql_name(), "INTEGER");
-        assert_eq!(DataType::Float64.fixed_width(), Some(8));
-        assert_eq!(DataType::Varchar.fixed_width(), None);
-        assert_eq!(DataType::Bool.fixed_width(), Some(1));
     }
 
     #[test]

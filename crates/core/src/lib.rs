@@ -13,14 +13,15 @@
 //!          OVER (PARTITION BEST) FROM mytable2            # in-db prediction
 //! ```
 //!
-//! * [`codec`] — the versioned, checksummed binary format models are stored
-//!   in ("models are first serialized and then transferred to the database",
-//!   Section 5).
+//! * [`codec`] — the versioned, checksummed format models are stored in
+//!   ("models are first serialized and then transferred to the database",
+//!   Section 5): each model is a few block-codec tables.
 //! * [`predict`] — the prediction UDxs (`KmeansPredict`, `GlmPredict`,
 //!   `RfPredict`) that fetch a model from the DFS, deserialize it once per
 //!   instance, and score table rows in parallel.
 //! * [`session`] — the user-facing [`Session`], including YARN-brokered
 //!   resources for co-located deployments (Section 6).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod codec;
 pub mod error;

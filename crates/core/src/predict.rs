@@ -297,6 +297,7 @@ pub fn register_prediction_functions(db: &VerticaDb) {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use vdr_cluster::{NodeId, PhaseKind, PhaseRecorder, SimCluster};

@@ -358,6 +358,7 @@ impl Drop for Session {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::error::CoreError;

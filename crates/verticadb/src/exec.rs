@@ -78,7 +78,7 @@ use crate::agg::{self, AggPlan, Aggregator};
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
 use crate::expr::{cmp_op, literal_num, BinOp, Expr};
-use crate::segmentation::hash_value;
+use crate::segmentation::hash_routes;
 use crate::sort;
 use crate::sql::{Partition, SelectItem, SelectStmt, Statement};
 use crate::udx::UdxContext;
@@ -1121,12 +1121,8 @@ fn run_transform(
                             };
                             let mut mine = Vec::new();
                             for b in all {
-                                let key = b.column_by_name(col)?;
-                                let mask = Bitmap::from_fn(b.num_rows(), |r| {
-                                    (hash_value(&key.get(r)) % instances as u64) as usize
-                                        == instance
-                                });
-                                mine.push(Arc::new(b.filter(&mask)?));
+                                let routes = hash_routes(b.column_by_name(col)?, instances);
+                                mine.push(Arc::new(b.take(&routes[instance])));
                             }
                             mine
                         }

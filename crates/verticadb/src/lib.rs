@@ -45,7 +45,7 @@ pub use catalog::{Catalog, TableDef};
 pub use db::{QueryOutput, VerticaDb};
 pub use dfs::Dfs;
 pub use error::{DbError, Result};
-pub use models::{ModelMeta, ModelStore};
+pub use models::ModelStore;
 pub use monitor::{
     Monitor, QueryHistory, QueryRecord, SystemTableProvider, QUERY_HISTORY_CAPACITY,
 };

@@ -15,17 +15,16 @@ use vdr_cluster::{NodeId, PhaseRecorder};
 use vdr_columnar::{Batch, Column, DataType, Schema};
 
 /// One row of `R_Models`.
-#[derive(Debug, Clone)]
-pub struct ModelMeta {
-    pub name: String,
-    pub owner: String,
+struct ModelMeta {
+    name: String,
+    owner: String,
     /// Model family, e.g. "kmeans", "regression", "randomforest".
-    pub model_type: String,
+    model_type: String,
     /// Serialized size, bytes.
-    pub size: u64,
-    pub description: String,
+    size: u64,
+    description: String,
     /// Users granted access (the owner always has access).
-    pub grants: BTreeSet<String>,
+    grants: BTreeSet<String>,
 }
 
 /// Model blobs in the DFS + metadata + permissions.
@@ -146,10 +145,6 @@ impl ModelStore {
         Ok(())
     }
 
-    pub fn get_meta(&self, name: &str) -> Option<ModelMeta> {
-        self.meta.read().get(name).cloned()
-    }
-
     pub fn exists(&self, name: &str) -> bool {
         self.meta.read().contains_key(name)
     }
@@ -196,6 +191,15 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use vdr_cluster::{PhaseKind, SimCluster};
+    use vdr_columnar::Value;
+
+    /// `name`'s row of `R_Models`, read the way `SELECT * FROM R_Models` does.
+    fn r_models_row(store: &ModelStore, name: &str) -> Vec<Value> {
+        let table = store.as_batch();
+        let mut rows = (0..table.num_rows()).map(|r| table.row(r));
+        rows.find(|row| row[0] == Value::Varchar(name.into()))
+            .expect("model listed in R_Models")
+    }
 
     fn setup() -> (ModelStore, PhaseRecorder) {
         let cluster = SimCluster::for_tests(3);
@@ -222,10 +226,10 @@ mod tests {
             .unwrap();
         let blob = store.load(NodeId(2), "model1", "X", &rec).unwrap();
         assert_eq!(blob, Bytes::from_static(b"centers"));
-        let m = store.get_meta("model1").unwrap();
-        assert_eq!(m.owner, "X");
-        assert_eq!(m.model_type, "kmeans");
-        assert_eq!(m.size, 7);
+        let row = r_models_row(&store, "model1");
+        assert_eq!(row[1], Value::Varchar("X".into()));
+        assert_eq!(row[2], Value::Varchar("kmeans".into()));
+        assert_eq!(row[3], Value::Int64(7));
     }
 
     #[test]
@@ -352,7 +356,8 @@ mod tests {
                 &rec,
             )
             .unwrap();
-        assert_eq!(store.get_meta("m").unwrap().size, 2);
-        assert_eq!(store.get_meta("m").unwrap().description, "v2");
+        let row = r_models_row(&store, "m");
+        assert_eq!(row[3], Value::Int64(2));
+        assert_eq!(row[4], Value::Varchar("v2".into()));
     }
 }

@@ -9,7 +9,6 @@ use std::collections::HashMap;
 /// Usage snapshot of one container's cgroup.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CgroupStats {
-    pub cpu_ms_used: u64,
     pub mem_mb_used: u64,
     pub mem_mb_limit: u64,
     pub vcores_limit: u32,
@@ -65,16 +64,6 @@ impl CgroupController {
         Ok(())
     }
 
-    /// Record CPU time consumed.
-    pub fn charge_cpu(&self, container: u64, cpu_ms: u64) -> Result<()> {
-        let mut groups = self.groups.lock();
-        let stats = groups
-            .get_mut(&container)
-            .ok_or_else(|| YarnError::NotFound(format!("cgroup {container}")))?;
-        stats.cpu_ms_used += cpu_ms;
-        Ok(())
-    }
-
     /// CPU throttling: a workload wanting `demanded_cores` inside a
     /// container limited to `vcores` runs at this fraction of full speed
     /// (`cpu.cfs_quota_us` semantics).
@@ -91,11 +80,6 @@ impl CgroupController {
 
     pub fn stats(&self, container: u64) -> Option<CgroupStats> {
         self.groups.lock().get(&container).copied()
-    }
-
-    /// Tear down a container's cgroup.
-    pub fn detach(&self, container: u64) {
-        self.groups.lock().remove(&container);
     }
 }
 
@@ -139,21 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn cpu_accounting_accumulates() {
+    fn unknown_ids() {
         let cg = CgroupController::new();
         cg.attach(&container(3, 1, 10));
-        cg.charge_cpu(3, 500).unwrap();
-        cg.charge_cpu(3, 250).unwrap();
-        assert_eq!(cg.stats(3).unwrap().cpu_ms_used, 750);
-    }
-
-    #[test]
-    fn detach_and_unknown_ids() {
-        let cg = CgroupController::new();
-        cg.attach(&container(4, 1, 10));
-        cg.detach(4);
         assert!(cg.stats(4).is_none());
-        assert!(cg.charge_cpu(4, 1).is_err());
         assert!(cg.charge_memory(4, 1).is_err());
         assert!(cg.throttle_factor(4, 1).is_err());
     }

@@ -307,26 +307,6 @@ impl ResourceManager {
             .copied()
             .unwrap_or((0, 0))
     }
-
-    /// Free vcores per node (diagnostics / tests).
-    pub fn free_vcores(&self) -> Vec<u32> {
-        self.state
-            .lock()
-            .nodes
-            .iter()
-            .map(|n| n.vcores_total - n.vcores_used)
-            .collect()
-    }
-
-    pub fn containers_of(&self, app: AppId) -> Vec<Container> {
-        self.state
-            .lock()
-            .containers
-            .values()
-            .filter(|c| c.app == app)
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -387,7 +367,25 @@ mod tests {
         // Session ends → resources return.
         rm.unregister(dr.id).unwrap();
         assert_eq!(rm.queue_usage("dr"), (0, 0));
-        assert_eq!(rm.free_vcores(), vec![12, 12, 12, 12]);
+        // Every node got its 12 vcores back: the next session lands one
+        // container on each again.
+        let next = rm
+            .register("distributedR", "dr", Lifetime::Session)
+            .unwrap();
+        let again = rm
+            .allocate(
+                next.id,
+                &ResourceRequest {
+                    vcores: 12,
+                    mem_mb: 64_000,
+                    count: 4,
+                    preferred_nodes: cluster.node_ids(),
+                },
+            )
+            .unwrap();
+        let mut nodes: Vec<usize> = again.iter().map(|c| c.node.0).collect();
+        nodes.sort();
+        assert_eq!(nodes, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -440,7 +438,14 @@ mod tests {
             )
             .unwrap();
         assert_eq!(got.len(), 2);
-        assert_eq!(rm.free_vcores(), vec![0, 0]);
+        // Nothing is left: one more vcore anywhere is refused.
+        let one_more = ResourceRequest {
+            vcores: 1,
+            mem_mb: 1,
+            count: 1,
+            preferred_nodes: vec![],
+        };
+        assert!(rm.allocate(dr.id, &one_more).is_err());
     }
 
     #[test]
@@ -462,7 +467,6 @@ mod tests {
             Err(YarnError::Unsatisfiable(_))
         ));
         // Fits per node but not in aggregate; all-or-nothing must not leak.
-        let before = rm.free_vcores();
         assert!(rm
             .allocate(
                 app.id,
@@ -474,7 +478,17 @@ mod tests {
                 }
             )
             .is_err());
-        assert_eq!(rm.free_vcores(), before);
+        // Nothing leaked: the whole cluster is still free to take.
+        let whole = ResourceRequest {
+            vcores: 24,
+            mem_mb: 10,
+            count: 2,
+            preferred_nodes: vec![],
+        };
+        let taken = rm.allocate(app.id, &whole).unwrap();
+        for c in taken {
+            rm.release(c.id).unwrap();
+        }
         // Zero request rejected.
         assert!(rm
             .allocate(
@@ -524,23 +538,25 @@ mod tests {
     }
 
     #[test]
-    fn containers_of_lists_holdings() {
+    fn release_returns_one_holding() {
         let cluster = SimCluster::for_tests(2);
         let rm = ResourceManager::new(&cluster, SchedulingPolicy::Fair).unwrap();
         let app = rm.register("x", "q", Lifetime::Session).unwrap();
-        rm.allocate(
-            app.id,
-            &ResourceRequest {
-                vcores: 2,
-                mem_mb: 100,
-                count: 3,
-                preferred_nodes: vec![],
-            },
-        )
-        .unwrap();
-        assert_eq!(rm.containers_of(app.id).len(), 3);
-        let c = rm.containers_of(app.id)[0].id;
-        rm.release(c).unwrap();
-        assert_eq!(rm.containers_of(app.id).len(), 2);
+        let held = rm
+            .allocate(
+                app.id,
+                &ResourceRequest {
+                    vcores: 2,
+                    mem_mb: 100,
+                    count: 3,
+                    preferred_nodes: vec![],
+                },
+            )
+            .unwrap();
+        assert_eq!(held.len(), 3);
+        assert_eq!(rm.queue_usage("q"), (6, 300));
+        rm.release(held[0].id).unwrap();
+        assert_eq!(rm.queue_usage("q"), (4, 200));
+        assert!(rm.release(held[0].id).is_err(), "released twice");
     }
 }
