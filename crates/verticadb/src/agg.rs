@@ -7,8 +7,39 @@
 //! ordinary [`Batch`]es: what crosses the exchange through the block codec
 //! and what the gather hands to the initiator. Merging a partial is the same
 //! table taking state rows instead of input rows; finalizing is a projection
-//! of the state columns. The state columns per function, and why DISTINCT
-//! ships as normalized pairs, are in the executor's module header.
+//! of the state columns.
+//!
+//! The plan, made once per statement from the select list and the input
+//! schema, names the state columns each aggregate keeps per group — and the
+//! output dtypes, which therefore never depend on the data:
+//!
+//! | aggregate           | state columns                                 |
+//! |---------------------|-----------------------------------------------|
+//! | `COUNT(*)`          | `rows: Int64`                                 |
+//! | `COUNT(e)`          | `non_null: Int64`                             |
+//! | `SUM(e)` / `AVG(e)` | `sum: Float64`, `non_null: Int64`             |
+//! | `MIN(e)` / `MAX(e)` | one column of `e`'s type, NULL until a value  |
+//! | `COUNT(DISTINCT e)` | none; a pair set (below)                      |
+//!
+//! Each node feeds one group table container after container; its state is
+//! an ordinary [`Batch`] (`key columns ++ state columns`, a row per group)
+//! that the shuffled GROUP BY partitions by key hash and ships through the
+//! exchange, and that the initiator merge gathers and merges with the same
+//! code.
+//!
+//! `COUNT(DISTINCT)` ships as deduplicated `(group, value)` pairs because a
+//! count cannot be merged: two nodes that each saw `'a'` must count it once.
+//! The pairs are normalized — a `value` batch holding each distinct value
+//! once, and two integer columns naming rows of the state batch and of the
+//! value batch — so a string that occurs in ten thousand groups is hashed
+//! per input row but copied, encoded and decoded once.
+//!
+//! Keys and DISTINCT values are equal by bit pattern (`NaN` is one group,
+//! `-0.0` and `0.0` are two), NULL is its own group, integers compare as
+//! integers, and float `MIN`/`MAX` and the key order use the IEEE total
+//! order, so no answer depends on arrival order. Float `SUM` adds in row
+//! order within a node and in node order across merges (own partition
+//! first under the shuffle) — fixed orders, so a sum repeats run to run.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{DbError, Result};
@@ -16,11 +47,10 @@ use crate::expr::Expr;
 use crate::segmentation::row_hashes;
 use crate::sort::{self, TotalOrder};
 use crate::sql::{AggFunc, SelectItem, SelectStmt};
-use bytes::Bytes;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
-use vdr_columnar::{decode_batch, encode_batch, Batch, Bitmap, Column, DataType, Field, Schema};
+use vdr_columnar::{Batch, Bitmap, Column, DataType, Field, Schema};
 
 /// Evaluate `$body` with `$d` / `$v` bound to the data and validity of
 /// `$col`, whatever its type.
@@ -147,8 +177,12 @@ impl AggPlan {
         let nk = state.len();
         let (mut aggs, mut out, mut out_fields) = (Vec::new(), Vec::new(), Vec::new());
         let (mut state_starts_null, mut distinct) = (Vec::new(), Vec::new());
-        for (i, item) in stmt.items.iter().enumerate() {
-            let (col, dtype) = match item {
+        if stmt.items.contains(&SelectItem::Wildcard) {
+            return Err(DbError::Plan("'*' cannot mix with aggregates".into()));
+        }
+        let items = crate::plan::named_items(&stmt.items, input);
+        for (i, (name, item)) in items.into_iter().enumerate() {
+            let (col, dtype) = match &item {
                 SelectItem::Aggregate {
                     func,
                     arg,
@@ -205,17 +239,16 @@ impl AggPlan {
                     };
                     (OutCol::Key(gi), state[gi].dtype)
                 }
-                SelectItem::Wildcard => {
-                    return Err(DbError::Plan("'*' cannot mix with aggregates".into()))
-                }
-                SelectItem::Transform { name, .. } => {
+                // `named_items` expanded `*`: what is left is a transform,
+                // named by its function.
+                _ => {
                     return Err(DbError::Plan(format!(
                         "transform {name} cannot mix with aggregates"
                     )))
                 }
             };
             out.push(col);
-            out_fields.push(Field::new(crate::exec::item_name(i, item), dtype));
+            out_fields.push(Field::new(name, dtype));
         }
         let mut schemas = vec![Schema::new(state)];
         schemas.extend(distinct);
@@ -330,15 +363,9 @@ impl AggPlan {
         Ok(parts)
     }
 
-    /// Decode what [`Partial::encode`] wrote, every block crc-checked by the
-    /// block decoder and the whole held to the planned schemas.
-    pub(crate) fn decode(&self, frames: &[Bytes]) -> Result<Partial> {
-        let batches = frames.iter().map(|f| decode_batch(f));
-        let p = Partial {
-            batches: batches.collect::<vdr_columnar::Result<_>>()?,
-        };
-        self.check(&p)?;
-        Ok(p)
+    /// The schemas of a partial's batches, in shipping order.
+    pub(crate) fn schemas(&self) -> &[Schema] {
+        &self.schemas
     }
 }
 
@@ -361,9 +388,14 @@ impl Partial {
         self.batches.first().map_or(0, Batch::num_rows)
     }
 
-    /// One block per batch, state first.
-    pub(crate) fn encode(&self) -> Vec<Bytes> {
-        self.batches.iter().map(encode_batch).collect()
+    /// Its batches, state first, as they ship.
+    pub(crate) fn batches(&self) -> &[Batch] {
+        &self.batches
+    }
+
+    /// A received partial; [`Aggregator::merge`] holds it to the plan.
+    pub(crate) fn from_batches(batches: Vec<Batch>) -> Partial {
+        Partial { batches }
     }
 }
 
@@ -905,7 +937,10 @@ impl<'p> Aggregator<'p> {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use vdr_columnar::Value;
+    use crate::exec::Payload;
+    use bytes::Bytes;
+    use vdr_cluster::{ExchangeRecv, NodeId, SimCluster};
+    use vdr_columnar::{encode_batch, Value};
 
     fn schema() -> Schema {
         Schema::of(&[
@@ -996,7 +1031,7 @@ mod tests {
         let mut shipped = Vec::new();
         for half in &halves {
             for part in plan.split(&partial_of(&plan, half), 3).unwrap() {
-                shipped.push(plan.decode(&part.encode()).unwrap());
+                shipped.push(decode(&plan, &encode(&part)).unwrap());
             }
         }
         assert_eq!(finalized(&plan, &shipped).unwrap(), want);
@@ -1029,15 +1064,37 @@ mod tests {
         assert_eq!(out.column(1).i64_data().unwrap(), &[1, 2, 2]);
     }
 
+    /// One block per batch, state first: what a node sends.
+    fn encode(p: &Partial) -> Vec<Bytes> {
+        p.batches().iter().map(encode_batch).collect()
+    }
+
+    /// What the exchange receive makes of one source's frames, held to the
+    /// plan as a merge holds it.
+    fn decode(plan: &AggPlan, frames: &[Bytes]) -> Result<Partial> {
+        let cluster = SimCluster::for_tests(1);
+        let recv = ExchangeRecv {
+            frames: vec![frames.to_vec()],
+            wait_ns: 0,
+            num_frames: 0,
+            bytes: 0,
+        };
+        let node = cluster.node(NodeId(0));
+        let (mut got, _) = crate::exec::receive(node, plan.schemas(), Payload::State, &recv)?;
+        let p = Partial::from_batches(got.pop().unwrap_or_default());
+        plan.check(&p)?;
+        Ok(p)
+    }
+
     /// The shuffled partial rides the block codec: whatever arrives, the
     /// receive side answers with an error — never a panic, never a count.
     #[test]
     fn hostile_partition_bytes_are_errors() {
         let plan = plan(SQL);
         let good = partial_of(&plan, &input());
-        let frames = good.encode();
+        let frames = encode(&good);
         assert_eq!(frames.len(), 3);
-        assert!(plan.decode(&frames).is_ok());
+        assert!(decode(&plan, &frames).is_ok());
         let with = |i: usize, bytes: Vec<u8>| {
             let mut f = frames.clone();
             f[i] = Bytes::from(bytes);
@@ -1045,13 +1102,13 @@ mod tests {
         };
         for (i, frame) in frames.iter().enumerate() {
             for cut in 0..frame.len() {
-                let got = plan.decode(&with(i, frame[..cut].to_vec()));
+                let got = decode(&plan, &with(i, frame[..cut].to_vec()));
                 assert!(got.is_err(), "frame {i} truncated at {cut} decoded");
             }
             for bit in 0..frame.len() * 8 {
                 let mut bytes = frame.to_vec();
                 bytes[bit / 8] ^= 1 << (bit % 8);
-                let got = plan.decode(&with(i, bytes));
+                let got = decode(&plan, &with(i, bytes));
                 assert!(got.is_err(), "frame {i} with bit {bit} flipped decoded");
             }
         }
@@ -1066,11 +1123,11 @@ mod tests {
         fields[2].dtype = DataType::Int64;
         let wrong_dtype = Batch::new(Schema::new(fields), cols).unwrap();
         for bad in [missing_column, wrong_dtype] {
-            let got = plan.decode(&with(0, encode_batch(&bad).to_vec()));
+            let got = decode(&plan, &with(0, encode_batch(&bad).to_vec()));
             assert!(matches!(got, Err(DbError::Exec(_))), "{got:?}");
         }
         for absent in [&frames[..1], &frames[..2], &frames[..0]] {
-            assert!(matches!(plan.decode(absent), Err(DbError::Exec(_))));
+            assert!(matches!(decode(&plan, absent), Err(DbError::Exec(_))));
         }
 
         // Planned schema, hostile content: pairs naming rows that do not
@@ -1080,14 +1137,14 @@ mod tests {
             Batch::new(good.batches[1].schema().clone(), cols).unwrap()
         };
         for (g, v) in [(3, 0), (-1, 0), (0, 3), (0, i64::MIN)] {
-            let p = plan.decode(&with(1, encode_batch(&pairs(g, v)).to_vec()));
+            let p = decode(&plan, &with(1, encode_batch(&pairs(g, v)).to_vec()));
             let p = p.unwrap();
             let merged = finalized(&plan, std::slice::from_ref(&p));
             assert!(matches!(merged, Err(DbError::Exec(_))), "{merged:?}");
             assert!(matches!(plan.split(&p, 2), Err(DbError::Exec(_))));
         }
         let null_value = Batch::from_rows(good.batches[2].schema().clone(), &[vec![Value::Null]]);
-        let p = plan.decode(&with(2, encode_batch(&null_value.unwrap()).to_vec()));
+        let p = decode(&plan, &with(2, encode_batch(&null_value.unwrap()).to_vec()));
         let merged = finalized(&plan, &[p.unwrap()]);
         assert!(matches!(merged, Err(DbError::Exec(_))), "{merged:?}");
     }

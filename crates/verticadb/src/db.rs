@@ -388,6 +388,7 @@ pub(crate) fn statement_label(stmt: &sql::Statement) -> String {
         sql::Statement::DropTable { name, .. } => format!("DROP TABLE {name}"),
         sql::Statement::Profile(inner) => format!("PROFILE {}", statement_label(inner)),
         sql::Statement::Trace(inner) => format!("TRACE {}", statement_label(inner)),
+        sql::Statement::Explain(_) => "EXPLAIN SELECT".to_string(),
     }
 }
 

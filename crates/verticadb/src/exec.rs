@@ -1,94 +1,74 @@
-//! The distributed query executor.
+//! The distributed query executor: the one interpreter of every SELECT's
+//! physical plan, CTAS included. [`execute`] dispatches a statement: a
+//! SELECT to the plan and the interpreter, `EXPLAIN` to the plan's printer,
+//! DDL and DML straight to the catalog and storage.
 //!
-//! Regular `SELECT`s run MPP-style: every node scans, filters, and projects
-//! its own segment (and computes partial aggregates); the small per-node
-//! results are gathered to the initiator node for the final merge, sort, and
-//! limit. Transform (`OVER (PARTITION …)`) selects spawn UDx instances per
-//! node, the paper's extension mechanism.
+//! # The plan and the interpreter
+//!
+//! `plan::build` makes every decision a SELECT needs — scan mode,
+//! merge location, JOIN strategy, UDx instances per node — from the
+//! statement, the catalog and the node count, and returns a tree of
+//! operators. This file runs that tree and decides nothing:
+//!
+//! - **The per-node pipeline** (`pipeline`): containers, decoded or with
+//!   RLE/dictionary columns still encoded, through the WHERE mask into the
+//!   node's one accumulator (`NodeAcc`: projected rows, or a group table).
+//!   A table scan feeds it container after container; a JOIN feeds it the
+//!   joined chunks its probe produces (`exec_join.rs`).
+//! - **The Exchange operator** (`exchange`): every node encodes what it
+//!   sends each destination through the block codec, the frames cross
+//!   [`vdr_cluster::exchange_framed`], and every receiver decodes them and
+//!   holds each to its planned schema; the `exchange.*` counters and the
+//!   ledger charges are taken here once. The shuffled GROUP BY ships
+//!   partials by `AggPlan::split`; the JOIN ships sides by key hash or
+//!   broadcast. Gathers to the initiator are charged by `charge_gather`.
+//! - **The initiator's tail**: merge and finalize, Sort, Limit.
+//! - **Transforms** (`OVER (PARTITION …)`): the planned number of UDx
+//!   instances per node, the paper's extension mechanism.
 //!
 //! # Compressed execution
 //!
-//! When a query's shape allows it (`encoded_execution_eligible`, a pure
-//! function of the statement), the scan returns [`EncodedBatch`]es whose
-//! Rle/Dictionary columns are still in run/code form. Predicates then
-//! evaluate per *run* or per *distinct dictionary code*
-//! ([`kernels::cmp_scalar_rle`] / [`kernels::cmp_scalar_dict`]), a
-//! single-column dictionary GROUP BY takes its group ids from the dictionary
-//! codes without hashing decoded strings, and everything else is
-//! **late-materialized**: non-predicate columns decode only the rows that
-//! survived the filter bitmap. The whole path is an executor-internal
-//! optimization — results are bit-for-bit those of the decoded path.
+//! An encoded scan returns [`EncodedBatch`]es whose Rle/Dictionary columns
+//! are still in run/code form. Predicates then evaluate per *run* or per
+//! *distinct dictionary code* ([`kernels::cmp_scalar_rle`] /
+//! [`kernels::cmp_scalar_dict`]), a single-column dictionary GROUP BY takes
+//! its group ids from the dictionary codes without hashing decoded strings,
+//! and everything else is **late-materialized**: non-predicate columns decode
+//! only the rows that survived the filter bitmap. Results are bit-for-bit
+//! those of a decoded scan.
 //!
-//! # Aggregation
+//! # Aggregation and ordering
 //!
-//! One columnar aggregator (`agg.rs`) runs from scan to finalize. A plan,
-//! made once per statement from the select list and the input schema, names
-//! the state columns each aggregate keeps per group — and the output dtypes,
-//! which therefore never depend on the data:
-//!
-//! | aggregate           | state columns                                 |
-//! |---------------------|-----------------------------------------------|
-//! | `COUNT(*)`          | `rows: Int64`                                 |
-//! | `COUNT(e)`          | `non_null: Int64`                             |
-//! | `SUM(e)` / `AVG(e)` | `sum: Float64`, `non_null: Int64`             |
-//! | `MIN(e)` / `MAX(e)` | one column of `e`'s type, NULL until a value  |
-//! | `COUNT(DISTINCT e)` | none; a pair set (below)                      |
-//!
-//! Each node feeds one group table container after container; its state is
-//! an ordinary [`Batch`] (`key columns ++ state columns`, a row per group)
-//! that the shuffled GROUP BY partitions by key hash and ships through the
-//! block codec — the exchange carries one payload type — and that the
-//! initiator-merge path gathers and merges with the same code. The
-//! statement, the table's segmentation and the node count choose *where* the
-//! aggregator merges and whether group ids come from dictionary codes; no
-//! user setting does.
-//!
-//! `COUNT(DISTINCT)` ships as deduplicated `(group, value)` pairs because a
-//! count cannot be merged: two nodes that each saw `'a'` must count it once.
-//! The pairs are normalized — a `value` batch holding each distinct value
-//! once, and two integer columns naming rows of the state batch and of the
-//! value batch — so a string that occurs in ten thousand groups is hashed
-//! per input row but copied, encoded and decoded once.
-//!
-//! Keys and DISTINCT values are equal by bit pattern (`NaN` is one group,
-//! `-0.0` and `0.0` are two), NULL is its own group, integers compare as
-//! integers, and float `MIN`/`MAX` and the key order use the IEEE total
-//! order, so no answer depends on arrival order. Float `SUM` adds in row
-//! order within a node and in node order across merges (own partition
-//! first under the shuffle) — fixed orders, so a sum repeats run to run.
-//!
-//! # Ordering
-//!
-//! ORDER BY keys that point into the select list — a bare integer is a
-//! 1-based position after `*` expands, a bare name that is a select alias
-//! wins over an input column — are resolved once per statement. Without
-//! GROUP BY every node then appends one hidden column per key (the key's
-//! value) to its projected rows and the gather ships all of them; the
-//! initiator orders the per-node batches in place with the typed operator
-//! of `sort.rs` and keeps only the select items. GROUP BY output orders by
-//! its output columns through the same operator. It compares in the order
-//! the aggregator keeps its keys in, NULL last both ways; under `LIMIT` it
-//! selects the first `OFFSET + LIMIT` rows instead of sorting them all,
-//! and rows equal on every key stay in gather order. `LIMIT` is applied
-//! only at the initiator, after the gather: the ODBC baseline's `ORDER BY
-//! … LIMIT … OFFSET` range queries are modeled as a full scan plus a
-//! gather of every node's rows.
+//! One columnar aggregator (`agg.rs`, whose header lists the state each
+//! aggregate keeps and the merge orders) runs from scan to finalize; one
+//! typed operator (`sort.rs`) orders every result. Without GROUP BY every
+//! node appends one hidden column per ORDER BY key to its projected rows and
+//! the gather ships them; GROUP BY output orders by its output columns.
+//! `LIMIT` is applied only at the initiator, after the gather: the ODBC
+//! baseline's `ORDER BY … LIMIT … OFFSET` range queries are modeled as a
+//! full scan plus a gather of every node's rows.
 
-use crate::agg::{self, AggPlan, Aggregator};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use crate::agg::{AggPlan, Aggregator, Partial};
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
 use crate::expr::{cmp_op, literal_num, BinOp, Expr};
+use crate::plan::{self, Exchange, Op, PhysicalPlan, PlanNode, Transform};
 use crate::segmentation::hash_routes;
 use crate::sort;
-use crate::sql::{Partition, SelectItem, SelectStmt, Statement};
+use crate::sql::{OrderKey, Partition, SelectItem, SelectStmt, Statement};
 use crate::udx::UdxContext;
+use bytes::Bytes;
+use rayon::prelude::*;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
-use vdr_cluster::{NodeId, PhaseRecorder};
+use vdr_cluster::{exchange_framed, ClusterError, ExchangeRecv, Node, NodeId, PhaseRecorder};
 use vdr_columnar::kernels::{self, CmpOp};
 use vdr_columnar::{
-    Batch, Bitmap, Column, DataType, EncodedBatch, Field, ScanColumn, Schema, Value,
+    decode_batch_encoded, encode_batch, Batch, Bitmap, Column, DataType, EncodedBatch, Field,
+    ScanColumn, Schema, Value,
 };
 
 #[path = "exec_join.rs"]
@@ -97,12 +77,68 @@ mod join;
 /// The node that runs final merges — where the client is connected.
 const INITIATOR: NodeId = NodeId(0);
 
+// ------------------------------------------------------------ interpreter
+
+/// What every operator of one statement reads.
+#[derive(Clone, Copy)]
+struct Cx<'a> {
+    db: &'a VerticaDb,
+    plan: &'a PhysicalPlan,
+    /// The WHERE of the pipeline being run.
+    filter: Option<&'a Expr>,
+    rec: &'a Arc<PhaseRecorder>,
+    /// The statement's span, parent of the per-node spans.
+    span: u64,
+    query: u64,
+}
+
+impl Cx<'_> {
+    /// Re-enter the query and node scopes on a worker thread, so spans and
+    /// counters stay attributed.
+    fn enter(&self, node: usize) -> (vdr_obs::QueryScope, vdr_obs::NodeScope) {
+        (
+            vdr_obs::QueryScope::enter(self.query),
+            vdr_obs::NodeScope::enter(node),
+        )
+    }
+
+    fn agg(&self) -> Result<&AggPlan> {
+        self.plan.agg.as_ref().ok_or_else(shape)
+    }
+
+    fn scan_cost(&self) -> f64 {
+        self.db.cluster().profile().costs.db_scan_ns_per_value
+    }
+}
+
+fn shape() -> DbError {
+    DbError::Plan("the executor has no operator for this plan shape".into())
+}
+
+/// The node under an optional Filter, and `cx` running that WHERE.
+fn under_filter<'a>(cx: &Cx<'a>, node: &'a PlanNode) -> Result<(Cx<'a>, &'a PlanNode)> {
+    let Op::Filter(pred) = &node.op else {
+        return Ok((*cx, node));
+    };
+    let filter = Some(pred);
+    Ok((Cx { filter, ..*cx }, input(node)?))
+}
+
+/// A plan node's one input.
+fn input(node: &PlanNode) -> Result<&PlanNode> {
+    match node.inputs.as_slice() {
+        [input] => Ok(input),
+        _ => Err(shape()),
+    }
+}
+
 /// Execute any statement against the database, charging `rec`.
 pub fn execute(db: &VerticaDb, stmt: &Statement, rec: &Arc<PhaseRecorder>) -> Result<Batch> {
     let mut stmt_span = vdr_obs::span("exec.statement");
     stmt_span.record("stmt", crate::db::statement_label(stmt));
     match stmt {
         Statement::Select(select) => execute_select(db, select, rec),
+        Statement::Explain(select) => plan::build(db, select, rec)?.explain(),
         Statement::CreateTable {
             name,
             columns,
@@ -202,373 +238,488 @@ fn status_batch(msg: &str) -> Result<Batch> {
     )?)
 }
 
-// ------------------------------------------------------------------ SELECT
-
+/// Plan and run one SELECT, charging `rec`.
 fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -> Result<Batch> {
-    if let Some(SelectItem::Transform {
-        name,
-        args,
-        params,
-        partition,
-    }) = stmt.transform_item()
-    {
-        if stmt.items.len() != 1 {
-            return Err(DbError::Plan(
-                "a transform function must be the only select item".into(),
-            ));
-        }
-        if stmt.join.is_some() {
-            return Err(DbError::Plan(
-                "transform functions cannot be combined with JOIN".into(),
-            ));
-        }
-        return run_transform(db, stmt, name, args, params, partition, rec);
+    let plan = plan::build(db, stmt, rec)?;
+    let mut span = vdr_obs::span("exec.select");
+    if let Some(table) = &stmt.from {
+        span.record("table", table);
     }
-
-    if stmt.join.is_some() {
-        return join::execute_join_select(db, stmt, rec);
-    }
-
-    let mut select_span = vdr_obs::span("exec.select");
-    let select_span_id = select_span.id();
-
-    // FROM-less: SELECT 1+1.
-    let Some(table) = &stmt.from else {
-        let one = Batch::from_rows(
-            Schema::of(&[("dummy", DataType::Int64)]),
-            &[vec![Value::Int64(0)]],
-        )?;
-        return project_batch(&*resolve_order_by(stmt, one.schema())?, &one);
+    let cx = Cx {
+        db,
+        plan: &plan,
+        filter: None,
+        rec,
+        span: span.id(),
+        query: vdr_obs::current_query_id(),
     };
-
-    // Per-node pipelines.
-    let initiator_local = if let Some(sys) = crate::monitor::v_monitor_table(table) {
-        // System tables materialize cluster-wide: every node contributes its
-        // rows (framed and streamed to the initiator, charged to `rec`),
-        // the union gains a `node_name` column, then the ordinary
-        // WHERE/projection/ORDER BY machinery runs over it like any
-        // gathered result.
-        Some(db.monitor().materialize_cluster(sys, db, rec)?)
-    } else if table.eq_ignore_ascii_case("r_models") {
-        // The metadata table lives on the initiator.
-        Some(db.models().as_batch())
-    } else {
-        None
-    };
-    select_span.record("table", table);
-    let (stmt, per_node, plan, seg_aligned) = if let Some(batch) = initiator_local {
-        let stmt = resolve_order_by(stmt, batch.schema())?;
-        let plan = agg_plan(&stmt, batch.schema())?;
-        let filtered = apply_where(&stmt, &batch)?;
-        let nr = node_result(&stmt, plan.as_ref(), &filtered);
-        (stmt, vec![nr], plan, true)
-    } else {
-        let def = db.catalog().get(table)?;
-        let resolved = resolve_order_by(stmt, &def.schema)?;
-        let stmt: &SelectStmt = &resolved;
-        let plan = agg_plan(stmt, &def.schema)?;
-        // Planner: push the referenced-column set down to the scan so
-        // unused column payloads are never decoded.
-        let wanted = referenced_columns(stmt);
-        // Planner rule: run on encoded data when the statement shape allows
-        // it (see `encoded_execution_eligible`).
-        let use_encoded = encoded_execution_eligible(stmt);
-        // Scatter spawns one OS thread per node: the query scope is
-        // thread-local, so re-enter it in each worker (as span parents are
-        // passed explicitly).
-        let query_id = vdr_obs::current_query_id();
-        let per_node = db.cluster().scatter(|node| -> Result<NodeResult> {
-            let _q = vdr_obs::QueryScope::enter(query_id);
-            let _n = vdr_obs::NodeScope::enter(node.id().0);
-            let mut scan_span = vdr_obs::detail_span_with_parent("exec.scan", select_span_id);
-            scan_span.set_node(node.id().0);
-            // One accumulator per node per statement, fed container
-            // after container.
-            let mut acc = NodeAcc::new(stmt, plan.as_ref(), &def.schema)?;
-            let (rows_in, rows_out) = if use_encoded {
-                encoded_node_pipeline(db, stmt, table, node.id(), rec, wanted.as_ref(), &mut acc)?
-            } else {
-                let batches = db.storage().scan_node_projected(
-                    table,
-                    node.id(),
-                    rec,
-                    false,
-                    wanted.as_ref(),
-                )?;
-                let (mut rows_in, mut rows_out) = (0u64, 0u64);
-                for batch in batches {
-                    rows_in += batch.num_rows() as u64;
-                    let filtered = apply_where(stmt, &batch)?;
-                    rows_out += filtered.num_rows() as u64;
-                    acc.push(&filtered)?;
-                }
-                (rows_in, rows_out)
-            };
-            scan_span.record("rows_in", rows_in);
-            scan_span.record("rows_out", rows_out);
-            vdr_obs::counter_on("exec.scan.rows", node.id().0, rows_in);
-            vdr_obs::counter_on("exec.filter.rows", node.id().0, rows_out);
-            acc.finish()
-        });
-        // GROUP BY partials whose key contains the segmentation key are
-        // already node-disjoint; everything else benefits from the
-        // shuffled merge.
-        let seg_aligned = match &def.segmentation {
-            crate::segmentation::Segmentation::Hash { column } => stmt
-                .group_by
-                .iter()
-                .any(|g| matches!(g, Expr::Column(c) if c.eq_ignore_ascii_case(column))),
-            _ => false,
-        };
-        (resolved, per_node, plan, seg_aligned)
-    };
-
-    let out = gather_and_finalize(db, &stmt, plan.as_ref(), rec, per_node, seg_aligned)?;
-    select_span.record("rows_out", out.num_rows());
+    let out = run(&cx, &plan.root)?;
+    span.record("rows_out", out.num_rows());
     vdr_obs::counter("exec.output.rows", out.num_rows() as u64);
     Ok(out)
 }
 
-/// The common tail of every SELECT: gather the per-node results to the
-/// initiator and finish there (sort / offset / limit of rows, or merge and
-/// finalize of aggregate partials) — or, for a GROUP BY off the segmentation
-/// key, repartition the partials so every node merges and finalizes a
-/// disjoint key range first (shuffled two-phase merge).
-fn gather_and_finalize(
-    db: &VerticaDb,
-    stmt: &SelectStmt,
-    plan: Option<&AggPlan>,
-    rec: &Arc<PhaseRecorder>,
-    per_node: Vec<Result<NodeResult>>,
-    groupby_seg_aligned: bool,
-) -> Result<Batch> {
-    let mut rows = Vec::new();
-    let mut partials = Vec::new();
-    for r in per_node {
-        match r? {
-            NodeResult::Rows(b) => rows.push(b),
-            NodeResult::Partial(p) => partials.push(p),
-        }
+/// Run the plan to its answer on the initiator: Limit and Sort over a
+/// transform, a gather of rows, or a merge of aggregate partials — on the
+/// initiator, or on every node after a shuffle.
+fn run(cx: &Cx<'_>, mut node: &PlanNode) -> Result<Batch> {
+    let mut tail = Tail::default();
+    if let Op::Limit { offset, limit } = &node.op {
+        (tail.offset, tail.limit) = (*offset, *limit);
+        node = input(node)?;
     }
-    let Some(plan) = plan else {
-        let bytes: Vec<u64> = rows.iter().map(Batch::byte_size).collect();
-        charge_gather(rec, &bytes);
-        return order_limit_rows(stmt, rows);
-    };
-    // The shuffle is skipped when it cannot help: a single node, a global
-    // aggregate, or a group key containing the segmentation key (already
-    // node-disjoint).
-    let n = partials.len();
-    let shuffle = n > 1 && n == db.cluster().num_nodes() && !groupby_seg_aligned && plan.has_keys();
-    let batch = if shuffle {
-        shuffle_group_by(db, plan, rec, &partials)?
-    } else {
-        let bytes: Vec<u64> = partials.iter().map(agg::Partial::byte_size).collect();
-        charge_gather(rec, &bytes);
-        let mut merged = Aggregator::new(plan)?;
-        for p in &partials {
-            merged.merge(p)?;
+    if let Op::Sort(keys) = &node.op {
+        tail.keys = keys;
+        node = input(node)?;
+    }
+    match &node.op {
+        Op::Transform(t) => Ok(tail.cut(transform(cx, t, input(node)?)?)),
+        Op::FinalAgg => {
+            // FinalAgg ← Exchange(gather) ← partials: merge on the initiator.
+            let (_, partials) = split(fragment(cx, input(input(node)?)?)?);
+            charge_gather(cx.rec, partials.iter().map(Partial::byte_size));
+            let mut merged = Aggregator::new(cx.agg()?)?;
+            for p in &partials {
+                merged.merge(p)?;
+            }
+            tail.output(merged.finalize()?)
         }
-        merged.finalize()?
-    };
-    order_limit_aggregate_output(stmt, batch)
+        Op::Exchange(Exchange::Gather) => {
+            let below = input(node)?;
+            if let Op::FinalAgg = below.op {
+                // Exchange(gather) ← FinalAgg ← Exchange(hash) ← partials.
+                let (_, partials) = split(fragment(cx, input(input(below)?)?)?);
+                return tail.output(shuffle_group_by(cx, partials)?);
+            }
+            let (rows, _) = split(fragment(cx, below)?);
+            charge_gather(cx.rec, rows.iter().map(Batch::byte_size));
+            tail.rows(rows)
+        }
+        _ => Err(shape()),
+    }
 }
 
-/// Charge shipping `bytes[i]` from node `i` to the initiator.
-fn charge_gather(rec: &Arc<PhaseRecorder>, bytes: &[u64]) {
+/// Charge shipping the `i`-th node's bytes to the initiator.
+fn charge_gather(rec: &Arc<PhaseRecorder>, bytes: impl Iterator<Item = u64>) {
     let mut gather_span = vdr_obs::span("exec.gather");
-    for (i, &b) in bytes.iter().enumerate() {
+    let mut total = 0;
+    for (i, b) in bytes.enumerate() {
         rec.net(NodeId(i), INITIATOR, b);
+        total += b;
     }
-    let total: u64 = bytes.iter().sum();
     gather_span.record("bytes", total);
     vdr_obs::counter("exec.gather.bytes", total);
 }
 
-/// Shuffled two-phase GROUP BY: repartition the per-node partials by
-/// group-key hash so every node merges — and finalizes — a disjoint key
-/// range in parallel, instead of the initiator merging everything
-/// single-threaded. A partition is the aggregate state itself, an ordinary
-/// batch per [`agg::Partial::encode`], so it crosses the exchange through the
-/// block codec like a JOIN partition does. Because post-shuffle ranges are
-/// disjoint, each node ships one finished row per group back to the
-/// initiator rather than state (a COUNT(DISTINCT) pair set collapses to one
-/// integer per group before it crosses the wire again).
-fn shuffle_group_by(
-    db: &VerticaDb,
-    plan: &AggPlan,
-    rec: &Arc<PhaseRecorder>,
-    partials: &[agg::Partial],
-) -> Result<Batch> {
+/// Shuffled two-phase GROUP BY: every node ships each other node the groups
+/// whose key hashes to it, merges — and finalizes — its disjoint key range
+/// in parallel, and the finished rows are gathered, one row per group
+/// instead of (much heavier) aggregate state. Every slice is in the planned
+/// output schema.
+fn shuffle_group_by(cx: &Cx<'_>, partials: Vec<Partial>) -> Result<Batch> {
+    let agg = cx.agg()?;
     let n = partials.len();
-    let query_id = vdr_obs::current_query_id();
-    let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
-    let as_io = |e: DbError| vdr_cluster::ClusterError::Io(e.to_string());
-    let finished = vdr_cluster::exchange_framed(
-        db.cluster(),
-        rec,
+    let finished = exchange(
+        cx,
         "exec.groupby.shuffle",
-        |node| {
-            let _q = vdr_obs::QueryScope::enter(query_id);
-            let _ns = vdr_obs::NodeScope::enter(node.id().0);
+        agg.schemas(),
+        Payload::State,
+        |node, out| {
             let me = node.id().0;
             let mut own = None;
-            let mut sent = 0u64;
-            let mut frames: Vec<Vec<bytes::Bytes>> = Vec::with_capacity(n);
-            for (dst, part) in plan
-                .split(&partials[me], n)
-                .map_err(as_io)?
-                .into_iter()
-                .enumerate()
-            {
+            let mine = partials.get(me).ok_or_else(shape)?;
+            for (dst, part) in agg.split(mine, n)?.into_iter().enumerate() {
                 if dst == me {
-                    // The partition addressed to this node never leaves it:
-                    // it rides as the exchange's local carry, skipping the
-                    // codec and the loopback entirely.
+                    // Its own range never leaves the node: it rides as the
+                    // exchange's local carry, skipping the codec.
                     own = Some(part);
-                    frames.push(Vec::new());
-                } else if part.num_groups() == 0 {
-                    frames.push(Vec::new());
-                } else {
-                    let f = part.encode();
-                    sent += f.iter().map(|b| b.len() as u64).sum::<u64>();
-                    frames.push(f);
+                } else if part.num_groups() > 0 {
+                    part.batches().iter().for_each(|b| out.send(dst, b));
                 }
             }
-            // Encoding partial state is byte-proportional CPU work.
-            if sent > 0 {
-                rec.cpu_work(node.id(), sent as f64 / 8.0, scan_cost);
-            }
-            Ok((frames, own))
+            Ok(own)
         },
-        |node, own, recv| {
-            let _q = vdr_obs::QueryScope::enter(query_id);
-            let _ns = vdr_obs::NodeScope::enter(node.id().0);
-            let me = node.id().0;
-            let mut merged = Aggregator::new(plan).map_err(as_io)?;
+        |_, own, received| {
+            let mut merged = Aggregator::new(agg)?;
             if let Some(own) = &own {
-                merged.merge(own).map_err(as_io)?;
+                merged.merge(own)?;
             }
-            let mut rows = 0u64;
-            for frames in recv.frames.iter().filter(|f| !f.is_empty()) {
-                let part = plan.decode(frames).map_err(as_io)?;
-                rows += part.num_groups() as u64;
-                merged.merge(&part).map_err(as_io)?;
+            for batches in received.into_iter().filter(|b| !b.is_empty()) {
+                merged.merge(&Partial::from_batches(batches))?;
             }
-            vdr_obs::counter_on("exchange.rows", me, rows);
-            vdr_obs::counter_on("exchange.bytes", me, recv.bytes);
-            vdr_obs::counter_on("exchange.frames", me, recv.num_frames);
-            vdr_obs::counter_on("exchange.wait_ns", me, recv.wait_ns);
-            // Merging the received range is this node's (not the
-            // initiator's) work — that's the whole point.
-            rec.cpu_work(node.id(), recv.bytes as f64 / 8.0, scan_cost);
-            // The key range is disjoint across nodes after the shuffle, so
-            // this node's groups are final: materialize the output rows here
-            // and ship those instead of the (much heavier) aggregate states.
-            merged.finalize().map_err(as_io)
+            merged.finalize()
         },
-    )
-    .map_err(DbError::from)?;
+    )?;
     vdr_obs::counter("exec.groupby.shuffled", 1);
-
-    // Gather the finished row slices — every one in the planned output
-    // schema — and concatenate.
-    let bytes: Vec<u64> = finished.iter().map(Batch::byte_size).collect();
-    charge_gather(rec, &bytes);
-    Ok(Batch::concat(plan.out_schema().clone(), &finished)?)
+    charge_gather(cx.rec, finished.iter().map(Batch::byte_size));
+    Ok(Batch::concat(agg.out_schema().clone(), &finished)?)
 }
 
-/// Apply the WHERE clause, borrowing the input when nothing is filtered
-/// out (no predicate, or an all-true mask) so cached batches aren't copied.
-fn apply_where<'a>(stmt: &SelectStmt, batch: &'a Batch) -> Result<Cow<'a, Batch>> {
-    match &stmt.where_clause {
-        Some(pred) => {
-            let mask = pred.eval_predicate(batch)?;
-            if mask.all_set() {
-                Ok(Cow::Borrowed(batch))
-            } else {
-                Ok(Cow::Owned(batch.filter(&mask)?))
+/// The initiator's Sort and Limit.
+#[derive(Default)]
+struct Tail<'a> {
+    keys: &'a [OrderKey],
+    offset: u64,
+    limit: Option<u64>,
+}
+
+impl Tail<'_> {
+    fn cut(&self, batch: Batch) -> Batch {
+        if self.offset == 0 && self.limit.is_none() {
+            return batch;
+        }
+        let n = batch.num_rows() as u64;
+        let start = self.offset.min(n);
+        let end = self.limit.map_or(n, |l| (start + l).min(n));
+        batch.slice(start as usize, end as usize)
+    }
+
+    /// Projected rows — one batch per node, in node order, each ending in
+    /// the hidden sort-key columns, which the answer leaves out. Unordered
+    /// rows are concatenated and cut.
+    fn rows(&self, mut rows: Vec<Batch>) -> Result<Batch> {
+        if rows.is_empty() {
+            return Err(DbError::Exec("no nodes produced results".into()));
+        }
+        if self.keys.is_empty() {
+            // Append to the first node's rows in place: no second copy.
+            let mut gathered = rows.remove(0);
+            for b in &rows {
+                gathered.extend(b)?;
+            }
+            return Ok(self.cut(gathered));
+        }
+        let width = rows[0].num_columns().saturating_sub(self.keys.len());
+        let mut keys = Vec::with_capacity(self.keys.len());
+        for (i, k) in self.keys.iter().enumerate() {
+            let cols: Option<Vec<&Column>> =
+                rows.iter().map(|b| b.columns().get(width + i)).collect();
+            let cols = cols.ok_or_else(|| DbError::Exec("a node's rows lack a sort key".into()))?;
+            keys.push(sort::Key { cols, desc: k.desc });
+        }
+        sort::sort_limit(&rows, width, &keys, self.offset, self.limit)
+    }
+
+    /// Aggregate output, its ORDER BY keys read in place when they name an
+    /// output column.
+    fn output(&self, batch: Batch) -> Result<Batch> {
+        if self.keys.is_empty() {
+            return Ok(self.cut(batch));
+        }
+        let batches = [batch];
+        let cols = self
+            .keys
+            .iter()
+            .map(|k| crate::agg::eval(&k.expr, &batches[0]));
+        let cols = cols.collect::<Result<Vec<_>>>()?;
+        let keys = cols.iter().zip(self.keys).map(|(col, k)| sort::Key {
+            cols: vec![col.as_ref()],
+            desc: k.desc,
+        });
+        let (keys, width) = (keys.collect::<Vec<_>>(), batches[0].num_columns());
+        sort::sort_limit(&batches, width, &keys, self.offset, self.limit)
+    }
+}
+
+// --------------------------------------------------------------- exchange
+
+/// What crosses an exchange, and what it costs at scan-value rate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Payload {
+    /// Rows: every source sends every destination one frame per planned
+    /// schema, empty or not. Sending costs a unit per value serialized,
+    /// receiving a unit per value expanded out of RLE/dictionary form.
+    Rows,
+    /// Aggregate state: a source sends a destination its partial — one
+    /// frame per planned schema — or nothing when it holds no group for it.
+    /// Encoding costs a unit per 8 bytes sent, merging one per 8 received.
+    State,
+}
+
+/// One node's outgoing frames, per destination.
+struct Outbox {
+    frames: Vec<Vec<Bytes>>,
+    values: u64,
+    bytes: u64,
+}
+
+impl Outbox {
+    /// Encode `batch` for `dst`.
+    fn send(&mut self, dst: usize, batch: &Batch) {
+        let frame = encode_batch(batch);
+        self.values += batch.num_values();
+        self.bytes += frame.len() as u64;
+        self.frames[dst].push(frame);
+    }
+
+    /// Encode `batch` once for every destination: N refcounted handles.
+    fn broadcast(&mut self, batch: &Batch) {
+        let frame = encode_batch(batch);
+        self.values += batch.num_values();
+        self.bytes += frame.len() as u64 * self.frames.len() as u64;
+        self.frames.iter_mut().for_each(|f| f.push(frame.clone()));
+    }
+}
+
+/// The Exchange operator. On every node `send` fills an [`Outbox`] and
+/// returns what stays local; `recv` then runs with that carry and, per
+/// source node, the batches it sent here, decoded and held to `schemas`.
+/// With no schema to ship no stream opens: each node runs `send` and `recv`
+/// back to back.
+fn exchange<C: Send, T: Send>(
+    cx: &Cx<'_>,
+    stage: &str,
+    schemas: &[Schema],
+    payload: Payload,
+    send: impl Fn(&Arc<Node>, &mut Outbox) -> Result<C> + Sync,
+    recv: impl Fn(&Arc<Node>, C, Vec<Vec<Batch>>) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let n = cx.db.cluster().num_nodes();
+    let outbox = || Outbox {
+        frames: vec![Vec::new(); n],
+        values: 0,
+        bytes: 0,
+    };
+    if schemas.is_empty() {
+        let local = |node: &Arc<Node>| {
+            let _s = cx.enter(node.id().0);
+            recv(node, send(node, &mut outbox())?, Vec::new())
+        };
+        return cx.db.cluster().scatter(local).into_iter().collect();
+    }
+    let as_io = |e: DbError| ClusterError::Io(e.to_string());
+    let charge = |node: &Arc<Node>, (values, bytes): (u64, u64)| {
+        let units = match payload {
+            Payload::Rows => values as f64,
+            Payload::State => bytes as f64 / 8.0,
+        };
+        if units > 0.0 {
+            cx.rec.cpu_work(node.id(), units, cx.scan_cost());
+        }
+    };
+    let produce = |node: &Arc<Node>| {
+        let _s = cx.enter(node.id().0);
+        let mut out = outbox();
+        let carry = send(node, &mut out).map_err(as_io)?;
+        charge(node, (out.values, out.bytes));
+        Ok((out.frames, carry))
+    };
+    let consume = |node: &Arc<Node>, carry: C, got: ExchangeRecv| {
+        let me = node.id().0;
+        let _s = cx.enter(me);
+        let (received, stats) = receive(node, schemas, payload, &got).map_err(as_io)?;
+        // Receive-side telemetry lands on the receiving node.
+        vdr_obs::counter_on("exchange.rows", me, stats.rows);
+        vdr_obs::counter_on("exchange.bytes", me, got.bytes);
+        vdr_obs::counter_on("exchange.frames", me, got.num_frames);
+        vdr_obs::counter_on("exchange.wait_ns", me, got.wait_ns);
+        if stats.encoded_cols > 0 {
+            vdr_obs::counter_on("exchange.encoded_cols", me, stats.encoded_cols);
+        }
+        charge(node, (stats.expanded, got.bytes));
+        recv(node, carry, received).map_err(as_io)
+    };
+    Ok(exchange_framed(
+        cx.db.cluster(),
+        cx.rec,
+        stage,
+        produce,
+        consume,
+    )?)
+}
+
+/// Receive-side decode telemetry.
+#[derive(Debug, Default)]
+pub(crate) struct RecvStats {
+    /// Rows received: every frame's, or each aggregate partial's groups.
+    rows: u64,
+    encoded_cols: u64,
+    expanded: u64,
+}
+
+/// Decode every received frame in parallel on the node's pool. Frames keep
+/// their VCOL encodings through [`decode_batch_encoded`]; RLE/dictionary
+/// columns expand only here, on the receiver. Every source must have sent
+/// one frame per planned schema, in order — or, for aggregate state,
+/// nothing — and each frame must decode to its schema: a crc-valid block of
+/// anything else is a protocol error, not input.
+pub(crate) fn receive(
+    node: &Arc<Node>,
+    schemas: &[Schema],
+    payload: Payload,
+    recv: &ExchangeRecv,
+) -> Result<(Vec<Vec<Batch>>, RecvStats)> {
+    let mut frames = Vec::new();
+    for (src, got) in recv.frames.iter().enumerate() {
+        let skipped = payload == Payload::State && got.is_empty();
+        let (sent, want) = (got.len(), schemas.len());
+        if sent != want && !skipped {
+            let what = format!("exchange stream from node {src} carried {sent} frames, not {want}");
+            return Err(DbError::Exec(what));
+        }
+        frames.extend(got.iter().zip(schemas).map(|(f, s)| (src, f, s)));
+    }
+    let decoded: Vec<Result<(Batch, u64, u64)>> = node.run(|| {
+        frames
+            .par_iter()
+            .map(|&(_, bytes, schema)| {
+                let (eb, stats) = decode_batch_encoded(bytes, None)
+                    .map_err(|e| DbError::Exec(format!("exchange decode: {e}")))?;
+                if eb.schema() != schema {
+                    return Err(DbError::Exec(format!(
+                        "exchange frame carries columns {:?}, planned {:?}",
+                        eb.schema().names(),
+                        schema.names()
+                    )));
+                }
+                let (batch, expanded) = eb
+                    .materialize(&Bitmap::all_valid(eb.num_rows()), None)
+                    .map_err(|e| DbError::Exec(format!("exchange materialize: {e}")))?;
+                Ok((batch, stats.cols_kept_encoded as u64, expanded))
+            })
+            .collect()
+    });
+    let mut out = vec![Vec::new(); recv.frames.len()];
+    let mut stats = RecvStats::default();
+    for (&(src, ..), d) in frames.iter().zip(decoded) {
+        let (batch, kept, expanded) = d?;
+        stats.encoded_cols += kept;
+        stats.expanded += expanded;
+        out[src].push(batch);
+    }
+    let counted = match payload {
+        Payload::Rows => schemas.len(),
+        Payload::State => 1,
+    };
+    let rows = out.iter().flat_map(|b| b.iter().take(counted));
+    stats.rows = rows.map(|b| b.num_rows() as u64).sum();
+    Ok((out, stats))
+}
+
+// ------------------------------------------------------- per-node pipeline
+
+/// What a node contributes to the final answer: projected rows (with hidden
+/// ORDER BY key columns appended) or its partial aggregate state.
+enum NodeResult {
+    Rows(Batch),
+    Partial(Partial),
+}
+
+/// Every node's rows and partials, in node order.
+fn split(results: Vec<NodeResult>) -> (Vec<Batch>, Vec<Partial>) {
+    let (mut rows, mut partials) = (Vec::new(), Vec::new());
+    for r in results {
+        match r {
+            NodeResult::Rows(b) => rows.push(b),
+            NodeResult::Partial(p) => partials.push(p),
+        }
+    }
+    (rows, partials)
+}
+
+/// One input of the per-node pipeline: a container as its scan produced it,
+/// or a batch of joined rows.
+enum Scanned {
+    Decoded(Arc<Batch>),
+    Encoded(Arc<EncodedBatch>),
+}
+
+/// Run the per-node pipeline rooted at `node` — Project or PartialAgg over
+/// an optional Filter over a scan, the initiator's rows or a JOIN — on
+/// every node that holds its input.
+fn fragment(cx: &Cx<'_>, node: &PlanNode) -> Result<Vec<NodeResult>> {
+    let (cx, source) = under_filter(cx, input(node)?)?;
+    match &source.op {
+        Op::Local(batch) => {
+            let mut acc = NodeAcc::new(&cx)?;
+            let one = Ok(Scanned::Decoded(Arc::clone(batch)));
+            pipeline(&cx, [one], &mut acc, &mut EncodedScanStats::default())?;
+            Ok(vec![acc.finish()?])
+        }
+        Op::Scan(scan) => {
+            let scan_node = |node: &Arc<Node>| scan_node(&cx, node, scan);
+            cx.db.cluster().scatter(scan_node).into_iter().collect()
+        }
+        Op::HashJoin(j) => join::run(&cx, j, &source.inputs),
+        _ => Err(shape()),
+    }
+}
+
+/// The per-node pipeline: every input through the WHERE mask into `acc`.
+/// A decoded batch is filtered (borrowed when every row passes); an encoded
+/// one is masked by the encoded predicate kernels and late-materialized.
+/// Returns the rows in and the rows that passed.
+fn pipeline(
+    cx: &Cx<'_>,
+    inputs: impl IntoIterator<Item = Result<Scanned>>,
+    acc: &mut NodeAcc<'_>,
+    stats: &mut EncodedScanStats,
+) -> Result<(u64, u64)> {
+    let (mut rows_in, mut rows_out) = (0u64, 0u64);
+    for scanned in inputs {
+        match scanned? {
+            Scanned::Decoded(batch) => {
+                rows_in += batch.num_rows() as u64;
+                let kept = filter(cx.filter, &batch)?;
+                rows_out += kept.num_rows() as u64;
+                acc.push(&kept)?;
+            }
+            Scanned::Encoded(eb) => {
+                rows_in += eb.num_rows() as u64;
+                let mask = match cx.filter {
+                    Some(pred) => eval_predicate_encoded(pred, &eb, stats)?,
+                    None => Bitmap::all_valid(eb.num_rows()),
+                };
+                rows_out += mask.count_set() as u64;
+                acc.push_encoded(&eb, &mask, stats)?;
             }
         }
-        None => Ok(Cow::Borrowed(batch)),
+    }
+    Ok((rows_in, rows_out))
+}
+
+/// Apply a WHERE, borrowing the input when nothing is filtered out (no
+/// predicate, or an all-true mask) so cached batches aren't copied.
+fn filter<'a>(pred: Option<&Expr>, batch: &'a Batch) -> Result<Cow<'a, Batch>> {
+    let Some(pred) = pred else {
+        return Ok(Cow::Borrowed(batch));
+    };
+    let mask = pred.eval_predicate(batch)?;
+    if mask.all_set() {
+        Ok(Cow::Borrowed(batch))
+    } else {
+        Ok(Cow::Owned(batch.filter(&mask)?))
     }
 }
 
-fn add_expr_columns(set: &mut HashSet<String>, e: &Expr) {
-    for c in e.columns() {
-        set.insert(c.to_ascii_lowercase());
-    }
-}
-
-/// The lowercased set of table columns a SELECT references anywhere
-/// (projection, WHERE, ORDER BY, GROUP BY) — the scan only needs to decode
-/// these. `None` means "all columns" (a wildcard appears). An empty set is
-/// legitimate (`SELECT count(*)`): the decoder keeps one cheap column to
-/// preserve row counts.
-fn referenced_columns(stmt: &SelectStmt) -> Option<HashSet<String>> {
-    let mut cols = HashSet::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Wildcard => return None,
-            SelectItem::Expr { expr, .. } => add_expr_columns(&mut cols, expr),
-            SelectItem::Aggregate { arg, .. } => {
-                if let Some(a) = arg {
-                    add_expr_columns(&mut cols, a);
-                }
-            }
-            SelectItem::Transform { args, .. } => {
-                for a in args {
-                    add_expr_columns(&mut cols, a);
-                }
-            }
-        }
-    }
-    if let Some(w) = &stmt.where_clause {
-        add_expr_columns(&mut cols, w);
-    }
-    for k in &stmt.order_by {
-        add_expr_columns(&mut cols, &k.expr);
-    }
-    for g in &stmt.group_by {
-        add_expr_columns(&mut cols, g);
-    }
-    Some(cols)
+/// One node's scan of `scan`'s table through the pipeline: the containers
+/// decoded, or with RLE/dictionary columns kept encoded as planned.
+fn scan_node(cx: &Cx<'_>, node: &Arc<Node>, scan: &plan::Scan) -> Result<NodeResult> {
+    let id = node.id();
+    let _s = cx.enter(id.0);
+    let mut span = vdr_obs::detail_span_with_parent("exec.scan", cx.span);
+    span.set_node(id.0);
+    let storage = cx.db.storage();
+    let wanted = scan.columns.as_ref();
+    let inputs: Vec<Scanned> = if scan.encoded {
+        let found = storage.scan_node_encoded(&scan.table, id, cx.rec, false, wanted)?;
+        found.into_iter().map(Scanned::Encoded).collect()
+    } else {
+        let found = storage.scan_node_projected(&scan.table, id, cx.rec, false, wanted)?;
+        found.into_iter().map(Scanned::Decoded).collect()
+    };
+    let mut acc = NodeAcc::new(cx)?;
+    let mut stats = EncodedScanStats::default();
+    let (rows_in, rows_out) = pipeline(cx, inputs.into_iter().map(Ok), &mut acc, &mut stats)?;
+    stats.charge(cx, id);
+    span.record("rows_in", rows_in);
+    span.record("rows_out", rows_out);
+    vdr_obs::counter_on("exec.scan.rows", id.0, rows_in);
+    vdr_obs::counter_on("exec.filter.rows", id.0, rows_out);
+    acc.finish()
 }
 
 // -------------------------------------------------- compressed execution
-
-/// Is `e` a predicate the encoded evaluator handles natively: an And/Or tree
-/// whose leaves are boolean literals or column-vs-literal comparisons (either
-/// operand order)? Anything else (LIKE, IN, col-vs-col, arithmetic inside
-/// the comparison) needs fully decoded columns, so the planner keeps those
-/// statements on the decoded path.
-fn encodable_predicate(e: &Expr) -> bool {
-    match e {
-        Expr::Literal(Value::Bool(_)) => true,
-        Expr::Binary {
-            op: BinOp::And | BinOp::Or,
-            left,
-            right,
-        } => encodable_predicate(left) && encodable_predicate(right),
-        Expr::Binary { op, left, right } if op.is_comparison() => matches!(
-            (&**left, &**right),
-            (Expr::Column(_), Expr::Literal(_)) | (Expr::Literal(_), Expr::Column(_))
-        ),
-        _ => false,
-    }
-}
-
-/// The planner's encoded-vs-decoded decision for a regular table scan.
-/// Encoded execution pays off when the filter can run per-run/per-code
-/// (encodable WHERE) or when a GROUP BY can aggregate over dictionary codes;
-/// a bare full-table SELECT gains nothing from the detour, so it stays on
-/// the decoded path (whose cache tier it already warms).
-fn encoded_execution_eligible(stmt: &SelectStmt) -> bool {
-    match &stmt.where_clause {
-        Some(w) => encodable_predicate(w),
-        None => !stmt.group_by.is_empty(),
-    }
-}
 
 /// What one node's encoded pipeline did, for the cost ledger and the
 /// `scan.encoded.*` counters.
@@ -587,56 +738,28 @@ struct EncodedScanStats {
     expanded_values: u64,
 }
 
-/// Per-node compressed-execution pipeline: encoded scan → encoded predicate
-/// → dictionary GROUP BY or late materialization → the node's accumulator.
-/// Returns `(rows scanned, rows that passed the filter)`.
-fn encoded_node_pipeline(
-    db: &VerticaDb,
-    stmt: &SelectStmt,
-    table: &str,
-    node: NodeId,
-    rec: &Arc<PhaseRecorder>,
-    wanted: Option<&HashSet<String>>,
-    acc: &mut NodeAcc<'_>,
-) -> Result<(u64, u64)> {
-    let batches = db
-        .storage()
-        .scan_node_encoded(table, node, rec, false, wanted)?;
-    let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
-    let mut stats = EncodedScanStats::default();
-    let mut rows_in = 0u64;
-    let mut rows_out = 0u64;
-    for eb in batches {
-        rows_in += eb.num_rows() as u64;
-        let mask = match &stmt.where_clause {
-            Some(pred) => eval_predicate_encoded(pred, &eb, &mut stats)?,
-            None => Bitmap::all_valid(eb.num_rows()),
-        };
-        rows_out += mask.count_set() as u64;
-        acc.push_encoded(&eb, &mask, &mut stats)?;
+impl EncodedScanStats {
+    /// Charge the deferred decode at the per-value scan cost the eager
+    /// decoder pays, and count the encoded kernels' work.
+    fn charge(&self, cx: &Cx<'_>, node: NodeId) {
+        if self.expanded_values > 0 {
+            cx.rec
+                .cpu_work(node, self.expanded_values as f64, cx.scan_cost());
+        }
+        for (name, n) in [
+            ("scan.encoded.runs_skipped", self.runs_skipped),
+            ("scan.encoded.runs_bsearched", self.runs_bsearched),
+            ("scan.encoded.codes_tested", self.codes_tested),
+            (
+                "scan.encoded.late_materialized_rows",
+                self.late_materialized_rows,
+            ),
+        ] {
+            if n > 0 {
+                vdr_obs::counter_on(name, node.0, n);
+            }
+        }
     }
-    // Expansion out of encoded form is the decode work this path deferred;
-    // charge it at the same per-value scan cost the eager decoder pays.
-    if stats.expanded_values > 0 {
-        rec.cpu_work(node, stats.expanded_values as f64, scan_cost);
-    }
-    if stats.runs_skipped > 0 {
-        vdr_obs::counter_on("scan.encoded.runs_skipped", node.0, stats.runs_skipped);
-    }
-    if stats.runs_bsearched > 0 {
-        vdr_obs::counter_on("scan.encoded.runs_bsearched", node.0, stats.runs_bsearched);
-    }
-    if stats.codes_tested > 0 {
-        vdr_obs::counter_on("scan.encoded.codes_tested", node.0, stats.codes_tested);
-    }
-    if stats.late_materialized_rows > 0 {
-        vdr_obs::counter_on(
-            "scan.encoded.late_materialized_rows",
-            node.0,
-            stats.late_materialized_rows,
-        );
-    }
-    Ok((rows_in, rows_out))
 }
 
 /// Evaluate a WHERE predicate against an encoded batch, producing the same
@@ -723,22 +846,7 @@ fn decoded_predicate_leaf(e: &Expr, eb: &EncodedBatch) -> Result<Bitmap> {
     e.eval_predicate(&batch)
 }
 
-// --------------------------------------------------- per-node partial state
-
-/// What a node contributes to the final answer: either projected rows (with
-/// hidden ORDER BY key columns appended) or its partial aggregate state.
-enum NodeResult {
-    Rows(Batch),
-    Partial(agg::Partial),
-}
-
-/// The aggregation plan of `stmt` over rows of schema `input`, if it
-/// aggregates at all.
-fn agg_plan(stmt: &SelectStmt, input: &Schema) -> Result<Option<AggPlan>> {
-    (stmt.has_aggregates() || !stmt.group_by.is_empty())
-        .then(|| AggPlan::new(stmt, input))
-        .transpose()
-}
+// --------------------------------------------------- per-node accumulator
 
 /// One node's accumulator for one statement: filtered batches go in,
 /// container after container, and a [`NodeResult`] comes out — projected rows
@@ -749,24 +857,19 @@ enum NodeAcc<'a> {
 }
 
 impl<'a> NodeAcc<'a> {
-    /// `input` is the schema of the batches to come: a node that holds no
-    /// containers still answers in the projected schema.
-    fn new(stmt: &'a SelectStmt, plan: Option<&'a AggPlan>, input: &Schema) -> Result<Self> {
-        Ok(match plan {
+    /// A node that holds no input still answers in the projected schema.
+    fn new(cx: &Cx<'a>) -> Result<Self> {
+        let (stmt, input) = (&cx.plan.stmt, &cx.plan.input);
+        Ok(match &cx.plan.agg {
             Some(plan) => NodeAcc::Agg(Aggregator::new(plan)?),
-            None => {
-                let no_rows = Batch::empty(input.clone());
-                NodeAcc::Rows(stmt, project_rows_with_order_keys(stmt, &no_rows)?)
-            }
+            None => NodeAcc::Rows(stmt, project(stmt, &Batch::empty(input.clone()))?),
         })
     }
 
     fn push(&mut self, batch: &Batch) -> Result<()> {
         match self {
             NodeAcc::Agg(agg) => agg.update(batch),
-            NodeAcc::Rows(stmt, rows) => {
-                Ok(rows.extend(&project_rows_with_order_keys(stmt, batch)?)?)
-            }
+            NodeAcc::Rows(stmt, rows) => Ok(rows.extend(&project(stmt, batch)?)?),
         }
     }
 
@@ -808,141 +911,23 @@ impl<'a> NodeAcc<'a> {
     }
 }
 
-/// The [`NodeResult`] of one already-filtered batch.
-fn node_result(stmt: &SelectStmt, plan: Option<&AggPlan>, batch: &Batch) -> Result<NodeResult> {
-    let mut acc = NodeAcc::new(stmt, plan, batch.schema())?;
-    acc.push(batch)?;
-    acc.finish()
-}
-
-/// ORDER BY (over aggregate output columns, read in place when a key names
-/// one) plus OFFSET/LIMIT — the shared tail of the initiator-merge and
-/// shuffled local-finalization paths.
-fn order_limit_aggregate_output(stmt: &SelectStmt, batch: Batch) -> Result<Batch> {
-    if stmt.order_by.is_empty() {
-        return Ok(apply_offset_limit(stmt, batch));
-    }
-    let cols = stmt.order_by.iter().map(|k| agg::eval(&k.expr, &batch));
-    let cols = cols.collect::<Result<Vec<_>>>()?;
-    let keys = cols.iter().zip(&stmt.order_by).map(|(col, k)| sort::Key {
-        cols: vec![col.as_ref()],
-        desc: k.desc,
-    });
-    let keys: Vec<sort::Key<'_>> = keys.collect();
-    let (offset, limit) = (stmt.offset.unwrap_or(0), stmt.limit);
-    sort::sort_limit(
-        std::slice::from_ref(&batch),
-        batch.num_columns(),
-        &keys,
-        offset,
-        limit,
-    )
-}
-
-// ------------------------------------------------------------- projections
-
-pub(crate) fn item_name(i: usize, item: &SelectItem) -> String {
-    match item {
-        SelectItem::Wildcard => unreachable!("wildcard expanded before naming"),
-        SelectItem::Expr { expr, alias } => alias.clone().unwrap_or_else(|| match expr {
-            Expr::Column(c) => c.clone(),
-            other => format!("col{i}_{other}"),
-        }),
-        SelectItem::Aggregate { func, alias, .. } => {
-            alias.clone().unwrap_or_else(|| func.name().to_string())
-        }
-        SelectItem::Transform { name, .. } => name.clone(),
-    }
-}
-
-/// Expand `*` into per-column expression items against `input`.
-fn expand_items(stmt: &SelectStmt, input: &Schema) -> Vec<SelectItem> {
-    let mut out = Vec::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Wildcard => {
-                for f in input.fields() {
-                    out.push(SelectItem::Expr {
-                        expr: Expr::Column(f.name.clone()),
-                        alias: None,
-                    });
-                }
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    out
-}
-
-/// The select item a bare ORDER BY column names by its alias.
-fn aliased_item(items: &[SelectItem], key: &Expr) -> Option<usize> {
-    let Expr::Column(name) = key else {
-        return None;
-    };
-    items.iter().position(|item| match item {
-        SelectItem::Expr { alias, .. } | SelectItem::Aggregate { alias, .. } => {
-            alias.as_ref().is_some_and(|a| a.eq_ignore_ascii_case(name))
-        }
-        _ => false,
-    })
-}
-
-/// Resolve the ORDER BY keys that point into the select list, once per
-/// statement: a bare integer `k` is the `k`-th item (1-based, after `*`
-/// expands against `input`), and a bare column naming a select alias is
-/// that item — the output name wins over an input column of the same name.
-/// After GROUP BY such a key becomes the item's output column; otherwise it
-/// becomes the item's expression, which the hidden sort column then holds.
-fn resolve_order_by<'a>(stmt: &'a SelectStmt, input: &Schema) -> Result<Cow<'a, SelectStmt>> {
-    let mut out = Cow::Borrowed(stmt);
-    if stmt.order_by.is_empty() {
-        return Ok(out);
-    }
-    let items = expand_items(stmt, input);
-    let aggregated = stmt.has_aggregates() || !stmt.group_by.is_empty();
-    for (n, key) in stmt.order_by.iter().enumerate() {
-        let i = match &key.expr {
-            Expr::Literal(Value::Int64(k)) => {
-                let i = usize::try_from(*k)
-                    .ok()
-                    .filter(|i| (1..=items.len()).contains(i));
-                i.ok_or_else(|| {
-                    let n = items.len();
-                    DbError::Plan(format!("ORDER BY {k}: the select list has {n} items"))
-                })? - 1
-            }
-            e => match aliased_item(&items, e) {
-                Some(i) => i,
-                None => continue,
-            },
-        };
-        let expr = match &items[i] {
-            item if aggregated => Expr::Column(item_name(i, item)),
-            SelectItem::Expr { expr, .. } => expr.clone(),
-            _ => continue,
-        };
-        out.to_mut().order_by[n].expr = expr;
-    }
-    Ok(out)
-}
-
 /// Hidden ORDER BY key columns use this prefix and follow the select items;
 /// the sort reads them by position (an alias may reuse the name) and leaves
 /// them out of the answer.
 const HIDDEN: &str = "__sortkey_";
 
-fn project_rows_with_order_keys(stmt: &SelectStmt, batch: &Batch) -> Result<Batch> {
-    let items = expand_items(stmt, batch.schema());
+/// The select list over `batch`, then one hidden column per ORDER BY key.
+fn project(stmt: &SelectStmt, batch: &Batch) -> Result<Batch> {
     let mut fields = Vec::new();
     let mut columns = Vec::new();
-    for (i, item) in items.iter().enumerate() {
+    for (name, item) in plan::named_items(&stmt.items, batch.schema()) {
         let SelectItem::Expr { expr, .. } = item else {
             return Err(DbError::Plan(
                 "aggregates cannot mix with plain columns without GROUP BY".into(),
             ));
         };
         let col = expr.eval(batch)?;
-        fields.push(Field::new(item_name(i, item), col.data_type()));
+        fields.push(Field::new(name, col.data_type()));
         columns.push(col);
     }
     for (i, key) in stmt.order_by.iter().enumerate() {
@@ -953,235 +938,112 @@ fn project_rows_with_order_keys(stmt: &SelectStmt, batch: &Batch) -> Result<Batc
     Ok(Batch::new(Schema::new(fields), columns)?)
 }
 
-fn project_batch(stmt: &SelectStmt, batch: &Batch) -> Result<Batch> {
-    order_limit_rows(stmt, vec![project_rows_with_order_keys(stmt, batch)?])
-}
-
-/// ORDER BY / OFFSET / LIMIT over projected rows — one batch per node, in
-/// node order, each ending in the hidden sort-key columns, which the answer
-/// leaves out. Unordered rows are concatenated and cut.
-fn order_limit_rows(stmt: &SelectStmt, mut rows: Vec<Batch>) -> Result<Batch> {
-    if rows.is_empty() {
-        return Err(DbError::Exec("no nodes produced results".into()));
-    }
-    if stmt.order_by.is_empty() {
-        // Append to the first node's rows in place: no second copy of them.
-        let mut gathered = rows.remove(0);
-        for b in &rows {
-            gathered.extend(b)?;
-        }
-        return Ok(apply_offset_limit(stmt, gathered));
-    }
-    let width = rows[0].num_columns().saturating_sub(stmt.order_by.len());
-    let mut keys = Vec::with_capacity(stmt.order_by.len());
-    for (i, k) in stmt.order_by.iter().enumerate() {
-        let cols: Option<Vec<&Column>> = rows.iter().map(|b| b.columns().get(width + i)).collect();
-        let cols = cols.ok_or_else(|| DbError::Exec("a node's rows lack a sort key".into()))?;
-        keys.push(sort::Key { cols, desc: k.desc });
-    }
-    let (offset, limit) = (stmt.offset.unwrap_or(0), stmt.limit);
-    sort::sort_limit(&rows, width, &keys, offset, limit)
-}
-
-fn apply_offset_limit(stmt: &SelectStmt, batch: Batch) -> Batch {
-    if stmt.offset.is_none() && stmt.limit.is_none() {
-        return batch;
-    }
-    let n = batch.num_rows();
-    let start = stmt.offset.unwrap_or(0).min(n as u64) as usize;
-    let end = match stmt.limit {
-        Some(l) => (start as u64 + l).min(n as u64) as usize,
-        None => n,
-    };
-    batch.slice(start, end)
-}
-
 // --------------------------------------------------------------- transforms
 
-#[allow(clippy::too_many_arguments)]
-fn run_transform(
-    db: &VerticaDb,
-    stmt: &SelectStmt,
-    name: &str,
-    args: &[Expr],
-    params: &std::collections::BTreeMap<String, String>,
-    partition: &Partition,
-    rec: &Arc<PhaseRecorder>,
-) -> Result<Batch> {
-    let table = stmt
-        .from
-        .as_deref()
-        .ok_or_else(|| DbError::Plan("transform functions require a FROM table".into()))?;
-    let def = db.catalog().get(table)?;
-    let func = db.udx().get(name)?;
-
-    let mut tf_span = vdr_obs::span("exec.transform");
-    tf_span.record("function", name);
-    tf_span.record("table", table);
-    let tf_span_id = tf_span.id();
-
-    // Input schema: the evaluated argument columns, named after column refs
-    // where possible.
-    let arg_fields: Vec<Field> = args
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let name = match e {
-                Expr::Column(c) => c.clone(),
-                other => format!("arg{i}_{other}"),
-            };
-            // Types resolved against an empty batch of the table schema.
-            let probe = Batch::empty(def.schema.clone());
-            e.output_type(&probe).map(|t| Field::new(name, t))
-        })
-        .collect::<Result<_>>()?;
-    let input_schema = Schema::new(arg_fields);
-    let out_schema = func.output_schema(&input_schema, params)?;
-
-    // PARTITION BEST: the planner is resource-aware — it spawns up to the
-    // profile's export-lane count per node, bounded by the containers
-    // available (an instance with no containers would idle).
-    let lanes = db.cluster().profile().costs.vft_export_lanes;
-    // Transforms reference a known column set — function args, WHERE, and
-    // the PARTITION BY routing column — so the scan always gets a
-    // projection to push down.
-    let wanted: HashSet<String> = {
-        let mut cols = HashSet::new();
-        for a in args {
-            add_expr_columns(&mut cols, a);
-        }
-        if let Some(w) = &stmt.where_clause {
-            add_expr_columns(&mut cols, w);
-        }
-        if let Partition::By(col) = partition {
-            cols.insert(col.to_ascii_lowercase());
-        }
-        cols
+/// Run a transform over its input — a scan, under an optional WHERE — with
+/// the planned UDx instances per node.
+fn transform(cx: &Cx<'_>, t: &Transform, source: &PlanNode) -> Result<Batch> {
+    let (mut cx, source) = under_filter(cx, source)?;
+    let Op::Scan(scan) = &source.op else {
+        return Err(shape());
     };
-    // Scatter workers and rayon instances run on their own threads;
-    // re-enter the query scope in each so their spans stay attributed.
-    let query_id = vdr_obs::current_query_id();
-    let per_node_outputs: Vec<Result<Vec<Batch>>> = db.cluster().scatter(|node| {
-        let _q = vdr_obs::QueryScope::enter(query_id);
-        let node_id = node.id();
-        let _n = vdr_obs::NodeScope::enter(node_id.0);
-        let n_containers = db.storage().containers(table, node_id).len();
-        let instances = match partition {
-            Partition::Best => lanes.min(n_containers.max(1)),
-            Partition::By(_) => lanes,
-        };
-        rec.set_lanes(node_id, instances);
-        node.run(|| -> Result<Vec<Batch>> {
-            use rayon::prelude::*;
-            let results: Vec<Result<Vec<Batch>>> = (0..instances)
-                .into_par_iter()
-                .map(|instance| -> Result<Vec<Batch>> {
-                    // Rayon pool threads are shared across queries: scope
-                    // both the query id and the owning node for the spans
-                    // and events this instance records.
-                    let _q = vdr_obs::QueryScope::enter(query_id);
-                    let _n = vdr_obs::NodeScope::enter(node_id.0);
-                    let mut inst_span =
-                        vdr_obs::detail_span_with_parent("exec.transform.instance", tf_span_id);
-                    inst_span.set_node(node_id.0);
-                    inst_span.record("instance", instance);
-                    // Each instance reads a disjoint slice of the node's
-                    // containers ("UDFs on each database node read a unique
-                    // segment of the table stored on that node").
-                    let raw = match partition {
-                        Partition::Best => db.storage().scan_node_slice(
-                            table,
-                            node_id,
-                            instance,
-                            instances,
-                            rec,
-                            false,
-                            Some(&wanted),
-                        )?,
-                        Partition::By(col) => {
-                            // Route rows among local instances by hash(col).
-                            let all = if instance == 0 {
-                                db.storage().scan_node_projected(
-                                    table,
-                                    node_id,
-                                    rec,
-                                    false,
-                                    Some(&wanted),
-                                )?
-                            } else {
-                                // Re-read through the page cache: the first
-                                // instance warmed it.
-                                db.storage().scan_node_projected(
-                                    table,
-                                    node_id,
-                                    rec,
-                                    true,
-                                    Some(&wanted),
-                                )?
-                            };
-                            let mut mine = Vec::new();
-                            for b in all {
-                                let routes = hash_routes(b.column_by_name(col)?, instances);
-                                mine.push(Arc::new(b.take(&routes[instance])));
-                            }
-                            mine
-                        }
-                    };
-                    // WHERE + argument projection.
-                    let mut input = Vec::with_capacity(raw.len());
-                    for b in raw {
-                        let filtered = apply_where(stmt, &b)?;
-                        let cols: Vec<Column> = args
-                            .iter()
-                            .map(|e| e.eval(&filtered))
-                            .collect::<Result<_>>()?;
-                        input.push(Batch::new(input_schema.clone(), cols)?);
-                    }
-                    let ctx = UdxContext {
-                        node: node_id,
-                        instance,
-                        instances_per_node: instances,
-                        params,
-                        dfs: db.dfs(),
-                        cluster: db.cluster(),
-                        rec,
-                    };
-                    let rows_in: u64 = input.iter().map(|b| b.num_rows() as u64).sum();
-                    let mut out = Vec::new();
-                    func.process_partition(&ctx, input, &mut |b| out.push(b))?;
-                    let rows_out: u64 = out.iter().map(|b| b.num_rows() as u64).sum();
-                    inst_span.record("rows_in", rows_in);
-                    inst_span.record("rows_out", rows_out);
-                    vdr_obs::counter_on("exec.transform.rows_in", node_id.0, rows_in);
-                    vdr_obs::counter_on("exec.transform.rows_out", node_id.0, rows_out);
-                    Ok(out)
-                })
-                .collect();
-            let mut merged = Vec::new();
-            for r in results {
-                merged.extend(r?);
-            }
-            Ok(merged)
-        })
+    let mut span = vdr_obs::span("exec.transform");
+    span.record("function", t.func.name());
+    span.record("table", &scan.table);
+    cx.span = span.id();
+    let per_node = cx.db.cluster().scatter(|node| -> Result<Vec<Batch>> {
+        let id = node.id();
+        let _s = cx.enter(id.0);
+        let instances = t.instances.get(id.0).copied().ok_or_else(shape)?;
+        cx.rec.set_lanes(id, instances);
+        let run = |i| transform_instance(&cx, t, scan, id, i, instances);
+        let results: Vec<Result<Vec<Batch>>> =
+            node.run(|| (0..instances).into_par_iter().map(run).collect());
+        let mut merged = Vec::new();
+        for r in results {
+            merged.extend(r?);
+        }
+        Ok(merged)
     });
-
-    // Collect outputs. Transform results materialize node-locally (as an
-    // INSERT…SELECT would); we do not charge a gather — the paper's
-    // prediction experiments measure in-database execution, not shipping a
-    // billion rows to a client.
-    let mut out = Batch::empty(out_schema);
-    for node_batches in per_node_outputs {
+    // Transform results materialize node-locally (as an INSERT…SELECT
+    // would): no gather is charged — the paper's prediction experiments
+    // measure in-database execution, not shipping rows to a client.
+    let mut out = Batch::empty(t.out_schema.clone());
+    for node_batches in per_node {
         for b in node_batches? {
             out.extend(&b)?;
         }
     }
-    let out = apply_offset_limit(stmt, out);
-    tf_span.record("rows_out", out.num_rows());
-    vdr_obs::counter("exec.output.rows", out.num_rows() as u64);
+    span.record("rows_out", out.num_rows());
+    Ok(out)
+}
+
+/// One UDx instance over its share of the node's rows, through the WHERE
+/// and the argument projection. Under `PARTITION BEST` it reads a disjoint
+/// slice of the node's containers ("UDFs on each database node read a
+/// unique segment of the table stored on that node"); under `PARTITION BY`
+/// the rows whose routing column hashes to it, later instances re-reading
+/// through the page cache the first one warmed.
+fn transform_instance(
+    cx: &Cx<'_>,
+    t: &Transform,
+    scan: &plan::Scan,
+    node: NodeId,
+    instance: usize,
+    instances: usize,
+) -> Result<Vec<Batch>> {
+    // Rayon pool threads are shared across queries.
+    let _s = cx.enter(node.0);
+    let mut span = vdr_obs::detail_span_with_parent("exec.transform.instance", cx.span);
+    span.set_node(node.0);
+    span.record("instance", instance);
+    let (storage, table, wanted) = (cx.db.storage(), &scan.table, scan.columns.as_ref());
+    let raw = match &t.partition {
+        Partition::Best => {
+            storage.scan_node_slice(table, node, instance, instances, cx.rec, false, wanted)?
+        }
+        Partition::By(col) => {
+            let all = storage.scan_node_projected(table, node, cx.rec, instance > 0, wanted)?;
+            let mut mine = Vec::with_capacity(all.len());
+            for b in all {
+                let routes = hash_routes(b.column_by_name(col)?, instances);
+                mine.push(Arc::new(b.take(routes.get(instance).ok_or_else(shape)?)));
+            }
+            mine
+        }
+    };
+    let mut input = Vec::with_capacity(raw.len());
+    for b in raw {
+        let kept = filter(cx.filter, &b)?;
+        let cols = t.args.iter().map(|e| e.eval(&kept));
+        input.push(Batch::new(
+            t.arg_schema.clone(),
+            cols.collect::<Result<_>>()?,
+        )?);
+    }
+    let ctx = UdxContext {
+        node,
+        instance,
+        instances_per_node: instances,
+        params: &t.params,
+        dfs: cx.db.dfs(),
+        cluster: cx.db.cluster(),
+        rec: cx.rec,
+    };
+    let rows_in: u64 = input.iter().map(|b| b.num_rows() as u64).sum();
+    let mut out = Vec::new();
+    t.func
+        .process_partition(&ctx, input, &mut |b| out.push(b))?;
+    let rows_out: u64 = out.iter().map(|b| b.num_rows() as u64).sum();
+    span.record("rows_in", rows_in);
+    span.record("rows_out", rows_out);
+    vdr_obs::counter_on("exec.transform.rows_in", node.0, rows_in);
+    vdr_obs::counter_on("exec.transform.rows_out", node.0, rows_out);
     Ok(out)
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::db::VerticaDb;
@@ -1500,40 +1362,5 @@ mod tests {
             total >= (3 * 2 * 64) as f64,
             "sorted RLE predicates should binary-search, got {total}"
         );
-    }
-
-    const ENCODED_ELIGIBLE: [&str; 3] = [
-        "SELECT id FROM t WHERE grp = 1",
-        "SELECT count(*) FROM t WHERE 1 <= grp AND tag = 'b'",
-        "SELECT tag, count(*) FROM t GROUP BY tag",
-    ];
-    const ENCODED_INELIGIBLE: [&str; 5] = [
-        // No WHERE, no GROUP BY: plain scans stay decoded (and keep
-        // warming the decoded cache tier).
-        "SELECT * FROM t",
-        // Column-vs-column comparison.
-        "SELECT id FROM t WHERE grp = id",
-        // Arithmetic inside the comparison.
-        "SELECT id FROM t WHERE grp + 1 = 2",
-        // LIKE / IN need decoded values.
-        "SELECT id FROM t WHERE tag LIKE 'a%'",
-        "SELECT id FROM t WHERE grp IN (1, 2)",
-    ];
-
-    fn as_select(sql: &str) -> SelectStmt {
-        match crate::sql::parse(sql).unwrap() {
-            Statement::Select(s) => s,
-            other => panic!("expected SELECT, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn planner_rule_picks_encoded_only_for_eligible_shapes() {
-        for sql in ENCODED_ELIGIBLE {
-            assert!(encoded_execution_eligible(&as_select(sql)), "{sql}");
-        }
-        for sql in ENCODED_INELIGIBLE {
-            assert!(!encoded_execution_eligible(&as_select(sql)), "{sql}");
-        }
     }
 }

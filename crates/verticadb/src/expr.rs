@@ -140,6 +140,34 @@ impl Expr {
         }
     }
 
+    /// Rewrite every column reference in place with `f`, stopping at its
+    /// first error.
+    pub(crate) fn rename_columns(
+        &mut self,
+        f: &mut dyn FnMut(&mut String) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            Expr::Column(name) => f(name),
+            Expr::Literal(_) => Ok(()),
+            Expr::Neg(e) | Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) => {
+                e.rename_columns(f)
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.rename_columns(f)?;
+                list.iter_mut().try_for_each(|e| e.rename_columns(f))
+            }
+            Expr::Like { expr, pattern, .. } => {
+                expr.rename_columns(f)?;
+                pattern.rename_columns(f)
+            }
+            Expr::Binary { left, right, .. } => {
+                left.rename_columns(f)?;
+                right.rename_columns(f)
+            }
+            Expr::Func { args, .. } => args.iter_mut().try_for_each(|e| e.rename_columns(f)),
+        }
+    }
+
     /// The output type of this expression against `batch`'s schema.
     pub fn output_type(&self, batch: &Batch) -> Result<DataType> {
         Ok(match self {

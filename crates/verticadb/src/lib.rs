@@ -34,6 +34,7 @@ pub mod exec;
 pub mod expr;
 pub mod models;
 pub mod monitor;
+mod plan;
 pub mod segmentation;
 mod sort;
 pub mod sql;

@@ -35,6 +35,9 @@ pub enum Statement {
     /// recording forced on and return its span rows (one per closed span)
     /// instead of its result.
     Trace(Box<Statement>),
+    /// `EXPLAIN <select>` — plan the query without running it and return
+    /// its physical plan, one row per operator.
+    Explain(Box<SelectStmt>),
 }
 
 /// `SEGMENTED BY …` clause of CREATE TABLE.

@@ -122,6 +122,12 @@ impl Parser {
         if self.accept_kw("TRACE") {
             return Ok(Statement::Trace(Box::new(self.parse_statement()?)));
         }
+        if self.accept_kw("EXPLAIN") {
+            return match self.parse_statement()? {
+                Statement::Select(select) => Ok(Statement::Explain(Box::new(select))),
+                _ => Err(DbError::Parse("EXPLAIN takes a SELECT".into())),
+            };
+        }
         if self.accept_kw("SELECT") {
             Ok(Statement::Select(self.parse_select()?))
         } else if self.accept_kw("CREATE") {
@@ -642,7 +648,13 @@ impl Parser {
             return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
         }
         if self.accept_kw("NOT") {
-            return Ok(Expr::Not(Box::new(self.parse_unary()?)));
+            // SQL's NOT binds looser than comparisons and the postfix
+            // predicates, tighter than AND: `NOT a = 1 AND b` is
+            // `(NOT (a = 1)) AND b`.
+            let operand = self.parse_unary()?;
+            return Ok(Expr::Not(Box::new(
+                self.parse_binary_continuation(operand, 3)?,
+            )));
         }
         self.parse_primary()
     }
@@ -841,6 +853,26 @@ mod tests {
         );
     }
 
+    /// Prefix NOT binds looser than comparisons, `IS`, `IN`, `LIKE` and
+    /// `BETWEEN`, and tighter than AND/OR.
+    #[test]
+    fn not_binds_looser_than_comparisons_and_tighter_than_and() {
+        let where_of = |cond: &str| select(&format!("SELECT * FROM t WHERE {cond}")).where_clause;
+        for (bare, explicit) in [
+            ("NOT grp = 1", "NOT (grp = 1)"),
+            ("NOT tag = 'b'", "NOT (tag = 'b')"),
+            ("NOT grp IS NULL", "NOT (grp IS NULL)"),
+            ("NOT grp IN (1, 2)", "NOT (grp IN (1, 2))"),
+            ("NOT grp > 1 AND tag = 'a'", "(NOT (grp > 1)) AND tag = 'a'"),
+            ("NOT tag LIKE 'a%'", "NOT (tag LIKE 'a%')"),
+            ("NOT grp BETWEEN 1 AND 2", "NOT (grp BETWEEN 1 AND 2)"),
+            ("a = 1 OR NOT b + 1 < 2", "a = 1 OR (NOT ((b + 1) < 2))"),
+            ("NOT NOT grp = 1", "NOT (NOT (grp = 1))"),
+        ] {
+            assert_eq!(where_of(bare), where_of(explicit), "{bare}");
+        }
+    }
+
     #[test]
     fn is_null_postfix() {
         let s = select("SELECT * FROM t WHERE a IS NULL AND b IS NOT NULL");
@@ -988,6 +1020,22 @@ mod tests {
         assert!(matches!(stmt, Statement::Profile(_)));
         // Bare PROFILE with nothing to profile is a parse error.
         assert!(parse("PROFILE").is_err());
+    }
+
+    #[test]
+    fn explain_wraps_a_select_only() {
+        let stmt = parse("EXPLAIN SELECT count(*) FROM t WHERE x > 1").unwrap();
+        let Statement::Explain(inner) = stmt else {
+            panic!("expected Explain, got {stmt:?}");
+        };
+        assert_eq!(inner.from.as_deref(), Some("t"));
+        for sql in [
+            "EXPLAIN",
+            "EXPLAIN INSERT INTO t VALUES (1)",
+            "EXPLAIN PROFILE SELECT 1",
+        ] {
+            assert!(matches!(parse(sql), Err(DbError::Parse(_))), "{sql}");
+        }
     }
 
     #[test]

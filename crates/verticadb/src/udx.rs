@@ -8,8 +8,8 @@
 //! unique segment of the table stored on that node."
 //!
 //! A [`TransformFunction`] sees the batches of one *slice* of a node's local
-//! segment and emits output batches. The planner ([`crate::exec`]) decides
-//! how many instances to spawn per node (`PARTITION BEST` is resource-aware:
+//! segment and emits output batches. The planner (`plan.rs`) decides how
+//! many instances to spawn per node (`PARTITION BEST` is resource-aware:
 //! it uses the profile's export-lane count, bounded by available containers).
 
 use crate::dfs::Dfs;

@@ -329,11 +329,12 @@ const AGGS: [Agg; 16] = [
     ("count(DISTINCT f)", Func::CountDistinct, F),
 ];
 
-/// Every statement shape over `t`: {no WHERE, encodable WHERE, two
-/// non-encodable WHEREs} × {global, each single key — `s` is the dictionary
-/// one, `i` the segmentation one — and two key pairs}.
+/// Every statement shape over `t`: {no WHERE, encodable WHERE, five
+/// non-encodable WHEREs, three of them under prefix NOT} × {global, each
+/// single key — `s` is the dictionary one, `i` the segmentation one — and
+/// two key pairs}.
 fn t_cases(t: &[Vec<Value>]) -> Vec<Case> {
-    let preds: [(Option<Pred>, bool); 4] = [
+    let preds: [(Option<Pred>, bool); 7] = [
         (None, false),
         (
             Some(("s <> 'b' AND x >= 1", |r| {
@@ -346,6 +347,19 @@ fn t_cases(t: &[Vec<Value>]) -> Vec<Case> {
         (
             Some(("s LIKE 'a%'", |r| {
                 text(&r[S]).is_some_and(|s| s.starts_with('a'))
+            })),
+            true,
+        ),
+        // Prefix NOT over a comparison and the postfix predicates: NOT of
+        // NULL is NULL, so a NULL operand keeps no row.
+        (
+            Some(("NOT s = 'b'", |r| text(&r[S]).is_some_and(|s| s != "b"))),
+            true,
+        ),
+        (Some(("NOT x IS NULL", |r| !r[X].is_null())), true),
+        (
+            Some(("NOT i IN (-1, 0, 1)", |r| {
+                !r[I].is_null() && ![-1.0, 0.0, 1.0].contains(&num(&r[I]))
             })),
             true,
         ),
@@ -672,9 +686,44 @@ fn encoded_cases(lc: &[Vec<Value>], st: &[Vec<Value>]) -> Vec<Case> {
     ]
 }
 
+/// What `EXPLAIN` says the plan of `sql` does: whether a scan keeps
+/// columns encoded, whether a GROUP BY merges after a shuffle
+/// (`FinalAgg` over a hash exchange), and the JOIN strategy.
+struct Planned {
+    encoded: bool,
+    shuffled: bool,
+    join: Option<String>,
+}
+
+fn planned(db: &VerticaDb, sql: &str) -> Planned {
+    let out = db.query(&format!("EXPLAIN {sql}")).unwrap().batch;
+    let rows: Vec<(String, String)> = (0..out.num_rows())
+        .map(|r| {
+            let row = out.row(r);
+            let text = |v: &Value| text(v).unwrap().to_string();
+            (text(&row[1]), text(&row[2]))
+        })
+        .collect();
+    let shuffle = |w: &[(String, String)]| {
+        w[0].0 == "FinalAgg" && w[1].0 == "Exchange" && w[1].1.starts_with("hash")
+    };
+    Planned {
+        encoded: rows
+            .iter()
+            .any(|(op, detail)| op == "Scan" && detail.contains(" encoded ")),
+        shuffled: rows.windows(2).any(shuffle),
+        join: rows
+            .iter()
+            .find(|r| r.0 == "HashJoin")
+            .and_then(|r| r.1.split_whitespace().nth(1).map(str::to_string)),
+    }
+}
+
 /// Every physical path the executor can select is selected by some statement
 /// of the matrix — read off each statement's metric delta — and every answer
-/// equals the reference.
+/// equals the reference. `EXPLAIN` names the scan mode, merge location and
+/// JOIN strategy the counters show: the counters check what ran, the plan
+/// what was decided.
 #[test]
 fn every_physical_path_runs_and_matches_the_reference() {
     let _guard = metrics_lock();
@@ -708,6 +757,12 @@ fn every_physical_path_runs_and_matches_the_reference() {
                 let late = count("scan.encoded.late_materialized_rows");
                 let encoded = codes + late + count("scan.encoded.runs_skipped");
                 assert!(count("exec.scan.rows") > 0, "{} on {ctx}", case.sql);
+                let plan = planned(&db, &case.sql);
+                assert!(plan.encoded || encoded == 0, "{} on {ctx}", case.sql);
+                assert!(!(case.decoded && plan.encoded), "{} on {ctx}", case.sql);
+                let shuffled = count("exec.groupby.shuffled") > 0;
+                assert_eq!(plan.shuffled, shuffled, "{} on {ctx}", case.sql);
+                assert_eq!(plan.join, None, "{} on {ctx}", case.sql);
                 if case.decoded {
                     assert_eq!(encoded, 0, "{} on {ctx}", case.sql);
                     seen.insert("decoded scan");
@@ -729,13 +784,17 @@ fn every_physical_path_runs_and_matches_the_reference() {
             // `exchange.rows` counts what every node received, its own
             // partition included.
             let shipped = check(&db, &join, &ctx).counter_total("exchange.rows") as usize;
-            seen.insert(match shipped {
-                0 => "co-located JOIN",
-                n if n == d.len() => "shuffle-right JOIN",
-                n if n == d.len() * nodes => "broadcast JOIN",
-                n if n == t.len() + d.len() => "shuffle-both JOIN",
+            let (path, strategy) = match shipped {
+                0 => ("co-located JOIN", "colocated"),
+                n if n == d.len() => ("shuffle-right JOIN", "shuffle_right"),
+                n if n == d.len() * nodes => ("broadcast JOIN", "broadcast_right"),
+                n if n == t.len() + d.len() => ("shuffle-both JOIN", "shuffle_both"),
                 n => panic!("JOIN shipped {n} rows on {ctx}"),
-            });
+            };
+            seen.insert(path);
+            let plan = planned(&db, &join.sql);
+            assert_eq!(plan.join.as_deref(), Some(strategy), "{ctx}");
+            assert!(!plan.encoded && !plan.shuffled, "{ctx}");
         }
     }
     let all = [
