@@ -39,7 +39,7 @@ run cargo test --workspace -q $OFFLINE
 # code: run the ml kernels' bit-identity and property tests, and the root
 # training goldens, in that profile.
 run cargo test -p vdr-ml --release -q $OFFLINE
-run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden
+run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden --test agg_differential
 
 # The benchmark is a package of its own (benchmark/, own lock file), so the
 # workspace build above does not cover it. check.sh builds it offline and

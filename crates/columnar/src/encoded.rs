@@ -7,8 +7,9 @@
 //! * an RLE run lets a predicate be evaluated **once per run** instead of
 //!   once per row ([`crate::kernels::cmp_scalar_rle`]),
 //! * a dictionary lets a string predicate be evaluated **once per distinct
-//!   code** ([`crate::kernels::cmp_scalar_dict`]), and a GROUP BY key can be
-//!   aggregated through a dense per-code table instead of hashing strings,
+//!   code** ([`crate::kernels::cmp_scalar_dict`]), and a GROUP BY key or a
+//!   `COUNT(DISTINCT)` value can be interned through a dense per-code table
+//!   instead of hashing strings,
 //! * both forms support **late materialization** — [`EncodedColumn::filter`]
 //!   expands values only for the rows that survived the filter bitmap.
 //!
@@ -410,14 +411,20 @@ impl EncodedBatch {
     /// Materialize a plain [`crate::Batch`] of the rows selected by `mask`,
     /// restricted to `subset` columns when given (names matched
     /// case-insensitively). Returns the batch plus the number of values that
-    /// had to be expanded out of *encoded* columns — the late-materialization
-    /// work the cost ledger charges (already-decoded columns just gather).
+    /// had to be expanded out of *encoded* columns (already-decoded columns
+    /// just gather). A mask of another length is a
+    /// [`ColumnarError::LengthMismatch`].
     pub fn materialize(
         &self,
         mask: &Bitmap,
         subset: Option<&HashSet<String>>,
     ) -> Result<(crate::Batch, u64)> {
-        assert_eq!(mask.len(), self.rows, "materialize mask length mismatch");
+        if mask.len() != self.rows {
+            return Err(ColumnarError::LengthMismatch {
+                expected: self.rows,
+                found: mask.len(),
+            });
+        }
         let keep = |name: &str| match subset {
             None => true,
             Some(set) => set.iter().any(|w| w.eq_ignore_ascii_case(name)),
@@ -631,5 +638,21 @@ mod tests {
             full.column_by_name("g").unwrap().get(0),
             Value::Varchar("a".into())
         );
+    }
+
+    #[test]
+    fn materialize_refuses_a_mask_of_another_length() {
+        let g = Column::from_strings(vec!["a", "b", "a"]);
+        let eg = encode_and_parse(&g, Encoding::Dictionary);
+        let schema = Schema::of(&[("g", DataType::Varchar)]);
+        let eb = EncodedBatch::new(schema, 3, vec![ScanColumn::Encoded(eg)]).unwrap();
+        for len in [0, 2, 4] {
+            let got = eb.materialize(&Bitmap::all_valid(len), None);
+            let want = ColumnarError::LengthMismatch {
+                expected: 3,
+                found: len,
+            };
+            assert_eq!(got.map(|(b, _)| b.num_rows()), Err(want));
+        }
     }
 }

@@ -31,11 +31,12 @@
 //! An encoded scan returns [`EncodedBatch`]es whose Rle/Dictionary columns
 //! are still in run/code form. Predicates then evaluate per *run* or per
 //! *distinct dictionary code* ([`kernels::cmp_scalar_rle`] /
-//! [`kernels::cmp_scalar_dict`]), a single-column dictionary GROUP BY takes
-//! its group ids from the dictionary codes without hashing decoded strings,
-//! and everything else is **late-materialized**: non-predicate columns decode
-//! only the rows that survived the filter bitmap. Results are bit-for-bit
-//! those of a decoded scan.
+//! [`kernels::cmp_scalar_dict`]). A single-column dictionary GROUP BY key and
+//! a `COUNT(DISTINCT col)` over a dictionary column take their ids from the
+//! codes without building or hashing decoded strings. Everything else is
+//! **late-materialized**: a column some expression reads as values decodes
+//! only the rows that survived the filter bitmap (`NodeAcc::push_encoded`).
+//! Results are bit-for-bit those of a decoded scan.
 //!
 //! # Aggregation and ordering
 //!
@@ -50,7 +51,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::agg::{AggPlan, Aggregator, Partial};
+use crate::agg::{AggPlan, Aggregator, Codes, Partial};
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
 use crate::expr::{cmp_op, literal_num, BinOp, Expr};
@@ -739,6 +740,26 @@ struct EncodedScanStats {
 }
 
 impl EncodedScanStats {
+    /// Count one container's late materialization of `rows` survivors as
+    /// the ledger models it: the paper's engine decodes the survivors of
+    /// every scanned encoded column, or under a dictionary GROUP BY key only
+    /// those of `only`, the aggregate arguments' columns. It models that
+    /// decode, not this code's: a `COUNT(DISTINCT)` column read as codes is
+    /// charged as expanded all the same, and a column only the WHERE read
+    /// is charged though it never materializes.
+    fn late_materialize(&mut self, eb: &EncodedBatch, rows: usize, only: Option<&HashSet<String>>) {
+        let fields = eb.schema().fields().iter().zip(eb.columns());
+        let charged = fields.filter(|(f, c)| {
+            let named = only.is_none_or(|set| set.contains(&f.name.to_ascii_lowercase()));
+            named && matches!(c, ScanColumn::Encoded(_))
+        });
+        let expanded = (charged.count() * rows) as u64;
+        self.expanded_values += expanded;
+        if only.is_none() && expanded > 0 {
+            self.late_materialized_rows += rows as u64;
+        }
+    }
+
     /// Charge the deferred decode at the per-value scan cost the eager
     /// decoder pays, and count the encoded kernels' work.
     fn charge(&self, cx: &Cx<'_>, node: NodeId) {
@@ -873,34 +894,43 @@ impl<'a> NodeAcc<'a> {
         }
     }
 
-    /// Take the `mask`-selected rows of an encoded batch. A single
-    /// `GROUP BY col` over a dictionary-encoded column takes its group ids
-    /// from the dictionary codes — only the aggregate-argument columns
-    /// materialize, and only for mask survivors; everything else
-    /// late-materializes the survivors and goes through [`NodeAcc::push`].
+    /// Take the `mask`-selected rows of an encoded batch. One rule decides
+    /// what materializes: a column, for the survivors only, when some
+    /// expression reads it other than as dictionary codes. A group table
+    /// reads codes for a single dictionary GROUP BY key and for every
+    /// `COUNT(DISTINCT col)` over a dictionary column
+    /// ([`AggPlan::value_columns`]); projected rows read every column.
     fn push_encoded(
         &mut self,
         eb: &EncodedBatch,
         mask: &Bitmap,
         stats: &mut EncodedScanStats,
     ) -> Result<()> {
-        if let NodeAcc::Agg(agg) = self {
-            let key = agg.plan().dict_key().map(|name| eb.column_by_name(name));
-            if let Some(Ok(ScanColumn::Encoded(key))) = key {
-                if let Some((dict, codes)) = key.dict() {
-                    let (args, expanded) = eb.materialize(mask, Some(agg.plan().arg_columns()))?;
-                    stats.expanded_values += expanded;
-                    let ids = agg.dict_group_ids(dict, codes, key.validity(), mask)?;
-                    return agg.accumulate(&ids, &args);
-                }
+        let codes = |name: &str| match eb.column_by_name(name) {
+            Ok(ScanColumn::Encoded(col)) => col.dict().map(|(dict, codes)| Codes {
+                dict,
+                codes,
+                validity: col.validity(),
+                mask,
+            }),
+            _ => None,
+        };
+        let rows = mask.count_set();
+        match self {
+            NodeAcc::Agg(agg) => {
+                let plan = agg.plan();
+                let values = plan.value_columns(|c| codes(c).is_some());
+                let (batch, _) = eb.materialize(mask, values.as_ref())?;
+                let key_codes = plan.dict_key().is_some_and(|k| codes(k).is_some());
+                stats.late_materialize(eb, rows, key_codes.then(|| plan.arg_columns()));
+                agg.update_selected(&batch, rows, codes)
+            }
+            NodeAcc::Rows(..) => {
+                let (batch, _) = eb.materialize(mask, None)?;
+                stats.late_materialize(eb, rows, None);
+                self.push(&batch)
             }
         }
-        let (batch, expanded) = eb.materialize(mask, None)?;
-        stats.expanded_values += expanded;
-        if expanded > 0 {
-            stats.late_materialized_rows += mask.count_set() as u64;
-        }
-        self.push(&batch)
     }
 
     fn finish(self) -> Result<NodeResult> {

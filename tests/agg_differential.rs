@@ -2,7 +2,8 @@
 //! equal a row-at-a-time reference over `Vec<Vec<Value>>` — no segmentation,
 //! no encoding, no exchange — whatever the node count, the segmentation, and
 //! the physical path the statement's shape selects (encoded or decoded scan,
-//! dictionary GROUP BY, shuffled or initiator merge, each JOIN strategy), and
+//! dictionary GROUP BY, `COUNT(DISTINCT)` over dictionary codes, shuffled or
+//! initiator merge, each JOIN strategy), and
 //! row for row under `ORDER BY … LIMIT … OFFSET` on plain, grouped and joined
 //! rows. INNER and LEFT JOIN get a matrix of their own — every key type,
 //! NULL and duplicate keys, every strategy — whose joined rows are compared
@@ -373,6 +374,30 @@ fn t_cases(t: &[Vec<Value>]) -> Vec<Case> {
         }
     }
     cases
+}
+
+/// `count(DISTINCT s)` as the only aggregate that reads the dictionary
+/// column `s` — so an encoded scan reads its codes and never materializes
+/// it — under {no WHERE, the encodable `s <> 'b' AND x >= 1`} × {global,
+/// `GROUP BY i`, `GROUP BY f, b`, and `GROUP BY s`, whose key reads the
+/// same codes}.
+fn distinct_alone_cases(t: &[Vec<Value>]) -> Vec<Case> {
+    let preds: [Option<Pred>; 2] = [
+        None,
+        Some(("s <> 'b' AND x >= 1", |r| {
+            text(&r[S]).is_some_and(|s| s != "b") && num(&r[X]) >= 1.0
+        })),
+    ];
+    let aggs = [
+        COUNT,
+        ("count(DISTINCT s)", Func::CountDistinct, S),
+        ("sum(x)", Func::Sum, X),
+    ];
+    let key_sets: [&[usize]; 4] = [&[], &[I], &[F, B], &[S]];
+    let shapes = preds.iter().flat_map(|&p| key_sets.map(|keys| (p, keys)));
+    shapes
+        .map(|(pred, keys)| agg_case(("t", &COLS, t), pred, keys, &aggs, ""))
+        .collect()
 }
 
 /// The JOIN feeding a global aggregate, by nested loops.
@@ -809,6 +834,31 @@ fn every_physical_path_runs_and_matches_the_reference() {
         "shuffle-both JOIN",
     ];
     assert_eq!(seen, BTreeSet::from(all));
+}
+
+/// A `COUNT(DISTINCT)` over a dictionary column with no other reader of it
+/// plans an encoded scan whenever the statement has a WHERE or a GROUP BY,
+/// on every node count and segmentation, and answers as the reference does.
+#[test]
+fn count_distinct_over_codes_plans_an_encoded_scan() {
+    let _guard = metrics_lock();
+    // Containers of 36+ rows, so the five strings of `s` pick Dictionary.
+    let t: Vec<Vec<Value>> = (0..360)
+        .map(|r| pooled(r, (r % 8, r % 7, r % 3, r % 6, r % 9)))
+        .collect();
+    let cases = distinct_alone_cases(&t);
+    for nodes in [1usize, 3, 5] {
+        for seg in segmentations("i", "id") {
+            let db = load_t_d(nodes, &seg, &t, &[]);
+            let ctx = format!("{nodes} nodes, {seg:?}");
+            for case in &cases {
+                check(&db, case, &ctx);
+                let filtered_or_grouped = case.sql.contains(" WHERE ") || case.nkeys > 0;
+                let plan = planned(&db, &case.sql);
+                assert_eq!(plan.encoded, filtered_or_grouped, "{} on {ctx}", case.sql);
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------ JOIN matrix

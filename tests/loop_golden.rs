@@ -4,14 +4,17 @@
 //! filters, ORDER BY … LIMIT, dictionary / shuffled / segmentation-aligned
 //! GROUP BY, `COUNT(DISTINCT)`, a CTAS, the JOIN strategies (shuffle both,
 //! shuffle left, co-located, broadcast right, and a LEFT JOIN shuffling its
-//! right side), a VFT export, and `GlmPredict` over `PARTITION BEST` and
-//! `PARTITION BY` — and for each resulting `PhaseReport` its duration bits,
-//! NIC bytes, disk bytes and CPU core-ns bits.
+//! right side), an encoded GROUP BY … ORDER BY, a `COUNT(DISTINCT)` over
+//! dictionary codes under an encodable WHERE, a VFT export, and
+//! `GlmPredict` over `PARTITION BEST` and `PARTITION BY` — and for each
+//! resulting `PhaseReport` its duration bits, NIC bytes, disk bytes and CPU
+//! core-ns bits.
 //!
 //! The literals below were captured by running this file at commit
-//! `4912447` and are never regenerated from the code under test — same rule
-//! as `tests/glm_golden.rs`. A plan or operator refactor that moves one of
-//! them changed what the cost model charges.
+//! `4912447` (the last `STATEMENTS` row by running it at `064a14d`), and are
+//! never regenerated from the code under test — same rule as
+//! `tests/glm_golden.rs`. A plan or operator refactor that moves
+//! one of them changed what the cost model charges.
 
 use std::sync::Arc;
 use vertica_dr::cluster::{PhaseKind, PhaseRecorder, PhaseReport, SimCluster};
@@ -68,7 +71,7 @@ fn fact_schema() -> Schema {
 
 /// The SQL statements, in run order: a CTAS creates `small` before the
 /// JOINs that read it.
-const STATEMENTS: [&str; 14] = [
+const STATEMENTS: [&str; 15] = [
     "SELECT count(*), sum(v) FROM fact_rr WHERE grp = 7",
     "SELECT count(*), sum(v) FROM fact_rr WHERE v < 250.0",
     "SELECT v, k FROM fact_rr ORDER BY v DESC, k LIMIT 10",
@@ -83,6 +86,7 @@ const STATEMENTS: [&str; 14] = [
     "SELECT count(*), sum(f.v), sum(s.grp) FROM fact_rr f JOIN small s ON f.k = s.k",
     "SELECT count(*), sum(f.v), sum(s.grp) FROM fact_seg f LEFT JOIN small s ON f.k = s.k",
     "SELECT tag, count(*) FROM fact_seg WHERE grp >= 2 GROUP BY tag ORDER BY tag",
+    "SELECT k, count(DISTINCT tag) FROM fact_rr WHERE grp >= 2 GROUP BY k",
 ];
 
 const PREDICTS: [&str; 2] = [
@@ -280,6 +284,14 @@ const GOLDEN: &[(&str, u64, u64, u64, u64)] = &[
         1305,
         73016,
         0x40d0ef0000000000,
+    ),
+    // COUNT(DISTINCT) under an encodable WHERE (captured at `064a14d`)
+    (
+        "sql SELECT",
+        0x3f12faae876767ee,
+        57276,
+        144800,
+        0x413ed49400000000,
     ),
     // VFT export: database side
     ("vft db", 0x3f59b29f7533dd4a, 0, 73016, 0x4161580000000000),
