@@ -168,6 +168,20 @@ impl Bitmap {
         }
     }
 
+    /// Word-level `self ∧ ¬other` of two equal-length bitmaps.
+    pub fn and_not(&self, other: &Bitmap) -> Bitmap {
+        assert_eq!(self.len, other.len, "bitmap length mismatch in and_not()");
+        Bitmap {
+            words: self
+                .words
+                .iter()
+                .zip(&other.words)
+                .map(|(a, b)| a & !b)
+                .collect(),
+            len: self.len,
+        }
+    }
+
     /// Visit every set bit's index in ascending order, skipping clear words
     /// wholesale (the fast inner loop of the vectorized filter).
     pub fn for_each_set(&self, mut f: impl FnMut(usize)) {

@@ -132,6 +132,13 @@ impl From<String> for Value {
     }
 }
 
+/// `None` is NULL.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,6 +49,38 @@ fn runs_to_column(dtype: DataType, runs: &[(u64, Option<Value>)]) -> Column {
     b.finish()
 }
 
+/// Int64 edges: 2^53 ± 1, where `f64` stops counting by ones, and the ends
+/// of the range with their neighbours. Sorted, with no two equal, and more
+/// than 16 of them, so their runs in order binary-search.
+const INT_EDGES: [i64; 18] = [
+    i64::MIN,
+    i64::MIN + 1,
+    i64::MIN + 2,
+    -(1 << 53) - 1,
+    -(1 << 53),
+    -(1 << 53) + 1,
+    -2,
+    -1,
+    0,
+    1,
+    2,
+    (1 << 53) - 1,
+    1 << 53,
+    (1 << 53) + 1,
+    (1 << 53) + 2,
+    i64::MAX - 2,
+    i64::MAX - 1,
+    i64::MAX,
+];
+
+/// `v op rhs` computed on `i64`, NULL (`None`) never true.
+fn int_holds(op: CmpOp, v: Option<i64>, rhs: Option<i64>) -> bool {
+    match (v, rhs) {
+        (Some(a), Some(b)) => op.holds(a, b),
+        _ => false,
+    }
+}
+
 fn int_column() -> impl Strategy<Value = Column> {
     prop::collection::vec(prop::option::of(any::<i64>()), 0..300).prop_map(|vals| {
         let mut b = ColumnBuilder::new(DataType::Int64);
@@ -330,6 +362,41 @@ proptest! {
         }
     }
 
+    /// Int64 constants compare exactly on RLE Int64 columns: the per-run
+    /// walk over arbitrary runs and NULLs, and the binary search over more
+    /// than 16 sorted runs, both equal the decoded kernel and an `i64`
+    /// reference at 2^53 ± 1 and at the ends of the range.
+    #[test]
+    fn rle_int64_cmp_is_exact_on_the_walk_and_the_binary_search(
+        walk in prop::collection::vec(
+            (1u64..9, prop::option::of(0usize..INT_EDGES.len())),
+            1..40,
+        ),
+        sorted_lens in prop::collection::vec(1u64..9, INT_EDGES.len()..INT_EDGES.len() + 1),
+        rhs in prop::option::of(0usize..INT_EDGES.len()),
+    ) {
+        let rhs = rhs.map(|i| INT_EDGES[i]);
+        let sorted: Vec<(u64, Option<usize>)> =
+            sorted_lens.iter().zip(0..).map(|(&l, i)| (l, Some(i))).collect();
+        for (runs, bsearch) in [(&walk, false), (&sorted, true)] {
+            let spec: Vec<(u64, Option<Value>)> = runs
+                .iter()
+                .map(|(l, v)| (*l, v.map(|i| Value::Int64(INT_EDGES[i]))))
+                .collect();
+            let col = runs_to_column(DataType::Int64, &spec);
+            let e = encoded_of(&col, Encoding::Rle).unwrap();
+            let vals: Vec<Option<i64>> = (0..col.len()).map(|i| col.get(i).as_i64()).collect();
+            for op in ALL_CMP_OPS {
+                let (enc_mask, stats) = cmp_scalar_rle(&e, op, rhs).unwrap();
+                let (dec_mask, _) = cmp_scalar(&col, op, rhs).unwrap();
+                let exact = Bitmap::from_fn(col.len(), |i| int_holds(op, vals[i], rhs));
+                prop_assert_eq!(&enc_mask, &exact);
+                prop_assert_eq!(&dec_mask, &exact);
+                prop_assert_eq!(stats.runs_bsearched > 0, bsearch && rhs.is_some());
+            }
+        }
+    }
+
     /// Float RLE comparisons, including NaN and signed-zero runs (runs
     /// compare bit patterns; predicate semantics must still match the
     /// decoded kernel's f64 behavior).
@@ -375,7 +442,7 @@ proptest! {
         let e = encoded_of(&col, Encoding::Dictionary).unwrap();
         let distinct: HashSet<&String> = vals.iter().flatten().collect();
         for op in ALL_CMP_OPS {
-            let (enc_mask, stats) = cmp_scalar_dict(&e, op, &rhs).unwrap();
+            let (enc_mask, stats) = cmp_scalar_dict(&e, op, rhs.as_str()).unwrap();
             let expected = Bitmap::from_fn(col.len(), |i| match col.get(i) {
                 Value::Varchar(s) => match op {
                     CmpOp::Eq => s == rhs,

@@ -676,14 +676,6 @@ impl GroupTable {
 
 // ---------------------------------------------------------- state kernels
 
-/// `e` over `batch`, borrowing when `e` is a plain column reference.
-pub(crate) fn eval<'a>(e: &Expr, batch: &'a Batch) -> Result<Cow<'a, Column>> {
-    Ok(match e {
-        Expr::Column(name) => Cow::Borrowed(batch.column_by_name(name)?),
-        other => Cow::Owned(other.eval(batch)?),
-    })
-}
-
 /// `step(&mut state[ids[r]], &data[r])` for every non-NULL row `r` — the one
 /// loop every counting and summing transition and merge is.
 fn fold<S, T>(
@@ -905,7 +897,7 @@ impl<'p> Aggregator<'p> {
         let ids = match self.plan.dict_key().and_then(&codes) {
             Some(key) => self.table.intern_codes(key)?,
             None => {
-                let keys = self.plan.keys.iter().map(|e| eval(e, batch));
+                let keys = self.plan.keys.iter().map(|e| e.eval(batch));
                 let keys: Vec<Cow<'_, Column>> = keys.collect::<Result<_>>()?;
                 let keys: Vec<&Column> = keys.iter().map(|c| c.as_ref()).collect();
                 self.table.intern(&keys, rows)?
@@ -931,7 +923,7 @@ impl<'p> Aggregator<'p> {
                 self.distinct[set].add_codes(ids, c)?;
                 continue;
             }
-            let arg = spec.arg.as_ref().map(|e| eval(e, batch)).transpose()?;
+            let arg = spec.arg.as_ref().map(|e| e.eval(batch)).transpose()?;
             if arg.as_ref().is_some_and(|a| a.len() != ids.len()) {
                 return Err(DbError::Exec("aggregate argument length".into()));
             }

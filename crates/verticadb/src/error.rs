@@ -2,6 +2,7 @@
 
 use std::fmt;
 use vdr_cluster::ClusterError;
+use vdr_columnar::kernels::KernelError;
 use vdr_columnar::ColumnarError;
 
 pub type Result<T> = std::result::Result<T, DbError>;
@@ -48,6 +49,14 @@ impl std::error::Error for DbError {}
 impl From<ColumnarError> for DbError {
     fn from(e: ColumnarError) -> Self {
         DbError::Columnar(e)
+    }
+}
+
+/// An operator refusing its operands' types, or an Int64 overflow, is an
+/// execution error.
+impl From<KernelError> for DbError {
+    fn from(e: KernelError) -> Self {
+        DbError::Exec(e.to_string())
     }
 }
 

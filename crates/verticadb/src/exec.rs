@@ -29,9 +29,12 @@
 //! # Compressed execution
 //!
 //! An encoded scan returns [`EncodedBatch`]es whose Rle/Dictionary columns
-//! are still in run/code form. Predicates then evaluate per *run* or per
-//! *distinct dictionary code* ([`kernels::cmp_scalar_rle`] /
-//! [`kernels::cmp_scalar_dict`]). A single-column dictionary GROUP BY key and
+//! are still in run/code form. A column-vs-literal comparison over such a
+//! column evaluates once per *run* or per *distinct dictionary code*
+//! ([`kernels::cmp_scalar_rle`] / [`kernels::cmp_scalar_dict`]) with the
+//! decoded kernel's semantics (Int64 exact, floats under IEEE 754) for any
+//! literal type; every other predicate leaf decodes just its own columns
+//! for the decoded evaluator. A single-column dictionary GROUP BY key and
 //! a `COUNT(DISTINCT col)` over a dictionary column take their ids from the
 //! codes without building or hashing decoded strings. Everything else is
 //! **late-materialized**: a column some expression reads as values decodes
@@ -54,7 +57,7 @@
 use crate::agg::{AggPlan, Aggregator, Codes, Partial};
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
-use crate::expr::{cmp_op, literal_num, BinOp, Expr};
+use crate::expr::{BinOp, Expr};
 use crate::plan::{self, Exchange, Op, PhysicalPlan, PlanNode, Transform};
 use crate::segmentation::hash_routes;
 use crate::sort;
@@ -408,10 +411,7 @@ impl Tail<'_> {
             return Ok(self.cut(batch));
         }
         let batches = [batch];
-        let cols = self
-            .keys
-            .iter()
-            .map(|k| crate::agg::eval(&k.expr, &batches[0]));
+        let cols = self.keys.iter().map(|k| k.expr.eval(&batches[0]));
         let cols = cols.collect::<Result<Vec<_>>>()?;
         let keys = cols.iter().zip(self.keys).map(|(col, k)| sort::Key {
             cols: vec![col.as_ref()],
@@ -785,10 +785,10 @@ impl EncodedScanStats {
 
 /// Evaluate a WHERE predicate against an encoded batch, producing the same
 /// is-TRUE selection mask [`Expr::eval_predicate`] would on decoded columns.
-/// RLE columns compare once per run ([`kernels::cmp_scalar_rle`]),
-/// dictionary columns once per distinct code
-/// ([`kernels::cmp_scalar_dict`]); leaves outside the encoded kernels decode
-/// just their own column and fall back to the decoded evaluator.
+/// A column-vs-literal comparison over an encoded column runs once per RLE
+/// run ([`kernels::cmp_scalar_rle`]) or once per distinct dictionary code
+/// ([`kernels::cmp_scalar_dict`]); any other leaf decodes just its own
+/// columns for the decoded evaluator.
 fn eval_predicate_encoded(
     e: &Expr,
     eb: &EncodedBatch,
@@ -809,8 +809,10 @@ fn eval_predicate_encoded(
                 _ => Ok(l.or(&eval_predicate_encoded(right, eb, stats)?)),
             }
         }
-        Expr::Binary { op, left, right } if op.is_comparison() => {
-            let cop = cmp_op(*op);
+        Expr::Binary { op, left, right } => {
+            let Some(cop) = op.cmp_op() else {
+                return decoded_predicate_leaf(e, eb);
+            };
             if let (Expr::Column(name), Expr::Literal(v)) = (&**left, &**right) {
                 if let Some(mask) = encoded_cmp_leaf(eb, name, cop, v, stats)? {
                     return Ok(mask);
@@ -827,9 +829,9 @@ fn eval_predicate_encoded(
     }
 }
 
-/// Try the encoded comparison kernels for `column cop literal`. `Ok(None)`
-/// means "no encoded kernel applies" (decoded column, bool runs, or a
-/// type/kernels mismatch) and the caller falls back.
+/// The encoded comparison kernels for `column cop literal`. `Ok(None)` means
+/// the scan decoded the column (Plain or DeltaVarint), so the caller
+/// evaluates the leaf on its values.
 fn encoded_cmp_leaf(
     eb: &EncodedBatch,
     name: &str,
@@ -840,23 +842,18 @@ fn encoded_cmp_leaf(
     let ScanColumn::Encoded(col) = eb.column_by_name(name)? else {
         return Ok(None);
     };
-    if let Some(rhs) = literal_num(lit) {
-        if let Some((mask, s)) = kernels::cmp_scalar_rle(col, cop, rhs) {
-            stats.runs_skipped += s.rows_skipped();
-            stats.runs_bsearched += s.runs_bsearched;
-            return Ok(Some(mask));
-        }
+    if col.dict().is_some() {
+        let (mask, s) = kernels::cmp_scalar_dict(col, cop, lit.clone())?;
+        stats.codes_tested += s.comparisons;
+        return Ok(Some(mask));
     }
-    if let Value::Varchar(s) = lit {
-        if let Some((mask, s)) = kernels::cmp_scalar_dict(col, cop, s) {
-            stats.codes_tested += s.comparisons;
-            return Ok(Some(mask));
-        }
-    }
-    Ok(None)
+    let (mask, s) = kernels::cmp_scalar_rle(col, cop, lit.clone())?;
+    stats.runs_skipped += s.rows_skipped();
+    stats.runs_bsearched += s.runs_bsearched;
+    Ok(Some(mask))
 }
 
-/// Fallback for a predicate leaf the encoded kernels can't take: decode only
+/// A predicate leaf the encoded kernels don't take: decode only
 /// the columns that leaf references (all rows — the mask isn't known yet)
 /// and run the decoded evaluator over the single-purpose batch.
 fn decoded_predicate_leaf(e: &Expr, eb: &EncodedBatch) -> Result<Bitmap> {
@@ -956,12 +953,12 @@ fn project(stmt: &SelectStmt, batch: &Batch) -> Result<Batch> {
                 "aggregates cannot mix with plain columns without GROUP BY".into(),
             ));
         };
-        let col = expr.eval(batch)?;
+        let col = expr.eval(batch)?.into_owned();
         fields.push(Field::new(name, col.data_type()));
         columns.push(col);
     }
     for (i, key) in stmt.order_by.iter().enumerate() {
-        let col = key.expr.eval(batch)?;
+        let col = key.expr.eval(batch)?.into_owned();
         fields.push(Field::new(format!("{HIDDEN}{i}"), col.data_type()));
         columns.push(col);
     }
@@ -1045,7 +1042,7 @@ fn transform_instance(
     let mut input = Vec::with_capacity(raw.len());
     for b in raw {
         let kept = filter(cx.filter, &b)?;
-        let cols = t.args.iter().map(|e| e.eval(&kept));
+        let cols = t.args.iter().map(|e| Ok(e.eval(&kept)?.into_owned()));
         input.push(Batch::new(
             t.arg_schema.clone(),
             cols.collect::<Result<_>>()?,

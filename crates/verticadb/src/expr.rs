@@ -1,9 +1,20 @@
 //! Scalar expressions and their vectorized evaluation over batches.
+//!
+//! One evaluator: every operator is a typed loop over column data, and
+//! comparisons and arithmetic are `vdr_columnar::kernels`. An operand is a
+//! column of the batch, borrowed when the expression names one, or a
+//! constant computed once as a one-row column that the kernels read for
+//! every row. A boolean evaluates to two masks, is TRUE and is FALSE (a row
+//! in neither is NULL), so NOT swaps them and AND/OR are word-level ops
+//! under three-valued logic.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{DbError, Result};
+use std::borrow::Cow;
 use std::fmt;
-use vdr_columnar::kernels::{self, ArithOp, CmpOp};
-use vdr_columnar::{Batch, Bitmap, Column, ColumnBuilder, DataType, Value};
+use vdr_columnar::kernels::{self, ArithOp, CmpOp, KernelError};
+use vdr_columnar::{Batch, Bitmap, Column, DataType, Value};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,10 +54,32 @@ impl BinOp {
     }
 
     pub(crate) fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
+        self.cmp_op().is_some()
+    }
+
+    /// The kernel operator of a comparison.
+    pub(crate) fn cmp_op(self) -> Option<CmpOp> {
+        Some(match self {
+            BinOp::Eq => CmpOp::Eq,
+            BinOp::Ne => CmpOp::Ne,
+            BinOp::Lt => CmpOp::Lt,
+            BinOp::Le => CmpOp::Le,
+            BinOp::Gt => CmpOp::Gt,
+            BinOp::Ge => CmpOp::Ge,
+            _ => return None,
+        })
+    }
+
+    /// The kernel operator of an arithmetic operator.
+    fn arith_op(self) -> Option<ArithOp> {
+        Some(match self {
+            BinOp::Add => ArithOp::Add,
+            BinOp::Sub => ArithOp::Sub,
+            BinOp::Mul => ArithOp::Mul,
+            BinOp::Div => ArithOp::Div,
+            BinOp::Mod => ArithOp::Mod,
+            _ => return None,
+        })
     }
 }
 
@@ -199,127 +232,32 @@ impl Expr {
     }
 
     /// Evaluate over every row of `batch`, producing a column of the same
-    /// length.
-    pub fn eval(&self, batch: &Batch) -> Result<Column> {
-        let n = batch.num_rows();
-        match self {
-            Expr::Column(name) => Ok(batch.column_by_name(name)?.clone()),
-            Expr::Literal(v) => Ok(Column::from_value(v, n)),
-            Expr::Neg(e) => {
-                let col = e.eval(batch)?;
-                map_numeric(&col, n, |v| -v)
-            }
-            Expr::Not(e) => {
-                let col = e.eval(batch)?;
-                let mut b = ColumnBuilder::with_capacity(DataType::Bool, n);
-                for i in 0..n {
-                    match col.get(i) {
-                        Value::Bool(v) => b.push(Value::Bool(!v))?,
-                        Value::Null => b.push_null(),
-                        other => return Err(type_err("NOT", &other)),
-                    }
-                }
-                Ok(b.finish())
-            }
-            Expr::IsNull(e) => {
-                let col = e.eval(batch)?;
-                Ok(Column::from_bool(
-                    (0..n).map(|i| col.get(i).is_null()).collect(),
-                ))
-            }
-            Expr::IsNotNull(e) => {
-                let col = e.eval(batch)?;
-                Ok(Column::from_bool(
-                    (0..n).map(|i| !col.get(i).is_null()).collect(),
-                ))
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let col = expr.eval(batch)?;
-                let items: Vec<Column> =
-                    list.iter().map(|e| e.eval(batch)).collect::<Result<_>>()?;
-                let mut b = ColumnBuilder::with_capacity(DataType::Bool, n);
-                for i in 0..n {
-                    let v = col.get(i);
-                    if v.is_null() {
-                        b.push_null();
-                        continue;
-                    }
-                    let mut found = false;
-                    let mut saw_null = false;
-                    for item in &items {
-                        let iv = item.get(i);
-                        if iv.is_null() {
-                            saw_null = true;
-                            continue;
-                        }
-                        if compare_values(&v, &iv)? == std::cmp::Ordering::Equal {
-                            found = true;
-                            break;
-                        }
-                    }
-                    // SQL three-valued IN: no match but a NULL present → NULL.
-                    match (found, saw_null) {
-                        (true, _) => b.push(Value::Bool(!negated))?,
-                        (false, true) => b.push_null(),
-                        (false, false) => b.push(Value::Bool(*negated))?,
-                    }
-                }
-                Ok(b.finish())
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let col = expr.eval(batch)?;
-                let pat = pattern.eval(batch)?;
-                let mut b = ColumnBuilder::with_capacity(DataType::Bool, n);
-                for i in 0..n {
-                    match (col.get(i), pat.get(i)) {
-                        (Value::Varchar(s), Value::Varchar(p)) => {
-                            b.push(Value::Bool(like_match(&s, &p) != *negated))?
-                        }
-                        (v, p) if v.is_null() || p.is_null() => b.push_null(),
-                        (v, _) => {
-                            return Err(DbError::Exec(format!("LIKE requires strings, got {v:?}")))
-                        }
-                    }
-                }
-                Ok(b.finish())
-            }
-            Expr::Binary { op, left, right } => {
-                let l = left.eval(batch)?;
-                let r = right.eval(batch)?;
-                eval_binary(*op, &l, &r, n)
-            }
-            Expr::Func { name, args } => eval_func(name, args, batch, n),
-        }
+    /// length, borrowed when the expression names a column.
+    pub fn eval<'a>(&self, batch: &'a Batch) -> Result<Cow<'a, Column>> {
+        Ok(match self.datum(batch)? {
+            Datum::Col(col) => col,
+            // The one broadcast: a constant result, as in `SELECT 1`.
+            Datum::Const(one) => Cow::Owned(one.take(&vec![0; batch.num_rows()])),
+        })
     }
 
     /// Evaluate as a filter predicate: a selection [`Bitmap`] set where the
     /// predicate is TRUE — NULL counts as false (SQL three-valued logic
     /// collapses at the WHERE clause).
     ///
-    /// This is the vectorized filter path: numeric comparisons run through
-    /// the typed kernels in `vdr_columnar::kernels`, and AND/OR combine
-    /// masks with word-level bit ops. The composition is sound under
-    /// three-valued logic because `is-TRUE` masks obey
-    /// `is-TRUE(a AND b) = is-TRUE(a) ∧ is-TRUE(b)` and
+    /// AND/OR combine the arms' masks with word-level bit ops, which is
+    /// sound because `is-TRUE(a AND b) = is-TRUE(a) ∧ is-TRUE(b)` and
     /// `is-TRUE(a OR b) = is-TRUE(a) ∨ is-TRUE(b)` even with NULLs. An
     /// all-false left arm short-circuits an AND (and an all-true left arm
-    /// an OR) without evaluating the right arm. Everything outside the fast
-    /// path (NOT, LIKE, IN, Varchar comparisons, …) falls back to the boxed
-    /// evaluator and collapses its three-valued Bool column to a mask.
+    /// an OR) without evaluating the right arm. Every other predicate is
+    /// its is-TRUE mask from the one evaluator.
     pub fn eval_predicate(&self, batch: &Batch) -> Result<Bitmap> {
-        let n = batch.num_rows();
         match self {
-            Expr::Literal(Value::Bool(true)) => Ok(Bitmap::all_valid(n)),
-            Expr::Literal(Value::Bool(false)) => Ok(Bitmap::all_clear(n)),
-            Expr::Binary { op, left, right } if matches!(op, BinOp::And | BinOp::Or) => {
+            Expr::Binary {
+                op: op @ (BinOp::And | BinOp::Or),
+                left,
+                right,
+            } => {
                 let l = left.eval_predicate(batch)?;
                 match op {
                     BinOp::And if !l.any_set() => Ok(l),
@@ -328,67 +266,202 @@ impl Expr {
                     _ => Ok(l.or(&right.eval_predicate(batch)?)),
                 }
             }
-            Expr::Binary { op, left, right } if op.is_comparison() => {
-                let cop = cmp_op(*op);
-                // Column-vs-literal: scalar kernel, no constant column.
-                if let (Expr::Column(name), Expr::Literal(v)) = (&**left, &**right) {
-                    if let Some(rhs) = literal_num(v) {
-                        let col = batch.column_by_name(name)?;
-                        if let Some((truth, _)) = kernels::cmp_scalar(col, cop, rhs) {
-                            return Ok(truth);
-                        }
+            _ => Ok(self.logic(batch)?.0),
+        }
+    }
+
+    /// This expression over `batch` as an operand.
+    fn datum<'a>(&self, batch: &'a Batch) -> Result<Datum<'a>> {
+        let n = batch.num_rows();
+        match self {
+            Expr::Column(name) => Ok(Datum::Col(Cow::Borrowed(batch.column_by_name(name)?))),
+            Expr::Literal(v) => Ok(Datum::Const(Column::from_value(v, 1))),
+            Expr::Neg(e) => e.datum(batch)?.map(kernels::neg),
+            Expr::Binary { op, left, right } => match op.arith_op() {
+                Some(aop) => Datum::zip(left.datum(batch)?, right.datum(batch)?, n, |l, r, n| {
+                    kernels::arith(l, r, aop, n)
+                }),
+                None => self.bool_datum(batch),
+            },
+            Expr::Func { name, args } => {
+                let upper = name.to_ascii_uppercase();
+                let arity = |k: usize| {
+                    DbError::Plan(format!(
+                        "{upper} expects {k} argument(s), got {}",
+                        args.len()
+                    ))
+                };
+                let f: fn(f64) -> f64 = match upper.as_str() {
+                    "ABS" => f64::abs,
+                    "SQRT" => f64::sqrt,
+                    "LN" => f64::ln,
+                    "EXP" => f64::exp,
+                    "FLOOR" => f64::floor,
+                    "CEIL" | "CEILING" => f64::ceil,
+                    "POWER" | "POW" => {
+                        let [base, exp] = args.as_slice() else {
+                            return Err(arity(2));
+                        };
+                        let (base, exp) = (base.datum(batch)?, exp.datum(batch)?);
+                        return Datum::zip(base, exp, n, |b, e, n| {
+                            kernels::arith(b, e, ArithOp::Pow, n)
+                        });
                     }
-                }
-                if let (Expr::Literal(v), Expr::Column(name)) = (&**left, &**right) {
-                    if let Some(lhs) = literal_num(v) {
-                        let col = batch.column_by_name(name)?;
-                        if let Some((truth, _)) = kernels::cmp_scalar(col, cop.flip(), lhs) {
-                            return Ok(truth);
-                        }
-                    }
-                }
-                let l = left.eval(batch)?;
-                let r = right.eval(batch)?;
-                if let Some((truth, _)) = kernels::cmp_columns(&l, &r, cop) {
-                    return Ok(truth);
-                }
-                collapse_is_true(&eval_binary(*op, &l, &r, n)?)
+                    _ => return Err(DbError::Plan(format!("unknown function {name}"))),
+                };
+                let [arg] = args.as_slice() else {
+                    return Err(arity(1));
+                };
+                arg.datum(batch)?.map(|c| kernels::map_f64(c, &upper, f))
             }
-            _ => collapse_is_true(&self.eval(batch)?),
+            Expr::Not(_)
+            | Expr::IsNull(_)
+            | Expr::IsNotNull(_)
+            | Expr::InList { .. }
+            | Expr::Like { .. } => self.bool_datum(batch),
+        }
+    }
+
+    /// A boolean expression as a Bool column.
+    fn bool_datum<'a>(&self, batch: &Batch) -> Result<Datum<'a>> {
+        let (t, f) = self.logic(batch)?;
+        let mut data = vec![false; t.len()];
+        t.for_each_set(|i| data[i] = true);
+        let validity = t.or(&f);
+        Ok(Datum::Col(Cow::Owned(Column::Bool { data, validity })))
+    }
+
+    /// A boolean expression over every row of `batch` as its (is TRUE,
+    /// is FALSE) masks.
+    fn logic(&self, batch: &Batch) -> Result<(Bitmap, Bitmap)> {
+        let n = batch.num_rows();
+        let negate =
+            |(t, f): (Bitmap, Bitmap), negated: bool| if negated { (f, t) } else { (t, f) };
+        match self {
+            Expr::Binary {
+                op: op @ (BinOp::And | BinOp::Or),
+                left,
+                right,
+            } => {
+                let ((lt, lf), (rt, rf)) = (left.logic(batch)?, right.logic(batch)?);
+                Ok(match op {
+                    BinOp::And => (lt.and(&rt), lf.or(&rf)),
+                    _ => (lt.or(&rt), lf.and(&rf)),
+                })
+            }
+            Expr::Binary { op, left, right } => match op.cmp_op() {
+                Some(cop) => {
+                    let (l, r) = (left.datum(batch)?, right.datum(batch)?);
+                    let (truth, valid) = kernels::cmp(l.column(), r.column(), cop, n)?;
+                    Ok(split(truth, valid))
+                }
+                None => truth_of(self.datum(batch)?.column(), n),
+            },
+            Expr::Not(e) => Ok(negate(e.logic(batch)?, true)),
+            Expr::IsNull(e) | Expr::IsNotNull(e) => {
+                let valid = kernels::valid_rows(&[e.datum(batch)?.column()], n)?;
+                let null = Bitmap::all_valid(n).and_not(&valid);
+                Ok(negate((null, valid), matches!(self, Expr::IsNotNull(_))))
+            }
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                // `x IN (a, b)` is `x = a OR x = b`.
+                let x = expr.datum(batch)?;
+                let (mut t, mut f) = (Bitmap::all_clear(n), Bitmap::all_valid(n));
+                for item in list {
+                    let item = item.datum(batch)?;
+                    let (truth, valid) = kernels::cmp(x.column(), item.column(), CmpOp::Eq, n)?;
+                    let (it, ifalse) = split(truth, valid);
+                    (t, f) = (t.or(&it), f.and(&ifalse));
+                }
+                Ok(negate((t, f), *negated))
+            }
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => {
+                let (s, p) = (expr.datum(batch)?, pattern.datum(batch)?);
+                let (s, p) = (s.column(), p.column());
+                let valid = kernels::valid_rows(&[s, p], n)?;
+                let holds = match (s, p) {
+                    _ if kernels::no_value(&[s, p]) => valid.clone(),
+                    (Column::Varchar { data: sd, .. }, Column::Varchar { data: pd, .. }) => {
+                        let (ss, ps) = (kernels::step(s, n)?, kernels::step(p, n)?);
+                        let pats: Vec<Like> = pd.iter().map(|p| Like::new(p)).collect();
+                        Bitmap::from_fn(n, |i| pats[ps * i].matches(&sd[ss * i]))
+                    }
+                    _ => {
+                        let (l, r) = (s.data_type(), Some(p.data_type()));
+                        return Err(KernelError::types("LIKE", l, r).into());
+                    }
+                };
+                Ok(negate(split(holds, valid), *negated))
+            }
+            _ => truth_of(self.datum(batch)?.column(), n),
         }
     }
 }
 
-/// Map a comparison [`BinOp`] onto the kernel operator. Callers must have
-/// checked `op.is_comparison()`.
-pub(crate) fn cmp_op(op: BinOp) -> CmpOp {
-    match op {
-        BinOp::Eq => CmpOp::Eq,
-        BinOp::Ne => CmpOp::Ne,
-        BinOp::Lt => CmpOp::Lt,
-        BinOp::Le => CmpOp::Le,
-        BinOp::Gt => CmpOp::Gt,
-        BinOp::Ge => CmpOp::Ge,
-        _ => unreachable!("comparison checked by caller"),
+/// An evaluated operand: a column of the batch, or a constant computed once
+/// as a one-row column (so a NULL keeps its type) that kernels read for
+/// every row.
+enum Datum<'a> {
+    Col(Cow<'a, Column>),
+    Const(Column),
+}
+
+type KernelResult = std::result::Result<Column, KernelError>;
+
+impl<'a> Datum<'a> {
+    fn column(&self) -> &Column {
+        match self {
+            Datum::Col(col) => col,
+            Datum::Const(one) => one,
+        }
+    }
+
+    /// `f` of this operand; a constant stays one.
+    fn map(self, f: impl FnOnce(&Column) -> KernelResult) -> Result<Datum<'a>> {
+        Ok(match self {
+            Datum::Col(col) => Datum::Col(Cow::Owned(f(&col)?)),
+            Datum::Const(one) => Datum::Const(f(&one)?),
+        })
+    }
+
+    /// `f` of two operands over `n` rows, or over one when both are
+    /// constants.
+    fn zip(
+        l: Datum<'_>,
+        r: Datum<'_>,
+        n: usize,
+        f: impl FnOnce(&Column, &Column, usize) -> KernelResult,
+    ) -> Result<Datum<'a>> {
+        Ok(match (&l, &r) {
+            (Datum::Const(a), Datum::Const(b)) => Datum::Const(f(a, b, 1)?),
+            _ => Datum::Col(Cow::Owned(f(l.column(), r.column(), n)?)),
+        })
     }
 }
 
-/// A literal as a numeric kernel scalar: `Some(Some(x))` for numbers,
-/// `Some(None)` for NULL (comparison result is all-NULL), `None` for
-/// non-numeric literals (kernel doesn't apply).
-pub(crate) fn literal_num(v: &Value) -> Option<Option<f64>> {
-    match v {
-        Value::Int64(i) => Some(Some(*i as f64)),
-        Value::Float64(f) => Some(Some(*f)),
-        Value::Null => Some(None),
-        _ => None,
-    }
+/// (is TRUE, is FALSE) from where a test holds and where its operands are
+/// non-NULL.
+fn split(holds: Bitmap, valid: Bitmap) -> (Bitmap, Bitmap) {
+    (holds.and(&valid), valid.and_not(&holds))
 }
 
-/// Collapse a three-valued Bool column to its `is-TRUE` selection mask.
-fn collapse_is_true(col: &Column) -> Result<Bitmap> {
+/// A Bool operand's (is TRUE, is FALSE) masks over `n` rows.
+fn truth_of(col: &Column, n: usize) -> Result<(Bitmap, Bitmap)> {
+    let valid = kernels::valid_rows(&[col], n)?;
     match col {
-        Column::Bool { data, validity } => Ok(Bitmap::from_bools(data).and(validity)),
+        _ if kernels::no_value(&[col]) => Ok((valid.clone(), valid)),
+        Column::Bool { data, .. } => {
+            let s = kernels::step(col, n)?;
+            Ok(split(Bitmap::from_fn(n, |i| data[s * i]), valid))
+        }
         other => Err(DbError::Plan(format!(
             "predicate must be boolean, got {:?}",
             other.data_type()
@@ -396,245 +469,39 @@ fn collapse_is_true(col: &Column) -> Result<Bitmap> {
     }
 }
 
-fn type_err(op: &str, v: &Value) -> DbError {
-    DbError::Exec(format!("{op} not applicable to {v:?}"))
-}
+/// A LIKE pattern, compiled once: `%` matches any run of characters
+/// (including none), `_` any single character.
+struct Like(Vec<char>);
 
-fn map_numeric(col: &Column, n: usize, f: impl Fn(f64) -> f64) -> Result<Column> {
-    match col {
-        Column::Int64 { data, validity } => {
-            let mut b = ColumnBuilder::with_capacity(DataType::Int64, n);
-            for i in 0..n {
-                if validity.get(i) {
-                    b.push(Value::Int64(f(data[i] as f64) as i64))?;
-                } else {
-                    b.push_null();
-                }
-            }
-            Ok(b.finish())
-        }
-        Column::Float64 { data, validity } => {
-            let mut b = ColumnBuilder::with_capacity(DataType::Float64, n);
-            for i in 0..n {
-                if validity.get(i) {
-                    b.push(Value::Float64(f(data[i])))?;
-                } else {
-                    b.push_null();
-                }
-            }
-            Ok(b.finish())
-        }
-        other => Err(DbError::Exec(format!(
-            "numeric operation on non-numeric column {:?}",
-            other.data_type()
-        ))),
+impl Like {
+    fn new(pattern: &str) -> Like {
+        Like(pattern.chars().collect())
     }
-}
 
-fn eval_binary(op: BinOp, l: &Column, r: &Column, n: usize) -> Result<Column> {
-    match op {
-        BinOp::And | BinOp::Or => {
-            let mut b = ColumnBuilder::with_capacity(DataType::Bool, n);
-            for i in 0..n {
-                let lv = l.get(i);
-                let rv = r.get(i);
-                let out = match (op, lv.as_bool(), rv.as_bool()) {
-                    // SQL three-valued logic short circuits.
-                    (BinOp::And, Some(false), _) | (BinOp::And, _, Some(false)) => Some(false),
-                    (BinOp::Or, Some(true), _) | (BinOp::Or, _, Some(true)) => Some(true),
-                    (_, Some(a), Some(b)) => Some(match op {
-                        BinOp::And => a && b,
-                        _ => a || b,
-                    }),
-                    (_, _, _) if lv.is_null() || rv.is_null() => None,
-                    _ => return Err(type_err(op.symbol(), &lv)),
-                };
-                match out {
-                    Some(v) => b.push(Value::Bool(v))?,
-                    None => b.push_null(),
-                }
-            }
-            Ok(b.finish())
-        }
-        _ if op.is_comparison() => {
-            // Numeric columns take the vectorized kernel; the truth/validity
-            // bitmap pair is exactly a three-valued Bool column.
-            if let Some((truth, validity)) = kernels::cmp_columns(l, r, cmp_op(op)) {
-                return Ok(Column::Bool {
-                    data: (0..n).map(|i| truth.get(i)).collect(),
-                    validity,
-                });
-            }
-            let mut b = ColumnBuilder::with_capacity(DataType::Bool, n);
-            for i in 0..n {
-                let lv = l.get(i);
-                let rv = r.get(i);
-                if lv.is_null() || rv.is_null() {
-                    b.push_null();
-                    continue;
-                }
-                let ord = compare_values(&lv, &rv)?;
-                let keep = match op {
-                    BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                    BinOp::Ne => ord != std::cmp::Ordering::Equal,
-                    BinOp::Lt => ord == std::cmp::Ordering::Less,
-                    BinOp::Le => ord != std::cmp::Ordering::Greater,
-                    BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                    BinOp::Ge => ord != std::cmp::Ordering::Less,
-                    _ => unreachable!(),
-                };
-                b.push(Value::Bool(keep))?;
-            }
-            Ok(b.finish())
-        }
-        _ => {
-            // Numeric columns take the vectorized arithmetic kernel.
-            let aop = match op {
-                BinOp::Add => Some(ArithOp::Add),
-                BinOp::Sub => Some(ArithOp::Sub),
-                BinOp::Mul => Some(ArithOp::Mul),
-                BinOp::Div => Some(ArithOp::Div),
-                BinOp::Mod => Some(ArithOp::Mod),
-                _ => None,
-            };
-            if let Some(aop) = aop {
-                if let Some(col) = kernels::arith_columns(l, r, aop) {
-                    return Ok(col);
-                }
-            }
-            // Arithmetic. Int ⊕ Int stays Int except division.
-            let int_out = l.data_type() == DataType::Int64
-                && r.data_type() == DataType::Int64
-                && op != BinOp::Div;
-            let dtype = if int_out {
-                DataType::Int64
+    /// Iterative backtracking over the last `%`, the classic glob match;
+    /// `si` is a byte offset into `s`.
+    fn matches(&self, s: &str) -> bool {
+        let p = &self.0;
+        let (mut si, mut pi) = (0usize, 0usize);
+        let mut star: Option<(usize, usize)> = None; // (pattern idx after %, matched s offset)
+        while let Some(c) = s[si..].chars().next() {
+            if pi < p.len() && (p[pi] == '_' || p[pi] == c) {
+                si += c.len_utf8();
+                pi += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star = Some((pi + 1, si));
+                pi += 1;
+            } else if let Some((spi, ssi)) = star {
+                // Backtrack: let the last % swallow one more character.
+                let skip = s[ssi..].chars().next().map_or(1, char::len_utf8);
+                pi = spi;
+                si = ssi + skip;
+                star = Some((spi, si));
             } else {
-                DataType::Float64
-            };
-            let mut b = ColumnBuilder::with_capacity(dtype, n);
-            for i in 0..n {
-                let lv = l.get(i);
-                let rv = r.get(i);
-                match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(c)) => {
-                        if matches!(op, BinOp::Div | BinOp::Mod) && c == 0.0 {
-                            b.push_null(); // SQL: division by zero → NULL here
-                            continue;
-                        }
-                        let out = match op {
-                            BinOp::Add => a + c,
-                            BinOp::Sub => a - c,
-                            BinOp::Mul => a * c,
-                            BinOp::Div => a / c,
-                            BinOp::Mod => a % c,
-                            _ => unreachable!(),
-                        };
-                        if int_out {
-                            b.push(Value::Int64(out as i64))?;
-                        } else {
-                            b.push(Value::Float64(out))?;
-                        }
-                    }
-                    _ if lv.is_null() || rv.is_null() => b.push_null(),
-                    _ => return Err(type_err(op.symbol(), &lv)),
-                }
-            }
-            Ok(b.finish())
-        }
-    }
-}
-
-/// Total order across comparable values (numerics inter-compare; strings and
-/// bools compare within type). Used by comparisons and `IN` lists; ORDER BY
-/// orders typed columns instead (`sort.rs`).
-pub fn compare_values(a: &Value, b: &Value) -> Result<std::cmp::Ordering> {
-    use std::cmp::Ordering;
-    match (a, b) {
-        (Value::Varchar(x), Value::Varchar(y)) => Ok(x.cmp(y)),
-        (Value::Bool(x), Value::Bool(y)) => Ok(x.cmp(y)),
-        // Not through f64: integers at or above 2^53 would tie.
-        (Value::Int64(x), Value::Int64(y)) => Ok(x.cmp(y)),
-        _ => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => Ok(x.partial_cmp(&y).unwrap_or(Ordering::Equal)),
-            _ => Err(DbError::Exec(format!("cannot compare {a:?} with {b:?}"))),
-        },
-    }
-}
-
-/// SQL LIKE matching: `%` matches any run (including empty), `_` any single
-/// character. Iterative backtracking over the last `%`, the classic
-/// glob-match algorithm.
-pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    let (mut si, mut pi) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pattern idx after %, matched s idx)
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi + 1, si));
-            pi += 1;
-        } else if let Some((spi, ssi)) = star {
-            // Backtrack: let the last % swallow one more character.
-            pi = spi;
-            si = ssi + 1;
-            star = Some((spi, ssi + 1));
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
-}
-
-fn eval_func(name: &str, args: &[Expr], batch: &Batch, n: usize) -> Result<Column> {
-    let upper = name.to_ascii_uppercase();
-    let want_args = |k: usize| -> Result<()> {
-        if args.len() != k {
-            return Err(DbError::Plan(format!(
-                "{upper} expects {k} argument(s), got {}",
-                args.len()
-            )));
-        }
-        Ok(())
-    };
-    let unary = |f: fn(f64) -> f64| -> Result<Column> {
-        want_args(1)?;
-        let col = args[0].eval(batch)?;
-        let mut b = ColumnBuilder::with_capacity(DataType::Float64, n);
-        for i in 0..n {
-            match col.get(i).as_f64() {
-                Some(v) => b.push(Value::Float64(f(v)))?,
-                None => b.push_null(),
+                return false;
             }
         }
-        Ok(b.finish())
-    };
-    match upper.as_str() {
-        "ABS" => unary(f64::abs),
-        "SQRT" => unary(f64::sqrt),
-        "LN" => unary(f64::ln),
-        "EXP" => unary(f64::exp),
-        "FLOOR" => unary(f64::floor),
-        "CEIL" | "CEILING" => unary(f64::ceil),
-        "POWER" | "POW" => {
-            want_args(2)?;
-            let base = args[0].eval(batch)?;
-            let exp = args[1].eval(batch)?;
-            let mut b = ColumnBuilder::with_capacity(DataType::Float64, n);
-            for i in 0..n {
-                match (base.get(i).as_f64(), exp.get(i).as_f64()) {
-                    (Some(x), Some(y)) => b.push(Value::Float64(x.powf(y)))?,
-                    _ => b.push_null(),
-                }
-            }
-            Ok(b.finish())
-        }
-        _ => Err(DbError::Plan(format!("unknown function {name}"))),
+        p[pi..].iter().all(|&c| c == '%')
     }
 }
 
@@ -689,9 +556,15 @@ impl fmt::Display for Expr {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
     use vdr_columnar::Schema;
+
+    fn like_match(s: &str, pattern: &str) -> bool {
+        Like::new(pattern).matches(s)
+    }
 
     /// Predicate mask as plain bools, for readable assertions.
     fn pred(e: &Expr, b: &Batch) -> Vec<bool> {
@@ -851,6 +724,11 @@ mod tests {
         assert!(like_match("abcabc", "%abc"));
         assert!(!like_match("abcabd", "%abc"));
         assert!(like_match("xay", "%a%"));
+        // `_` is one character, not one byte.
+        assert!(like_match("é", "_"));
+        assert!(like_match("aéb", "a_b"));
+        assert!(like_match("ééx", "%éx"));
+        assert!(!like_match("éé", "_"));
     }
 
     #[test]
@@ -888,50 +766,181 @@ mod tests {
         assert_eq!(pred(&e, &b), vec![false, true, false, true]);
     }
 
+    /// Row-at-a-time SQL: Int64 pairs compare as integers, other numbers
+    /// as IEEE doubles, NULL propagates, AND/OR/NOT/IN are three-valued.
+    fn row_ref(e: &Expr, b: &Batch, i: usize) -> Value {
+        let val = |e: &Expr| row_ref(e, b, i);
+        let eq = |l: &Value, r: &Value| cmp_ref(BinOp::Eq, l, r);
+        match e {
+            Expr::Column(name) => b.column_by_name(name).unwrap().get(i),
+            Expr::Literal(v) => v.clone(),
+            Expr::Neg(e) => match val(e) {
+                Value::Int64(v) => Value::Int64(-v),
+                Value::Float64(v) => Value::Float64(-v),
+                other => other,
+            },
+            Expr::Not(e) => match val(e) {
+                Value::Bool(v) => Value::Bool(!v),
+                other => other,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let x = val(expr);
+                let hits: Vec<Value> = list.iter().map(|item| eq(&x, &val(item))).collect();
+                if hits.contains(&Value::Bool(true)) {
+                    Value::Bool(!negated)
+                } else if hits.contains(&Value::Null) {
+                    Value::Null
+                } else {
+                    Value::Bool(*negated)
+                }
+            }
+            Expr::Binary { op, left, right } => {
+                let (l, r) = (val(left), val(right));
+                let (lb, rb) = (l.as_bool(), r.as_bool());
+                match op {
+                    BinOp::And if lb == Some(false) || rb == Some(false) => Value::Bool(false),
+                    BinOp::Or if lb == Some(true) || rb == Some(true) => Value::Bool(true),
+                    BinOp::And | BinOp::Or if l.is_null() || r.is_null() => Value::Null,
+                    BinOp::And | BinOp::Or => Value::Bool(lb.unwrap()),
+                    _ => cmp_ref(*op, &l, &r),
+                }
+            }
+            other => panic!("no reference for {other}"),
+        }
+    }
+
+    fn cmp_ref(op: BinOp, l: &Value, r: &Value) -> Value {
+        if l.is_null() || r.is_null() {
+            return Value::Null;
+        }
+        let ord = match (l, r) {
+            (Value::Int64(x), Value::Int64(y)) => Some(x.cmp(y)),
+            _ => l.as_f64().unwrap().partial_cmp(&r.as_f64().unwrap()),
+        };
+        Value::Bool(match op {
+            BinOp::Eq => ord == Some(Ordering::Equal),
+            BinOp::Ne => ord != Some(Ordering::Equal),
+            BinOp::Lt => ord == Some(Ordering::Less),
+            BinOp::Le => matches!(ord, Some(Ordering::Less | Ordering::Equal)),
+            BinOp::Gt => ord == Some(Ordering::Greater),
+            BinOp::Ge => matches!(ord, Some(Ordering::Greater | Ordering::Equal)),
+            _ => panic!("{op:?} is not a comparison"),
+        })
+    }
+
     #[test]
-    fn kernel_and_boxed_predicates_agree() {
-        // Nullable numeric batch exercising both kernels and fallbacks.
+    fn predicates_match_a_row_at_a_time_reference() {
+        // Nullable Int64 with values past 2^53 and a Float64 with NaN, ±0.
+        let big = 1i64 << 53;
         let schema = Schema::of(&[("v", DataType::Int64), ("w", DataType::Float64)]);
-        let rows: Vec<Vec<Value>> = (0..50)
+        let rows: Vec<Vec<Value>> = (0..60i64)
             .map(|i| {
-                vec![
-                    if i % 7 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int64(i - 25)
-                    },
-                    if i % 11 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Float64((i as f64) / 3.0 - 8.0)
-                    },
-                ]
+                let v = match i % 7 {
+                    0 => Value::Null,
+                    1 => Value::Int64(big + i % 2),
+                    _ => Value::Int64(i - 25),
+                };
+                let w = match i % 11 {
+                    0 => Value::Null,
+                    1 => Value::Float64(f64::NAN),
+                    2 => Value::Float64(-0.0),
+                    _ => Value::Float64((i as f64) / 3.0 - 8.0),
+                };
+                vec![v, w]
             })
             .collect();
         let b = Batch::from_rows(schema, &rows).unwrap();
+        let (v, w) = (|| Expr::col("v"), || Expr::col("w"));
+        let cmp = |op, l, r| Expr::binary(op, l, r);
+        let in_list = |negated| Expr::InList {
+            expr: Box::new(v()),
+            list: vec![
+                Expr::lit(big + 1),
+                Expr::lit(-3i64),
+                Expr::Literal(Value::Null),
+            ],
+            negated,
+        };
         let exprs = [
-            Expr::binary(BinOp::Gt, Expr::col("v"), Expr::lit(0i64)),
-            Expr::binary(BinOp::Le, Expr::lit(1.5), Expr::col("w")),
-            Expr::binary(BinOp::Eq, Expr::col("v"), Expr::col("v")),
-            Expr::binary(
+            cmp(BinOp::Gt, v(), Expr::lit(0i64)),
+            cmp(BinOp::Le, Expr::lit(1.5), w()),
+            cmp(BinOp::Eq, v(), v()),
+            cmp(BinOp::Eq, v(), Expr::lit(big + 1)),
+            cmp(BinOp::Gt, v(), Expr::lit(big)),
+            cmp(BinOp::Ne, v(), Expr::lit(big + 1)),
+            cmp(BinOp::Ne, w(), Expr::lit(1.5)),
+            cmp(BinOp::Eq, w(), Expr::lit(0.0)),
+            cmp(BinOp::Gt, w(), Expr::Neg(Box::new(Expr::lit(0.5)))),
+            cmp(BinOp::Ge, v(), w()),
+            cmp(
                 BinOp::And,
-                Expr::binary(BinOp::Ge, Expr::col("v"), Expr::lit(-10i64)),
-                Expr::binary(BinOp::Lt, Expr::col("w"), Expr::lit(5.0)),
+                cmp(BinOp::Ge, v(), Expr::lit(-10i64)),
+                cmp(BinOp::Lt, w(), Expr::lit(5.0)),
             ),
-            Expr::binary(
+            cmp(
                 BinOp::Or,
-                Expr::binary(BinOp::Lt, Expr::col("v"), Expr::lit(-20i64)),
-                Expr::binary(BinOp::Gt, Expr::col("w"), Expr::col("v")),
+                cmp(BinOp::Lt, v(), Expr::lit(-20i64)),
+                cmp(BinOp::Gt, w(), v()),
             ),
+            Expr::Not(Box::new(cmp(BinOp::Lt, w(), Expr::lit(0.0)))),
+            in_list(false),
+            in_list(true),
         ];
         for e in &exprs {
-            // Reference: materialize the 3VL Bool column row-at-a-time and
-            // collapse NULL→false, the pre-vectorization definition.
-            let col = e.eval(&b).unwrap();
-            let reference: Vec<bool> = (0..b.num_rows())
-                .map(|i| matches!(col.get(i), Value::Bool(true)))
-                .collect();
-            assert_eq!(pred(e, &b), reference, "{e}");
+            let want: Vec<Value> = (0..b.num_rows()).map(|i| row_ref(e, &b, i)).collect();
+            let got = e.eval(&b).unwrap();
+            let got: Vec<Value> = (0..b.num_rows()).map(|i| got.get(i)).collect();
+            assert_eq!(got, want, "{e}");
+            let is_true: Vec<bool> = want.iter().map(|v| *v == Value::Bool(true)).collect();
+            assert_eq!(pred(e, &b), is_true, "{e}");
         }
+    }
+
+    #[test]
+    fn int64_is_exact_and_overflow_is_an_error() {
+        let big = 1i64 << 53;
+        let schema = Schema::of(&[("id", DataType::Int64)]);
+        let b = Batch::new(schema, vec![Column::from_i64(vec![big, big + 1])]).unwrap();
+        let id = || Expr::col("id");
+        let ints = |e: Expr| e.eval(&b).unwrap().i64_data().unwrap().to_vec();
+        assert_eq!(
+            ints(Expr::binary(BinOp::Add, id(), Expr::lit(0i64))),
+            [big, big + 1]
+        );
+        assert_eq!(ints(Expr::Neg(Box::new(id()))), [-big, -big - 1]);
+        assert_eq!(
+            ints(Expr::binary(BinOp::Mod, id(), Expr::lit(7i64))),
+            [big % 7, (big + 1) % 7]
+        );
+        let times = Expr::binary(BinOp::Mul, id(), Expr::lit(1024i64));
+        assert!(matches!(times.eval(&b), Err(DbError::Exec(_))));
+        let min = Expr::Neg(Box::new(Expr::lit(i64::MIN)));
+        assert!(matches!(min.eval(&b), Err(DbError::Exec(_))));
+    }
+
+    #[test]
+    fn constants_evaluate_once_and_null_has_every_type() {
+        let b = batch();
+        // A constant result is one value for every row, typed as planned.
+        let e = Expr::binary(BinOp::Add, Expr::lit(1i64), Expr::lit(2i64));
+        assert_eq!(
+            e.eval(&b).unwrap().into_owned(),
+            Column::from_i64(vec![3; 4])
+        );
+        let e = Expr::binary(BinOp::Add, Expr::col("a"), Expr::Literal(Value::Null));
+        let c = e.eval(&b).unwrap();
+        assert_eq!(c.data_type(), e.output_type(&b).unwrap());
+        assert_eq!(c.null_count(), 4);
+        let e = Expr::binary(BinOp::Eq, Expr::col("s"), Expr::Literal(Value::Null));
+        assert_eq!(pred(&e, &b), vec![false; 4]);
+        // A type pair no operator takes is an error, whatever the rows.
+        let e = Expr::binary(BinOp::Lt, Expr::col("s"), Expr::lit(1i64));
+        assert!(matches!(e.eval_predicate(&b), Err(DbError::Exec(_))));
+        // Borrowed, not copied: a column reference.
+        assert!(matches!(Expr::col("a").eval(&b).unwrap(), Cow::Borrowed(_)));
     }
 }

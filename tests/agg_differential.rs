@@ -330,17 +330,46 @@ const AGGS: [Agg; 16] = [
     ("count(DISTINCT f)", Func::CountDistinct, F),
 ];
 
-/// Every statement shape over `t`: {no WHERE, encodable WHERE, five
+/// 2^53: the first integer past which `f64` cannot count by ones.
+const BIG: i64 = 1 << 53;
+
+/// `v` is an integer for which `keep` holds.
+fn int_is(v: &Value, keep: fn(i64) -> bool) -> bool {
+    matches!(v, Value::Int64(i) if keep(*i))
+}
+
+/// Every statement shape over `t`: {no WHERE, seven encodable WHEREs — six
+/// of them at Int64 past 2^53 and at the NaN-holding `f` — five
 /// non-encodable WHEREs, three of them under prefix NOT} × {global, each
 /// single key — `s` is the dictionary one, `i` the segmentation one — and
 /// two key pairs}.
 fn t_cases(t: &[Vec<Value>]) -> Vec<Case> {
-    let preds: [(Option<Pred>, bool); 7] = [
+    let preds: [(Option<Pred>, bool); 13] = [
         (None, false),
         (
             Some(("s <> 'b' AND x >= 1", |r| {
                 text(&r[S]).is_some_and(|s| s != "b") && num(&r[X]) >= 1.0
             })),
+            false,
+        ),
+        // Integers compare as integers, floats under IEEE 754: NaN equals
+        // nothing, so it is `<>` everything, and `-0.0 = 0.0`.
+        (
+            Some(("i = 9007199254740993", |r| int_is(&r[I], |i| i == BIG + 1))),
+            false,
+        ),
+        (
+            Some(("i > 9007199254740992", |r| int_is(&r[I], |i| i > BIG))),
+            false,
+        ),
+        (
+            Some(("i <> 9007199254740993", |r| int_is(&r[I], |i| i != BIG + 1))),
+            false,
+        ),
+        (Some(("f = 1.5", |r| num(&r[F]) == 1.5)), false),
+        (Some(("f < 0.0", |r| num(&r[F]) < 0.0)), false),
+        (
+            Some(("f <> 1.5", |r| !r[F].is_null() && num(&r[F]) != 1.5)),
             false,
         ),
         // Arithmetic and LIKE need decoded values.
@@ -374,6 +403,54 @@ fn t_cases(t: &[Vec<Value>]) -> Vec<Case> {
         }
     }
     cases
+}
+
+type Projection = (&'static str, fn(i64) -> Option<i64>);
+
+/// Integer projections with exact references: a row whose reference is
+/// `None` (an overflow) makes the statement an execution error.
+const PROJECTIONS: [Projection; 4] = [
+    ("i + 0", |v| v.checked_add(0)),
+    ("i * 1", |v| v.checked_mul(1)),
+    ("i % 7", |v| Some(v % 7)),
+    ("-i", i64::checked_neg),
+];
+
+/// `SELECT id, <projection> FROM t` for each of [`PROJECTIONS`], row for row.
+fn check_projections(db: &VerticaDb, t: &[Vec<Value>], ctx: &str) {
+    for (expr, exact) in PROJECTIONS {
+        let sql = format!("SELECT id, {expr} FROM t");
+        let want: Option<Vec<Vec<Value>>> = t
+            .iter()
+            .map(|r| {
+                let v = match &r[I] {
+                    Value::Int64(v) => Value::Int64(exact(*v)?),
+                    _ => Value::Null,
+                };
+                Some(vec![r[0].clone(), v])
+            })
+            .collect();
+        match (want, db.query(&sql)) {
+            (Some(want), Ok(out)) => {
+                let types: Vec<DataType> = out
+                    .batch
+                    .schema()
+                    .fields()
+                    .iter()
+                    .map(|f| f.dtype)
+                    .collect();
+                assert_eq!(types, [DataType::Int64; 2], "{sql} on {ctx}");
+                let mut got = rows_of(&out.batch);
+                got.sort_by(|a, b| order(&a[0], &b[0]));
+                assert_eq!(got, want, "{sql} on {ctx}");
+            }
+            (None, Err(DbError::Exec(_))) => {}
+            (want, got) => panic!(
+                "{sql} on {ctx}: want {want:?}, got {:?}",
+                got.map(|out| rows_of(&out.batch))
+            ),
+        }
+    }
 }
 
 /// `count(DISTINCT s)` as the only aggregate that reads the dictionary
@@ -463,6 +540,7 @@ proptest! {
                 for case in &cases {
                     check(&db, case, &ctx);
                 }
+                check_projections(&db, &t, &ctx);
             }
         }
     }
@@ -622,14 +700,19 @@ proptest! {
 
 /// `lc(id, grp, x, tag)`: `grp` is sorted and low-cardinality so its blocks
 /// pick RLE, `tag` has 3 values so it picks Dictionary, both carry NULLs.
-/// `st(s, x)`: `s` is sorted in 64 runs, so RLE predicates binary-search.
+/// `st(s, x, big)`: `s` is sorted in 64 runs, so RLE predicates
+/// binary-search, and `big` runs the same way through 2^53 and 2^53 + 1.
 const LC_COLS: [(&str, DataType); 4] = [
     ("id", DataType::Int64),
     ("grp", DataType::Int64),
     ("x", DataType::Float64),
     ("tag", DataType::Varchar),
 ];
-const ST_COLS: [(&str, DataType); 2] = [("s", DataType::Int64), ("x", DataType::Float64)];
+const ST_COLS: [(&str, DataType); 3] = [
+    ("s", DataType::Int64),
+    ("x", DataType::Float64),
+    ("big", DataType::Int64),
+];
 const GRP: usize = 1;
 const TAG: usize = 3;
 
@@ -649,13 +732,20 @@ fn lc_rows() -> Vec<Vec<Value>> {
 }
 
 fn st_rows() -> Vec<Vec<Value>> {
-    let row = |i: i64| vec![Value::Int64(i / 60), Value::Float64((i % 9) as f64 + 0.25)];
+    let row = |i: i64| {
+        vec![
+            Value::Int64(i / 60),
+            Value::Float64((i % 9) as f64 + 0.25),
+            Value::Int64(BIG + i / 60 - 32),
+        ]
+    };
     (0..3840).map(row).collect()
 }
 
 /// Encodable predicates over RLE and dictionary columns: And/Or trees,
 /// either operand order, NULL-heavy columns, dictionary and non-dictionary
-/// GROUP BY keys, sorted runs, a late-materialized projection.
+/// GROUP BY keys, sorted runs, Int64 runs past 2^53, a late-materialized
+/// projection.
 fn encoded_cases(lc: &[Vec<Value>], st: &[Vec<Value>]) -> Vec<Case> {
     let lc_t = ("lc", &LC_COLS as &Cols, lc);
     let st_t = ("st", &ST_COLS as &Cols, st);
@@ -665,7 +755,7 @@ fn encoded_cases(lc: &[Vec<Value>], st: &[Vec<Value>]) -> Vec<Case> {
         ("min(id)", Func::Min, 0),
         ("max(id)", Func::Max, 0),
     ];
-    let preds: [Pred; 8] = [
+    let preds: [Pred; 11] = [
         ("grp >= 1 AND tag = 'b'", |r| {
             num(&r[GRP]) >= 1.0 && text(&r[TAG]) == Some("b")
         }),
@@ -678,8 +768,16 @@ fn encoded_cases(lc: &[Vec<Value>], st: &[Vec<Value>]) -> Vec<Case> {
         ("s < 20", |r| num(&r[0]) < 20.0),
         ("s >= 48", |r| num(&r[0]) >= 48.0),
         ("s = 7", |r| num(&r[0]) == 7.0),
+        ("big = 9007199254740993", |r| {
+            int_is(&r[2], |i| i == BIG + 1)
+        }),
+        ("big > 9007199254740992", |r| int_is(&r[2], |i| i > BIG)),
+        ("9007199254740993 <> big", |r| {
+            int_is(&r[2], |i| i != BIG + 1)
+        }),
     ];
-    let [and, or, id, grp, tag, lt, ge, eq] = preds.map(Some);
+    let [and, or, id, grp, tag, lt, ge, eq, big_eq, big_gt, big_ne] = preds.map(Some);
+    let big_range = [("min(big)", Func::Min, 2), ("max(big)", Func::Max, 2)];
     vec![
         agg_case(lc_t, and, &[], &[COUNT, ("sum(x)", Func::Sum, 2)], ""),
         agg_case(lc_t, or, &[], &[COUNT], ""),
@@ -696,6 +794,9 @@ fn encoded_cases(lc: &[Vec<Value>], st: &[Vec<Value>]) -> Vec<Case> {
         agg_case(st_t, lt, &[], &[COUNT], ""),
         agg_case(st_t, ge, &[], &[COUNT, ("sum(x)", Func::Sum, 1)], ""),
         agg_case(st_t, eq, &[0], &[COUNT], ""),
+        agg_case(st_t, big_eq, &[], &[COUNT, ("sum(x)", Func::Sum, 1)], ""),
+        agg_case(st_t, big_gt, &[], &[COUNT, big_range[0]], ""),
+        agg_case(st_t, big_ne, &[], &[COUNT, big_range[0], big_range[1]], ""),
         // Not an aggregate: rows come back in `id` order.
         Case {
             sql: "SELECT id, x FROM lc WHERE grp = 1 ORDER BY id".into(),
@@ -1120,7 +1221,9 @@ fn join_matrix_covers_every_strategy_and_an_empty_build_side() {
 
 // ------------------------------------------------------------ regressions
 
-/// Integers at or above 2^53 tie when compared through `f64`.
+/// Integers at or above 2^53 tie when compared through `f64`: MIN/MAX,
+/// ORDER BY and GROUP BY, every comparison (`=` agreeing with `IN`), and
+/// arithmetic, which is exact and errs on overflow.
 #[test]
 fn int64_min_max_and_order_by_compare_as_integers() {
     let _guard = metrics_lock();
@@ -1141,6 +1244,55 @@ fn int64_min_max_and_order_by_compare_as_integers() {
         .unwrap()
         .batch;
     assert_eq!(out.column(0).i64_data().unwrap(), &[lo, hi]);
+    for pred in [
+        "id = 9007199254740993",
+        "id IN (9007199254740993)",
+        "id > 9007199254740992",
+        "id <> 9007199254740993",
+        "9007199254740992 < id",
+    ] {
+        let out = db.query(&format!("SELECT count(*) FROM big WHERE {pred}"));
+        assert_eq!(out.unwrap().batch.row(0), [Value::Int64(1)], "{pred}");
+    }
+    let ints = |sql: &str| {
+        let out = db.query(sql).unwrap().batch;
+        let mut v = out.column(0).i64_data().unwrap().to_vec();
+        v.sort();
+        v
+    };
+    assert_eq!(ints("SELECT id + 0 FROM big"), [lo, hi]);
+    assert_eq!(ints("SELECT -id FROM big"), [-hi, -lo]);
+    let times = db.query("SELECT id * 1024 FROM big");
+    assert!(matches!(times, Err(DbError::Exec(_))), "{times:?}");
+}
+
+/// Comparisons follow IEEE 754: a NaN is false under every operator but
+/// `<>`, and `-0.0 = 0.0` (GROUP BY, DISTINCT and ORDER BY keep their bit
+/// pattern and total order).
+#[test]
+fn nan_compares_equal_to_nothing() {
+    let _guard = metrics_lock();
+    let db = VerticaDb::new(SimCluster::for_tests(1));
+    let rows = [f64::NAN, 1.5, -0.0].map(|f| vec![Value::Float64(f)]);
+    load(
+        &db,
+        "t",
+        &[("f", DataType::Float64)],
+        &Segmentation::RoundRobin,
+        &rows,
+    );
+    for (pred, want) in [
+        ("f = 1.5", 1),
+        ("f = 0.0", 1),
+        ("f <> 1.5", 2),
+        ("f < 0.0", 0),
+        ("f >= 0.0", 2),
+        ("f IN (1.5, 0.0)", 2),
+        ("NOT f = 1.5", 2),
+    ] {
+        let out = db.query(&format!("SELECT count(*) FROM t WHERE {pred}"));
+        assert_eq!(out.unwrap().batch.row(0), [Value::Int64(want)], "{pred}");
+    }
 }
 
 /// Output dtypes come from the plan: no group, an all-NULL argument, or the
