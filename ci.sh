@@ -37,9 +37,10 @@ run cargo build --release $OFFLINE
 run cargo test --workspace -q $OFFLINE
 # The model bits the benchmark and the golden tests pin come from release
 # code: run the ml kernels' bit-identity and property tests, and the root
-# training goldens, in that profile.
+# goldens (training, ledger, figures) and the block-cache story, in that
+# profile.
 run cargo test -p vdr-ml --release -q $OFFLINE
-run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden --test agg_differential
+run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden --test agg_differential --test figures_golden --test scan_cache
 
 # The benchmark is a package of its own (benchmark/, own lock file), so the
 # workspace build above does not cover it. check.sh builds it offline and

@@ -9,6 +9,33 @@ use crate::error::{ColumnarError, Result};
 use crate::schema::Schema;
 use crate::value::Value;
 
+/// Named columns of one length: what an expression reads. [`Batch`] owns
+/// its columns; [`crate::Materialized`] borrows the ones a scan decoded.
+pub trait Columns {
+    fn schema(&self) -> &Schema;
+    fn num_rows(&self) -> usize;
+    fn column(&self, i: usize) -> &Column;
+
+    /// Column lookup by name (case-insensitive, like [`Schema::index_of`]).
+    fn column_by_name(&self, name: &str) -> Result<&Column> {
+        Ok(self.column(self.schema().index_of(name)?))
+    }
+}
+
+impl Columns for Batch {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    fn column(&self, i: usize) -> &Column {
+        &self.columns[i]
+    }
+}
+
 /// A horizontal slice of a table: one column vector per schema field, all the
 /// same length.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,6 +113,11 @@ impl Batch {
         &self.columns
     }
 
+    /// The schema and the columns, moved out.
+    pub fn into_parts(self) -> (Schema, Vec<Column>) {
+        (self.schema, self.columns)
+    }
+
     pub fn column_by_name(&self, name: &str) -> Result<&Column> {
         Ok(&self.columns[self.schema.index_of(name)?])
     }
@@ -135,17 +167,18 @@ impl Batch {
     }
 
     /// Append all rows of `other` (schemas must match).
-    pub fn extend(&mut self, other: &Batch) -> Result<()> {
-        if self.schema != other.schema {
+    pub fn extend(&mut self, other: &impl Columns) -> Result<()> {
+        if self.schema != *other.schema() {
             return Err(ColumnarError::Corrupt(format!(
                 "schema mismatch: {} vs {}",
-                self.schema, other.schema
+                self.schema,
+                other.schema()
             )));
         }
-        for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            a.extend(b)?;
+        for (i, a) in self.columns.iter_mut().enumerate() {
+            a.extend(other.column(i))?;
         }
-        self.rows += other.rows;
+        self.rows += other.num_rows();
         Ok(())
     }
 

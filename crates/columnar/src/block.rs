@@ -36,6 +36,7 @@ use crate::schema::{Field, Schema};
 use crate::value::DataType;
 use bytes::Bytes;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"VCOL";
 const VERSION_V1: u8 = 1;
@@ -279,13 +280,12 @@ pub fn decode_batch_encoded(
         let col = match EncodedColumn::from_payload(e.dtype, e.enc, raw.rows, payload, &mut ppos)? {
             Some(ec) => {
                 cols_kept_encoded += 1;
-                ScanColumn::Encoded(ec)
+                ScanColumn::Encoded(Arc::new(ec))
             }
             None => {
                 cols_decoded += 1;
-                ScanColumn::Decoded(encoding::decode_column(
-                    e.dtype, e.enc, raw.rows, payload, &mut ppos,
-                )?)
+                let col = encoding::decode_column(e.dtype, e.enc, raw.rows, payload, &mut ppos)?;
+                ScanColumn::Decoded(Arc::new(col))
             }
         };
         check_payload_consumed(&e.name, payload, ppos)?;
@@ -758,7 +758,7 @@ mod tests {
         // Full materialization equals the plain decode.
         let mask = crate::Bitmap::all_valid(100);
         let (full, _) = eb.materialize(&mask, None).unwrap();
-        assert_eq!(full, batch);
+        assert_eq!(full.into_batch().unwrap(), batch);
 
         // A constant int column comes back as an RLE ScanColumn.
         let schema = Schema::of(&[("k", DataType::Int64)]);
@@ -783,7 +783,7 @@ mod tests {
             let mask = crate::Bitmap::all_valid(100);
             let (full, _) = eb.materialize(&mask, None).unwrap();
             assert_eq!(
-                full.column(0).get(7),
+                full.into_batch().unwrap().column(0).get(7),
                 batch.column_by_name("tag").unwrap().get(7)
             );
         }

@@ -14,10 +14,14 @@
 //!   expands values only for the rows that survived the filter bitmap.
 //!
 //! [`EncodedColumn`] holds the parsed run/code form (not raw payload bytes),
-//! so every downstream pass is branch-light; [`EncodedBatch`] is the scan
-//! product: a mix of [`ScanColumn::Encoded`] and [`ScanColumn::Decoded`]
-//! columns chosen per column by [`crate::decode_batch_encoded`].
+//! so every downstream pass is branch-light; [`EncodedBatch`] is the one
+//! scan product: a mix of [`ScanColumn::Encoded`] and [`ScanColumn::Decoded`]
+//! columns chosen per column by [`crate::decode_batch_encoded`], each behind
+//! an `Arc` so a cache and its readers share it. [`EncodedBatch::materialize`]
+//! gives a reader the rows a mask selects as [`Materialized`] columns,
+//! borrowing the eagerly decoded ones when every row survived.
 
+use crate::batch::Columns;
 use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::encoding::{
@@ -26,7 +30,9 @@ use crate::encoding::{
 use crate::error::{ColumnarError, Result};
 use crate::schema::Schema;
 use crate::value::DataType;
+use std::borrow::Cow;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// The run/code form of an encoded payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -302,11 +308,12 @@ impl<'a, T: Copy> RunCursor<'a, T> {
 }
 
 /// One column as a scan produced it: decoded eagerly, or kept encoded for
-/// compressed execution.
+/// compressed execution. Either form sits behind an [`Arc`], so the block
+/// cache and every scan that reads the column share one copy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScanColumn {
-    Decoded(Column),
-    Encoded(EncodedColumn),
+    Decoded(Arc<Column>),
+    Encoded(Arc<EncodedColumn>),
 }
 
 impl ScanColumn {
@@ -337,9 +344,10 @@ impl ScanColumn {
     }
 }
 
-/// The product of an encoded scan: per-column encoded-or-decoded data plus
+/// The one product of a table scan: per-column encoded-or-decoded data plus
 /// the schema. Mirrors [`crate::Batch`] closely enough that the executor can
-/// filter, late-materialize, or hand columns to encoded kernels.
+/// filter, late-materialize, or hand columns to encoded kernels. A batch of
+/// plain columns converts into one without a copy ([`From<Batch>`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedBatch {
     schema: Schema,
@@ -403,22 +411,21 @@ impl EncodedBatch {
     }
 
     /// In-memory footprint with encoded columns at encoded size — what the
-    /// encoded cache tier charges.
+    /// block cache charges.
     pub fn byte_size(&self) -> u64 {
         self.cols.iter().map(|c| c.byte_size()).sum()
     }
 
-    /// Materialize a plain [`crate::Batch`] of the rows selected by `mask`,
-    /// restricted to `subset` columns when given (names matched
-    /// case-insensitively). Returns the batch plus the number of values that
-    /// had to be expanded out of *encoded* columns (already-decoded columns
-    /// just gather). A mask of another length is a
-    /// [`ColumnarError::LengthMismatch`].
+    /// The rows selected by `mask`, restricted to `subset` columns when
+    /// given (names matched case-insensitively). An eagerly decoded column
+    /// is borrowed when every row is selected; an encoded one expands. Also
+    /// returns the number of values expanded out of *encoded* columns. A
+    /// mask of another length is a [`ColumnarError::LengthMismatch`].
     pub fn materialize(
         &self,
         mask: &Bitmap,
         subset: Option<&HashSet<String>>,
-    ) -> Result<(crate::Batch, u64)> {
+    ) -> Result<(Materialized<'_>, u64)> {
         if mask.len() != self.rows {
             return Err(ColumnarError::LengthMismatch {
                 expected: self.rows,
@@ -439,27 +446,78 @@ impl EncodedBatch {
                 continue;
             }
             let col = match c {
-                ScanColumn::Decoded(col) => {
-                    if all {
-                        col.clone()
-                    } else {
-                        col.filter(mask)?
-                    }
-                }
+                ScanColumn::Decoded(col) if all => Cow::Borrowed(&**col),
+                ScanColumn::Decoded(col) => Cow::Owned(col.filter(mask)?),
                 ScanColumn::Encoded(e) => {
                     encoded_values += selected as u64;
-                    if all {
-                        e.decode()
-                    } else {
-                        e.filter(mask)
-                    }
+                    Cow::Owned(if all { e.decode() } else { e.filter(mask) })
                 }
             };
-            fields.push(crate::Field::new(f.name.clone(), f.dtype));
+            fields.push(f.clone());
             columns.push(col);
         }
-        let batch = crate::Batch::new(Schema::new(fields), columns)?;
-        Ok((batch, encoded_values))
+        let schema = Schema::new(fields);
+        let rows = selected;
+        Ok((
+            Materialized {
+                schema,
+                rows,
+                columns,
+            },
+            encoded_values,
+        ))
+    }
+}
+
+impl From<crate::Batch> for EncodedBatch {
+    /// All-decoded, the columns moved, not copied.
+    fn from(batch: crate::Batch) -> EncodedBatch {
+        let rows = batch.num_rows();
+        let (schema, columns) = batch.into_parts();
+        let cols = columns
+            .into_iter()
+            .map(|c| ScanColumn::Decoded(Arc::new(c)));
+        EncodedBatch {
+            schema,
+            rows,
+            cols: cols.collect(),
+        }
+    }
+}
+
+/// The rows a mask selected of an [`EncodedBatch`]: eagerly decoded columns
+/// borrowed when every row survived, everything else materialized.
+#[derive(Debug)]
+pub struct Materialized<'a> {
+    schema: Schema,
+    rows: usize,
+    columns: Vec<Cow<'a, Column>>,
+}
+
+impl<'a> Materialized<'a> {
+    /// A plain batch: borrowed columns are copied, the rest move.
+    pub fn into_batch(self) -> Result<crate::Batch> {
+        let columns = self.columns.into_iter().map(Cow::into_owned).collect();
+        crate::Batch::new(self.schema, columns)
+    }
+
+    /// The schema and the columns, each borrowed or owned as materialized.
+    pub fn into_parts(self) -> (Schema, Vec<Cow<'a, Column>>) {
+        (self.schema, self.columns)
+    }
+}
+
+impl Columns for Materialized<'_> {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    fn column(&self, i: usize) -> &Column {
+        &self.columns[i]
     }
 }
 
@@ -619,20 +677,21 @@ mod tests {
         let g = Column::from_strings(vec!["a", "b", "a", "b"]);
         let x = Column::from_i64(vec![1, 2, 3, 4]);
         let eg = encode_and_parse(&g, Encoding::Dictionary);
-        let eb = EncodedBatch::new(
-            schema,
-            4,
-            vec![ScanColumn::Encoded(eg), ScanColumn::Decoded(x.clone())],
-        )
-        .unwrap();
+        let cols = vec![
+            ScanColumn::Encoded(Arc::new(eg)),
+            ScanColumn::Decoded(Arc::new(x.clone())),
+        ];
+        let eb = EncodedBatch::new(schema, 4, cols).unwrap();
         assert_eq!(eb.num_encoded(), 1);
         let mask = Bitmap::from_bools(&[true, false, false, true]);
         let subset: HashSet<String> = ["X".to_string()].into_iter().collect();
         let (narrow, enc_vals) = eb.materialize(&mask, Some(&subset)).unwrap();
+        let narrow = narrow.into_batch().unwrap();
         assert_eq!(narrow.schema().names(), vec!["x"]);
         assert_eq!(enc_vals, 0, "only the decoded column was gathered");
         assert_eq!(narrow.column(0).get(1), Value::Int64(4));
         let (full, enc_vals) = eb.materialize(&mask, None).unwrap();
+        let full = full.into_batch().unwrap();
         assert_eq!(enc_vals, 2, "two surviving rows expanded from the dict");
         assert_eq!(
             full.column_by_name("g").unwrap().get(0),
@@ -640,19 +699,42 @@ mod tests {
         );
     }
 
+    /// The eagerly decoded columns are never copied on their way into a scan
+    /// product and out to a reader: a batch moves in, and an all-rows
+    /// materialization borrows.
+    #[test]
+    fn decoded_columns_move_and_borrow() {
+        let data_ptr = |c: &Column| match c {
+            Column::Int64 { data, .. } => data.as_ptr(),
+            other => panic!("an Int64 column, not {other:?}"),
+        };
+        let x = Column::from_i64((0..64).collect());
+        let ptr = data_ptr(&x);
+        let schema = Schema::of(&[("x", DataType::Int64)]);
+        let eb = EncodedBatch::from(crate::Batch::new(schema, vec![x]).unwrap());
+        let (all, expanded) = eb.materialize(&Bitmap::all_valid(64), None).unwrap();
+        assert_eq!((data_ptr(all.column(0)), expanded), (ptr, 0));
+        let (half, _) = eb
+            .materialize(&Bitmap::from_fn(64, |i| i % 2 == 0), None)
+            .unwrap();
+        assert_eq!(half.num_rows(), 32);
+        assert_ne!(data_ptr(half.column(0)), ptr);
+    }
+
     #[test]
     fn materialize_refuses_a_mask_of_another_length() {
         let g = Column::from_strings(vec!["a", "b", "a"]);
         let eg = encode_and_parse(&g, Encoding::Dictionary);
         let schema = Schema::of(&[("g", DataType::Varchar)]);
-        let eb = EncodedBatch::new(schema, 3, vec![ScanColumn::Encoded(eg)]).unwrap();
+        let cols = vec![ScanColumn::Encoded(Arc::new(eg))];
+        let eb = EncodedBatch::new(schema, 3, cols).unwrap();
         for len in [0, 2, 4] {
             let got = eb.materialize(&Bitmap::all_valid(len), None);
             let want = ColumnarError::LengthMismatch {
                 expected: 3,
                 found: len,
             };
-            assert_eq!(got.map(|(b, _)| b.num_rows()), Err(want));
+            assert_eq!(got.map(|(b, _)| b.num_rows()).err(), Some(want));
         }
     }
 }

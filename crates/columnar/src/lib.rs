@@ -34,7 +34,7 @@ pub mod kernels;
 pub mod schema;
 pub mod value;
 
-pub use batch::Batch;
+pub use batch::{Batch, Columns};
 pub use bitmap::Bitmap;
 pub use block::{
     block_checksum, block_column_info, decode_batch, decode_batch_columns, decode_batch_encoded,
@@ -42,7 +42,7 @@ pub use block::{
     DecodeStats,
 };
 pub use column::{Column, ColumnBuilder};
-pub use encoded::{EncodedBatch, EncodedColumn, EncodedValues, ScanColumn};
+pub use encoded::{EncodedBatch, EncodedColumn, EncodedValues, Materialized, ScanColumn};
 pub use error::{ColumnarError, Result};
 pub use schema::{Field, Schema};
 pub use value::{DataType, Value};

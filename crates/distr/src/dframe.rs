@@ -148,7 +148,7 @@ impl DFrame {
         let mut out = Batch::empty(first.schema().clone());
         for p in 0..self.npartitions {
             let part = self.partition(p)?;
-            out.extend(&part)
+            out.extend(part.as_ref())
                 .map_err(|e| DistrError::Conformity(e.to_string()))?;
         }
         Ok(out)

@@ -62,7 +62,7 @@ use crate::sql::{AggFunc, SelectItem, SelectStmt};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
-use vdr_columnar::{Batch, Bitmap, Column, ColumnarError, DataType, Field, Schema};
+use vdr_columnar::{Batch, Bitmap, Column, ColumnarError, Columns, DataType, Field, Schema};
 
 /// Evaluate `$body` with `$d` / `$v` bound to the data and validity of
 /// `$col`, whatever its type.
@@ -879,6 +879,7 @@ impl<'p> Aggregator<'p> {
     }
 
     /// Fold one batch of input rows into the table.
+    #[cfg(test)]
     pub(crate) fn update(&mut self, batch: &Batch) -> Result<()> {
         self.update_selected(batch, batch.num_rows(), |_| None)
     }
@@ -890,7 +891,7 @@ impl<'p> Aggregator<'p> {
     /// `COUNT(DISTINCT col)` over one take their ids from.
     pub(crate) fn update_selected<'c>(
         &mut self,
-        batch: &Batch,
+        batch: &impl Columns,
         rows: usize,
         codes: impl Fn(&str) -> Option<Codes<'c>>,
     ) -> Result<()> {
@@ -913,7 +914,7 @@ impl<'p> Aggregator<'p> {
     fn accumulate<'c>(
         &mut self,
         ids: &[u32],
-        batch: &Batch,
+        batch: &impl Columns,
         codes: impl Fn(&str) -> Option<Codes<'c>>,
     ) -> Result<()> {
         for spec in &self.plan.aggs {

@@ -1,106 +1,43 @@
-//! Node-local cache of scanned segment containers, in two tiers.
+//! Node-local cache of scanned columns: one entry per segment container.
 //!
 //! A real Vertica node keeps hot ROS containers in the OS page cache, but
 //! our engine was still paying the *decode* on every re-read. This cache
-//! keeps the scan product per `(node, container path)`, mirroring the
-//! prediction path's `ModelCache`: entries carry the container's crc32 as a
-//! content version tag, so a same-named table that was dropped and
-//! re-created (container paths restart at `c000000`) misses on the stale
-//! entry and reloads.
+//! keeps, per `(node, container path)`, every column a scan has read in the
+//! form the scan produced it — a [`ScanColumn`], eagerly decoded or still in
+//! RLE run / dictionary code form — behind an `Arc`, so a hit costs no copy.
+//! Mirroring the prediction path's `ModelCache`, an entry carries the
+//! container's crc32 as a content version tag: a same-named table that was
+//! dropped and re-created (container paths restart at `c000000`) misses on
+//! the stale entry and reloads.
 //!
-//! Entries come in two **tiers**, matching the two scan paths:
-//!
-//! * **decoded** — a plain [`Arc<Batch>`], charged at decoded byte size, and
-//! * **encoded** — an [`Arc<EncodedBatch>`] for compressed execution,
-//!   charged at *encoded* byte size, so low-cardinality columns cache far
-//!   more rows per budget byte.
-//!
-//! Both tiers share one key namespace: inserting either form replaces the
-//! other, a lookup hits only its own tier (an encoded scan cannot use a
-//! decoded entry and vice versa), and prefix invalidation (`drop_table`)
-//! covers both. Capacity is bounded in charged bytes **per node** (a slice
-//! of the cluster profile's `mem_bytes`, as each simulated node has its own
-//! RAM), with LRU eviction. Projection-pushdown interacts with caching: an
-//! entry remembers which columns it holds, and a lookup hits only if the
-//! wanted set is covered — a cached `{a, b}` batch serves a later
-//! `SELECT a`, but a `SELECT *` (wanted `None` ⇒ every column) must
-//! re-decode and then replaces the narrow entry.
+//! A scan counts one **hit** when every column it wants is resident, and
+//! otherwise one **miss**: it decodes only the missing columns and adds them
+//! to the entry. A narrower, a wider or an alternating projection therefore
+//! hits by column. Capacity is bounded in charged bytes **per node** (a
+//! slice of the cluster profile's `mem_bytes`, as each simulated node has
+//! its own RAM): a column is charged at the size it is held in, so an RLE or
+//! dictionary column costs its encoded size. Eviction is LRU over whole
+//! entries; prefix invalidation (`drop_table`) drops a table's entries.
 //!
 //! Cost model: a hit charges `disk_cached_read` (memory-speed re-read) and
-//! **zero** decode CPU; misses pay the disk read and the per-value decode
-//! as before. Emits `scan.cache.{hit,miss,evict,invalidated}` per-node
-//! counters through `vdr-obs`.
+//! **zero** decode CPU; a miss pays the disk read and the per-value decode of
+//! the columns it decodes eagerly. Emits `scan.cache.{hit,miss,evict,
+//! invalidated}` per-node counters through `vdr-obs`.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use vdr_cluster::NodeId;
-use vdr_columnar::{Batch, EncodedBatch, Schema};
-
-/// A cached scan product: one tier per scan path.
-#[derive(Clone)]
-pub(crate) enum CachedBlock {
-    Decoded(Arc<Batch>),
-    Encoded(Arc<EncodedBatch>),
-}
-
-/// A scan product the cache can hold. The implementing type picks the tier:
-/// [`Batch`] is the decoded tier, [`EncodedBatch`] the encoded one.
-pub(crate) trait CacheTier: Sized {
-    fn into_block(this: Arc<Self>) -> CachedBlock;
-    /// The entry's payload if it is on this tier.
-    fn from_block(block: &CachedBlock) -> Option<Arc<Self>>;
-    /// Bytes charged against the node's budget.
-    fn charged_bytes(&self) -> u64;
-    fn schema(&self) -> &Schema;
-}
-
-impl CacheTier for Batch {
-    fn into_block(this: Arc<Self>) -> CachedBlock {
-        CachedBlock::Decoded(this)
-    }
-    fn from_block(block: &CachedBlock) -> Option<Arc<Self>> {
-        match block {
-            CachedBlock::Decoded(b) => Some(Arc::clone(b)),
-            CachedBlock::Encoded(_) => None,
-        }
-    }
-    fn charged_bytes(&self) -> u64 {
-        self.byte_size()
-    }
-    fn schema(&self) -> &Schema {
-        self.schema()
-    }
-}
-
-impl CacheTier for EncodedBatch {
-    fn into_block(this: Arc<Self>) -> CachedBlock {
-        CachedBlock::Encoded(this)
-    }
-    fn from_block(block: &CachedBlock) -> Option<Arc<Self>> {
-        match block {
-            CachedBlock::Encoded(b) => Some(Arc::clone(b)),
-            CachedBlock::Decoded(_) => None,
-        }
-    }
-    fn charged_bytes(&self) -> u64 {
-        self.byte_size()
-    }
-    fn schema(&self) -> &Schema {
-        self.schema()
-    }
-}
+use vdr_columnar::ScanColumn;
 
 struct Entry {
     /// Content version tag: the container block's crc32.
     crc: u32,
-    /// Lowercased names of the columns this entry holds; `None` means the
-    /// whole block (covers any projection).
-    cols: Option<HashSet<String>>,
-    block: CachedBlock,
-    /// Charged bytes: decoded size for the decoded tier, encoded size for
-    /// the encoded tier.
+    /// The resident columns, by their name in the block.
+    cols: HashMap<String, ScanColumn>,
+    /// Charged bytes: every resident column at its held size.
     bytes: u64,
     last_used: u64,
 }
@@ -108,15 +45,25 @@ struct Entry {
 #[derive(Default)]
 struct Inner {
     entries: HashMap<(usize, String), Entry>,
-    /// Decoded bytes currently cached per node id.
+    /// Charged bytes currently cached per node id.
     bytes_per_node: HashMap<usize, u64>,
     /// Monotonic LRU clock.
     tick: u64,
 }
 
-/// The decoded-block cache. One instance serves the whole database; keys
-/// carry the node id so each node has its own logical cache and byte
-/// budget, as it would on real hardware.
+impl Inner {
+    /// Drop `key`'s entry and give its bytes back to its node's budget.
+    fn remove(&mut self, key: &(usize, String)) -> Option<Entry> {
+        let e = self.entries.remove(key)?;
+        let node = self.bytes_per_node.entry(key.0).or_default();
+        *node = node.saturating_sub(e.bytes);
+        Some(e)
+    }
+}
+
+/// The block cache. One instance serves the whole database; keys carry the
+/// node id so each node has its own logical cache and byte budget, as it
+/// would on real hardware.
 pub struct BlockCache {
     inner: Mutex<Inner>,
     capacity_per_node: AtomicU64,
@@ -127,7 +74,7 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// `capacity_per_node` bounds the decoded bytes each node may cache.
+    /// `capacity_per_node` bounds the charged bytes each node may cache.
     pub fn new(capacity_per_node: u64) -> Self {
         BlockCache {
             inner: Mutex::new(Inner::default()),
@@ -145,111 +92,109 @@ impl BlockCache {
         self.capacity_per_node.store(bytes, Ordering::Relaxed);
     }
 
-    /// Look up the tier-`T` scan product for `(node, path)`. Hits require the
-    /// content tag to match, the entry to be on `T`'s tier, and the cached
-    /// projection to cover `wanted` (`None` = all columns). A tag mismatch
-    /// drops the stale entry and counts an invalidation; an uncovered
-    /// projection or a tier mismatch counts a plain miss (the caller
-    /// re-decodes and the wider/newer entry replaces this one).
-    pub(crate) fn get<T: CacheTier>(
+    /// The resident columns of `(node, path)` among `wanted`, in `wanted`'s
+    /// order (`None` where a column is not resident). Counts one hit when
+    /// every wanted column is resident and one miss otherwise. An entry
+    /// tagged with another crc is dropped first and counts an invalidation.
+    pub(crate) fn get(
         &self,
         node: NodeId,
         path: &str,
         crc: u32,
-        wanted: Option<&HashSet<String>>,
-    ) -> Option<Arc<T>> {
+        wanted: &[&str],
+    ) -> Vec<Option<ScanColumn>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let key = (node.0, path.to_string());
-        if let Some(e) = inner.entries.get_mut(&key) {
-            if e.crc != crc {
-                let bytes = e.bytes;
-                inner.entries.remove(&key);
-                *inner.bytes_per_node.entry(node.0).or_default() -= bytes;
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                vdr_obs::counter_on("scan.cache.invalidated", node.0, 1);
-                vdr_obs::event_on(
-                    "cache.invalidate",
-                    node.0,
-                    format!("path={path} reason=crc"),
-                );
-            } else {
-                let covered = match (&e.cols, wanted) {
-                    (None, _) => true,
-                    (Some(_), None) => false,
-                    (Some(have), Some(want)) => want.iter().all(|w| have.contains(w)),
-                };
-                if let Some(hit) = T::from_block(&e.block).filter(|_| covered) {
-                    e.last_used = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    vdr_obs::counter_on("scan.cache.hit", node.0, 1);
-                    return Some(hit);
-                }
-            }
+        if inner.entries.get(&key).is_some_and(|e| e.crc != crc) {
+            inner.remove(&key);
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            vdr_obs::counter_on("scan.cache.invalidated", node.0, 1);
+            vdr_obs::event_on(
+                "cache.invalidate",
+                node.0,
+                format!("path={path} reason=crc"),
+            );
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        vdr_obs::counter_on("scan.cache.miss", node.0, 1);
-        None
+        let found: Vec<Option<ScanColumn>> = match inner.entries.get(&key) {
+            Some(e) => wanted.iter().map(|w| e.cols.get(*w).cloned()).collect(),
+            None => vec![None; wanted.len()],
+        };
+        if found.iter().all(Option::is_some) {
+            if let Some(e) = inner.entries.get_mut(&key) {
+                e.last_used = tick;
+            }
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            vdr_obs::counter_on("scan.cache.hit", node.0, 1);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            vdr_obs::counter_on("scan.cache.miss", node.0, 1);
+        }
+        found
     }
 
-    /// Cache a scan product on its tier: a decoded batch is charged at its
-    /// decoded byte size, an encoded one at its *encoded* size — the point
-    /// of that tier: a dictionary or RLE column occupies budget at
-    /// compressed size, not expanded size. `cols` is the lowercased set of
-    /// columns the batch holds (`None` for a full decode). Evicts the node's
-    /// least-recently-used entries until the batch fits; a batch larger than
-    /// the whole per-node budget is not cached at all.
-    pub(crate) fn insert<T: CacheTier>(
+    /// Add scanned `cols` (by their name in the block) to the entry of
+    /// `(node, path)` — created, or replaced when it carries another crc —
+    /// then evict the node's least-recently-used other entries until its
+    /// charged bytes fit the budget. Columns that would make the entry alone
+    /// outgrow the whole budget are not cached.
+    pub(crate) fn insert(
         &self,
         node: NodeId,
         path: &str,
         crc: u32,
-        cols: Option<HashSet<String>>,
-        batch: Arc<T>,
+        cols: Vec<(String, ScanColumn)>,
     ) {
-        let bytes = batch.charged_bytes();
-        let block = T::into_block(batch);
         let capacity = self.capacity_per_node.load(Ordering::Relaxed);
-        if bytes > capacity {
-            return;
-        }
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         let key = (node.0, path.to_string());
-        if let Some(old) = inner.entries.remove(&key) {
-            *inner.bytes_per_node.entry(node.0).or_default() -= old.bytes;
+        if inner.entries.get(&key).is_some_and(|e| e.crc != crc) {
+            inner.remove(&key);
         }
-        while inner.bytes_per_node.get(&node.0).copied().unwrap_or(0) + bytes > capacity {
+        let entry = inner.entries.entry(key.clone()).or_insert_with(|| Entry {
+            crc,
+            cols: HashMap::new(),
+            bytes: 0,
+            last_used: tick,
+        });
+        let new: Vec<(String, ScanColumn)> = cols
+            .into_iter()
+            .filter(|(name, _)| !entry.cols.contains_key(name))
+            .collect();
+        let added: u64 = new.iter().map(|(_, c)| c.byte_size()).sum();
+        if entry.bytes + added > capacity {
+            if entry.cols.is_empty() {
+                inner.entries.remove(&key);
+            }
+            return;
+        }
+        entry.cols.extend(new);
+        entry.bytes += added;
+        entry.last_used = tick;
+        *inner.bytes_per_node.entry(node.0).or_default() += added;
+        while inner.bytes_per_node.get(&node.0).copied().unwrap_or(0) > capacity {
             let victim = inner
                 .entries
                 .iter()
-                .filter(|((n, _), _)| *n == node.0)
+                .filter(|((n, p), _)| *n == node.0 && p != path)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone());
             let Some(victim) = victim else { break };
-            let freed = inner.entries.remove(&victim).expect("victim present").bytes;
-            *inner.bytes_per_node.entry(node.0).or_default() -= freed;
+            let Some(evicted) = inner.remove(&victim) else {
+                break;
+            };
             self.evictions.fetch_add(1, Ordering::Relaxed);
             vdr_obs::counter_on("scan.cache.evict", node.0, 1);
             vdr_obs::event_on(
                 "cache.evict",
                 node.0,
-                format!("path={} freed={freed}", victim.1),
+                format!("path={} freed={}", victim.1, evicted.bytes),
             );
         }
-        *inner.bytes_per_node.entry(node.0).or_default() += bytes;
-        inner.entries.insert(
-            key,
-            Entry {
-                crc,
-                cols,
-                block,
-                bytes,
-                last_used: tick,
-            },
-        );
     }
 
     /// Drop every entry (on any node) whose container path starts with
@@ -263,8 +208,9 @@ impl BlockCache {
             .cloned()
             .collect();
         for key in victims {
-            let e = inner.entries.remove(&key).expect("victim present");
-            *inner.bytes_per_node.entry(key.0).or_default() -= e.bytes;
+            if inner.remove(&key).is_none() {
+                continue;
+            }
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             vdr_obs::counter_on("scan.cache.invalidated", key.0, 1);
             vdr_obs::event_on(
@@ -291,7 +237,7 @@ impl BlockCache {
         self.invalidations.load(Ordering::Relaxed)
     }
 
-    /// Number of cached entries across all nodes.
+    /// Number of cached entries (containers) across all nodes.
     pub fn len(&self) -> usize {
         self.inner.lock().entries.len()
     }
@@ -300,18 +246,7 @@ impl BlockCache {
         self.len() == 0
     }
 
-    /// Number of encoded-tier entries across all nodes.
-    pub fn encoded_len(&self) -> usize {
-        self.inner
-            .lock()
-            .entries
-            .values()
-            .filter(|e| matches!(e.block, CachedBlock::Encoded(_)))
-            .count()
-    }
-
-    /// Charged bytes cached on `node` (decoded entries at decoded size,
-    /// encoded entries at encoded size).
+    /// Charged bytes cached on `node`.
     pub fn bytes_on(&self, node: NodeId) -> u64 {
         self.inner
             .lock()
@@ -323,111 +258,19 @@ impl BlockCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use vdr_columnar::{Column, DataType, Schema};
+    use std::sync::Arc;
+    use vdr_columnar::{Batch, Column, DataType, Schema};
 
-    fn batch(rows: i64) -> Arc<Batch> {
-        Arc::new(
-            Batch::new(
-                Schema::of(&[("id", DataType::Int64)]),
-                vec![Column::from_i64((0..rows).collect())],
-            )
-            .unwrap(),
-        )
+    /// A decoded `Int64` column of `rows` values.
+    fn plain(rows: i64) -> ScanColumn {
+        ScanColumn::Decoded(Arc::new(Column::from_i64((0..rows).collect())))
     }
 
-    fn set(names: &[&str]) -> HashSet<String> {
-        names.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn projection_coverage_rules() {
-        let cache = BlockCache::new(1 << 20);
-        let b = batch(10);
-        // Narrow entry serves an equal-or-narrower projection only.
-        cache.insert(
-            NodeId(0),
-            "tables/t/c0",
-            7,
-            Some(set(&["a", "b"])),
-            b.clone(),
-        );
-        assert!(cache
-            .get::<Batch>(NodeId(0), "tables/t/c0", 7, Some(&set(&["a"])))
-            .is_some());
-        assert!(cache
-            .get::<Batch>(NodeId(0), "tables/t/c0", 7, Some(&set(&["a", "b"])))
-            .is_some());
-        assert!(cache
-            .get::<Batch>(NodeId(0), "tables/t/c0", 7, Some(&set(&["c"])))
-            .is_none());
-        assert!(cache
-            .get::<Batch>(NodeId(0), "tables/t/c0", 7, None)
-            .is_none());
-        // Full entry serves everything.
-        cache.insert(NodeId(0), "tables/t/c0", 7, None, b);
-        assert!(cache
-            .get::<Batch>(NodeId(0), "tables/t/c0", 7, None)
-            .is_some());
-        assert!(cache
-            .get::<Batch>(NodeId(0), "tables/t/c0", 7, Some(&set(&["z"])))
-            .is_some());
-    }
-
-    #[test]
-    fn crc_mismatch_invalidates() {
-        let cache = BlockCache::new(1 << 20);
-        cache.insert(NodeId(1), "tables/t/c0", 1, None, batch(5));
-        assert!(cache
-            .get::<Batch>(NodeId(1), "tables/t/c0", 2, None)
-            .is_none());
-        assert_eq!(cache.invalidations(), 1);
-        // The stale entry is gone entirely.
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn nodes_have_separate_budgets_and_lru_eviction() {
-        let b = batch(1000);
-        let size = b.byte_size();
-        // Budget fits exactly two batches per node.
-        let cache = BlockCache::new(size * 2);
-        cache.insert(NodeId(0), "p0", 0, None, b.clone());
-        cache.insert(NodeId(0), "p1", 0, None, b.clone());
-        cache.insert(NodeId(1), "p0", 0, None, b.clone());
-        assert_eq!(cache.len(), 3, "node budgets are independent");
-        // Touch p0 so p1 becomes the LRU victim.
-        assert!(cache.get::<Batch>(NodeId(0), "p0", 0, None).is_some());
-        cache.insert(NodeId(0), "p2", 0, None, b.clone());
-        assert_eq!(cache.evictions(), 1);
-        assert!(
-            cache.get::<Batch>(NodeId(0), "p1", 0, None).is_none(),
-            "LRU evicted"
-        );
-        assert!(cache.get::<Batch>(NodeId(0), "p0", 0, None).is_some());
-        assert!(cache.get::<Batch>(NodeId(0), "p2", 0, None).is_some());
-        assert!(cache.bytes_on(NodeId(0)) <= size * 2);
-        // An oversized batch is refused outright.
-        let tiny = BlockCache::new(8);
-        tiny.insert(NodeId(0), "p", 0, None, b);
-        assert!(tiny.is_empty());
-    }
-
-    #[test]
-    fn prefix_invalidation_hits_all_nodes() {
-        let cache = BlockCache::new(1 << 20);
-        cache.insert(NodeId(0), "tables/t/c0", 0, None, batch(1));
-        cache.insert(NodeId(1), "tables/t/c0", 0, None, batch(1));
-        cache.insert(NodeId(0), "tables/u/c0", 0, None, batch(1));
-        cache.invalidate_prefix("tables/t/");
-        assert_eq!(cache.len(), 1);
-        assert!(cache
-            .get::<Batch>(NodeId(0), "tables/u/c0", 0, None)
-            .is_some());
-    }
-
-    fn encoded_batch(rows: usize) -> Arc<EncodedBatch> {
+    /// A constant `Int64` column of `rows` values, kept in RLE form.
+    fn rle(rows: usize) -> ScanColumn {
         let b = Batch::new(
             Schema::of(&[("k", DataType::Int64)]),
             vec![Column::from_i64(vec![7; rows])],
@@ -435,67 +278,107 @@ mod tests {
         .unwrap();
         let bytes = vdr_columnar::encode_batch(&b);
         let (eb, _) = vdr_columnar::decode_batch_encoded(&bytes, None).unwrap();
-        assert!(eb.num_encoded() > 0, "constant column must stay encoded");
-        Arc::new(eb)
+        let col = eb.columns()[0].clone();
+        assert!(matches!(col, ScanColumn::Encoded(_)), "constant stays RLE");
+        col
     }
 
-    #[test]
-    fn encoded_tier_charges_encoded_bytes() {
-        let eb = encoded_batch(10_000);
-        let decoded_size = batch(10_000).byte_size();
-        assert!(eb.byte_size() * 10 < decoded_size);
-        // A budget far below decoded size still accepts the encoded entry.
-        let cache = BlockCache::new(decoded_size / 4);
-        cache.insert(NodeId(0), "tables/t/c0", 5, None, eb.clone());
-        assert_eq!(cache.encoded_len(), 1);
-        assert_eq!(cache.bytes_on(NodeId(0)), eb.byte_size());
-        assert!(cache
-            .get::<EncodedBatch>(NodeId(0), "tables/t/c0", 5, None)
-            .is_some());
+    fn cols(names: &[&str], col: &ScanColumn) -> Vec<(String, ScanColumn)> {
+        names.iter().map(|n| (n.to_string(), col.clone())).collect()
     }
 
+    fn resident(found: &[Option<ScanColumn>]) -> Vec<bool> {
+        found.iter().map(Option::is_some).collect()
+    }
+
+    /// A scan hits only when every wanted column is resident; a miss still
+    /// returns the resident ones, and the missing ones join the entry.
     #[test]
-    fn tiers_share_keys_but_not_hits() {
+    fn hits_are_per_column() {
         let cache = BlockCache::new(1 << 20);
-        cache.insert(NodeId(0), "tables/t/c0", 5, None, encoded_batch(100));
-        // A decoded-path lookup must not see the encoded entry (tier miss,
-        // not invalidation — the entry survives).
-        assert!(cache
-            .get::<Batch>(NodeId(0), "tables/t/c0", 5, None)
-            .is_none());
-        assert_eq!(cache.invalidations(), 0);
-        assert!(cache
-            .get::<EncodedBatch>(NodeId(0), "tables/t/c0", 5, None)
-            .is_some());
-        // Inserting the decoded form replaces the encoded entry outright.
-        cache.insert(NodeId(0), "tables/t/c0", 5, None, batch(100));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.encoded_len(), 0);
-        assert!(cache
-            .get::<EncodedBatch>(NodeId(0), "tables/t/c0", 5, None)
-            .is_none());
-        assert!(cache
-            .get::<Batch>(NodeId(0), "tables/t/c0", 5, None)
-            .is_some());
-        // crc mismatch invalidates encoded entries just like decoded ones.
-        cache.insert(NodeId(0), "tables/t/c1", 5, None, encoded_batch(100));
-        assert!(cache
-            .get::<EncodedBatch>(NodeId(0), "tables/t/c1", 6, None)
-            .is_none());
+        let path = "tables/t/c0";
+        cache.insert(NodeId(0), path, 7, cols(&["a", "b"], &plain(10)));
+        assert_eq!(resident(&cache.get(NodeId(0), path, 7, &["a"])), [true]);
+        assert_eq!(cache.hits(), 1);
+        let wider = cache.get(NodeId(0), path, 7, &["a", "b", "c"]);
+        assert_eq!(resident(&wider), [true, true, false]);
+        assert_eq!(cache.misses(), 1);
+        cache.insert(NodeId(0), path, 7, cols(&["c"], &plain(10)));
+        let all = cache.get(NodeId(0), path, 7, &["c", "a", "b"]);
+        assert_eq!(resident(&all), [true, true, true]);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 1, 1));
+        assert_eq!(cache.bytes_on(NodeId(0)), plain(10).byte_size() * 3);
+    }
+
+    #[test]
+    fn crc_mismatch_invalidates() {
+        let cache = BlockCache::new(1 << 20);
+        cache.insert(NodeId(1), "tables/t/c0", 1, cols(&["a"], &plain(5)));
+        let found = cache.get(NodeId(1), "tables/t/c0", 2, &["a"]);
+        assert_eq!(resident(&found), [false]);
         assert_eq!(cache.invalidations(), 1);
+        // The stale entry is gone entirely.
+        assert!(cache.is_empty());
+        assert_eq!(cache.bytes_on(NodeId(1)), 0);
     }
 
     #[test]
-    fn prefix_invalidation_covers_both_tiers() {
+    fn nodes_have_separate_budgets_and_lru_eviction() {
+        let col = plain(1000);
+        let size = col.byte_size();
+        // Budget fits exactly two one-column entries per node.
+        let cache = BlockCache::new(size * 2);
+        let one = cols(&["a"], &col);
+        cache.insert(NodeId(0), "p0", 0, one.clone());
+        cache.insert(NodeId(0), "p1", 0, one.clone());
+        cache.insert(NodeId(1), "p0", 0, one.clone());
+        assert_eq!(cache.len(), 3, "node budgets are independent");
+        // Touch p0 so p1 becomes the LRU victim.
+        assert_eq!(resident(&cache.get(NodeId(0), "p0", 0, &["a"])), [true]);
+        cache.insert(NodeId(0), "p2", 0, one.clone());
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(resident(&cache.get(NodeId(0), "p1", 0, &["a"])), [false]);
+        assert_eq!(resident(&cache.get(NodeId(0), "p0", 0, &["a"])), [true]);
+        assert_eq!(resident(&cache.get(NodeId(0), "p2", 0, &["a"])), [true]);
+        assert!(cache.bytes_on(NodeId(0)) <= size * 2);
+        // A second column for p2 evicts p0, never p2 itself.
+        cache.insert(NodeId(0), "p2", 0, cols(&["b"], &col));
+        assert_eq!(cache.evictions(), 2);
+        let p2 = cache.get(NodeId(0), "p2", 0, &["a", "b"]);
+        assert_eq!(resident(&p2), [true, true]);
+        // An entry that would outgrow the whole budget takes no column.
+        cache.insert(NodeId(0), "p2", 0, cols(&["c"], &col));
+        assert_eq!(resident(&cache.get(NodeId(0), "p2", 0, &["c"])), [false]);
+        let tiny = BlockCache::new(8);
+        tiny.insert(NodeId(0), "p", 0, one);
+        assert!(tiny.is_empty());
+    }
+
+    #[test]
+    fn prefix_invalidation_hits_all_nodes() {
         let cache = BlockCache::new(1 << 20);
-        cache.insert(NodeId(0), "tables/t/c0", 0, None, batch(1));
-        cache.insert(NodeId(1), "tables/t/c1", 0, None, encoded_batch(100));
-        cache.insert(NodeId(0), "tables/u/c0", 0, None, encoded_batch(100));
+        cache.insert(NodeId(0), "tables/t/c0", 0, cols(&["a"], &plain(1)));
+        cache.insert(NodeId(1), "tables/t/c0", 0, cols(&["a"], &rle(100)));
+        cache.insert(NodeId(0), "tables/u/c0", 0, cols(&["a"], &plain(1)));
         cache.invalidate_prefix("tables/t/");
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.encoded_len(), 1);
-        assert!(cache
-            .get::<EncodedBatch>(NodeId(0), "tables/u/c0", 0, None)
-            .is_some());
+        assert_eq!(cache.invalidations(), 2);
+        assert_eq!(cache.bytes_on(NodeId(1)), 0);
+        let u = cache.get(NodeId(0), "tables/u/c0", 0, &["a"]);
+        assert_eq!(resident(&u), [true]);
+    }
+
+    /// An RLE column is charged at its run-form size, so a budget far below
+    /// its decoded size still holds it.
+    #[test]
+    fn encoded_columns_charge_encoded_bytes() {
+        let col = rle(10_000);
+        let decoded_size = plain(10_000).byte_size();
+        assert!(col.byte_size() * 10 < decoded_size);
+        let cache = BlockCache::new(decoded_size / 4);
+        cache.insert(NodeId(0), "tables/t/c0", 5, cols(&["k"], &col));
+        assert_eq!(cache.bytes_on(NodeId(0)), col.byte_size());
+        let found = cache.get(NodeId(0), "tables/t/c0", 5, &["k"]);
+        assert_eq!(found, [Some(col)]);
     }
 }

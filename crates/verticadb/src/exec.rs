@@ -5,16 +5,17 @@
 //!
 //! # The plan and the interpreter
 //!
-//! `plan::build` makes every decision a SELECT needs — scan mode,
+//! `plan::build` makes every decision a SELECT needs — scan columns,
 //! merge location, JOIN strategy, UDx instances per node — from the
 //! statement, the catalog and the node count, and returns a tree of
 //! operators. This file runs that tree and decides nothing:
 //!
-//! - **The per-node pipeline** (`pipeline`): containers, decoded or with
-//!   RLE/dictionary columns still encoded, through the WHERE mask into the
-//!   node's one accumulator (`NodeAcc`: projected rows, or a group table).
-//!   A table scan feeds it container after container; a JOIN feeds it the
-//!   joined chunks its probe produces (`exec_join.rs`).
+//! - **The per-node pipeline** (`pipeline`): [`EncodedBatch`]es through the
+//!   WHERE mask into the node's one accumulator (`NodeAcc`: projected rows,
+//!   or a group table). A table scan feeds it container after container; a
+//!   JOIN the joined chunks its probe produces (`exec_join.rs`), and `Local`
+//!   the initiator's rows, both as all-decoded batches whose columns moved
+//!   in without a copy.
 //! - **The Exchange operator** (`exchange`): every node encodes what it
 //!   sends each destination through the block codec, the frames cross
 //!   [`vdr_cluster::exchange_framed`], and every receiver decodes them and
@@ -24,12 +25,18 @@
 //!   broadcast. Gathers to the initiator are charged by `charge_gather`.
 //! - **The initiator's tail**: merge and finalize, Sort, Limit.
 //! - **Transforms** (`OVER (PARTITION …)`): the planned number of UDx
-//!   instances per node, the paper's extension mechanism.
+//!   instances per node, the paper's extension mechanism. Each instance
+//!   scans its slice of the node's containers (`PARTITION BEST`), or all of
+//!   them and keeps the rows whose routing column hashes to it
+//!   (`PARTITION BY`).
 //!
 //! # Compressed execution
 //!
-//! An encoded scan returns [`EncodedBatch`]es whose Rle/Dictionary columns
-//! are still in run/code form. A column-vs-literal comparison over such a
+//! Every reader of a table — the pipeline, both JOIN sides, a Transform
+//! instance — takes the one scan product, [`EncodedBatch`]es whose
+//! Rle/Dictionary columns are still in run/code form
+//! ([`crate::storage::SegmentStore::scan_node`]). A column-vs-literal
+//! comparison over such a
 //! column evaluates once per *run* or per *distinct dictionary code*
 //! ([`kernels::cmp_scalar_rle`] / [`kernels::cmp_scalar_dict`]) with the
 //! decoded kernel's semantics (Int64 exact, floats under IEEE 754) for any
@@ -38,8 +45,13 @@
 //! a `COUNT(DISTINCT col)` over a dictionary column take their ids from the
 //! codes without building or hashing decoded strings. Everything else is
 //! **late-materialized**: a column some expression reads as values decodes
-//! only the rows that survived the filter bitmap (`NodeAcc::push_encoded`).
-//! Results are bit-for-bit those of a decoded scan.
+//! only the rows that survived the filter bitmap (`NodeAcc::push`), and an
+//! eagerly decoded column is read in place when every row survived.
+//!
+//! The ledger follows one rule (`EncodedScanStats`): a column decoded
+//! eagerly is charged per value when a scan decodes it from disk; an RLE or
+//! dictionary column per surviving row when it materializes, whether it
+//! came from the block cache or not; a cache hit decodes nothing.
 //!
 //! # Aggregation and ordering
 //!
@@ -62,6 +74,7 @@ use crate::plan::{self, Exchange, Op, PhysicalPlan, PlanNode, Transform};
 use crate::segmentation::hash_routes;
 use crate::sort;
 use crate::sql::{OrderKey, Partition, SelectItem, SelectStmt, Statement};
+use crate::storage::Slice;
 use crate::udx::UdxContext;
 use bytes::Bytes;
 use rayon::prelude::*;
@@ -71,8 +84,8 @@ use std::sync::Arc;
 use vdr_cluster::{exchange_framed, ClusterError, ExchangeRecv, Node, NodeId, PhaseRecorder};
 use vdr_columnar::kernels::{self, CmpOp};
 use vdr_columnar::{
-    decode_batch_encoded, encode_batch, Batch, Bitmap, Column, DataType, EncodedBatch, Field,
-    ScanColumn, Schema, Value,
+    decode_batch_encoded, encode_batch, Batch, Bitmap, Column, Columns, DataType, EncodedBatch,
+    Field, Materialized, ScanColumn, Schema, Value,
 };
 
 #[path = "exec_join.rs"]
@@ -573,8 +586,11 @@ pub(crate) fn receive(
                         schema.names()
                     )));
                 }
-                let (batch, expanded) = eb
-                    .materialize(&Bitmap::all_valid(eb.num_rows()), None)
+                let all = Bitmap::all_valid(eb.num_rows());
+                let materialized = eb
+                    .materialize(&all, None)
+                    .and_then(|(rows, expanded)| Ok((rows.into_batch()?, expanded)));
+                let (batch, expanded) = materialized
                     .map_err(|e| DbError::Exec(format!("exchange materialize: {e}")))?;
                 Ok((batch, stats.cols_kept_encoded as u64, expanded))
             })
@@ -618,22 +634,15 @@ fn split(results: Vec<NodeResult>) -> (Vec<Batch>, Vec<Partial>) {
     (rows, partials)
 }
 
-/// One input of the per-node pipeline: a container as its scan produced it,
-/// or a batch of joined rows.
-enum Scanned {
-    Decoded(Arc<Batch>),
-    Encoded(Arc<EncodedBatch>),
-}
-
 /// Run the per-node pipeline rooted at `node` — Project or PartialAgg over
 /// an optional Filter over a scan, the initiator's rows or a JOIN — on
 /// every node that holds its input.
 fn fragment(cx: &Cx<'_>, node: &PlanNode) -> Result<Vec<NodeResult>> {
     let (cx, source) = under_filter(cx, input(node)?)?;
     match &source.op {
-        Op::Local(batch) => {
+        Op::Local(rows) => {
             let mut acc = NodeAcc::new(&cx)?;
-            let one = Ok(Scanned::Decoded(Arc::clone(batch)));
+            let one = Ok(rows.clone());
             pipeline(&cx, [one], &mut acc, &mut EncodedScanStats::default())?;
             Ok(vec![acc.finish()?])
         }
@@ -647,71 +656,47 @@ fn fragment(cx: &Cx<'_>, node: &PlanNode) -> Result<Vec<NodeResult>> {
 }
 
 /// The per-node pipeline: every input through the WHERE mask into `acc`.
-/// A decoded batch is filtered (borrowed when every row passes); an encoded
-/// one is masked by the encoded predicate kernels and late-materialized.
-/// Returns the rows in and the rows that passed.
+/// The encoded predicate kernels mask each batch and the survivors
+/// late-materialize. Returns the rows in and the rows that passed.
 fn pipeline(
     cx: &Cx<'_>,
-    inputs: impl IntoIterator<Item = Result<Scanned>>,
+    inputs: impl IntoIterator<Item = Result<EncodedBatch>>,
     acc: &mut NodeAcc<'_>,
     stats: &mut EncodedScanStats,
 ) -> Result<(u64, u64)> {
     let (mut rows_in, mut rows_out) = (0u64, 0u64);
-    for scanned in inputs {
-        match scanned? {
-            Scanned::Decoded(batch) => {
-                rows_in += batch.num_rows() as u64;
-                let kept = filter(cx.filter, &batch)?;
-                rows_out += kept.num_rows() as u64;
-                acc.push(&kept)?;
-            }
-            Scanned::Encoded(eb) => {
-                rows_in += eb.num_rows() as u64;
-                let mask = match cx.filter {
-                    Some(pred) => eval_predicate_encoded(pred, &eb, stats)?,
-                    None => Bitmap::all_valid(eb.num_rows()),
-                };
-                rows_out += mask.count_set() as u64;
-                acc.push_encoded(&eb, &mask, stats)?;
-            }
-        }
+    for eb in inputs {
+        let eb = eb?;
+        rows_in += eb.num_rows() as u64;
+        let mask = filter(cx.filter, &eb, stats)?;
+        rows_out += mask.count_set() as u64;
+        acc.push(&eb, &mask, stats)?;
     }
     Ok((rows_in, rows_out))
 }
 
-/// Apply a WHERE, borrowing the input when nothing is filtered out (no
-/// predicate, or an all-true mask) so cached batches aren't copied.
-fn filter<'a>(pred: Option<&Expr>, batch: &'a Batch) -> Result<Cow<'a, Batch>> {
-    let Some(pred) = pred else {
-        return Ok(Cow::Borrowed(batch));
-    };
-    let mask = pred.eval_predicate(batch)?;
-    if mask.all_set() {
-        Ok(Cow::Borrowed(batch))
-    } else {
-        Ok(Cow::Owned(batch.filter(&mask)?))
+/// The rows of `eb` a WHERE keeps: all of them without one.
+fn filter(pred: Option<&Expr>, eb: &EncodedBatch, stats: &mut EncodedScanStats) -> Result<Bitmap> {
+    match pred {
+        Some(pred) => eval_predicate_encoded(pred, eb, stats),
+        None => Ok(Bitmap::all_valid(eb.num_rows())),
     }
 }
 
-/// One node's scan of `scan`'s table through the pipeline: the containers
-/// decoded, or with RLE/dictionary columns kept encoded as planned.
+/// One node's scan of `scan`'s table through the pipeline.
 fn scan_node(cx: &Cx<'_>, node: &Arc<Node>, scan: &plan::Scan) -> Result<NodeResult> {
     let id = node.id();
     let _s = cx.enter(id.0);
     let mut span = vdr_obs::detail_span_with_parent("exec.scan", cx.span);
     span.set_node(id.0);
-    let storage = cx.db.storage();
-    let wanted = scan.columns.as_ref();
-    let inputs: Vec<Scanned> = if scan.encoded {
-        let found = storage.scan_node_encoded(&scan.table, id, cx.rec, false, wanted)?;
-        found.into_iter().map(Scanned::Encoded).collect()
-    } else {
-        let found = storage.scan_node_projected(&scan.table, id, cx.rec, false, wanted)?;
-        found.into_iter().map(Scanned::Decoded).collect()
-    };
+    let (table, wanted) = (&scan.table, scan.columns.as_ref());
+    let found = cx
+        .db
+        .storage()
+        .scan_node(table, id, Slice::ALL, cx.rec, wanted)?;
     let mut acc = NodeAcc::new(cx)?;
     let mut stats = EncodedScanStats::default();
-    let (rows_in, rows_out) = pipeline(cx, inputs.into_iter().map(Ok), &mut acc, &mut stats)?;
+    let (rows_in, rows_out) = pipeline(cx, found.into_iter().map(Ok), &mut acc, &mut stats)?;
     stats.charge(cx, id);
     span.record("rows_in", rows_in);
     span.record("rows_out", rows_out);
@@ -722,8 +707,9 @@ fn scan_node(cx: &Cx<'_>, node: &Arc<Node>, scan: &plan::Scan) -> Result<NodeRes
 
 // -------------------------------------------------- compressed execution
 
-/// What one node's encoded pipeline did, for the cost ledger and the
-/// `scan.encoded.*` counters.
+/// What one node's readers of a scan did with its encoded columns, for the
+/// cost ledger and the `scan.encoded.*` counters: the pipeline, a JOIN's
+/// sides and a Transform instance each keep one.
 #[derive(Debug, Default)]
 struct EncodedScanStats {
     /// Per-row predicate evaluations avoided by run/code kernels.
@@ -866,7 +852,7 @@ fn decoded_predicate_leaf(e: &Expr, eb: &EncodedBatch) -> Result<Bitmap> {
 
 // --------------------------------------------------- per-node accumulator
 
-/// One node's accumulator for one statement: filtered batches go in,
+/// One node's accumulator for one statement: masked batches go in,
 /// container after container, and a [`NodeResult`] comes out — projected rows
 /// appended to one batch, or one group table updated in place.
 enum NodeAcc<'a> {
@@ -880,24 +866,21 @@ impl<'a> NodeAcc<'a> {
         let (stmt, input) = (&cx.plan.stmt, &cx.plan.input);
         Ok(match &cx.plan.agg {
             Some(plan) => NodeAcc::Agg(Aggregator::new(plan)?),
-            None => NodeAcc::Rows(stmt, project(stmt, &Batch::empty(input.clone()))?),
+            None => {
+                let none = EncodedBatch::from(Batch::empty(input.clone()));
+                let (rows, _) = none.materialize(&Bitmap::all_valid(0), None)?;
+                NodeAcc::Rows(stmt, project(stmt, rows)?)
+            }
         })
     }
 
-    fn push(&mut self, batch: &Batch) -> Result<()> {
-        match self {
-            NodeAcc::Agg(agg) => agg.update(batch),
-            NodeAcc::Rows(stmt, rows) => Ok(rows.extend(&project(stmt, batch)?)?),
-        }
-    }
-
-    /// Take the `mask`-selected rows of an encoded batch. One rule decides
-    /// what materializes: a column, for the survivors only, when some
-    /// expression reads it other than as dictionary codes. A group table
-    /// reads codes for a single dictionary GROUP BY key and for every
-    /// `COUNT(DISTINCT col)` over a dictionary column
-    /// ([`AggPlan::value_columns`]); projected rows read every column.
-    fn push_encoded(
+    /// Take the `mask`-selected rows of `eb`. One rule decides what
+    /// materializes: a column, for the survivors only, when some expression
+    /// reads it other than as dictionary codes. A group table reads codes
+    /// for a single dictionary GROUP BY key and for every `COUNT(DISTINCT
+    /// col)` over a dictionary column ([`AggPlan::value_columns`]);
+    /// projected rows read every column.
+    fn push(
         &mut self,
         eb: &EncodedBatch,
         mask: &Bitmap,
@@ -917,15 +900,15 @@ impl<'a> NodeAcc<'a> {
             NodeAcc::Agg(agg) => {
                 let plan = agg.plan();
                 let values = plan.value_columns(|c| codes(c).is_some());
-                let (batch, _) = eb.materialize(mask, values.as_ref())?;
+                let (selected, _) = eb.materialize(mask, values.as_ref())?;
                 let key_codes = plan.dict_key().is_some_and(|k| codes(k).is_some());
                 stats.late_materialize(eb, rows, key_codes.then(|| plan.arg_columns()));
-                agg.update_selected(&batch, rows, codes)
+                agg.update_selected(&selected, rows, codes)
             }
-            NodeAcc::Rows(..) => {
-                let (batch, _) = eb.materialize(mask, None)?;
+            NodeAcc::Rows(stmt, out) => {
+                let (selected, _) = eb.materialize(mask, None)?;
                 stats.late_materialize(eb, rows, None);
-                self.push(&batch)
+                Ok(out.extend(&project(stmt, selected)?)?)
             }
         }
     }
@@ -943,26 +926,54 @@ impl<'a> NodeAcc<'a> {
 /// them out of the answer.
 const HIDDEN: &str = "__sortkey_";
 
-/// The select list over `batch`, then one hidden column per ORDER BY key.
-fn project(stmt: &SelectStmt, batch: &Batch) -> Result<Batch> {
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    for (name, item) in plan::named_items(&stmt.items, batch.schema()) {
+/// The select list over `rows`, then one hidden column per ORDER BY key.
+fn project(stmt: &SelectStmt, rows: Materialized<'_>) -> Result<Batch> {
+    let mut names = Vec::new();
+    let mut exprs = Vec::new();
+    for (name, item) in plan::named_items(&stmt.items, rows.schema()) {
         let SelectItem::Expr { expr, .. } = item else {
             return Err(DbError::Plan(
                 "aggregates cannot mix with plain columns without GROUP BY".into(),
             ));
         };
-        let col = expr.eval(batch)?.into_owned();
-        fields.push(Field::new(name, col.data_type()));
-        columns.push(col);
+        names.push(name);
+        exprs.push(expr);
     }
     for (i, key) in stmt.order_by.iter().enumerate() {
-        let col = key.expr.eval(batch)?.into_owned();
-        fields.push(Field::new(format!("{HIDDEN}{i}"), col.data_type()));
-        columns.push(col);
+        names.push(format!("{HIDDEN}{i}"));
+        exprs.push(key.expr.clone());
     }
-    Ok(Batch::new(Schema::new(fields), columns)?)
+    let columns = owned_columns(&exprs, rows)?;
+    let fields = names.into_iter().zip(&columns);
+    let fields = fields.map(|(name, col)| Field::new(name, col.data_type()));
+    Ok(Batch::new(Schema::new(fields.collect()), columns)?)
+}
+
+/// Each of `exprs` over `rows` as an owned column. A bare column reference
+/// takes its column out of `rows` unless a later one names it too, so a
+/// column materialized for these rows moves and one borrowed from the scan
+/// is copied once.
+fn owned_columns(exprs: &[Expr], rows: Materialized<'_>) -> Result<Vec<Column>> {
+    let mut out = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        out.push(match e {
+            Expr::Column(_) => None,
+            e => Some(e.eval(&rows)?.into_owned()),
+        });
+    }
+    let (schema, cols) = rows.into_parts();
+    let mut cols: Vec<Option<Cow<'_, Column>>> = cols.into_iter().map(Some).collect();
+    for (i, e) in exprs.iter().enumerate() {
+        let Expr::Column(name) = e else { continue };
+        let slot = cols.get_mut(schema.index_of(name)?).ok_or_else(shape)?;
+        let same = |later: &Expr| matches!(later, Expr::Column(n) if n.eq_ignore_ascii_case(name));
+        out[i] = if exprs[i + 1..].iter().any(same) {
+            slot.as_deref().cloned()
+        } else {
+            slot.take().map(Cow::into_owned)
+        };
+    }
+    out.into_iter().map(|c| c.ok_or_else(shape)).collect()
 }
 
 // --------------------------------------------------------------- transforms
@@ -1024,30 +1035,32 @@ fn transform_instance(
     let mut span = vdr_obs::detail_span_with_parent("exec.transform.instance", cx.span);
     span.set_node(node.0);
     span.record("instance", instance);
-    let (storage, table, wanted) = (cx.db.storage(), &scan.table, scan.columns.as_ref());
-    let raw = match &t.partition {
-        Partition::Best => {
-            storage.scan_node_slice(table, node, instance, instances, cx.rec, false, wanted)?
-        }
-        Partition::By(col) => {
-            let all = storage.scan_node_projected(table, node, cx.rec, instance > 0, wanted)?;
-            let mut mine = Vec::with_capacity(all.len());
-            for b in all {
-                let routes = hash_routes(b.column_by_name(col)?, instances);
-                mine.push(Arc::new(b.take(routes.get(instance).ok_or_else(shape)?)));
-            }
-            mine
-        }
+    let slice = match &t.partition {
+        Partition::Best => Slice {
+            index: instance,
+            count: instances,
+        },
+        Partition::By(_) => Slice::ALL,
     };
-    let mut input = Vec::with_capacity(raw.len());
-    for b in raw {
-        let kept = filter(cx.filter, &b)?;
-        let cols = t.args.iter().map(|e| Ok(e.eval(&kept)?.into_owned()));
-        input.push(Batch::new(
-            t.arg_schema.clone(),
-            cols.collect::<Result<_>>()?,
-        )?);
+    let (table, wanted) = (&scan.table, scan.columns.as_ref());
+    let found = cx
+        .db
+        .storage()
+        .scan_node(table, node, slice, cx.rec, wanted)?;
+    let mut stats = EncodedScanStats::default();
+    let mut input = Vec::with_capacity(found.len());
+    for eb in &found {
+        let mut mask = filter(cx.filter, eb, &mut stats)?;
+        if let Partition::By(col) = &t.partition {
+            mask = mask.and(&route(eb, col, instance, instances)?);
+        }
+        let rows = mask.count_set();
+        let (kept, _) = eb.materialize(&mask, None)?;
+        stats.late_materialize(eb, rows, None);
+        let args = owned_columns(&t.args, kept)?;
+        input.push(Batch::new(t.arg_schema.clone(), args)?);
     }
+    stats.charge(cx, node);
     let ctx = UdxContext {
         node,
         instance,
@@ -1067,6 +1080,21 @@ fn transform_instance(
     vdr_obs::counter_on("exec.transform.rows_in", node.0, rows_in);
     vdr_obs::counter_on("exec.transform.rows_out", node.0, rows_out);
     Ok(out)
+}
+
+/// The rows of `eb` whose `col` hashes to UDx instance `instance` of
+/// `instances`: the routing of `PARTITION BY`.
+fn route(eb: &EncodedBatch, col: &str, instance: usize, instances: usize) -> Result<Bitmap> {
+    let all = Bitmap::all_valid(eb.num_rows());
+    let (key, _) = eb.materialize(&all, Some(&HashSet::from([col.to_string()])))?;
+    let routes = hash_routes(key.column_by_name(col)?, instances);
+    let mut mine = Bitmap::all_clear(eb.num_rows());
+    routes
+        .get(instance)
+        .ok_or_else(shape)?
+        .iter()
+        .for_each(|&r| mine.set(r));
+    Ok(mine)
 }
 
 #[cfg(test)]

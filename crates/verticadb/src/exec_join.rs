@@ -12,8 +12,9 @@
 //! Each node builds one table over its right side's key column — the
 //! aggregator's row hash and `HashIndex`, keys equal as GROUP BY keys are but
 //! NULL never matching — holding each key's rows contiguously, ascending.
-//! The left side streams through it a batch at a time (scanned containers or
-//! decoded partitions, read in place); each joined chunk holds only the
+//! The left side streams through it a batch at a time (scanned containers,
+//! whose eagerly decoded columns are read in place, or received
+//! partitions); each joined chunk holds only the
 //! columns the statement reads (one if none) and goes through the per-node
 //! pipeline into the node's one accumulator. Output order is node order,
 //! then left rows in scan order, then matches by ascending right row,
@@ -52,7 +53,7 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, sides: &[PlanNode]) -> Result<Vec<NodeR
         .filter_map(|(s, to)| to.map(|_| s))
         .collect();
     let schemas: Vec<Schema> = moving.iter().map(|&s| j.sides[s].clone()).collect();
-    type Carry = (Option<Vec<Arc<Batch>>>, Option<Batch>);
+    type Carry = (Option<Vec<EncodedBatch>>, Option<Batch>);
     exchange(
         cx,
         "exec.join.shuffle",
@@ -60,14 +61,18 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, sides: &[PlanNode]) -> Result<Vec<NodeR
         Payload::Rows,
         |node, out| -> Result<Carry> {
             let scan = |s: &plan::Scan| {
-                let storage = cx.db.storage();
-                storage.scan_node_projected(&s.table, node.id(), cx.rec, false, s.columns.as_ref())
+                let (storage, wanted) = (cx.db.storage(), s.columns.as_ref());
+                storage.scan_node(&s.table, node.id(), Slice::ALL, cx.rec, wanted)
             };
+            let mut stats = EncodedScanStats::default();
             let left_rows = scan(left)?;
-            let right_rows = planned(&j.sides[1], &scan(right)?)?;
+            let right_rows = planned(&j.sides[1], &scan(right)?, &mut stats)?;
             let mut carry: Carry = (None, None);
             match to_left {
-                Some(_) => partition(&planned(&j.sides[0], &left_rows)?, &j.keys[0], out)?,
+                Some(_) => {
+                    let rows = planned(&j.sides[0], &left_rows, &mut stats)?;
+                    partition(&rows, &j.keys[0], out)?;
+                }
                 None => carry.0 = Some(left_rows),
             }
             match to_right {
@@ -75,6 +80,7 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, sides: &[PlanNode]) -> Result<Vec<NodeR
                 Some(_) => partition(&right_rows, &j.keys[1], out)?,
                 None => carry.1 = Some(right_rows),
             }
+            stats.charge(cx, node.id());
             Ok(carry)
         },
         |node, carry, received| {
@@ -90,26 +96,28 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, sides: &[PlanNode]) -> Result<Vec<NodeR
                 Some(b) => b,
                 None => Batch::concat(j.sides[1].clone(), &got_right)?,
             };
-            match carry.0 {
-                Some(left) => join_node(cx, node, j, left.iter().map(Arc::as_ref), &right),
-                None => join_node(cx, node, j, &got_left, &right),
-            }
+            let left = match carry.0 {
+                Some(left) => left,
+                None => got_left.into_iter().map(EncodedBatch::from).collect(),
+            };
+            join_node(cx, node, j, left, &right)
         },
     )
 }
 
-/// Scanned batches of one side as one batch of its planned schema. The
-/// block cache may serve a wider batch than was asked for, and an empty
-/// segment serves none: every node must still ship the same columns.
-fn planned(schema: &Schema, batches: &[Arc<Batch>]) -> Result<Batch> {
-    let names = schema.names();
+/// One side's scanned containers as one batch of its planned schema, which
+/// every node ships whole, an empty segment included. An encoded column
+/// materializes here, once.
+fn planned(
+    schema: &Schema,
+    scanned: &[EncodedBatch],
+    stats: &mut EncodedScanStats,
+) -> Result<Batch> {
     let mut out = Batch::empty(schema.clone());
-    for b in batches {
-        if b.schema() == schema {
-            out.extend(b)?;
-        } else {
-            out.extend(&b.project(&names)?)?;
-        }
+    for eb in scanned {
+        let all = Bitmap::all_valid(eb.num_rows());
+        stats.late_materialize(eb, eb.num_rows(), None);
+        out.extend(&eb.materialize(&all, None)?.0)?;
     }
     Ok(out)
 }
@@ -128,31 +136,38 @@ fn partition(batch: &Batch, key: &str, out: &mut Outbox) -> Result<()> {
 
 /// Build the node's table over `right`, stream every `left` batch through it
 /// — probe, gather the joined columns — into the per-node pipeline, and
-/// charge the node's build + probe work once.
-fn join_node<'b>(
+/// charge the node's build + probe work once. A left batch's decoded columns
+/// are read in place; an encoded key or joined column materializes once.
+fn join_node(
     cx: &Cx<'_>,
     node: &Arc<Node>,
     j: &Join,
-    left: impl IntoIterator<Item = &'b Batch>,
+    left: Vec<EncodedBatch>,
     right: &Batch,
 ) -> Result<NodeResult> {
     let mut span = vdr_obs::detail_span_with_parent("exec.join.node", cx.span);
     span.set_node(node.id().0);
     let table = BuildTable::new(right.column_by_name(&j.keys[1])?)?;
     let mut acc = NodeAcc::new(cx)?;
+    let mut stats = EncodedScanStats::default();
+    for eb in &left {
+        stats.late_materialize(eb, eb.num_rows(), None);
+    }
     let (mut left_rows, mut out_rows) = (0, 0);
-    let chunks = left.into_iter().map(|batch| {
-        let (li, ri) = table.probe(j.kind, batch.column_by_name(&j.keys[0])?)?;
-        left_rows += batch.num_rows();
+    let chunks = left.iter().map(|eb| {
+        let (rows, _) = eb.materialize(&Bitmap::all_valid(eb.num_rows()), None)?;
+        let (li, ri) = table.probe(j.kind, rows.column_by_name(&j.keys[0])?)?;
+        left_rows += eb.num_rows();
         out_rows += li.len();
         let cols = j.cols.iter().map(|(side, name)| match side {
-            Side::Left => Ok(gather(batch.column_by_name(name)?, &li)),
+            Side::Left => Ok(gather(rows.column_by_name(name)?, &li)),
             Side::Right => Ok(gather(right.column_by_name(name)?, &ri)),
         });
         let chunk = Batch::new(cx.plan.input.clone(), cols.collect::<Result<_>>()?)?;
-        Ok(Scanned::Decoded(Arc::new(chunk)))
+        Ok(EncodedBatch::from(chunk))
     });
-    pipeline(cx, chunks, &mut acc, &mut EncodedScanStats::default())?;
+    pipeline(cx, chunks, &mut acc, &mut stats)?;
+    stats.charge(cx, node.id());
     // Build + probe cost: one hash/compare per build row and per probe row,
     // plus per-output-row materialization, at scan-value cost.
     let work = (left_rows + right.num_rows() + out_rows) as f64;

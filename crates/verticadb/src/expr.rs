@@ -1,4 +1,5 @@
-//! Scalar expressions and their vectorized evaluation over batches.
+//! Scalar expressions and their vectorized evaluation over batches, or
+//! over the rows a scan materialized (anything [`Columns`]).
 //!
 //! One evaluator: every operator is a typed loop over column data, and
 //! comparisons and arithmetic are `vdr_columnar::kernels`. An operand is a
@@ -14,7 +15,7 @@ use crate::error::{DbError, Result};
 use std::borrow::Cow;
 use std::fmt;
 use vdr_columnar::kernels::{self, ArithOp, CmpOp, KernelError};
-use vdr_columnar::{Batch, Bitmap, Column, DataType, Value};
+use vdr_columnar::{Batch, Bitmap, Column, Columns, DataType, Value};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,7 +234,7 @@ impl Expr {
 
     /// Evaluate over every row of `batch`, producing a column of the same
     /// length, borrowed when the expression names a column.
-    pub fn eval<'a>(&self, batch: &'a Batch) -> Result<Cow<'a, Column>> {
+    pub fn eval<'a, B: Columns + ?Sized>(&self, batch: &'a B) -> Result<Cow<'a, Column>> {
         Ok(match self.datum(batch)? {
             Datum::Col(col) => col,
             // The one broadcast: a constant result, as in `SELECT 1`.
@@ -251,7 +252,7 @@ impl Expr {
     /// all-false left arm short-circuits an AND (and an all-true left arm
     /// an OR) without evaluating the right arm. Every other predicate is
     /// its is-TRUE mask from the one evaluator.
-    pub fn eval_predicate(&self, batch: &Batch) -> Result<Bitmap> {
+    pub fn eval_predicate<B: Columns + ?Sized>(&self, batch: &B) -> Result<Bitmap> {
         match self {
             Expr::Binary {
                 op: op @ (BinOp::And | BinOp::Or),
@@ -271,7 +272,7 @@ impl Expr {
     }
 
     /// This expression over `batch` as an operand.
-    fn datum<'a>(&self, batch: &'a Batch) -> Result<Datum<'a>> {
+    fn datum<'a, B: Columns + ?Sized>(&self, batch: &'a B) -> Result<Datum<'a>> {
         let n = batch.num_rows();
         match self {
             Expr::Column(name) => Ok(Datum::Col(Cow::Borrowed(batch.column_by_name(name)?))),
@@ -323,7 +324,7 @@ impl Expr {
     }
 
     /// A boolean expression as a Bool column.
-    fn bool_datum<'a>(&self, batch: &Batch) -> Result<Datum<'a>> {
+    fn bool_datum<'a, B: Columns + ?Sized>(&self, batch: &B) -> Result<Datum<'a>> {
         let (t, f) = self.logic(batch)?;
         let mut data = vec![false; t.len()];
         t.for_each_set(|i| data[i] = true);
@@ -333,7 +334,7 @@ impl Expr {
 
     /// A boolean expression over every row of `batch` as its (is TRUE,
     /// is FALSE) masks.
-    fn logic(&self, batch: &Batch) -> Result<(Bitmap, Bitmap)> {
+    fn logic<B: Columns + ?Sized>(&self, batch: &B) -> Result<(Bitmap, Bitmap)> {
         let n = batch.num_rows();
         let negate =
             |(t, f): (Bitmap, Bitmap), negated: bool| if negated { (f, t) } else { (t, f) };

@@ -22,7 +22,7 @@
 //! | `slow_requests`             | statements over the slow-query threshold  |
 //! | `storage_containers`        | ROS containers per table/node/column with |
 //! |                             | encoding + encoded/decoded byte sizes     |
-//! | `block_cache`               | decoded-block cache stats (PR 3)          |
+//! | `block_cache`               | block cache stats                         |
 //! | `dfs_objects`               | DFS object store listing                  |
 //! | `model_cache`               | prediction model cache stats (registered  |
 //! |                             | by `vdr-core` alongside the UDx funcs)    |

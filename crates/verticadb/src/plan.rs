@@ -6,10 +6,7 @@
 //! exchanges (PlanBuilder → StagePlan → Interpreter). Every choice lives
 //! here and only here:
 //!
-//! - **Scan mode.** A scan keeps RLE/dictionary columns encoded when the
-//!   WHERE is an And/Or tree of column-vs-literal comparisons, or when there
-//!   is no WHERE but a GROUP BY ([`encoded_execution_eligible`]). It decodes
-//!   only the columns the statement reads.
+//! - **Scan columns.** A scan reads only the columns the statement reads.
 //! - **Merge location.** A GROUP BY whose key holds the table's segmentation
 //!   column merges on the initiator (its partials are node-disjoint); so do
 //!   global aggregates and one-node clusters. Any other GROUP BY ships its
@@ -30,7 +27,7 @@ use crate::agg::AggPlan;
 use crate::catalog::TableDef;
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
-use crate::expr::{BinOp, Expr};
+use crate::expr::Expr;
 use crate::segmentation::Segmentation;
 use crate::sql::{JoinClause, JoinKind, OrderKey, Partition, SelectItem, SelectStmt};
 use crate::udx::TransformFunction;
@@ -38,7 +35,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use vdr_cluster::PhaseRecorder;
-use vdr_columnar::{Batch, DataType, Field, Schema, Value};
+use vdr_columnar::{Batch, DataType, EncodedBatch, Field, Schema, Value};
 
 /// One SELECT's physical plan: the operator tree and the statement its
 /// operators evaluate.
@@ -61,7 +58,7 @@ pub(crate) struct PlanNode {
 pub(crate) enum Op {
     /// Rows the initiator already holds: a FROM-less SELECT's one row, a
     /// `v_monitor` table or `R_Models`.
-    Local(Arc<Batch>),
+    Local(EncodedBatch),
     Scan(Scan),
     Filter(Expr),
     /// The select list, plus one hidden column per ORDER BY key.
@@ -81,10 +78,8 @@ pub(crate) enum Op {
 /// A table scan on every node.
 pub(crate) struct Scan {
     pub(crate) table: String,
-    /// The lowercased columns it decodes; `None` decodes every column.
+    /// The lowercased columns it reads; `None` reads every column.
     pub(crate) columns: Option<HashSet<String>>,
-    /// RLE/dictionary columns stay in run/code form.
-    pub(crate) encoded: bool,
     /// The table's rows and stored bytes, from its container metadata.
     pub(crate) rows: u64,
     pub(crate) bytes: u64,
@@ -193,8 +188,7 @@ pub(crate) fn build(
     }
     let def = db.catalog().get(table)?;
     let stmt = resolve_order_by(stmt, &def.schema)?.into_owned();
-    let (cols, encoded) = (referenced_columns(&stmt), encoded_execution_eligible(&stmt));
-    let scan = scan(db, &def, cols, encoded);
+    let scan = scan(db, &def, referenced_columns(&stmt));
     let aligned = match &def.segmentation {
         Segmentation::Hash { column } => stmt
             .group_by
@@ -205,18 +199,12 @@ pub(crate) fn build(
     finish(db, stmt, def.schema.clone(), scan, aligned)
 }
 
-fn scan(
-    db: &VerticaDb,
-    def: &TableDef,
-    columns: Option<HashSet<String>>,
-    encoded: bool,
-) -> PlanNode {
+fn scan(db: &VerticaDb, def: &TableDef, columns: Option<HashSet<String>>) -> PlanNode {
     let scan = Scan {
         rows: db.storage().segment_rows(&def.name).iter().sum(),
         bytes: db.storage().segment_bytes(&def.name).iter().sum(),
         table: def.name.clone(),
         columns,
-        encoded,
     };
     node(Op::Scan(scan), vec![])
 }
@@ -331,7 +319,7 @@ fn build_transform(
         arg_schema,
         out_schema,
     };
-    let plan = filtered(stmt, scan(db, &def, Some(cols), false));
+    let plan = filtered(stmt, scan(db, &def, Some(cols)));
     let plan = limit(stmt, node(Op::Transform(transform), vec![plan]));
     Ok(PhysicalPlan {
         root: plan,
@@ -497,7 +485,7 @@ fn build_join(db: &VerticaDb, stmt: &SelectStmt, j: &JoinClause) -> Result<Physi
         _ => [hash, hash],
     };
     let sides = [0, 1].map(|s| {
-        let side = scan(db, &defs[s], wanted[s].clone(), false);
+        let side = scan(db, &defs[s], wanted[s].clone());
         match moves[s] {
             Some(to) => node(Op::Exchange(to), vec![side]),
             None => side,
@@ -520,38 +508,6 @@ fn build_join(db: &VerticaDb, stmt: &SelectStmt, j: &JoinClause) -> Result<Physi
 }
 
 // ------------------------------------------------------------ planner rules
-
-/// Is `e` a predicate the encoded evaluator handles natively: an And/Or tree
-/// whose leaves are boolean literals or column-vs-literal comparisons (either
-/// operand order)? Anything else (LIKE, IN, col-vs-col, arithmetic inside
-/// the comparison) needs fully decoded columns.
-fn encodable_predicate(e: &Expr) -> bool {
-    match e {
-        Expr::Literal(Value::Bool(_)) => true,
-        Expr::Binary {
-            op: BinOp::And | BinOp::Or,
-            left,
-            right,
-        } => encodable_predicate(left) && encodable_predicate(right),
-        Expr::Binary { op, left, right } if op.is_comparison() => matches!(
-            (&**left, &**right),
-            (Expr::Column(_), Expr::Literal(_)) | (Expr::Literal(_), Expr::Column(_))
-        ),
-        _ => false,
-    }
-}
-
-/// The encoded-vs-decoded decision for a table scan. Encoded execution pays
-/// off when the filter can run per run/code (encodable WHERE) or when a
-/// GROUP BY can aggregate over dictionary codes; a bare full-table SELECT
-/// gains nothing from the detour, so it stays decoded (whose cache tier it
-/// already warms).
-fn encoded_execution_eligible(stmt: &SelectStmt) -> bool {
-    match &stmt.where_clause {
-        Some(w) => encodable_predicate(w),
-        None => !stmt.group_by.is_empty(),
-    }
-}
 
 fn add_expr_columns(set: &mut HashSet<String>, e: &Expr) {
     set.extend(e.columns().iter().map(|c| c.to_ascii_lowercase()));
@@ -667,7 +623,7 @@ fn resolve_order_by<'a>(stmt: &'a SelectStmt, input: &Schema) -> Result<Cow<'a, 
 
 impl PhysicalPlan {
     /// The tree, one row per operator in pre-order: its depth, its name, what
-    /// it decided (scan mode, exchange kind, JOIN strategy, UDx instances),
+    /// it decided (scan columns, exchange kind, JOIN strategy, UDx instances),
     /// and for a scan the rows and stored bytes its container metadata
     /// records.
     pub(crate) fn explain(&self) -> Result<Batch> {
@@ -707,11 +663,10 @@ fn explain_rows(plan: &PlanNode, depth: i64, keys: &[String], out: &mut Vec<Vec<
     let (op, detail) = match &plan.op {
         Op::Local(_) => ("Local", "initiator".to_string()),
         Op::Scan(s) => {
-            let mode = if s.encoded { "encoded" } else { "decoded" };
             let mut cols: Vec<String> = s.columns.iter().flatten().cloned().collect();
             cols.sort_unstable();
             let cols = s.columns.as_ref().map_or("*".into(), |_| list(&cols));
-            ("Scan", format!("{} {mode} ({cols})", s.table))
+            ("Scan", format!("{} ({cols})", s.table))
         }
         Op::Filter(e) => ("Filter", e.to_string()),
         Op::Project => ("Project", String::new()),
@@ -862,37 +817,7 @@ mod tests {
         rows.map(line).collect()
     }
 
-    #[test]
-    fn planner_rule_picks_encoded_only_for_eligible_shapes() {
-        let eligible = |sql: &str| match crate::sql::parse(sql).unwrap() {
-            Statement::Select(s) => encoded_execution_eligible(&s),
-            other => panic!("expected SELECT, got {other:?}"),
-        };
-        for sql in [
-            "SELECT id FROM t WHERE grp = 1",
-            "SELECT count(*) FROM t WHERE 1 <= grp AND tag = 'b'",
-            "SELECT tag, count(*) FROM t GROUP BY tag",
-        ] {
-            assert!(eligible(sql), "{sql}");
-        }
-        for sql in [
-            // No WHERE, no GROUP BY: plain scans stay decoded (and keep
-            // warming the decoded cache tier).
-            "SELECT * FROM t",
-            // Column-vs-column comparison.
-            "SELECT id FROM t WHERE grp = id",
-            // Arithmetic inside the comparison.
-            "SELECT id FROM t WHERE grp + 1 = 2",
-            // LIKE / IN / NOT need decoded values.
-            "SELECT id FROM t WHERE tag LIKE 'a%'",
-            "SELECT id FROM t WHERE grp IN (1, 2)",
-            "SELECT id FROM t WHERE NOT grp = 1",
-        ] {
-            assert!(!eligible(sql), "{sql}");
-        }
-    }
-
-    /// One plan per shape the loop's statements take: the scan mode, the
+    /// One plan per shape the loop's statements take: the scan columns, the
     /// merge location, the JOIN strategy and the UDx instances each names.
     #[test]
     fn every_statement_shape_plans_as_designed() {
@@ -905,7 +830,7 @@ mod tests {
                     "  Exchange gather",
                     "    PartialAgg",
                     "      Filter (grp = 3)",
-                    "        Scan fact_rr encoded (grp, v)",
+                    "        Scan fact_rr (grp, v)",
                 ],
             ),
             (
@@ -915,7 +840,7 @@ mod tests {
                     "  Exchange gather",
                     "    PartialAgg",
                     "      Filter (v < 25)",
-                    "        Scan fact_rr encoded (v)",
+                    "        Scan fact_rr (v)",
                 ],
             ),
             (
@@ -925,7 +850,7 @@ mod tests {
                     "  Sort v DESC, k",
                     "    Exchange gather",
                     "      Project",
-                    "        Scan fact_rr decoded (k, v)",
+                    "        Scan fact_rr (k, v)",
                 ],
             ),
             (
@@ -935,7 +860,7 @@ mod tests {
                     "  FinalAgg",
                     "    Exchange hash(tag)",
                     "      PartialAgg",
-                    "        Scan fact_rr encoded (tag, v)",
+                    "        Scan fact_rr (tag, v)",
                 ],
             ),
             (
@@ -944,7 +869,7 @@ mod tests {
                     "FinalAgg",
                     "  Exchange gather",
                     "    PartialAgg",
-                    "      Scan fact_seg encoded (k, v)",
+                    "      Scan fact_seg (k, v)",
                 ],
             ),
             (
@@ -954,7 +879,7 @@ mod tests {
                     "  FinalAgg",
                     "    Exchange hash(k)",
                     "      PartialAgg",
-                    "        Scan fact_rr encoded (k, tag, v)",
+                    "        Scan fact_rr (k, tag, v)",
                 ],
             ),
             (
@@ -965,9 +890,9 @@ mod tests {
                     "    PartialAgg",
                     "      HashJoin inner shuffle_both on k = k",
                     "        Exchange hash(k)",
-                    "          Scan fact_rr decoded (k, v)",
+                    "          Scan fact_rr (k, v)",
                     "        Exchange hash(k)",
-                    "          Scan fact_rr decoded (k)",
+                    "          Scan fact_rr (k)",
                 ],
             ),
             (
@@ -978,8 +903,8 @@ mod tests {
                     "    PartialAgg",
                     "      HashJoin inner shuffle_left on k = k",
                     "        Exchange hash(k)",
-                    "          Scan fact_rr decoded (k)",
-                    "        Scan fact_seg decoded (k)",
+                    "          Scan fact_rr (k)",
+                    "        Scan fact_seg (k)",
                 ],
             ),
             (
@@ -991,8 +916,8 @@ mod tests {
                     "    Exchange hash(a.tag)",
                     "      PartialAgg",
                     "        HashJoin inner colocated on k = k",
-                    "          Scan fact_seg decoded (k, tag)",
-                    "          Scan fact_seg decoded (k)",
+                    "          Scan fact_seg (k, tag)",
+                    "          Scan fact_seg (k)",
                 ],
             ),
             (
@@ -1002,9 +927,9 @@ mod tests {
                     "  Project",
                     "    Filter (f.v > 1)",
                     "      HashJoin inner broadcast_right on k = k",
-                    "        Scan fact_rr decoded (k, v)",
+                    "        Scan fact_rr (k, v)",
                     "        Exchange broadcast",
-                    "          Scan small decoded (grp, k)",
+                    "          Scan small (grp, k)",
                 ],
             ),
             (
@@ -1014,9 +939,9 @@ mod tests {
                     "  Exchange gather",
                     "    PartialAgg",
                     "      HashJoin left shuffle_right on k = k",
-                    "        Scan fact_seg decoded (k)",
+                    "        Scan fact_seg (k)",
                     "        Exchange hash(k)",
-                    "          Scan small decoded (k)",
+                    "          Scan small (k)",
                 ],
             ),
             (
@@ -1025,14 +950,14 @@ mod tests {
                     "Exchange gather",
                     "  Project",
                     "    Filter (k < 8)",
-                    "      Scan fact_seg encoded (k, v)",
+                    "      Scan fact_seg (k, v)",
                 ],
             ),
             (
                 "SELECT Echo(v USING PARAMETERS p='1') OVER (PARTITION BEST) FROM fact_rr",
                 &[
                     "Transform Echo partition best instances [2, 2, 2, 2]",
-                    "  Scan fact_rr decoded (v)",
+                    "  Scan fact_rr (v)",
                 ],
             ),
             (
@@ -1041,7 +966,7 @@ mod tests {
                     "Limit offset 0 limit 5",
                     "  Transform Echo partition by k instances [12, 12, 12, 12]",
                     "    Filter (grp > 1)",
-                    "      Scan fact_rr decoded (grp, k, v)",
+                    "      Scan fact_rr (grp, k, v)",
                 ],
             ),
             (
@@ -1083,8 +1008,8 @@ mod tests {
             "  Exchange gather",
             "    PartialAgg",
             "      HashJoin inner colocated on k = k",
-            "        Scan a decoded (k)",
-            "        Scan b decoded (k)",
+            "        Scan a (k)",
+            "        Scan b (k)",
         ];
         assert_eq!(got, want);
     }
@@ -1165,10 +1090,7 @@ mod tests {
             .collect();
         assert_eq!(rows.len(), tree(&db, sql).len());
         let scan = rows.last().unwrap();
-        assert_eq!(
-            scan[..3],
-            [4.into(), "Scan".into(), "fact_rr encoded (tag)".into()]
-        );
+        assert_eq!(scan[..3], [4.into(), "Scan".into(), "fact_rr (tag)".into()]);
         let bytes: u64 = db.storage().segment_bytes("fact_rr").iter().sum();
         assert_eq!(scan[3..], [256.into(), (bytes as i64).into()]);
         assert!(rows[..4].iter().all(|r| r[3].is_null() && r[4].is_null()));

@@ -1,41 +1,40 @@
 //! Segment storage: each node stores its table segment as a series of
 //! encoded, checksummed columnar *containers* (ROS-style) on its simulated
-//! disk.
+//! disk, and [`SegmentStore::scan_node`] is the one way to read them back.
 //!
-//! The scan path does three things a naive "read + decode everything"
-//! loop would not:
+//! A scan returns one [`EncodedBatch`] per container:
 //!
-//! * **Projection pushdown** — callers pass the set of referenced columns
-//!   and only those payloads are decoded
-//!   ([`vdr_columnar::decode_batch_columns`]); decode CPU is charged per
-//!   *decoded* value, not per stored value.
-//! * **Decoded-block cache** — a node-local LRU of decoded batches keyed by
+//! * **Projection pushdown** — only the `wanted` columns are read; decode
+//!   CPU is charged per *decoded* value, not per stored value.
+//! * **Compressed execution** — Plain and DeltaVarint columns decode
+//!   eagerly; RLE and dictionary columns stay in run/code form until a
+//!   reader needs their values, which charges their decode then
+//!   (`exec.rs`, `EncodedScanStats`).
+//! * **Block cache** — a node-local LRU of scanned columns keyed by
 //!   `(node, container path)` and validated by the container's crc32
-//!   ([`crate::blockcache::BlockCache`]). Hits charge a memory-speed
-//!   `disk_cached_read` and zero decode CPU.
+//!   ([`crate::blockcache::BlockCache`]). A container whose wanted columns
+//!   are all resident charges a memory-speed `disk_cached_read` and zero
+//!   decode CPU; otherwise the scan decodes only the missing columns.
 //! * **Parallel container decode** — each node's containers are decoded on
 //!   the rayon pool, mirroring a real node's per-core scan threads.
-//! * **Compressed execution** — [`SegmentStore::scan_node_encoded`] returns
-//!   [`EncodedBatch`]es whose Rle/Dictionary columns stay in run/code form
-//!   for the executor's encoded kernels and late materialization; those
-//!   entries cache at *encoded* size on the block cache's encoded tier.
 
-use crate::blockcache::{BlockCache, CacheTier};
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use crate::blockcache::BlockCache;
 use crate::catalog::TableDef;
 use crate::error::{DbError, Result};
 use parking_lot::RwLock;
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 use vdr_cluster::{NodeId, PhaseRecorder, SimCluster};
 use vdr_columnar::{
-    block_checksum, block_column_info, decode_batch_columns, decode_batch_encoded, encode_batch,
-    encoding::Encoding, Batch, DecodeStats, EncodedBatch, Schema,
+    block_checksum, block_column_info, decode_batch_encoded, encode_batch, encoding::Encoding,
+    Batch, EncodedBatch, Field, Schema,
 };
 
-/// Fraction of a node's RAM given to the decoded-block cache (1/32 of the
+/// Fraction of a node's RAM given to the block cache (1/32 of the
 /// profile's `mem_bytes` — the rest belongs to the resource pools).
 const CACHE_MEM_FRACTION: u64 = 32;
 
@@ -65,9 +64,38 @@ pub struct ContainerMeta {
     pub columns: Vec<ColumnStat>,
 }
 
-/// A block decoder restricted to the wanted columns: the plain
-/// ([`decode_batch_columns`]) or the encoded ([`decode_batch_encoded`]) one.
-type DecodeFn<T> = fn(&[u8], Option<&HashSet<String>>) -> vdr_columnar::Result<(T, DecodeStats)>;
+impl ContainerMeta {
+    /// The block's names of the columns a scan reads, in block order:
+    /// those `wanted` names (case-insensitively; `None` is every column),
+    /// or, when that is none of them, the one with the smallest payload, so
+    /// the scan still carries the row count (`SELECT count(*)` needs rows,
+    /// not values) — the block decoder's rule, decided before the cache
+    /// probe.
+    fn read(&self, wanted: Option<&HashSet<String>>) -> Vec<&str> {
+        let is_wanted =
+            |name: &str| wanted.is_none_or(|w| w.iter().any(|n| n.eq_ignore_ascii_case(name)));
+        let names = self.columns.iter().map(|c| c.name.as_str());
+        let read: Vec<&str> = names.filter(|n| is_wanted(n)).collect();
+        if !read.is_empty() {
+            return read;
+        }
+        let cheapest = self.columns.iter().min_by_key(|c| c.encoded_bytes);
+        cheapest.map(|c| c.name.as_str()).into_iter().collect()
+    }
+}
+
+/// Which of a node's containers a scan reads: container `i` belongs to
+/// slice `i % count`, so concurrent UDx instances never share one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slice {
+    pub index: usize,
+    pub count: usize,
+}
+
+impl Slice {
+    /// Every container.
+    pub const ALL: Slice = Slice { index: 0, count: 1 };
+}
 
 /// Per-table, per-node container lists.
 #[derive(Default)]
@@ -93,7 +121,7 @@ impl SegmentStore {
         }
     }
 
-    /// The node-local decoded-block cache (stats + capacity control).
+    /// The node-local block cache (stats + capacity control).
     pub fn block_cache(&self) -> &BlockCache {
         &self.cache
     }
@@ -132,14 +160,15 @@ impl SegmentStore {
         let tm = meta.entry(key.clone()).or_insert_with(|| TableMeta {
             segments: vec![Vec::new(); self.cluster.num_nodes()],
         });
-        if tm.segments.len() != self.cluster.num_nodes() {
-            return Err(DbError::Exec("cluster size changed under storage".into()));
-        }
-        let idx = tm.segments[node.0].len();
-        let path = format!("tables/{key}/c{idx:06}");
+        let nodes = tm.segments.len();
+        let segment = match tm.segments.get_mut(node.0) {
+            Some(s) if nodes == self.cluster.num_nodes() => s,
+            _ => return Err(DbError::Exec("cluster size changed under storage".into())),
+        };
+        let path = format!("tables/{key}/c{:06}", segment.len());
         self.cluster.node(node).disk().write(path.clone(), block);
         rec.disk_write(node, bytes);
-        tm.segments[node.0].push(ContainerMeta {
+        segment.push(ContainerMeta {
             path,
             rows: batch.num_rows() as u64,
             bytes,
@@ -149,13 +178,14 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Containers of `table` on `node`.
+    /// Containers of `table` on `node` (none on a node the table does not
+    /// span).
     pub fn containers(&self, table: &str, node: NodeId) -> Vec<ContainerMeta> {
-        self.meta
-            .read()
+        let meta = self.meta.read();
+        let segment = meta
             .get(&Self::key(table))
-            .map(|tm| tm.segments[node.0].clone())
-            .unwrap_or_default()
+            .and_then(|tm| tm.segments.get(node.0));
+        segment.cloned().unwrap_or_default()
     }
 
     /// Rows of `table` held by each node.
@@ -189,131 +219,105 @@ impl SegmentStore {
         }
     }
 
-    /// Read and decode every container of `table` on `node`, charging cold
-    /// disk reads (or cached re-reads) and decode CPU to `rec`. Projection
-    /// pushdown: only the columns named in `wanted` are decoded (`None`
-    /// decodes all).
+    /// [`Self::scan_node`] over every container; `_cached` is ignored. Kept
+    /// only for the benchmark's scan probe, which calls it by this name.
     pub fn scan_node_projected(
         &self,
         table: &str,
         node: NodeId,
         rec: &PhaseRecorder,
-        cached: bool,
+        _cached: bool,
         wanted: Option<&HashSet<String>>,
-    ) -> Result<Vec<Arc<Batch>>> {
-        self.scan_node_slice(table, node, 0, 1, rec, cached, wanted)
+    ) -> Result<Vec<EncodedBatch>> {
+        self.scan_node(table, node, Slice::ALL, rec, wanted)
     }
 
-    /// Read the containers assigned to UDx instance `slice` of `num_slices`
-    /// on `node` (containers are dealt round-robin to instances, so
-    /// concurrent instances never share a container), decoding only the
-    /// `wanted` columns (`None` = all). Containers are decoded in parallel
-    /// on the rayon pool; cache hits skip decode entirely.
-    #[allow(clippy::too_many_arguments)]
-    pub fn scan_node_slice(
+    /// Read `slice` of `table`'s containers on `node`: the `wanted` columns
+    /// (`None` = all) of each, in block order, charging `rec` for the disk
+    /// read and the eager decode. Resident columns come from the block
+    /// cache; a container with some missing decodes only those, on the
+    /// node's rayon pool, and caches them.
+    pub fn scan_node(
         &self,
         table: &str,
         node: NodeId,
-        slice: usize,
-        num_slices: usize,
+        slice: Slice,
         rec: &PhaseRecorder,
-        cached: bool,
         wanted: Option<&HashSet<String>>,
-    ) -> Result<Vec<Arc<Batch>>> {
-        self.scan_containers(
-            table,
-            node,
-            slice,
-            num_slices,
-            rec,
-            cached,
-            wanted,
-            decode_batch_columns,
-        )
-    }
-
-    /// Compressed-execution scan: like [`Self::scan_node_projected`] but
-    /// Rle/Dictionary columns stay in run/code form
-    /// ([`vdr_columnar::decode_batch_encoded`]). Decode CPU is charged only
-    /// for the eagerly decoded (Plain/DeltaVarint) columns — encoded
-    /// columns' expansion is charged later, at late materialization, for
-    /// surviving rows only. Results cache on the block cache's encoded
-    /// tier, at encoded byte size.
-    pub fn scan_node_encoded(
-        &self,
-        table: &str,
-        node: NodeId,
-        rec: &PhaseRecorder,
-        cached: bool,
-        wanted: Option<&HashSet<String>>,
-    ) -> Result<Vec<Arc<EncodedBatch>>> {
-        self.scan_containers(table, node, 0, 1, rec, cached, wanted, decode_batch_encoded)
-    }
-
-    /// The one container-scan body: cache probe on `T`'s tier, else disk
-    /// read, `decode` and cache insert, with every charge to `rec`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_containers<T: CacheTier + Send + Sync>(
-        &self,
-        table: &str,
-        node: NodeId,
-        slice: usize,
-        num_slices: usize,
-        rec: &PhaseRecorder,
-        cached: bool,
-        wanted: Option<&HashSet<String>>,
-        decode: DecodeFn<T>,
-    ) -> Result<Vec<Arc<T>>> {
-        assert!(slice < num_slices, "slice index out of range");
-        let wanted_lc = lowercase_set(wanted);
+    ) -> Result<Vec<EncodedBatch>> {
+        if slice.index >= slice.count {
+            let Slice { index, count } = slice;
+            return Err(DbError::Exec(format!("scan slice {index} of {count}")));
+        }
         let containers = self.containers(table, node);
-        let disk = self.cluster.node(node).disk();
-        let scan_cost = self.cluster.profile().costs.db_scan_ns_per_value;
-        let cols_skipped = AtomicU64::new(0);
-        let out: Vec<Arc<T>> = containers
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % num_slices == slice)
+        let mine = containers.iter().enumerate();
+        let mine: Vec<&ContainerMeta> = mine
+            .filter(|(i, _)| i % slice.count == slice.index)
             .map(|(_, c)| c)
-            .collect::<Vec<_>>()
+            .collect();
+        let cols_skipped = AtomicU64::new(0);
+        let out = mine
             .par_iter()
-            .map(|c| -> Result<Arc<T>> {
-                if let Some(hit) = self.cache.get(node, &c.path, c.crc, wanted_lc.as_ref()) {
-                    // The scan product is already resident: memory-speed
-                    // re-read of the container, no decode CPU at all.
-                    rec.disk_cached_read(node, c.bytes);
-                    return Ok(hit);
-                }
-                let raw = disk.read(&c.path)?;
-                if cached {
-                    rec.disk_cached_read(node, c.bytes);
-                } else {
-                    rec.disk_read(node, c.bytes);
-                }
-                let started = Instant::now();
-                let (batch, stats) = decode(&raw, wanted_lc.as_ref())?;
-                let values = stats.values_decoded();
-                rec.cpu_work(node, values as f64, scan_cost);
-                if values > 0 {
-                    vdr_obs::observe_on(
-                        "scan.decode.ns_per_value",
-                        node.0,
-                        started.elapsed().as_nanos() as f64 / values as f64,
-                    );
-                }
-                cols_skipped.fetch_add(stats.cols_skipped() as u64, Ordering::Relaxed);
-                let batch = Arc::new(batch);
-                let cache_cols = cached_columns(&stats, batch.schema());
-                self.cache
-                    .insert(node, &c.path, c.crc, cache_cols, Arc::clone(&batch));
-                Ok(batch)
-            })
+            .map(|c| self.scan_container(c, node, rec, wanted, &cols_skipped))
             .collect::<Result<Vec<_>>>()?;
         let skipped = cols_skipped.load(Ordering::Relaxed);
         if skipped > 0 {
             vdr_obs::counter_on("exec.scan.cols_skipped", node.0, skipped);
         }
         Ok(out)
+    }
+
+    /// One container of [`Self::scan_node`]: a cache hit, or a disk read
+    /// that decodes the columns the cache lacks.
+    fn scan_container(
+        &self,
+        c: &ContainerMeta,
+        node: NodeId,
+        rec: &PhaseRecorder,
+        wanted: Option<&HashSet<String>>,
+        cols_skipped: &AtomicU64,
+    ) -> Result<EncodedBatch> {
+        let names = c.read(wanted);
+        let mut found = self.cache.get(node, &c.path, c.crc, &names);
+        let missing: HashSet<String> = names
+            .iter()
+            .zip(&found)
+            .filter(|(_, col)| col.is_none())
+            .map(|(name, _)| name.to_string())
+            .collect();
+        if missing.is_empty() {
+            // Every wanted column is resident: memory-speed re-read of the
+            // container, no decode CPU at all.
+            rec.disk_cached_read(node, c.bytes);
+        } else {
+            let raw = self.cluster.node(node).disk().read(&c.path)?;
+            rec.disk_read(node, c.bytes);
+            let started = Instant::now();
+            let (decoded, stats) = decode_batch_encoded(&raw, Some(&missing))?;
+            let values = stats.values_decoded();
+            let scan_cost = self.cluster.profile().costs.db_scan_ns_per_value;
+            rec.cpu_work(node, values as f64, scan_cost);
+            if values > 0 {
+                let ns = started.elapsed().as_nanos() as f64 / values as f64;
+                vdr_obs::observe_on("scan.decode.ns_per_value", node.0, ns);
+            }
+            let skipped = c.columns.len() - names.len();
+            cols_skipped.fetch_add(skipped as u64, Ordering::Relaxed);
+            for (slot, name) in found.iter_mut().zip(&names) {
+                if slot.is_none() {
+                    *slot = Some(decoded.column_by_name(name)?.clone());
+                }
+            }
+            let fields = decoded.schema().fields().iter();
+            let new = fields
+                .map(|f| f.name.clone())
+                .zip(decoded.columns().to_vec());
+            self.cache.insert(node, &c.path, c.crc, new.collect());
+        }
+        let cols: Vec<_> = found.into_iter().flatten().collect();
+        let fields = names.iter().zip(&cols);
+        let schema = Schema::new(fields.map(|(n, c)| Field::new(*n, c.data_type())).collect());
+        Ok(EncodedBatch::new(schema, c.rows as usize, cols)?)
     }
 
     /// Remove `table`'s containers everywhere (disk and block cache).
@@ -353,28 +357,8 @@ impl SegmentStore {
     }
 }
 
-/// The projection set, lowercased once so the block cache's coverage check
-/// is a plain set test.
-fn lowercase_set(wanted: Option<&HashSet<String>>) -> Option<HashSet<String>> {
-    wanted.map(|w| w.iter().map(|s| s.to_ascii_lowercase()).collect())
-}
-
-/// Which columns a block-cache entry covers: `None` when the scan produced
-/// every column of the block, otherwise the (lowercased) names it did.
-fn cached_columns(stats: &DecodeStats, schema: &Schema) -> Option<HashSet<String>> {
-    if stats.cols_skipped() == 0 {
-        return None;
-    }
-    Some(
-        schema
-            .fields()
-            .iter()
-            .map(|f| f.name.to_ascii_lowercase())
-            .collect(),
-    )
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::segmentation::Segmentation;
@@ -396,10 +380,9 @@ mod tests {
         PhaseRecorder::new("t", PhaseKind::Sequential, n)
     }
 
-    /// A cold scan of every column of `table` on `node`.
-    fn scan(s: &SegmentStore, table: &str, node: NodeId, rec: &PhaseRecorder) -> Vec<Arc<Batch>> {
-        s.scan_node_projected(table, node, rec, false, None)
-            .unwrap()
+    /// A scan of every column of `table` on `node`.
+    fn scan(s: &SegmentStore, table: &str, node: NodeId, rec: &PhaseRecorder) -> Vec<EncodedBatch> {
+        s.scan_node(table, node, Slice::ALL, rec, None).unwrap()
     }
 
     fn ids(n: i64) -> Batch {
@@ -482,7 +465,7 @@ mod tests {
         store2.load(&def, vec![wide(4000)], &rec(1)).unwrap();
         let narrow = rec(1);
         let batches = store2
-            .scan_node_projected("w", NodeId(0), &narrow, false, Some(&set(&["id"])))
+            .scan_node("w", NodeId(0), Slice::ALL, &narrow, Some(&set(&["id"])))
             .unwrap();
         let narrow_cpu = narrow.finish(cluster.profile()).total_cpu_core_ns;
 
@@ -514,8 +497,11 @@ mod tests {
         );
     }
 
+    /// A cached wide scan serves a narrower one by column, and the scan
+    /// returns exactly the columns it asked for; a wider scan then decodes
+    /// only the column the entry lacks.
     #[test]
-    fn wide_cached_batch_serves_narrow_projection() {
+    fn projections_hit_by_column() {
         let cluster = SimCluster::for_tests(1);
         let store = SegmentStore::new(cluster.clone());
         let def = TableDef {
@@ -524,14 +510,25 @@ mod tests {
             segmentation: Segmentation::RoundRobin,
         };
         store.load(&def, vec![wide(100)], &rec(1)).unwrap();
-        scan(&store, "w", NodeId(0), &rec(1));
-        let r = rec(1);
-        let batches = store
-            .scan_node_projected("w", NodeId(0), &r, false, Some(&set(&["A"])))
+        let ab = set(&["a", "B"]);
+        store
+            .scan_node("w", NodeId(0), Slice::ALL, &rec(1), Some(&ab))
             .unwrap();
-        assert!(store.block_cache().hits() > 0);
-        // Served from the full-decode entry: all columns present.
-        assert_eq!(batches[0].num_columns(), 4);
+        let r = rec(1);
+        let narrow = store.scan_node("w", NodeId(0), Slice::ALL, &r, Some(&set(&["A"])));
+        assert_eq!(narrow.unwrap()[0].schema().names(), vec!["a"]);
+        assert_eq!(store.block_cache().hits(), 1);
+        assert_eq!(r.finish(cluster.profile()).total_cpu_core_ns, 0.0);
+        let r = rec(1);
+        let wider = store.scan_node("w", NodeId(0), Slice::ALL, &r, Some(&set(&["a", "c"])));
+        assert_eq!(wider.unwrap()[0].schema().names(), vec!["a", "c"]);
+        assert_eq!(store.block_cache().misses(), 2);
+        let one_column = scan_cost(&cluster) * 100.0;
+        assert_eq!(r.finish(cluster.profile()).total_cpu_core_ns, one_column);
+    }
+
+    fn scan_cost(cluster: &SimCluster) -> f64 {
+        cluster.profile().costs.db_scan_ns_per_value
     }
 
     #[test]
@@ -612,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn encoded_scan_keeps_rle_columns_and_caches_encoded() {
+    fn scan_keeps_rle_columns_and_caches_them_encoded() {
         let cluster = SimCluster::for_tests(1);
         let store = SegmentStore::new(cluster.clone());
         let schema = Schema::of(&[("grp", DataType::Int64), ("x", DataType::Float64)]);
@@ -633,37 +630,28 @@ mod tests {
         store.load(&def, vec![batch], &rec(1)).unwrap();
 
         let r = rec(1);
-        let ebs = store
-            .scan_node_encoded("lc", NodeId(0), &r, false, None)
-            .unwrap();
+        let ebs = scan(&store, "lc", NodeId(0), &r);
         assert_eq!(ebs.len(), 1);
         assert_eq!(ebs[0].num_encoded(), 1, "grp stays in run form");
         let cold = r.finish(cluster.profile());
         assert!(cold.total_disk_read > 0);
+        // Only the plain column decoded at scan.
+        assert_eq!(cold.total_cpu_core_ns, scan_cost(&cluster) * n as f64);
 
-        // The entry sits on the encoded tier at encoded size — well below
-        // the fully decoded footprint (the plain float column still costs
-        // full size; the RLE column shrinks to a handful of runs).
-        assert_eq!(store.block_cache().encoded_len(), 1);
+        // The entry is charged at the size its columns are held in — well
+        // below the fully decoded footprint (the plain float column still
+        // costs full size; the RLE column shrinks to a handful of runs).
+        assert_eq!(store.block_cache().len(), 1);
         assert_eq!(store.block_cache().bytes_on(NodeId(0)), ebs[0].byte_size());
         let full_mask = vdr_columnar::Bitmap::all_valid(ebs[0].num_rows());
         let (full, _) = ebs[0].materialize(&full_mask, None).unwrap();
-        assert!(ebs[0].byte_size() * 3 < full.byte_size() * 2);
+        assert!(ebs[0].byte_size() * 3 < full.into_batch().unwrap().byte_size() * 2);
 
-        // Re-scan: encoded-tier hit, zero decode CPU.
+        // Re-scan: a hit, zero decode CPU.
         let r2 = rec(1);
-        store
-            .scan_node_encoded("lc", NodeId(0), &r2, false, None)
-            .unwrap();
-        assert!(store.block_cache().hits() > 0);
+        scan(&store, "lc", NodeId(0), &r2);
+        assert_eq!(store.block_cache().hits(), 1);
         assert_eq!(r2.finish(cluster.profile()).total_cpu_core_ns, 0.0);
-
-        // A decoded-path scan of the same container misses (tier mismatch)
-        // and replaces the entry with a decoded one.
-        let r3 = rec(1);
-        scan(&store, "lc", NodeId(0), &r3);
-        assert_eq!(store.block_cache().encoded_len(), 0);
-        assert_eq!(store.block_cache().len(), 1);
     }
 
     #[test]
@@ -697,8 +685,9 @@ mod tests {
             .sum();
         let mut sliced = 0;
         for s in 0..4 {
+            let slice = Slice { index: s, count: 4 };
             sliced += store
-                .scan_node_slice("t", node, s, 4, &r, false, None)
+                .scan_node("t", node, slice, &r, None)
                 .unwrap()
                 .iter()
                 .map(|b| b.num_rows())
@@ -706,6 +695,23 @@ mod tests {
         }
         assert_eq!(full, sliced);
         let _ = cluster;
+    }
+
+    /// A slice past the instance count is an error, not a panic.
+    #[test]
+    fn out_of_range_slice_is_an_error() {
+        let (_, store, def) = setup();
+        let r = rec(3);
+        store.load(&def, vec![ids(30)], &r).unwrap();
+        for index in [4, 5] {
+            let slice = Slice { index, count: 4 };
+            let got = store.scan_node("t", NodeId(0), slice, &r, None);
+            assert!(matches!(got, Err(DbError::Exec(_))), "{got:?}");
+        }
+        let none = Slice { index: 0, count: 0 };
+        assert!(store.scan_node("t", NodeId(0), none, &r, None).is_err());
+        // A node the table does not span holds no container.
+        assert!(store.containers("t", NodeId(9)).is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Differential oracle for aggregation and ordering: the engine's answer must
 //! equal a row-at-a-time reference over `Vec<Vec<Value>>` — no segmentation,
 //! no encoding, no exchange — whatever the node count, the segmentation, and
-//! the physical path the statement's shape selects (encoded or decoded scan,
-//! dictionary GROUP BY, `COUNT(DISTINCT)` over dictionary codes, shuffled or
+//! the physical path the statement's shape selects (encoded or decoded
+//! predicate leaves, dictionary GROUP BY, `COUNT(DISTINCT)` over dictionary codes, shuffled or
 //! initiator merge, each JOIN strategy), and
 //! row for row under `ORDER BY … LIMIT … OFFSET` on plain, grouped and joined
 //! rows. INNER and LEFT JOIN get a matrix of their own — every key type,
@@ -18,10 +18,13 @@ use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use vertica_dr::cluster::SimCluster;
+use vertica_dr::cluster::{NodeId, SimCluster};
+use vertica_dr::columnar::encoding::Encoding;
 use vertica_dr::columnar::{Batch, DataType, Schema, Value};
 use vertica_dr::obs::MetricsSnapshot;
+use vertica_dr::verticadb::expr::{BinOp, Expr};
 use vertica_dr::verticadb::segmentation::hash_value;
+use vertica_dr::verticadb::sql::Statement;
 use vertica_dr::verticadb::{DbError, Segmentation, TableDef, VerticaDb};
 
 /// The metrics registry is process-global and the path census below reads
@@ -240,9 +243,6 @@ struct Case {
     nkeys: usize,
     types: Vec<DataType>,
     want: Vec<Vec<Value>>,
-    /// The WHERE is not an And/Or tree of column-vs-literal comparisons, so
-    /// the scan must stay decoded: no `scan.encoded.*` counter may move.
-    decoded: bool,
 }
 
 type Agg = (&'static str, Func, usize);
@@ -285,7 +285,6 @@ fn agg_case(
         nkeys: keys.len(),
         types: keys.iter().map(|&k| cols[k].1).chain(agg_types).collect(),
         want: reference(&kept, keys, &funcs),
-        decoded: false,
     }
 }
 
@@ -344,62 +343,37 @@ fn int_is(v: &Value, keep: fn(i64) -> bool) -> bool {
 /// single key — `s` is the dictionary one, `i` the segmentation one — and
 /// two key pairs}.
 fn t_cases(t: &[Vec<Value>]) -> Vec<Case> {
-    let preds: [(Option<Pred>, bool); 13] = [
-        (None, false),
-        (
-            Some(("s <> 'b' AND x >= 1", |r| {
-                text(&r[S]).is_some_and(|s| s != "b") && num(&r[X]) >= 1.0
-            })),
-            false,
-        ),
+    let preds: [Option<Pred>; 13] = [
+        None,
+        Some(("s <> 'b' AND x >= 1", |r| {
+            text(&r[S]).is_some_and(|s| s != "b") && num(&r[X]) >= 1.0
+        })),
         // Integers compare as integers, floats under IEEE 754: NaN equals
         // nothing, so it is `<>` everything, and `-0.0 = 0.0`.
-        (
-            Some(("i = 9007199254740993", |r| int_is(&r[I], |i| i == BIG + 1))),
-            false,
-        ),
-        (
-            Some(("i > 9007199254740992", |r| int_is(&r[I], |i| i > BIG))),
-            false,
-        ),
-        (
-            Some(("i <> 9007199254740993", |r| int_is(&r[I], |i| i != BIG + 1))),
-            false,
-        ),
-        (Some(("f = 1.5", |r| num(&r[F]) == 1.5)), false),
-        (Some(("f < 0.0", |r| num(&r[F]) < 0.0)), false),
-        (
-            Some(("f <> 1.5", |r| !r[F].is_null() && num(&r[F]) != 1.5)),
-            false,
-        ),
-        // Arithmetic and LIKE need decoded values.
-        (Some(("x + 1 > 2", |r| num(&r[X]) + 1.0 > 2.0)), true),
-        (
-            Some(("s LIKE 'a%'", |r| {
-                text(&r[S]).is_some_and(|s| s.starts_with('a'))
-            })),
-            true,
-        ),
+        Some(("i = 9007199254740993", |r| int_is(&r[I], |i| i == BIG + 1))),
+        Some(("i > 9007199254740992", |r| int_is(&r[I], |i| i > BIG))),
+        Some(("i <> 9007199254740993", |r| int_is(&r[I], |i| i != BIG + 1))),
+        Some(("f = 1.5", |r| num(&r[F]) == 1.5)),
+        Some(("f < 0.0", |r| num(&r[F]) < 0.0)),
+        Some(("f <> 1.5", |r| !r[F].is_null() && num(&r[F]) != 1.5)),
+        // Arithmetic and LIKE read materialized values.
+        Some(("x + 1 > 2", |r| num(&r[X]) + 1.0 > 2.0)),
+        Some(("s LIKE 'a%'", |r| {
+            text(&r[S]).is_some_and(|s| s.starts_with('a'))
+        })),
         // Prefix NOT over a comparison and the postfix predicates: NOT of
         // NULL is NULL, so a NULL operand keeps no row.
-        (
-            Some(("NOT s = 'b'", |r| text(&r[S]).is_some_and(|s| s != "b"))),
-            true,
-        ),
-        (Some(("NOT x IS NULL", |r| !r[X].is_null())), true),
-        (
-            Some(("NOT i IN (-1, 0, 1)", |r| {
-                !r[I].is_null() && ![-1.0, 0.0, 1.0].contains(&num(&r[I]))
-            })),
-            true,
-        ),
+        Some(("NOT s = 'b'", |r| text(&r[S]).is_some_and(|s| s != "b"))),
+        Some(("NOT x IS NULL", |r| !r[X].is_null())),
+        Some(("NOT i IN (-1, 0, 1)", |r| {
+            !r[I].is_null() && ![-1.0, 0.0, 1.0].contains(&num(&r[I]))
+        })),
     ];
     let key_sets: [&[usize]; 7] = [&[], &[I], &[F], &[B], &[S], &[I, S], &[F, B]];
     let mut cases = Vec::new();
-    for (pred, decoded) in preds {
+    for pred in preds {
         for keys in key_sets {
-            let case = agg_case(("t", &COLS, t), pred, keys, &AGGS, "");
-            cases.push(Case { decoded, ..case });
+            cases.push(agg_case(("t", &COLS, t), pred, keys, &AGGS, ""));
         }
     }
     cases
@@ -609,7 +583,6 @@ fn order_cases(
                     nkeys: 0,
                     types: types.to_vec(),
                     want: ordered(rows.to_vec(), keys, limit, offset),
-                    decoded: false,
                 });
             }
         }
@@ -807,16 +780,13 @@ fn encoded_cases(lc: &[Vec<Value>], st: &[Vec<Value>]) -> Vec<Case> {
                 .filter(|r| num(&r[GRP]) == 1.0)
                 .map(|r| vec![r[0].clone(), r[2].clone()])
                 .collect(),
-            decoded: false,
         },
     ]
 }
 
-/// What `EXPLAIN` says the plan of `sql` does: whether a scan keeps
-/// columns encoded, whether a GROUP BY merges after a shuffle
-/// (`FinalAgg` over a hash exchange), and the JOIN strategy.
+/// What `EXPLAIN` says the plan of `sql` does: whether a GROUP BY merges
+/// after a shuffle (`FinalAgg` over a hash exchange), and the JOIN strategy.
 struct Planned {
-    encoded: bool,
     shuffled: bool,
     join: Option<String>,
 }
@@ -834,9 +804,6 @@ fn planned(db: &VerticaDb, sql: &str) -> Planned {
         w[0].0 == "FinalAgg" && w[1].0 == "Exchange" && w[1].1.starts_with("hash")
     };
     Planned {
-        encoded: rows
-            .iter()
-            .any(|(op, detail)| op == "Scan" && detail.contains(" encoded ")),
         shuffled: rows.windows(2).any(shuffle),
         join: rows
             .iter()
@@ -845,11 +812,98 @@ fn planned(db: &VerticaDb, sql: &str) -> Planned {
     }
 }
 
+/// The columns the encoded predicate kernels may take in `pred`: each leaf
+/// of its And/Or tree that compares a column with a literal, in either
+/// operand order.
+fn leaf_columns(pred: &Expr, out: &mut Vec<String>) {
+    use BinOp::{And, Eq, Ge, Gt, Le, Lt, Ne, Or};
+    match pred {
+        Expr::Binary {
+            op: And | Or,
+            left,
+            right,
+        } => {
+            leaf_columns(left, out);
+            leaf_columns(right, out);
+        }
+        Expr::Binary {
+            op: Eq | Ne | Lt | Le | Gt | Ge,
+            left,
+            right,
+        } => {
+            if let (Expr::Column(c), Expr::Literal(_)) | (Expr::Literal(_), Expr::Column(c)) =
+                (&**left, &**right)
+            {
+                out.push(c.clone());
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Whether some encodable leaf of `sql`'s WHERE compares a column that a
+/// container of its table stores run-length or dictionary encoded.
+fn encodable_leaf_over_encoded_column(db: &VerticaDb, sql: &str) -> bool {
+    let Statement::Select(select) = vertica_dr::verticadb::sql::parse(sql).unwrap() else {
+        panic!("{sql} is not a SELECT");
+    };
+    let (Some(table), Some(pred)) = (&select.from, &select.where_clause) else {
+        return false;
+    };
+    let mut leaves = Vec::new();
+    leaf_columns(pred, &mut leaves);
+    let stored_encoded = |col: &String| {
+        (0..db.cluster().num_nodes()).any(|n| {
+            let containers = db.storage().containers(table, NodeId(n));
+            containers.iter().flat_map(|c| &c.columns).any(|stat| {
+                stat.name.eq_ignore_ascii_case(col)
+                    && matches!(stat.encoding, Encoding::Rle | Encoding::Dictionary)
+            })
+        })
+    };
+    leaves.iter().any(stored_encoded)
+}
+
+/// The kernel census of one statement's metric delta: its WHERE ran the
+/// run or code kernels (`scan.encoded.{runs_skipped,runs_bsearched,
+/// codes_tested}` moved) exactly when an encodable leaf compares an RLE or
+/// dictionary column. Returns whether they ran.
+fn census(db: &VerticaDb, case: &Case, delta: &MetricsSnapshot, ctx: &str) -> bool {
+    let kernels = [
+        "scan.encoded.runs_skipped",
+        "scan.encoded.runs_bsearched",
+        "scan.encoded.codes_tested",
+    ];
+    let ran = kernels.iter().map(|k| delta.counter_total(k)).sum::<u64>() > 0;
+    let want = encodable_leaf_over_encoded_column(db, &case.sql);
+    assert_eq!(ran, want, "kernel census: {} on {ctx}", case.sql);
+    ran
+}
+
+/// `case` again after a narrower and after a wider scan of its table warmed
+/// a cleared block cache: the same answer, and the same kernel census,
+/// whichever columns the cache holds.
+fn check_warm(db: &VerticaDb, case: &Case, ctx: &str) {
+    let Statement::Select(select) = vertica_dr::verticadb::sql::parse(&case.sql).unwrap() else {
+        panic!("{} is not a SELECT", case.sql);
+    };
+    let table = select.from.unwrap().to_ascii_lowercase();
+    for warm in ["count(*)", "*"] {
+        let cache = db.storage().block_cache();
+        cache.invalidate_prefix(&format!("tables/{table}/"));
+        db.query(&format!("SELECT {warm} FROM {table}")).unwrap();
+        let ctx = format!("{ctx}, after SELECT {warm}");
+        census(db, case, &check(db, case, &ctx), &ctx);
+    }
+}
+
 /// Every physical path the executor can select is selected by some statement
 /// of the matrix — read off each statement's metric delta — and every answer
-/// equals the reference. `EXPLAIN` names the scan mode, merge location and
-/// JOIN strategy the counters show: the counters check what ran, the plan
-/// what was decided.
+/// equals the reference, cold and after a narrower and a wider scan warmed
+/// the cache. The run and code kernels run exactly where an encodable leaf
+/// meets an RLE or dictionary column, and `EXPLAIN` names the merge location
+/// and JOIN strategy the counters show: the counters check what ran, the
+/// plan what was decided.
 #[test]
 fn every_physical_path_runs_and_matches_the_reference() {
     let _guard = metrics_lock();
@@ -881,19 +935,18 @@ fn every_physical_path_runs_and_matches_the_reference() {
                 let count = |name: &str| delta.counter_total(name);
                 let codes = count("scan.encoded.codes_tested");
                 let late = count("scan.encoded.late_materialized_rows");
-                let encoded = codes + late + count("scan.encoded.runs_skipped");
                 assert!(count("exec.scan.rows") > 0, "{} on {ctx}", case.sql);
                 let plan = planned(&db, &case.sql);
-                assert!(plan.encoded || encoded == 0, "{} on {ctx}", case.sql);
-                assert!(!(case.decoded && plan.encoded), "{} on {ctx}", case.sql);
                 let shuffled = count("exec.groupby.shuffled") > 0;
                 assert_eq!(plan.shuffled, shuffled, "{} on {ctx}", case.sql);
                 assert_eq!(plan.join, None, "{} on {ctx}", case.sql);
-                if case.decoded {
-                    assert_eq!(encoded, 0, "{} on {ctx}", case.sql);
-                    seen.insert("decoded scan");
-                } else if encoded > 0 {
-                    seen.insert("encoded scan");
+                if census(&db, case, &delta, &ctx) {
+                    seen.insert("encoded predicate");
+                } else if case.sql.contains(" WHERE ") {
+                    seen.insert("decoded predicate");
+                }
+                if late > 0 {
+                    seen.insert("late materialization");
                 }
                 // A single dictionary key takes its group ids from the
                 // codes the predicate tested: nothing late-materializes.
@@ -906,6 +959,7 @@ fn every_physical_path_runs_and_matches_the_reference() {
                 } else if case.nkeys > 0 && nodes > 1 {
                     seen.insert("initiator merge");
                 }
+                check_warm(&db, case, &ctx);
             }
             // `exchange.rows` counts what every node received, its own
             // partition included.
@@ -920,12 +974,13 @@ fn every_physical_path_runs_and_matches_the_reference() {
             seen.insert(path);
             let plan = planned(&db, &join.sql);
             assert_eq!(plan.join.as_deref(), Some(strategy), "{ctx}");
-            assert!(!plan.encoded && !plan.shuffled, "{ctx}");
+            assert!(!plan.shuffled, "{ctx}");
         }
     }
     let all = [
-        "encoded scan",
-        "decoded scan",
+        "encoded predicate",
+        "decoded predicate",
+        "late materialization",
         "dictionary GROUP BY",
         "shuffled merge",
         "initiator merge",
@@ -938,8 +993,9 @@ fn every_physical_path_runs_and_matches_the_reference() {
 }
 
 /// A `COUNT(DISTINCT)` over a dictionary column with no other reader of it
-/// plans an encoded scan whenever the statement has a WHERE or a GROUP BY,
-/// on every node count and segmentation, and answers as the reference does.
+/// reads its codes, on every node count and segmentation, cold and after a
+/// narrower and a wider scan warmed the cache, and answers as the reference
+/// does; its WHERE runs the dictionary kernel.
 #[test]
 fn count_distinct_over_codes_plans_an_encoded_scan() {
     let _guard = metrics_lock();
@@ -953,10 +1009,9 @@ fn count_distinct_over_codes_plans_an_encoded_scan() {
             let db = load_t_d(nodes, &seg, &t, &[]);
             let ctx = format!("{nodes} nodes, {seg:?}");
             for case in &cases {
-                check(&db, case, &ctx);
-                let filtered_or_grouped = case.sql.contains(" WHERE ") || case.nkeys > 0;
-                let plan = planned(&db, &case.sql);
-                assert_eq!(plan.encoded, filtered_or_grouped, "{} on {ctx}", case.sql);
+                let ran = census(&db, case, &check(&db, case, &ctx), &ctx);
+                assert_eq!(ran, case.sql.contains(" WHERE "), "{} on {ctx}", case.sql);
+                check_warm(&db, case, &ctx);
             }
         }
     }
@@ -1143,7 +1198,6 @@ fn join_matrix(l: &[(usize, usize)], r: &[(usize, usize)]) -> BTreeSet<Moves> {
                             .filter(|(_, full)| filter.is_none_or(|(_, keep)| keep(full)))
                             .map(|(row, _)| row)
                             .collect(),
-                        decoded: false,
                     };
                     let positive: Pred = ("x + w > 0", |r| num(&r[2]) + num(&r[5]) > 0.0);
                     let aggs = [

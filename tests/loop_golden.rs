@@ -15,6 +15,15 @@
 //! never regenerated from the code under test — same rule as
 //! `tests/glm_golden.rs`. A plan or operator refactor that moves
 //! one of them changed what the cost model charges.
+//!
+//! The rows marked `moved:` changed when every scan became encoded and the
+//! block cache began to hit per column; each note names the cause. A
+//! *per-column hit* is a container whose wanted columns were all resident,
+//! or whose resident ones no longer decode, where the old cache missed on
+//! the other tier or on an uncovered projection (or served a wider entry
+//! whose extra RLE column was charged). The *ledger rule* charges an RLE or
+//! dictionary column per surviving row when it materializes, cache hit or
+//! not, where a decoded scan used to charge it at scan and never on a hit.
 
 use std::sync::Arc;
 use vertica_dr::cluster::{PhaseKind, PhaseRecorder, PhaseReport, SimCluster};
@@ -181,37 +190,32 @@ const GOLDEN: &[(&str, u64, u64, u64, u64)] = &[
         144800,
         0x411fe00000000000,
     ),
-    // plain filter
-    (
-        "sql SELECT",
-        0x3f094e3e09df353e,
-        81,
-        144800,
-        0x40fe780000000000,
-    ),
-    // ORDER BY … LIMIT
+    // plain filter. moved: per-column hit (`v` alone, not the wider `grp, v`
+    // entry whose RLE `grp` was charged)
+    ("sql SELECT", 0x3f094e3e09df353e, 81, 144800, 0x0),
+    // ORDER BY … LIMIT. moved: per-column hit (`v` resident, `k` decodes)
     (
         "sql SELECT",
         0x3f26c2376cede286,
         199680,
         144800,
-        0x412e000000000000,
+        0x411e000000000000,
     ),
-    // dictionary GROUP BY
+    // dictionary GROUP BY. moved: per-column hit (`v` resident)
     (
         "sql SELECT",
         0x3f12faae876767ee,
         2336,
         144800,
-        0x411ffa7c00000000,
+        0x40dfa7c000000000,
     ),
-    // shuffled GROUP BY
+    // shuffled GROUP BY. moved: per-column hit (`k`, `v` resident)
     (
         "sql SELECT",
-        0x3f12faae876767ee,
+        0x3f094e3e09df353e,
         33564,
         144800,
-        0x41325f3400000000,
+        0x410af9a000000000,
     ),
     // segmentation-aligned GROUP BY
     (
@@ -221,37 +225,37 @@ const GOLDEN: &[(&str, u64, u64, u64, u64)] = &[
         73016,
         0x411e000000000000,
     ),
-    // COUNT(DISTINCT)
+    // COUNT(DISTINCT). moved: per-column hit (`k`, `tag`, `v` resident)
     (
         "sql SELECT",
-        0x3f12faae876767ee,
+        0x3f094e3e09df353e,
         70728,
         144800,
-        0x41412d9400000000,
+        0x41335b2800000000,
     ),
-    // CTAS
+    // CTAS. moved: per-column hit (`k` resident, `grp` decodes)
     (
         "sql CREATE",
         0x3f04251af3f24a92,
         3120,
         73016,
-        0x410fe00000000000,
+        0x40ce000000000000,
     ),
-    // JOIN shuffle_both
+    // JOIN shuffle_both. moved: per-column hit (`k`, `v` resident)
     (
         "sql SELECT",
-        0x3f2c16ce59020f7a,
+        0x3f2893f48de1cd8b,
         201999,
         289600,
-        0x415e000000000000,
+        0x415a400000000000,
     ),
-    // JOIN shuffle_left
+    // JOIN shuffle_left. moved: per-column hit (`fact_seg`'s `k`, `v`)
     (
         "sql SELECT",
-        0x3f1dd83b3e923072,
+        0x3f1a55617371ee83,
         101163,
         217816,
-        0x414fe00000000000,
+        0x414c200000000000,
     ),
     // JOIN co-located
     (
@@ -285,33 +289,37 @@ const GOLDEN: &[(&str, u64, u64, u64, u64)] = &[
         73016,
         0x40d0ef0000000000,
     ),
-    // COUNT(DISTINCT) under an encodable WHERE (captured at `064a14d`)
+    // COUNT(DISTINCT) under an encodable WHERE (captured at `064a14d`).
+    // moved: per-column hit (`grp`, `k`, `tag` resident)
     (
         "sql SELECT",
-        0x3f12faae876767ee,
+        0x3f094e3e09df353e,
         57276,
         144800,
-        0x413ed49400000000,
+        0x4137549400000000,
     ),
-    // VFT export: database side
-    ("vft db", 0x3f59b29f7533dd4a, 0, 73016, 0x4161580000000000),
+    // VFT export: database side. moved: per-column hit (`v`) and the
+    // ledger rule (`grp` charged as it materializes)
+    ("vft db", 0x3f592e2a84ebbc16, 0, 73016, 0x4160e00000000000),
     // VFT export: receive side
     ("vft r", 0x3f23510db52f823b, 0, 0, 0x4131800000000000),
-    // GlmPredict PARTITION BEST
+    // GlmPredict PARTITION BEST. moved: per-column hit (`v`) and the
+    // ledger rule (`grp`)
     (
         "sql SELECT",
-        0x40180a2d9c88c8cf,
+        0x40180a1d0deabfcb,
         466,
         146664,
-        0x4192712340000000,
+        0x4192532340000000,
     ),
-    // GlmPredict PARTITION BY
+    // GlmPredict PARTITION BY. moved: per-column hit (`v`, `grp`, `k`
+    // resident) and the ledger rule (`grp`, once per row over the instances)
     (
         "sql SELECT",
-        0x4018022bee094c49,
+        0x40180224e855b608,
         0,
         1737600,
-        0x41928e0000000000,
+        0x4192520000000000,
     ),
 ];
 
