@@ -40,7 +40,7 @@ run cargo test --workspace -q $OFFLINE
 # goldens (training, ledger, figures) and the block-cache story, in that
 # profile.
 run cargo test -p vdr-ml --release -q $OFFLINE
-run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden --test agg_differential --test figures_golden --test scan_cache
+run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden --test agg_differential --test figures_golden --test scan_cache --test figure3_workflow
 
 # The benchmark is a package of its own (benchmark/, own lock file), so the
 # workspace build above does not cover it. check.sh builds it offline and

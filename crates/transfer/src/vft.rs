@@ -39,6 +39,8 @@
 //! client could not overlap — is reported as
 //! [`TransferReport::queue_time`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::report::TransferReport;
 use crate::{check_features, gather_f64_rows};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -181,7 +183,9 @@ fn deframe(data: &[u8]) -> Result<Vec<&[u8]>> {
         if pos + 8 > data.len() {
             return Err(DbError::Exec("truncated frame header".into()));
         }
-        let len = u64::from_le_bytes(data[pos..pos + 8].try_into().expect("8 bytes")) as usize;
+        let mut header = [0u8; 8];
+        header.copy_from_slice(&data[pos..pos + 8]);
+        let len = u64::from_le_bytes(header) as usize;
         pos += 8;
         let end = pos
             .checked_add(len)
@@ -280,9 +284,14 @@ fn drain_stream(
             if let Some(obs) = observer {
                 // The 16-byte stream header parses before the first frame,
                 // so the exporting (node, instance) identity is known here.
-                let (src, inst) = asm.header().expect("header precedes frames");
+                let header = asm.header();
+                let no_header = || DbError::Exec("a frame arrived before its stream header".into());
+                let (src, inst) = header.ok_or_else(no_header)?;
                 let t = Instant::now();
-                obs(src, inst, &batch);
+                // A panicking observer fails this stream like any receive
+                // error, so its staged bytes are released.
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| obs(src, inst, &batch)))
+                    .map_err(|_| DbError::Exec("a batch observer panicked".into()))?;
                 observed += t.elapsed().as_nanos() as u64;
             }
             batches.push(batch);
@@ -396,22 +405,22 @@ impl TransformFunction for ExportToDistributedR {
             // inherits segment skew; uniform should flatten it).
             vdr_obs::counter_on("vft.worker.rows", worker_nodes[target].0, block_rows);
             let mut header = None;
-            if let std::collections::hash_map::Entry::Vacant(e) = streams.entry(target) {
-                e.insert(
-                    self.hub
-                        .connect(ctx, transfer, target, worker_nodes[target])?,
-                );
-                // Stream header: (source node, instance). Receivers sort
-                // accepted streams by it so conversion order is
-                // deterministic — two transfers of the same table then
-                // produce identically ordered partitions, which keeps
-                // separately loaded X and Y arrays row-aligned.
-                header = Some((ctx.node.0 as u64, ctx.instance as u64));
-            }
+            let tx = match streams.entry(target) {
+                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    // Stream header: (source node, instance). Receivers sort
+                    // accepted streams by it so conversion order is
+                    // deterministic — two transfers of the same table then
+                    // produce identically ordered partitions, which keeps
+                    // separately loaded X and Y arrays row-aligned.
+                    header = Some((ctx.node.0 as u64, ctx.instance as u64));
+                    let worker = worker_nodes[target];
+                    e.insert(self.hub.connect(ctx, transfer, target, worker)?)
+                }
+            };
             // Vectored write: the 8-byte length header and the encoded block
             // go out as two chunks, so the block bytes are the encoder's
             // buffer all the way to the receiver — no framing copy.
-            let tx = streams.get(&target).expect("stream just inserted");
             for chunk in stream_chunks(header, [encoded]) {
                 tx.send(chunk).map_err(DbError::from)?;
             }
@@ -425,8 +434,7 @@ impl TransformFunction for ExportToDistributedR {
                 Some(b) => b.extend(&batch)?,
             }
             // Drain full psize blocks from the buffer.
-            while buffer.as_ref().is_some_and(|b| b.num_rows() >= psize) {
-                let b = buffer.take().expect("checked above");
+            while let Some(b) = buffer.take_if(|b| b.num_rows() >= psize) {
                 let head = b.slice(0, psize);
                 let rest = b.slice(psize, b.num_rows());
                 if rest.num_rows() > 0 {
@@ -960,7 +968,10 @@ impl FastTransfer {
                 self.hub.close(transfer);
                 let joined: Vec<Result<(Vec<ReceivedStream>, RecvWall)>> = handles
                     .into_iter()
-                    .map(|h| h.join().expect("receiver panicked"))
+                    .map(|h| {
+                        let panicked = || Err(DbError::Exec("a VFT receive pool panicked".into()));
+                        h.join().unwrap_or_else(|_| panicked())
+                    })
                     .collect();
                 // A receive-pool error is the root cause: the exporter then
                 // saw a hung-up worker and the query failed after it, so
@@ -976,8 +987,9 @@ impl FastTransfer {
                 Ok((received, wall))
             })?;
 
+        let kept = || DbError::Exec("the export query kept its phase recorder".into());
         let db_report = Arc::into_inner(db_rec)
-            .expect("query released its recorder")
+            .ok_or_else(kept)?
             .finish(db.cluster().profile());
         let db_time = db_report.duration();
         db_span.record("receive_wait_ms", wall.wait_ns / 1_000_000);
@@ -990,6 +1002,7 @@ impl FastTransfer {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::batch_to_f64_rows;
@@ -1051,6 +1064,30 @@ mod tests {
         let dr = DistributedR::on_all_nodes(cluster, 4).unwrap();
         let vft = install_export_function(&db);
         (db, dr, vft, Ledger::new())
+    }
+
+    /// An observer that panics fails the transfer with a `DbError`: the
+    /// panic does not unwind into the caller, and no staged bytes stay in
+    /// shared memory.
+    #[test]
+    fn a_panicking_observer_is_an_error() {
+        let (db, dr, vft, ledger) = setup(2, 400, Segmentation::RoundRobin);
+        let observer: BatchObserver = Arc::new(|_, _, _, _| panic!("observer gave up"));
+        let policy = TransferPolicy::Locality;
+        let got = vft.db2darray_observed(&db, &dr, "samples", &["a"], policy, &ledger, observer);
+        assert!(
+            matches!(got, Err(DbError::Exec(_))),
+            "{:?}",
+            got.map(|r| r.1)
+        );
+        for node in db.cluster().node_ids() {
+            assert_eq!(db.cluster().node(node).shm().used_bytes(), 0);
+        }
+        // The database still serves the next transfer.
+        let (_, report) = vft
+            .db2darray(&db, &dr, "samples", &["a"], policy, &ledger)
+            .unwrap();
+        assert_eq!(report.rows, 400);
     }
 
     #[test]

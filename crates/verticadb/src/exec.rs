@@ -12,10 +12,10 @@
 //!
 //! - **The per-node pipeline** (`pipeline`): [`EncodedBatch`]es through the
 //!   WHERE mask into the node's one accumulator (`NodeAcc`: projected rows,
-//!   or a group table). A table scan feeds it container after container; a
-//!   JOIN the joined chunks its probe produces (`exec_join.rs`), and `Local`
-//!   the initiator's rows, both as all-decoded batches whose columns moved
-//!   in without a copy.
+//!   a group table, or a transform's UDx instances). A table scan feeds it
+//!   container after container; a JOIN the joined chunks its probe produces
+//!   (`exec_join.rs`), and `Local` the initiator's rows, both as all-decoded
+//!   batches whose columns moved in without a copy.
 //! - **The Exchange operator** (`exchange`): every node encodes what it
 //!   sends each destination through the block codec, the frames cross
 //!   [`vdr_cluster::exchange_framed`], and every receiver decodes them and
@@ -24,16 +24,16 @@
 //!   partials by `AggPlan::split`; the JOIN ships sides by key hash or
 //!   broadcast. Gathers to the initiator are charged by `charge_gather`.
 //! - **The initiator's tail**: merge and finalize, Sort, Limit.
-//! - **Transforms** (`OVER (PARTITION …)`): the planned number of UDx
-//!   instances per node, the paper's extension mechanism. Each instance
-//!   scans its slice of the node's containers (`PARTITION BEST`), or all of
-//!   them and keeps the rows whose routing column hashes to it
-//!   (`PARTITION BY`).
+//! - **Transforms** (`OVER (PARTITION …)`): the pipeline's third sink, the
+//!   paper's extension mechanism. The node deals each masked batch to its
+//!   UDx instances (`Deal`, whose `push` says how), and each instance
+//!   materializes its rows and evaluates its arguments just before it runs,
+//!   so its input is still in cache when it is read.
 //!
 //! # Compressed execution
 //!
-//! Every reader of a table — the pipeline, both JOIN sides, a Transform
-//! instance — takes the one scan product, [`EncodedBatch`]es whose
+//! Every reader of a table — the pipeline and both JOIN sides — takes the
+//! one scan product of a node's whole segment, [`EncodedBatch`]es whose
 //! Rle/Dictionary columns are still in run/code form
 //! ([`crate::storage::SegmentStore::scan_node`]). A column-vs-literal
 //! comparison over such a
@@ -74,7 +74,6 @@ use crate::plan::{self, Exchange, Op, PhysicalPlan, PlanNode, Transform};
 use crate::segmentation::hash_routes;
 use crate::sort;
 use crate::sql::{OrderKey, Partition, SelectItem, SelectStmt, Statement};
-use crate::storage::Slice;
 use crate::udx::UdxContext;
 use bytes::Bytes;
 use rayon::prelude::*;
@@ -103,6 +102,8 @@ struct Cx<'a> {
     plan: &'a PhysicalPlan,
     /// The WHERE of the pipeline being run.
     filter: Option<&'a Expr>,
+    /// The UDx the pipeline feeds, in place of projected rows.
+    transform: Option<&'a Transform>,
     rec: &'a Arc<PhaseRecorder>,
     /// The statement's span, parent of the per-node spans.
     span: u64,
@@ -130,15 +131,6 @@ impl Cx<'_> {
 
 fn shape() -> DbError {
     DbError::Plan("the executor has no operator for this plan shape".into())
-}
-
-/// The node under an optional Filter, and `cx` running that WHERE.
-fn under_filter<'a>(cx: &Cx<'a>, node: &'a PlanNode) -> Result<(Cx<'a>, &'a PlanNode)> {
-    let Op::Filter(pred) = &node.op else {
-        return Ok((*cx, node));
-    };
-    let filter = Some(pred);
-    Ok((Cx { filter, ..*cx }, input(node)?))
 }
 
 /// A plan node's one input.
@@ -266,6 +258,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
         db,
         plan: &plan,
         filter: None,
+        transform: None,
         rec,
         span: span.id(),
         query: vdr_obs::current_query_id(),
@@ -277,8 +270,8 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
 }
 
 /// Run the plan to its answer on the initiator: Limit and Sort over a
-/// transform, a gather of rows, or a merge of aggregate partials — on the
-/// initiator, or on every node after a shuffle.
+/// transform's output, a gather of rows, or a merge of aggregate partials —
+/// on the initiator, or on every node after a shuffle.
 fn run(cx: &Cx<'_>, mut node: &PlanNode) -> Result<Batch> {
     let mut tail = Tail::default();
     if let Op::Limit { offset, limit } = &node.op {
@@ -290,7 +283,21 @@ fn run(cx: &Cx<'_>, mut node: &PlanNode) -> Result<Batch> {
         node = input(node)?;
     }
     match &node.op {
-        Op::Transform(t) => Ok(tail.cut(transform(cx, t, input(node)?)?)),
+        Op::Transform(t) => {
+            // The output stays on its node (as an INSERT…SELECT would): no
+            // gather is charged — the paper measures in-database prediction.
+            let mut span = vdr_obs::span("exec.transform");
+            span.record("function", t.func.name());
+            if let Some(table) = &cx.plan.stmt.from {
+                span.record("table", table);
+            }
+            let mut cx = *cx;
+            (cx.transform, cx.span) = (Some(t), span.id());
+            let (rows, _) = split(fragment(&cx, node)?);
+            let out = Batch::concat(t.out_schema.clone(), &rows)?;
+            span.record("rows_out", out.num_rows());
+            tail.output(out)
+        }
         Op::FinalAgg => {
             // FinalAgg ← Exchange(gather) ← partials: merge on the initiator.
             let (_, partials) = split(fragment(cx, input(input(node)?)?)?);
@@ -616,9 +623,11 @@ pub(crate) fn receive(
 // ------------------------------------------------------- per-node pipeline
 
 /// What a node contributes to the final answer: projected rows (with hidden
-/// ORDER BY key columns appended) or its partial aggregate state.
+/// ORDER BY key columns appended), its UDx instances' output batches, or its
+/// partial aggregate state.
 enum NodeResult {
     Rows(Batch),
+    Emitted(Vec<Batch>),
     Partial(Partial),
 }
 
@@ -628,20 +637,24 @@ fn split(results: Vec<NodeResult>) -> (Vec<Batch>, Vec<Partial>) {
     for r in results {
         match r {
             NodeResult::Rows(b) => rows.push(b),
+            NodeResult::Emitted(b) => rows.extend(b),
             NodeResult::Partial(p) => partials.push(p),
         }
     }
     (rows, partials)
 }
 
-/// Run the per-node pipeline rooted at `node` — Project or PartialAgg over
-/// an optional Filter over a scan, the initiator's rows or a JOIN — on
-/// every node that holds its input.
+/// Run the per-node pipeline rooted at `node` — Project, PartialAgg or
+/// Transform over an optional Filter over a scan, the initiator's rows or a
+/// JOIN — on every node that holds its input.
 fn fragment(cx: &Cx<'_>, node: &PlanNode) -> Result<Vec<NodeResult>> {
-    let (cx, source) = under_filter(cx, input(node)?)?;
+    let (mut cx, mut source) = (*cx, input(node)?);
+    if let Op::Filter(pred) = &source.op {
+        (cx.filter, source) = (Some(pred), input(source)?);
+    }
     match &source.op {
         Op::Local(rows) => {
-            let mut acc = NodeAcc::new(&cx)?;
+            let mut acc = NodeAcc::new(&cx, INITIATOR)?;
             let one = Ok(rows.clone());
             pipeline(&cx, [one], &mut acc, &mut EncodedScanStats::default())?;
             Ok(vec![acc.finish()?])
@@ -690,11 +703,8 @@ fn scan_node(cx: &Cx<'_>, node: &Arc<Node>, scan: &plan::Scan) -> Result<NodeRes
     let mut span = vdr_obs::detail_span_with_parent("exec.scan", cx.span);
     span.set_node(id.0);
     let (table, wanted) = (&scan.table, scan.columns.as_ref());
-    let found = cx
-        .db
-        .storage()
-        .scan_node(table, id, Slice::ALL, cx.rec, wanted)?;
-    let mut acc = NodeAcc::new(cx)?;
+    let found = cx.db.storage().scan_node(table, id, cx.rec, wanted)?;
+    let mut acc = NodeAcc::new(cx, id)?;
     let mut stats = EncodedScanStats::default();
     let (rows_in, rows_out) = pipeline(cx, found.into_iter().map(Ok), &mut acc, &mut stats)?;
     stats.charge(cx, id);
@@ -708,8 +718,8 @@ fn scan_node(cx: &Cx<'_>, node: &Arc<Node>, scan: &plan::Scan) -> Result<NodeRes
 // -------------------------------------------------- compressed execution
 
 /// What one node's readers of a scan did with its encoded columns, for the
-/// cost ledger and the `scan.encoded.*` counters: the pipeline, a JOIN's
-/// sides and a Transform instance each keep one.
+/// cost ledger and the `scan.encoded.*` counters: the pipeline and a JOIN's
+/// sides each keep one.
 #[derive(Debug, Default)]
 struct EncodedScanStats {
     /// Per-row predicate evaluations avoided by run/code kernels.
@@ -854,15 +864,28 @@ fn decoded_predicate_leaf(e: &Expr, eb: &EncodedBatch) -> Result<Bitmap> {
 
 /// One node's accumulator for one statement: masked batches go in,
 /// container after container, and a [`NodeResult`] comes out — projected rows
-/// appended to one batch, or one group table updated in place.
+/// appended to one batch, one group table updated in place, or the rows a
+/// node's UDx instances emitted.
 enum NodeAcc<'a> {
     Rows(&'a SelectStmt, Batch),
     Agg(Aggregator<'a>),
+    Transform(Deal<'a>),
 }
 
 impl<'a> NodeAcc<'a> {
     /// A node that holds no input still answers in the projected schema.
-    fn new(cx: &Cx<'a>) -> Result<Self> {
+    fn new(cx: &Cx<'a>, node: NodeId) -> Result<Self> {
+        if let Some(t) = cx.transform {
+            let n = t.instances.get(node.0).copied().filter(|&n| n > 0);
+            let shares = vec![Vec::new(); n.ok_or_else(shape)?];
+            let deal = Deal {
+                cx: *cx,
+                t,
+                node,
+                shares,
+            };
+            return Ok(NodeAcc::Transform(deal));
+        }
         let (stmt, input) = (&cx.plan.stmt, &cx.plan.input);
         Ok(match &cx.plan.agg {
             Some(plan) => NodeAcc::Agg(Aggregator::new(plan)?),
@@ -879,7 +902,7 @@ impl<'a> NodeAcc<'a> {
     /// reads it other than as dictionary codes. A group table reads codes
     /// for a single dictionary GROUP BY key and for every `COUNT(DISTINCT
     /// col)` over a dictionary column ([`AggPlan::value_columns`]);
-    /// projected rows read every column.
+    /// projected rows and a transform's arguments read every column.
     fn push(
         &mut self,
         eb: &EncodedBatch,
@@ -910,6 +933,10 @@ impl<'a> NodeAcc<'a> {
                 stats.late_materialize(eb, rows, None);
                 Ok(out.extend(&project(stmt, selected)?)?)
             }
+            NodeAcc::Transform(deal) => {
+                stats.late_materialize(eb, rows, None);
+                deal.push(eb, mask)
+            }
         }
     }
 
@@ -917,6 +944,7 @@ impl<'a> NodeAcc<'a> {
         Ok(match self {
             NodeAcc::Agg(agg) => NodeResult::Partial(agg.into_partial()?),
             NodeAcc::Rows(_, rows) => NodeResult::Rows(rows),
+            NodeAcc::Transform(deal) => NodeResult::Emitted(deal.run()?),
         })
     }
 }
@@ -978,123 +1006,98 @@ fn owned_columns(exprs: &[Expr], rows: Materialized<'_>) -> Result<Vec<Column>> 
 
 // --------------------------------------------------------------- transforms
 
-/// Run a transform over its input — a scan, under an optional WHERE — with
-/// the planned UDx instances per node.
-fn transform(cx: &Cx<'_>, t: &Transform, source: &PlanNode) -> Result<Batch> {
-    let (mut cx, source) = under_filter(cx, source)?;
-    let Op::Scan(scan) = &source.op else {
-        return Err(shape());
-    };
-    let mut span = vdr_obs::span("exec.transform");
-    span.record("function", t.func.name());
-    span.record("table", &scan.table);
-    cx.span = span.id();
-    let per_node = cx.db.cluster().scatter(|node| -> Result<Vec<Batch>> {
-        let id = node.id();
-        let _s = cx.enter(id.0);
-        let instances = t.instances.get(id.0).copied().ok_or_else(shape)?;
-        cx.rec.set_lanes(id, instances);
-        let run = |i| transform_instance(&cx, t, scan, id, i, instances);
-        let results: Vec<Result<Vec<Batch>>> =
-            node.run(|| (0..instances).into_par_iter().map(run).collect());
-        let mut merged = Vec::new();
-        for r in results {
-            merged.extend(r?);
-        }
-        Ok(merged)
-    });
-    // Transform results materialize node-locally (as an INSERT…SELECT
-    // would): no gather is charged — the paper's prediction experiments
-    // measure in-database execution, not shipping rows to a client.
-    let mut out = Batch::empty(t.out_schema.clone());
-    for node_batches in per_node {
-        for b in node_batches? {
-            out.extend(&b)?;
-        }
-    }
-    span.record("rows_out", out.num_rows());
-    Ok(out)
-}
-
-/// One UDx instance over its share of the node's rows, through the WHERE
-/// and the argument projection. Under `PARTITION BEST` it reads a disjoint
-/// slice of the node's containers ("UDFs on each database node read a
-/// unique segment of the table stored on that node"); under `PARTITION BY`
-/// the rows whose routing column hashes to it, later instances re-reading
-/// through the page cache the first one warmed.
-fn transform_instance(
-    cx: &Cx<'_>,
-    t: &Transform,
-    scan: &plan::Scan,
+/// One node's UDx instances, the planned number of them, and the batches
+/// dealt to each so far.
+struct Deal<'a> {
+    cx: Cx<'a>,
+    t: &'a Transform,
     node: NodeId,
-    instance: usize,
-    instances: usize,
-) -> Result<Vec<Batch>> {
-    // Rayon pool threads are shared across queries.
-    let _s = cx.enter(node.0);
-    let mut span = vdr_obs::detail_span_with_parent("exec.transform.instance", cx.span);
-    span.set_node(node.0);
-    span.record("instance", instance);
-    let slice = match &t.partition {
-        Partition::Best => Slice {
-            index: instance,
-            count: instances,
-        },
-        Partition::By(_) => Slice::ALL,
-    };
-    let (table, wanted) = (&scan.table, scan.columns.as_ref());
-    let found = cx
-        .db
-        .storage()
-        .scan_node(table, node, slice, cx.rec, wanted)?;
-    let mut stats = EncodedScanStats::default();
-    let mut input = Vec::with_capacity(found.len());
-    for eb in &found {
-        let mut mask = filter(cx.filter, eb, &mut stats)?;
-        if let Partition::By(col) = &t.partition {
-            mask = mask.and(&route(eb, col, instance, instances)?);
-        }
-        let rows = mask.count_set();
-        let (kept, _) = eb.materialize(&mask, None)?;
-        stats.late_materialize(eb, rows, None);
-        let args = owned_columns(&t.args, kept)?;
-        input.push(Batch::new(t.arg_schema.clone(), args)?);
-    }
-    stats.charge(cx, node);
-    let ctx = UdxContext {
-        node,
-        instance,
-        instances_per_node: instances,
-        params: &t.params,
-        dfs: cx.db.dfs(),
-        cluster: cx.db.cluster(),
-        rec: cx.rec,
-    };
-    let rows_in: u64 = input.iter().map(|b| b.num_rows() as u64).sum();
-    let mut out = Vec::new();
-    t.func
-        .process_partition(&ctx, input, &mut |b| out.push(b))?;
-    let rows_out: u64 = out.iter().map(|b| b.num_rows() as u64).sum();
-    span.record("rows_in", rows_in);
-    span.record("rows_out", rows_out);
-    vdr_obs::counter_on("exec.transform.rows_in", node.0, rows_in);
-    vdr_obs::counter_on("exec.transform.rows_out", node.0, rows_out);
-    Ok(out)
+    shares: Vec<Share>,
 }
 
-/// The rows of `eb` whose `col` hashes to UDx instance `instance` of
-/// `instances`: the routing of `PARTITION BY`.
-fn route(eb: &EncodedBatch, col: &str, instance: usize, instances: usize) -> Result<Bitmap> {
-    let all = Bitmap::all_valid(eb.num_rows());
-    let (key, _) = eb.materialize(&all, Some(&HashSet::from([col.to_string()])))?;
-    let routes = hash_routes(key.column_by_name(col)?, instances);
-    let mut mine = Bitmap::all_clear(eb.num_rows());
-    routes
-        .get(instance)
-        .ok_or_else(shape)?
-        .iter()
-        .for_each(|&r| mine.set(r));
-    Ok(mine)
+/// The batches dealt to one instance, in order, each with the rows it takes.
+type Share = Vec<(EncodedBatch, Bitmap)>;
+
+impl Deal<'_> {
+    /// Deal the `mask`-selected rows of `eb`. Under `PARTITION BEST` the
+    /// node's `j`-th batch goes whole to instance `j mod n`: over a scan,
+    /// each instance holds a disjoint strided share of the node's containers
+    /// ("UDFs on each database node read a unique segment of the table stored
+    /// on that node"). Under `PARTITION BY` every row goes to the instance its
+    /// routing column hashes to.
+    fn push(&mut self, eb: &EncodedBatch, mask: &Bitmap) -> Result<()> {
+        let n = self.shares.len();
+        match &self.t.partition {
+            Partition::Best => {
+                let dealt: usize = self.shares.iter().map(Vec::len).sum();
+                self.shares[dealt % n].push((eb.clone(), mask.clone()));
+            }
+            Partition::By(col) => {
+                let all = Bitmap::all_valid(eb.num_rows());
+                let (key, _) = eb.materialize(&all, Some(&HashSet::from([col.clone()])))?;
+                let routes = hash_routes(key.column_by_name(col)?, n);
+                for (share, rows) in self.shares.iter_mut().zip(routes) {
+                    let mut mine = Bitmap::all_clear(eb.num_rows());
+                    rows.into_iter().for_each(|r| mine.set(r));
+                    share.push((eb.clone(), mine.and(mask)));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Run every instance over its share on the node's pool; their output in
+    /// instance order, each in its emit order.
+    fn run(mut self) -> Result<Vec<Batch>> {
+        let shares = std::mem::take(&mut self.shares);
+        let n = shares.len();
+        self.cx.rec.set_lanes(self.node, n);
+        let run = |(i, share)| self.instance(i, n, share);
+        let pool = self.cx.db.cluster().node(self.node);
+        let outs: Vec<Result<Vec<Batch>>> =
+            pool.run(|| shares.into_par_iter().enumerate().map(run).collect());
+        let mut out = Vec::new();
+        for batches in outs {
+            out.extend(batches?);
+        }
+        Ok(out)
+    }
+
+    /// Instance `i` of `n` over the rows dealt to it, its arguments
+    /// evaluated over them just before it runs.
+    fn instance(&self, i: usize, n: usize, share: Share) -> Result<Vec<Batch>> {
+        let (cx, t, node) = (&self.cx, self.t, self.node);
+        // Rayon pool threads are shared across queries.
+        let _s = cx.enter(node.0);
+        let mut span = vdr_obs::detail_span_with_parent("exec.transform.instance", cx.span);
+        span.set_node(node.0);
+        span.record("instance", i);
+        let mut input = Vec::with_capacity(share.len());
+        for (eb, mask) in share {
+            let (rows, _) = eb.materialize(&mask, None)?;
+            let args = owned_columns(&t.args, rows)?;
+            input.push(Batch::new(t.arg_schema.clone(), args)?);
+        }
+        let ctx = UdxContext {
+            node,
+            instance: i,
+            instances_per_node: n,
+            params: &t.params,
+            dfs: cx.db.dfs(),
+            cluster: cx.db.cluster(),
+            rec: cx.rec,
+        };
+        let rows_in: u64 = input.iter().map(|b| b.num_rows() as u64).sum();
+        let mut out = Vec::new();
+        t.func
+            .process_partition(&ctx, input, &mut |b| out.push(b))?;
+        let rows_out: u64 = out.iter().map(|b| b.num_rows() as u64).sum();
+        span.record("rows_in", rows_in);
+        span.record("rows_out", rows_out);
+        vdr_obs::counter_on("exec.transform.rows_in", node.0, rows_in);
+        vdr_obs::counter_on("exec.transform.rows_out", node.0, rows_out);
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -1317,6 +1320,104 @@ mod tests {
         assert_eq!(out.row(0)[0], Value::Int64(3));
         // Name collisions fail before any data moves.
         assert!(db.query("CREATE TABLE evens AS SELECT id FROM t").is_err());
+    }
+
+    /// Per input batch, one row per argument row: the node and the instance
+    /// it ran on, the batch's place in the instance's input, and the row's
+    /// `id`.
+    struct Shares;
+
+    impl crate::udx::TransformFunction for Shares {
+        fn name(&self) -> &str {
+            "Shares"
+        }
+
+        fn output_schema(
+            &self,
+            _: &Schema,
+            _: &std::collections::BTreeMap<String, String>,
+        ) -> Result<Schema> {
+            let names = ["node", "instance", "part", "id"];
+            Ok(Schema::of(&names.map(|n| (n, DataType::Int64))))
+        }
+
+        fn process_partition(
+            &self,
+            ctx: &UdxContext<'_>,
+            input: Vec<Batch>,
+            emit: &mut dyn FnMut(Batch),
+        ) -> Result<()> {
+            for (part, b) in input.iter().enumerate() {
+                let tag = |v: usize| Column::from_i64(vec![v as i64; b.num_rows()]);
+                let cols = vec![tag(ctx.node.0), tag(ctx.instance), tag(part)];
+                let cols = cols.into_iter().chain([b.column(0).clone()]);
+                emit(Batch::new(
+                    self.output_schema(b.schema(), ctx.params)?,
+                    cols.collect(),
+                )?);
+            }
+            Ok(())
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// `PARTITION BEST` deals a node's containers to its instances: instance
+    /// `i` of `n` gets containers `i, i + n, …` whole and in container order,
+    /// so the shares are disjoint and cover every row once — on a node with
+    /// more containers than lanes and on one with fewer. The answer is in
+    /// node order, then instance order, then each instance's emit order.
+    #[test]
+    fn partition_best_deals_strided_container_shares() {
+        let db = VerticaDb::new(SimCluster::for_tests(2));
+        db.register_transform(Arc::new(Shares));
+        db.query("CREATE TABLE d (id INTEGER)").unwrap();
+        let lanes = db.cluster().profile().costs.vft_export_lanes;
+        let rec = PhaseRecorder::new("load", vdr_cluster::PhaseKind::Sequential, 2);
+        // Per node, its containers' ids in container order: `lanes + 3`
+        // containers on node 0 and 3 (fewer than lanes) on node 1, container
+        // `c` holding `c + 1` rows.
+        let (mut next, mut containers) = (0i64, vec![Vec::new(), Vec::new()]);
+        for (node, count) in [(0, lanes + 3), (1, 3)] {
+            for c in 0..count as i64 {
+                let ids: Vec<i64> = (next..next + c + 1).collect();
+                next += c + 1;
+                let schema = Schema::of(&[("id", DataType::Int64)]);
+                let batch = Batch::new(schema, vec![Column::from_i64(ids.clone())]).unwrap();
+                db.storage()
+                    .append("d", NodeId(node), &batch, &rec)
+                    .unwrap();
+                containers[node].push(ids);
+            }
+        }
+        let sql = "SELECT Shares(id) OVER (PARTITION BEST) FROM d";
+        let out = db.query(sql).unwrap().batch;
+        // Each instance's input batches, keyed by (node, instance, part).
+        let mut got: Vec<([i64; 3], Vec<i64>)> = Vec::new();
+        for r in 0..out.num_rows() {
+            let row: Vec<i64> = out.row(r).iter().map(|v| v.as_i64().unwrap()).collect();
+            let key = [row[0], row[1], row[2]];
+            match got.last_mut() {
+                Some((k, ids)) if *k == key => ids.push(row[3]),
+                _ => got.push((key, vec![row[3]])),
+            }
+        }
+        let mut want = Vec::new();
+        for (node, shares) in containers.iter().enumerate() {
+            let n = lanes.min(shares.len());
+            for i in 0..n {
+                let mine = shares.iter().skip(i).step_by(n).enumerate();
+                want.extend(
+                    mine.map(|(part, ids)| ([node, i, part].map(|v| v as i64), ids.clone())),
+                );
+            }
+        }
+        assert_eq!(got, want);
+        let mut every: Vec<i64> = got.into_iter().flat_map(|(_, ids)| ids).collect();
+        every.sort_unstable();
+        assert_eq!(every, (0..next).collect::<Vec<_>>());
     }
 
     // --------------------------------------------- compressed execution

@@ -62,7 +62,7 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, sides: &[PlanNode]) -> Result<Vec<NodeR
         |node, out| -> Result<Carry> {
             let scan = |s: &plan::Scan| {
                 let (storage, wanted) = (cx.db.storage(), s.columns.as_ref());
-                storage.scan_node(&s.table, node.id(), Slice::ALL, cx.rec, wanted)
+                storage.scan_node(&s.table, node.id(), cx.rec, wanted)
             };
             let mut stats = EncodedScanStats::default();
             let left_rows = scan(left)?;
@@ -148,7 +148,7 @@ fn join_node(
     let mut span = vdr_obs::detail_span_with_parent("exec.join.node", cx.span);
     span.set_node(node.id().0);
     let table = BuildTable::new(right.column_by_name(&j.keys[1])?)?;
-    let mut acc = NodeAcc::new(cx)?;
+    let mut acc = NodeAcc::new(cx, node.id())?;
     let mut stats = EncodedScanStats::default();
     for eb in &left {
         stats.late_materialize(eb, eb.num_rows(), None);

@@ -15,9 +15,10 @@
 //! - **JOIN strategy.** A side segmented by hash on its join key stays put;
 //!   a small enough right side is broadcast; otherwise the unaligned sides
 //!   shuffle by key hash.
-//! - **UDx instances.** `PARTITION BEST` runs up to the profile's export
-//!   lanes per node, no more than the node's containers; `PARTITION BY`
-//!   runs every lane.
+//! - **UDx instances.** A transform sits where Project → Gather would, over
+//!   any pipeline source, Sort and Limit above it. `PARTITION BEST` runs up
+//!   to the profile's export lanes per node, no more than the FROM table's
+//!   containers there; `PARTITION BY` runs every lane.
 //!
 //! `exec.rs` interprets the tree; `EXPLAIN` prints it ([`PhysicalPlan::explain`]).
 
@@ -145,20 +146,13 @@ pub(crate) fn build(
     stmt: &SelectStmt,
     rec: &Arc<PhaseRecorder>,
 ) -> Result<PhysicalPlan> {
-    if let Some(SelectItem::Transform {
-        name,
-        args,
-        params,
-        partition,
-    }) = stmt.transform_item()
-    {
+    if stmt.transform_item().is_some() {
         if stmt.items.len() != 1 {
             return refuse("a transform function must be the only select item");
         }
-        if stmt.join.is_some() {
-            return refuse("transform functions cannot be combined with JOIN");
+        if !stmt.group_by.is_empty() {
+            return refuse("a transform function cannot be combined with GROUP BY");
         }
-        return build_transform(db, stmt, name, args, params, partition);
     }
     if let Some(join) = &stmt.join {
         return build_join(db, stmt, join);
@@ -209,13 +203,13 @@ fn scan(db: &VerticaDb, def: &TableDef, columns: Option<HashSet<String>>) -> Pla
     node(Op::Scan(scan), vec![])
 }
 
-/// Stack the per-node pipeline (Filter, then Project or PartialAgg) on
-/// `source`, then the merge, Sort and Limit. `disjoint`: the partials need
-/// no shuffle — there is one, or the GROUP BY key holds the segmentation
-/// column.
+/// Stack the per-node pipeline (Filter, then Project, PartialAgg or
+/// Transform) on `source`, then the merge, Sort and Limit. `disjoint`: the
+/// partials need no shuffle — there is one, or the GROUP BY key holds the
+/// segmentation column.
 fn finish(
     db: &VerticaDb,
-    stmt: SelectStmt,
+    mut stmt: SelectStmt,
     input: Schema,
     source: PlanNode,
     disjoint: bool,
@@ -223,10 +217,19 @@ fn finish(
     let agg = (stmt.has_aggregates() || !stmt.group_by.is_empty())
         .then(|| AggPlan::new(&stmt, &input))
         .transpose()?;
-    let mut plan = filtered(&stmt, source);
+    let mut plan = match &stmt.where_clause {
+        Some(pred) => node(Op::Filter(pred.clone()), vec![source]),
+        None => source,
+    };
     let gather = |input| node(Op::Exchange(Exchange::Gather), vec![input]);
     plan = match &agg {
-        None => gather(node(Op::Project, vec![plan])),
+        None => match transform(db, &stmt, &input)? {
+            Some(t) => {
+                output_order(&mut stmt.order_by, &t.out_schema)?;
+                node(Op::Transform(t), vec![plan])
+            }
+            None => gather(node(Op::Project, vec![plan])),
+        },
         Some(a) if db.cluster().num_nodes() > 1 && !disjoint && a.has_keys() => {
             let shuffle = node(
                 Op::Exchange(Exchange::Hash),
@@ -239,7 +242,10 @@ fn finish(
     if !stmt.order_by.is_empty() {
         plan = node(Op::Sort(stmt.order_by.clone()), vec![plan]);
     }
-    plan = limit(&stmt, plan);
+    if stmt.offset.is_some() || stmt.limit.is_some() {
+        let (offset, limit) = (stmt.offset.unwrap_or(0), stmt.limit);
+        plan = node(Op::Limit { offset, limit }, vec![plan]);
+    }
     Ok(PhysicalPlan {
         root: plan,
         stmt,
@@ -248,39 +254,21 @@ fn finish(
     })
 }
 
-/// `source` under the statement's WHERE, if it has one.
-fn filtered(stmt: &SelectStmt, source: PlanNode) -> PlanNode {
-    match &stmt.where_clause {
-        Some(pred) => node(Op::Filter(pred.clone()), vec![source]),
-        None => source,
-    }
-}
-
-fn limit(stmt: &SelectStmt, plan: PlanNode) -> PlanNode {
-    let (offset, limit) = (stmt.offset.unwrap_or(0), stmt.limit);
-    match (stmt.offset, limit) {
-        (None, None) => plan,
-        _ => node(Op::Limit { offset, limit }, vec![plan]),
-    }
-}
-
-fn build_transform(
-    db: &VerticaDb,
-    stmt: &SelectStmt,
-    name: &str,
-    args: &[Expr],
-    params: &BTreeMap<String, String>,
-    partition: &Partition,
-) -> Result<PhysicalPlan> {
-    let table = stmt
-        .from
-        .as_deref()
-        .ok_or_else(|| DbError::Plan("transform functions require a FROM table".into()))?;
-    let def = db.catalog().get(table)?;
+/// The statement's transform over the pipeline's `input`: its arguments
+/// typed against that schema and named after column refs where possible,
+/// and its UDx instances per node (an instance with no container idles).
+fn transform(db: &VerticaDb, stmt: &SelectStmt, input: &Schema) -> Result<Option<Transform>> {
+    let Some(SelectItem::Transform {
+        name,
+        args,
+        params,
+        partition,
+    }) = stmt.transform_item()
+    else {
+        return Ok(None);
+    };
     let func = db.udx().get(name)?;
-    // The arguments' columns, named after column refs where possible and
-    // typed against the table schema.
-    let probe = Batch::empty(def.schema.clone());
+    let probe = Batch::empty(input.clone());
     let mut arg_fields = Vec::with_capacity(args.len());
     for (i, e) in args.iter().enumerate() {
         let name = match e {
@@ -291,42 +279,42 @@ fn build_transform(
     }
     let arg_schema = Schema::new(arg_fields);
     let out_schema = func.output_schema(&arg_schema, params)?;
-    // The scan decodes the arguments', the WHERE's and the routing column.
-    let mut cols = HashSet::new();
-    for e in args.iter().chain(&stmt.where_clause) {
-        add_expr_columns(&mut cols, e);
-    }
-    if let Partition::By(col) = partition {
-        cols.insert(col.to_ascii_lowercase());
-    }
-    // PARTITION BEST is resource-aware: up to the profile's export lanes per
-    // node, bounded by the node's containers (an instance with none idles).
     let lanes = db.cluster().profile().costs.vft_export_lanes;
+    let table = stmt.from.as_deref().unwrap_or_default();
     let instances = db
         .cluster()
         .node_ids()
         .into_iter()
         .map(|n| match partition {
-            Partition::Best => lanes.min(db.storage().containers(&def.name, n).len().max(1)),
+            Partition::Best => lanes.min(db.storage().containers(table, n).len().max(1)),
             Partition::By(_) => lanes,
         });
-    let transform = Transform {
+    Ok(Some(Transform {
         func,
-        args: args.to_vec(),
+        args: args.clone(),
         params: params.clone(),
         partition: partition.clone(),
         instances: instances.collect(),
         arg_schema,
         out_schema,
-    };
-    let plan = filtered(stmt, scan(db, &def, Some(cols)));
-    let plan = limit(stmt, node(Op::Transform(transform), vec![plan]));
-    Ok(PhysicalPlan {
-        root: plan,
-        stmt: stmt.clone(),
-        input: def.schema,
-        agg: None,
-    })
+    }))
+}
+
+/// A transform's ORDER BY keys over its output columns: a bare integer `k`
+/// is the `k`-th (1-based), and any other key reads only them.
+fn output_order(keys: &mut [OrderKey], out: &Schema) -> Result<()> {
+    for key in keys {
+        if let Expr::Literal(Value::Int64(k)) = key.expr {
+            let nth = usize::try_from(k).ok().and_then(|k| k.checked_sub(1));
+            let field = nth.and_then(|i| out.fields().get(i));
+            key.expr = Expr::Column(field.map_or(format!("#{k}"), |f| f.name.clone()));
+        }
+        let (cols, names) = (key.expr.columns(), out.names());
+        if let Some(c) = cols.iter().find(|c| out.index_of(c).is_err()) {
+            return refuse(format!("ORDER BY {c}: the transform outputs {names:?}"));
+        }
+    }
+    Ok(())
 }
 
 // ------------------------------------------------------------------- JOIN
@@ -412,16 +400,26 @@ fn build_join(db: &VerticaDb, stmt: &SelectStmt, j: &JoinClause) -> Result<Physi
     };
     for item in &mut inner.items {
         match item {
-            SelectItem::Wildcard | SelectItem::Transform { .. } => {}
+            SelectItem::Wildcard => {}
             SelectItem::Expr { expr, .. } => rename(expr)?,
             SelectItem::Aggregate { arg, .. } => arg.iter_mut().try_for_each(rename)?,
+            SelectItem::Transform {
+                args, partition, ..
+            } => {
+                args.iter_mut().try_for_each(rename)?;
+                if let Partition::By(col) = partition {
+                    *col = resolve(col)?.2.name.clone();
+                }
+            }
         }
     }
     inner.where_clause.iter_mut().try_for_each(rename)?;
     inner.group_by.iter_mut().try_for_each(rename)?;
+    // A select alias names an output column, not a joined one; so does
+    // every key of a transform's ORDER BY.
+    let transform = stmt.transform_item().is_some();
     for k in &mut inner.order_by {
-        // A select alias names an output column, not a joined one.
-        if aliased_item(&stmt.items, &k.expr).is_none() {
+        if !transform && aliased_item(&stmt.items, &k.expr).is_none() {
             rename(&mut k.expr)?;
         }
     }
@@ -514,9 +512,11 @@ fn add_expr_columns(set: &mut HashSet<String>, e: &Expr) {
 }
 
 /// The lowercased set of columns a SELECT references anywhere (projection,
-/// WHERE, ORDER BY, GROUP BY) — the scan decodes only these. `None` means
-/// every column (a wildcard appears). An empty set is legitimate (`SELECT
-/// count(*)`): the decoder keeps one cheap column to preserve row counts.
+/// a transform's arguments and `PARTITION BY` column, WHERE, ORDER BY, GROUP
+/// BY) — the scan decodes only these. A transform's ORDER BY reads its
+/// output, not its input. `None` means every column (a wildcard appears).
+/// An empty set is legitimate (`SELECT count(*)`): the decoder keeps one
+/// cheap column to preserve row counts.
 fn referenced_columns(stmt: &SelectStmt) -> Option<HashSet<String>> {
     let mut cols = HashSet::new();
     for item in &stmt.items {
@@ -526,12 +526,18 @@ fn referenced_columns(stmt: &SelectStmt) -> Option<HashSet<String>> {
             SelectItem::Aggregate { arg, .. } => {
                 arg.iter().for_each(|a| add_expr_columns(&mut cols, a))
             }
-            SelectItem::Transform { args, .. } => {
-                args.iter().for_each(|a| add_expr_columns(&mut cols, a))
+            SelectItem::Transform {
+                args, partition, ..
+            } => {
+                args.iter().for_each(|a| add_expr_columns(&mut cols, a));
+                if let Partition::By(col) = partition {
+                    cols.insert(col.to_ascii_lowercase());
+                }
             }
         }
     }
-    let keys = stmt.order_by.iter().map(|k| &k.expr);
+    let transform = stmt.transform_item().is_some();
+    let keys = stmt.order_by.iter().filter(|_| !transform).map(|k| &k.expr);
     for e in stmt.where_clause.iter().chain(keys).chain(&stmt.group_by) {
         add_expr_columns(&mut cols, e);
     }
@@ -588,7 +594,7 @@ fn aliased_item<'a>(items: impl IntoIterator<Item = &'a SelectItem>, key: &Expr)
 /// item's expression, which the hidden sort column then holds.
 fn resolve_order_by<'a>(stmt: &'a SelectStmt, input: &Schema) -> Result<Cow<'a, SelectStmt>> {
     let mut out = Cow::Borrowed(stmt);
-    if stmt.order_by.is_empty() {
+    if stmt.order_by.is_empty() || stmt.transform_item().is_some() {
         return Ok(out);
     }
     let items = named_items(&stmt.items, input);
@@ -822,7 +828,7 @@ mod tests {
     #[test]
     fn every_statement_shape_plans_as_designed() {
         let db = db();
-        let cases: [(&str, &[&str]); 16] = [
+        let cases: [(&str, &[&str]); 18] = [
             (
                 "SELECT count(*), sum(v) FROM fact_rr WHERE grp = 3",
                 &[
@@ -970,6 +976,27 @@ mod tests {
                 ],
             ),
             (
+                "SELECT Echo(k) OVER (PARTITION BEST) FROM fact_rr ORDER BY k DESC LIMIT 3",
+                &[
+                    "Limit offset 0 limit 3",
+                    "  Sort k DESC",
+                    "    Transform Echo partition best instances [2, 2, 2, 2]",
+                    "      Scan fact_rr (k)",
+                ],
+            ),
+            (
+                "SELECT Echo(s.grp) OVER (PARTITION BY f.tag) FROM fact_rr f \
+                 JOIN small s ON f.k = s.k WHERE f.v > 1.0",
+                &[
+                    "Transform Echo partition by f.tag instances [12, 12, 12, 12]",
+                    "  Filter (f.v > 1)",
+                    "    HashJoin inner broadcast_right on k = k",
+                    "      Scan fact_rr (k, tag, v)",
+                    "      Exchange broadcast",
+                    "        Scan small (grp, k)",
+                ],
+            ),
+            (
                 "SELECT 1 + 2 AS three",
                 &["Exchange gather", "  Project", "    Local initiator"],
             ),
@@ -985,6 +1012,39 @@ mod tests {
         ];
         for (sql, want) in cases {
             assert_eq!(tree(&db, sql), want, "{sql}");
+        }
+    }
+
+    /// A transform is the pipeline's sink: ORDER BY and LIMIT apply to its
+    /// output, an ORDER BY key names an output column, and GROUP BY or an
+    /// aggregate next to it is a plan error.
+    #[test]
+    fn a_transform_sorts_and_cuts_its_output() {
+        let db = db();
+        let sql = "SELECT Echo(k) OVER (PARTITION BEST) FROM fact_rr";
+        let top = db.query(&format!("{sql} ORDER BY k DESC LIMIT 3")).unwrap();
+        let ids: Vec<Value> = (0..top.batch.num_rows())
+            .map(|r| top.batch.row(r)[0].clone())
+            .collect();
+        assert_eq!(ids, [255, 254, 253].map(Value::Int64));
+        let first = db
+            .query(&format!("{sql} ORDER BY 1 LIMIT 2 OFFSET 1"))
+            .unwrap();
+        assert_eq!(first.batch.row(0)[0], Value::Int64(1));
+        assert_eq!(first.batch.num_rows(), 2);
+        for (bad, why) in [
+            (format!("{sql} GROUP BY k"), "GROUP BY"),
+            (
+                "SELECT Echo(k) OVER (PARTITION BEST), count(*) FROM fact_rr".into(),
+                "only select item",
+            ),
+            (format!("{sql} ORDER BY v"), "ORDER BY v"),
+            (format!("{sql} ORDER BY 2"), "ORDER BY #2"),
+        ] {
+            match db.query(&bad) {
+                Err(DbError::Plan(e)) => assert!(e.contains(why), "{bad}: {e}"),
+                other => panic!("{bad}: {:?}", other.map(|o| o.batch)),
+            }
         }
     }
 

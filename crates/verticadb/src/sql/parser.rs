@@ -324,7 +324,7 @@ impl Parser {
                         Partition::Best
                     } else {
                         self.expect_kw("BY")?;
-                        Partition::By(self.ident()?)
+                        Partition::By(self.qualified_ident()?)
                     };
                     self.expect_token(&Token::RParen)?;
                     return Ok(SelectItem::Transform {

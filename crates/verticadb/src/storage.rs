@@ -17,6 +17,9 @@
 //!   decode CPU; otherwise the scan decodes only the missing columns.
 //! * **Parallel container decode** — each node's containers are decoded on
 //!   the rayon pool, mirroring a real node's per-core scan threads.
+//!
+//! A scan always reads the node's whole segment, in container order: the
+//! executor, not storage, splits it among UDx instances (`exec.rs`).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -82,19 +85,6 @@ impl ContainerMeta {
         let cheapest = self.columns.iter().min_by_key(|c| c.encoded_bytes);
         cheapest.map(|c| c.name.as_str()).into_iter().collect()
     }
-}
-
-/// Which of a node's containers a scan reads: container `i` belongs to
-/// slice `i % count`, so concurrent UDx instances never share one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slice {
-    pub index: usize,
-    pub count: usize,
-}
-
-impl Slice {
-    /// Every container.
-    pub const ALL: Slice = Slice { index: 0, count: 1 };
 }
 
 /// Per-table, per-node container lists.
@@ -229,10 +219,10 @@ impl SegmentStore {
         _cached: bool,
         wanted: Option<&HashSet<String>>,
     ) -> Result<Vec<EncodedBatch>> {
-        self.scan_node(table, node, Slice::ALL, rec, wanted)
+        self.scan_node(table, node, rec, wanted)
     }
 
-    /// Read `slice` of `table`'s containers on `node`: the `wanted` columns
+    /// Read `table`'s containers on `node`: the `wanted` columns
     /// (`None` = all) of each, in block order, charging `rec` for the disk
     /// read and the eager decode. Resident columns come from the block
     /// cache; a container with some missing decodes only those, on the
@@ -241,22 +231,12 @@ impl SegmentStore {
         &self,
         table: &str,
         node: NodeId,
-        slice: Slice,
         rec: &PhaseRecorder,
         wanted: Option<&HashSet<String>>,
     ) -> Result<Vec<EncodedBatch>> {
-        if slice.index >= slice.count {
-            let Slice { index, count } = slice;
-            return Err(DbError::Exec(format!("scan slice {index} of {count}")));
-        }
         let containers = self.containers(table, node);
-        let mine = containers.iter().enumerate();
-        let mine: Vec<&ContainerMeta> = mine
-            .filter(|(i, _)| i % slice.count == slice.index)
-            .map(|(_, c)| c)
-            .collect();
         let cols_skipped = AtomicU64::new(0);
-        let out = mine
+        let out = containers
             .par_iter()
             .map(|c| self.scan_container(c, node, rec, wanted, &cols_skipped))
             .collect::<Result<Vec<_>>>()?;
@@ -382,7 +362,7 @@ mod tests {
 
     /// A scan of every column of `table` on `node`.
     fn scan(s: &SegmentStore, table: &str, node: NodeId, rec: &PhaseRecorder) -> Vec<EncodedBatch> {
-        s.scan_node(table, node, Slice::ALL, rec, None).unwrap()
+        s.scan_node(table, node, rec, None).unwrap()
     }
 
     fn ids(n: i64) -> Batch {
@@ -465,7 +445,7 @@ mod tests {
         store2.load(&def, vec![wide(4000)], &rec(1)).unwrap();
         let narrow = rec(1);
         let batches = store2
-            .scan_node("w", NodeId(0), Slice::ALL, &narrow, Some(&set(&["id"])))
+            .scan_node("w", NodeId(0), &narrow, Some(&set(&["id"])))
             .unwrap();
         let narrow_cpu = narrow.finish(cluster.profile()).total_cpu_core_ns;
 
@@ -511,16 +491,14 @@ mod tests {
         };
         store.load(&def, vec![wide(100)], &rec(1)).unwrap();
         let ab = set(&["a", "B"]);
-        store
-            .scan_node("w", NodeId(0), Slice::ALL, &rec(1), Some(&ab))
-            .unwrap();
+        store.scan_node("w", NodeId(0), &rec(1), Some(&ab)).unwrap();
         let r = rec(1);
-        let narrow = store.scan_node("w", NodeId(0), Slice::ALL, &r, Some(&set(&["A"])));
+        let narrow = store.scan_node("w", NodeId(0), &r, Some(&set(&["A"])));
         assert_eq!(narrow.unwrap()[0].schema().names(), vec!["a"]);
         assert_eq!(store.block_cache().hits(), 1);
         assert_eq!(r.finish(cluster.profile()).total_cpu_core_ns, 0.0);
         let r = rec(1);
-        let wider = store.scan_node("w", NodeId(0), Slice::ALL, &r, Some(&set(&["a", "c"])));
+        let wider = store.scan_node("w", NodeId(0), &r, Some(&set(&["a", "c"])));
         assert_eq!(wider.unwrap()[0].schema().names(), vec!["a", "c"]);
         assert_eq!(store.block_cache().misses(), 2);
         let one_column = scan_cost(&cluster) * 100.0;
@@ -671,56 +649,14 @@ mod tests {
     }
 
     #[test]
-    fn slices_partition_containers_exactly_once() {
-        let (cluster, store, def) = setup();
-        let r = rec(3);
-        // 5 containers per node.
-        for _ in 0..5 {
-            store.load(&def, vec![ids(300)], &r).unwrap();
-        }
-        let node = NodeId(1);
-        let full: usize = scan(&store, "t", node, &r)
-            .iter()
-            .map(|b| b.num_rows())
-            .sum();
-        let mut sliced = 0;
-        for s in 0..4 {
-            let slice = Slice { index: s, count: 4 };
-            sliced += store
-                .scan_node("t", node, slice, &r, None)
-                .unwrap()
-                .iter()
-                .map(|b| b.num_rows())
-                .sum::<usize>();
-        }
-        assert_eq!(full, sliced);
-        let _ = cluster;
-    }
-
-    /// A slice past the instance count is an error, not a panic.
-    #[test]
-    fn out_of_range_slice_is_an_error() {
-        let (_, store, def) = setup();
-        let r = rec(3);
-        store.load(&def, vec![ids(30)], &r).unwrap();
-        for index in [4, 5] {
-            let slice = Slice { index, count: 4 };
-            let got = store.scan_node("t", NodeId(0), slice, &r, None);
-            assert!(matches!(got, Err(DbError::Exec(_))), "{got:?}");
-        }
-        let none = Slice { index: 0, count: 0 };
-        assert!(store.scan_node("t", NodeId(0), none, &r, None).is_err());
-        // A node the table does not span holds no container.
-        assert!(store.containers("t", NodeId(9)).is_empty());
-    }
-
-    #[test]
     fn empty_batches_create_no_containers() {
         let (_, store, def) = setup();
         let r = rec(3);
         store.load(&def, vec![ids(0)], &r).unwrap();
         assert_eq!(store.total_rows("t"), 0);
         assert!(store.containers("t", NodeId(0)).is_empty());
+        // A node the table does not span holds no container.
+        assert!(store.containers("t", NodeId(9)).is_empty());
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! extract data from its columnar storage. UDFs on each database node read a
 //! unique segment of the table stored on that node."
 //!
-//! A [`TransformFunction`] sees the batches of one *slice* of a node's local
-//! segment and emits output batches. The planner (`plan.rs`) decides how
+//! A [`TransformFunction`] sees one instance's share of a node's rows and
+//! emits output batches: under `PARTITION BEST` whole batches (over a scan,
+//! a strided share of the node's containers), under `PARTITION BY` the rows
+//! whose routing column hashes to it. The planner (`plan.rs`) decides how
 //! many instances to spawn per node (`PARTITION BEST` is resource-aware:
 //! it uses the profile's export-lane count, bounded by available containers).
 
@@ -68,9 +70,10 @@ pub trait TransformFunction: Send + Sync {
     /// Output schema given the input (projected) schema and parameters.
     fn output_schema(&self, input: &Schema, params: &BTreeMap<String, String>) -> Result<Schema>;
 
-    /// Process this instance's share of the data. `input` holds the batches
-    /// of the containers assigned to the instance; emit zero or more output
-    /// batches via `emit`.
+    /// Process this instance's share of the data. `input` holds the
+    /// evaluated arguments of the rows dealt to the instance, one batch per
+    /// batch of the node's pipeline; emit zero or more output batches via
+    /// `emit`.
     fn process_partition(
         &self,
         ctx: &UdxContext<'_>,

@@ -3,9 +3,9 @@
 
 use std::sync::Arc;
 use vertica_dr::cluster::SimCluster;
-use vertica_dr::columnar::Value;
+use vertica_dr::columnar::{Batch, DataType, Schema, Value};
 use vertica_dr::core::{Model, Session, SessionOptions};
-use vertica_dr::ml::{cv_hpdglm, hpdglm, Family, GlmOptions};
+use vertica_dr::ml::{cv_hpdglm, hpdglm, Family, GlmModel, GlmOptions};
 use vertica_dr::verticadb::{Segmentation, VerticaDb};
 use vertica_dr::workloads::regression_table;
 
@@ -180,4 +180,142 @@ fn sql_pre_processing_before_transfer() {
     let n = out.row(0)[0].as_i64().unwrap();
     assert!(n > 3_000 && n < 7_000, "half-ish of the rows: {n}");
     assert!(out.row(0)[2].as_f64().unwrap() >= 0.0);
+}
+
+/// Figure 3's "score the joined feature table" without a CTAS: a prediction
+/// UDx over a JOIN scores exactly the rows a CTAS of that JOIN holds, with
+/// the same prediction bits — whichever way the JOIN moves its sides, under
+/// `PARTITION BY` and under a WHERE.
+#[test]
+fn scoring_a_join_equals_scoring_its_ctas() {
+    let db = VerticaDb::new(SimCluster::for_tests(4));
+    let session = Session::connect_colocated(
+        Arc::clone(&db),
+        SessionOptions {
+            r_instances_per_node: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let model = GlmModel {
+        coefficients: vec![0.5, 2.0, -1.0],
+        intercept: true,
+        family: Family::Gaussian,
+        deviance: 1.0,
+        iterations: 3,
+        converged: true,
+    };
+    session
+        .deploy_model(&Model::Glm(model), "jm", "join scoring")
+        .unwrap();
+    // `(id, x1)` rows and `(rid, x2)` rows, each table loaded in two COPYs;
+    // the right keys repeat, so a left row can match twice.
+    let tables = [
+        (
+            "fa_seg",
+            "id INTEGER, x1 FLOAT",
+            " SEGMENTED BY HASH(id)",
+            2000,
+        ),
+        ("fa_rr", "id INTEGER, x1 FLOAT", "", 2000),
+        (
+            "fb_seg",
+            "rid INTEGER, x2 FLOAT",
+            " SEGMENTED BY HASH(rid)",
+            1400,
+        ),
+        ("fb_small", "rid INTEGER, x2 FLOAT", "", 100),
+    ];
+    for (name, cols, seg, rows) in tables {
+        db.query(&format!("CREATE TABLE {name} ({cols}){seg}"))
+            .unwrap();
+        let (key, value) = if name.starts_with("fa") {
+            ("id", "x1")
+        } else {
+            ("rid", "x2")
+        };
+        let schema = Schema::of(&[(key, DataType::Int64), (value, DataType::Float64)]);
+        let row = |i: i64| -> Vec<Value> {
+            match key {
+                "id" => vec![i.into(), (((i * 37) % 101) as f64 / 10.0 - 5.0).into()],
+                _ => vec![
+                    (i % 700).into(),
+                    (((i * 53) % 97) as f64 / 7.0 - 6.0).into(),
+                ],
+            }
+        };
+        for half in [0..rows / 2, rows / 2..rows] {
+            let rows: Vec<Vec<Value>> = half.map(row).collect();
+            db.copy(name, [Batch::from_rows(schema.clone(), &rows).unwrap()])
+                .unwrap();
+        }
+    }
+    let score = "GlmPredict(id, x1, x2 USING PARAMETERS model='jm', id='id')";
+    let cases = [
+        (
+            "fa_seg a JOIN fb_seg b ON a.id = b.rid",
+            "PARTITION BEST",
+            "",
+            "colocated",
+        ),
+        (
+            "fa_rr a JOIN fb_seg b ON a.id = b.rid",
+            "PARTITION BEST",
+            "",
+            "shuffle_left",
+        ),
+        (
+            "fa_rr a JOIN fb_small b ON a.id = b.rid",
+            "PARTITION BEST",
+            "",
+            "broadcast_right",
+        ),
+        (
+            "fa_rr a JOIN fb_seg b ON a.id = b.rid",
+            "PARTITION BY id",
+            "",
+            "shuffle_left",
+        ),
+        (
+            "fa_seg a JOIN fb_seg b ON a.id = b.rid",
+            "PARTITION BEST",
+            " WHERE x1 > 0",
+            "colocated",
+        ),
+    ];
+    for (i, (from, partition, filter, strategy)) in cases.into_iter().enumerate() {
+        let direct = format!("SELECT {score} OVER ({partition}) FROM {from}{filter}");
+        let plan = db.query(&format!("EXPLAIN {direct}")).unwrap().batch;
+        let details: Vec<String> = (0..plan.num_rows())
+            .map(|r| plan.row(r)[2].to_string())
+            .collect();
+        assert!(
+            details.iter().any(|d| d.contains(strategy)),
+            "{direct}: {details:?}"
+        );
+        let scored = |sql: &str| {
+            let out = session.sql(sql).unwrap().batch;
+            assert_eq!(out.schema().names(), ["id", "prediction"]);
+            let mut rows: Vec<(i64, u64)> = (0..out.num_rows())
+                .map(|r| {
+                    let row = out.row(r);
+                    (row[0].as_i64().unwrap(), row[1].as_f64().unwrap().to_bits())
+                })
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        let joined = scored(&direct);
+        db.query(&format!(
+            "CREATE TABLE j{i} AS SELECT id, x1, x2 FROM {from}{filter}"
+        ))
+        .unwrap();
+        let ctas = scored(&format!("SELECT {score} OVER (PARTITION BEST) FROM j{i}"));
+        let count = db
+            .query(&format!("SELECT count(*) FROM {from}{filter}"))
+            .unwrap();
+        assert_eq!(Value::Int64(joined.len() as i64), count.batch.row(0)[0]);
+        assert!(joined.len() >= 100, "{direct}: {} rows", joined.len());
+        assert_eq!(joined, ctas, "{direct}");
+    }
 }
