@@ -1,7 +1,7 @@
 //! The cluster wire format: one writer and one incremental reader.
 //!
-//! Every framed stream in the repository — VFT export lanes (PR 5), the
-//! `v_monitor` gather (PR 9), and the exchange shuffle — shares one layout:
+//! Every framed stream in the repository — VFT export lanes and the
+//! exchange shuffle — shares one layout:
 //! a 16-byte stream header `[a u64 LE][b u64 LE]` (source node plus an
 //! instance or destination discriminator) followed by `[len u64 LE][payload]`
 //! frames, each sent as separate header and payload chunks so payload bytes

@@ -49,7 +49,8 @@ pub struct NodeUsage {
 }
 
 impl NodeUsage {
-    fn merge(&mut self, other: &NodeUsage) {
+    /// Add `other`'s counts to this one's (lanes: the wider).
+    pub fn merge(&mut self, other: &NodeUsage) {
         self.disk_read_bytes += other.disk_read_bytes;
         self.disk_cached_read_bytes += other.disk_cached_read_bytes;
         self.disk_write_bytes += other.disk_write_bytes;

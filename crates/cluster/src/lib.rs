@@ -17,11 +17,16 @@
 //! This split lets the repository run the *real* code on laptop-scale data
 //! (for correctness and measured wall time) while projecting the same
 //! operation counts to the paper's 50–400 GB scale deterministically.
+//!
+//! Data moves between nodes two ways, both over [`frame`]'s wire format:
+//! VFT's export lanes, and [`exchange_framed`], the all-to-all exchange the
+//! query executor ships every shuffle and broadcast through. A gather to the
+//! initiator is charged on the ledger by the executor that runs it; system
+//! tables are gathered the same way as any other query's rows.
 
 pub mod disk;
 pub mod error;
 pub mod exchange;
-pub mod fetch;
 pub mod frame;
 pub mod ledger;
 pub mod net;
@@ -33,7 +38,6 @@ pub mod time;
 pub use disk::SimDisk;
 pub use error::{ClusterError, Result};
 pub use exchange::{exchange_framed, ExchangeRecv};
-pub use fetch::gather_framed;
 pub use frame::{stream_chunks, ChunkBuf, FrameAssembler};
 pub use ledger::{Ledger, NodePhase, NodeUsage, PhaseKind, PhaseRecorder, PhaseReport};
 pub use net::{Network, StreamRx, StreamTx};

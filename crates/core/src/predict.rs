@@ -15,7 +15,7 @@ use crate::modelcache::ModelCache;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vdr_cluster::SimDuration;
+use vdr_cluster::{NodeId, SimDuration};
 use vdr_columnar::{Batch, Column, DataType, Schema};
 use vdr_verticadb::{
     DbError, Result, SystemTableProvider, TransformFunction, UdxContext, VerticaDb,
@@ -255,13 +255,16 @@ impl SystemTableProvider for ModelCacheTable {
         "model_cache"
     }
 
-    fn batch(&self, _db: &VerticaDb) -> Result<Batch> {
-        vdr_verticadb::monitor::cache_stats_batch(&[
+    /// The cache is one per database: its counters ride on the initiator.
+    fn batch(&self, _db: &VerticaDb, node: NodeId) -> Result<Batch> {
+        let stats = [
             ("hits", None, self.cache.hits()),
             ("misses", None, self.cache.misses()),
             ("invalidations", None, self.cache.invalidations()),
             ("entries", None, self.cache.len() as u64),
-        ])
+        ];
+        let on_node = if node.0 == 0 { &stats[..] } else { &[] };
+        vdr_verticadb::monitor::cache_stats_batch(on_node)
     }
 }
 
@@ -300,7 +303,7 @@ pub fn register_prediction_functions(db: &VerticaDb) {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use vdr_cluster::{NodeId, PhaseKind, PhaseRecorder, SimCluster};
+    use vdr_cluster::{PhaseKind, PhaseRecorder, SimCluster};
     use vdr_ml::models::KmeansModel;
     use vdr_verticadb::{Segmentation, TableDef};
 

@@ -327,14 +327,13 @@ impl Session {
         vdr_obs::export_chrome_trace_with_events(&spans, &events, path.as_ref())
     }
 
-    /// The current metrics registry plus data-collector state rendered in
-    /// Prometheus text exposition format — the scrape/export surface. Unlike
-    /// [`Session::metrics`] this is *not* diffed against the session
-    /// baseline: an exporter reports absolute counter levels and lets the
-    /// scraper compute rates, exactly as a real `/metrics` endpoint would.
+    /// The current metrics registry rendered in Prometheus text exposition
+    /// format — the scrape/export surface. Unlike [`Session::metrics`] this
+    /// is *not* diffed against the session baseline: an exporter reports
+    /// absolute counter levels and lets the scraper compute rates, exactly
+    /// as a real `/metrics` endpoint would.
     pub fn export_metrics(&self) -> String {
-        let obs = vdr_obs::global();
-        vdr_obs::render_prometheus(&obs.metrics().snapshot(), obs.dc())
+        vdr_obs::render_prometheus(&vdr_obs::global().metrics().snapshot())
     }
 }
 

@@ -141,6 +141,7 @@ pub fn export_chrome_trace_with_events(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -20,6 +20,12 @@
 //! * **Trace export** ([`chrome`]) — Chrome trace-event JSON so any
 //!   recorded workload opens in `chrome://tracing` / Perfetto.
 //!
+//! That is all [`Obs`] holds: trace, metrics and events. What happened
+//! *per statement over time* (the `v_monitor.dc_*` tables) is not kept
+//! here but in each database's query history, which records every
+//! statement, VFT transfer and train run with its metric delta and ledger
+//! phases (`vdr-verticadb`'s `monitor` module).
+//!
 //! ## Verbosity
 //!
 //! The `VDR_OBS` environment variable gates recording:
@@ -51,8 +57,9 @@
 //! assert!(snap.counter_total("vft.segment.rows") >= 4096);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod chrome;
-pub mod dc;
 pub mod events;
 pub mod metrics;
 pub mod prom;
@@ -65,7 +72,6 @@ pub use chrome::{
     chrome_trace_json, chrome_trace_json_with_events, export_chrome_trace,
     export_chrome_trace_with_events,
 };
-pub use dc::{DataCollector, NodeSample, QuerySummary, TickContext, TickUsage};
 pub use events::{EventLog, EventRecord};
 pub use metrics::{HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use prom::render_prometheus;
@@ -188,13 +194,12 @@ pub fn verbosity_override() -> Option<Verbosity> {
     }
 }
 
-/// The process-global observability state: one trace sink plus one metrics
-/// registry.
+/// The process-global observability state: one trace sink, one metrics
+/// registry and one event log.
 pub struct Obs {
     trace: TraceSink,
     metrics: MetricsRegistry,
     events: EventLog,
-    dc: DataCollector,
 }
 
 impl Obs {
@@ -203,7 +208,6 @@ impl Obs {
             trace: TraceSink::new(),
             metrics: MetricsRegistry::new(),
             events: EventLog::new(),
-            dc: DataCollector::new(),
         }
     }
 
@@ -217,13 +221,6 @@ impl Obs {
 
     pub fn events(&self) -> &EventLog {
         &self.events
-    }
-
-    /// The data collector: per-node, retention-bounded time-series rings
-    /// sampled at deterministic tick points (statement boundaries, VFT and
-    /// train-pool completions).
-    pub fn dc(&self) -> &DataCollector {
-        &self.dc
     }
 }
 
@@ -312,6 +309,7 @@ pub fn event_on(kind: &str, node: usize, detail: impl Into<String>) {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

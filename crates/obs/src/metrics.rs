@@ -444,23 +444,6 @@ impl MetricsSnapshot {
         }
         MetricsSnapshot { entries }
     }
-
-    /// The subset of entries labelled with `node` (plus, when
-    /// `include_global`, the entries carrying no node label — initiator-side
-    /// work that cannot be attributed to a specific node). Used by the data
-    /// collector to slice one statement delta into per-node ring samples.
-    pub fn restrict_to_node(&self, node: usize, include_global: bool) -> MetricsSnapshot {
-        let entries = self
-            .entries
-            .iter()
-            .filter(|(key, _)| match key.node {
-                Some(n) => n == node,
-                None => include_global,
-            })
-            .map(|(key, value)| (key.clone(), value.clone()))
-            .collect();
-        MetricsSnapshot { entries }
-    }
 }
 
 fn merge_histograms(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
@@ -571,6 +554,7 @@ impl Serialize for MetricsSnapshot {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -790,22 +774,6 @@ mod tests {
             Some(1024)
         );
         assert!(json.get("exec.rows").is_some());
-    }
-
-    #[test]
-    fn restrict_to_node_slices_per_node_with_optional_globals() {
-        let mut s = MetricsSnapshot::default();
-        s.insert("rows", Some(0), MetricValue::Counter(10));
-        s.insert("rows", Some(1), MetricValue::Counter(20));
-        s.insert("stmt.count", None, MetricValue::Counter(1));
-        let n0 = s.restrict_to_node(0, true);
-        assert_eq!(n0.counter_total("rows"), 10);
-        assert_eq!(n0.counter_total("stmt.count"), 1);
-        let n1 = s.restrict_to_node(1, false);
-        assert_eq!(n1.counter_total("rows"), 20);
-        assert_eq!(n1.get("stmt.count", None), None);
-        // A node that never recorded anything slices to an empty snapshot.
-        assert!(s.restrict_to_node(7, false).entries.is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Prometheus text-format rendering of the metrics registry and the data
-//! collector, so the process can be scraped (or its state dumped to a file
-//! for CI) without going through SQL.
+//! Prometheus text-format rendering of the metrics registry, so the
+//! process can be scraped (or its state dumped to a file for CI) without
+//! going through SQL.
 //!
 //! The output follows the Prometheus exposition format, version 0.0.4:
 //! `# TYPE` comments, one sample per line, `{node="…"}` labels for
@@ -9,7 +9,6 @@
 //! `_bucket` series — our log-linear buckets have 961 slots, and the
 //! quantiles are what dashboards actually plot.
 
-use crate::dc::DataCollector;
 use crate::metrics::{MetricValue, MetricsSnapshot};
 use std::fmt::Write as _;
 
@@ -43,8 +42,8 @@ fn finite(v: f64) -> f64 {
     }
 }
 
-/// Render a metrics snapshot plus data-collector state as Prometheus text.
-pub fn render_prometheus(snap: &MetricsSnapshot, dc: &DataCollector) -> String {
+/// Render a metrics snapshot as Prometheus text.
+pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     // The snapshot is keyed by (name, node) in order, so one pass groups a
     // name's series; emit the TYPE header on the first series of each name.
@@ -80,23 +79,11 @@ pub fn render_prometheus(snap: &MetricsSnapshot, dc: &DataCollector) -> String {
             }
         }
     }
-    // Data-collector state: tick/eviction totals and per-node ring depths.
-    let _ = writeln!(out, "# TYPE vdr_dc_ticks_total counter");
-    let _ = writeln!(out, "vdr_dc_ticks_total {}", dc.ticks());
-    let _ = writeln!(out, "# TYPE vdr_dc_evicted_total counter");
-    let _ = writeln!(out, "vdr_dc_evicted_total {}", dc.evicted());
-    let _ = writeln!(out, "# TYPE vdr_dc_capacity gauge");
-    let _ = writeln!(out, "vdr_dc_capacity {}", dc.capacity());
-    let _ = writeln!(out, "# TYPE vdr_dc_samples gauge");
-    for (node, samples) in dc.samples() {
-        let _ = writeln!(out, "vdr_dc_samples{{node=\"{node}\"}} {}", samples.len());
-    }
-    let _ = writeln!(out, "# TYPE vdr_dc_query_summaries gauge");
-    let _ = writeln!(out, "vdr_dc_query_summaries {}", dc.summaries().len());
     out
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::MetricsRegistry;
@@ -111,8 +98,7 @@ mod tests {
         for v in [100.0, 200.0, 400.0] {
             r.observe("query.wall_us", None, v);
         }
-        let dc = DataCollector::new();
-        let text = render_prometheus(&r.snapshot(), &dc);
+        let text = render_prometheus(&r.snapshot());
         assert!(text.contains("# TYPE vdr_scan_cache_hit_total counter"));
         assert!(text.contains("vdr_scan_cache_hit_total{node=\"0\"} 5"));
         assert!(text.contains("vdr_scan_cache_hit_total{node=\"1\"} 7"));
@@ -122,8 +108,6 @@ mod tests {
         assert!(text.contains("vdr_query_wall_us{quantile=\"0.5\"}"));
         assert!(text.contains("vdr_query_wall_us_sum 700"));
         assert!(text.contains("vdr_query_wall_us_count 3"));
-        assert!(text.contains("vdr_dc_ticks_total 0"));
-        assert!(text.contains("vdr_dc_capacity"));
         // One TYPE line per (name, kind), even with two node series.
         assert_eq!(
             text.matches("# TYPE vdr_scan_cache_hit_total counter")
@@ -138,8 +122,7 @@ mod tests {
         let r = MetricsRegistry::new();
         r.counter("a.b-c", Some(3), 1);
         r.observe("lat", Some(2), 9.0);
-        let dc = DataCollector::new();
-        for line in render_prometheus(&r.snapshot(), &dc).lines() {
+        for line in render_prometheus(&r.snapshot()).lines() {
             if line.starts_with('#') {
                 assert!(line.starts_with("# TYPE "), "bad comment: {line}");
                 continue;

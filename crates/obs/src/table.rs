@@ -155,6 +155,7 @@ impl std::fmt::Display for Table {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -41,99 +41,10 @@ use vdr_ml::glm::{Family, GlmFit, GlmOptions};
 use vdr_ml::kmeans::{KmeansFit, KmeansOptions};
 use vdr_ml::models::{GlmModel, KmeansModel};
 use vdr_ml::reduce::tree_merge;
-use vdr_verticadb::{DbError, Result, VerticaDb};
+use vdr_verticadb::{DbError, QueryRecord, QueryWindow, Result, VerticaDb};
 
 fn exec<E: std::fmt::Display>(e: E) -> DbError {
     DbError::Exec(e.to_string())
-}
-
-/// Attribution bracket around one load-and-train: snapshots metrics on open
-/// and, on [`TrainAttribution::finish`], records the run into the database's
-/// query history so `v_monitor.query_requests` lists it and
-/// [`vdr_verticadb::monitor::profile_batch`] attributes its `ml.train.*` /
-/// `vft.*` metric deltas to the train query id, like `PROFILE` does for SQL
-/// statements.
-struct TrainAttribution {
-    query_id: u64,
-    _scope: vdr_obs::QueryScope,
-    label: String,
-    started: Instant,
-    before: Option<vdr_obs::MetricsSnapshot>,
-}
-
-impl TrainAttribution {
-    fn open(label: String) -> Self {
-        // Enter (or inherit) one query id for the whole load-and-train.
-        let query_id = match vdr_obs::current_query_id() {
-            0 => vdr_obs::next_query_id(),
-            id => id,
-        };
-        TrainAttribution {
-            query_id,
-            _scope: vdr_obs::QueryScope::enter(query_id),
-            label,
-            started: Instant::now(),
-            // Mirror the tracked SQL path: with recording off nothing moves
-            // between the snapshots, so skip the capture entirely.
-            before: vdr_obs::Verbosity::current()
-                .recording()
-                .then(|| vdr_obs::global().metrics().snapshot()),
-        }
-    }
-
-    fn finish(self, db: &VerticaDb, report: &TransferReport) {
-        let wall_ns = self.started.elapsed().as_nanos() as u64;
-        let recording = self.before.is_some();
-        if recording {
-            vdr_obs::observe("query.wall_us", wall_ns as f64 / 1e3);
-        }
-        let after = recording.then(|| vdr_obs::global().metrics().snapshot());
-        let metrics_delta = match (&after, self.before) {
-            (Some(after), Some(before)) => after.diff(&before),
-            _ => Default::default(),
-        };
-        // Train-pool completion is a data-collector tick of its own: the
-        // transfer inside ticked with trigger "vft" and carried the per-node
-        // pool usage, so this tick contributes the train-level rollup plus an
-        // initiator-lane sample holding the `ml.train.*` deltas (they are
-        // recorded without a node label and would otherwise never land in a
-        // ring).
-        let dc = vdr_obs::global().dc();
-        if dc.sampling() {
-            let cache = db.storage().block_cache();
-            dc.tick(vdr_obs::TickContext {
-                query_id: self.query_id,
-                trigger: "train",
-                label: self.label.clone(),
-                status: "complete".to_string(),
-                rows: report.rows,
-                bytes: report.bytes,
-                sim_secs: report.total().as_secs(),
-                wall_ns,
-                delta: metrics_delta.clone(),
-                latency: after
-                    .as_ref()
-                    .and_then(|snap| snap.histogram_total("query.wall_us")),
-                usage: vec![vdr_obs::TickUsage {
-                    node: 0,
-                    sim_secs: report.total().as_secs(),
-                    cache_bytes: cache.bytes_on(vdr_cluster::NodeId(0)),
-                    ..Default::default()
-                }],
-            });
-        }
-        db.monitor().history().record(vdr_verticadb::QueryRecord {
-            id: self.query_id,
-            sql: self.label,
-            status: "complete".to_string(),
-            sim_secs: report.total().as_secs(),
-            wall_ns,
-            rows: report.rows,
-            bytes: report.bytes,
-            phases: Vec::new(),
-            metrics_delta,
-        });
-    }
 }
 
 /// A model fitted while its data loaded.
@@ -221,7 +132,11 @@ where
     F: IterativeFit + Send + 'static,
     F::Partial: 'static,
 {
-    let attribution = TrainAttribution::open(format!("TRAIN {algorithm} WHILE LOADING {table}"));
+    // One query id for the load and the fit: the transfer inside records a
+    // `vft` history entry under it, and the run closes with a `train` entry
+    // whose metric delta holds both (so `PROFILE`-style views attribute
+    // `ml.train.*` and `vft.*` to one query).
+    let window = QueryWindow::open(true);
     let fit = Arc::new(fit);
     // The streamed pass per `(worker, source node, instance)` stream, or the
     // first error its blocks reported (a receive pool has no other way to fail).
@@ -271,13 +186,18 @@ where
     fit.warm_start(tree_merge(partials, F::merge), &source)
         .map_err(exec)?;
     let model = drive(fit, &source).map_err(exec)?;
-    let query_id = attribution.query_id;
-    attribution.finish(db, &report);
+    let label = format!("TRAIN {algorithm} WHILE LOADING {table}");
+    db.monitor().history().record(QueryRecord {
+        sim_secs: report.total().as_secs(),
+        rows: report.rows,
+        bytes: report.bytes,
+        ..window.close("train", label)
+    });
     Ok(LoadFit {
         model,
         array,
         report,
-        query_id,
+        query_id: window.id(),
         overlap_ns,
     })
 }

@@ -51,11 +51,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use vdr_cluster::{
-    stream_chunks, FrameAssembler, NodeId, PhaseKind, PhaseRecorder, SharedMem, StreamRx,
+    stream_chunks, FrameAssembler, NodeId, PhaseKind, PhaseRecorder, PhaseReport, SharedMem,
+    StreamRx,
 };
 use vdr_columnar::{decode_batch, encode_batch, Batch, Column, DataType, Schema};
 use vdr_distr::{DArray, DFrame, DistributedR};
-use vdr_verticadb::{DbError, Result, TransformFunction, UdxContext, VerticaDb};
+use vdr_verticadb::{
+    DbError, QueryRecord, QueryWindow, Result, TransformFunction, UdxContext, VerticaDb,
+};
 
 /// How exported data spreads over Distributed R workers (Section 3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -543,57 +546,6 @@ impl FastTransfer {
         )
     }
 
-    /// Advance the data collector one tick for a completed transfer (the
-    /// "vft" trigger). The sampling window opened when the transfer entered
-    /// its query scope, so the delta covers the export query, the receive
-    /// pools, and assembly; per-node usage comes from the receive-pool phase
-    /// rows captured before the report was pushed onto the ledger.
-    fn transfer_dc_tick(
-        db: &VerticaDb,
-        before: Option<(vdr_obs::MetricsSnapshot, Instant)>,
-        label: String,
-        report: &TransferReport,
-        pool_nodes: &[vdr_cluster::NodePhase],
-    ) {
-        let Some((before, started)) = before else {
-            return;
-        };
-        let dc = vdr_obs::global().dc();
-        if !dc.sampling() {
-            return;
-        }
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        vdr_obs::observe("query.wall_us", wall_ns as f64 / 1e3);
-        let after = vdr_obs::global().metrics().snapshot();
-        let cache = db.storage().block_cache();
-        let usage = pool_nodes
-            .iter()
-            .map(|n| vdr_obs::TickUsage {
-                node: n.node,
-                sim_secs: n.duration_secs,
-                cpu_core_ns: n.usage.cpu_core_ns,
-                disk_read_bytes: n.usage.disk_read_bytes + n.usage.disk_cached_read_bytes,
-                disk_write_bytes: n.usage.disk_write_bytes,
-                net_in_bytes: n.usage.net_in_bytes,
-                net_out_bytes: n.usage.net_out_bytes,
-                cache_bytes: cache.bytes_on(NodeId(n.node)),
-            })
-            .collect();
-        dc.tick(vdr_obs::TickContext {
-            query_id: vdr_obs::current_query_id(),
-            trigger: "vft",
-            label,
-            status: "complete".to_string(),
-            rows: report.rows,
-            bytes: report.bytes,
-            sim_secs: report.total().as_secs(),
-            wall_ns,
-            delta: after.diff(&before),
-            latency: after.histogram_total("query.wall_us"),
-            usage,
-        });
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn db2darray_inner(
         &self,
@@ -610,19 +562,9 @@ impl FastTransfer {
         check_features(&def.schema, features)?;
         // A transfer issues its export via `query_with` (not the tracked
         // statement path), so attribute the whole transfer — export, receive
-        // pools, assembly — to one query id; callers already inside a
-        // statement scope (e.g. a tracked CTAS) keep their id.
-        let query_id = match vdr_obs::current_query_id() {
-            0 => vdr_obs::next_query_id(),
-            id => id,
-        };
-        let _query_scope = vdr_obs::QueryScope::enter(query_id);
-        // Data-collector window: opened here so the tick's delta covers the
-        // whole transfer (export, receive pools, assembly).
-        let dc_before = vdr_obs::global()
-            .dc()
-            .sampling()
-            .then(|| (vdr_obs::global().metrics().snapshot(), Instant::now()));
+        // pools, assembly — to one query id and one history entry; callers
+        // already inside a query (a tracked CTAS, a train run) keep their id.
+        let window = QueryWindow::open(true);
         let mut transfer_span = vdr_obs::span("vft.db2darray");
         transfer_span.record("table", table);
         transfer_span.record("policy", policy.as_param());
@@ -631,9 +573,10 @@ impl FastTransfer {
         // pools charge decode work to it while the export is still
         // producing (that's the pipelining).
         let r_rec = PhaseRecorder::new("vft r", PhaseKind::Sequential, db.cluster().num_nodes());
-        let (received, db_time, _wall) = self.run_transfer(
+        let (received, db_report, _wall) = self.run_transfer(
             db, dr, table, features, policy, ledger, psize, &r_rec, observer,
         )?;
+        let db_time = db_report.duration();
 
         // Assembly: each worker turns its decoded blocks into one darray
         // partition ("the in-memory files are converted into R objects and
@@ -685,8 +628,7 @@ impl FastTransfer {
 
         let r_report = r_rec.finish(db.cluster().profile());
         let client_time = r_report.duration();
-        let pool_nodes = r_report.nodes.clone();
-        ledger.push(r_report);
+        ledger.push(r_report.clone());
         transfer_span.record("rows", total_rows);
         transfer_span.set_sim_time(db_time + client_time);
 
@@ -702,13 +644,8 @@ impl FastTransfer {
             // conversion dominates).
             queue_time: db_time - client_time,
         };
-        Self::transfer_dc_tick(
-            db,
-            dc_before,
-            format!("VFT db2darray {table}"),
-            &report,
-            &pool_nodes,
-        );
+        let label = format!("VFT db2darray {table}");
+        record_transfer(db, &window, label, &report, [db_report, r_report]);
         Ok((array, report))
     }
 
@@ -727,23 +664,16 @@ impl FastTransfer {
         for c in columns {
             def.schema.index_of(c)?;
         }
-        // One query id per transfer (see db2darray_opts).
-        let query_id = match vdr_obs::current_query_id() {
-            0 => vdr_obs::next_query_id(),
-            id => id,
-        };
-        let _query_scope = vdr_obs::QueryScope::enter(query_id);
-        let dc_before = vdr_obs::global()
-            .dc()
-            .sampling()
-            .then(|| (vdr_obs::global().metrics().snapshot(), Instant::now()));
+        // One query id and history entry per transfer (see db2darray_inner).
+        let window = QueryWindow::open(true);
         let mut transfer_span = vdr_obs::span("vft.db2dframe");
         transfer_span.record("table", table);
         transfer_span.record("policy", policy.as_param());
 
         let r_rec = PhaseRecorder::new("vft r", PhaseKind::Sequential, db.cluster().num_nodes());
-        let (received, db_time, _wall) =
+        let (received, db_report, _wall) =
             self.run_transfer(db, dr, table, columns, policy, ledger, None, &r_rec, None)?;
+        let db_time = db_report.duration();
 
         let frame = dr
             .dframe(dr.num_workers())
@@ -796,8 +726,7 @@ impl FastTransfer {
         }
         let r_report = r_rec.finish(db.cluster().profile());
         let client_time = r_report.duration();
-        let pool_nodes = r_report.nodes.clone();
-        ledger.push(r_report);
+        ledger.push(r_report.clone());
         transfer_span.record("rows", total_rows);
         transfer_span.set_sim_time(db_time + client_time);
 
@@ -809,21 +738,16 @@ impl FastTransfer {
             client_time,
             queue_time: db_time - client_time,
         };
-        Self::transfer_dc_tick(
-            db,
-            dc_before,
-            format!("VFT db2dframe {table}"),
-            &report,
-            &pool_nodes,
-        );
+        let label = format!("VFT db2dframe {table}");
+        record_transfer(db, &window, label, &report, [db_report, r_report]);
         Ok((frame, report))
     }
 
     /// Issue the export query while worker receive pools drain, stage, and
     /// decode incoming streams as they arrive. Returns the decoded streams
     /// per worker (sorted by source for determinism), the DB-side phase
-    /// duration, and the pools' wall-clock measurements; the phase report is
-    /// pushed onto `ledger`. Decode cpu is charged to `r_rec` as it happens.
+    /// report (also pushed onto `ledger`), and the pools' wall-clock
+    /// measurements. Decode cpu is charged to `r_rec` as it happens.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn run_transfer(
         &self,
@@ -836,7 +760,7 @@ impl FastTransfer {
         psize_override: Option<u64>,
         r_rec: &PhaseRecorder,
         observer: Option<&BatchObserver>,
-    ) -> Result<(Vec<Vec<ReceivedStream>>, vdr_cluster::SimDuration, RecvWall)> {
+    ) -> Result<(Vec<Vec<ReceivedStream>>, PhaseReport, RecvWall)> {
         let transfer = self.hub.next_transfer.fetch_add(1, Ordering::Relaxed);
         let nworkers = dr.num_workers();
         let workers_param: String = dr
@@ -991,14 +915,31 @@ impl FastTransfer {
         let db_report = Arc::into_inner(db_rec)
             .ok_or_else(kept)?
             .finish(db.cluster().profile());
-        let db_time = db_report.duration();
         db_span.record("receive_wait_ms", wall.wait_ns / 1_000_000);
         db_span.record("receive_decode_ms", wall.decode_ns / 1_000_000);
         db_span.record("frames", wall.frames);
-        db_span.set_sim_time(db_time);
-        ledger.push(db_report);
-        Ok((received, db_time, wall))
+        db_span.set_sim_time(db_report.duration());
+        ledger.push(db_report.clone());
+        Ok((received, db_report, wall))
     }
+}
+
+/// Record a completed transfer as one `vft` entry of the database's query
+/// history, holding its `vft db` and `vft r` phases.
+fn record_transfer(
+    db: &VerticaDb,
+    window: &QueryWindow,
+    label: String,
+    report: &TransferReport,
+    phases: [PhaseReport; 2],
+) {
+    db.monitor().history().record(QueryRecord {
+        sim_secs: report.total().as_secs(),
+        rows: report.rows,
+        bytes: report.bytes,
+        phases: phases.into(),
+        ..window.close("vft", label)
+    });
 }
 
 #[cfg(test)]

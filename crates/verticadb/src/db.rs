@@ -1,13 +1,15 @@
 //! The database façade: catalog + storage + DFS + models + UDx registry +
 //! admission control, bound to a simulated cluster.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::admission::AdmissionController;
 use crate::catalog::{Catalog, TableDef};
 use crate::dfs::Dfs;
-use crate::error::Result;
+use crate::error::{DbError, Result};
 use crate::exec;
 use crate::models::ModelStore;
-use crate::monitor::{Monitor, QueryRecord, SystemTableProvider};
+use crate::monitor::{Monitor, QueryRecord, QueryWindow, SystemTableProvider};
 use crate::sql;
 use crate::storage::SegmentStore;
 use crate::udx::{TransformFunction, UdxRegistry};
@@ -84,11 +86,11 @@ impl VerticaDb {
     }
 
     /// The tracked execution path every SQL entry point funnels through:
-    /// allocates a query id, scopes execution to it, diffs metrics around
-    /// it, and records the outcome in the query history. `PROFILE` is
-    /// intercepted here — its inner statement runs normally (with recording
-    /// forced on if verbosity is `Off`), then the result batch is replaced
-    /// by the profile rows.
+    /// opens a [`QueryWindow`] (a query id scoped around execution, and a
+    /// metrics diff) and records the outcome in the query history.
+    /// `PROFILE` is intercepted here — its inner statement runs normally
+    /// (with recording forced on if verbosity is `Off`), then the result
+    /// batch is replaced by the profile rows.
     fn execute_tracked(
         &self,
         stmt: &sql::Statement,
@@ -150,14 +152,8 @@ impl VerticaDb {
         target: &Ledger,
         label: Option<String>,
     ) -> Result<(QueryOutput, QueryRecord)> {
-        let query_id = vdr_obs::next_query_id();
-        let _scope = vdr_obs::QueryScope::enter(query_id);
-        // Per-query metric attribution costs two registry snapshots plus a
-        // diff; with recording off nothing moves between them, so skip the
-        // capture entirely and keep `VDR_OBS=off` a true zero-overhead path.
-        let recording = vdr_obs::Verbosity::current().recording();
-        let metrics_before = recording.then(|| vdr_obs::global().metrics().snapshot());
-        let started = std::time::Instant::now();
+        let window = QueryWindow::open(false);
+        let query_id = window.id();
         let rec = Arc::new(PhaseRecorder::new(
             label.unwrap_or_else(|| statement_label(stmt)),
             PhaseKind::Pipelined,
@@ -165,48 +161,31 @@ impl VerticaDb {
         ));
         rec.set_query_id(query_id);
         let result = self.execute_with(stmt, &rec);
+        let stray = || DbError::Exec("a phase recorder outlived its statement".into());
         let report = Arc::into_inner(rec)
-            .expect("no stray phase references after execution")
+            .ok_or_else(stray)?
             .finish(self.cluster.profile());
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        // The latency observation must land *before* the after-snapshot so
-        // the statement's own delta (and the DC tick it feeds) includes it.
-        if recording {
-            vdr_obs::observe("query.wall_us", wall_ns as f64 / 1e3);
-        }
-        let after = recording.then(|| vdr_obs::global().metrics().snapshot());
-        let metrics_delta = match (&after, metrics_before) {
-            (Some(after), Some(before)) => after.diff(&before),
-            _ => Default::default(),
-        };
-        let latency = after
-            .as_ref()
-            .and_then(|snap| snap.histogram_total("query.wall_us"));
         let sql = sql_text.map_or_else(|| report.name.clone(), str::to_string);
+        let record = window.close("statement", sql);
         match result {
             Ok(batch) => {
                 let sim_time = report.duration();
                 let record = QueryRecord {
-                    id: query_id,
-                    sql,
-                    status: "complete".to_string(),
                     sim_secs: sim_time.as_secs(),
-                    wall_ns,
                     rows: batch.num_rows() as u64,
                     bytes: batch.byte_size(),
                     phases: vec![report.clone()],
-                    metrics_delta,
+                    ..record
                 };
-                self.dc_tick(&record, "statement", &report, latency);
                 target.push(report);
                 let threshold = self.monitor.slow_threshold_ns();
-                if wall_ns >= threshold {
+                if record.wall_ns >= threshold {
                     self.monitor.record_slow(&record, threshold);
                     vdr_obs::event(
                         "query.slow",
                         format!(
                             "query_id={query_id} wall_ms={:.1} threshold_ms={:.1}",
-                            wall_ns as f64 / 1e6,
+                            record.wall_ns as f64 / 1e6,
                             threshold as f64 / 1e6
                         ),
                     );
@@ -223,68 +202,13 @@ impl VerticaDb {
             }
             Err(e) => {
                 vdr_obs::event("query.error", format!("query_id={query_id} error={e}"));
-                let record = QueryRecord {
-                    id: query_id,
-                    sql,
-                    status: format!("error: {e}"),
-                    sim_secs: 0.0,
-                    wall_ns,
-                    rows: 0,
-                    bytes: 0,
-                    phases: Vec::new(),
-                    metrics_delta,
-                };
-                self.dc_tick(&record, "statement", &report, latency);
-                self.monitor.history().record(record);
+                let status = format!("error: {e}");
+                self.monitor
+                    .history()
+                    .record(QueryRecord { status, ..record });
                 Err(e)
             }
         }
-    }
-
-    /// Advance the data collector one deterministic tick at a statement
-    /// boundary: the statement's metric delta, its per-node ledger readings,
-    /// and the rolling latency histogram become one ring sample per node
-    /// plus one query rollup. (`vdr-transfer` ticks the same collector on
-    /// VFT and train-pool completions.)
-    fn dc_tick(
-        &self,
-        record: &QueryRecord,
-        trigger: &'static str,
-        report: &vdr_cluster::PhaseReport,
-        latency: Option<vdr_obs::HistogramSnapshot>,
-    ) {
-        let dc = vdr_obs::global().dc();
-        if !dc.sampling() {
-            return;
-        }
-        let cache = self.storage.block_cache();
-        let usage = report
-            .nodes
-            .iter()
-            .map(|n| vdr_obs::TickUsage {
-                node: n.node,
-                sim_secs: n.duration_secs,
-                cpu_core_ns: n.usage.cpu_core_ns,
-                disk_read_bytes: n.usage.disk_read_bytes + n.usage.disk_cached_read_bytes,
-                disk_write_bytes: n.usage.disk_write_bytes,
-                net_in_bytes: n.usage.net_in_bytes,
-                net_out_bytes: n.usage.net_out_bytes,
-                cache_bytes: cache.bytes_on(vdr_cluster::NodeId(n.node)),
-            })
-            .collect();
-        dc.tick(vdr_obs::TickContext {
-            query_id: record.id,
-            trigger,
-            label: record.sql.clone(),
-            status: record.status.clone(),
-            rows: record.rows,
-            bytes: record.bytes,
-            sim_secs: record.sim_secs,
-            wall_ns: record.wall_ns,
-            delta: record.metrics_delta.clone(),
-            latency,
-            usage,
-        });
     }
 
     /// Execute a statement charging an externally owned phase recorder.
@@ -393,6 +317,7 @@ pub(crate) fn statement_label(stmt: &sql::Statement) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use vdr_columnar::{Column, DataType, Schema, Value};

@@ -14,8 +14,9 @@
 //!   WHERE mask into the node's one accumulator (`NodeAcc`: projected rows,
 //!   a group table, or a transform's UDx instances). A table scan feeds it
 //!   container after container; a JOIN the joined chunks its probe produces
-//!   (`exec_join.rs`), and `Local` the initiator's rows, both as all-decoded
-//!   batches whose columns moved in without a copy.
+//!   (`exec_join.rs`), and `Local` each node's rows the planner holds (a
+//!   system table's, or the initiator's), both as all-decoded batches whose
+//!   columns moved in without a copy.
 //! - **The Exchange operator** (`exchange`): every node encodes what it
 //!   sends each destination through the block codec, the frames cross
 //!   [`vdr_cluster::exchange_framed`], and every receiver decodes them and
@@ -147,7 +148,7 @@ pub fn execute(db: &VerticaDb, stmt: &Statement, rec: &Arc<PhaseRecorder>) -> Re
     stmt_span.record("stmt", crate::db::statement_label(stmt));
     match stmt {
         Statement::Select(select) => execute_select(db, select, rec),
-        Statement::Explain(select) => plan::build(db, select, rec)?.explain(),
+        Statement::Explain(select) => plan::build(db, select)?.explain(),
         Statement::CreateTable {
             name,
             columns,
@@ -249,7 +250,7 @@ fn status_batch(msg: &str) -> Result<Batch> {
 
 /// Plan and run one SELECT, charging `rec`.
 fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -> Result<Batch> {
-    let plan = plan::build(db, stmt, rec)?;
+    let plan = plan::build(db, stmt)?;
     let mut span = vdr_obs::span("exec.select");
     if let Some(table) = &stmt.from {
         span.record("table", table);
@@ -653,11 +654,15 @@ fn fragment(cx: &Cx<'_>, node: &PlanNode) -> Result<Vec<NodeResult>> {
         (cx.filter, source) = (Some(pred), input(source)?);
     }
     match &source.op {
-        Op::Local(rows) => {
-            let mut acc = NodeAcc::new(&cx, INITIATOR)?;
-            let one = Ok(rows.clone());
-            pipeline(&cx, [one], &mut acc, &mut EncodedScanStats::default())?;
-            Ok(vec![acc.finish()?])
+        Op::Local(per_node) => {
+            let local = |(n, rows): (usize, &EncodedBatch)| {
+                let _s = cx.enter(n);
+                let mut acc = NodeAcc::new(&cx, NodeId(n))?;
+                let one = [Ok(rows.clone())];
+                pipeline(&cx, one, &mut acc, &mut EncodedScanStats::default())?;
+                acc.finish()
+            };
+            per_node.iter().enumerate().map(local).collect()
         }
         Op::Scan(scan) => {
             let scan_node = |node: &Arc<Node>| scan_node(&cx, node, scan);

@@ -3,11 +3,10 @@
 //! Vertica answers "what is the database doing?" with SQL — the `V_MONITOR`
 //! schema and Data Collector tables the paper's evaluation reads its
 //! per-operator statistics from. This module is that surface for our
-//! engine: a [`SystemTableProvider`] materializes a [`Batch`] on demand,
-//! and the executor resolves any `FROM v_monitor.<name>` through the
+//! engine: the executor resolves any `FROM v_monitor.<name>` through the
 //! [`Monitor`] registry instead of the catalog, so the ordinary
-//! `SELECT ... WHERE ... ORDER BY` machinery (projection pushdown,
-//! predicate kernels, sorts) runs unchanged over telemetry.
+//! `SELECT ... WHERE ... ORDER BY` machinery (predicate kernels,
+//! projection, sorts) runs unchanged over telemetry.
 //!
 //! Built-in tables:
 //!
@@ -26,21 +25,32 @@
 //! | `dfs_objects`               | DFS object store listing                  |
 //! | `model_cache`               | prediction model cache stats (registered  |
 //! |                             | by `vdr-core` alongside the UDx funcs)    |
-//! | `dc_metrics_by_tick`        | data-collector per-tick metric deltas     |
-//! | `dc_resource_usage`         | data-collector per-tick ledger readings   |
-//! | `dc_query_summaries`        | per-tick query rollups with rolling       |
-//! |                             | p50/p90/p99 latency                       |
+//! | `dc_metrics_by_tick`        | each history entry's metric deltas        |
+//! | `dc_resource_usage`         | each history entry's per-node ledger use  |
+//! | `dc_query_summaries`        | each history entry with exact rolling     |
+//! |                             | p50/p90/p99 wall latency                  |
 //!
-//! System tables are **cluster-wide**: the executor resolves them through
-//! [`Monitor::materialize_cluster`], which asks every node for its share of
-//! the rows ([`SystemTableProvider::batch_on`]), streams the encoded blocks
-//! to the initiator over the same length-prefixed framing the VFT data path
-//! uses (`vdr_cluster::gather_framed`), and unions them with a trailing
-//! `node_name` column — so `SELECT node_name, ... FROM v_monitor.<t>` shows
-//! which node produced each row, like Vertica's `v_monitor` does. Tables
-//! whose state lives only on the initiator (query history, slow requests,
-//! DFS metadata, DC rollups) keep the default `batch_on`: node 0 produces,
-//! other nodes send nothing.
+//! **One store.** The database's [`QueryHistory`] is the one record of what
+//! ran: every SQL statement, VFT transfer and train-while-loading run
+//! appends a [`QueryRecord`] — its trigger, metric delta and ledger phases —
+//! stamped with a per-database sequence number. `query_requests`,
+//! `execution_engine_profiles`, `PROFILE` and the three `dc_*` tables are
+//! views over it (`tick` is the sequence number), so two databases in one
+//! process each see only their own work.
+//!
+//! **One read path.** A system table is a per-node source of the plan:
+//! [`SystemTableProvider::batch`] returns node *n*'s rows, the planner holds
+//! one batch per node, each ending in a `node_name` column
+//! (`Monitor::batches`), WHERE and projection run on every node, and the
+//! plan's `Exchange gather` ships — and charges — only what survives. Like
+//! Vertica's `v_monitor`, `SELECT node_name, ...` shows which node produced
+//! each row. Node-labelled state (metrics, spans, events, phase rows,
+//! containers, cache bytes) belongs to its node; unlabelled and
+//! initiator-resident state (the history's own rows, slow requests, DFS
+//! metadata, cache counters) to node 0, the other nodes answering with no
+//! rows.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
@@ -48,17 +58,17 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use vdr_cluster::{gather_framed, ClusterError, NodeId, PhaseRecorder, PhaseReport};
-use vdr_columnar::{
-    decode_batch, encode_batch, Batch, Column, ColumnBuilder, DataType, Field, Schema, Value,
-};
+use std::time::Instant;
+use vdr_cluster::{NodeId, NodePhase, NodeUsage, PhaseReport};
+use vdr_columnar::{Batch, Column, ColumnBuilder, DataType, Field, Schema, Value};
+use vdr_obs::metrics::MetricKey;
 use vdr_obs::{MetricValue, MetricsSnapshot, SpanRecord};
 
 /// The virtual schema name system tables live under.
 pub const V_MONITOR_SCHEMA: &str = "v_monitor";
 
 /// The default query-history ring capacity: the last N completed (or
-/// failed) statements. Runtime-configurable via
+/// failed) statements, transfers and train runs. Runtime-configurable via
 /// [`QueryHistory::set_capacity`]; older entries are evicted, counted on
 /// `obs.query_history.evicted`, and reported as `query.history.evicted`
 /// structured events.
@@ -74,6 +84,9 @@ pub const SLOW_REQUESTS_CAPACITY: usize = 256;
 /// reproduction cares about.
 pub const DEFAULT_SLOW_THRESHOLD_NS: u64 = 25_000_000;
 
+/// The node that holds initiator-resident state.
+const INITIATOR: NodeId = NodeId(0);
+
 /// If `name` is `v_monitor.<table>` (case-insensitive), the bare table name.
 pub fn v_monitor_table(name: &str) -> Option<&str> {
     let (schema, table) = name.split_once('.')?;
@@ -82,12 +95,17 @@ pub fn v_monitor_table(name: &str) -> Option<&str> {
         .then_some(table)
 }
 
-/// One completed statement in the query history.
+/// One completed unit of work in the query history.
 #[derive(Debug, Clone)]
 pub struct QueryRecord {
-    /// The query id allocated for the statement (see `vdr_obs::query`).
+    /// The query id allocated for the unit (see `vdr_obs::query`).
     pub id: u64,
-    /// SQL text, or the statement label when executed pre-parsed.
+    /// The history's sequence number, stamped by [`QueryHistory::record`]
+    /// (0 before): the `tick` of the `dc_*` views.
+    pub seq: u64,
+    /// What ran: `statement`, `vft` or `train`.
+    pub trigger: &'static str,
+    /// SQL text, or the statement, transfer or train label.
     pub sql: String,
     /// `complete`, or `error: <message>`.
     pub status: String,
@@ -95,20 +113,85 @@ pub struct QueryRecord {
     pub sim_secs: f64,
     /// Real (host) execution time, nanoseconds.
     pub wall_ns: u64,
-    /// Rows in the statement's result batch.
+    /// Rows in the statement's result batch (or transferred, or trained on).
     pub rows: u64,
-    /// Bytes in the statement's result batch.
+    /// Bytes in the statement's result batch (or transferred).
     pub bytes: u64,
-    /// The ledger phases this statement produced.
+    /// The ledger phases the unit produced.
     pub phases: Vec<PhaseReport>,
-    /// Metrics activity during the statement (snapshot diff).
+    /// Metrics activity during the unit (snapshot diff).
     pub metrics_delta: MetricsSnapshot,
 }
 
-/// Bounded ring of recent [`QueryRecord`]s.
+/// One unit of work on its way into the history: its query id, entered on
+/// this thread for the window's lifetime, its start, and — when recording —
+/// the metrics snapshot its delta is taken against.
+pub struct QueryWindow {
+    id: u64,
+    started: Instant,
+    before: Option<MetricsSnapshot>,
+    _scope: vdr_obs::QueryScope,
+}
+
+impl QueryWindow {
+    /// Open a window under a fresh query id or, with `inherit`, under the
+    /// one this thread already runs in (a transfer issued inside a tracked
+    /// statement, or inside a train run, keeps that id).
+    pub fn open(inherit: bool) -> Self {
+        let id = match vdr_obs::current_query_id() {
+            id if inherit && id != 0 => id,
+            _ => vdr_obs::next_query_id(),
+        };
+        // Attribution costs two registry snapshots plus a diff; with
+        // recording off nothing moves between them, so skip the capture and
+        // keep `VDR_OBS=off` a true zero-overhead path.
+        let recording = vdr_obs::Verbosity::current().recording();
+        QueryWindow {
+            id,
+            started: Instant::now(),
+            before: recording.then(|| vdr_obs::global().metrics().snapshot()),
+            _scope: vdr_obs::QueryScope::enter(id),
+        }
+    }
+
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The window's record so far: id, trigger, label, wall time and metric
+    /// delta, status `complete`; the caller fills in rows, bytes, simulated
+    /// time and phases. The `query.wall_us` observation lands before the
+    /// after-snapshot, so the unit's own delta includes it.
+    pub fn close(&self, trigger: &'static str, sql: String) -> QueryRecord {
+        let wall_ns = self.started.elapsed().as_nanos() as u64;
+        let metrics_delta = match &self.before {
+            Some(before) => {
+                vdr_obs::observe("query.wall_us", wall_ns as f64 / 1e3);
+                vdr_obs::global().metrics().snapshot().diff(before)
+            }
+            None => MetricsSnapshot::default(),
+        };
+        QueryRecord {
+            id: self.id,
+            seq: 0,
+            trigger,
+            sql,
+            status: "complete".to_string(),
+            sim_secs: 0.0,
+            wall_ns,
+            rows: 0,
+            bytes: 0,
+            phases: Vec::new(),
+            metrics_delta,
+        }
+    }
+}
+
+/// Bounded ring of recent [`QueryRecord`]s, in sequence order.
 pub struct QueryHistory {
     entries: Mutex<VecDeque<QueryRecord>>,
     capacity: AtomicUsize,
+    last_seq: AtomicU64,
 }
 
 impl QueryHistory {
@@ -120,6 +203,7 @@ impl QueryHistory {
         QueryHistory {
             entries: Mutex::new(VecDeque::new()),
             capacity: AtomicUsize::new(capacity),
+            last_seq: AtomicU64::new(0),
         }
     }
 
@@ -154,10 +238,12 @@ impl QueryHistory {
         }
     }
 
-    /// Append a record, evicting the oldest past capacity.
-    pub fn record(&self, record: QueryRecord) {
+    /// Append a record under the next sequence number, evicting the oldest
+    /// past capacity.
+    pub fn record(&self, mut record: QueryRecord) {
         let capacity = self.capacity();
         let mut entries = self.entries.lock();
+        record.seq = self.last_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let evicted_id = (entries.len() >= capacity)
             .then(|| entries.front().map(|r| r.id))
             .flatten();
@@ -176,15 +262,6 @@ impl QueryHistory {
         self.entries.lock().iter().cloned().collect()
     }
 
-    pub fn get(&self, id: u64) -> Option<QueryRecord> {
-        self.entries
-            .lock()
-            .iter()
-            .rev()
-            .find(|r| r.id == id)
-            .cloned()
-    }
-
     pub fn len(&self) -> usize {
         self.entries.lock().len()
     }
@@ -200,26 +277,15 @@ impl Default for QueryHistory {
     }
 }
 
-/// A virtual table: materializes its rows on demand. Providers must be
-/// cheap to call repeatedly and must not execute SQL (the executor calls
-/// them mid-statement).
+/// A virtual table. Providers must be cheap to call repeatedly and must not
+/// execute SQL (the planner calls them mid-statement).
 pub trait SystemTableProvider: Send + Sync {
     /// Bare table name under `v_monitor.` (lowercase).
     fn name(&self) -> &str;
-    /// Materialize the table's current contents.
-    fn batch(&self, db: &VerticaDb) -> Result<Batch>;
-    /// The rows *node* contributes to the cluster-wide union
-    /// ([`Monitor::materialize_cluster`]). `None` means the node sends no
-    /// frames — the default keeps initiator-resident tables (query history,
-    /// slow requests, DFS metadata) cheap: only node 0 produces, everyone
-    /// else stays silent on the wire.
-    fn batch_on(&self, db: &VerticaDb, node: NodeId) -> Result<Option<Batch>> {
-        if node.0 == 0 {
-            self.batch(db).map(Some)
-        } else {
-            Ok(None)
-        }
-    }
+    /// Node `node`'s rows of the table's current contents. Every node
+    /// answers with the same columns; a node that holds none of the state
+    /// answers with no rows.
+    fn batch(&self, db: &VerticaDb, node: NodeId) -> Result<Batch>;
 }
 
 /// One statement that crossed the slow-query threshold.
@@ -243,6 +309,19 @@ pub struct Monitor {
     slow: Mutex<VecDeque<SlowRequest>>,
 }
 
+/// A built-in table: its name and the function building node *n*'s rows.
+struct Builtin(&'static str, fn(&VerticaDb, NodeId) -> Result<Batch>);
+
+impl SystemTableProvider for Builtin {
+    fn name(&self) -> &str {
+        self.0
+    }
+
+    fn batch(&self, db: &VerticaDb, node: NodeId) -> Result<Batch> {
+        (self.1)(db, node)
+    }
+}
+
 impl Monitor {
     /// A registry pre-loaded with the built-in providers.
     pub fn new() -> Self {
@@ -252,18 +331,23 @@ impl Monitor {
             slow_threshold_ns: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_NS),
             slow: Mutex::new(VecDeque::new()),
         };
-        m.register(Arc::new(QueryRequestsTable));
-        m.register(Arc::new(ExecutionEngineProfilesTable));
-        m.register(Arc::new(MetricsTable));
-        m.register(Arc::new(SpansTable));
-        m.register(Arc::new(EventsTable));
-        m.register(Arc::new(SlowRequestsTable));
-        m.register(Arc::new(StorageContainersTable));
-        m.register(Arc::new(BlockCacheTable));
-        m.register(Arc::new(DfsObjectsTable));
-        m.register(Arc::new(DcMetricsByTickTable));
-        m.register(Arc::new(DcResourceUsageTable));
-        m.register(Arc::new(DcQuerySummariesTable));
+        let builtins: [Builtin; 12] = [
+            Builtin("query_requests", query_requests),
+            Builtin("execution_engine_profiles", execution_engine_profiles),
+            Builtin("metrics", metrics),
+            Builtin("spans", spans),
+            Builtin("events", events),
+            Builtin("slow_requests", slow_requests),
+            Builtin("storage_containers", storage_containers),
+            Builtin("block_cache", block_cache),
+            Builtin("dfs_objects", dfs_objects),
+            Builtin("dc_metrics_by_tick", dc_metrics_by_tick),
+            Builtin("dc_resource_usage", dc_resource_usage),
+            Builtin("dc_query_summaries", dc_query_summaries),
+        ];
+        for b in builtins {
+            m.register(Arc::new(b));
+        }
         m
     }
 
@@ -312,72 +396,29 @@ impl Monitor {
         &self.history
     }
 
-    /// Registered table names, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        self.providers.read().keys().cloned().collect()
-    }
-
-    /// Materialize `v_monitor.<table>`.
-    pub fn materialize(&self, table: &str, db: &VerticaDb) -> Result<Batch> {
-        self.provider(table)?.batch(db)
-    }
-
-    fn provider(&self, table: &str) -> Result<Arc<dyn SystemTableProvider>> {
-        self.providers
+    /// `v_monitor.<table>` as the plan's per-node source: node *n*'s rows at
+    /// index *n*, each batch ending in a `node_name` column naming its node.
+    pub(crate) fn batches(&self, table: &str, db: &VerticaDb) -> Result<Vec<Batch>> {
+        let provider = self
+            .providers
             .read()
             .get(&table.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| {
-                DbError::Plan(format!("unknown system table '{V_MONITOR_SCHEMA}.{table}'"))
-            })
-    }
-
-    /// Materialize `v_monitor.<table>` as the union across all cluster
-    /// nodes: every node runs the provider's [`SystemTableProvider::batch_on`]
-    /// for itself, encodes the rows into a block, and streams it to the
-    /// initiator over the same 16-byte-header/length-prefixed framing the
-    /// VFT path uses (`vdr_cluster::gather_framed`). The initiator decodes
-    /// and concatenates, appending a `node_name` column naming the producing
-    /// node. Network bytes and encode/decode CPU are charged to `rec`.
-    pub fn materialize_cluster(
-        &self,
-        table: &str,
-        db: &VerticaDb,
-        rec: &Arc<PhaseRecorder>,
-    ) -> Result<Batch> {
-        let provider = self.provider(table)?;
-        let scan_cost = db.cluster().profile().costs.db_scan_ns_per_value;
-        let stage_key = format!("monitor.fetch.{}", provider.name());
-        let gathered = gather_framed(db.cluster(), rec, &stage_key, |node| {
-            let batch = provider
-                .batch_on(db, node.id())
-                .map_err(|e| ClusterError::Io(format!("system table produce: {e}")))?;
-            Ok(match batch {
-                Some(batch) if batch.num_rows() > 0 => {
-                    rec.cpu_work(node.id(), batch.num_values() as f64, scan_cost);
-                    vec![encode_batch(&batch)]
-                }
-                _ => Vec::new(),
-            })
+            .cloned();
+        let provider = provider.ok_or_else(|| {
+            DbError::Plan(format!("unknown system table '{V_MONITOR_SCHEMA}.{table}'"))
         })?;
-        let initiator = NodeId(0);
-        let mut parts: Vec<Batch> = Vec::new();
-        for (node, frames) in gathered.into_iter().enumerate() {
-            for frame in frames {
-                let batch = decode_batch(&frame)?;
-                rec.cpu_work(initiator, batch.num_values() as f64, scan_cost);
-                parts.push(with_node_name(&batch, node)?);
+        let mut out: Vec<Batch> = Vec::with_capacity(db.cluster().num_nodes());
+        for node in db.cluster().node_ids() {
+            let batch = with_node_name(provider.batch(db, node)?, node)?;
+            if let Some(first) = out.first().filter(|f| f.schema() != batch.schema()) {
+                let (want, got) = (first.schema().names(), batch.schema().names());
+                return Err(DbError::Exec(format!(
+                    "{V_MONITOR_SCHEMA}.{table}: node {node} answered columns {got:?}, not {want:?}"
+                )));
             }
+            out.push(batch);
         }
-        match parts.first() {
-            // A table nobody contributed to still needs its schema: take the
-            // provider's initiator-side shape (empty) and tag it.
-            None => with_node_name(&provider.batch(db)?.slice(0, 0), 0),
-            Some(first) => {
-                let schema = first.schema().clone();
-                Ok(Batch::concat(schema, &parts)?)
-            }
-        }
+        Ok(out)
     }
 }
 
@@ -388,14 +429,12 @@ pub fn node_name(node: usize) -> String {
 }
 
 /// `batch` with a trailing `node_name` Varchar column naming `node`.
-fn with_node_name(batch: &Batch, node: usize) -> Result<Batch> {
-    let mut fields = batch.schema().fields().to_vec();
+fn with_node_name(batch: Batch, node: NodeId) -> Result<Batch> {
+    let rows = batch.num_rows();
+    let (schema, mut columns) = batch.into_parts();
+    let mut fields = schema.fields().to_vec();
     fields.push(Field::new("node_name".to_string(), DataType::Varchar));
-    let mut columns = batch.columns().to_vec();
-    columns.push(Column::from_strings(vec![
-        node_name(node);
-        batch.num_rows()
-    ]));
+    columns.push(Column::from_strings(vec![node_name(node.0); rows]));
     Ok(Batch::new(Schema::new(fields), columns)?)
 }
 
@@ -405,8 +444,8 @@ impl Default for Monitor {
     }
 }
 
-/// Build a batch from `(name, type, builder-fill)` columns with equal row
-/// counts — the common shape of every provider below.
+/// Build a batch from `(name, type)` columns and rows of equal width — the
+/// common shape of every table below.
 struct Rows {
     fields: Vec<Field>,
     builders: Vec<ColumnBuilder>,
@@ -424,7 +463,12 @@ impl Rows {
     }
 
     fn push(&mut self, row: Vec<Value>) -> Result<()> {
-        debug_assert_eq!(row.len(), self.builders.len());
+        if row.len() != self.builders.len() {
+            let (got, want) = (row.len(), self.builders.len());
+            return Err(DbError::Exec(format!(
+                "a system-table row has {got} values for {want} columns"
+            )));
+        }
         for (builder, value) in self.builders.iter_mut().zip(row) {
             match value {
                 Value::Null => builder.push_null(),
@@ -440,370 +484,291 @@ impl Rows {
     }
 }
 
+fn int(n: u64) -> Value {
+    Value::Int64(n as i64)
+}
+
+/// Nanoseconds as a microsecond float.
+fn us(ns: u64) -> Value {
+    Value::Float64(ns as f64 / 1e3)
+}
+
 fn opt_node(node: Option<usize>) -> Value {
+    node.map_or(Value::Null, |n| int(n as u64))
+}
+
+/// Whether an entry labelled `label` is node `node`'s: a node-labelled one
+/// belongs to its node, an unlabelled (global, initiator-side) one to the
+/// initiator.
+fn owns(node: NodeId, label: Option<usize>) -> bool {
+    label.map_or(node == INITIATOR, |l| l == node.0)
+}
+
+/// Initiator-resident state as node `node` serves it: all of it on the
+/// initiator, none elsewhere.
+fn initiator_only<T>(node: NodeId, state: impl FnOnce() -> Vec<T>) -> Vec<T> {
     match node {
-        Some(n) => Value::Int64(n as i64),
-        None => Value::Null,
+        INITIATOR => state(),
+        _ => Vec::new(),
     }
+}
+
+/// Each phase of `r` with `node`'s row of it.
+fn node_phases(r: &QueryRecord, node: NodeId) -> impl Iterator<Item = (&PhaseReport, &NodePhase)> {
+    let rows = r
+        .phases
+        .iter()
+        .flat_map(|p| p.nodes.iter().map(move |n| (p, n)));
+    rows.filter(move |(_, n)| n.node == node.0)
+}
+
+/// A metric the window of a delta never touched: every process-lifetime
+/// key passes through a snapshot diff, so the windowed views drop these.
+fn untouched(value: &MetricValue) -> bool {
+    match value {
+        MetricValue::Counter(c) => *c == 0,
+        MetricValue::Histogram(h) => h.count == 0,
+        MetricValue::Gauge(_) => false,
+    }
+}
+
+/// A metric's kind and scalar value (a histogram's count).
+fn kind_value(value: &MetricValue) -> (&'static str, f64) {
+    match value {
+        MetricValue::Counter(c) => ("counter", *c as f64),
+        MetricValue::Gauge(g) => ("gauge", *g),
+        MetricValue::Histogram(h) => ("histogram", h.count as f64),
+    }
+}
+
+/// The columns of one metric's row ([`metric_row`]).
+const METRIC_COLS: [(&str, DataType); 8] = [
+    ("name", DataType::Varchar),
+    ("node", DataType::Int64),
+    ("kind", DataType::Varchar),
+    ("value", DataType::Float64),
+    ("p50", DataType::Float64),
+    ("p90", DataType::Float64),
+    ("p99", DataType::Float64),
+    ("p999", DataType::Float64),
+];
+
+/// One metric's row: name, node, kind, scalar value, then the
+/// distribution's p50/p90/p99/p999 (NULL for counters and gauges).
+fn metric_row(key: &MetricKey, value: &MetricValue) -> Vec<Value> {
+    let (kind, v) = kind_value(value);
+    let pct = |q: f64| match value {
+        MetricValue::Histogram(h) => Value::Float64(h.percentile(q)),
+        _ => Value::Null,
+    };
+    let mut row = vec![key.name.clone().into(), opt_node(key.node), kind.into()];
+    row.extend([v.into(), pct(0.5), pct(0.9), pct(0.99), pct(0.999)]);
+    row
+}
+
+/// The columns every `dc_*` view starts with.
+const TICK_COLS: [(&str, DataType); 3] = [
+    ("tick", DataType::Int64),
+    ("query_id", DataType::Int64),
+    ("trigger", DataType::Varchar),
+];
+
+fn tick_row(r: &QueryRecord) -> Vec<Value> {
+    vec![int(r.seq), int(r.id), r.trigger.into()]
 }
 
 // ------------------------------------------------------ built-in providers
 
-struct QueryRequestsTable;
-
-impl SystemTableProvider for QueryRequestsTable {
-    fn name(&self) -> &str {
-        "query_requests"
+fn query_requests(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(&[
+        ("query_id", DataType::Int64),
+        ("sql", DataType::Varchar),
+        ("status", DataType::Varchar),
+        ("sim_us", DataType::Float64),
+        ("wall_us", DataType::Float64),
+        ("rows", DataType::Int64),
+        ("bytes", DataType::Int64),
+    ]);
+    for r in initiator_only(node, || db.monitor().history().snapshot()) {
+        rows.push(vec![
+            int(r.id),
+            r.sql.into(),
+            r.status.into(),
+            (r.sim_secs * 1e6).into(),
+            us(r.wall_ns),
+            int(r.rows),
+            int(r.bytes),
+        ])?;
     }
-
-    fn batch(&self, db: &VerticaDb) -> Result<Batch> {
-        let mut rows = Rows::new(&[
-            ("query_id", DataType::Int64),
-            ("sql", DataType::Varchar),
-            ("status", DataType::Varchar),
-            ("sim_us", DataType::Float64),
-            ("wall_us", DataType::Float64),
-            ("rows", DataType::Int64),
-            ("bytes", DataType::Int64),
-        ]);
-        for r in db.monitor().history().snapshot() {
-            rows.push(vec![
-                Value::Int64(r.id as i64),
-                Value::Varchar(r.sql),
-                Value::Varchar(r.status),
-                Value::Float64(r.sim_secs * 1e6),
-                Value::Float64(r.wall_ns as f64 / 1e3),
-                Value::Int64(r.rows as i64),
-                Value::Int64(r.bytes as i64),
-            ])?;
-        }
-        rows.finish()
-    }
+    rows.finish()
 }
 
-struct ExecutionEngineProfilesTable;
-
-impl ExecutionEngineProfilesTable {
-    fn rows(db: &VerticaDb, keep: impl Fn(usize) -> bool) -> Result<Batch> {
-        let mut rows = Rows::new(&[
-            ("query_id", DataType::Int64),
-            ("phase", DataType::Varchar),
-            ("node", DataType::Int64),
-            ("sim_us", DataType::Float64),
-            ("disk_read_bytes", DataType::Int64),
-            ("disk_cached_read_bytes", DataType::Int64),
-            ("disk_write_bytes", DataType::Int64),
-            ("net_in_bytes", DataType::Int64),
-            ("net_out_bytes", DataType::Int64),
-            ("cpu_core_ns", DataType::Float64),
-        ]);
-        for r in db.monitor().history().snapshot() {
-            for phase in &r.phases {
-                // Phases recorded before attribution existed (or synthetic
-                // ones) carry 0; fall back to the owning query's id.
-                let qid = if phase.query_id != 0 {
-                    phase.query_id
-                } else {
-                    r.id
-                };
-                for n in &phase.nodes {
-                    if !keep(n.node) {
-                        continue;
-                    }
-                    rows.push(vec![
-                        Value::Int64(qid as i64),
-                        Value::Varchar(phase.name.clone()),
-                        Value::Int64(n.node as i64),
-                        Value::Float64(n.duration_secs * 1e6),
-                        Value::Int64(n.usage.disk_read_bytes as i64),
-                        Value::Int64(n.usage.disk_cached_read_bytes as i64),
-                        Value::Int64(n.usage.disk_write_bytes as i64),
-                        Value::Int64(n.usage.net_in_bytes as i64),
-                        Value::Int64(n.usage.net_out_bytes as i64),
-                        Value::Float64(n.usage.cpu_core_ns),
-                    ])?;
-                }
-            }
-        }
-        rows.finish()
-    }
-}
-
-impl SystemTableProvider for ExecutionEngineProfilesTable {
-    fn name(&self) -> &str {
-        "execution_engine_profiles"
-    }
-
-    fn batch(&self, db: &VerticaDb) -> Result<Batch> {
-        ExecutionEngineProfilesTable::rows(db, |_| true)
-    }
-
-    fn batch_on(&self, db: &VerticaDb, node: NodeId) -> Result<Option<Batch>> {
-        // The history lives on the initiator, but each node "owns" its
-        // per-node phase rows in the cluster union.
-        ExecutionEngineProfilesTable::rows(db, |n| n == node.0).map(Some)
-    }
-}
-
-struct MetricsTable;
-
-impl MetricsTable {
-    /// Rows for the metric entries `keep` selects (by node label).
-    fn rows(keep: impl Fn(Option<usize>) -> bool) -> Result<Batch> {
-        let snap = vdr_obs::global().metrics().snapshot();
-        let mut rows = Rows::new(&[
-            ("name", DataType::Varchar),
-            ("node", DataType::Int64),
-            ("kind", DataType::Varchar),
-            ("value", DataType::Float64),
-            ("p50", DataType::Float64),
-            ("p90", DataType::Float64),
-            ("p99", DataType::Float64),
-            ("p999", DataType::Float64),
-        ]);
-        for (key, value) in snap.iter() {
-            if !keep(key.node) {
-                continue;
-            }
-            // The scalar `value` is the count for histograms; the
-            // percentile columns carry the distribution (NULL for
-            // counters/gauges, which have none).
-            let (kind, v, pcts) = match value {
-                MetricValue::Counter(c) => (
-                    "counter",
-                    *c as f64,
-                    [Value::Null, Value::Null, Value::Null, Value::Null],
-                ),
-                MetricValue::Gauge(g) => (
-                    "gauge",
-                    *g,
-                    [Value::Null, Value::Null, Value::Null, Value::Null],
-                ),
-                MetricValue::Histogram(h) => (
-                    "histogram",
-                    h.count as f64,
-                    [
-                        Value::Float64(h.p50()),
-                        Value::Float64(h.p90()),
-                        Value::Float64(h.p99()),
-                        Value::Float64(h.p999()),
-                    ],
-                ),
+fn execution_engine_profiles(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(&[
+        ("query_id", DataType::Int64),
+        ("phase", DataType::Varchar),
+        ("node", DataType::Int64),
+        ("sim_us", DataType::Float64),
+        ("disk_read_bytes", DataType::Int64),
+        ("disk_cached_read_bytes", DataType::Int64),
+        ("disk_write_bytes", DataType::Int64),
+        ("net_in_bytes", DataType::Int64),
+        ("net_out_bytes", DataType::Int64),
+        ("cpu_core_ns", DataType::Float64),
+    ]);
+    for r in db.monitor().history().snapshot() {
+        for (phase, n) in node_phases(&r, node) {
+            // Phases recorded before attribution existed (or synthetic
+            // ones) carry 0; fall back to the owning query's id.
+            let qid = if phase.query_id != 0 {
+                phase.query_id
+            } else {
+                r.id
             };
-            let [p50, p90, p99, p999] = pcts;
+            let u = &n.usage;
             rows.push(vec![
-                Value::Varchar(key.name.clone()),
-                opt_node(key.node),
-                Value::Varchar(kind.to_string()),
-                Value::Float64(v),
-                p50,
-                p90,
-                p99,
-                p999,
+                int(qid),
+                phase.name.clone().into(),
+                int(node.0 as u64),
+                (n.duration_secs * 1e6).into(),
+                int(u.disk_read_bytes),
+                int(u.disk_cached_read_bytes),
+                int(u.disk_write_bytes),
+                int(u.net_in_bytes),
+                int(u.net_out_bytes),
+                u.cpu_core_ns.into(),
             ])?;
         }
-        rows.finish()
     }
+    rows.finish()
 }
 
-impl SystemTableProvider for MetricsTable {
-    fn name(&self) -> &str {
-        "metrics"
+fn metrics(_db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(&METRIC_COLS);
+    for (key, value) in vdr_obs::global().metrics().snapshot().iter() {
+        if owns(node, key.node) {
+            rows.push(metric_row(key, value))?;
+        }
     }
-
-    fn batch(&self, _db: &VerticaDb) -> Result<Batch> {
-        MetricsTable::rows(|_| true)
-    }
-
-    fn batch_on(&self, _db: &VerticaDb, node: NodeId) -> Result<Option<Batch>> {
-        // Node-labelled entries belong to their node; unlabelled (global /
-        // initiator-side) entries ride on node 0.
-        MetricsTable::rows(|n| n == Some(node.0) || (node.0 == 0 && n.is_none())).map(Some)
-    }
+    rows.finish()
 }
 
-struct SpansTable;
-
-impl SpansTable {
-    fn rows(keep: impl Fn(Option<usize>) -> bool) -> Result<Batch> {
-        let mut rows = Rows::new(&[
-            ("span_id", DataType::Int64),
-            ("parent_id", DataType::Int64),
-            ("query_id", DataType::Int64),
-            ("name", DataType::Varchar),
-            ("node", DataType::Int64),
-            ("start_seq", DataType::Int64),
-            ("wall_ns", DataType::Int64),
-            ("sim_us", DataType::Float64),
-            ("fields", DataType::Varchar),
-        ]);
-        for s in vdr_obs::global().trace().snapshot() {
-            if !keep(s.node) {
-                continue;
-            }
-            let fields = s
-                .fields
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join(" ");
+fn spans(_db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(&[
+        ("span_id", DataType::Int64),
+        ("parent_id", DataType::Int64),
+        ("query_id", DataType::Int64),
+        ("name", DataType::Varchar),
+        ("node", DataType::Int64),
+        ("start_seq", DataType::Int64),
+        ("wall_ns", DataType::Int64),
+        ("sim_us", DataType::Float64),
+        ("fields", DataType::Varchar),
+    ]);
+    for s in vdr_obs::global().trace().snapshot() {
+        if owns(node, s.node) {
             rows.push(vec![
-                Value::Int64(s.id as i64),
-                Value::Int64(s.parent as i64),
-                Value::Int64(s.query_id as i64),
-                Value::Varchar(s.name),
+                int(s.id),
+                int(s.parent),
+                int(s.query_id),
+                s.name.as_str().into(),
                 opt_node(s.node),
-                Value::Int64(s.start_seq as i64),
-                Value::Int64(s.wall_ns as i64),
-                Value::Float64(s.sim_secs * 1e6),
-                Value::Varchar(fields),
+                int(s.start_seq),
+                int(s.wall_ns),
+                (s.sim_secs * 1e6).into(),
+                span_fields(&s).into(),
             ])?;
         }
-        rows.finish()
     }
+    rows.finish()
 }
 
-impl SystemTableProvider for SpansTable {
-    fn name(&self) -> &str {
-        "spans"
-    }
-
-    fn batch(&self, _db: &VerticaDb) -> Result<Batch> {
-        SpansTable::rows(|_| true)
-    }
-
-    fn batch_on(&self, _db: &VerticaDb, node: NodeId) -> Result<Option<Batch>> {
-        SpansTable::rows(|n| n == Some(node.0) || (node.0 == 0 && n.is_none())).map(Some)
-    }
+/// A span's fields as `k=v` pairs, space-separated.
+fn span_fields(s: &SpanRecord) -> String {
+    let pairs = s.fields.iter().map(|(k, v)| format!("{k}={v}"));
+    pairs.collect::<Vec<_>>().join(" ")
 }
 
-struct EventsTable;
-
-impl EventsTable {
-    fn rows(keep: impl Fn(Option<usize>) -> bool) -> Result<Batch> {
-        let mut rows = Rows::new(&[
-            ("seq", DataType::Int64),
-            ("ts_ms", DataType::Float64),
-            ("kind", DataType::Varchar),
-            ("node", DataType::Int64),
-            ("query_id", DataType::Int64),
-            ("detail", DataType::Varchar),
-        ]);
-        for e in vdr_obs::global().events().snapshot() {
-            if !keep(e.node) {
-                continue;
-            }
+fn events(_db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(&[
+        ("seq", DataType::Int64),
+        ("ts_ms", DataType::Float64),
+        ("kind", DataType::Varchar),
+        ("node", DataType::Int64),
+        ("query_id", DataType::Int64),
+        ("detail", DataType::Varchar),
+    ]);
+    for e in vdr_obs::global().events().snapshot() {
+        if owns(node, e.node) {
             rows.push(vec![
-                Value::Int64(e.seq as i64),
-                Value::Float64(e.ts_ns as f64 / 1e6),
-                Value::Varchar(e.kind),
+                int(e.seq),
+                (e.ts_ns as f64 / 1e6).into(),
+                e.kind.into(),
                 opt_node(e.node),
-                Value::Int64(e.query_id as i64),
-                Value::Varchar(e.detail),
+                int(e.query_id),
+                e.detail.into(),
             ])?;
         }
-        rows.finish()
     }
+    rows.finish()
 }
 
-impl SystemTableProvider for EventsTable {
-    fn name(&self) -> &str {
-        "events"
+fn slow_requests(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(&[
+        ("query_id", DataType::Int64),
+        ("sql", DataType::Varchar),
+        ("wall_ms", DataType::Float64),
+        ("sim_us", DataType::Float64),
+        ("threshold_ms", DataType::Float64),
+    ]);
+    for r in initiator_only(node, || db.monitor().slow_requests()) {
+        rows.push(vec![
+            int(r.id),
+            r.sql.into(),
+            (r.wall_ns as f64 / 1e6).into(),
+            (r.sim_secs * 1e6).into(),
+            (r.threshold_ns as f64 / 1e6).into(),
+        ])?;
     }
-
-    fn batch(&self, _db: &VerticaDb) -> Result<Batch> {
-        EventsTable::rows(|_| true)
-    }
-
-    fn batch_on(&self, _db: &VerticaDb, node: NodeId) -> Result<Option<Batch>> {
-        EventsTable::rows(|n| n == Some(node.0) || (node.0 == 0 && n.is_none())).map(Some)
-    }
+    rows.finish()
 }
 
-struct SlowRequestsTable;
-
-impl SystemTableProvider for SlowRequestsTable {
-    fn name(&self) -> &str {
-        "slow_requests"
-    }
-
-    fn batch(&self, db: &VerticaDb) -> Result<Batch> {
-        let mut rows = Rows::new(&[
-            ("query_id", DataType::Int64),
-            ("sql", DataType::Varchar),
-            ("wall_ms", DataType::Float64),
-            ("sim_us", DataType::Float64),
-            ("threshold_ms", DataType::Float64),
-        ]);
-        for r in db.monitor().slow_requests() {
-            rows.push(vec![
-                Value::Int64(r.id as i64),
-                Value::Varchar(r.sql),
-                Value::Float64(r.wall_ns as f64 / 1e6),
-                Value::Float64(r.sim_secs * 1e6),
-                Value::Float64(r.threshold_ns as f64 / 1e6),
-            ])?;
-        }
-        rows.finish()
-    }
-}
-
-struct StorageContainersTable;
-
-impl StorageContainersTable {
-    fn rows(db: &VerticaDb, nodes: std::ops::Range<usize>) -> Result<Batch> {
-        // One row per container × column: per-column encoding choice and the
-        // encoded-vs-decoded byte sizes make compression wins inspectable
-        // from SQL. `bytes`/`crc32` describe the whole container block and
-        // repeat on each of its column rows.
-        let mut rows = Rows::new(&[
-            ("table_name", DataType::Varchar),
-            ("node", DataType::Int64),
-            ("path", DataType::Varchar),
-            ("rows", DataType::Int64),
-            ("column_name", DataType::Varchar),
-            ("encoding", DataType::Varchar),
-            ("encoded_bytes", DataType::Int64),
-            ("decoded_bytes", DataType::Int64),
-            ("bytes", DataType::Int64),
-            ("crc32", DataType::Int64),
-        ]);
-        for table in db.catalog().table_names() {
-            for node in nodes.clone() {
-                for c in db.storage().containers(&table, NodeId(node)) {
-                    for col in &c.columns {
-                        rows.push(vec![
-                            Value::Varchar(table.clone()),
-                            Value::Int64(node as i64),
-                            Value::Varchar(c.path.clone()),
-                            Value::Int64(c.rows as i64),
-                            Value::Varchar(col.name.clone()),
-                            Value::Varchar(format!("{:?}", col.encoding).to_lowercase()),
-                            Value::Int64(col.encoded_bytes as i64),
-                            Value::Int64(col.decoded_bytes as i64),
-                            Value::Int64(c.bytes as i64),
-                            Value::Int64(c.crc as i64),
-                        ])?;
-                    }
-                }
+/// One row per container × column: per-column encoding choice and the
+/// encoded-vs-decoded byte sizes make compression wins inspectable from
+/// SQL. `bytes`/`crc32` describe the whole container block and repeat on
+/// each of its column rows.
+fn storage_containers(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(&[
+        ("table_name", DataType::Varchar),
+        ("node", DataType::Int64),
+        ("path", DataType::Varchar),
+        ("rows", DataType::Int64),
+        ("column_name", DataType::Varchar),
+        ("encoding", DataType::Varchar),
+        ("encoded_bytes", DataType::Int64),
+        ("decoded_bytes", DataType::Int64),
+        ("bytes", DataType::Int64),
+        ("crc32", DataType::Int64),
+    ]);
+    for table in db.catalog().table_names() {
+        for c in db.storage().containers(&table, node) {
+            for col in &c.columns {
+                rows.push(vec![
+                    table.as_str().into(),
+                    int(node.0 as u64),
+                    c.path.as_str().into(),
+                    int(c.rows),
+                    col.name.as_str().into(),
+                    format!("{:?}", col.encoding).to_lowercase().into(),
+                    int(col.encoded_bytes),
+                    int(col.decoded_bytes),
+                    int(c.bytes),
+                    int(c.crc as u64),
+                ])?;
             }
         }
-        rows.finish()
     }
-}
-
-impl SystemTableProvider for StorageContainersTable {
-    fn name(&self) -> &str {
-        "storage_containers"
-    }
-
-    fn batch(&self, db: &VerticaDb) -> Result<Batch> {
-        StorageContainersTable::rows(db, 0..db.cluster().num_nodes())
-    }
-
-    fn batch_on(&self, db: &VerticaDb, node: NodeId) -> Result<Option<Batch>> {
-        StorageContainersTable::rows(db, node.0..node.0 + 1).map(Some)
-    }
+    rows.finish()
 }
 
 /// Stat-row shape shared by the cache tables: one `(stat, node, value)`
@@ -815,257 +780,149 @@ pub fn cache_stats_batch(stats: &[(&str, Option<usize>, u64)]) -> Result<Batch> 
         ("value", DataType::Int64),
     ]);
     for (stat, node, value) in stats {
-        rows.push(vec![
-            Value::Varchar(stat.to_string()),
-            opt_node(*node),
-            Value::Int64(*value as i64),
-        ])?;
+        rows.push(vec![(*stat).into(), opt_node(*node), int(*value)])?;
     }
     rows.finish()
 }
 
-struct BlockCacheTable;
-
-impl SystemTableProvider for BlockCacheTable {
-    fn name(&self) -> &str {
-        "block_cache"
-    }
-
-    fn batch(&self, db: &VerticaDb) -> Result<Batch> {
-        let cache = db.storage().block_cache();
-        let mut stats: Vec<(&str, Option<usize>, u64)> = vec![
+/// The node's cache bytes; the process-wide counters ride on the initiator.
+fn block_cache(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let cache = db.storage().block_cache();
+    let mut stats: Vec<(&str, Option<usize>, u64)> = Vec::new();
+    if node == INITIATOR {
+        stats.extend([
             ("hits", None, cache.hits()),
             ("misses", None, cache.misses()),
             ("evictions", None, cache.evictions()),
             ("invalidations", None, cache.invalidations()),
             ("entries", None, cache.len() as u64),
-        ];
-        for node in 0..db.cluster().num_nodes() {
-            stats.push(("bytes", Some(node), cache.bytes_on(NodeId(node))));
-        }
-        cache_stats_batch(&stats)
+        ]);
     }
+    stats.push(("bytes", Some(node.0), cache.bytes_on(node)));
+    cache_stats_batch(&stats)
+}
 
-    fn batch_on(&self, db: &VerticaDb, node: NodeId) -> Result<Option<Batch>> {
-        let cache = db.storage().block_cache();
-        let mut stats: Vec<(&str, Option<usize>, u64)> = Vec::new();
-        if node.0 == 0 {
-            // Process-wide counters ride on the initiator.
-            stats.extend([
-                ("hits", None, cache.hits()),
-                ("misses", None, cache.misses()),
-                ("evictions", None, cache.evictions()),
-                ("invalidations", None, cache.invalidations()),
-                ("entries", None, cache.len() as u64),
+fn dfs_objects(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let dfs = db.dfs();
+    let mut rows = Rows::new(&[
+        ("name", DataType::Varchar),
+        ("bytes", DataType::Int64),
+        ("crc32", DataType::Int64),
+        ("replicas", DataType::Int64),
+        ("readable", DataType::Bool),
+    ]);
+    for name in initiator_only(node, || dfs.list()) {
+        rows.push(vec![
+            name.as_str().into(),
+            int(dfs.size_of(&name).unwrap_or(0)),
+            int(dfs.checksum_of(&name).unwrap_or(0) as u64),
+            int(dfs.replicas_of(&name).len() as u64),
+            dfs.is_readable(&name).into(),
+        ])?;
+    }
+    rows.finish()
+}
+
+// ------------------------------------------- data-collector views of history
+
+/// Each history entry's touched metric deltas, on the node each belongs to:
+/// `metrics`' row after the entry's tick, without p999.
+fn dc_metrics_by_tick(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(&[&TICK_COLS[..], &METRIC_COLS[..7]].concat());
+    for r in db.monitor().history().snapshot() {
+        for (key, value) in r.metrics_delta.iter() {
+            if owns(node, key.node) && !untouched(value) {
+                let mut row = tick_row(&r);
+                row.extend(metric_row(key, value).into_iter().take(7));
+                rows.push(row)?;
+            }
+        }
+    }
+    rows.finish()
+}
+
+/// Each history entry's ledger readings on the node, summed over the
+/// entry's phases (`vft db` and `vft r` for a transfer). Cache occupancy is
+/// not here: `block_cache` reports it live.
+fn dc_resource_usage(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(
+        &[
+            &TICK_COLS[..],
+            &[
+                ("node", DataType::Int64),
+                ("sim_us", DataType::Float64),
+                ("cpu_core_ns", DataType::Float64),
+                ("disk_read_bytes", DataType::Int64),
+                ("disk_write_bytes", DataType::Int64),
+                ("net_in_bytes", DataType::Int64),
+                ("net_out_bytes", DataType::Int64),
+            ],
+        ]
+        .concat(),
+    );
+    for r in db.monitor().history().snapshot() {
+        let (mut secs, mut u, mut ran) = (0.0, NodeUsage::default(), false);
+        for (_, n) in node_phases(&r, node) {
+            (secs, ran) = (secs + n.duration_secs, true);
+            u.merge(&n.usage);
+        }
+        if ran {
+            let mut row = tick_row(&r);
+            row.extend([
+                int(node.0 as u64),
+                (secs * 1e6).into(),
+                u.cpu_core_ns.into(),
+                int(u.disk_read_bytes + u.disk_cached_read_bytes),
+                int(u.disk_write_bytes),
+                int(u.net_in_bytes),
+                int(u.net_out_bytes),
             ]);
+            rows.push(row)?;
         }
-        stats.push(("bytes", Some(node.0), cache.bytes_on(node)));
-        cache_stats_batch(&stats).map(Some)
     }
+    rows.finish()
 }
 
-struct DfsObjectsTable;
-
-impl SystemTableProvider for DfsObjectsTable {
-    fn name(&self) -> &str {
-        "dfs_objects"
-    }
-
-    fn batch(&self, db: &VerticaDb) -> Result<Batch> {
-        let dfs = db.dfs();
-        let mut rows = Rows::new(&[
-            ("name", DataType::Varchar),
-            ("bytes", DataType::Int64),
-            ("crc32", DataType::Int64),
-            ("replicas", DataType::Int64),
-            ("readable", DataType::Bool),
+/// Each history entry with the exact p50/p90/p99 of the wall times of the
+/// retained entries up to it (nearest rank).
+fn dc_query_summaries(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(
+        &[
+            &TICK_COLS[..],
+            &[
+                ("label", DataType::Varchar),
+                ("status", DataType::Varchar),
+                ("rows", DataType::Int64),
+                ("bytes", DataType::Int64),
+                ("sim_us", DataType::Float64),
+                ("wall_us", DataType::Float64),
+                ("p50_us", DataType::Float64),
+                ("p90_us", DataType::Float64),
+                ("p99_us", DataType::Float64),
+            ],
+        ]
+        .concat(),
+    );
+    let mut walls: Vec<u64> = Vec::new();
+    for r in initiator_only(node, || db.monitor().history().snapshot()) {
+        walls.insert(walls.partition_point(|&w| w < r.wall_ns), r.wall_ns);
+        let rank = |q: f64| (q * walls.len() as f64).ceil() as usize;
+        let pct = |q: f64| us(walls[rank(q).clamp(1, walls.len()) - 1]);
+        let mut row = tick_row(&r);
+        row.extend([
+            r.sql.into(),
+            r.status.into(),
+            int(r.rows),
+            int(r.bytes),
+            (r.sim_secs * 1e6).into(),
+            us(r.wall_ns),
+            pct(0.5),
+            pct(0.9),
+            pct(0.99),
         ]);
-        for name in dfs.list() {
-            rows.push(vec![
-                Value::Varchar(name.clone()),
-                Value::Int64(dfs.size_of(&name).unwrap_or(0) as i64),
-                Value::Int64(dfs.checksum_of(&name).unwrap_or(0) as i64),
-                Value::Int64(dfs.replicas_of(&name).len() as i64),
-                Value::Bool(dfs.is_readable(&name)),
-            ])?;
-        }
-        rows.finish()
+        rows.push(row)?;
     }
-}
-
-// ------------------------------------------------- data-collector tables
-
-struct DcMetricsByTickTable;
-
-impl DcMetricsByTickTable {
-    fn rows(samples: &[(usize, Vec<vdr_obs::NodeSample>)]) -> Result<Batch> {
-        let mut rows = Rows::new(&[
-            ("tick", DataType::Int64),
-            ("query_id", DataType::Int64),
-            ("trigger", DataType::Varchar),
-            ("name", DataType::Varchar),
-            ("node", DataType::Int64),
-            ("kind", DataType::Varchar),
-            ("value", DataType::Float64),
-            ("p50", DataType::Float64),
-            ("p90", DataType::Float64),
-            ("p99", DataType::Float64),
-        ]);
-        for (_, ring) in samples {
-            for s in ring {
-                for (key, value) in s.delta.iter() {
-                    let (kind, v, pcts) = match value {
-                        MetricValue::Counter(0) => continue,
-                        MetricValue::Counter(c) => (
-                            "counter",
-                            *c as f64,
-                            [Value::Null, Value::Null, Value::Null],
-                        ),
-                        MetricValue::Gauge(g) => {
-                            ("gauge", *g, [Value::Null, Value::Null, Value::Null])
-                        }
-                        MetricValue::Histogram(h) if h.count == 0 => continue,
-                        MetricValue::Histogram(h) => (
-                            "histogram",
-                            h.count as f64,
-                            [
-                                Value::Float64(h.p50()),
-                                Value::Float64(h.p90()),
-                                Value::Float64(h.p99()),
-                            ],
-                        ),
-                    };
-                    let [p50, p90, p99] = pcts;
-                    rows.push(vec![
-                        Value::Int64(s.tick as i64),
-                        Value::Int64(s.query_id as i64),
-                        Value::Varchar(s.trigger.to_string()),
-                        Value::Varchar(key.name.clone()),
-                        opt_node(key.node),
-                        Value::Varchar(kind.to_string()),
-                        Value::Float64(v),
-                        p50,
-                        p90,
-                        p99,
-                    ])?;
-                }
-            }
-        }
-        rows.finish()
-    }
-}
-
-impl SystemTableProvider for DcMetricsByTickTable {
-    fn name(&self) -> &str {
-        "dc_metrics_by_tick"
-    }
-
-    fn batch(&self, _db: &VerticaDb) -> Result<Batch> {
-        DcMetricsByTickTable::rows(&vdr_obs::global().dc().samples())
-    }
-
-    fn batch_on(&self, _db: &VerticaDb, node: NodeId) -> Result<Option<Batch>> {
-        let ring = vdr_obs::global().dc().samples_on(node.0);
-        DcMetricsByTickTable::rows(&[(node.0, ring)]).map(Some)
-    }
-}
-
-struct DcResourceUsageTable;
-
-impl DcResourceUsageTable {
-    fn rows(samples: &[(usize, Vec<vdr_obs::NodeSample>)]) -> Result<Batch> {
-        let mut rows = Rows::new(&[
-            ("tick", DataType::Int64),
-            ("query_id", DataType::Int64),
-            ("trigger", DataType::Varchar),
-            ("node", DataType::Int64),
-            ("sim_us", DataType::Float64),
-            ("cpu_core_ns", DataType::Float64),
-            ("disk_read_bytes", DataType::Int64),
-            ("disk_write_bytes", DataType::Int64),
-            ("net_in_bytes", DataType::Int64),
-            ("net_out_bytes", DataType::Int64),
-            ("cache_bytes", DataType::Int64),
-        ]);
-        for (_, ring) in samples {
-            for s in ring {
-                let u = &s.usage;
-                rows.push(vec![
-                    Value::Int64(s.tick as i64),
-                    Value::Int64(s.query_id as i64),
-                    Value::Varchar(s.trigger.to_string()),
-                    Value::Int64(u.node as i64),
-                    Value::Float64(u.sim_secs * 1e6),
-                    Value::Float64(u.cpu_core_ns),
-                    Value::Int64(u.disk_read_bytes as i64),
-                    Value::Int64(u.disk_write_bytes as i64),
-                    Value::Int64(u.net_in_bytes as i64),
-                    Value::Int64(u.net_out_bytes as i64),
-                    Value::Int64(u.cache_bytes as i64),
-                ])?;
-            }
-        }
-        rows.finish()
-    }
-}
-
-impl SystemTableProvider for DcResourceUsageTable {
-    fn name(&self) -> &str {
-        "dc_resource_usage"
-    }
-
-    fn batch(&self, _db: &VerticaDb) -> Result<Batch> {
-        DcResourceUsageTable::rows(&vdr_obs::global().dc().samples())
-    }
-
-    fn batch_on(&self, _db: &VerticaDb, node: NodeId) -> Result<Option<Batch>> {
-        let ring = vdr_obs::global().dc().samples_on(node.0);
-        DcResourceUsageTable::rows(&[(node.0, ring)]).map(Some)
-    }
-}
-
-struct DcQuerySummariesTable;
-
-impl SystemTableProvider for DcQuerySummariesTable {
-    fn name(&self) -> &str {
-        "dc_query_summaries"
-    }
-
-    // Rollups are initiator-resident (the default `batch_on` keeps remote
-    // nodes silent): one row per tick with rolling latency percentiles.
-    fn batch(&self, _db: &VerticaDb) -> Result<Batch> {
-        let mut rows = Rows::new(&[
-            ("tick", DataType::Int64),
-            ("query_id", DataType::Int64),
-            ("trigger", DataType::Varchar),
-            ("label", DataType::Varchar),
-            ("status", DataType::Varchar),
-            ("rows", DataType::Int64),
-            ("bytes", DataType::Int64),
-            ("sim_us", DataType::Float64),
-            ("wall_us", DataType::Float64),
-            ("p50_us", DataType::Float64),
-            ("p90_us", DataType::Float64),
-            ("p99_us", DataType::Float64),
-        ]);
-        for s in vdr_obs::global().dc().summaries() {
-            rows.push(vec![
-                Value::Int64(s.tick as i64),
-                Value::Int64(s.query_id as i64),
-                Value::Varchar(s.trigger.to_string()),
-                Value::Varchar(s.label),
-                Value::Varchar(s.status),
-                Value::Int64(s.rows as i64),
-                Value::Int64(s.bytes as i64),
-                Value::Float64(s.sim_secs * 1e6),
-                Value::Float64(s.wall_ns as f64 / 1e3),
-                Value::Float64(s.p50_us),
-                Value::Float64(s.p90_us),
-                Value::Float64(s.p99_us),
-            ])?;
-        }
-        rows.finish()
-    }
+    rows.finish()
 }
 
 // ----------------------------------------------------------------- PROFILE
@@ -1082,51 +939,48 @@ pub fn profile_batch(record: &QueryRecord) -> Result<Batch> {
         ("value", DataType::Float64),
         ("unit", DataType::Varchar),
     ]);
-    let qid = Value::Int64(record.id as i64);
+    let qid = int(record.id);
     for phase in &record.phases {
         for n in &phase.nodes {
             rows.push(vec![
                 qid.clone(),
-                Value::Varchar("phase".to_string()),
-                Value::Varchar(phase.name.clone()),
-                Value::Int64(n.node as i64),
-                Value::Float64(n.duration_secs * 1e6),
-                Value::Varchar("sim_us".to_string()),
+                "phase".into(),
+                phase.name.as_str().into(),
+                int(n.node as u64),
+                (n.duration_secs * 1e6).into(),
+                "sim_us".into(),
             ])?;
         }
     }
     for (key, value) in record.metrics_delta.iter() {
-        let (section, v, unit) = match value {
-            // Zero counter deltas are metrics the query never touched —
-            // the diff passes every process-lifetime key through, so drop
-            // the noise here.
-            MetricValue::Counter(0) => continue,
-            MetricValue::Counter(c) => ("counter", *c as f64, "count"),
-            MetricValue::Gauge(g) => ("gauge", *g, "level"),
-            MetricValue::Histogram(h) if h.count == 0 => continue,
-            MetricValue::Histogram(h) => ("histogram", h.count as f64, "events"),
+        if untouched(value) {
+            continue;
+        }
+        let (section, v) = kind_value(value);
+        let unit = match value {
+            MetricValue::Counter(_) => "count",
+            MetricValue::Gauge(_) => "level",
+            MetricValue::Histogram(_) => "events",
         };
-        rows.push(vec![
-            qid.clone(),
-            Value::Varchar(section.to_string()),
-            Value::Varchar(key.name.clone()),
-            opt_node(key.node),
-            Value::Float64(v),
-            Value::Varchar(unit.to_string()),
-        ])?;
+        let name = Value::from(key.name.as_str());
+        let row = |section: &str, v: f64, unit: &str| {
+            let section = Value::from(section);
+            vec![
+                qid.clone(),
+                section,
+                name.clone(),
+                opt_node(key.node),
+                v.into(),
+                unit.into(),
+            ]
+        };
+        rows.push(row(section, v, unit))?;
         // Histograms the query touched additionally report their tail: one
         // p50 and one p99 row each, extracted from the windowed delta (so
         // the percentiles describe *this* statement's observations only).
         if let MetricValue::Histogram(h) = value {
             for (unit, p) in [("p50", h.p50()), ("p99", h.p99())] {
-                rows.push(vec![
-                    qid.clone(),
-                    Value::Varchar("percentile".to_string()),
-                    Value::Varchar(key.name.clone()),
-                    opt_node(key.node),
-                    Value::Float64(p),
-                    Value::Varchar(unit.to_string()),
-                ])?;
+                rows.push(row("percentile", p, unit))?;
             }
         }
     }
@@ -1152,35 +1006,32 @@ pub fn trace_batch(spans: &[SpanRecord]) -> Result<Batch> {
         ("fields", DataType::Varchar),
     ]);
     for s in spans {
-        let fields = s
-            .fields
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ");
         rows.push(vec![
-            Value::Int64(s.id as i64),
-            Value::Int64(s.parent as i64),
-            Value::Int64(s.query_id as i64),
-            Value::Varchar(s.name.clone()),
+            int(s.id),
+            int(s.parent),
+            int(s.query_id),
+            s.name.as_str().into(),
             opt_node(s.node),
-            Value::Int64(s.tid as i64),
-            Value::Float64(s.start_ns as f64 / 1e6),
-            Value::Float64(s.wall_ns as f64 / 1e6),
-            Value::Float64(s.sim_secs * 1e6),
-            Value::Varchar(fields),
+            int(s.tid),
+            (s.start_ns as f64 / 1e6).into(),
+            (s.wall_ns as f64 / 1e6).into(),
+            (s.sim_secs * 1e6).into(),
+            span_fields(s).into(),
         ])?;
     }
     rows.finish()
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
     fn record(id: u64) -> QueryRecord {
         QueryRecord {
             id,
+            seq: 0,
+            trigger: "statement",
             sql: format!("SELECT {id}"),
             status: "complete".to_string(),
             sim_secs: 0.0,
@@ -1210,10 +1061,19 @@ mod tests {
         assert_eq!(h.len(), 4);
         let ids: Vec<u64> = h.snapshot().iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![7, 8, 9, 10], "oldest evicted first");
-        assert!(h.get(3).is_none());
-        assert_eq!(h.get(9).unwrap().sql, "SELECT 9");
+        let seqs: Vec<u64> = h.snapshot().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![7, 8, 9, 10], "record stamps the sequence");
         let diff = vdr_obs::global().metrics().snapshot().diff(&before);
         assert_eq!(diff.counter_total("obs.query_history.evicted"), 6);
+    }
+
+    #[test]
+    fn a_row_of_the_wrong_width_is_an_error() {
+        let mut rows = Rows::new(&[("a", DataType::Int64), ("b", DataType::Int64)]);
+        rows.push(vec![int(1), int(2)]).unwrap();
+        let err = rows.push(vec![int(3)]).unwrap_err();
+        assert!(err.to_string().contains("1 values for 2 columns"), "{err}");
+        assert_eq!(rows.finish().unwrap().num_rows(), 1);
     }
 
     #[test]

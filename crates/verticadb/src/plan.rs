@@ -35,7 +35,6 @@ use crate::udx::TransformFunction;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
-use vdr_cluster::PhaseRecorder;
 use vdr_columnar::{Batch, DataType, EncodedBatch, Field, Schema, Value};
 
 /// One SELECT's physical plan: the operator tree and the statement its
@@ -57,9 +56,10 @@ pub(crate) struct PlanNode {
 }
 
 pub(crate) enum Op {
-    /// Rows the initiator already holds: a FROM-less SELECT's one row, a
-    /// `v_monitor` table or `R_Models`.
-    Local(EncodedBatch),
+    /// Rows the planner already holds, node *n*'s at index *n*: a
+    /// `v_monitor` table's on every node, a FROM-less SELECT's one row or
+    /// `R_Models` on the initiator alone.
+    Local(Vec<EncodedBatch>),
     Scan(Scan),
     Filter(Expr),
     /// The select list, plus one hidden column per ORDER BY key.
@@ -139,13 +139,9 @@ fn refuse<T>(why: impl Into<String>) -> Result<T> {
     Err(DbError::Plan(why.into()))
 }
 
-/// Plan `stmt`. A `v_monitor` table materializes here, charged to `rec`:
-/// its columns are known only from its rows.
-pub(crate) fn build(
-    db: &VerticaDb,
-    stmt: &SelectStmt,
-    rec: &Arc<PhaseRecorder>,
-) -> Result<PhysicalPlan> {
+/// Plan `stmt`. A `v_monitor` table materializes here, every node's rows:
+/// its columns are known only from them.
+pub(crate) fn build(db: &VerticaDb, stmt: &SelectStmt) -> Result<PhysicalPlan> {
     if stmt.transform_item().is_some() {
         if stmt.items.len() != 1 {
             return refuse("a transform function must be the only select item");
@@ -157,28 +153,24 @@ pub(crate) fn build(
     if let Some(join) = &stmt.join {
         return build_join(db, stmt, join);
     }
-    let local = |batch: Batch| {
-        let stmt = resolve_order_by(stmt, batch.schema())?.into_owned();
-        let schema = batch.schema().clone();
-        finish(
-            db,
-            stmt,
-            schema,
-            node(Op::Local(batch.into()), vec![]),
-            true,
-        )
+    // Rows already held: the schema is node 0's, which every node shares.
+    let local = |batches: Vec<Batch>| {
+        let first = batches.first();
+        let first = first.ok_or_else(|| DbError::Plan("a source with no node's rows".into()))?;
+        let schema = first.schema().clone();
+        let stmt = resolve_order_by(stmt, &schema)?.into_owned();
+        let source = Op::Local(batches.into_iter().map(EncodedBatch::from).collect());
+        finish(db, stmt, schema, node(source, vec![]), true)
     };
     let Some(table) = stmt.from.as_deref() else {
         let one = Schema::of(&[("dummy", DataType::Int64)]);
-        return local(Batch::from_rows(one, &[vec![Value::Int64(0)]])?);
+        return local(vec![Batch::from_rows(one, &[vec![Value::Int64(0)]])?]);
     };
     if let Some(sys) = crate::monitor::v_monitor_table(table) {
-        // Every node contributes its rows, framed and streamed to the
-        // initiator; the union gains a `node_name` column.
-        return local(db.monitor().materialize_cluster(sys, db, rec)?);
+        return local(db.monitor().batches(sys, db)?);
     }
     if table.eq_ignore_ascii_case("r_models") {
-        return local(db.models().as_batch());
+        return local(vec![db.models().as_batch()]);
     }
     let def = db.catalog().get(table)?;
     let stmt = resolve_order_by(stmt, &def.schema)?.into_owned();
@@ -667,7 +659,10 @@ fn join_strategy(sides: &[PlanNode]) -> &'static str {
 fn explain_rows(plan: &PlanNode, depth: i64, keys: &[String], out: &mut Vec<Vec<Value>>) {
     let list = |items: &[String]| items.join(", ");
     let (op, detail) = match &plan.op {
-        Op::Local(_) => ("Local", "initiator".to_string()),
+        Op::Local(b) => (
+            "Local",
+            format!("nodes {:?}", (0..b.len()).collect::<Vec<_>>()),
+        ),
         Op::Scan(s) => {
             let mut cols: Vec<String> = s.columns.iter().flatten().cloned().collect();
             cols.sort_unstable();
@@ -709,7 +704,10 @@ fn explain_rows(plan: &PlanNode, depth: i64, keys: &[String], out: &mut Vec<Vec<
     let size = |n: u64| Value::Int64(n as i64);
     let (rows, bytes) = match &plan.op {
         Op::Scan(s) => (size(s.rows), size(s.bytes)),
-        Op::Local(b) => (size(b.num_rows() as u64), size(b.byte_size())),
+        Op::Local(b) => (
+            size(b.iter().map(|b| b.num_rows() as u64).sum()),
+            size(b.iter().map(EncodedBatch::byte_size).sum()),
+        ),
         _ => (Value::Null, Value::Null),
     };
     out.push(vec![
@@ -734,7 +732,7 @@ mod tests {
     use super::*;
     use crate::sql::Statement;
     use crate::udx::UdxContext;
-    use vdr_cluster::{PhaseKind, SimCluster};
+    use vdr_cluster::SimCluster;
 
     /// A transform that passes its first argument through.
     struct Echo;
@@ -807,8 +805,7 @@ mod tests {
         let Statement::Select(select) = crate::sql::parse(sql).unwrap() else {
             panic!("{sql} is not a SELECT");
         };
-        let rec = Arc::new(PhaseRecorder::new("plan", PhaseKind::Pipelined, 4));
-        let plan = build(db, &select, &rec).unwrap().explain().unwrap();
+        let plan = build(db, &select).unwrap().explain().unwrap();
         let rows = (0..plan.num_rows()).map(|i| plan.row(i));
         let line = |row: Vec<Value>| {
             let (Value::Int64(depth), Value::Varchar(op), Value::Varchar(detail)) =
@@ -828,7 +825,7 @@ mod tests {
     #[test]
     fn every_statement_shape_plans_as_designed() {
         let db = db();
-        let cases: [(&str, &[&str]); 18] = [
+        let cases: [(&str, &[&str]); 19] = [
             (
                 "SELECT count(*), sum(v) FROM fact_rr WHERE grp = 3",
                 &[
@@ -998,7 +995,7 @@ mod tests {
             ),
             (
                 "SELECT 1 + 2 AS three",
-                &["Exchange gather", "  Project", "    Local initiator"],
+                &["Exchange gather", "  Project", "    Local nodes [0]"],
             ),
             (
                 "SELECT model FROM R_Models ORDER BY 1",
@@ -1006,7 +1003,16 @@ mod tests {
                     "Sort model",
                     "  Exchange gather",
                     "    Project",
-                    "      Local initiator",
+                    "      Local nodes [0]",
+                ],
+            ),
+            (
+                "SELECT node, phase FROM v_monitor.execution_engine_profiles WHERE node = 2",
+                &[
+                    "Exchange gather",
+                    "  Project",
+                    "    Filter (node = 2)",
+                    "      Local nodes [0, 1, 2, 3]",
                 ],
             ),
         ];
@@ -1080,12 +1086,11 @@ mod tests {
     #[test]
     fn join_keys_and_columns_resolve_through_one_namespace() {
         let db = db();
-        let rec = Arc::new(PhaseRecorder::new("plan", PhaseKind::Pipelined, 4));
         let plan = |sql: &str| {
             let Statement::Select(select) = crate::sql::parse(sql).unwrap() else {
                 panic!("{sql} is not a SELECT");
             };
-            build(&db, &select, &rec)
+            build(&db, &select)
         };
         let join = |sql: &str| {
             let mut node = plan(sql).unwrap().root;

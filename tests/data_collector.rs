@@ -1,7 +1,8 @@
-//! Acceptance tests for the Data Collector (PR 9): statement/VFT/train
-//! ticks populate the retention-bounded time-series rings, the `dc_*`
-//! system tables expose them cluster-wide, every `v_monitor` table now
-//! carries a `node_name` column materialized from the owning node, and the
+//! Acceptance tests for the Data Collector views: every statement, VFT
+//! transfer and train run is one entry of its database's query history,
+//! the `dc_*` system tables are views over that history (per database,
+//! `tick` = the entry's sequence number), every `v_monitor` table carries a
+//! `node_name` column naming the node that produced each row, and the
 //! session exports Prometheus text and Chrome traces with event-ring
 //! entries.
 
@@ -201,45 +202,14 @@ fn dc_tables_report_multi_tick_multi_node_rows() {
     }
 }
 
-/// VFT and train-pool completions are collector ticks of their own, carrying
-/// the transfer's per-node pool usage and the train's `ml.train.*` deltas.
+/// VFT and train-pool completions are history entries of their own: the
+/// transfer's carries its per-node pool usage, the train's its
+/// `ml.train.*` deltas.
 #[test]
 fn vft_and_train_completions_tick_the_collector() {
-    let cluster = SimCluster::for_tests(2);
-    let db = VerticaDb::new(cluster.clone());
-    let schema = Schema::of(&[
-        ("y", DataType::Float64),
-        ("a", DataType::Float64),
-        ("b", DataType::Float64),
-    ]);
-    db.create_table(TableDef {
-        name: "trainme".into(),
-        schema: schema.clone(),
-        segmentation: Segmentation::RoundRobin,
-    })
-    .unwrap();
-    let (x, y) = logistic_data(2_000, 0.5, &[1.5, -2.0], 7);
-    let a: Vec<f64> = x.chunks(2).map(|r| r[0]).collect();
-    let b: Vec<f64> = x.chunks(2).map(|r| r[1]).collect();
-    db.copy(
-        "trainme",
-        vec![Batch::new(
-            schema,
-            vec![
-                Column::from_f64(y),
-                Column::from_f64(a),
-                Column::from_f64(b),
-            ],
-        )
-        .unwrap()],
-    )
-    .unwrap();
-    let dr = DistributedR::on_all_nodes(cluster, 2).unwrap();
+    let (db, dr) = trainme_db(2, 2_000);
     let vft = install_export_function(&db);
     let ledger = Ledger::new();
-
-    let dc = vertica_dr::obs::global().dc();
-    let base_tick = dc.ticks();
     let (_array, report) = vft
         .db2darray(
             &db,
@@ -264,45 +234,178 @@ fn vft_and_train_completions_tick_the_collector() {
         &ledger,
     )
     .unwrap();
-    assert!(
-        dc.ticks() >= base_tick + 3,
-        "vft + (vft + train) ticks fired"
-    );
 
-    let summaries = dc.summaries();
-    let vft_sum = summaries
+    let s = db
+        .query(
+            "SELECT tick, query_id, trigger, label, status, rows \
+             FROM v_monitor.dc_query_summaries WHERE trigger <> 'statement' ORDER BY tick",
+        )
+        .unwrap()
+        .batch;
+    let ticks: HashSet<i64> = column_values(&s, "tick").iter().map(as_i64).collect();
+    assert!(ticks.len() >= 3, "vft + (vft + train) entries: {ticks:?}");
+    let rows: Vec<Vec<Value>> = (0..s.num_rows()).map(|r| s.row(r)).collect();
+    let vft_sum = rows
+        .iter()
+        .find(|r| as_str(&r[2]) == "vft" && as_str(&r[3]) == "VFT db2darray trainme")
+        .expect("the transfer completion is a history entry");
+    assert_eq!(as_i64(&vft_sum[5]), 2_000);
+    assert_eq!(as_str(&vft_sum[4]), "complete");
+    let train_sum = rows
         .iter()
         .rev()
-        .find(|s| s.trigger == "vft" && s.label == "VFT db2darray trainme")
-        .expect("transfer completion ticked the collector");
-    assert_eq!(vft_sum.rows, 2_000);
-    assert_eq!(vft_sum.status, "complete");
-    let train_sum = summaries
-        .iter()
-        .rev()
-        .find(|s| s.trigger == "train" && s.query_id == fit.query_id)
-        .expect("train completion ticked the collector");
-    assert!(train_sum.label.contains("TRAIN GLM WHILE LOADING"));
+        .find(|r| as_str(&r[2]) == "train" && as_i64(&r[1]) == fit.query_id as i64)
+        .expect("the train completion is a history entry");
+    assert!(as_str(&train_sum[3]).contains("TRAIN GLM WHILE LOADING"));
 
-    // The transfer tick carried per-node receive-pool usage...
-    let vft_samples: Vec<_> = (0..dc.num_nodes())
-        .flat_map(|n| dc.samples_on(n))
-        .filter(|s| s.trigger == "vft")
-        .collect();
+    // The transfer entry carried per-node receive-pool usage...
+    let u = db
+        .query("SELECT node, cpu_core_ns FROM v_monitor.dc_resource_usage WHERE trigger = 'vft'")
+        .unwrap()
+        .batch;
     assert!(
-        vft_samples.iter().any(|s| s.usage.cpu_core_ns > 0.0),
+        (0..u.num_rows()).any(|r| as_f64(&u.row(r)[1]) > 0.0),
         "receive pools charge decode cpu"
     );
-    // ...and the train tick's initiator sample holds the ml.train.* delta.
-    let train_sample = dc
-        .samples_on(0)
-        .into_iter()
-        .rev()
-        .find(|s| s.trigger == "train")
-        .expect("train tick records an initiator-lane sample");
+    // ...and the train entry holds the ml.train.* delta.
+    let m = db
+        .query(&format!(
+            "SELECT value FROM v_monitor.dc_metrics_by_tick WHERE trigger = 'train' \
+             AND query_id = {} AND name = 'ml.train.overlap_ns'",
+            fit.query_id
+        ))
+        .unwrap()
+        .batch;
     assert!(
-        train_sample.delta.counter_total("ml.train.overlap_ns") > 0,
-        "train-while-loading overlap attributed to the train tick"
+        m.num_rows() > 0,
+        "the train entry records ml.train.overlap_ns"
+    );
+    assert!(
+        as_f64(&m.row(0)[0]) > 0.0,
+        "train-while-loading overlap attributed to the train entry"
+    );
+}
+
+/// `trainme (y, a, b)`: `rows` logistic rows on `nodes` nodes, and a
+/// Distributed R session on every node.
+fn trainme_db(nodes: usize, rows: usize) -> (Arc<VerticaDb>, DistributedR) {
+    let cluster = SimCluster::for_tests(nodes);
+    let db = VerticaDb::new(cluster.clone());
+    let schema = Schema::of(&[
+        ("y", DataType::Float64),
+        ("a", DataType::Float64),
+        ("b", DataType::Float64),
+    ]);
+    db.create_table(TableDef {
+        name: "trainme".into(),
+        schema: schema.clone(),
+        segmentation: Segmentation::RoundRobin,
+    })
+    .unwrap();
+    let (x, y) = logistic_data(rows, 0.5, &[1.5, -2.0], 7);
+    let a: Vec<f64> = x.chunks(2).map(|r| r[0]).collect();
+    let b: Vec<f64> = x.chunks(2).map(|r| r[1]).collect();
+    db.copy(
+        "trainme",
+        vec![Batch::new(
+            schema,
+            vec![
+                Column::from_f64(y),
+                Column::from_f64(a),
+                Column::from_f64(b),
+            ],
+        )
+        .unwrap()],
+    )
+    .unwrap();
+    let dr = DistributedR::on_all_nodes(cluster, 2).unwrap();
+    (db, dr)
+}
+
+/// The query ids a `v_monitor` table's `query_id` column names.
+fn query_ids(db: &VerticaDb, table: &str) -> HashSet<i64> {
+    let batch = db
+        .query(&format!("SELECT query_id FROM v_monitor.{table}"))
+        .unwrap()
+        .batch;
+    column_values(&batch, "query_id")
+        .iter()
+        .map(as_i64)
+        .collect()
+}
+
+/// Two databases in one process keep two histories: each one's
+/// `query_requests` and `dc_*` views name only its own statements, and a
+/// VFT transfer is an entry of its database's history with trigger `vft`.
+#[test]
+fn each_database_sees_only_its_own_history() {
+    let (a, dr) = trainme_db(2, 500);
+    let b = db_with_table(2, 500);
+    a.query("SELECT y, a FROM trainme WHERE a > 0.0").unwrap();
+    let vft = install_export_function(&a);
+    let (_array, report) = vft
+        .db2darray(
+            &a,
+            &dr,
+            "trainme",
+            &["a", "b"],
+            TransferPolicy::Locality,
+            &Ledger::new(),
+        )
+        .unwrap();
+    assert_eq!(report.rows, 500);
+    b.query("SELECT a, b FROM samples WHERE a < 100.0").unwrap();
+    b.query("SELECT count(*) FROM samples").unwrap();
+
+    let own = |db: &VerticaDb| -> HashSet<i64> {
+        let history = db.monitor().history().snapshot();
+        history.iter().map(|r| r.id as i64).collect()
+    };
+    let tables = [
+        "query_requests",
+        "dc_metrics_by_tick",
+        "dc_resource_usage",
+        "dc_query_summaries",
+    ];
+    for (db, other) in [(&a, &b), (&b, &a)] {
+        for table in tables {
+            // Read the other database's ids after this one's view: the
+            // view's own statement lands in this history only.
+            let seen = query_ids(db, table);
+            let (mine, theirs) = (own(db), own(other));
+            assert!(!seen.is_empty(), "{table} lists this database's work");
+            assert!(seen.is_subset(&mine), "{table}: {seen:?} ⊄ {mine:?}");
+            assert!(seen.is_disjoint(&theirs), "{table} lists the other's work");
+        }
+    }
+
+    let transfer = "VFT db2darray trainme";
+    let requests = a
+        .query("SELECT query_id, sql, rows FROM v_monitor.query_requests")
+        .unwrap()
+        .batch;
+    let listed = (0..requests.num_rows()).map(|r| requests.row(r));
+    let listed: Vec<_> = listed.filter(|r| as_str(&r[1]) == transfer).collect();
+    assert_eq!(listed.len(), 1, "one query_requests row per transfer");
+    assert_eq!(as_i64(&listed[0][2]), 500);
+    let summary = a
+        .query(&format!(
+            "SELECT trigger, query_id FROM v_monitor.dc_query_summaries WHERE label = '{transfer}'"
+        ))
+        .unwrap()
+        .batch;
+    assert_eq!(summary.num_rows(), 1);
+    assert_eq!(as_str(&summary.row(0)[0]), "vft");
+    assert_eq!(summary.row(0)[1], listed[0][0], "one query id, one entry");
+    let usage = a
+        .query("SELECT node FROM v_monitor.dc_resource_usage WHERE trigger = 'vft'")
+        .unwrap()
+        .batch;
+    let nodes: HashSet<i64> = column_values(&usage, "node").iter().map(as_i64).collect();
+    assert_eq!(
+        nodes,
+        HashSet::from([0, 1]),
+        "the transfer ran on both nodes"
     );
 }
 
@@ -365,7 +468,9 @@ fn profile_deltas_include_encoded_scan_and_train_counters() {
     let record = db
         .monitor()
         .history()
-        .get(fit.query_id)
+        .snapshot()
+        .into_iter()
+        .find(|r| r.id == fit.query_id && r.trigger == "train")
         .expect("train recorded in query history");
     assert!(
         record.metrics_delta.counter_total("ml.train.overlap_ns") > 0,
@@ -457,8 +562,8 @@ fn prometheus_sample_name(line: &str) -> Option<&str> {
     (first_ok && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')).then_some(name)
 }
 
-/// The session export surface: Prometheus text with DC gauges, and a Chrome
-/// trace whose event-ring entries render as instant events.
+/// The session export surface: Prometheus text, and a Chrome trace whose
+/// event-ring entries render as instant events.
 #[test]
 fn session_exports_prometheus_text_and_chrome_instant_events() {
     let db = db_with_table(2, 500);
@@ -469,8 +574,6 @@ fn session_exports_prometheus_text_and_chrome_instant_events() {
     let text = session.export_metrics();
     assert!(text.contains("# TYPE vdr_exec_scan_rows_total counter"));
     assert!(text.contains("vdr_exec_scan_rows_total{node="));
-    assert!(text.contains("# TYPE vdr_dc_ticks_total counter"));
-    assert!(text.contains("vdr_dc_samples{node="));
     // Every line is Prometheus exposition format: a `# TYPE` comment or a
     // `name{labels} value` sample in the vdr_ namespace, and every sampled
     // series is announced by a TYPE comment (summaries by their base name).
@@ -498,15 +601,10 @@ fn session_exports_prometheus_text_and_chrome_instant_events() {
             series.insert(name);
         }
     }
-    for want in [
-        "vdr_dc_ticks_total",
-        "vdr_dc_samples",
-        "vdr_dc_query_summaries",
-        "vdr_dc_capacity",
-        "vdr_exec_scan_rows_total",
-    ] {
-        assert!(series.contains(want), "export is missing {want}");
-    }
+    assert!(
+        series.contains("vdr_exec_scan_rows_total"),
+        "export is missing vdr_exec_scan_rows_total"
+    );
     let untyped: Vec<_> = series
         .iter()
         .filter(|s| !typed.iter().any(|t| s.starts_with(t)))

@@ -301,3 +301,64 @@ fn system_tables_materialize_and_filter_like_ordinary_tables() {
     let err = session.sql("SELECT * FROM v_monitor.nope").unwrap_err();
     assert!(err.to_string().contains("nope"), "{err}");
 }
+
+/// `exec.gather.bytes` of the statement `query_id`, from the `bytes` field
+/// of its `exec.gather` span.
+fn gather_bytes(db: &VerticaDb, query_id: u64) -> u64 {
+    let spans = db
+        .query(&format!(
+            "SELECT fields FROM v_monitor.spans \
+             WHERE query_id = {query_id} AND name = 'exec.gather'"
+        ))
+        .unwrap()
+        .batch;
+    assert_eq!(spans.num_rows(), 1, "one gather per statement");
+    let fields = spans.row(0)[0].clone();
+    let bytes = as_str(&fields)
+        .split(' ')
+        .find_map(|kv| kv.strip_prefix("bytes="))
+        .expect("the gather span records its bytes");
+    bytes.parse().unwrap()
+}
+
+/// A system table is a per-node source of the plan: a WHERE on it runs on
+/// each node before the gather, so the filtered answer is the unfiltered
+/// one filtered by hand, and fewer bytes reach the initiator.
+#[test]
+fn a_where_on_a_system_table_runs_on_each_node_before_the_gather() {
+    let db = db_with_table(4, 2_000);
+    for sql in [
+        "SELECT a, b FROM samples WHERE a >= 100.0",
+        "SELECT count(*) FROM samples",
+    ] {
+        db.query(sql).unwrap();
+    }
+    let table = "v_monitor.execution_engine_profiles";
+    let filtered = db
+        .query(&format!("SELECT node, phase FROM {table} WHERE node = 2"))
+        .unwrap();
+    let all = db
+        .query(&format!("SELECT node, phase FROM {table}"))
+        .unwrap();
+    // The unfiltered statement also sees the phase row the filtered one
+    // left on node 2, the newest entry of its history.
+    let mut by_hand: Vec<Vec<Value>> = (0..all.batch.num_rows())
+        .map(|r| all.batch.row(r))
+        .filter(|row| as_i64(&row[0]) == 2)
+        .collect();
+    let newest = by_hand.pop().expect("node 2 ran the filtered statement");
+    assert_eq!(newest, [Value::Int64(2), Value::from("SELECT")]);
+    let got: Vec<Vec<Value>> = (0..filtered.batch.num_rows())
+        .map(|r| filtered.batch.row(r))
+        .collect();
+    assert_eq!(got.len(), 2, "node 2 ran both statements");
+    assert_eq!(got, by_hand);
+    let (filtered_bytes, all_bytes) = (
+        gather_bytes(&db, filtered.query_id),
+        gather_bytes(&db, all.query_id),
+    );
+    assert!(
+        filtered_bytes < all_bytes,
+        "the filter runs before the gather: {filtered_bytes} vs {all_bytes} bytes"
+    );
+}
