@@ -48,11 +48,6 @@ run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --tes
 # from BENCHMARK.json, or a failed result oracle, fails CI here.
 run benchmark/check.sh
 
-# Benchmarks must keep compiling even though CI doesn't time them.
-# --workspace, or only the root package's (none) would be built and the
-# fig*/ablations targets in crates/bench would go unchecked.
-run cargo bench --no-run --workspace $OFFLINE
-
 # Smoke-run the figures binary: every figure generator must still execute
 # and serialize (it writes FIGURES.json, which is gitignored).
 run cargo run --release $OFFLINE -p vdr-bench --bin figures >/dev/null

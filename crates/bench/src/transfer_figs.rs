@@ -426,8 +426,7 @@ pub fn figure21() -> FigureReport {
     hdfs.put_matrix("pts", &flat, 2, 512);
     let sc = vdr_sparksim::SparkContext::new(cluster.clone(), hdfs, 2);
     let (matrix, _) = sc.load_matrix("pts", &ledger).unwrap();
-    let spark_model =
-        vdr_sparksim::mllib::spark_kmeans_with_centers(&cluster, &matrix, init, 20).unwrap();
+    let spark_model = vdr_sparksim::mllib::spark_kmeans_with_centers(&matrix, init, 20).unwrap();
     for (a, b) in dr_model.iter().zip(&spark_model.centers) {
         for (x, y) in a.iter().zip(b) {
             assert!(

@@ -4,8 +4,7 @@
 //! cores, 196 GB RAM, SSD, full-bisection 10 Gbps Ethernet). This crate stands
 //! in for that hardware: a [`SimCluster`] hosts N [`Node`]s inside one process,
 //! each with an in-memory [`disk::SimDisk`], a `/dev/shm`-style staging area
-//! ([`shm::SharedMem`]), a bounded thread pool, and point-to-point
-//! [`net::Network`] links.
+//! ([`shm::SharedMem`]), and point-to-point [`net::Network`] links.
 //!
 //! Every byte moved and every unit of compute performed by the engines built
 //! on top (the database, the distributed runtime, the connectors) is recorded
@@ -66,16 +65,13 @@ struct ClusterInner {
 impl SimCluster {
     /// Build a cluster of `n` nodes using the given hardware profile.
     ///
-    /// `threads_per_node` bounds the *real* worker threads backing each node's
-    /// pool; it is independent of `profile.cores`, which drives the simulated
-    /// time model. Tests typically use 2–4 real threads while modelling 24
-    /// simulated cores.
-    pub fn new(n: usize, profile: HardwareProfile, threads_per_node: usize) -> Self {
+    /// `_threads_per_node` is unused: a node's cores are `profile.cores`,
+    /// which drives the simulated time model, and no engine runs a node's
+    /// work on threads of its own. The argument stays so that existing
+    /// callers, the benchmark among them, keep compiling.
+    pub fn new(n: usize, profile: HardwareProfile, _threads_per_node: usize) -> Self {
         assert!(n > 0, "a cluster needs at least one node");
-        assert!(threads_per_node > 0, "nodes need at least one thread");
-        let nodes = (0..n)
-            .map(|i| Arc::new(Node::new(NodeId(i), threads_per_node)))
-            .collect();
+        let nodes = (0..n).map(|i| Arc::new(Node::new(NodeId(i)))).collect();
         SimCluster {
             inner: Arc::new(ClusterInner {
                 nodes,
@@ -85,8 +81,7 @@ impl SimCluster {
         }
     }
 
-    /// Convenience constructor: `n` nodes, paper-testbed profile, small real
-    /// thread pools suitable for tests.
+    /// Convenience constructor: `n` nodes with the paper-testbed profile.
     pub fn for_tests(n: usize) -> Self {
         SimCluster::new(n, HardwareProfile::paper_testbed(), 2)
     }

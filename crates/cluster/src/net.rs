@@ -10,7 +10,7 @@ use crate::error::{ClusterError, Result};
 use crate::ledger::PhaseRecorder;
 use crate::node::NodeId;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// The cluster's network fabric. Full bisection bandwidth: any pair of nodes
@@ -40,7 +40,7 @@ impl Network {
                 });
             }
         }
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         Ok((
             StreamTx {
                 tx,

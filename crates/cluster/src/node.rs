@@ -1,5 +1,5 @@
-//! A simulated cluster node: identity, local disk, shared-memory staging
-//! area, and a bounded real thread pool.
+//! A simulated cluster node: identity, local disk and shared-memory staging
+//! area.
 
 use crate::disk::SimDisk;
 use crate::shm::SharedMem;
@@ -15,30 +15,22 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// One simulated machine. Engines store table segments on the `disk`, stage
-/// incoming transfer data in `shm` (the paper stores arriving streams as
-/// in-memory files, "typically in /dev/shm", Section 3.3), and run real
-/// compute on the node's thread pool.
+/// One simulated machine. Engines store table segments on the `disk` and
+/// stage incoming transfer data in `shm` (the paper stores arriving streams
+/// as in-memory files, "typically in /dev/shm", Section 3.3). A node's cores
+/// are modeled by the ledger's [`crate::HardwareProfile`], not by threads.
 pub struct Node {
     id: NodeId,
     disk: SimDisk,
     shm: SharedMem,
-    pool: rayon::ThreadPool,
 }
 
 impl Node {
-    /// `threads` bounds the real OS threads backing this node's pool.
-    pub fn new(id: NodeId, threads: usize) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .thread_name(move |t| format!("node{}-w{t}", id.0))
-            .build()
-            .expect("failed to build node thread pool");
+    pub fn new(id: NodeId) -> Self {
         Node {
             id,
             disk: SimDisk::new(id),
             shm: SharedMem::new(id, u64::MAX),
-            pool,
         }
     }
 
@@ -53,44 +45,10 @@ impl Node {
     pub fn shm(&self) -> &SharedMem {
         &self.shm
     }
-
-    /// Run `f` on this node's thread pool (blocking until it completes).
-    /// Rayon parallel iterators inside `f` are confined to the pool.
-    pub fn run<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        self.pool.install(f)
-    }
-
-    /// Real threads backing this node.
-    pub fn threads(&self) -> usize {
-        self.pool.current_num_threads()
-    }
 }
 
 impl fmt::Debug for Node {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Node")
-            .field("id", &self.id)
-            .field("threads", &self.threads())
-            .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pool_confines_parallelism() {
-        let node = Node::new(NodeId(0), 3);
-        assert_eq!(node.threads(), 3);
-        let inside = node.run(rayon::current_num_threads);
-        assert_eq!(inside, 3);
-    }
-
-    #[test]
-    fn run_returns_value() {
-        let node = Node::new(NodeId(1), 1);
-        assert_eq!(node.run(|| 2 + 2), 4);
-        assert_eq!(node.id(), NodeId(1));
+        f.debug_struct("Node").field("id", &self.id).finish()
     }
 }

@@ -70,15 +70,15 @@ impl DArray {
             .collect()
     }
 
-    /// Worker index owning partition `i`.
     /// Compute lanes available per worker (the per-node R-instance count):
     /// the partition-level training kernels split a partition's rows across
-    /// this many parallel accumulators, mirroring how the VFT decodes one
-    /// stream per instance.
+    /// this many accumulators, mirroring how the VFT decodes one stream per
+    /// instance.
     pub fn instance_lanes(&self) -> usize {
         self.rt.instances_per_worker()
     }
 
+    /// Worker index owning partition `i`.
     pub fn worker_of(&self, i: usize) -> Result<usize> {
         Ok(self.rt.part_meta(self.id, i)?.worker)
     }
@@ -224,55 +224,19 @@ impl DArray {
         Ok(out)
     }
 
-    /// Run `f(part_index, &PartData) -> R` on every partition, in parallel,
-    /// each on the worker that owns the partition. Results come back in
-    /// partition order.
+    /// Run `f(part_index, &PartData) -> R` on every partition: the workers
+    /// run in parallel, each over the partitions it owns in turn. Results
+    /// come back in partition order.
     pub fn map_partitions<R: Send>(
         &self,
         f: impl Fn(usize, &PartData) -> R + Sync,
     ) -> Result<Vec<R>> {
-        let metas = self.rt.all_meta(self.id);
-        for (i, m) in metas.iter().enumerate() {
-            if !m.filled {
-                return Err(DistrError::PartitionEmpty { index: i });
-            }
-        }
-        // Group partitions by worker.
-        let mut by_worker: Vec<Vec<usize>> = vec![Vec::new(); self.rt.num_workers()];
-        for (i, m) in metas.iter().enumerate() {
-            by_worker[m.worker].push(i);
-        }
-        let workers: Vec<usize> = (0..by_worker.len())
-            .filter(|&w| !by_worker[w].is_empty())
-            .collect();
-        let store = self.rt.inner.array_store.read();
-        let parts: Vec<Arc<PartData>> = (0..self.npartitions)
-            .map(|p| {
-                store
-                    .get(&(self.id, p))
-                    .cloned()
-                    .ok_or(DistrError::PartitionEmpty { index: p })
-            })
-            .collect::<Result<_>>()?;
-        drop(store);
-
-        let results = self.rt.run_on_workers(&workers, |w| {
-            use rayon::prelude::*;
-            by_worker[w]
-                .par_iter()
-                .map(|&p| (p, f(p, &parts[p])))
-                .collect::<Vec<(usize, R)>>()
-        });
-        let mut out: Vec<Option<R>> = (0..self.npartitions).map(|_| None).collect();
-        for (_, worker_results) in results {
-            for (p, r) in worker_results {
-                out[p] = Some(r);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("all partitions ran"))
-            .collect())
+        let store = &self.rt.inner.array_store;
+        let part = |p| {
+            let found = store.read().get(&(self.id, p)).cloned();
+            found.ok_or(DistrError::PartitionEmpty { index: p })
+        };
+        self.rt.map_owned(self.id, self.npartitions, part, f)
     }
 
     /// Run `f(part_index, &x_part, &y_part)` over co-partitioned arrays

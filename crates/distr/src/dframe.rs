@@ -105,41 +105,11 @@ impl DFrame {
             .ok_or(DistrError::PartitionEmpty { index: part })
     }
 
-    /// Parallel map over partitions on their owning workers.
+    /// Map over partitions on their owning workers; see
+    /// [`crate::DArray::map_partitions`].
     pub fn map_partitions<R: Send>(&self, f: impl Fn(usize, &Batch) -> R + Sync) -> Result<Vec<R>> {
-        let metas = self.rt.all_meta(self.id);
-        for (i, m) in metas.iter().enumerate() {
-            if !m.filled {
-                return Err(DistrError::PartitionEmpty { index: i });
-            }
-        }
-        let mut by_worker: Vec<Vec<usize>> = vec![Vec::new(); self.rt.num_workers()];
-        for (i, m) in metas.iter().enumerate() {
-            by_worker[m.worker].push(i);
-        }
-        let workers: Vec<usize> = (0..by_worker.len())
-            .filter(|&w| !by_worker[w].is_empty())
-            .collect();
-        let parts: Vec<Arc<Batch>> = (0..self.npartitions)
-            .map(|p| self.partition(p))
-            .collect::<Result<_>>()?;
-        let results = self.rt.run_on_workers(&workers, |w| {
-            use rayon::prelude::*;
-            by_worker[w]
-                .par_iter()
-                .map(|&p| (p, f(p, &parts[p])))
-                .collect::<Vec<(usize, R)>>()
-        });
-        let mut out: Vec<Option<R>> = (0..self.npartitions).map(|_| None).collect();
-        for (_, rs) in results {
-            for (p, r) in rs {
-                out[p] = Some(r);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("all partitions ran"))
-            .collect())
+        let part = |p| self.partition(p);
+        self.rt.map_owned(self.id, self.npartitions, part, f)
     }
 
     /// Gather all rows to the master as one batch.

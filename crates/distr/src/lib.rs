@@ -20,7 +20,7 @@
 //!
 //! Parallel execution happens via [`DArray::map_partitions`] /
 //! [`DArray::zip_map`]: each partition's closure runs on the worker that
-//! owns the partition (real threads, on that node's pool), mirroring how
+//! owns the partition (one real thread per worker), mirroring how
 //! Distributed R ships R functions to workers.
 
 pub mod darray;

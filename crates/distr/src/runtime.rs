@@ -145,8 +145,8 @@ impl DistributedR {
         self.inner.workers.iter().map(|w| w.instances).sum()
     }
 
-    /// Per-worker R-instance count (the widest worker): how many parallel
-    /// conversion/compute lanes a partition-level kernel can use.
+    /// Per-worker R-instance count (the widest worker): how many
+    /// conversion/compute lanes a partition-level kernel splits its rows into.
     pub fn instances_per_worker(&self) -> usize {
         self.inner
             .workers
@@ -364,8 +364,8 @@ impl DistributedR {
     }
 
     /// Run `f(worker_index)` concurrently for each distinct worker in
-    /// `worker_set`, each on its node's thread pool, and return results
-    /// keyed by worker index. This is the low-level "ship a function to
+    /// `worker_set`, one thread per worker, and return results keyed by
+    /// worker index. This is the low-level "ship a function to
     /// workers" primitive; the data structures' `map_partitions` build on
     /// it, and so do transfer receive pools.
     pub fn run_on_workers<R: Send>(
@@ -382,7 +382,6 @@ impl DistributedR {
             let handles: Vec<_> = worker_set
                 .iter()
                 .map(|&w| {
-                    let node = self.inner.cluster.node(self.inner.workers[w].node);
                     let node_id = self.inner.workers[w].node;
                     let f = &f;
                     scope.spawn(move || {
@@ -392,7 +391,7 @@ impl DistributedR {
                             vdr_obs::detail_span_with_parent("distr.task", parent_span);
                         task_span.set_node(node_id.0);
                         task_span.record("worker", w);
-                        (w, node.run(|| f(w)))
+                        (w, f(w))
                     })
                 })
                 .collect();
@@ -401,6 +400,43 @@ impl DistributedR {
                 .map(|h| h.join().expect("worker task panicked"))
                 .collect()
         })
+    }
+
+    /// Run `f(p, &part(p))` for every partition `p` of object `id`: the
+    /// owning workers run in parallel, each over its partitions in turn.
+    /// Every partition must be filled. Results come back in partition order.
+    pub(crate) fn map_owned<P: Send + Sync, R: Send>(
+        &self,
+        id: u64,
+        npartitions: usize,
+        part: impl Fn(usize) -> Result<Arc<P>>,
+        f: impl Fn(usize, &P) -> R + Sync,
+    ) -> Result<Vec<R>> {
+        let metas = self.all_meta(id);
+        if let Some(index) = metas.iter().position(|m| !m.filled) {
+            return Err(DistrError::PartitionEmpty { index });
+        }
+        let mut by_worker: Vec<Vec<usize>> = vec![Vec::new(); self.num_workers()];
+        for (i, m) in metas.iter().enumerate() {
+            by_worker[m.worker].push(i);
+        }
+        let workers: Vec<usize> = (0..by_worker.len())
+            .filter(|&w| !by_worker[w].is_empty())
+            .collect();
+        let parts = (0..npartitions).map(part).collect::<Result<Vec<_>>>()?;
+        let results = self.run_on_workers(&workers, |w| {
+            let mine = by_worker[w].iter();
+            mine.map(|&p| (p, f(p, &parts[p]))).collect::<Vec<_>>()
+        });
+        let mut out: Vec<Option<R>> = (0..npartitions).map(|_| None).collect();
+        for (p, r) in results.into_iter().flat_map(|(_, rs)| rs) {
+            out[p] = Some(r);
+        }
+        // A slot stays empty only if the symbol table lists fewer
+        // partitions than the object has.
+        let ran = out.into_iter().enumerate();
+        ran.map(|(p, r)| r.ok_or(DistrError::PartitionEmpty { index: p }))
+            .collect()
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Rows are assigned to folds by a deterministic hash of their global index;
 //! each fold's model trains on the remaining data (distributed, same
-//! Newton–Raphson path — including the lane-parallel blocked accumulation
+//! Newton–Raphson path — including the lane-split blocked accumulation
 //! and deterministic tree-merge) and is scored on the held-out rows. The
 //! folds themselves are independent, so they build/train/score concurrently
 //! on scoped threads; results are collected in fold order, so the output is

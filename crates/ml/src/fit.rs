@@ -14,7 +14,6 @@
 
 use crate::error::{MlError, Result};
 use crate::reduce::{lane_chunk, tree_merge};
-use rayon::prelude::*;
 use vdr_distr::DArray;
 use vdr_obs::SpanGuard;
 
@@ -93,8 +92,10 @@ pub trait IterativeFit: Sync {
         -> Result<Self::Model>;
 }
 
-/// One partition's share of a pass: tile-aligned chunks of its rows across
-/// `lanes` rayon tasks (the worker's instance lanes), tree-merged.
+/// One partition's share of a pass: its rows split into tile-aligned chunks,
+/// one per lane (the worker's instance lanes), whose partials tree-merge.
+/// The lanes fix the reduction's shape, and so the fit's bits; they run
+/// one after another.
 pub fn partition_pass<F: IterativeFit>(
     fit: &F,
     rows: Rows<'_>,
@@ -105,10 +106,9 @@ pub fn partition_pass<F: IterativeFit>(
     if chunk >= nrow {
         return fit.transition(rows);
     }
-    let starts: Vec<usize> = (0..nrow).step_by(chunk).collect();
-    let partials = starts
-        .par_iter()
-        .map(|&s| {
+    let partials = (0..nrow)
+        .step_by(chunk)
+        .map(|s| {
             let e = (s + chunk).min(nrow);
             let y = rows.y.map(|y| y.get(s..e).unwrap_or_default());
             let data = &rows.data[s * stride..e * stride];

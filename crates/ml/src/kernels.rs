@@ -24,9 +24,10 @@ fn block_rows(cols: &[&[f64]]) -> usize {
     cols.first().map_or(0, |c| c.len())
 }
 
-/// Nearest-center scoring over a column-major block, shared by the
-/// `KmeansPredict` UDx path ([`KmeansModel::assign_batch`]) and the training
-/// assignment pass (`kmeans::assign_partial`). For each center the partial
+/// Nearest-center scoring over a column-major block: the kernel of the
+/// `KmeansPredict` UDx path ([`KmeansModel::assign_batch`]). The training
+/// assignment pass (`kmeans::assign_partial`) scores row-major data with
+/// [`RowScorer`] instead, on the same decomposition. For each center the partial
 /// distance `‖c‖² − 2·x·c` is built with one [`axpy`] per feature column
 /// (`‖x‖²` is constant per row, so the argmin doesn't need it); ties keep
 /// the lower center index via the strict `<`. On return `best[i]` holds the

@@ -11,8 +11,7 @@
 /// L2 while the syrk-style `XᵀWX` update sweeps it.
 pub const TILE_ROWS: usize = 256;
 
-/// Contiguous chunk size that splits `nrow` across `lanes` parallel
-/// accumulators. Aligned to [`TILE_ROWS`] so lane boundaries coincide with
+/// Contiguous chunk size that splits `nrow` across `lanes` accumulators. Aligned to [`TILE_ROWS`] so lane boundaries coincide with
 /// tile boundaries, and a pure function of `(nrow, lanes)` so the resulting
 /// reduction is reproducible run to run.
 pub fn lane_chunk(nrow: usize, lanes: usize) -> usize {

@@ -71,7 +71,7 @@ pub fn hpdrf(x: &DArray, y: &DArray, opts: &RfOptions) -> Result<RandomForestMod
     }
 
     // Assign trees round-robin to partitions; each partition trains its
-    // trees in parallel on its worker.
+    // trees on its worker.
     let nparts = x.npartitions();
     let seed = opts.seed;
     let opts2 = opts.clone();

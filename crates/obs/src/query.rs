@@ -59,7 +59,7 @@ thread_local! {
 
 /// The node this thread's work belongs to (`None` off any node scope).
 /// Spans opened while a [`NodeScope`] is active default their `node` label
-/// to this, so rayon / receive-pool threads attribute correctly without
+/// to this, so worker / receive-pool threads attribute correctly without
 /// every call site remembering `set_node`.
 pub fn current_node() -> Option<usize> {
     CURRENT_NODE.with(|c| c.get())

@@ -5,14 +5,12 @@
 //! so Figure 20 compares scheduling/runtime stacks, not algorithm variants.
 
 use crate::rdd::SparkMatrix;
-use vdr_cluster::SimCluster;
 use vdr_ml::kmeans::{assign_partial, kmeans_pp, merge_partials, nearest_distances, KmeansPartial};
 use vdr_ml::models::KmeansModel;
 use vdr_ml::{MlError, Result};
 
 /// Lloyd K-means with k-means‖-style D² seeding (what MLlib uses).
 pub fn spark_kmeans(
-    cluster: &SimCluster,
     matrix: &SparkMatrix,
     k: usize,
     max_iterations: usize,
@@ -34,18 +32,17 @@ pub fn spark_kmeans(
     // D² sampling, the distances computed distributed, through the same
     // seeding code `hpdkmeans` runs.
     let nearest = |centers: &[f64]| {
-        Ok(matrix.map_partitions(cluster, |part| nearest_distances(&part.data, d, centers)))
+        Ok(matrix.map_partitions(|part| nearest_distances(&part.data, d, centers)))
     };
     let centers = kmeans_pp(n, d, k, seed, nearest, row)?;
     let centers = centers.chunks_exact(d).map(<[f64]>::to_vec).collect();
-    spark_kmeans_with_centers(cluster, matrix, centers, max_iterations)
+    spark_kmeans_with_centers(matrix, centers, max_iterations)
 }
 
 /// Lloyd iterations from explicit starting centers (used by tests to verify
 /// the Spark and Distributed R paths converge identically from the same
 /// start).
 pub fn spark_kmeans_with_centers(
-    cluster: &SimCluster,
     matrix: &SparkMatrix,
     centers: Vec<Vec<f64>>,
     max_iterations: usize,
@@ -62,7 +59,7 @@ pub fn spark_kmeans_with_centers(
     while iterations < max_iterations {
         iterations += 1;
         let partials: Vec<KmeansPartial> =
-            matrix.map_partitions(cluster, |part| assign_partial(&part.data, d, &centers));
+            matrix.map_partitions(|part| assign_partial(&part.data, d, &centers));
         let merged = vdr_ml::reduce::tree_merge(partials, |a, b| merge_partials(a, &b))
             .ok_or_else(|| MlError::Invalid("matrix has no partitions".into()))?;
         // MLlib keeps empty centers in place.
@@ -87,7 +84,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
-    use vdr_cluster::Ledger;
+    use vdr_cluster::{Ledger, SimCluster};
     use vdr_ml::serial::serial_kmeans;
 
     fn blob_data(seed: u64) -> Vec<f64> {
@@ -114,7 +111,7 @@ mod tests {
         let cluster = SimCluster::for_tests(3);
         let data = blob_data(4);
         let m = load(&cluster, &data);
-        let model = spark_kmeans(&cluster, &m, 3, 50, 99).unwrap();
+        let model = spark_kmeans(&m, 3, 50, 99).unwrap();
         for expect in [[0.0, 0.0], [12.0, 12.0], [-12.0, 12.0]] {
             let nearest = model
                 .centers
@@ -134,7 +131,7 @@ mod tests {
         let data = blob_data(8);
         let m = load(&cluster, &data);
         let init = vec![vec![1.0, 1.0], vec![10.0, 10.0], vec![-10.0, 10.0]];
-        let spark = spark_kmeans_with_centers(&cluster, &m, init.clone(), 30).unwrap();
+        let spark = spark_kmeans_with_centers(&m, init.clone(), 30).unwrap();
         // Serial reference: run Lloyd by hand with the shared kernel.
         let mut centers: Vec<f64> = init.into_iter().flatten().collect();
         for _ in 0..30 {
@@ -174,8 +171,8 @@ mod tests {
         let cluster = SimCluster::for_tests(2);
         let data = blob_data(1);
         let m = load(&cluster, &data);
-        assert!(spark_kmeans(&cluster, &m, 0, 10, 1).is_err());
-        assert!(spark_kmeans(&cluster, &m, 100_000, 10, 1).is_err());
-        assert!(spark_kmeans_with_centers(&cluster, &m, vec![], 10).is_err());
+        assert!(spark_kmeans(&m, 0, 10, 1).is_err());
+        assert!(spark_kmeans(&m, 100_000, 10, 1).is_err());
+        assert!(spark_kmeans_with_centers(&m, vec![], 10).is_err());
     }
 }

@@ -60,29 +60,27 @@ impl SparkContext {
             .scatter(|node| {
                 let my_blocks: Vec<_> = blocks.iter().filter(|b| b.primary == node.id()).collect();
                 rec.set_lanes(node.id(), self.executor_lanes);
-                node.run(|| {
-                    let mut data = Vec::new();
-                    let mut rows = 0usize;
-                    for b in my_blocks {
-                        let Some(bytes) = self.hdfs.read_block(name, b, node.id(), &rec) else {
-                            continue;
-                        };
-                        let text = std::str::from_utf8(&bytes).expect("hdfs blocks are utf8 csv");
-                        for line in text.lines() {
-                            for field in line.split(',') {
-                                data.push(field.parse::<f64>().unwrap_or(f64::NAN));
-                            }
-                            rows += 1;
+                let mut data = Vec::new();
+                let mut rows = 0usize;
+                for b in my_blocks {
+                    let Some(bytes) = self.hdfs.read_block(name, b, node.id(), &rec) else {
+                        continue;
+                    };
+                    let text = std::str::from_utf8(&bytes).expect("hdfs blocks are utf8 csv");
+                    for line in text.lines() {
+                        for field in line.split(',') {
+                            data.push(field.parse::<f64>().unwrap_or(f64::NAN));
                         }
-                        rec.cpu_work(node.id(), (b.rows * cols) as f64, deser_cost);
+                        rows += 1;
                     }
-                    SparkPartition {
-                        node: node.id(),
-                        rows,
-                        cols,
-                        data,
-                    }
-                })
+                    rec.cpu_work(node.id(), (b.rows * cols) as f64, deser_cost);
+                }
+                SparkPartition {
+                    node: node.id(),
+                    rows,
+                    cols,
+                    data,
+                }
             })
             .into_iter()
             .filter(|p| p.rows > 0)
@@ -100,21 +98,16 @@ impl SparkMatrix {
         self.partitions.iter().map(|p| p.rows).sum()
     }
 
-    /// Map-reduce over partitions: `map` runs on each partition's node in
-    /// parallel; results are folded on the driver.
-    pub fn map_partitions<R: Send>(
-        &self,
-        cluster: &SimCluster,
-        map: impl Fn(&SparkPartition) -> R + Sync,
-    ) -> Vec<R> {
+    /// Map-reduce over partitions: `map` runs on one thread per partition;
+    /// results are folded on the driver.
+    pub fn map_partitions<R: Send>(&self, map: impl Fn(&SparkPartition) -> R + Sync) -> Vec<R> {
         std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .partitions
                 .iter()
                 .map(|part| {
-                    let node = cluster.node(part.node).clone();
                     let map = &map;
-                    scope.spawn(move || node.run(|| map(part)))
+                    scope.spawn(move || map(part))
                 })
                 .collect();
             handles
@@ -142,7 +135,7 @@ mod tests {
         assert_eq!(m.cols, 2);
         assert!(load_time.as_secs() > 0.0);
         // Every partition's data parses back to what was written.
-        let sums = m.map_partitions(&cluster, |p| p.data.iter().sum::<f64>());
+        let sums = m.map_partitions(|p| p.data.iter().sum::<f64>());
         let total: f64 = sums.iter().sum();
         assert_eq!(total, data.iter().sum::<f64>());
         // Data locality: reads on each node came off its own disk — the

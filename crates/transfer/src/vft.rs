@@ -43,11 +43,10 @@
 
 use crate::report::TransferReport;
 use crate::{check_features, gather_f64_rows};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 use vdr_cluster::{
@@ -112,7 +111,7 @@ impl ExportHub {
 
     /// Worker `w` starts listening for transfer `id`.
     fn listen(&self, id: u64, worker: usize) -> Receiver<StreamRx> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.listeners.lock().insert((id, worker), tx);
         rx
     }
@@ -582,7 +581,7 @@ impl FastTransfer {
         // partition ("the in-memory files are converted into R objects and
         // assembled into partitions", Section 3.3). The partition buffer is
         // sized once; each block gathers column-at-a-time into its disjoint
-        // row range, fanned across the worker's instance lanes.
+        // row range.
         let array = dr
             .darray(dr.num_workers())
             .map_err(|e| DbError::Exec(e.to_string()))?;
@@ -600,15 +599,12 @@ impl FastTransfer {
                     received[w].iter().flat_map(|s| s.batches.iter()).collect();
                 let nrow: usize = batches.iter().map(|b| b.num_rows()).sum();
                 let mut data = vec![0.0f64; nrow * ncol];
-                let mut jobs: Vec<(&Batch, &mut [f64])> = Vec::with_capacity(batches.len());
                 let mut rest: &mut [f64] = &mut data;
                 for b in batches {
                     let (head, tail) = std::mem::take(&mut rest).split_at_mut(b.num_rows() * ncol);
                     rest = tail;
-                    jobs.push((b, head));
+                    gather_f64_rows(b, head)?;
                 }
-                jobs.into_par_iter()
-                    .try_for_each(|(b, out)| gather_f64_rows(b, out))?;
                 convert_span.record("streams", received[w].len());
                 convert_span.record("rows", nrow);
                 Ok((w, nrow, data))
@@ -680,8 +676,8 @@ impl FastTransfer {
             .map_err(|e| DbError::Exec(e.to_string()))?;
         let schema = def.schema.project(columns)?;
         let parent_span = transfer_span.id();
-        // Assembly runs on the workers; within a worker the partition's
-        // columns are stitched independently across the instance lanes.
+        // Assembly runs on the workers; each stitches its partition column
+        // by column.
         let parts: Vec<Result<(usize, Batch)>> = {
             let received = &received;
             let schema = &schema;
@@ -694,7 +690,6 @@ impl FastTransfer {
                 let batches: Vec<&Batch> =
                     received[w].iter().flat_map(|s| s.batches.iter()).collect();
                 let cols: Vec<Column> = (0..schema.fields().len())
-                    .into_par_iter()
                     .map(|c| -> Result<Column> {
                         let mut col = Column::empty(schema.field(c).dtype);
                         for b in &batches {

@@ -1065,7 +1065,7 @@ mod tests {
     use super::*;
     use crate::exec::Payload;
     use bytes::Bytes;
-    use vdr_cluster::{ExchangeRecv, NodeId, SimCluster};
+    use vdr_cluster::ExchangeRecv;
     use vdr_columnar::{encode_batch, Value};
 
     fn schema() -> Schema {
@@ -1198,15 +1198,13 @@ mod tests {
     /// What the exchange receive makes of one source's frames, held to the
     /// plan as a merge holds it.
     fn decode(plan: &AggPlan, frames: &[Bytes]) -> Result<Partial> {
-        let cluster = SimCluster::for_tests(1);
         let recv = ExchangeRecv {
             frames: vec![frames.to_vec()],
             wait_ns: 0,
             num_frames: 0,
             bytes: 0,
         };
-        let node = cluster.node(NodeId(0));
-        let (mut got, _) = crate::exec::receive(node, plan.schemas(), Payload::State, &recv)?;
+        let (mut got, _) = crate::exec::receive(plan.schemas(), Payload::State, &recv)?;
         let p = Partial::from_batches(got.pop().unwrap_or_default());
         plan.check(&p)?;
         Ok(p)

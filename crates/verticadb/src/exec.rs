@@ -77,7 +77,6 @@ use crate::sort;
 use crate::sql::{OrderKey, Partition, SelectItem, SelectStmt, Statement};
 use crate::udx::UdxContext;
 use bytes::Bytes;
-use rayon::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -529,7 +528,7 @@ fn exchange<C: Send, T: Send>(
     let consume = |node: &Arc<Node>, carry: C, got: ExchangeRecv| {
         let me = node.id().0;
         let _s = cx.enter(me);
-        let (received, stats) = receive(node, schemas, payload, &got).map_err(as_io)?;
+        let (received, stats) = receive(schemas, payload, &got).map_err(as_io)?;
         // Receive-side telemetry lands on the receiving node.
         vdr_obs::counter_on("exchange.rows", me, stats.rows);
         vdr_obs::counter_on("exchange.bytes", me, got.bytes);
@@ -559,14 +558,13 @@ pub(crate) struct RecvStats {
     expanded: u64,
 }
 
-/// Decode every received frame in parallel on the node's pool. Frames keep
+/// Decode every received frame, in source order. Frames keep
 /// their VCOL encodings through [`decode_batch_encoded`]; RLE/dictionary
 /// columns expand only here, on the receiver. Every source must have sent
 /// one frame per planned schema, in order — or, for aggregate state,
 /// nothing — and each frame must decode to its schema: a crc-valid block of
 /// anything else is a protocol error, not input.
 pub(crate) fn receive(
-    node: &Arc<Node>,
     schemas: &[Schema],
     payload: Payload,
     recv: &ExchangeRecv,
@@ -581,34 +579,25 @@ pub(crate) fn receive(
         }
         frames.extend(got.iter().zip(schemas).map(|(f, s)| (src, f, s)));
     }
-    let decoded: Vec<Result<(Batch, u64, u64)>> = node.run(|| {
-        frames
-            .par_iter()
-            .map(|&(_, bytes, schema)| {
-                let (eb, stats) = decode_batch_encoded(bytes, None)
-                    .map_err(|e| DbError::Exec(format!("exchange decode: {e}")))?;
-                if eb.schema() != schema {
-                    return Err(DbError::Exec(format!(
-                        "exchange frame carries columns {:?}, planned {:?}",
-                        eb.schema().names(),
-                        schema.names()
-                    )));
-                }
-                let all = Bitmap::all_valid(eb.num_rows());
-                let materialized = eb
-                    .materialize(&all, None)
-                    .and_then(|(rows, expanded)| Ok((rows.into_batch()?, expanded)));
-                let (batch, expanded) = materialized
-                    .map_err(|e| DbError::Exec(format!("exchange materialize: {e}")))?;
-                Ok((batch, stats.cols_kept_encoded as u64, expanded))
-            })
-            .collect()
-    });
     let mut out = vec![Vec::new(); recv.frames.len()];
     let mut stats = RecvStats::default();
-    for (&(src, ..), d) in frames.iter().zip(decoded) {
-        let (batch, kept, expanded) = d?;
-        stats.encoded_cols += kept;
+    for (src, bytes, schema) in frames {
+        let (eb, decoded) = decode_batch_encoded(bytes, None)
+            .map_err(|e| DbError::Exec(format!("exchange decode: {e}")))?;
+        if eb.schema() != schema {
+            return Err(DbError::Exec(format!(
+                "exchange frame carries columns {:?}, planned {:?}",
+                eb.schema().names(),
+                schema.names()
+            )));
+        }
+        let all = Bitmap::all_valid(eb.num_rows());
+        let materialized = eb
+            .materialize(&all, None)
+            .and_then(|(rows, expanded)| Ok((rows.into_batch()?, expanded)));
+        let (batch, expanded) =
+            materialized.map_err(|e| DbError::Exec(format!("exchange materialize: {e}")))?;
+        stats.encoded_cols += decoded.cols_kept_encoded as u64;
         stats.expanded += expanded;
         out[src].push(batch);
     }
@@ -1051,19 +1040,15 @@ impl Deal<'_> {
         Ok(())
     }
 
-    /// Run every instance over its share on the node's pool; their output in
-    /// instance order, each in its emit order.
+    /// Run every instance over its share; their output in instance order,
+    /// each in its emit order.
     fn run(mut self) -> Result<Vec<Batch>> {
         let shares = std::mem::take(&mut self.shares);
         let n = shares.len();
         self.cx.rec.set_lanes(self.node, n);
-        let run = |(i, share)| self.instance(i, n, share);
-        let pool = self.cx.db.cluster().node(self.node);
-        let outs: Vec<Result<Vec<Batch>>> =
-            pool.run(|| shares.into_par_iter().enumerate().map(run).collect());
         let mut out = Vec::new();
-        for batches in outs {
-            out.extend(batches?);
+        for (i, share) in shares.into_iter().enumerate() {
+            out.extend(self.instance(i, n, share)?);
         }
         Ok(out)
     }
@@ -1072,7 +1057,7 @@ impl Deal<'_> {
     /// evaluated over them just before it runs.
     fn instance(&self, i: usize, n: usize, share: Share) -> Result<Vec<Batch>> {
         let (cx, t, node) = (&self.cx, self.t, self.node);
-        // Rayon pool threads are shared across queries.
+        // Attribute the instance's spans and counters to the query and node.
         let _s = cx.enter(node.0);
         let mut span = vdr_obs::detail_span_with_parent("exec.transform.instance", cx.span);
         span.set_node(node.0);

@@ -311,7 +311,6 @@ fn gather(col: &Column, ids: &[u32]) -> Column {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use vdr_cluster::SimCluster;
     use vdr_columnar::{ColumnBuilder, DataType};
 
     fn recv_of(frames: Vec<Vec<Bytes>>) -> ExchangeRecv {
@@ -328,8 +327,6 @@ mod tests {
     /// over fewer or other rows than were shipped.
     #[test]
     fn hostile_exchange_frames_are_errors_not_joins() {
-        let cluster = SimCluster::for_tests(2);
-        let node = cluster.node(NodeId(0));
         let left = Batch::from_rows(
             Schema::of(&[("k", DataType::Int64), ("v", DataType::Float64)]),
             &[
@@ -351,7 +348,7 @@ mod tests {
         .unwrap();
         let (lf, rf) = (encode_batch(&left), encode_batch(&right));
         let shipped = [left.schema().clone(), right.schema().clone()];
-        let decode = |frames| receive(node, &shipped, Payload::Rows, &recv_of(frames));
+        let decode = |frames| receive(&shipped, Payload::Rows, &recv_of(frames));
         let rows = |got: &[Vec<Batch>], side: usize| -> usize {
             got.iter().map(|b| b[side].num_rows()).sum()
         };
@@ -364,7 +361,7 @@ mod tests {
         // A side that did not ship is not expected on the wire.
         let right_only = [right.schema().clone()];
         let frames = recv_of(vec![vec![rf.clone()]; 2]);
-        let (got, _) = receive(node, &right_only, Payload::Rows, &frames).unwrap();
+        let (got, _) = receive(&right_only, Payload::Rows, &frames).unwrap();
         assert_eq!(rows(&got, 0), 4);
 
         let is_exec_err = |res: Result<(Vec<Vec<Batch>>, RecvStats)>, what: &str| match res {

@@ -15,8 +15,6 @@
 //!   ([`crate::blockcache::BlockCache`]). A container whose wanted columns
 //!   are all resident charges a memory-speed `disk_cached_read` and zero
 //!   decode CPU; otherwise the scan decodes only the missing columns.
-//! * **Parallel container decode** — each node's containers are decoded on
-//!   the rayon pool, mirroring a real node's per-core scan threads.
 //!
 //! A scan always reads the node's whole segment, in container order: the
 //! executor, not storage, splits it among UDx instances (`exec.rs`).
@@ -27,9 +25,7 @@ use crate::blockcache::BlockCache;
 use crate::catalog::TableDef;
 use crate::error::{DbError, Result};
 use parking_lot::RwLock;
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vdr_cluster::{NodeId, PhaseRecorder, SimCluster};
 use vdr_columnar::{
@@ -225,8 +221,8 @@ impl SegmentStore {
     /// Read `table`'s containers on `node`: the `wanted` columns
     /// (`None` = all) of each, in block order, charging `rec` for the disk
     /// read and the eager decode. Resident columns come from the block
-    /// cache; a container with some missing decodes only those, on the
-    /// node's rayon pool, and caches them.
+    /// cache; a container with some missing decodes only those and caches
+    /// them.
     pub fn scan_node(
         &self,
         table: &str,
@@ -235,12 +231,11 @@ impl SegmentStore {
         wanted: Option<&HashSet<String>>,
     ) -> Result<Vec<EncodedBatch>> {
         let containers = self.containers(table, node);
-        let cols_skipped = AtomicU64::new(0);
+        let mut skipped = 0;
         let out = containers
-            .par_iter()
-            .map(|c| self.scan_container(c, node, rec, wanted, &cols_skipped))
+            .iter()
+            .map(|c| self.scan_container(c, node, rec, wanted, &mut skipped))
             .collect::<Result<Vec<_>>>()?;
-        let skipped = cols_skipped.load(Ordering::Relaxed);
         if skipped > 0 {
             vdr_obs::counter_on("exec.scan.cols_skipped", node.0, skipped);
         }
@@ -255,7 +250,7 @@ impl SegmentStore {
         node: NodeId,
         rec: &PhaseRecorder,
         wanted: Option<&HashSet<String>>,
-        cols_skipped: &AtomicU64,
+        cols_skipped: &mut u64,
     ) -> Result<EncodedBatch> {
         let names = c.read(wanted);
         let mut found = self.cache.get(node, &c.path, c.crc, &names);
@@ -282,7 +277,7 @@ impl SegmentStore {
                 vdr_obs::observe_on("scan.decode.ns_per_value", node.0, ns);
             }
             let skipped = c.columns.len() - names.len();
-            cols_skipped.fetch_add(skipped as u64, Ordering::Relaxed);
+            *cols_skipped += skipped as u64;
             for (slot, name) in found.iter_mut().zip(&names) {
                 if slot.is_none() {
                     *slot = Some(decoded.column_by_name(name)?.clone());

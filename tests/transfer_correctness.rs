@@ -51,7 +51,7 @@ fn every_loader_delivers_identical_content() {
         })
     };
 
-    let (v_loc, _) = vft
+    let (v_loc, r_loc) = vft
         .db2darray(
             &db,
             &dr,
@@ -61,7 +61,7 @@ fn every_loader_delivers_identical_content() {
             &ledger,
         )
         .unwrap();
-    let (v_uni, _) = vft
+    let (v_uni, r_uni) = vft
         .db2darray(
             &db,
             &dr,
@@ -71,8 +71,13 @@ fn every_loader_delivers_identical_content() {
             &ledger,
         )
         .unwrap();
-    let (o_single, _) = OdbcLoader::load_single(&db, &dr, "t", &["id", "a"], &ledger).unwrap();
-    let (o_par, _) = OdbcLoader::load_parallel(&db, &dr, "t", &["id", "a"], "id", &ledger).unwrap();
+    let (o_single, r_single) =
+        OdbcLoader::load_single(&db, &dr, "t", &["id", "a"], &ledger).unwrap();
+    let (o_par, r_par) =
+        OdbcLoader::load_parallel(&db, &dr, "t", &["id", "a"], "id", &ledger).unwrap();
+    for report in [r_loc, r_uni, r_single, r_par] {
+        assert_eq!(report.rows, rows as u64, "reported rows");
+    }
 
     let expected_ids = id_checksum(rows);
     let reference = checksum(&o_single);
@@ -83,6 +88,49 @@ fn every_loader_delivers_identical_content() {
         assert_eq!(c.0, reference.0, "row count");
         assert_eq!(c.1, reference.1, "id checksum");
         assert!((c.2 - reference.2).abs() < 1e-6, "payload checksum");
+    }
+}
+
+#[test]
+fn vft_delivers_every_row_at_any_instance_count_and_block_size() {
+    let cluster = SimCluster::for_tests(3);
+    let db = VerticaDb::new(cluster.clone());
+    transfer_table(&db, "t", 9_000, Segmentation::RoundRobin, 5).unwrap();
+    let vft = install_export_function(&db);
+    let ledger = Ledger::new();
+    let cols = ["id", "a", "b", "c", "d", "e"];
+    for instances in [2, 8] {
+        let dr =
+            DistributedR::start(cluster.clone(), cluster.node_ids(), instances, u64::MAX).unwrap();
+        let (arr, report) = vft
+            .db2darray(&db, &dr, "t", &cols, TransferPolicy::Locality, &ledger)
+            .unwrap();
+        assert_eq!(report.rows, 9_000, "{instances} instances");
+        assert_eq!(arr.dim(), (9_000, 6), "{instances} instances");
+    }
+    // Small blocks over a skewed table still deliver every row once.
+    let (db, dr) = setup(
+        3,
+        9_000,
+        Segmentation::Skewed {
+            weights: vec![6.0, 1.0, 1.0],
+        },
+    );
+    let vft = install_export_function(&db);
+    let uniform = TransferPolicy::Uniform;
+    for psize in [9_000, 500] {
+        let (arr, report) = vft
+            .db2darray_opts(&db, &dr, "t", &["id", "a"], uniform, &ledger, Some(psize))
+            .unwrap();
+        assert_eq!(report.rows, 9_000, "psize {psize}");
+        let sums = arr
+            .map_partitions(|_, p| (0..p.nrow).map(|r| p.row(r)[0]).sum::<f64>())
+            .unwrap();
+        assert_eq!(
+            sums.iter().sum::<f64>(),
+            id_checksum(9_000),
+            "psize {psize}"
+        );
     }
 }
 
