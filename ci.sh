@@ -36,11 +36,13 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace $OFFLINE
 run cargo build --release $OFFLINE
 run cargo test --workspace -q $OFFLINE
 # The model bits the benchmark and the golden tests pin come from release
-# code: run the ml kernels' bit-identity and property tests, and the root
-# goldens (training, ledger, figures) and the block-cache story, in that
-# profile.
-run cargo test -p vdr-ml --release -q $OFFLINE
-run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden --test agg_differential --test figures_golden --test scan_cache --test figure3_workflow
+# code: run the ml kernels' bit-identity and property tests, the transfer
+# assembly's pipelined-vs-staged and train-while-loading equivalence tests,
+# the root goldens (training, ledger, figures), the block-cache story, and
+# the layout guards (Spark and Distributed R k-means from one start, every
+# loader's row checksums), in that profile.
+run cargo test -p vdr-ml -p vdr-transfer --release -q $OFFLINE
+run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden --test agg_differential --test figures_golden --test scan_cache --test figure3_workflow --test training_stacks --test transfer_correctness
 
 # The benchmark is a package of its own (benchmark/, own lock file), so the
 # workspace build above does not cover it. check.sh builds it offline and

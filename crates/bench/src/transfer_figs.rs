@@ -69,7 +69,7 @@ pub fn run_small_scale(nodes: usize, rows: usize) -> SmallScaleTransfer {
     let expect = (rows as f64 - 1.0) * rows as f64 / 2.0;
     let check = |arr: &vdr_distr::DArray| {
         let sums = arr
-            .map_partitions(|_, p| (0..p.nrow).map(|r| p.row(r)[0]).sum::<f64>())
+            .map_partitions(|_, p| p.column(0).iter().sum::<f64>())
             .unwrap();
         assert_eq!(
             sums.iter().sum::<f64>(),
@@ -402,7 +402,9 @@ pub fn figure21() -> FigureReport {
         let mut cs: Vec<f64> = init.iter().flatten().copied().collect();
         for _ in 0..20 {
             let partials = arr
-                .map_partitions(|_, part| vdr_ml::kmeans::assign_partial(&part.data, 2, &cs))
+                .map_partitions(|_, part| {
+                    vdr_ml::kmeans::assign_partial(&part.columns().collect::<Vec<_>>(), &cs)
+                })
                 .unwrap();
             let merged =
                 vdr_ml::reduce::tree_merge(partials, |a, b| vdr_ml::kmeans::merge_partials(a, &b))

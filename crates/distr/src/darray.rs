@@ -4,33 +4,68 @@ use crate::error::{DistrError, Result};
 use crate::runtime::DistributedR;
 use std::sync::Arc;
 
-/// One materialized partition: a dense row-major `f64` matrix.
+/// One materialized partition: a dense `f64` matrix stored column-major,
+/// like an R matrix, with one shared, immutable buffer per column. Arrays
+/// that select columns ([`DArray::split_columns`]) share those buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartData {
-    pub nrow: usize,
-    pub ncol: usize,
-    /// Row-major values, `nrow × ncol`.
-    pub data: Vec<f64>,
+    nrow: usize,
+    /// Each `nrow` long.
+    cols: Vec<Arc<Vec<f64>>>,
 }
 
 impl PartData {
-    pub fn new(nrow: usize, ncol: usize, data: Vec<f64>) -> Result<Self> {
+    /// `nrow` rows held as `cols`, one `nrow`-long vector per column.
+    pub fn from_columns(nrow: usize, cols: Vec<Vec<f64>>) -> Result<Self> {
+        if let Some(c) = cols.iter().position(|c| c.len() != nrow) {
+            return Err(DistrError::Conformity(format!(
+                "column {c} has {} values, not {nrow}",
+                cols[c].len()
+            )));
+        }
+        let cols = cols.into_iter().map(Arc::new).collect();
+        Ok(PartData { nrow, cols })
+    }
+
+    /// The R edge: an `nrow × ncol` row-major matrix, transposed once.
+    fn from_rows(nrow: usize, ncol: usize, data: &[f64]) -> Result<Self> {
         if data.len() != nrow * ncol {
             return Err(DistrError::Conformity(format!(
                 "data length {} != {nrow}×{ncol}",
                 data.len()
             )));
         }
-        Ok(PartData { nrow, ncol, data })
+        let col = |c| data.iter().skip(c).step_by(ncol).copied().collect();
+        PartData::from_columns(nrow, (0..ncol).map(col).collect())
     }
 
-    /// Row `r` as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.ncol..(r + 1) * self.ncol]
+    pub fn nrow(&self) -> usize {
+        self.nrow
     }
 
+    pub fn ncol(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Column `c`'s `nrow` values.
+    pub fn column(&self, c: usize) -> &[f64] {
+        &self.cols[c]
+    }
+
+    /// The columns in order.
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = &[f64]> {
+        self.cols.iter().map(|c| c.as_slice())
+    }
+
+    /// Column `c`, writable; a buffer another array shares is copied first.
+    pub fn column_mut(&mut self, c: usize) -> &mut [f64] {
+        Arc::make_mut(&mut self.cols[c]).as_mut_slice()
+    }
+
+    /// The logical size, `nrow × ncol` doubles, however many arrays share
+    /// the buffers.
     pub fn bytes(&self) -> u64 {
-        (self.data.len() * 8) as u64
+        (self.nrow * self.ncol() * 8) as u64
     }
 }
 
@@ -84,7 +119,7 @@ impl DArray {
     }
 
     /// Overall dimensions `(rows, cols)`. Unfilled partitions contribute
-    /// zero rows.
+    /// zero rows, and a `0 × 0` partition no columns.
     pub fn dim(&self) -> (u64, u64) {
         let metas = self.rt.all_meta(self.id);
         let rows = metas.iter().map(|m| m.nrow).sum();
@@ -97,35 +132,55 @@ impl DArray {
         self.rt.all_meta(self.id).iter().all(|m| m.filled)
     }
 
-    /// Fill partition `part` on its default worker (`part % num_workers`).
+    /// Fill partition `part` on its default worker (`part % num_workers`)
+    /// from an R matrix: `nrow × ncol` values, row-major.
     pub fn fill_partition(
         &self,
         part: usize,
         nrow: usize,
         ncol: usize,
-        data: Vec<f64>,
+        row_major: Vec<f64>,
     ) -> Result<()> {
         let worker = self.rt.part_meta(self.id, part)?.worker;
-        self.fill_partition_on(worker, part, nrow, ncol, data)
+        self.fill_partition_on(worker, part, nrow, ncol, row_major)
     }
 
-    /// Fill partition `part`, placing it on `worker` explicitly (the VFT
-    /// receive path places partitions on the worker whose streams produced
-    /// them, preserving locality).
+    /// [`DArray::fill_partition`], placing the partition on `worker`
+    /// explicitly.
     pub fn fill_partition_on(
         &self,
         worker: usize,
         part: usize,
         nrow: usize,
         ncol: usize,
-        data: Vec<f64>,
+        row_major: Vec<f64>,
     ) -> Result<()> {
-        let pd = PartData::new(nrow, ncol, data)?;
-        // Conformity: row-partitioned arrays need a consistent column count
-        // across filled partitions.
-        if ncol > 0 {
+        self.store(worker, part, PartData::from_rows(nrow, ncol, &row_major)?)
+    }
+
+    /// Fill partition `part` on `worker` with `nrow` rows held as columns,
+    /// one vector per column: the loaders' constructor (the VFT receive
+    /// path places partitions on the worker whose streams produced them,
+    /// preserving locality).
+    pub fn fill_columns_on(
+        &self,
+        worker: usize,
+        part: usize,
+        nrow: usize,
+        cols: Vec<Vec<f64>>,
+    ) -> Result<()> {
+        self.store(worker, part, PartData::from_columns(nrow, cols)?)
+    }
+
+    fn store(&self, worker: usize, part: usize, pd: PartData) -> Result<()> {
+        // Conformity: a row-partitioned array's filled partitions share one
+        // column count. A `0 × 0` partition (a worker that received no
+        // rows) carries none and conforms to any.
+        let (nrow, ncol) = (pd.nrow as u64, pd.ncol() as u64);
+        let empty = |nrow, ncol| nrow == 0 && ncol == 0;
+        if !empty(nrow, ncol) {
             for (i, m) in self.rt.all_meta(self.id).iter().enumerate() {
-                if i != part && m.filled && m.nrow > 0 && m.ncol != ncol as u64 {
+                if i != part && m.filled && !empty(m.nrow, m.ncol) && m.ncol != ncol {
                     return Err(DistrError::Conformity(format!(
                         "partition {part} has {ncol} columns but partition {i} has {}",
                         m.ncol
@@ -133,9 +188,8 @@ impl DArray {
                 }
             }
         }
-        let bytes = pd.bytes();
         self.rt
-            .commit_partition(self.id, part, worker, nrow as u64, ncol as u64, bytes)?;
+            .commit_partition(self.id, part, worker, nrow, ncol, pd.bytes())?;
         self.rt
             .inner
             .array_store
@@ -169,21 +223,17 @@ impl DArray {
             if !m.filled {
                 return Err(DistrError::PartitionEmpty { index: i });
             }
-            out.fill_partition_on(
-                m.worker,
-                i,
-                m.nrow as usize,
-                ncol,
-                vec![fill; m.nrow as usize * ncol],
-            )?;
+            let nrow = m.nrow as usize;
+            out.fill_columns_on(m.worker, i, nrow, vec![vec![fill; nrow]; ncol])?;
         }
         Ok(out)
     }
 
     /// Select columns into a new, co-partitioned array (same partition row
-    /// counts and worker placement). This is how one `db2darray` load of
-    /// `[Y | X…]` becomes the co-located `data$Y` / `data$X` pair the paper's
-    /// Figure 3 trains on.
+    /// counts and worker placement) that shares the selected column buffers:
+    /// no value is copied. This is how one `db2darray` load of `[Y | X…]`
+    /// becomes the co-located `data$Y` / `data$X` pair the paper's Figure 3
+    /// trains on. Each worker is charged the new array's logical bytes.
     pub fn split_columns(&self, columns: &[usize]) -> Result<DArray> {
         let (_, d) = self.dim();
         if columns.is_empty() {
@@ -197,29 +247,16 @@ impl DArray {
             }
         }
         let out = self.rt.darray(self.npartitions)?;
-        let selected: Vec<(usize, PartData)> = self
-            .map_partitions(|p, part| {
-                let mut data = Vec::with_capacity(part.nrow * columns.len());
-                for r in 0..part.nrow {
-                    let row = part.row(r);
-                    for &c in columns {
-                        data.push(row[c]);
-                    }
-                }
-                (
-                    p,
-                    PartData {
-                        nrow: part.nrow,
-                        ncol: columns.len(),
-                        data,
-                    },
-                )
-            })?
-            .into_iter()
-            .collect();
-        for (p, part) in selected {
-            let worker = self.worker_of(p)?;
-            out.fill_partition_on(worker, p, part.nrow, part.ncol, part.data)?;
+        for p in 0..self.npartitions {
+            let part = self.partition(p)?;
+            // Only a `0 × 0` partition lacks a column `dim` counts.
+            let cols = columns.iter().map(|&c| part.cols.get(c).cloned());
+            let cols = cols.map(Option::unwrap_or_default).collect();
+            let selected = PartData {
+                nrow: part.nrow,
+                cols,
+            };
+            out.store(self.worker_of(p)?, p, selected)?;
         }
         Ok(out)
     }
@@ -255,7 +292,8 @@ impl DArray {
 
     /// Overwrite partitions in place via `f(part_index, &mut PartData)`,
     /// running on the owning workers (the update path of distributed
-    /// algorithms, e.g. filling a cloned Y vector).
+    /// algorithms, e.g. filling a cloned Y vector). Only the columns `f`
+    /// writes through [`PartData::column_mut`] are copied.
     pub fn update_partitions(&self, f: impl Fn(usize, &mut PartData) + Sync) -> Result<()> {
         let updated: Vec<(usize, PartData)> = self
             .map_partitions(|p, part| {
@@ -266,8 +304,7 @@ impl DArray {
             .into_iter()
             .collect();
         for (p, d) in updated {
-            let worker = self.worker_of(p)?;
-            self.fill_partition_on(worker, p, d.nrow, d.ncol, d.data)?;
+            self.store(self.worker_of(p)?, p, d)?;
         }
         Ok(())
     }
@@ -300,14 +337,22 @@ impl DArray {
     }
 
     /// Gather the full matrix to the master ("the master first gathers the
-    /// model from R workers", Section 5). Returns `(nrow, ncol, row-major)`.
+    /// model from R workers", Section 5). Returns `(nrow, ncol, row-major)`:
+    /// the R edge, where the matrix is handed out.
     pub fn gather(&self) -> Result<(usize, usize, Vec<f64>)> {
         let (nrow, ncol) = self.dim();
         let (nrow, ncol) = (nrow as usize, ncol as usize);
-        let mut data = Vec::with_capacity(nrow * ncol);
+        let mut data = vec![0.0; nrow * ncol];
+        let mut row0 = 0;
         for p in 0..self.npartitions {
             let part = self.partition(p)?;
-            data.extend_from_slice(&part.data);
+            let rows = data[row0 * ncol..].chunks_exact_mut(ncol.max(1));
+            for (r, row) in rows.take(part.nrow).enumerate() {
+                for (v, col) in row.iter_mut().zip(part.columns()) {
+                    *v = col[r];
+                }
+            }
+            row0 += part.nrow;
         }
         Ok((nrow, ncol, data))
     }
@@ -334,6 +379,7 @@ impl Drop for DArray {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use vdr_cluster::SimCluster;
@@ -392,6 +438,25 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_partition_with_columns_must_conform_in_either_fill_order() {
+        let dr = rt(2);
+        let a = dr.darray(2).unwrap();
+        a.fill_partition(0, 0, 5, vec![]).unwrap();
+        let err = a.fill_partition(1, 2, 3, vec![0.0; 6]).unwrap_err();
+        assert!(matches!(err, DistrError::Conformity(_)));
+        let b = dr.darray(2).unwrap();
+        b.fill_partition(1, 2, 3, vec![0.0; 6]).unwrap();
+        let err = b.fill_partition(0, 0, 5, vec![]).unwrap_err();
+        assert!(matches!(err, DistrError::Conformity(_)));
+        // A 0 × 0 partition conforms to any width, and `dim` ignores it.
+        b.fill_partition(0, 0, 0, vec![]).unwrap();
+        assert_eq!(b.dim(), (2, 3));
+        assert!(b.split_columns(&[4]).is_err());
+        let (_, _, last) = b.split_columns(&[2]).unwrap().gather().unwrap();
+        assert_eq!(last, vec![0.0; 2]);
+    }
+
+    #[test]
     fn legacy_blocks_declaration_matches_figure_7() {
         let dr = rt(3);
         // A = darray(dim=c(6,2), blocks=c(2,2)): three 2×2 partitions.
@@ -422,7 +487,7 @@ mod tests {
         let dr = rt(3);
         let a = figure8_array(&dr);
         let sums = a
-            .map_partitions(|_, part| part.data.iter().sum::<f64>())
+            .map_partitions(|_, part| part.columns().flatten().sum::<f64>())
             .unwrap();
         assert_eq!(sums, vec![3.0, 33.0, 42.0]);
     }
@@ -435,8 +500,8 @@ mod tests {
         let dots = x
             .zip_map(&y, |_, xp, yp| {
                 // Multiply each row sum by the co-located y value.
-                (0..xp.nrow)
-                    .map(|r| xp.row(r).iter().sum::<f64>() * yp.data[r])
+                (0..xp.nrow())
+                    .map(|r| xp.columns().map(|c| c[r]).sum::<f64>() * yp.column(0)[r])
                     .sum::<f64>()
             })
             .unwrap();
@@ -457,7 +522,7 @@ mod tests {
         let dr = rt(2);
         let a = dr.darray_with_blocks((4, 1), (2, 1)).unwrap();
         a.update_partitions(|p, part| {
-            for v in &mut part.data {
+            for v in part.column_mut(0) {
                 *v = (p + 1) as f64;
             }
         })
@@ -493,6 +558,36 @@ mod tests {
         let dr = rt(2);
         let a = dr.darray_with_blocks((10, 4), (5, 4)).unwrap();
         assert_eq!(a.byte_size(), 10 * 4 * 8);
+    }
+
+    #[test]
+    fn partitions_are_column_major_behind_row_major_edges() {
+        let dr = rt(3);
+        let a = figure8_array(&dr); // 6×2, values 1..12 row-major
+        let (_, _, data) = a.gather().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let expect: Vec<f64> = (1..=12).map(f64::from).collect();
+        assert_eq!(bits(&data), bits(&expect));
+        let p1 = a.partition(1).unwrap();
+        assert_eq!(p1.column(0), &[3.0, 5.0, 7.0]);
+        assert_eq!(p1.column(1), &[4.0, 6.0, 8.0]);
+
+        let before = dr.memory_used().iter().sum::<u64>();
+        let swapped = a.split_columns(&[1, 0]).unwrap();
+        a.check_copartitioned(&swapped).unwrap();
+        assert_eq!(swapped.partition_sizes(), a.partition_sizes());
+        for p in 0..3 {
+            let (x, s) = (a.partition(p).unwrap(), swapped.partition(p).unwrap());
+            assert!(Arc::ptr_eq(&x.cols[1], &s.cols[0]), "partition {p}");
+            assert!(Arc::ptr_eq(&x.cols[0], &s.cols[1]), "partition {p}");
+        }
+        // Shared buffers are still charged at their logical size.
+        assert_eq!(dr.memory_used().iter().sum::<u64>(), before + 12 * 8);
+        // A write copies the shared column instead of reaching `a`.
+        swapped
+            .update_partitions(|_, part| part.column_mut(0).fill(0.0))
+            .unwrap();
+        assert_eq!(a.gather().unwrap().2, expect);
     }
 
     #[test]

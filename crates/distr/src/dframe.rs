@@ -141,6 +141,7 @@ impl Drop for DFrame {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use vdr_cluster::SimCluster;

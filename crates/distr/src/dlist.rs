@@ -107,6 +107,7 @@ impl Drop for DList {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use vdr_cluster::SimCluster;

@@ -25,6 +25,8 @@ pub enum DistrError {
         requested: u64,
         available: u64,
     },
+    /// A task shipped to `worker` panicked instead of returning.
+    TaskPanicked { worker: usize },
     /// Generic invalid-argument error.
     Invalid(String),
 }
@@ -51,6 +53,7 @@ impl fmt::Display for DistrError {
                 f,
                 "worker {worker} out of memory: requested {requested} B, {available} B available"
             ),
+            DistrError::TaskPanicked { worker } => write!(f, "a task on worker {worker} panicked"),
             DistrError::Invalid(m) => write!(f, "invalid argument: {m}"),
         }
     }

@@ -367,12 +367,13 @@ impl DistributedR {
     /// `worker_set`, one thread per worker, and return results keyed by
     /// worker index. This is the low-level "ship a function to
     /// workers" primitive; the data structures' `map_partitions` build on
-    /// it, and so do transfer receive pools.
+    /// it, and so do transfer receive pools. A task that panics fails the
+    /// call with [`DistrError::TaskPanicked`].
     pub fn run_on_workers<R: Send>(
         &self,
         worker_set: &[usize],
         f: impl Fn(usize) -> R + Sync,
-    ) -> Vec<(usize, R)> {
+    ) -> Result<Vec<(usize, R)>> {
         let parent_span = vdr_obs::current_span_id();
         // Worker threads don't inherit thread-locals: carry the query id
         // across the fan-out so every distr.task (and the spans/events the
@@ -395,9 +396,9 @@ impl DistributedR {
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker task panicked"))
+            let joined = handles.into_iter().zip(worker_set);
+            joined
+                .map(|(h, &worker)| h.join().map_err(|_| DistrError::TaskPanicked { worker }))
                 .collect()
         })
     }
@@ -427,7 +428,7 @@ impl DistributedR {
         let results = self.run_on_workers(&workers, |w| {
             let mine = by_worker[w].iter();
             mine.map(|&p| (p, f(p, &parts[p]))).collect::<Vec<_>>()
-        });
+        })?;
         let mut out: Vec<Option<R>> = (0..npartitions).map(|_| None).collect();
         for (p, r) in results.into_iter().flat_map(|(_, rs)| rs) {
             out[p] = Some(r);
@@ -441,6 +442,7 @@ impl DistributedR {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -518,8 +520,20 @@ mod tests {
     #[test]
     fn run_on_workers_executes_on_each() {
         let dr = rt();
-        let mut results = dr.run_on_workers(&[0, 1, 2], |w| w * 10);
+        let mut results = dr.run_on_workers(&[0, 1, 2], |w| w * 10).unwrap();
         results.sort();
         assert_eq!(results, vec![(0, 0), (1, 10), (2, 20)]);
+    }
+
+    #[test]
+    fn a_panicking_worker_task_is_an_error() {
+        let dr = rt();
+        let out = dr.run_on_workers(&[0, 1, 2], |w| {
+            if w == 1 {
+                panic!("task on worker {w} failed");
+            }
+            w
+        });
+        assert_eq!(out, Err(DistrError::TaskPanicked { worker: 1 }));
     }
 }

@@ -56,14 +56,13 @@ pub fn cv_hpdglm(
     if folds < 2 {
         return Err(MlError::Invalid("need at least 2 folds".into()));
     }
-    let (n, d) = x.dim();
+    let (n, _) = x.dim();
     if n < folds as u64 * 2 {
         return Err(MlError::Invalid(format!(
             "{n} rows is too few for {folds} folds"
         )));
     }
     x.check_copartitioned(y)?;
-    let d = d as usize;
 
     // Global row offsets per partition.
     let sizes = x.partition_sizes();
@@ -83,28 +82,27 @@ pub fn cv_hpdglm(
         let train_y = dr.darray(x.npartitions())?;
         let selections = x.zip_map(y, |p, xp, yp| {
             let base = offsets[p];
-            let mut xd = Vec::new();
-            let mut yd = Vec::new();
-            let mut held_x = Vec::new();
-            let mut held_y = Vec::new();
-            for r in 0..xp.nrow {
-                if fold_of(base + r as u64, folds) == fold {
-                    held_x.extend_from_slice(xp.row(r));
-                    held_y.push(yp.data[r]);
-                } else {
-                    xd.extend_from_slice(xp.row(r));
-                    yd.push(yp.data[r]);
-                }
-            }
-            (xd, yd, held_x, held_y)
+            let held: Vec<bool> = (0..xp.nrow())
+                .map(|r| fold_of(base + r as u64, folds) == fold)
+                .collect();
+            // Column by column: the rows in (`true`) or out of the fold.
+            let pick = |col: &[f64], in_fold: bool| -> Vec<f64> {
+                let rows = col.iter().zip(&held).filter(|&(_, &h)| h == in_fold);
+                rows.map(|(v, _)| *v).collect()
+            };
+            let split = |in_fold| -> (Vec<Vec<f64>>, Vec<f64>) {
+                let x = xp.columns().map(|c| pick(c, in_fold)).collect();
+                (x, pick(yp.column(0), in_fold))
+            };
+            (split(false), split(true))
         })?;
-        let mut held: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-        for (p, (xd, yd, hx, hy)) in selections.into_iter().enumerate() {
+        let mut held: Vec<(Vec<Vec<f64>>, Vec<f64>)> = Vec::new();
+        for (p, ((xd, yd), hold)) in selections.into_iter().enumerate() {
             let worker = x.worker_of(p)?;
             let rows = yd.len();
-            train_x.fill_partition_on(worker, p, rows, d, xd)?;
-            train_y.fill_partition_on(worker, p, rows, 1, yd)?;
-            held.push((hx, hy));
+            train_x.fill_columns_on(worker, p, rows, xd)?;
+            train_y.fill_columns_on(worker, p, rows, vec![yd])?;
+            held.push(hold);
         }
         let model = hpdglm(&train_x, &train_y, family, opts)?;
 
@@ -112,8 +110,8 @@ pub fn cv_hpdglm(
         let mut deviance = 0.0;
         let mut rows = 0u64;
         for (hx, hy) in &held {
-            for (feats, &yy) in hx.chunks_exact(d).zip(hy.iter()) {
-                let mu = model.predict(feats);
+            let cols: Vec<&[f64]> = hx.iter().map(Vec::as_slice).collect();
+            for (mu, &yy) in model.predict_batch(&cols).into_iter().zip(hy) {
                 deviance += match family {
                     Family::Gaussian => (yy - mu) * (yy - mu),
                     Family::Binomial => {

@@ -8,38 +8,45 @@
 //! splits each partition's rows into tile-aligned lane chunks
 //! ([`partition_pass`]) and tree-merges the chunks, then the partitions in
 //! partition order, so the reduction is a pure function of the shapes. Rows
-//! arrive as a strided [`Rows`] block, so a GLM reads its response in place
-//! from either [`Source`]: a separate `y` array or column `d` of `[X | y]`.
+//! arrive as a [`Rows`] block of column slices, read in place from the
+//! partition, so a GLM's response is just another slice from either
+//! [`Source`]: a separate `y` array or the last column of `[X | y]`.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{MlError, Result};
 use crate::reduce::{lane_chunk, tree_merge};
-use vdr_distr::DArray;
+use vdr_distr::{DArray, PartData};
 use vdr_obs::SpanGuard;
 
-/// A block of row-major training rows: row `r` starts at `data[r * stride]`.
-#[derive(Debug, Clone, Copy)]
+/// A block of training rows, column by column: `x[j]` is column `j` of a
+/// partition's row range, `y` the response when it is kept apart.
+#[derive(Debug, Clone)]
 pub struct Rows<'a> {
-    pub data: &'a [f64],
-    pub stride: usize,
-    /// The response, one value per row, when it is not a column of `data`.
+    pub x: Vec<&'a [f64]>,
     pub y: Option<&'a [f64]>,
 }
 
 impl<'a> Rows<'a> {
-    pub fn new(data: &'a [f64], stride: usize, y: Option<&'a [f64]>) -> Self {
-        Rows { data, stride, y }
+    pub fn new(x: Vec<&'a [f64]>, y: Option<&'a [f64]>) -> Self {
+        Rows { x, y }
     }
 
     pub fn nrow(&self) -> usize {
-        self.data.len().checked_div(self.stride).unwrap_or(0)
+        self.x.first().or(self.y.as_ref()).map_or(0, |c| c.len())
     }
 
-    /// The response as `(values, step)`: `y`, else column `col` of `data`.
-    pub fn response(&self, col: usize) -> (&'a [f64], usize) {
+    /// Rows `[s, e)` of every column.
+    pub fn slice(&self, s: usize, e: usize) -> Rows<'a> {
+        let x = self.x.iter().map(|c| c.get(s..e).unwrap_or_default());
+        let y = self.y.map(|y| y.get(s..e).unwrap_or_default());
+        Rows::new(x.collect(), y)
+    }
+
+    /// The features and the response: `y`, else the last column of `x`.
+    pub fn features_and_response(&self) -> Option<(&[&'a [f64]], &'a [f64])> {
         match self.y {
-            Some(y) => (y, 1),
-            None => (self.data.get(col..).unwrap_or_default(), self.stride),
+            Some(y) => Some((&self.x, y)),
+            None => self.x.split_last().map(|(y, x)| (x, *y)),
         }
     }
 }
@@ -55,11 +62,14 @@ pub struct Source<'a> {
 impl Source<'_> {
     /// `f` over every partition's rows on its owning worker, in partition order.
     pub fn map<R: Send>(&self, f: impl Fn(Rows<'_>) -> R + Sync) -> Result<Vec<R>> {
+        fn rows<'a>(x: &'a PartData, y: Option<&'a [f64]>) -> Rows<'a> {
+            Rows::new(x.columns().collect(), y)
+        }
         let xs = self.rows;
         let Some(y) = self.y else {
-            return Ok(xs.map_partitions(|_, x| f(Rows::new(&x.data, x.ncol, None)))?);
+            return Ok(xs.map_partitions(|_, x| f(rows(x, None)))?);
         };
-        Ok(xs.zip_map(y, |_, x, y| f(Rows::new(&x.data, x.ncol, Some(&y.data))))?)
+        Ok(xs.zip_map(y, |_, x, y| f(rows(x, y.columns().next())))?)
     }
 }
 
@@ -101,19 +111,14 @@ pub fn partition_pass<F: IterativeFit>(
     rows: Rows<'_>,
     lanes: usize,
 ) -> Result<F::Partial> {
-    let (nrow, stride) = (rows.nrow(), rows.stride);
+    let nrow = rows.nrow();
     let chunk = lane_chunk(nrow, lanes);
     if chunk >= nrow {
         return fit.transition(rows);
     }
     let partials = (0..nrow)
         .step_by(chunk)
-        .map(|s| {
-            let e = (s + chunk).min(nrow);
-            let y = rows.y.map(|y| y.get(s..e).unwrap_or_default());
-            let data = &rows.data[s * stride..e * stride];
-            fit.transition(Rows::new(data, stride, y))
-        })
+        .map(|s| fit.transition(rows.slice(s, (s + chunk).min(nrow))))
         .collect::<Result<Vec<_>>>()?;
     tree_merge(partials, F::merge).ok_or_else(|| MlError::Invalid("no lane chunks".into()))
 }
@@ -168,11 +173,11 @@ mod tests {
             self.passes
         }
         fn transition(&self, rows: Rows<'_>) -> Result<(u64, f64)> {
-            let firsts = rows.data.iter().step_by(rows.stride);
-            if firsts.clone().any(|v| v.is_nan()) {
+            let firsts = rows.x[0];
+            if firsts.iter().any(|v| v.is_nan()) {
                 return Err(MlError::Invalid("NaN row".into()));
             }
-            Ok((rows.nrow() as u64, firsts.sum()))
+            Ok((rows.nrow() as u64, firsts.iter().sum()))
         }
         fn merge(acc: &mut (u64, f64), other: (u64, f64)) {
             acc.0 += other.0;
@@ -235,7 +240,7 @@ mod tests {
     fn a_lane_chunk_error_fails_the_fit() {
         let dr = DistributedR::on_all_nodes(SimCluster::for_tests(1), 4).unwrap();
         let x = array(&dr, &[1000], 1);
-        x.update_partitions(|_, part| part.data[900] = f64::NAN)
+        x.update_partitions(|_, part| part.column_mut(0)[900] = f64::NAN)
             .unwrap();
         let census = Census {
             passes: 1,
@@ -246,13 +251,15 @@ mod tests {
     }
 
     #[test]
-    fn rows_split_and_strided_responses_agree() {
-        let xy = [1.0, 2.0, 10.0, 3.0, 4.0, 20.0, 5.0, 6.0, 30.0];
-        let joined = Rows::new(&xy, 3, None);
-        let (y, step) = joined.response(2);
-        let strided: Vec<f64> = y.iter().step_by(step).copied().collect();
-        assert_eq!(strided, [10.0, 20.0, 30.0]);
-        let split = Rows::new(&xy[..6], 2, Some(&[10.0, 20.0, 30.0]));
-        assert_eq!(split.response(2), (&[10.0, 20.0, 30.0][..], 1));
+    fn a_joined_and_a_separate_response_are_the_same_slice() {
+        let (x0, x1, y) = ([1.0, 3.0, 5.0], [2.0, 4.0, 6.0], [10.0, 20.0, 30.0]);
+        let joined = Rows::new(vec![&x0, &x1, &y], None);
+        let split = Rows::new(vec![&x0, &x1], Some(&y));
+        let (jx, jy) = joined.features_and_response().unwrap();
+        assert_eq!((jx, jy), split.features_and_response().unwrap());
+        assert_eq!((jx.len(), jy), (2, &y[..]));
+        let tail = joined.slice(1, 3);
+        assert_eq!((tail.nrow(), tail.x[2]), (2, &y[1..]));
+        assert!(Rows::new(vec![], None).features_and_response().is_none());
     }
 }

@@ -7,12 +7,13 @@
 //! reduces the `p×p` partials and solves one small system.
 //!
 //! The per-partition map step is *blocked*: rows are processed in
-//! [`TILE_ROWS`]-row tiles transposed into a column-major scratch, so
-//! `η = X·β` is the same column-sweep gemv the batch prediction kernels use,
-//! the `μ/w/z` link math runs as one vectorized sweep, and `XᵀWX` is one
-//! symmetric rank-update per tile instead of `p` rank-1 `axpy` updates per
-//! row: every tile column is scaled by `w` once into a second scratch (`XᵀWz`
-//! is a `dot` of each scaled column with `z`), and
+//! [`TILE_ROWS`]-row tiles read in place from the partition's columns (only
+//! the intercept's ones column is made up), so `η = X·β` is the same
+//! column-sweep gemv the batch prediction kernels use, the `μ/w/z` link math
+//! runs as one vectorized sweep, and `XᵀWX` is one symmetric rank-update per
+//! tile instead of `p` rank-1 `axpy` updates per row: every tile column is
+//! scaled by `w` once into a scratch (`XᵀWz` is a `dot` of each scaled
+//! column with `z`), and
 //! [`crate::linalg::syrk_upper`] walks the upper triangle in 2 × 2 blocks of
 //! columns, each block's four accumulators — four row lanes wide — held in
 //! registers across the tile, so a four-row chunk is loaded once per
@@ -30,9 +31,9 @@
 //! [`GlmFit`] is IRLS as an [`IterativeFit`]; every fit iterates in
 //! [`crate::fit::drive`], which splits each partition's rows across the
 //! worker's instance lanes and tree-merges the partials deterministically.
-//! The kernel reads rows by stride, so the response is read in place
-//! whether it sits in its own array (`hpdglm(x, y, …)`) or in the last
-//! column of the `[X | y]` array a train-while-loading transfer produced.
+//! The response is one more column slice, read in place whether it sits in
+//! its own array (`hpdglm(x, y, …)`) or in the last column of the `[X | y]`
+//! array a train-while-loading transfer produced.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{MlError, Result};
@@ -162,44 +163,53 @@ impl GlmPartials {
     }
 }
 
-/// Load rows `[row0, row0+t)` of `rows` into the column-major tile `cols`
-/// (ones column first when `intercept` is set) and `η = X_tile · β` into
-/// `eta`: one [`axpy`] sweep per column, exactly like
-/// [`crate::models::GlmModel::linear_predictor_batch`].
-fn load_tile(
-    rows: Rows<'_>,
-    row0: usize,
-    t: usize,
-    beta: &[f64],
+/// `rows`' `d` feature columns and its response, checked against `p`
+/// coefficients.
+fn design<'r, 'a>(
+    rows: &'r Rows<'a>,
+    d: usize,
+    p: usize,
     intercept: bool,
-    cols: &mut [f64],
-    eta: &mut [f64],
-) {
-    let (off, cap) = (
-        usize::from(intercept),
-        cols.len().checked_div(beta.len()).unwrap_or(0),
-    );
-    if intercept {
-        cols[..t].fill(1.0);
-    }
-    for j in 0..beta.len() - off {
-        let col = &mut cols[(j + off) * cap..(j + off) * cap + t];
-        let mut idx = row0 * rows.stride + j;
-        for v in col.iter_mut() {
-            *v = rows.data[idx];
-            idx += rows.stride;
-        }
-    }
-    eta[..t].fill(0.0);
-    for (i, &b) in beta.iter().enumerate() {
-        axpy(b, &cols[i * cap..i * cap + t], &mut eta[..t]);
+) -> Result<(&'r [&'a [f64]], &'a [f64])> {
+    let xy = rows.features_and_response();
+    let conform =
+        |(x, y): &(&[&[f64]], &[f64])| x.len() == d && x.iter().all(|c| c.len() == y.len());
+    match xy.filter(conform) {
+        Some(xy) if p == d + usize::from(intercept) => Ok(xy),
+        _ => Err(MlError::Invalid(format!(
+            "{p} coefficients and {} columns of {} rows are not a {d}-feature design",
+            rows.x.len(),
+            rows.nrow()
+        ))),
     }
 }
 
+/// Rows `[row0, row0 + eta.len())` of the design as column slices read in
+/// place (`ones`, the intercept column, first when the fit has one), and
+/// `η = X_tile · β` into `eta`: one [`axpy`] sweep per column, exactly like
+/// [`crate::models::GlmModel::linear_predictor_batch`].
+fn tile<'a>(
+    x: &[&'a [f64]],
+    ones: Option<&'a [f64]>,
+    row0: usize,
+    beta: &[f64],
+    eta: &mut [f64],
+) -> Vec<&'a [f64]> {
+    let t = eta.len();
+    let ones = ones.map(|o| &o[..t]);
+    let feats = x.iter().map(|c| &c[row0..row0 + t]);
+    let cols: Vec<&[f64]> = ones.into_iter().chain(feats).collect();
+    eta.fill(0.0);
+    for (col, &b) in cols.iter().zip(beta) {
+        axpy(b, col, eta);
+    }
+    cols
+}
+
 /// Blocked accumulation of the IRLS sufficient statistics over `rows` (`d`
-/// features, then the response: kept apart, or in column `d` of `[X | y]`
-/// rows, read in place) at coefficients `beta` (`d + intercept` of them).
-/// This is the training map kernel, [`GlmFit`]'s transition.
+/// feature columns and the response: kept apart, or the last column of
+/// `[X | y]`, read in place) at coefficients `beta` (`d + intercept` of
+/// them). This is the training map kernel, [`GlmFit`]'s transition.
 pub fn accumulate_rows(
     rows: Rows<'_>,
     d: usize,
@@ -207,24 +217,15 @@ pub fn accumulate_rows(
     family: Family,
     intercept: bool,
 ) -> Result<GlmPartials> {
-    let (nrow, p) = (rows.nrow(), beta.len());
-    if p != d + usize::from(intercept)
-        || rows.stride < d + usize::from(rows.y.is_none())
-        || rows.data.len() != nrow * rows.stride
-        || rows.y.is_some_and(|y| y.len() != nrow)
-    {
-        let (n, stride) = (rows.data.len(), rows.stride);
-        return Err(MlError::Invalid(format!(
-            "{p} coefficients and {n} values in rows of {stride} are not a {d}-feature design"
-        )));
-    }
-    let (y, step) = rows.response(d);
+    let p = beta.len();
+    let (x, y) = design(&rows, d, p, intercept)?;
+    let nrow = y.len();
     let mut out = GlmPartials::zeros(p);
     if nrow == 0 {
         return Ok(out);
     }
     let cap = TILE_ROWS.min(nrow);
-    let mut cols = vec![0.0; p * cap];
+    let ones = intercept.then(|| vec![1.0; cap]);
     let mut eta = vec![0.0; cap];
     let mut wbuf = vec![0.0; cap];
     let mut zbuf = vec![0.0; cap];
@@ -232,13 +233,13 @@ pub fn accumulate_rows(
     let mut row0 = 0;
     while row0 < nrow {
         let t = cap.min(nrow - row0);
-        load_tile(rows, row0, t, beta, intercept, &mut cols, &mut eta);
+        let cols = tile(x, ones.as_deref(), row0, beta, &mut eta[..t]);
         // One vectorized sweep for the link math: working weight w, working
         // response z = η + (y − μ)/w, and the deviance trace.
         for r in 0..t {
             let mu = family.link_inverse(eta[r]);
             let w = family.weight(mu);
-            let yv = y[(row0 + r) * step];
+            let yv = y[row0 + r];
             wbuf[r] = w;
             zbuf[r] = eta[r] + (yv - mu) / w;
             out.deviance += family.deviance(yv, mu);
@@ -246,15 +247,15 @@ pub fn accumulate_rows(
         // Scale every column by the weights once (XᵀWz falls out of the
         // scaled columns), then XᵀWX is one register-blocked symmetric
         // update over the upper triangle.
-        for i in 0..p {
-            let ci = &cols[i * cap..i * cap + t];
-            let wci = &mut wcols[i * cap..i * cap + t];
-            for r in 0..t {
-                wci[r] = wbuf[r] * ci[r];
+        for (i, (ci, wci)) in cols.iter().zip(wcols.chunks_exact_mut(cap)).enumerate() {
+            let wci = &mut wci[..t];
+            for ((wc, &w), &c) in wci.iter_mut().zip(&wbuf[..t]).zip(*ci) {
+                *wc = w * c;
             }
             out.xtwz[i] += dot(wci, &zbuf[..t]);
         }
-        syrk_upper(&wcols, &cols, cap, t, p, &mut out.xtwx.data)?;
+        let wc: Vec<&[f64]> = wcols.chunks_exact(cap).map(|c| &c[..t]).collect();
+        syrk_upper(&wc, &cols, &mut out.xtwx.data)?;
         row0 += t;
     }
     // Mirror the accumulated upper triangle once at the end.
@@ -313,25 +314,20 @@ pub fn deviance_rows(
     beta: &[f64],
     family: Family,
     intercept: bool,
-) -> f64 {
-    let (nrow, (y, step)) = (rows.nrow(), rows.response(d));
-    if nrow == 0 {
-        return 0.0;
-    }
-    let cap = TILE_ROWS.min(nrow);
-    let mut cols = vec![0.0; beta.len() * cap];
+) -> Result<f64> {
+    let (x, y) = design(&rows, d, beta.len(), intercept)?;
+    let cap = TILE_ROWS.min(y.len());
+    let ones = intercept.then(|| vec![1.0; cap]);
     let mut eta = vec![0.0; cap];
     let mut deviance = 0.0;
-    let mut row0 = 0;
-    while row0 < nrow {
-        let t = cap.min(nrow - row0);
-        load_tile(rows, row0, t, beta, intercept, &mut cols, &mut eta);
+    for row0 in (0..y.len()).step_by(cap.max(1)) {
+        let t = cap.min(y.len() - row0);
+        tile(x, ones.as_deref(), row0, beta, &mut eta[..t]);
         for r in 0..t {
-            deviance += family.deviance(y[(row0 + r) * step], family.link_inverse(eta[r]));
+            deviance += family.deviance(y[row0 + r], family.link_inverse(eta[r]));
         }
-        row0 += t;
     }
-    deviance
+    Ok(deviance)
 }
 
 /// IRLS as an [`IterativeFit`]: the transition accumulates `XᵀWX` / `XᵀWz`
@@ -393,7 +389,7 @@ impl IterativeFit for GlmFit {
             source
                 .map(|rows| deviance_rows(rows, d, beta, Family::Gaussian, intercept))?
                 .into_iter()
-                .sum()
+                .sum::<Result<f64>>()?
         } else {
             merged.deviance
         };
@@ -417,7 +413,8 @@ impl IterativeFit for GlmFit {
     fn warm_start(&mut self, first: Option<GlmPartials>, source: &Source<'_>) -> Result<()> {
         let (n, ncol) = source.rows.dim();
         let (d, p) = (self.d, self.beta.len());
-        if d == 0 || ncol as usize != d + usize::from(source.y.is_none()) || n < p as u64 {
+        let bad_y = source.y.is_some_and(|y| y.dim() != (n, 1));
+        if d == 0 || ncol as usize != d + usize::from(source.y.is_none()) || bad_y || n < p as u64 {
             let shape = format!("{n}×{ncol} array for {d} features and {p} parameters");
             return Err(MlError::Invalid(shape));
         }
@@ -426,8 +423,8 @@ impl IterativeFit for GlmFit {
         } else if self.family == Family::Binomial && self.opts.add_intercept {
             let pos: f64 = source
                 .map(|rows| {
-                    let (y, step) = rows.response(d);
-                    y.iter().step_by(step).sum::<f64>()
+                    rows.features_and_response()
+                        .map_or(0.0, |(_, y)| y.iter().sum())
                 })?
                 .into_iter()
                 .sum();
@@ -481,9 +478,16 @@ mod tests {
     use vdr_cluster::SimCluster;
     use vdr_distr::DistributedR;
 
-    /// Features `x` (`d` wide) beside a separate response `y`.
-    fn split<'a>(x: &'a [f64], d: usize, y: &'a [f64]) -> Rows<'a> {
-        Rows::new(x, d, Some(y))
+    /// Row-major `x`, `d` wide, as its columns.
+    fn columns(x: &[f64], d: usize) -> Vec<Vec<f64>> {
+        (0..d)
+            .map(|j| x.iter().skip(j).step_by(d).copied().collect())
+            .collect()
+    }
+
+    /// Feature columns `x` beside a separate response `y`.
+    fn split<'a>(x: &'a [Vec<f64>], y: &'a [f64]) -> Rows<'a> {
+        Rows::new(x.iter().map(Vec::as_slice).collect(), Some(y))
     }
 
     fn runtime(nodes: usize) -> DistributedR {
@@ -676,8 +680,8 @@ mod tests {
             let p = d + usize::from(intercept);
             let beta: Vec<f64> = (0..p).map(|_| rng.gen_range(-0.5..0.5)).collect();
             for family in [Family::Gaussian, Family::Binomial, Family::Poisson] {
-                let blocked =
-                    accumulate_rows(split(&x, d, &y), d, &beta, family, intercept).unwrap();
+                let xc = columns(&x, d);
+                let blocked = accumulate_rows(split(&xc, &y), d, &beta, family, intercept).unwrap();
                 let rowwise = accumulate_rows_reference(&x, &y, d, &beta, family, intercept);
                 let scale = rowwise.deviance.abs().max(1.0);
                 assert!((blocked.deviance - rowwise.deviance).abs() < 1e-9 * scale);
@@ -691,8 +695,9 @@ mod tests {
         }
     }
 
-    /// The parent commit's (`8688b90`) map kernel, kept verbatim as the
-    /// bit-identity reference: one `dot` per upper-triangle cell per tile.
+    /// The map kernel of commit `8688b90` as the bit-identity reference: one
+    /// `dot` per upper-triangle cell per tile, over tiles gathered from
+    /// row-major rows.
     fn accumulate_rows_dot_per_cell(
         x: &[f64],
         y: &[f64],
@@ -716,15 +721,20 @@ mod tests {
         let mut row0 = 0;
         while row0 < nrow {
             let t = cap.min(nrow - row0);
-            load_tile(
-                split(x, d, y),
-                row0,
-                t,
-                beta,
-                intercept,
-                &mut cols,
-                &mut eta,
-            );
+            // The tile, gathered column-major, and η = X_tile · β.
+            let off = usize::from(intercept);
+            if intercept {
+                cols[..t].fill(1.0);
+            }
+            for j in 0..d {
+                for r in 0..t {
+                    cols[(j + off) * cap + r] = x[(row0 + r) * d + j];
+                }
+            }
+            eta[..t].fill(0.0);
+            for (i, &b) in beta.iter().enumerate() {
+                axpy(b, &cols[i * cap..i * cap + t], &mut eta[..t]);
+            }
             // One vectorized sweep for the link math: working weight w, working
             // response z = η + (y − μ)/w, and the deviance trace.
             for r in 0..t {
@@ -779,8 +789,9 @@ mod tests {
                     let y: Vec<f64> = (0..nrow).map(|_| rng.gen_range(0.0..1.0)).collect();
                     let beta: Vec<f64> = (0..p).map(|_| rng.gen_range(-0.3..0.3)).collect();
                     for family in [Family::Gaussian, Family::Binomial, Family::Poisson] {
+                        let xc = columns(&x, d);
                         let new =
-                            accumulate_rows(split(&x, d, &y), d, &beta, family, intercept).unwrap();
+                            accumulate_rows(split(&xc, &y), d, &beta, family, intercept).unwrap();
                         let old = accumulate_rows_dot_per_cell(&x, &y, d, &beta, family, intercept);
                         let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
                         let at = format!("p={p} nrow={nrow} {family:?} intercept={intercept}");
@@ -795,25 +806,27 @@ mod tests {
 
     #[test]
     fn accumulate_rows_rejects_mis_shaped_input() {
-        let x = vec![0.5; 12];
+        let x = columns(&[0.5; 12], 3);
         let y = vec![1.0; 4];
         // Short and long beta, with and without the intercept slot.
         for (beta_len, intercept) in [(3usize, true), (5, true), (2, false), (4, false)] {
             let beta = vec![0.0; beta_len];
-            let err = accumulate_rows(split(&x, 3, &y), 3, &beta, Family::Gaussian, intercept);
+            let err = accumulate_rows(split(&x, &y), 3, &beta, Family::Gaussian, intercept);
             assert!(
                 matches!(err, Err(MlError::Invalid(_))),
                 "{beta_len} {intercept}"
             );
         }
-        // Feature buffer that is not rows × d.
-        for bad in [&x[..11], &x[..9]] {
-            let err = accumulate_rows(split(bad, 3, &y), 3, &[0.0; 4], Family::Gaussian, true);
+        // Feature columns that are not as long as the response.
+        let ragged = [x[0].clone(), x[1].clone(), x[2][..3].to_vec()];
+        for bad in [&x[..2], &ragged[..]] {
+            let err = accumulate_rows(split(bad, &y), 3, &[0.0; 4], Family::Gaussian, true);
             assert!(matches!(err, Err(MlError::Invalid(_))));
         }
-        assert!(accumulate_rows(split(&x, 3, &y), 3, &[0.0; 4], Family::Gaussian, true).is_ok());
-        // [X | y] rows need a column past the features for the response.
-        let joined = |stride| Rows::new(&x, stride, None);
+        assert!(accumulate_rows(split(&x, &y), 3, &[0.0; 4], Family::Gaussian, true).is_ok());
+        // [X | y] columns need one past the features for the response.
+        let xy: Vec<&[f64]> = x.iter().map(Vec::as_slice).chain([&y[..]]).collect();
+        let joined = |n| Rows::new(xy[..n].to_vec(), None);
         let err = accumulate_rows(joined(3), 3, &[0.0; 4], Family::Gaussian, true);
         assert!(matches!(err, Err(MlError::Invalid(_))));
         assert!(accumulate_rows(joined(4), 3, &[0.0; 4], Family::Gaussian, true).is_ok());
@@ -826,9 +839,10 @@ mod tests {
         let xd: Vec<f64> = (0..nrow * d).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let yd: Vec<f64> = (0..nrow).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let fit = GlmFit::new(d, Family::Gaussian, &GlmOptions::default());
-        let rows = split(&xd, d, &yd);
-        let a = crate::fit::partition_pass(&fit, rows, 4).unwrap();
-        let b = crate::fit::partition_pass(&fit, rows, 4).unwrap();
+        let xc = columns(&xd, d);
+        let rows = split(&xc, &yd);
+        let a = crate::fit::partition_pass(&fit, rows.clone(), 4).unwrap();
+        let b = crate::fit::partition_pass(&fit, rows.clone(), 4).unwrap();
         assert_eq!(a.xtwx.data, b.xtwx.data, "same lanes ⇒ bit-identical");
         assert_eq!(a.xtwz, b.xtwz);
         assert_eq!(a.deviance, b.deviance);

@@ -3,17 +3,19 @@
 //! The per-row `predict`/`assign` methods in [`crate::models`] are the
 //! reference implementations; the kernels here score a whole block of rows
 //! against column-major input (`cols[j]` is the contiguous values of feature
-//! `j`), which is exactly how the database hands data to a prediction UDx.
-//! Keeping execution columnar end to end is the C-Store/Vertica playbook:
-//! instead of gathering each row into a scratch buffer, the kernels sweep
-//! coefficients (GLM), centers (k-means), or trees (random forest) down
-//! contiguous columns with the unrolled [`dot`]/[`axpy`] primitives.
+//! `j`), which is exactly how the database hands data to a prediction UDx
+//! and how a darray partition holds it. Keeping execution columnar end to
+//! end is the C-Store/Vertica playbook: instead of gathering each row into a
+//! scratch buffer, the kernels sweep coefficients (GLM), centers (k-means),
+//! or trees (random forest) down contiguous columns. The k-means `Scorer`
+//! is also training's: `hpdkmeans` assigns rows with the kernel that later
+//! scores them in the database.
 //!
 //! Contract (checked by the property tests in `tests/kernels_prop.rs`):
-//! every kernel returns exactly what the row-at-a-time reference returns for
-//! every row — bit-identical for k-means assignments and forest votes, and
-//! within 1e-12 relative for the GLM link functions (the gemv accumulation
-//! order differs from the row-wise dot product).
+//! every kernel returns what the row-at-a-time reference returns for every
+//! row — the same k-means assignment and forest vote, and within 1e-12
+//! relative for the GLM link functions (the gemv accumulation order differs
+//! from the row-wise dot product).
 
 use crate::linalg::{axpy, dot};
 use crate::models::{GlmModel, KmeansModel, RandomForestModel, TreeNode};
@@ -24,197 +26,115 @@ fn block_rows(cols: &[&[f64]]) -> usize {
     cols.first().map_or(0, |c| c.len())
 }
 
-/// Nearest-center scoring over a column-major block: the kernel of the
-/// `KmeansPredict` UDx path ([`KmeansModel::assign_batch`]). The training
-/// assignment pass (`kmeans::assign_partial`) scores row-major data with
-/// [`RowScorer`] instead, on the same decomposition. For each center the partial
-/// distance `‖c‖² − 2·x·c` is built with one [`axpy`] per feature column
-/// (`‖x‖²` is constant per row, so the argmin doesn't need it); ties keep
-/// the lower center index via the strict `<`. On return `best[i]` holds the
-/// winning center index and `best_score[i]` its partial distance; `score`
-/// is caller-provided scratch, all three sliced to the block's row count.
-pub(crate) fn nearest_centers(
-    cols: &[&[f64]],
-    centers: &[&[f64]],
-    best: &mut [usize],
-    best_score: &mut [f64],
-    score: &mut [f64],
-) {
-    best.fill(0);
-    best_score.fill(f64::INFINITY);
-    for (ci, center) in centers.iter().enumerate() {
-        let center_norm = dot(center, center);
-        score.iter_mut().for_each(|s| *s = center_norm);
-        for (col, &cj) in cols.iter().zip(center.iter()) {
-            axpy(-2.0 * cj, col, score);
-        }
-        for i in 0..best.len() {
-            if score[i] < best_score[i] {
-                best_score[i] = score[i];
-                best[i] = ci;
-            }
-        }
-    }
-}
+/// Centers per register block of the k-means scorer.
+const CENTER_BLOCK: usize = 4;
+/// Rows per register block of the k-means scorer: four rows are two SSE2
+/// vectors, so a `4 × 4` block keeps its sixteen sums in eight registers.
+const ROW_BLOCK: usize = 4;
 
-/// Four dot products of one row against four consecutive center rows,
-/// accumulated in registers: the row element is loaded once per group of
-/// four centers instead of once per center.
-#[inline]
-fn dot4(row: &[f64], c0: &[f64], c1: &[f64], c2: &[f64], c3: &[f64]) -> [f64; 4] {
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for (j, &x) in row.iter().enumerate() {
-        a0 += x * c0[j];
-        a1 += x * c1[j];
-        a2 += x * c2[j];
-        a3 += x * c3[j];
-    }
-    [a0, a1, a2, a3]
-}
-
-/// Dot products of two rows against one center, 4-wide unrolled per row:
-/// eight independent accumulator chains, so the multiply/add chains of one
-/// row hide the add latency of the other — a single row's four chains leave
-/// the FPU idle between dependent adds.
-#[inline]
-fn dot_2x(a: &[f64], b: &[f64], c: &[f64]) -> (f64, f64) {
-    let n = c.len();
-    let (a, b) = (&a[..n], &b[..n]);
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let (mut b0, mut b1, mut b2, mut b3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut i = 0;
-    while i + 4 <= n {
-        a0 += a[i] * c[i];
-        a1 += a[i + 1] * c[i + 1];
-        a2 += a[i + 2] * c[i + 2];
-        a3 += a[i + 3] * c[i + 3];
-        b0 += b[i] * c[i];
-        b1 += b[i + 1] * c[i + 1];
-        b2 += b[i + 2] * c[i + 2];
-        b3 += b[i + 3] * c[i + 3];
-        i += 4;
-    }
-    let (mut ta, mut tb) = (0.0, 0.0);
-    while i < n {
-        ta += a[i] * c[i];
-        tb += b[i] * c[i];
-        i += 1;
-    }
-    ((a0 + a1) + (a2 + a3) + ta, (b0 + b1) + (b2 + b3) + tb)
-}
-
-/// Nearest-center scorer for *row-major* points against a flat `k×d` center
-/// buffer — the training-side counterpart of [`nearest_centers`] (the
-/// transfer/training paths hold row-major matrices, so transposing every
-/// data tile just to reuse the columnar kernel costs more than it saves).
-/// Scoring uses the same `‖c‖² − 2·x·c` decomposition, with `‖c‖²` built
-/// once at construction and amortized over the whole partition pass.
-pub(crate) struct RowScorer<'a> {
-    /// `k×d` row-major centers.
-    centers: &'a [f64],
-    /// `‖c‖²` per center.
+/// The one k-means scorer: training's assignment pass
+/// ([`crate::kmeans::assign_partial`]) and the `KmeansPredict` UDx
+/// ([`KmeansModel::assign_batch`]) both pick each row's center here, so the
+/// deployed model is scored by the code that trained it.
+///
+/// A row's score against center `c` is `‖c‖² − 2·a` with `a = Σⱼ xⱼ·cⱼ`
+/// added in feature order (`‖x‖²` is constant per row, so the argmin does
+/// not need it); the strict `<` keeps the lower center index on a tie.
+pub(crate) struct Scorer {
+    /// The centers transposed in blocks of [`CENTER_BLOCK`]: feature `j` of
+    /// center `b·CENTER_BLOCK + i` is `blocks[b][j][i]`. The last block is
+    /// padded with zero centers of norm `+∞`, which no row picks.
+    blocks: Vec<Vec<[f64; CENTER_BLOCK]>>,
+    /// `‖c‖²` per (padded) center, in [`dot`]'s association.
     norms: Vec<f64>,
     d: usize,
 }
 
-/// Past this row width the transposed score sweep outruns the 4-center
-/// register block: each row element becomes one contiguous `k`-wide [`axpy`]
-/// over the score vector, which the compiler vectorizes, while the block
-/// path's strided center reads pin it to scalar code.
-const WIDE_ROW_DIM: usize = 16;
-
-impl<'a> RowScorer<'a> {
-    pub fn new(centers: &'a [f64], d: usize) -> Self {
-        let norms = centers.chunks_exact(d.max(1)).map(|c| dot(c, c)).collect();
-        RowScorer { centers, norms, d }
+impl Scorer {
+    /// `centers` is `k×d`, row-major.
+    pub fn new(centers: &[f64], d: usize) -> Self {
+        let centers: Vec<&[f64]> = centers.chunks_exact(d.max(1)).collect();
+        let norms = centers.chunks(CENTER_BLOCK).flat_map(|block| {
+            let norm = |i| block.get(i).map_or(f64::INFINITY, |c: &&[f64]| dot(c, c));
+            (0..CENTER_BLOCK).map(norm)
+        });
+        let transpose = |block: &[&[f64]]| {
+            let feature = |j| std::array::from_fn(|i| block.get(i).map_or(0.0, |c: &&[f64]| c[j]));
+            (0..d).map(feature).collect()
+        };
+        Scorer {
+            blocks: centers.chunks(CENTER_BLOCK).map(transpose).collect(),
+            norms: norms.collect(),
+            d,
+        }
     }
 
-    /// Nearest center for one row: `(center, ‖x−c‖²)`, the distance
-    /// reassembled as `‖x‖² + score` and clamped at zero against
-    /// cancellation. Ties keep the lower center index via the strict `<`.
-    pub fn nearest(&self, row: &[f64]) -> (usize, f64) {
-        let d = self.d;
-        let k = self.norms.len();
-        let mut best = 0usize;
-        let mut best_s = f64::INFINITY;
-        if d >= WIDE_ROW_DIM {
-            for (c, center) in self.centers.chunks_exact(d).enumerate() {
-                let s = crate::linalg::squared_distance(row, center);
-                if s < best_s {
-                    best_s = s;
-                    best = c;
-                }
-            }
-            return (best, best_s);
-        } else {
-            // Narrow rows: four centers per sweep with register
-            // accumulators — the row element is loaded once per block of
-            // four instead of once per center, and short rows never repay
-            // the per-element sweep setup of the wide path.
-            let mut c = 0usize;
-            while c + 4 <= k {
-                let base = c * d;
-                let a = dot4(
-                    row,
-                    &self.centers[base..base + d],
-                    &self.centers[base + d..base + 2 * d],
-                    &self.centers[base + 2 * d..base + 3 * d],
-                    &self.centers[base + 3 * d..base + 4 * d],
-                );
-                for (i, &ai) in a.iter().enumerate() {
-                    let s = self.norms[c + i] - 2.0 * ai;
-                    if s < best_s {
-                        best_s = s;
-                        best = c + i;
-                    }
-                }
-                c += 4;
-            }
-            while c < k {
-                let s = self.norms[c] - 2.0 * dot(row, &self.centers[c * d..(c + 1) * d]);
-                if s < best_s {
-                    best_s = s;
-                    best = c;
-                }
-                c += 1;
-            }
+    /// The nearest center of every row of the column-major block `cols`
+    /// (`d` columns of equal length): `best[r]` is its index and `score[r]`
+    /// its `‖c‖² − 2·x·c`; both are sliced to the block's row count.
+    pub fn nearest(&self, cols: &[&[f64]], best: &mut [usize], score: &mut [f64]) {
+        let cols = &cols[..self.d.min(cols.len())];
+        let whole = best.len() - best.len() % ROW_BLOCK;
+        for r in (0..whole).step_by(ROW_BLOCK) {
+            self.rows::<ROW_BLOCK>(cols, r, best, score);
         }
-        (best, (dot(row, row) + best_s).max(0.0))
+        for r in whole..best.len() {
+            self.rows::<1>(cols, r, best, score);
+        }
     }
 
-    /// Nearest centers for a pair of rows. On the wide path the two rows
-    /// share each center sweep ([`dot_2x`] under the `‖c‖² − 2·x·c`
-    /// decomposition): the center stripe is loaded once for both rows and
-    /// the eight accumulator chains keep the FPU busy where four dependent
-    /// chains stall between adds. Narrow rows just score independently —
-    /// the 4-center block already has the ILP.
-    #[allow(clippy::type_complexity)]
-    pub fn nearest2(&self, row_a: &[f64], row_b: &[f64]) -> ((usize, f64), (usize, f64)) {
-        if self.d < WIDE_ROW_DIM {
-            return (self.nearest(row_a), self.nearest(row_b));
-        }
-        let d = self.d;
-        let (mut best_a, mut best_sa) = (0usize, f64::INFINITY);
-        let (mut best_b, mut best_sb) = (0usize, f64::INFINITY);
-        for ((c, center), &cn) in self.centers.chunks_exact(d).enumerate().zip(&self.norms) {
-            let (da, db) = dot_2x(row_a, row_b, center);
-            let (sa, sb) = (cn - 2.0 * da, cn - 2.0 * db);
-            if sa < best_sa {
-                best_sa = sa;
-                best_a = c;
-            }
-            if sb < best_sb {
-                best_sb = sb;
-                best_b = c;
+    /// Score rows `r..r + R` against every center block, in center order.
+    /// The running minimum is a select, not a branch: which center wins is
+    /// data, and a mispredicted branch per (row, center) costs more than
+    /// the multiply-adds at small `d`.
+    fn rows<const R: usize>(
+        &self,
+        cols: &[&[f64]],
+        r: usize,
+        best: &mut [usize],
+        score: &mut [f64],
+    ) {
+        let (mut low, mut at) = ([f64::INFINITY; R], [0usize; R]);
+        let norms = self.norms.chunks_exact(CENTER_BLOCK);
+        for ((b, block), norms) in self.blocks.iter().enumerate().zip(norms) {
+            let dots = center_dots::<R>(cols, r, block);
+            for (i, (dot, &norm)) in dots.iter().zip(norms).enumerate() {
+                for k in 0..R {
+                    let s = norm - 2.0 * dot[k];
+                    let lower = s < low[k];
+                    low[k] = if lower { s } else { low[k] };
+                    at[k] = if lower { b * CENTER_BLOCK + i } else { at[k] };
+                }
             }
         }
-        let na = dot(row_a, row_a);
-        let nb = dot(row_b, row_b);
-        (
-            (best_a, (na + best_sa).max(0.0)),
-            (best_b, (nb + best_sb).max(0.0)),
-        )
+        score[r..r + R].copy_from_slice(&low);
+        best[r..r + R].copy_from_slice(&at);
     }
+}
+
+/// `Σⱼ xⱼ·cⱼ` of rows `r..r + R` against one block of centers, each sum
+/// added in feature order, rows in lanes.
+///
+/// Out of line, like `linalg::syrk_lanes`, so the sums' only consumers are
+/// stores of each center's row lanes side by side: the vectorizer pairs
+/// *rows*, one two-row load per column and one `mulpd`/`addpd` per two
+/// multiply-adds, with all sixteen sums in registers (DESIGN.md §5).
+#[inline(never)]
+fn center_dots<const R: usize>(
+    cols: &[&[f64]],
+    r: usize,
+    block: &[[f64; CENTER_BLOCK]],
+) -> [[f64; R]; CENTER_BLOCK] {
+    let mut sums = [[0.0f64; R]; CENTER_BLOCK];
+    for (col, c) in cols.iter().zip(block) {
+        let x = &col[r..r + R];
+        for i in 0..CENTER_BLOCK {
+            for k in 0..R {
+                sums[i][k] += x[k] * c[i];
+            }
+        }
+    }
+    sums
 }
 
 impl GlmModel {
@@ -252,22 +172,18 @@ impl GlmModel {
 }
 
 impl KmeansModel {
-    /// Nearest-center assignment for a block of rows using the expansion
-    /// `‖x − c‖² = ‖x‖² + ‖c‖² − 2·x·c`. The `‖x‖²` term is constant per
-    /// row, so the argmin only needs `‖c‖² − 2·x·c`, which a per-center
-    /// sweep builds with one [`axpy`] per feature column. Ties (equal
-    /// partial distance) keep the lower center index, matching the strict
-    /// `<` in the row-wise [`KmeansModel::assign`].
+    /// Nearest-center assignment for a block of rows, by the training
+    /// pass's `Scorer`. Ties (equal `‖c‖² − 2·x·c`) keep the lower center
+    /// index, matching the strict `<` in the row-wise
+    /// [`KmeansModel::assign`].
     pub fn assign_batch(&self, cols: &[&[f64]]) -> Vec<usize> {
         let rows = block_rows(cols);
         let mut best = vec![0usize; rows];
         if rows == 0 || self.centers.is_empty() {
             return best;
         }
-        let crefs: Vec<&[f64]> = self.centers.iter().map(Vec::as_slice).collect();
-        let mut best_score = vec![f64::INFINITY; rows];
-        let mut score = vec![0.0f64; rows];
-        nearest_centers(cols, &crefs, &mut best, &mut best_score, &mut score);
+        let scorer = Scorer::new(&self.centers.concat(), self.num_features());
+        scorer.nearest(cols, &mut best, &mut vec![0.0; rows]);
         best
     }
 }

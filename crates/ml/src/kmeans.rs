@@ -9,18 +9,20 @@
 //! insists "Spark and DR denote the same implementation of the K-means
 //! algorithm, and hence an apples-to-apples comparison".
 //!
-//! Centers travel as one contiguous `k×d` row-major buffer, and the
-//! assignment pass is blocked by row width (`kernels::RowScorer`):
-//! narrow rows score four centers per sweep with register accumulators, wide
-//! rows sweep all k scores per element through a transposed center stripe,
-//! instead of a `squared_distance` call per (row, center) pair.
+//! Rows arrive column by column, read in place from the partition. Centers
+//! travel as one contiguous `k×d` row-major buffer, and the assignment pass
+//! scores them with the same register-blocked kernel as the `KmeansPredict`
+//! UDx (`kernels::Scorer`): four rows against four centers per sweep of the
+//! feature columns, instead of a `squared_distance` call per (row, center)
+//! pair.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{MlError, Result};
 use crate::fit::{drive, IterativeFit, Rows, Source};
-use crate::kernels::RowScorer;
+use crate::kernels::Scorer;
 use crate::linalg::squared_distance;
 use crate::models::KmeansModel;
+use crate::reduce::TILE_ROWS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vdr_distr::DArray;
@@ -110,37 +112,59 @@ impl KmeansPartial {
     }
 }
 
-/// The shared inner loop: assign each row of `data` (row-major, `d` wide) to
-/// its nearest center (`centers` is `k×d` row-major) and accumulate partial
+/// `Σⱼ f(j, xⱼ)` for every row `x` of the column block `cols` into `out`,
+/// added in [`crate::linalg::dot`]'s association: four lanes over the whole
+/// groups of four columns, summed `(s0+s1)+(s2+s3)`, then the tail columns.
+/// `lanes` is scratch of five times `out`'s length.
+fn lane_sums(cols: &[&[f64]], f: impl Fn(usize, f64) -> f64, lanes: &mut [f64], out: &mut [f64]) {
+    let t = out.len();
+    let whole = cols.len() - cols.len() % 4;
+    lanes[..5 * t].fill(0.0);
+    for (j, col) in cols.iter().enumerate() {
+        let lane = if j < whole { j % 4 } else { 4 };
+        for (s, &v) in lanes[lane * t..(lane + 1) * t].iter_mut().zip(*col) {
+            *s += f(j, v);
+        }
+    }
+    let lane = |l: usize, r: usize| lanes[l * t + r];
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = (lane(0, r) + lane(1, r)) + (lane(2, r) + lane(3, r)) + lane(4, r);
+    }
+}
+
+/// The shared inner loop: assign each row of `cols` (`d` columns) to its
+/// nearest center (`centers` is `k×d` row-major) and accumulate partial
 /// sums. Used by `hpdkmeans`, the serial R baseline, the Spark comparator,
-/// and the train-while-loading path. Distances run through the
-/// shared `RowScorer` kernel: `‖c‖² − 2·x·c` scoring with the center
-/// norms and (for wide rows) the center transpose hoisted out of the row
-/// loop, blocked by row width.
-pub fn assign_partial(data: &[f64], d: usize, centers: &[f64]) -> KmeansPartial {
+/// and the train-while-loading path. Rows are scored a tile at a time by
+/// `Scorer`, the `KmeansPredict` kernel; a row adds `max(‖x‖² + s, 0)`
+/// to the WSS (`s` its best `‖c‖² − 2·x·c`, `‖x‖²` in `dot`'s association)
+/// and its values to its center's sums, rows in order.
+pub fn assign_partial(cols: &[&[f64]], centers: &[f64]) -> KmeansPartial {
+    let d = cols.len();
     let k = centers.len().checked_div(d).unwrap_or(0);
-    let nrow = data.len().checked_div(d).unwrap_or(0);
+    let nrow = cols.first().map_or(0, |c| c.len());
     let mut out = KmeansPartial::zeros(k, d);
     if nrow == 0 || k == 0 {
         return out;
     }
-    let scorer = RowScorer::new(centers, d);
-    let fold = |row: &[f64], best: usize, dist: f64, out: &mut KmeansPartial| {
-        out.counts[best] += 1;
-        out.wss += dist;
-        crate::linalg::axpy(1.0, row, &mut out.sums[best * d..(best + 1) * d]);
-    };
-    let mut pairs = data.chunks_exact(2 * d);
-    for pair in pairs.by_ref() {
-        let (row_a, row_b) = pair.split_at(d);
-        let ((ba, da), (bb, db)) = scorer.nearest2(row_a, row_b);
-        fold(row_a, ba, da, &mut out);
-        fold(row_b, bb, db, &mut out);
-    }
-    let row = pairs.remainder();
-    if !row.is_empty() {
-        let (best, dist) = scorer.nearest(row);
-        fold(row, best, dist, &mut out);
+    let scorer = Scorer::new(centers, d);
+    let cap = TILE_ROWS.min(nrow);
+    let (mut best, mut score) = (vec![0; cap], vec![0.0; cap]);
+    let (mut norms, mut lanes) = (vec![0.0; cap], vec![0.0; 5 * cap]);
+    for row0 in (0..nrow).step_by(cap) {
+        let t = cap.min(nrow - row0);
+        let tile: Vec<&[f64]> = cols.iter().map(|c| &c[row0..row0 + t]).collect();
+        scorer.nearest(&tile, &mut best[..t], &mut score[..t]);
+        lane_sums(&tile, |_, v| v * v, &mut lanes, &mut norms[..t]);
+        for ((&b, &s), &xx) in best.iter().zip(&score).zip(&norms).take(t) {
+            out.counts[b] += 1;
+            out.wss += (xx + s).max(0.0);
+        }
+        for (j, col) in tile.iter().enumerate() {
+            for (&b, &v) in best.iter().zip(*col) {
+                out.sums[b * d + j] += v;
+            }
+        }
     }
     out
 }
@@ -148,14 +172,15 @@ pub fn assign_partial(data: &[f64], d: usize, centers: &[f64]) -> KmeansPartial 
 /// Row-at-a-time reference over nested centers (the pre-flattening kernel):
 /// one `squared_distance` per (row, center). Kept as the oracle for the
 /// flattened-vs-nested equivalence property tests.
-pub fn assign_partial_reference(data: &[f64], d: usize, centers: &[Vec<f64>]) -> KmeansPartial {
-    let k = centers.len();
+pub fn assign_partial_reference(cols: &[&[f64]], centers: &[Vec<f64>]) -> KmeansPartial {
+    let (k, d) = (centers.len(), cols.len());
     let mut out = KmeansPartial::zeros(k, d);
-    for row in data.chunks_exact(d) {
+    for r in 0..cols.first().map_or(0, |c| c.len()) {
+        let row: Vec<f64> = cols.iter().map(|c| c[r]).collect();
         let mut best = 0usize;
         let mut best_d = f64::INFINITY;
         for (c, center) in centers.iter().enumerate() {
-            let dist = squared_distance(row, center);
+            let dist = squared_distance(&row, center);
             if dist < best_d {
                 best_d = dist;
                 best = c;
@@ -163,7 +188,7 @@ pub fn assign_partial_reference(data: &[f64], d: usize, centers: &[Vec<f64>]) ->
         }
         out.counts[best] += 1;
         out.wss += best_d;
-        crate::linalg::axpy(1.0, row, &mut out.sums[best * d..(best + 1) * d]);
+        crate::linalg::axpy(1.0, &row, &mut out.sums[best * d..(best + 1) * d]);
     }
     out
 }
@@ -188,14 +213,20 @@ fn check_shape(x: &DArray, k: usize) -> Result<usize> {
     Ok(d as usize)
 }
 
-/// Every row's squared distance to the nearest of `centers` (both row-major,
-/// `d` wide).
-pub fn nearest_distances(data: &[f64], d: usize, centers: &[f64]) -> Vec<f64> {
-    let nearest = |row| {
-        let dists = centers.chunks_exact(d).map(|c| squared_distance(row, c));
-        dists.fold(f64::INFINITY, f64::min)
-    };
-    data.chunks_exact(d).map(nearest).collect()
+/// Every row's squared distance to the nearest of `centers` (`k×d`,
+/// row-major), each distance summed as [`squared_distance`] sums it.
+pub fn nearest_distances(cols: &[&[f64]], centers: &[f64]) -> Vec<f64> {
+    let nrow = cols.first().map_or(0, |c| c.len());
+    let (mut best, mut dist) = (vec![f64::INFINITY; nrow], vec![0.0; nrow]);
+    let mut lanes = vec![0.0; 5 * nrow];
+    for c in centers.chunks_exact(cols.len().max(1)) {
+        let diff = |j: usize, v: f64| (v - c[j]) * (v - c[j]);
+        lane_sums(cols, diff, &mut lanes, &mut dist);
+        for (b, &e) in best.iter_mut().zip(&dist) {
+            *b = b.min(e);
+        }
+    }
+    best
 }
 
 /// k-means++ (D² sampling) seeding of `k` centers from `n` partitioned rows
@@ -239,7 +270,8 @@ pub fn kmeans_pp(
 fn row_at(x: &DArray, mut global: usize) -> Result<Vec<f64>> {
     for (p, (rows, _)) in x.partition_sizes().into_iter().enumerate() {
         if global < rows as usize {
-            return Ok(x.partition(p)?.row(global).to_vec());
+            let part = x.partition(p)?;
+            return Ok(part.columns().map(|c| c[global]).collect());
         }
         global -= rows as usize;
     }
@@ -290,12 +322,12 @@ impl IterativeFit for KmeansFit {
     }
 
     fn transition(&self, rows: Rows<'_>) -> Result<KmeansPartial> {
-        if rows.stride != self.d {
+        if rows.x.len() != self.d || rows.y.is_some() {
             return Err(MlError::Invalid(
                 "rows are not as wide as the centers".into(),
             ));
         }
-        Ok(assign_partial(rows.data, self.d, &self.centers))
+        Ok(assign_partial(&rows.x, &self.centers))
     }
 
     fn merge(acc: &mut KmeansPartial, other: KmeansPartial) {
@@ -355,8 +387,11 @@ pub fn hpdkmeans(x: &DArray, opts: &KmeansOptions) -> Result<KmeansModel> {
         Some(init) => init.clone(),
         None => {
             // D² weights computed distributed.
-            let nearest =
-                |c: &[f64]| Ok(x.map_partitions(|_, part| nearest_distances(&part.data, d, c))?);
+            let nearest = |c: &[f64]| {
+                Ok(x.map_partitions(|_, part| {
+                    nearest_distances(&part.columns().collect::<Vec<_>>(), c)
+                })?)
+            };
             kmeans_pp(x.dim().0 as usize, d, opts.k, opts.seed, nearest, |g| {
                 row_at(x, g)
             })?
@@ -377,6 +412,17 @@ mod tests {
 
     fn runtime(nodes: usize) -> DistributedR {
         DistributedR::on_all_nodes(SimCluster::for_tests(nodes), 2).unwrap()
+    }
+
+    /// Row-major `data`, `d` wide, as its columns.
+    fn columns(data: &[f64], d: usize) -> Vec<Vec<f64>> {
+        (0..d)
+            .map(|j| data.iter().skip(j).step_by(d).copied().collect())
+            .collect()
+    }
+
+    fn slices(cols: &[Vec<f64>]) -> Vec<&[f64]> {
+        cols.iter().map(Vec::as_slice).collect()
     }
 
     /// Three well-separated 2-D blobs spread over partitions.
@@ -514,7 +560,7 @@ mod tests {
     #[test]
     fn partial_kernel_accumulates_correctly() {
         let centers = [0.0, 10.0];
-        let mut p = assign_partial(&[1.0, 2.0, 9.0, 11.0], 1, &centers);
+        let mut p = assign_partial(&[&[1.0, 2.0, 9.0, 11.0]], &centers);
         assert_eq!(p.counts, vec![2, 2]);
         assert_eq!(p.sums, vec![3.0, 20.0]);
         assert_eq!(p.wss, 1.0 + 4.0 + 1.0 + 1.0);
@@ -527,7 +573,7 @@ mod tests {
     #[test]
     fn lloyd_update_averages_and_hands_empty_centers_to_the_caller() {
         // Both rows pick center 0; centers 1 and 2 stay empty.
-        let p = assign_partial(&[1.0, 3.0], 1, &[0.0, 10.0, 100.0]);
+        let p = assign_partial(&[&[1.0, 3.0]], &[0.0, 10.0, 100.0]);
         let mut centers = vec![0.0, 10.0, 100.0];
         assert_eq!(p.update_centers(&mut centers, |_| Ok(())).unwrap(), 4.0);
         assert_eq!(centers, [2.0, 10.0, 100.0]);
@@ -552,8 +598,9 @@ mod tests {
             let data: Vec<f64> = (0..nrow * d).map(|_| rng.gen_range(-5.0..5.0)).collect();
             let flat: Vec<f64> = (0..k * d).map(|_| rng.gen_range(-5.0..5.0)).collect();
             let nested: Vec<Vec<f64>> = flat.chunks_exact(d).map(<[f64]>::to_vec).collect();
-            let blocked = assign_partial(&data, d, &flat);
-            let reference = assign_partial_reference(&data, d, &nested);
+            let cols = columns(&data, d);
+            let blocked = assign_partial(&slices(&cols), &flat);
+            let reference = assign_partial_reference(&slices(&cols), &nested);
             assert_eq!(blocked.counts, reference.counts);
             for (a, b) in blocked.sums.iter().zip(&reference.sums) {
                 assert!((a - b).abs() < 1e-9 * b.abs().max(1.0));
@@ -573,8 +620,9 @@ mod tests {
             ..Default::default()
         };
         let fit = KmeansFit::new(d, &opts, centers).unwrap();
-        let rows = Rows::new(&data, d, None);
-        let pass = |lanes| crate::fit::partition_pass(&fit, rows, lanes).unwrap();
+        let cols = columns(&data, d);
+        let rows = Rows::new(slices(&cols), None);
+        let pass = |lanes| crate::fit::partition_pass(&fit, rows.clone(), lanes).unwrap();
         let (a, b) = (pass(4), pass(4));
         assert_eq!(a.sums, b.sums, "same lanes ⇒ bit-identical");
         assert_eq!(a.counts, b.counts);
@@ -582,6 +630,53 @@ mod tests {
         let serial = pass(1);
         assert_eq!(a.counts, serial.counts);
         assert!((a.wss - serial.wss).abs() < 1e-9 * serial.wss.max(1.0));
+    }
+
+    #[test]
+    fn training_and_prediction_score_with_one_kernel() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for d in [3usize, 8, 48] {
+            let mut centers: Vec<Vec<f64>> = (0..7)
+                .map(|_| (0..d).map(|_| rng.gen_range(-3.0..3.0)).collect())
+                .collect();
+            // Duplicates tie with a lower index on every row.
+            centers[5] = centers[2].clone();
+            centers[6] = centers[0].clone();
+            // Four-row blocks plus a tail; every tenth row sits on center 2.
+            let nrow = 1001;
+            let mut cols: Vec<Vec<f64>> = (0..d)
+                .map(|_| (0..nrow).map(|_| rng.gen_range(-4.0..4.0)).collect())
+                .collect();
+            for (col, &c) in cols.iter_mut().zip(&centers[2]) {
+                col.iter_mut().step_by(10).for_each(|v| *v = c);
+            }
+            let model = KmeansModel {
+                centers: centers.clone(),
+                iterations: 1,
+                total_withinss: 0.0,
+            };
+            let assigned = model.assign_batch(&slices(&cols));
+            assert!(assigned.iter().all(|&c| c != 5 && c != 6), "d={d}");
+            assert!(assigned.iter().step_by(10).all(|&c| c == 2), "d={d}");
+            // The training pass assigns every row as prediction does: the
+            // same counts, and per-center sums of the same rows in order.
+            let (flat, k) = (centers.concat(), centers.len());
+            let pass = assign_partial(&slices(&cols), &flat);
+            let (mut counts, mut sums) = (vec![0u64; k], vec![0.0; k * d]);
+            for (r, &c) in assigned.iter().enumerate() {
+                counts[c] += 1;
+                for (j, col) in cols.iter().enumerate() {
+                    sums[c * d + j] += col[r];
+                }
+            }
+            assert_eq!(pass.counts, counts, "d={d}");
+            assert_eq!(bits(&pass.sums), bits(&sums), "d={d}");
+            for (r, &c) in assigned.iter().enumerate() {
+                let row: Vec<&[f64]> = cols.iter().map(|col| &col[r..=r]).collect();
+                assert_eq!(assign_partial(&row, &flat).counts[c], 1, "d={d} row {r}");
+            }
+        }
     }
 
     #[test]

@@ -184,10 +184,10 @@ fn syrk_block<const MI: usize, const NJ: usize>(
 }
 
 /// Symmetric rank-`t` update on one triangle, register-blocked:
-/// `c[i·p + j] += dot(aᵢ, bⱼ)` for every `i ≤ j < p`, where column `k` of
-/// `a` / `b` is `[k·ld .. k·ld + t]`. With `a = W·X` and `b = X` (both
-/// column-major tiles) this is the `XᵀWX` accumulation of the IRLS map step;
-/// the strict lower triangle of `c` is left untouched.
+/// `c[i·p + j] += dot(aᵢ, bⱼ)` for every `i ≤ j < p`, where `a` and `b` are
+/// `p` columns of `t` values each. With `a = W·X` and `b = X` (a tile's
+/// column slices) this is the `XᵀWX` accumulation of the IRLS map step; the
+/// strict lower triangle of `c` is left untouched.
 ///
 /// The triangle is walked in `SYRK_BLOCK`² blocks of columns (narrower at
 /// the right edge and the bottom-right corner), each block keeping its
@@ -195,30 +195,21 @@ fn syrk_block<const MI: usize, const NJ: usize>(
 /// chunk feeds two multiply-adds. Each cell is **bit-identical** to
 /// `c[i·p + j] += dot(aᵢ, bⱼ)`: blocking changes which cells are computed
 /// together, never the order of additions within a cell.
-pub fn syrk_upper(
-    a: &[f64],
-    b: &[f64],
-    ld: usize,
-    t: usize,
-    p: usize,
-    c: &mut [f64],
-) -> Result<()> {
-    if t > ld || a.len() < p * ld || b.len() < p * ld || c.len() != p * p {
+pub fn syrk_upper(a: &[&[f64]], b: &[&[f64]], c: &mut [f64]) -> Result<()> {
+    let (p, t) = (a.len(), a.first().map_or(0, |col| col.len()));
+    let ragged = a.iter().chain(b).any(|col| col.len() != t);
+    if ragged || b.len() != p || c.len() != p * p {
         return Err(MlError::Invalid("syrk_upper shape mismatch".into()));
     }
-    let (ca, cb) = (
-        |k: usize| &a[k * ld..k * ld + t],
-        |k: usize| &b[k * ld..k * ld + t],
-    );
     for i0 in (0..p).step_by(SYRK_BLOCK) {
         for j0 in (i0..p).step_by(SYRK_BLOCK) {
             // Column blocks start on the diagonal (j0 ≥ i0), so a block is
             // never wider than it is tall: 2 × 2, 2 × 1 at the right edge
             // of an odd p, or the 1 × 1 bottom-right corner.
             match ((p - i0).min(SYRK_BLOCK), (p - j0).min(SYRK_BLOCK)) {
-                (2, 2) => syrk_block([ca(i0), ca(i0 + 1)], [cb(j0), cb(j0 + 1)], c, p, i0, j0),
-                (2, _) => syrk_block([ca(i0), ca(i0 + 1)], [cb(j0)], c, p, i0, j0),
-                _ => syrk_block([ca(i0)], [cb(j0)], c, p, i0, j0),
+                (2, 2) => syrk_block([a[i0], a[i0 + 1]], [b[j0], b[j0 + 1]], c, p, i0, j0),
+                (2, _) => syrk_block([a[i0], a[i0 + 1]], [b[j0]], c, p, i0, j0),
+                _ => syrk_block([a[i0]], [b[j0]], c, p, i0, j0),
             }
         }
     }
@@ -525,20 +516,28 @@ mod tests {
     #[test]
     fn syrk_upper_is_dot_per_cell_on_the_upper_triangle() {
         // Every block shape (full, right edge, bottom-right corner), every
-        // `t mod 4` class, columns shorter than their stride, and a
-        // non-zero `c` to accumulate into.
+        // `t mod 4` class, and a non-zero `c` to accumulate into.
         for p in 1..=7usize {
             for t in [0usize, 1, 3, 4, 5, 6, 7, 8, 13] {
-                let ld = t + 2;
-                let a: Vec<f64> = (0..p * ld).map(|i| 0.25 + (i % 11) as f64 * 0.37).collect();
-                let b: Vec<f64> = (0..p * ld).map(|i| 1.5 - (i % 7) as f64 * 0.61).collect();
+                let col =
+                    |k: usize, f: &dyn Fn(usize) -> f64| (k * t..(k + 1) * t).map(f).collect();
+                let a: Vec<Vec<f64>> = (0..p)
+                    .map(|k| col(k, &|i| 0.25 + (i % 11) as f64 * 0.37))
+                    .collect();
+                let b: Vec<Vec<f64>> = (0..p)
+                    .map(|k| col(k, &|i| 1.5 - (i % 7) as f64 * 0.61))
+                    .collect();
+                let (ar, br): (Vec<&[f64]>, Vec<&[f64]>) = (
+                    a.iter().map(Vec::as_slice).collect(),
+                    b.iter().map(Vec::as_slice).collect(),
+                );
                 let start: Vec<f64> = (0..p * p).map(|i| i as f64 * 0.125).collect();
                 let mut c = start.clone();
-                syrk_upper(&a, &b, ld, t, p, &mut c).unwrap();
+                syrk_upper(&ar, &br, &mut c).unwrap();
                 for i in 0..p {
                     for j in 0..p {
                         let expect = if j >= i {
-                            start[i * p + j] + dot(&a[i * ld..i * ld + t], &b[j * ld..j * ld + t])
+                            start[i * p + j] + dot(&a[i], &b[j])
                         } else {
                             start[i * p + j]
                         };
@@ -555,16 +554,20 @@ mod tests {
 
     #[test]
     fn syrk_upper_rejects_bad_shapes() {
-        let (a, b) = (vec![1.0; 8], vec![1.0; 8]);
+        let col = [1.0; 4];
+        let (a, b): (&[&[f64]], &[&[f64]]) = (&[&col, &col], &[&col, &col]);
         let mut c = vec![0.0; 4];
-        assert!(syrk_upper(&a, &b, 4, 4, 2, &mut c).is_ok());
-        assert!(syrk_upper(&a, &b, 4, 5, 2, &mut c).is_err(), "t > ld");
-        assert!(syrk_upper(&a[..7], &b, 4, 4, 2, &mut c).is_err(), "short a");
-        assert!(syrk_upper(&a, &b[..7], 4, 4, 2, &mut c).is_err(), "short b");
+        assert!(syrk_upper(a, b, &mut c).is_ok());
         assert!(
-            syrk_upper(&a, &b, 4, 4, 2, &mut c[..3]).is_err(),
-            "c not p×p"
+            syrk_upper(&[&col, &col[..3]], b, &mut c).is_err(),
+            "ragged a"
         );
+        assert!(
+            syrk_upper(a, &[&col, &col[..3]], &mut c).is_err(),
+            "ragged b"
+        );
+        assert!(syrk_upper(a, &b[..1], &mut c).is_err(), "short b");
+        assert!(syrk_upper(a, b, &mut c[..3]).is_err(), "c not p×p");
     }
 
     #[test]

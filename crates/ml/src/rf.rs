@@ -58,7 +58,7 @@ pub fn hpdrf(x: &DArray, y: &DArray, opts: &RfOptions) -> Result<RandomForestMod
 
     // Collect global class set first (small reduce).
     let class_sets = y.map_partitions(|_, yp| {
-        let mut s: Vec<i64> = yp.data.iter().map(|v| *v as i64).collect();
+        let mut s: Vec<i64> = yp.column(0).iter().map(|v| *v as i64).collect();
         s.sort_unstable();
         s.dedup();
         s
@@ -82,8 +82,10 @@ pub fn hpdrf(x: &DArray, y: &DArray, opts: &RfOptions) -> Result<RandomForestMod
             .map(|t| {
                 let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E3779B9));
                 // Bootstrap sample of this partition's rows.
-                let rows: Vec<usize> = (0..xp.nrow).map(|_| rng.gen_range(0..xp.nrow)).collect();
-                let labels: Vec<i64> = rows.iter().map(|&r| yp.data[r] as i64).collect();
+                let rows: Vec<usize> = (0..xp.nrow())
+                    .map(|_| rng.gen_range(0..xp.nrow()))
+                    .collect();
+                let labels: Vec<i64> = rows.iter().map(|&r| yp.column(0)[r] as i64).collect();
                 let mut tree = DecisionTree::default();
                 build_node(&mut tree, xp, &rows, &labels, d, mtry, 0, &opts2, &mut rng);
                 tree
@@ -152,16 +154,16 @@ fn build_node(
     let parent_total = rows.len();
     for _ in 0..mtry {
         let feature = rng.gen_range(0..d);
+        let col = xp.column(feature);
         for _ in 0..8 {
-            let pivot_row = rows[rng.gen_range(0..rows.len())];
-            let threshold = xp.row(pivot_row)[feature];
+            let threshold = col[rows[rng.gen_range(0..rows.len())]];
             let mut left: std::collections::BTreeMap<i64, usize> =
                 std::collections::BTreeMap::new();
             let mut right: std::collections::BTreeMap<i64, usize> =
                 std::collections::BTreeMap::new();
             let mut nl = 0usize;
             for (&r, &l) in rows.iter().zip(labels) {
-                if xp.row(r)[feature] <= threshold {
+                if col[r] <= threshold {
                     *left.entry(l).or_insert(0) += 1;
                     nl += 1;
                 } else {
@@ -190,8 +192,9 @@ fn build_node(
     // Reserve the split slot, then build children.
     tree.nodes.push(TreeNode::Leaf { class: 0 }); // placeholder
     let (mut lr, mut ll, mut rr, mut rl) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let col = xp.column(feature);
     for (&r, &l) in rows.iter().zip(labels) {
-        if xp.row(r)[feature] <= threshold {
+        if col[r] <= threshold {
             lr.push(r);
             ll.push(l);
         } else {
@@ -306,7 +309,7 @@ mod tests {
         assert!(hpdrf(&x, &y, &RfOptions::default()).is_err());
         let y2 = x.clone_structure(1, 0.0).unwrap();
         y2.update_partitions(|_, p| {
-            for (i, v) in p.data.iter_mut().enumerate() {
+            for (i, v) in p.column_mut(0).iter_mut().enumerate() {
                 *v = (i % 2) as f64;
             }
         })

@@ -10,7 +10,8 @@ use rand::{Rng, SeedableRng};
 
 /// Single-threaded Lloyd K-means over a dense row-major matrix — what
 /// calling `kmeans()` in one R process does. Same kernel as the distributed
-/// version, one partition, one thread.
+/// version, one partition, one thread; the matrix is transposed into its
+/// columns once, on entry.
 pub fn serial_kmeans(
     data: &[f64],
     d: usize,
@@ -35,11 +36,15 @@ pub fn serial_kmeans(
     for r in picked {
         centers.extend_from_slice(&data[r * d..(r + 1) * d]);
     }
+    let columns: Vec<Vec<f64>> = (0..d)
+        .map(|j| data.iter().skip(j).step_by(d).copied().collect())
+        .collect();
+    let cols: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
     let mut iterations = 0;
     let mut wss = f64::INFINITY;
     while iterations < max_iterations {
         iterations += 1;
-        let merged = assign_partial(data, d, &centers);
+        let merged = assign_partial(&cols, &centers);
         let moved = merged.update_centers(&mut centers, |_| Ok(()))?;
         wss = merged.wss;
         if moved <= 1e-9 {

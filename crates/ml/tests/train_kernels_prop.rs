@@ -5,7 +5,7 @@
 //! shape the benchmark's `loop_wide` trains — at row counts on both sides of
 //! the 256-row tile and the 4-row lane boundary, and must return the same
 //! bits whether the response sits in its own array or in the last column of
-//! `[X | y]` rows (how a train-while-loading transfer delivers it).
+//! `[X | y]` (how a train-while-loading transfer delivers it).
 //!
 //! K-means assignment counts must be exact (same strict-`<` tie-break as the
 //! prediction kernels); the summed statistics get a 1e-9 relative tolerance
@@ -27,6 +27,17 @@ fn rows(n: usize, d: usize, seed: u64, scale: f64) -> Vec<f64> {
         ((v >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * scale
     };
     (0..n * d).map(|_| next()).collect()
+}
+
+/// Row-major `data`, `d` wide, as its columns.
+fn columns(data: &[f64], d: usize) -> Vec<Vec<f64>> {
+    (0..d)
+        .map(|j| data.iter().skip(j).step_by(d).copied().collect())
+        .collect()
+}
+
+fn slices(cols: &[Vec<f64>]) -> Vec<&[f64]> {
+    cols.iter().map(Vec::as_slice).collect()
 }
 
 /// Row counts that cross the 256-row tile and the 4-row lane boundary.
@@ -64,18 +75,14 @@ proptest! {
         // Coefficients shrink with the width so η stays in the links' sane
         // range (|η| ≲ 4) at every p.
         let beta = rows(p, 1, seed ^ 0xbe7a, 0.5 / (p as f64).sqrt());
-        let split = Rows::new(&x, d, Some(&y));
+        let xc = columns(&x, d);
+        let split = Rows::new(slices(&xc), Some(&y));
         let blocked = accumulate_rows(split, d, &beta, family, intercept).unwrap();
         let reference = accumulate_rows_reference(&x, &y, d, &beta, family, intercept);
         // The same rows as [X | y], read in place: bit for bit the same.
-        let xy: Vec<f64> = x
-            .chunks_exact(d)
-            .zip(&y)
-            .flat_map(|(row, yv)| row.iter().chain([yv]).copied())
-            .collect();
-        let joined = Rows::new(&xy, d + 1, None);
-        let strided = accumulate_rows(joined, d, &beta, family, intercept).unwrap();
-        prop_assert_eq!(bits(&strided), bits(&blocked));
+        let xy: Vec<&[f64]> = slices(&xc).into_iter().chain([&y[..]]).collect();
+        let joined = accumulate_rows(Rows::new(xy, None), d, &beta, family, intercept).unwrap();
+        prop_assert_eq!(bits(&joined), bits(&blocked));
         prop_assert!(close(blocked.deviance, reference.deviance));
         for (a, b) in blocked.xtwx.data.iter().zip(&reference.xtwx.data) {
             prop_assert!(close(*a, *b), "xtwx {} vs {}", a, b);
@@ -95,8 +102,9 @@ proptest! {
         let data = rows(nrow, d, seed, 10.0);
         let flat = rows(k, d, seed ^ 0xcc, 10.0);
         let nested: Vec<Vec<f64>> = flat.chunks_exact(d).map(<[f64]>::to_vec).collect();
-        let blocked = assign_partial(&data, d, &flat);
-        let reference = assign_partial_reference(&data, d, &nested);
+        let cols = columns(&data, d);
+        let blocked = assign_partial(&slices(&cols), &flat);
+        let reference = assign_partial_reference(&slices(&cols), &nested);
         prop_assert_eq!(&blocked.counts, &reference.counts);
         prop_assert!(close(blocked.wss, reference.wss));
         for (a, b) in blocked.sums.iter().zip(&reference.sums) {
@@ -116,8 +124,9 @@ proptest! {
         let centers = rows(k, d, seed ^ 0x11, 5.0);
         let opts = KmeansOptions { k, ..Default::default() };
         let fit = KmeansFit::new(d, &opts, centers).unwrap();
-        let rows = Rows::new(&data, d, None);
-        let a = partition_pass(&fit, rows, lanes).unwrap();
+        let cols = columns(&data, d);
+        let rows = Rows::new(slices(&cols), None);
+        let a = partition_pass(&fit, rows.clone(), lanes).unwrap();
         let b = partition_pass(&fit, rows, lanes).unwrap();
         // Fixed lane count ⇒ bit-identical reduction.
         prop_assert_eq!(&a.sums, &b.sums);

@@ -22,17 +22,19 @@ pub fn spark_kmeans(
     }
     let d = matrix.cols;
     let row = |global: usize| {
-        let mut rows = matrix
-            .partitions
-            .iter()
-            .flat_map(|p| p.data.chunks_exact(d));
-        let row = rows.nth(global).map(<[f64]>::to_vec);
-        row.ok_or_else(|| MlError::Invalid(format!("row {global} out of range")))
+        let mut rest = global;
+        for p in &matrix.partitions {
+            if rest < p.rows {
+                return Ok(p.columns.iter().map(|c| c[rest]).collect());
+            }
+            rest -= p.rows;
+        }
+        Err(MlError::Invalid(format!("row {global} out of range")))
     };
     // D² sampling, the distances computed distributed, through the same
     // seeding code `hpdkmeans` runs.
     let nearest = |centers: &[f64]| {
-        Ok(matrix.map_partitions(|part| nearest_distances(&part.data, d, centers)))
+        Ok(matrix.map_partitions(|part| nearest_distances(&part.column_slices(), centers)))
     };
     let centers = kmeans_pp(n, d, k, seed, nearest, row)?;
     let centers = centers.chunks_exact(d).map(<[f64]>::to_vec).collect();
@@ -59,7 +61,7 @@ pub fn spark_kmeans_with_centers(
     while iterations < max_iterations {
         iterations += 1;
         let partials: Vec<KmeansPartial> =
-            matrix.map_partitions(|part| assign_partial(&part.data, d, &centers));
+            matrix.map_partitions(|part| assign_partial(&part.column_slices(), &centers));
         let merged = vdr_ml::reduce::tree_merge(partials, |a, b| merge_partials(a, &b))
             .ok_or_else(|| MlError::Invalid("matrix has no partitions".into()))?;
         // MLlib keeps empty centers in place.
@@ -134,8 +136,12 @@ mod tests {
         let spark = spark_kmeans_with_centers(&m, init.clone(), 30).unwrap();
         // Serial reference: run Lloyd by hand with the shared kernel.
         let mut centers: Vec<f64> = init.into_iter().flatten().collect();
+        let cols: Vec<Vec<f64>> = (0..2)
+            .map(|j| data.iter().skip(j).step_by(2).copied().collect())
+            .collect();
+        let cols: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
         for _ in 0..30 {
-            let p = assign_partial(&data, 2, &centers);
+            let p = assign_partial(&cols, &centers);
             let mut moved = 0.0;
             for c in 0..3 {
                 if p.counts[c] == 0 {

@@ -13,13 +13,20 @@ pub struct SparkContext {
     executor_lanes: usize,
 }
 
-/// One in-memory partition: rows held by one executor.
+/// One in-memory partition: rows held by one executor, column by column
+/// (the layout the shared k-means kernel reads).
 pub struct SparkPartition {
     pub node: NodeId,
     pub rows: usize,
-    pub cols: usize,
-    /// Row-major values.
-    pub data: Vec<f64>,
+    /// One vector of `rows` values per column.
+    pub columns: Vec<Vec<f64>>,
+}
+
+impl SparkPartition {
+    /// The columns as slices.
+    pub fn column_slices(&self) -> Vec<&[f64]> {
+        self.columns.iter().map(Vec::as_slice).collect()
+    }
 }
 
 /// A partitioned dense matrix (the RDD the K-means job iterates over).
@@ -60,7 +67,7 @@ impl SparkContext {
             .scatter(|node| {
                 let my_blocks: Vec<_> = blocks.iter().filter(|b| b.primary == node.id()).collect();
                 rec.set_lanes(node.id(), self.executor_lanes);
-                let mut data = Vec::new();
+                let mut columns = vec![Vec::new(); cols];
                 let mut rows = 0usize;
                 for b in my_blocks {
                     let Some(bytes) = self.hdfs.read_block(name, b, node.id(), &rec) else {
@@ -68,8 +75,8 @@ impl SparkContext {
                     };
                     let text = std::str::from_utf8(&bytes).expect("hdfs blocks are utf8 csv");
                     for line in text.lines() {
-                        for field in line.split(',') {
-                            data.push(field.parse::<f64>().unwrap_or(f64::NAN));
+                        for (col, field) in columns.iter_mut().zip(line.split(',')) {
+                            col.push(field.parse::<f64>().unwrap_or(f64::NAN));
                         }
                         rows += 1;
                     }
@@ -78,8 +85,7 @@ impl SparkContext {
                 SparkPartition {
                     node: node.id(),
                     rows,
-                    cols,
-                    data,
+                    columns,
                 }
             })
             .into_iter()
@@ -135,7 +141,7 @@ mod tests {
         assert_eq!(m.cols, 2);
         assert!(load_time.as_secs() > 0.0);
         // Every partition's data parses back to what was written.
-        let sums = m.map_partitions(|p| p.data.iter().sum::<f64>());
+        let sums = m.map_partitions(|p| p.columns.iter().flatten().sum::<f64>());
         let total: f64 = sums.iter().sum();
         assert_eq!(total, data.iter().sum::<f64>());
         // Data locality: reads on each node came off its own disk — the

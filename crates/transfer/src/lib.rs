@@ -20,7 +20,9 @@
 //! Every transfer really moves the bytes (receivers decode exactly what the
 //! senders produced) and charges one or two phases to a caller-supplied
 //! [`vdr_cluster::Ledger`]; see `vdr-cluster::profile` for the calibrated
-//! cost constants.
+//! cost constants. Every loader fills darray partitions column by column, in
+//! R's layout, with no row-major staging in between.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod local;
 pub mod model;
@@ -38,30 +40,19 @@ pub use vft::{install_export_function, BatchObserver, FastTransfer, TransferPoli
 
 use vdr_verticadb::{DbError, Result};
 
-/// Numeric feature extraction shared by all loaders: gather the columns of a
-/// batch into a pre-sized row-major `f64` slice. Column-at-a-time (strided
-/// writes over `Cow` column views) instead of row-at-a-time pushes: no
-/// per-row bounds checks on a growing vector, no per-column `Vec`
-/// materialization for columns that are already `f64`.
-pub(crate) fn gather_f64_rows(batch: &vdr_columnar::Batch, out: &mut [f64]) -> Result<()> {
-    let nrow = batch.num_rows();
-    let ncol = batch.num_columns();
-    debug_assert_eq!(out.len(), nrow * ncol, "destination slice mis-sized");
-    for (c, col) in batch.columns().iter().enumerate() {
-        let vals = col.to_f64_cow();
-        for (r, v) in vals.iter().enumerate() {
-            out[r * ncol + c] = *v;
-        }
-    }
-    Ok(())
+/// Numeric feature extraction shared by the loaders: a batch's columns as
+/// `f64` vectors, the argument of [`vdr_distr::DArray::fill_columns_on`]
+/// (darray partitions are column-major, like R matrices). A NULL-free
+/// `Float64` column is one contiguous copy; others convert (ints widen,
+/// NULLs become NaN).
+pub(crate) fn f64_columns(batch: &vdr_columnar::Batch) -> Vec<Vec<f64>> {
+    let cols = batch.columns().iter();
+    cols.map(|c| c.to_f64_cow().into_owned()).collect()
 }
 
-/// [`gather_f64_rows`] into a fresh allocation, for loaders that hand the
-/// matrix straight to `fill_partition_on`.
-pub(crate) fn batch_to_f64_rows(batch: &vdr_columnar::Batch) -> Result<Vec<f64>> {
-    let mut out = vec![0.0; batch.num_rows() * batch.num_columns()];
-    gather_f64_rows(batch, &mut out)?;
-    Ok(out)
+/// A runtime or training failure as a database execution error.
+pub(crate) fn exec<E: std::fmt::Display>(e: E) -> DbError {
+    DbError::Exec(e.to_string())
 }
 
 /// Validate that requested feature columns exist and are numeric.

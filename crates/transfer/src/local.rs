@@ -3,6 +3,7 @@
 //! local ext4 filesystem of each node, and Distributed R loads data directly
 //! from these files".
 
+use crate::exec;
 use crate::odbc::{parse_rows, render_rows};
 use crate::report::TransferReport;
 use bytes::Bytes;
@@ -48,9 +49,7 @@ impl LocalLoader {
             PhaseKind::Pipelined,
             dr.cluster().num_nodes(),
         );
-        let array = dr
-            .darray(dr.num_workers())
-            .map_err(|e| DbError::Exec(e.to_string()))?;
+        let array = dr.darray(dr.num_workers()).map_err(exec)?;
         let mut total_rows = 0u64;
         let mut total_values = 0u64;
         let results: Vec<(usize, Result<Batch>)> = {
@@ -70,20 +69,16 @@ impl LocalLoader {
                 rec.cpu_work(node.id(), batch.num_values() as f64, parse_cost);
                 Ok(batch)
             })
+            .map_err(exec)?
         };
         for (w, r) in results {
             let batch = r?;
             total_rows += batch.num_rows() as u64;
             total_values += batch.num_values();
+            let cols = crate::f64_columns(&batch);
             array
-                .fill_partition_on(
-                    w,
-                    w,
-                    batch.num_rows(),
-                    batch.num_columns(),
-                    crate::batch_to_f64_rows(&batch)?,
-                )
-                .map_err(|e| DbError::Exec(e.to_string()))?;
+                .fill_columns_on(w, w, batch.num_rows(), cols)
+                .map_err(exec)?;
         }
         let report = rec.finish(dr.cluster().profile());
         let out = TransferReport {
@@ -100,6 +95,7 @@ impl LocalLoader {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use vdr_cluster::SimCluster;

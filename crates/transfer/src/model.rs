@@ -164,6 +164,7 @@ pub fn model_dr_disk(p: &HardwareProfile, t: TableShape, c: ClusterShape) -> Tra
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -13,7 +13,7 @@
 //!   destroyed, and the burst queues behind admission control.
 
 use crate::report::TransferReport;
-use crate::{check_features, TransferPolicy};
+use crate::{check_features, exec, TransferPolicy};
 use std::sync::Arc;
 use vdr_cluster::{NodeId, PhaseKind, PhaseRecorder, SimDuration};
 use vdr_columnar::{Batch, ColumnBuilder, DataType, Schema, Value};
@@ -214,20 +214,15 @@ impl OdbcLoader {
 
         let rows = batch.num_rows() as u64;
         let values = batch.num_values();
-        let array = dr.darray(1).map_err(|e| DbError::Exec(e.to_string()))?;
+        let array = dr.darray(1).map_err(exec)?;
+        let cols = crate::f64_columns(&batch);
         array
-            .fill_partition_on(
-                0,
-                0,
-                batch.num_rows(),
-                features.len(),
-                crate::batch_to_f64_rows(&batch)?,
-            )
-            .map_err(|e| DbError::Exec(e.to_string()))?;
+            .fill_columns_on(0, 0, batch.num_rows(), cols)
+            .map_err(exec)?;
 
         let profile = db.cluster().profile();
         let db_report = Arc::into_inner(db_rec)
-            .expect("query released recorder")
+            .ok_or_else(|| exec("the query still holds the recorder"))?
             .finish(profile);
         let client_report = client_rec.finish(profile);
         let report = TransferReport {
@@ -277,9 +272,7 @@ impl OdbcLoader {
 
         // "Data locality is destroyed": partitions land on workers by
         // connection index, unrelated to where the rows lived.
-        let array = dr
-            .darray(connections)
-            .map_err(|e| DbError::Exec(e.to_string()))?;
+        let array = dr.darray(connections).map_err(exec)?;
         let instances_per_node = dr.workers().first().map_or(1, |w| w.instances);
 
         // The burst: all connections fetch concurrently; the admission
@@ -315,7 +308,10 @@ impl OdbcLoader {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("connection thread panicked"))
+                .map(|h| {
+                    let joined = h.join().map_err(|_| exec("a connection thread panicked"));
+                    joined.and_then(|r| r)
+                })
                 .collect()
         });
 
@@ -324,25 +320,20 @@ impl OdbcLoader {
             let (c, batch) = r?;
             rows += batch.num_rows() as u64;
             let worker = c / instances_per_node.max(1) % dr.num_workers();
+            let cols = crate::f64_columns(&batch);
             array
-                .fill_partition_on(
-                    worker,
-                    c,
-                    batch.num_rows(),
-                    features.len(),
-                    crate::batch_to_f64_rows(&batch)?,
-                )
-                .map_err(|e| DbError::Exec(e.to_string()))?;
+                .fill_columns_on(worker, c, batch.num_rows(), cols)
+                .map_err(exec)?;
         }
 
         let profile = db.cluster().profile();
         let waves = db.admission().waves(connections);
         let queue_time = SimDuration::from_millis(waves as f64 * profile.costs.odbc_connect_ms);
         let db_report = Arc::into_inner(db_rec)
-            .expect("queries done")
+            .ok_or_else(|| exec("a query still holds the recorder"))?
             .finish(profile);
         let client_report = Arc::into_inner(client_rec)
-            .expect("clients done")
+            .ok_or_else(|| exec("a client still holds the recorder"))?
             .finish(profile);
         let values = rows * features.len() as u64;
         let report = TransferReport {
@@ -371,6 +362,7 @@ impl OdbcLoader {
 fn _policy_doc(_: TransferPolicy) {}
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use vdr_cluster::{Ledger, SimCluster};
@@ -470,7 +462,7 @@ mod tests {
         assert_eq!(arr.npartitions(), dr.total_instances());
         // Every id exactly once despite 9 concurrent range queries.
         let sums = arr
-            .map_partitions(|_, p| (0..p.nrow).map(|r| p.row(r)[0]).sum::<f64>())
+            .map_partitions(|_, p| p.column(0).iter().sum::<f64>())
             .unwrap();
         assert_eq!(sums.iter().sum::<f64>(), 2999.0 * 3000.0 / 2.0);
         // The burst issued one query per instance.

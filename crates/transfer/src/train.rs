@@ -27,6 +27,7 @@
 //! query). The part of the export that could *not* be covered stays visible
 //! through the existing [`TransferReport::queue_time`] plumbing.
 
+use crate::exec;
 use crate::report::TransferReport;
 use crate::vft::{BatchObserver, FastTransfer, TransferPolicy};
 use parking_lot::Mutex;
@@ -42,10 +43,6 @@ use vdr_ml::kmeans::{KmeansFit, KmeansOptions};
 use vdr_ml::models::{GlmModel, KmeansModel};
 use vdr_ml::reduce::tree_merge;
 use vdr_verticadb::{DbError, QueryRecord, QueryWindow, Result, VerticaDb};
-
-fn exec<E: std::fmt::Display>(e: E) -> DbError {
-    DbError::Exec(e.to_string())
-}
 
 /// A model fitted while its data loaded.
 pub struct LoadFit<M> {
@@ -145,11 +142,12 @@ where
     let observer: BatchObserver = {
         let (fit, streams, overlap) =
             (Arc::clone(&fit), Arc::clone(&streams), Arc::clone(&overlap));
-        let stride = columns.len();
         Arc::new(move |w, src, inst, batch| {
             let t = Instant::now();
-            let part = crate::batch_to_f64_rows(batch)
-                .and_then(|data| fit.transition(Rows::new(&data, stride, None)).map_err(exec));
+            // The block's columns, read in place.
+            let cols: Vec<_> = batch.columns().iter().map(|c| c.to_f64_cow()).collect();
+            let rows = Rows::new(cols.iter().map(|c| &**c).collect(), None);
+            let part = fit.transition(rows).map_err(exec);
             // A stream's blocks arrive in frame order on one pool thread, so
             // each stream's partial folds in that order.
             let mut streams = streams.lock();
@@ -203,6 +201,7 @@ where
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::vft::install_export_function;

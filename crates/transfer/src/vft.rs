@@ -30,8 +30,10 @@
 //!
 //! Decoded streams are sorted by `(source node, instance)` so conversion
 //! order is deterministic; the final assembly into [`DArray`]/[`DFrame`]
-//! partitions runs on the workers ([`DistributedR::run_on_workers`]) with
-//! per-batch / per-column work fanned across each worker's instance lanes.
+//! partitions runs on the workers ([`DistributedR::run_on_workers`]), one
+//! thread per worker, appending each block's decoded columns to the
+//! partition's columns: a darray partition is column-major, like the R
+//! matrix it stands for, so no value is transposed on the way in.
 //!
 //! The receive pools' measured behaviour surfaces twice: wall-clock wait and
 //! decode time go to the `vft.receive.*` metrics, while the simulated-time
@@ -39,10 +41,8 @@
 //! client could not overlap — is reported as
 //! [`TransferReport::queue_time`].
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use crate::report::TransferReport;
-use crate::{check_features, gather_f64_rows};
+use crate::{check_features, exec};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -579,15 +579,13 @@ impl FastTransfer {
 
         // Assembly: each worker turns its decoded blocks into one darray
         // partition ("the in-memory files are converted into R objects and
-        // assembled into partitions", Section 3.3). The partition buffer is
-        // sized once; each block gathers column-at-a-time into its disjoint
-        // row range.
-        let array = dr
-            .darray(dr.num_workers())
-            .map_err(|e| DbError::Exec(e.to_string()))?;
+        // assembled into partitions", Section 3.3). Partitions are
+        // column-major like R matrices: each block's decoded columns append
+        // contiguously to the partition's column buffers, sized once.
+        let array = dr.darray(dr.num_workers()).map_err(exec)?;
         let ncol = features.len();
         let parent_span = transfer_span.id();
-        let fills: Vec<Result<(usize, usize, Vec<f64>)>> = {
+        let fills = {
             let received = &received;
             dr.run_on_workers(&(0..dr.num_workers()).collect::<Vec<_>>(), move |w| {
                 let node = dr.worker_node(w);
@@ -598,28 +596,22 @@ impl FastTransfer {
                 let batches: Vec<&Batch> =
                     received[w].iter().flat_map(|s| s.batches.iter()).collect();
                 let nrow: usize = batches.iter().map(|b| b.num_rows()).sum();
-                let mut data = vec![0.0f64; nrow * ncol];
-                let mut rest: &mut [f64] = &mut data;
+                let mut cols: Vec<Vec<f64>> = (0..ncol).map(|_| Vec::with_capacity(nrow)).collect();
                 for b in batches {
-                    let (head, tail) = std::mem::take(&mut rest).split_at_mut(b.num_rows() * ncol);
-                    rest = tail;
-                    gather_f64_rows(b, head)?;
+                    for (col, c) in cols.iter_mut().zip(b.columns()) {
+                        col.extend_from_slice(&c.to_f64_cow());
+                    }
                 }
                 convert_span.record("streams", received[w].len());
                 convert_span.record("rows", nrow);
-                Ok((w, nrow, data))
+                (nrow, cols)
             })
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect()
+            .map_err(exec)?
         };
         let mut total_rows = 0u64;
-        for fill in fills {
-            let (w, nrow, rows) = fill?;
+        for (w, (nrow, cols)) in fills {
             total_rows += nrow as u64;
-            array
-                .fill_partition_on(w, w, nrow, ncol, rows)
-                .map_err(|e| DbError::Exec(e.to_string()))?;
+            array.fill_columns_on(w, w, nrow, cols).map_err(exec)?;
         }
 
         let r_report = r_rec.finish(db.cluster().profile());
@@ -671,9 +663,7 @@ impl FastTransfer {
             self.run_transfer(db, dr, table, columns, policy, ledger, None, &r_rec, None)?;
         let db_time = db_report.duration();
 
-        let frame = dr
-            .dframe(dr.num_workers())
-            .map_err(|e| DbError::Exec(e.to_string()))?;
+        let frame = dr.dframe(dr.num_workers()).map_err(exec)?;
         let schema = def.schema.project(columns)?;
         let parent_span = transfer_span.id();
         // Assembly runs on the workers; each stitches its partition column
@@ -703,6 +693,7 @@ impl FastTransfer {
                 convert_span.record("rows", part.num_rows());
                 Ok((w, part))
             })
+            .map_err(exec)?
             .into_iter()
             .map(|(_, r)| r)
             .collect()
@@ -715,9 +706,7 @@ impl FastTransfer {
             total_rows += part.num_rows() as u64;
             total_values += part.num_values();
             total_bytes += part.byte_size();
-            frame
-                .fill_partition_on(w, w, part)
-                .map_err(|e| DbError::Exec(e.to_string()))?;
+            frame.fill_partition_on(w, w, part).map_err(exec)?;
         }
         let r_report = r_rec.finish(db.cluster().profile());
         let client_time = r_report.duration();
@@ -941,7 +930,7 @@ fn record_transfer(
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use crate::batch_to_f64_rows;
+    use crate::f64_columns;
     use bytes::Bytes;
     use proptest::prelude::*;
     use vdr_cluster::{Ledger, SimCluster};
@@ -1050,17 +1039,15 @@ mod tests {
         // Sum of ids must match arithmetic series — catches duplicates and
         // losses that row counts alone would miss.
         let sums = arr
-            .map_partitions(|_, p| (0..p.nrow).map(|r| p.row(r)[0]).sum::<f64>())
+            .map_partitions(|_, p| p.column(0).iter().sum::<f64>())
             .unwrap();
         let total: f64 = sums.iter().sum();
         assert_eq!(total, (2999.0 * 3000.0) / 2.0);
         // Each row is consistent: b = 2a = 2·id.
         let consistent = arr
             .map_partitions(|_, p| {
-                (0..p.nrow).all(|r| {
-                    let row = p.row(r);
-                    row[1] == row[0] && row[2] == 2.0 * row[0]
-                })
+                let (id, a, b) = (p.column(0), p.column(1), p.column(2));
+                (0..p.nrow()).all(|r| a[r] == id[r] && b[r] == 2.0 * id[r])
             })
             .unwrap();
         assert!(consistent.iter().all(|&c| c));
@@ -1222,7 +1209,7 @@ mod tests {
                             )
                             .unwrap();
                         let sums = arr
-                            .map_partitions(|_, p| p.data.iter().sum::<f64>())
+                            .map_partitions(|_, p| p.columns().flatten().sum::<f64>())
                             .unwrap();
                         (report.rows, sums.iter().sum::<f64>())
                     })
@@ -1271,7 +1258,7 @@ mod tests {
         // transferred array.
         let aligned = xa
             .zip_map(&yb, |_, xp, yp| {
-                (0..xp.nrow).all(|r| yp.data[r] == 2.0 * xp.row(r)[0])
+                (0..xp.nrow()).all(|r| yp.column(0)[r] == 2.0 * xp.column(0)[r])
             })
             .unwrap();
         assert!(
@@ -1282,8 +1269,8 @@ mod tests {
 
     /// Reference implementation of the retired staged data path: buffer
     /// every stream's raw bytes until the export query finishes, then strip
-    /// the header, deframe, decode, and flatten — the pipelined path must
-    /// produce bit-identical partitions.
+    /// the header, deframe, decode, and append each column — the pipelined
+    /// path must produce bit-identical partitions.
     fn staged_reference(
         db: &VerticaDb,
         dr: &DistributedR,
@@ -1291,7 +1278,7 @@ mod tests {
         table: &str,
         features: &[&str],
         policy: TransferPolicy,
-    ) -> Vec<Vec<f64>> {
+    ) -> Vec<Vec<Vec<f64>>> {
         let transfer = vft.hub.next_transfer.fetch_add(1, Ordering::Relaxed);
         let nworkers = dr.num_workers();
         let accepts: Vec<Receiver<StreamRx>> =
@@ -1322,11 +1309,13 @@ mod tests {
                             streams.push((src, inst, raw[16..].to_vec()));
                         }
                         streams.sort_by_key(|&(s, i, _)| (s, i));
-                        let mut part: Vec<f64> = Vec::new();
+                        let mut part: Vec<Vec<f64>> = vec![Vec::new(); features.len()];
                         for (_, _, data) in &streams {
                             for frame in deframe(data).unwrap() {
                                 let batch = decode_batch(frame).unwrap();
-                                part.extend(batch_to_f64_rows(&batch).unwrap());
+                                for (col, c) in part.iter_mut().zip(f64_columns(&batch)) {
+                                    col.extend(c);
+                                }
                             }
                         }
                         part
@@ -1360,7 +1349,9 @@ mod tests {
             let (arr, _) = vft
                 .db2darray(&db, &dr, "samples", &["id", "a", "b"], policy, &ledger)
                 .unwrap();
-            let got = arr.map_partitions(|_, p| p.data.clone()).unwrap();
+            let got = arr
+                .map_partitions(|_, p| p.columns().map(<[f64]>::to_vec).collect::<Vec<_>>())
+                .unwrap();
             assert_eq!(got, expected, "{policy:?} diverged from the staged path");
         }
     }

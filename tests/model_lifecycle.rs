@@ -96,7 +96,10 @@ fn kmeans_in_db_prediction_matches_in_runtime_assignment() {
 
     // In-runtime assignment of the same features agrees with the counts.
     let in_r: usize = feat
-        .map_partitions(|_, p| (0..p.nrow).filter(|&r| km.assign(p.row(r)) == 1).count())
+        .map_partitions(|_, p| {
+            let row = |r: usize| p.columns().map(|c| c[r]).collect::<Vec<_>>();
+            (0..p.nrow()).filter(|&r| km.assign(&row(r)) == 1).count()
+        })
         .unwrap()
         .into_iter()
         .sum();

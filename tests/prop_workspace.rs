@@ -209,7 +209,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(report.rows, rows as u64);
         let sums = arr
-            .map_partitions(|_, p| p.data.iter().sum::<f64>())
+            .map_partitions(|_, p| p.column(0).iter().sum::<f64>())
             .unwrap();
         let total: f64 = sums.iter().sum();
         prop_assert_eq!(total, (rows as f64 - 1.0) * rows as f64 / 2.0);

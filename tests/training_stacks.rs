@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use vertica_dr::cluster::{Ledger, SimCluster};
-use vertica_dr::distr::{DArray, DistributedR};
+use vertica_dr::distr::{DArray, DistributedR, PartData};
 use vertica_dr::ml::kmeans::{assign_partial, merge_partials};
 use vertica_dr::ml::reduce::tree_merge;
 use vertica_dr::ml::serial::serial_lm;
@@ -37,6 +37,11 @@ fn response(x: &DArray, y: &[f64]) -> DArray {
     ya
 }
 
+/// A partition's columns, the k-means kernel's input.
+fn columns(p: &PartData) -> Vec<&[f64]> {
+    p.columns().collect()
+}
+
 #[test]
 fn kmeans_kernel_counts_every_row_serially_and_distributed() {
     let centers: Vec<Vec<f64>> = (0..20)
@@ -44,13 +49,14 @@ fn kmeans_kernel_counts_every_row_serially_and_distributed() {
         .collect();
     let (pts, _) = gaussian_mixture(2_500, &centers, 0.3, 1);
     let centers: Vec<f64> = centers.into_iter().flatten().collect();
-    let serial = assign_partial(&pts, 10, &centers);
+    let dr = DistributedR::on_all_nodes(SimCluster::for_tests(1), 4).unwrap();
+    let whole = fill(&dr, &pts, 10, 1).partition(0).unwrap();
+    let serial = assign_partial(&columns(&whole), &centers);
     assert_eq!(serial.counts.iter().sum::<u64>(), 50_000);
 
-    let dr = DistributedR::on_all_nodes(SimCluster::for_tests(1), 4).unwrap();
     let x = fill(&dr, &pts, 10, 4);
     let partials = x
-        .map_partitions(|_, p| assign_partial(&p.data, 10, &centers))
+        .map_partitions(|_, p| assign_partial(&columns(p), &centers))
         .unwrap();
     let merged = tree_merge(partials, |a, b| merge_partials(a, &b)).unwrap();
     assert_eq!(merged.counts, serial.counts);
@@ -90,7 +96,7 @@ fn both_kmeans_stacks_reach_finite_centers_from_one_start() {
     let mut cs: Vec<f64> = init.iter().flatten().copied().collect();
     for _ in 0..5 {
         let partials = x
-            .map_partitions(|_, p| assign_partial(&p.data, 4, &cs))
+            .map_partitions(|_, p| assign_partial(&columns(p), &cs))
             .unwrap();
         let merged = tree_merge(partials, |a, b| merge_partials(a, &b)).unwrap();
         merged.update_centers(&mut cs, |_| Ok(())).unwrap();

@@ -39,11 +39,11 @@ fn every_loader_delivers_identical_content() {
             .map_partitions(|_, p| {
                 let mut id_sum = 0.0;
                 let mut a_sum = 0.0;
-                for r in 0..p.nrow {
-                    id_sum += p.row(r)[0];
-                    a_sum += p.row(r)[1];
+                for r in 0..p.nrow() {
+                    id_sum += p.column(0)[r];
+                    a_sum += p.column(1)[r];
                 }
-                (p.nrow as u64, id_sum, a_sum)
+                (p.nrow() as u64, id_sum, a_sum)
             })
             .unwrap();
         stats.iter().fold((0, 0.0, 0.0), |acc, s| {
@@ -124,7 +124,7 @@ fn vft_delivers_every_row_at_any_instance_count_and_block_size() {
             .unwrap();
         assert_eq!(report.rows, 9_000, "psize {psize}");
         let sums = arr
-            .map_partitions(|_, p| (0..p.nrow).map(|r| p.row(r)[0]).sum::<f64>())
+            .map_partitions(|_, p| p.column(0).iter().sum::<f64>())
             .unwrap();
         assert_eq!(
             sums.iter().sum::<f64>(),
@@ -183,7 +183,7 @@ fn straggler_effect_of_skew_on_compute() {
     let vft = install_export_function(&db);
     let ledger = Ledger::new();
     let work = |arr: &vertica_dr::distr::DArray| -> Vec<u64> {
-        arr.map_partitions(|_, p| p.nrow as u64).unwrap()
+        arr.map_partitions(|_, p| p.nrow() as u64).unwrap()
     };
     let (loc, _) = vft
         .db2darray(&db, &dr, "t", &["a"], TransferPolicy::Locality, &ledger)
@@ -238,7 +238,7 @@ fn remote_and_colocated_deployments_agree() {
             .unwrap();
         assert_eq!(report.rows, 4_000);
         let sums = arr
-            .map_partitions(|_, p| p.data.iter().sum::<f64>())
+            .map_partitions(|_, p| p.columns().flatten().sum::<f64>())
             .unwrap();
         assert_eq!(sums.iter().sum::<f64>(), id_checksum(4_000));
     }
@@ -267,8 +267,8 @@ fn local_file_loader_matches_database_content() {
     let batches: Vec<vertica_dr::columnar::Batch> = (0..dr.num_workers())
         .map(|w| {
             let p = arr.partition(w).unwrap();
-            let ids: Vec<f64> = (0..p.nrow).map(|r| p.row(r)[0]).collect();
-            let a: Vec<f64> = (0..p.nrow).map(|r| p.row(r)[1]).collect();
+            let ids: Vec<f64> = p.column(0).to_vec();
+            let a: Vec<f64> = p.column(1).to_vec();
             vertica_dr::columnar::Batch::new(
                 schema.clone(),
                 vec![
@@ -283,7 +283,7 @@ fn local_file_loader_matches_database_content() {
     let (local, report) = LocalLoader::load(&dr, "t_local", &schema, &ledger).unwrap();
     assert_eq!(report.rows, 2_000);
     let sums = local
-        .map_partitions(|_, p| (0..p.nrow).map(|r| p.row(r)[0]).sum::<f64>())
+        .map_partitions(|_, p| p.column(0).iter().sum::<f64>())
         .unwrap();
     assert_eq!(sums.iter().sum::<f64>(), id_checksum(2_000));
 }
