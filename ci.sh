@@ -38,11 +38,18 @@ run cargo test --workspace -q $OFFLINE
 # The model bits the benchmark and the golden tests pin come from release
 # code: run the ml kernels' bit-identity and property tests, the transfer
 # assembly's pipelined-vs-staged and train-while-loading equivalence tests,
-# the root goldens (training, ledger, figures), the block-cache story, and
-# the layout guards (Spark and Distributed R k-means from one start, every
-# loader's row checksums), in that profile.
+# the root goldens (training, ledger, figures), and the layout guards (Spark
+# and Distributed R k-means from one start, every loader's row checksums),
+# in that profile.
 run cargo test -p vdr-ml -p vdr-transfer --release -q $OFFLINE
-run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden --test agg_differential --test figures_golden --test scan_cache --test figure3_workflow --test training_stacks --test transfer_correctness
+run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden --test figures_golden --test figure3_workflow --test training_stacks --test transfer_correctness
+
+# Every test that reads a statement's own metric delta, PROFILE rows or
+# TRACE spans (the executor oracle, the block-cache story, the exchange
+# counters, the v_monitor views and the cross-database concurrency test),
+# in release and at 8 test threads: none of them holds a lock, and the
+# default of one thread per core would hide a race on a 2-vCPU host.
+run cargo test --release -q $OFFLINE --test agg_differential --test scan_cache --test distributed_exchange --test system_tables --test data_collector --test concurrent_profiles -- --test-threads 8
 
 # The benchmark is a package of its own (benchmark/, own lock file), so the
 # workspace build above does not cover it. check.sh builds it offline and

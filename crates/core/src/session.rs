@@ -319,7 +319,8 @@ impl Session {
     /// `cache.*`, `vft.receive.error`, …) render as instant events on the
     /// owning node's lane. Requires spans to have been recorded — i.e.
     /// `VDR_OBS=trace` or [`vdr_obs::set_verbosity`]`(Trace)` while the
-    /// workload ran.
+    /// workload ran, or the workload ran under a query context that forces
+    /// `Trace` (a `TRACE` statement records its own spans this way).
     pub fn export_trace(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         let obs = vdr_obs::global();
         let spans = obs.trace().spans_since(self.obs_base_seq);
@@ -496,7 +497,8 @@ mod tests {
 
     #[test]
     fn trace_export_and_percentiles_cover_a_distributed_transfer() {
-        let _v = vdr_obs::verbosity_guard(vdr_obs::Verbosity::Trace);
+        let _v =
+            vdr_obs::QueryScope::enter(vdr_obs::QueryContext::open(0, vdr_obs::Verbosity::Trace));
         let db = db_with_table(3);
         let session = Session::connect_colocated(Arc::clone(&db), opts()).unwrap();
         let (_, report) = session.db2darray("samples", &["x", "y"]).unwrap();

@@ -375,10 +375,11 @@ impl DistributedR {
         f: impl Fn(usize) -> R + Sync,
     ) -> Result<Vec<(usize, R)>> {
         let parent_span = vdr_obs::current_span_id();
-        // Worker threads don't inherit thread-locals: carry the query id
-        // across the fan-out so every distr.task (and the spans/events the
-        // shipped closure records) stays attributed to the statement.
-        let query_id = vdr_obs::current_query_id();
+        // Worker threads don't inherit thread-locals: carry the query
+        // context across the fan-out so every distr.task (and the spans,
+        // metrics and events the shipped closure records) stays attributed
+        // to the statement.
+        let query = &vdr_obs::query::current();
         std::thread::scope(|scope| {
             let handles: Vec<_> = worker_set
                 .iter()
@@ -386,8 +387,7 @@ impl DistributedR {
                     let node_id = self.inner.workers[w].node;
                     let f = &f;
                     scope.spawn(move || {
-                        let _q = vdr_obs::QueryScope::enter(query_id);
-                        let _n = vdr_obs::NodeScope::enter(node_id.0);
+                        let _q = vdr_obs::QueryScope::enter(query.on(node_id.0));
                         let mut task_span =
                             vdr_obs::detail_span_with_parent("distr.task", parent_span);
                         task_span.set_node(node_id.0);

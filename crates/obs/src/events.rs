@@ -58,8 +58,8 @@ impl EventLog {
     }
 
     /// Append an event (no-op when `VDR_OBS=off`). `node: None` inherits
-    /// the thread's [`crate::query::NodeScope`], if any; the query id is
-    /// always taken from the thread's query scope.
+    /// the node of the thread's query context, if any; the query id is
+    /// always taken from it.
     pub fn record(&self, kind: &str, node: Option<usize>, detail: impl Into<String>) {
         if !Verbosity::current().recording() {
             return;
@@ -119,12 +119,11 @@ mod tests {
 
     #[test]
     fn events_carry_scope_attribution() {
-        let _lock = crate::tests::verbosity_lock();
         let log = EventLog::new();
         let qid = crate::query::next_query_id();
         {
-            let _q = crate::query::QueryScope::enter(qid);
-            let _n = crate::query::NodeScope::enter(2);
+            let ctx = crate::QueryContext::open(qid, Verbosity::Off);
+            let _q = crate::query::QueryScope::enter(ctx.on(2));
             log.record("cache.evict", None, "oid=9");
             log.record("pool.error", Some(5), "io");
         }
@@ -141,7 +140,6 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
-        let _lock = crate::tests::verbosity_lock();
         let log = EventLog::new();
         for i in 0..EVENT_LOG_CAPACITY + 10 {
             log.record("e", None, format!("i={i}"));
@@ -155,7 +153,6 @@ mod tests {
 
     #[test]
     fn watermark_scopes_events() {
-        let _lock = crate::tests::verbosity_lock();
         let log = EventLog::new();
         log.record("before", None, "");
         let seq = log.current_seq();

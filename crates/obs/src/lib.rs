@@ -36,15 +36,17 @@
 //! | `summary` | record everything; text reports show the phase table      |
 //! | `trace`   | as `summary`, plus the full span tree in text reports     |
 //!
-//! Unset behaves as `summary`. [`set_verbosity`] overrides the environment
-//! default at runtime (and [`reset_verbosity`] restores it) — the `PROFILE`
-//! SQL form uses this to force recording for the statement it measures.
+//! Unset behaves as `summary`; [`set_verbosity`] replaces that process
+//! default at runtime. A unit of work raises the level for itself only:
+//! `PROFILE`'s [`QueryContext`] forces `summary`, `TRACE`'s `trace`.
 //!
 //! ## Recording
 //!
-//! All recording flows through one process-global [`Obs`] instance
-//! ([`global()`]); sessions scope their view with a span-sequence watermark
-//! plus a metrics-snapshot diff (see `vdr-core::Session::{metrics,
+//! Every metric write lands in the process-global [`Obs`] ([`global()`])
+//! and, as it is recorded, in the metric sink of the writing thread's query
+//! context: a statement's delta is its own sink, untouched by concurrent
+//! work. Sessions scope their process-wide view with a span-sequence
+//! watermark plus a metrics-snapshot diff (see `vdr-core::Session::{metrics,
 //! trace_report}`).
 //!
 //! ```
@@ -75,7 +77,7 @@ pub use chrome::{
 pub use events::{EventLog, EventRecord};
 pub use metrics::{HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use prom::render_prometheus;
-pub use query::{current_node, current_query_id, next_query_id, NodeScope, QueryScope};
+pub use query::{current_node, current_query_id, next_query_id, QueryContext, QueryScope};
 pub use report::TraceReport;
 pub use table::Table;
 pub use trace::{SpanGuard, SpanRecord, TraceSink};
@@ -83,10 +85,11 @@ pub use trace::{SpanGuard, SpanRecord, TraceSink};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// How much the observability layer records and renders. The `VDR_OBS`
-/// environment variable sets the default; [`set_verbosity`] overrides it at
-/// runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How much the observability layer records and renders, in increasing
+/// order. The `VDR_OBS` environment variable sets the process default;
+/// [`set_verbosity`] replaces it at runtime, and a [`QueryContext`] raises it
+/// for its own work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Verbosity {
     /// Record nothing.
     Off,
@@ -107,26 +110,26 @@ impl Verbosity {
         }
     }
 
-    /// The process-wide verbosity from the `VDR_OBS` environment variable,
-    /// read once.
-    pub fn from_env() -> Verbosity {
-        static VERBOSITY: OnceLock<Verbosity> = OnceLock::new();
-        *VERBOSITY.get_or_init(|| match std::env::var("VDR_OBS") {
-            Ok(v) => Verbosity::parse(&v),
-            Err(_) => Verbosity::Summary,
-        })
+    /// The process default: `VDR_OBS`, read on first use, until
+    /// [`set_verbosity`] replaces it. One atomic load after the first call.
+    pub(crate) fn process_default() -> Verbosity {
+        match PROCESS_DEFAULT.load(Ordering::Relaxed) {
+            0 => {
+                let env = std::env::var("VDR_OBS").map_or(Verbosity::Summary, |v| Self::parse(&v));
+                let set = env as u8 + 1;
+                let _ =
+                    PROCESS_DEFAULT.compare_exchange(0, set, Ordering::Relaxed, Ordering::Relaxed);
+                Verbosity::process_default()
+            }
+            set => [Verbosity::Off, Verbosity::Summary, Verbosity::Trace][set as usize - 1],
+        }
     }
 
-    /// The effective verbosity: a runtime override installed with
-    /// [`set_verbosity`] if one is active, else the `VDR_OBS` default. All
-    /// recording gates consult this.
+    /// The effective verbosity on this thread: the process default, raised
+    /// to the level the thread's query context forces. All recording gates
+    /// consult this.
     pub fn current() -> Verbosity {
-        match VERBOSITY_OVERRIDE.load(Ordering::Relaxed) {
-            OVERRIDE_OFF => Verbosity::Off,
-            OVERRIDE_SUMMARY => Verbosity::Summary,
-            OVERRIDE_TRACE => Verbosity::Trace,
-            _ => Verbosity::from_env(),
-        }
+        Verbosity::process_default().max(query::forced())
     }
 
     pub fn recording(self) -> bool {
@@ -134,64 +137,15 @@ impl Verbosity {
     }
 }
 
-const OVERRIDE_UNSET: u8 = 0;
-const OVERRIDE_OFF: u8 = 1;
-const OVERRIDE_SUMMARY: u8 = 2;
-const OVERRIDE_TRACE: u8 = 3;
+/// The process default verbosity plus one; 0 until first read or set.
+static PROCESS_DEFAULT: AtomicU8 = AtomicU8::new(0);
 
-static VERBOSITY_OVERRIDE: AtomicU8 = AtomicU8::new(OVERRIDE_UNSET);
-
-/// Override the process verbosity at runtime. Unlike mutating `VDR_OBS`,
-/// this is race-free with respect to the parsed-once environment default;
-/// tests and the `PROFILE` execution path use it to force recording on.
-/// Undo with [`reset_verbosity`].
+/// Replace the process default verbosity at runtime. Unlike mutating
+/// `VDR_OBS`, this is race-free with respect to the parsed-once environment
+/// default. It is a process setting: a statement that needs recording
+/// forces it for itself through its [`QueryContext`] instead.
 pub fn set_verbosity(v: Verbosity) {
-    let tag = match v {
-        Verbosity::Off => OVERRIDE_OFF,
-        Verbosity::Summary => OVERRIDE_SUMMARY,
-        Verbosity::Trace => OVERRIDE_TRACE,
-    };
-    VERBOSITY_OVERRIDE.store(tag, Ordering::Relaxed);
-}
-
-/// Drop any [`set_verbosity`] override; `VDR_OBS` (or its `Summary`
-/// default) applies again.
-pub fn reset_verbosity() {
-    VERBOSITY_OVERRIDE.store(OVERRIDE_UNSET, Ordering::Relaxed);
-}
-
-/// Force verbosity `v` for the guard's lifetime, then restore whatever
-/// override (or environment default) was active before. The RAII form of
-/// [`set_verbosity`] + [`reset_verbosity`] for tests and benchmarks.
-pub fn verbosity_guard(v: Verbosity) -> VerbosityGuard {
-    let prev = verbosity_override();
-    set_verbosity(v);
-    VerbosityGuard { prev }
-}
-
-/// Restores the previous verbosity override on drop. See [`verbosity_guard`].
-pub struct VerbosityGuard {
-    prev: Option<Verbosity>,
-}
-
-impl Drop for VerbosityGuard {
-    fn drop(&mut self) {
-        match self.prev {
-            Some(v) => set_verbosity(v),
-            None => reset_verbosity(),
-        }
-    }
-}
-
-/// The active [`set_verbosity`] override, if any. Callers that force a
-/// temporary verbosity (e.g. `PROFILE`) save this and restore it after.
-pub fn verbosity_override() -> Option<Verbosity> {
-    match VERBOSITY_OVERRIDE.load(Ordering::Relaxed) {
-        OVERRIDE_OFF => Some(Verbosity::Off),
-        OVERRIDE_SUMMARY => Some(Verbosity::Summary),
-        OVERRIDE_TRACE => Some(Verbosity::Trace),
-        _ => None,
-    }
+    PROCESS_DEFAULT.store(v as u8 + 1, Ordering::Relaxed);
 }
 
 /// The process-global observability state: one trace sink, one metrics
@@ -266,39 +220,46 @@ pub fn current_span_id() -> u64 {
     trace::current_span_id()
 }
 
+/// Write to the process registry and the thread's query sinks, if recording.
+fn record(write: impl Fn(&MetricsRegistry)) {
+    if Verbosity::current().recording() {
+        write(global().metrics());
+        query::each_sink(write);
+    }
+}
+
 /// Add to a global counter.
 pub fn counter(name: &str, delta: u64) {
-    global().metrics().counter(name, None, delta);
+    record(|m| m.counter(name, None, delta));
 }
 
 /// Add to a per-node counter.
 pub fn counter_on(name: &str, node: usize, delta: u64) {
-    global().metrics().counter(name, Some(node), delta);
+    record(|m| m.counter(name, Some(node), delta));
 }
 
 /// Set a global gauge to its current level.
 pub fn gauge(name: &str, value: f64) {
-    global().metrics().gauge(name, None, value);
+    record(|m| m.gauge(name, None, value));
 }
 
 /// Set a per-node gauge to its current level.
 pub fn gauge_on(name: &str, node: usize, value: f64) {
-    global().metrics().gauge(name, Some(node), value);
+    record(|m| m.gauge(name, Some(node), value));
 }
 
 /// Record one observation into a global log-bucketed histogram.
 pub fn observe(name: &str, value: f64) {
-    global().metrics().observe(name, None, value);
+    record(|m| m.observe(name, None, value));
 }
 
 /// Record one observation into a per-node log-bucketed histogram.
 pub fn observe_on(name: &str, node: usize, value: f64) {
-    global().metrics().observe(name, Some(node), value);
+    record(|m| m.observe(name, Some(node), value));
 }
 
 /// Record a structured event into the global bounded event log. The node
-/// label comes from the thread's [`NodeScope`] (if any); the query id from
-/// its [`QueryScope`].
+/// label and query id come from the thread's [`QueryContext`] (if any).
 pub fn event(kind: &str, detail: impl Into<String>) {
     global().events().record(kind, None, detail);
 }
@@ -313,14 +274,6 @@ pub fn event_on(kind: &str, node: usize, detail: impl Into<String>) {
 mod tests {
     use super::*;
 
-    /// The verbosity override is process-global and every recording gate
-    /// reads it: a unit test that sets it, or that asserts on what was
-    /// recorded, holds this lock so no other test flips it mid-test.
-    pub(crate) fn verbosity_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn verbosity_parses_all_documented_values() {
         assert_eq!(Verbosity::parse("off"), Verbosity::Off);
@@ -334,7 +287,6 @@ mod tests {
 
     #[test]
     fn global_helpers_record() {
-        let _lock = crate::tests::verbosity_lock();
         let before = global().metrics().snapshot();
         counter("lib.test.counter", 2);
         counter_on("lib.test.counter", 1, 3);
@@ -350,7 +302,6 @@ mod tests {
 
     #[test]
     fn span_helpers_nest_through_the_global_sink() {
-        let _lock = crate::tests::verbosity_lock();
         let seq = global().trace().current_seq();
         {
             let outer = span("lib.test.outer");

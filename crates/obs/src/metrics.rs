@@ -136,9 +136,6 @@ impl MetricsRegistry {
         f: impl FnOnce(&mut Metric),
         init: fn() -> Metric,
     ) {
-        if !crate::Verbosity::current().recording() {
-            return;
-        }
         let key = MetricKey {
             name: name.to_string(),
             node,
@@ -147,8 +144,11 @@ impl MetricsRegistry {
         f(shard.entry(key).or_insert_with(init))
     }
 
-    /// Add `delta` to a monotone counter.
+    /// Add `delta` to a monotone counter (a zero delta creates no entry).
     pub fn counter(&self, name: &str, node: Option<usize>, delta: u64) {
+        if delta == 0 {
+            return;
+        }
         self.with_metric(
             name,
             node,
@@ -415,8 +415,7 @@ impl MetricsSnapshot {
     /// The activity between `prev` and `self`: counters and histograms
     /// subtract (entries absent from `prev` pass through); gauges keep
     /// their current level. Entries that did not move between the two
-    /// snapshots are dropped — a per-query delta names only what the query
-    /// touched, and the skip keeps the capture cheap on the hot query path.
+    /// snapshots are dropped, so a window's delta names only what moved.
     /// `prev.merge(&diff)` still reconstructs `self` for counter/histogram
     /// entries: a dropped entry merges as "unchanged from `prev`".
     pub fn diff(&self, prev: &MetricsSnapshot) -> MetricsSnapshot {
@@ -462,18 +461,30 @@ fn merge_histograms(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSn
 }
 
 fn diff_histograms(cur: &HistogramSnapshot, prev: &HistogramSnapshot) -> HistogramSnapshot {
+    let buckets: Vec<u64> = cur
+        .buckets
+        .iter()
+        .zip(&prev.buckets)
+        .map(|(c, p)| c.saturating_sub(*p))
+        .collect();
+    // Lifetime min/max may predate the window: bound them by the lower edge
+    // of the lowest bucket it touched and the upper edge of the highest, so
+    // min <= every value the window observed <= max. Bucket 0 also holds
+    // negatives (no lower edge), the last one all beyond it (no upper edge).
+    let (mut min, mut max) = (cur.min, cur.max);
+    if let Some(lo) = buckets.iter().position(|&c| c > 0).filter(|&i| i > 0) {
+        min = min.max(bucket_bounds(lo).0);
+    }
+    let top = |i: &usize| *i < HISTOGRAM_BUCKETS - 1;
+    if let Some(hi) = buckets.iter().rposition(|&c| c > 0).filter(top) {
+        max = max.min(bucket_bounds(hi).1);
+    }
     HistogramSnapshot {
-        buckets: cur
-            .buckets
-            .iter()
-            .zip(&prev.buckets)
-            .map(|(c, p)| c.saturating_sub(*p))
-            .collect(),
+        buckets,
         count: cur.count.saturating_sub(prev.count),
         sum: cur.sum - prev.sum,
-        // Min/max cannot be un-merged; keep the current window's view.
-        min: cur.min,
-        max: cur.max,
+        min,
+        max,
     }
 }
 
@@ -595,7 +606,6 @@ mod tests {
 
     #[test]
     fn counters_accumulate_per_node() {
-        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         r.counter("rows", Some(0), 10);
         r.counter("rows", Some(1), 20);
@@ -608,7 +618,6 @@ mod tests {
 
     #[test]
     fn gauges_keep_last_level() {
-        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         r.gauge("depth", None, 3.0);
         r.gauge("depth", None, 1.0);
@@ -620,7 +629,6 @@ mod tests {
 
     #[test]
     fn histograms_track_distribution() {
-        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         for v in [0.5, 1.5, 3.0, 3.5, 100.0] {
             r.observe("lat", Some(2), v);
@@ -641,7 +649,6 @@ mod tests {
 
     #[test]
     fn percentiles_from_buckets_are_tight() {
-        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         // 100 samples: 1..=98 plus two large outliers.
         for v in 1..=98 {
@@ -666,7 +673,6 @@ mod tests {
 
     #[test]
     fn diff_isolates_a_window() {
-        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         r.counter("c", None, 7);
         r.observe("h", None, 2.0);
@@ -681,6 +687,63 @@ mod tests {
         // Round-trip: prev + diff == current for counters/histograms.
         let rebuilt = before.merge(&diff);
         assert_eq!(rebuilt.counter_total("c"), r.snapshot().counter_total("c"));
+    }
+
+    #[test]
+    fn diff_bounds_min_and_max_by_the_window_buckets() {
+        let r = MetricsRegistry::new();
+        r.observe("h", None, 1000.0);
+        let before = r.snapshot();
+        r.observe("h", None, 1.0);
+        let h = r.snapshot().diff(&before).histogram_total("h").unwrap();
+        let (lo, hi) = bucket_bounds(bucket_index(1.0));
+        assert!(
+            h.max >= lo && h.max <= hi,
+            "max {} outside [{lo}, {hi}]",
+            h.max
+        );
+        assert_eq!((h.min, h.count, h.sum), (1.0, 1, 1.0));
+        // Bucket 0's upper edge bounds a window of sub-1 values too.
+        r.observe("s", None, 1000.0);
+        let before = r.snapshot();
+        r.observe("s", None, 0.25);
+        let s = r.snapshot().diff(&before).histogram_total("s").unwrap();
+        assert_eq!((s.min, s.max), (0.25, 1.0));
+        // A window below the lifetime minimum raises it likewise.
+        r.observe("g", None, 1.0);
+        let before = r.snapshot();
+        r.observe("g", None, 1000.0);
+        let g = r.snapshot().diff(&before).histogram_total("g").unwrap();
+        assert_eq!(g.max, 1000.0);
+        assert_eq!(g.min, bucket_bounds(bucket_index(1000.0)).0);
+    }
+
+    /// A lifetime min and a window value in one bucket below a lifetime max
+    /// past it: the diff keeps min <= max, so its percentiles do not panic.
+    #[test]
+    fn diff_keeps_min_below_max_when_the_window_shares_the_lifetime_min_bucket() {
+        let r = MetricsRegistry::new();
+        r.observe("h", None, 5000.0);
+        r.observe("h", None, 1015.0);
+        let before = r.snapshot();
+        r.observe("h", None, 1020.0);
+        let h = r.snapshot().diff(&before).histogram_total("h").unwrap();
+        assert!(h.min <= 1020.0 && 1020.0 <= h.max, "[{}, {}]", h.min, h.max);
+        for p in [h.p50(), h.p999()] {
+            assert!(
+                h.min <= p && p <= h.max,
+                "{p} outside [{}, {}]",
+                h.min,
+                h.max
+            );
+        }
+    }
+
+    #[test]
+    fn zero_delta_counters_create_no_entry() {
+        let r = MetricsRegistry::new();
+        r.counter("c", None, 0);
+        assert!(r.snapshot().is_empty());
     }
 
     #[test]
@@ -761,7 +824,6 @@ mod tests {
 
     #[test]
     fn snapshots_serialize_to_json() {
-        let _lock = crate::tests::verbosity_lock();
         let r = MetricsRegistry::new();
         r.counter("vft.bytes", Some(0), 1024);
         r.observe("exec.rows", None, 10.0);
@@ -778,7 +840,6 @@ mod tests {
 
     #[test]
     fn cross_node_histogram_merge_with_disjoint_buckets() {
-        let _lock = crate::tests::verbosity_lock();
         // Node 0 and node 1 observe latencies in completely disjoint
         // octaves; the cluster-wide percentile must be computable from the
         // merged buckets exactly as if one registry had seen all samples.
@@ -813,7 +874,6 @@ mod tests {
 
     #[test]
     fn cross_node_histogram_merge_with_empty_sides() {
-        let _lock = crate::tests::verbosity_lock();
         // MetricsSnapshot::merge where one side's node never observed the
         // histogram: the populated side must pass through unchanged, and an
         // empty-against-empty merge must stay percentile-safe (all zeros).

@@ -341,7 +341,6 @@ mod tests {
 
     #[test]
     fn nesting_links_parents() {
-        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         {
             let mut a = sink.span("a");
@@ -367,7 +366,6 @@ mod tests {
 
     #[test]
     fn explicit_parent_crosses_threads() {
-        let _lock = crate::tests::verbosity_lock();
         let sink = std::sync::Arc::new(TraceSink::new());
         let root = sink.span("root");
         let root_id = root.id();
@@ -387,7 +385,6 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
-        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         for i in 0..(SHARDS * SHARD_CAPACITY + 100) {
             drop(sink.span(&format!("s{i}")));
@@ -397,7 +394,6 @@ mod tests {
 
     #[test]
     fn watermark_scopes_spans() {
-        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         drop(sink.span("before"));
         let seq = sink.current_seq();
@@ -409,7 +405,6 @@ mod tests {
 
     #[test]
     fn sim_time_is_attributed() {
-        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         {
             let mut s = sink.span("p");
@@ -420,7 +415,6 @@ mod tests {
 
     #[test]
     fn out_of_lifo_drop_keeps_live_spans_current() {
-        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         let outer = sink.span("outer");
         let inner = sink.span("inner");
@@ -440,7 +434,6 @@ mod tests {
 
     #[test]
     fn cross_thread_drop_does_not_corrupt_opening_stack() {
-        let _lock = crate::tests::verbosity_lock();
         let sink = std::sync::Arc::new(TraceSink::new());
         let root = sink.span("root");
         let root_id = root.id();
@@ -463,7 +456,6 @@ mod tests {
 
     #[test]
     fn unwind_through_open_spans_leaves_a_clean_stack() {
-        let _lock = crate::tests::verbosity_lock();
         let sink = std::sync::Arc::new(TraceSink::new());
         let s2 = std::sync::Arc::clone(&sink);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
@@ -478,10 +470,9 @@ mod tests {
 
     #[test]
     fn spans_inherit_node_scope_and_timestamps() {
-        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         {
-            let _n = crate::query::NodeScope::enter(4);
+            let _n = crate::query::QueryScope::enter(crate::query::current().on(4));
             let mut overridden = sink.span("overridden");
             overridden.set_node(7);
             drop(overridden);
@@ -501,11 +492,11 @@ mod tests {
 
     #[test]
     fn spans_carry_the_current_query_id() {
-        let _lock = crate::tests::verbosity_lock();
         let sink = TraceSink::new();
         let qid = crate::query::next_query_id();
         {
-            let _scope = crate::query::QueryScope::enter(qid);
+            let _scope =
+                crate::query::QueryScope::enter(crate::QueryContext::open(qid, Verbosity::Off));
             drop(sink.span("attributed"));
         }
         drop(sink.span("unattributed"));

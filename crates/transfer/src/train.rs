@@ -133,7 +133,7 @@ where
     // `vft` history entry under it, and the run closes with a `train` entry
     // whose metric delta holds both (so `PROFILE`-style views attribute
     // `ml.train.*` and `vft.*` to one query).
-    let window = QueryWindow::open(true);
+    let window = QueryWindow::open(true, vdr_obs::Verbosity::Off);
     let fit = Arc::new(fit);
     // The streamed pass per `(worker, source node, instance)` stream, or the
     // first error its blocks reported (a receive pool has no other way to fail).

@@ -563,7 +563,7 @@ impl FastTransfer {
         // statement path), so attribute the whole transfer — export, receive
         // pools, assembly — to one query id and one history entry; callers
         // already inside a query (a tracked CTAS, a train run) keep their id.
-        let window = QueryWindow::open(true);
+        let window = QueryWindow::open(true, vdr_obs::Verbosity::Off);
         let mut transfer_span = vdr_obs::span("vft.db2darray");
         transfer_span.record("table", table);
         transfer_span.record("policy", policy.as_param());
@@ -653,7 +653,7 @@ impl FastTransfer {
             def.schema.index_of(c)?;
         }
         // One query id and history entry per transfer (see db2darray_inner).
-        let window = QueryWindow::open(true);
+        let window = QueryWindow::open(true, vdr_obs::Verbosity::Off);
         let mut transfer_span = vdr_obs::span("vft.db2dframe");
         transfer_span.record("table", table);
         transfer_span.record("policy", policy.as_param());
@@ -780,7 +780,7 @@ impl FastTransfer {
             .collect();
 
         let pool_parent = db_span.id();
-        let query_id = vdr_obs::current_query_id();
+        let query = &vdr_obs::query::current();
         let (received, wall) =
             std::thread::scope(|scope| -> Result<(Vec<Vec<ReceivedStream>>, RecvWall)> {
                 let handles: Vec<_> = accepts
@@ -795,11 +795,10 @@ impl FastTransfer {
                             // conversion overlaps the still-running export.
                             let node_id = dr.worker_node(w);
                             // Pool threads are spawned fresh: re-enter the
-                            // transfer's query scope and the worker's node
-                            // scope so spans/metrics/events recorded here
-                            // stay attributed.
-                            let _q = vdr_obs::QueryScope::enter(query_id);
-                            let _n = vdr_obs::NodeScope::enter(node_id.0);
+                            // transfer's query context on the worker's node
+                            // so spans/metrics/events recorded here stay
+                            // attributed.
+                            let _q = vdr_obs::QueryScope::enter(query.on(node_id.0));
                             let mut pool_span =
                                 vdr_obs::detail_span_with_parent("vft.receive", pool_parent);
                             pool_span.record("worker", w);

@@ -86,11 +86,12 @@ impl VerticaDb {
     }
 
     /// The tracked execution path every SQL entry point funnels through:
-    /// opens a [`QueryWindow`] (a query id scoped around execution, and a
-    /// metrics diff) and records the outcome in the query history.
-    /// `PROFILE` is intercepted here — its inner statement runs normally
-    /// (with recording forced on if verbosity is `Off`), then the result
-    /// batch is replaced by the profile rows.
+    /// opens a [`QueryWindow`] (a query context scoped around execution,
+    /// whose own metric sink is the statement's delta) and records the
+    /// outcome in the query history. `PROFILE` and `TRACE` are intercepted
+    /// here: the inner statement runs with recording forced for its own
+    /// context only (`Summary`, or `Trace` for span rows), then the result
+    /// batch is replaced by the profile or span rows.
     fn execute_tracked(
         &self,
         stmt: &sql::Statement,
@@ -98,51 +99,31 @@ impl VerticaDb {
         target: &Ledger,
         label: Option<String>,
     ) -> Result<QueryOutput> {
-        if let sql::Statement::Trace(inner) = stmt {
-            // Like PROFILE, but forces span recording and returns the span
-            // rows of the inner statement's trace tree.
-            let saved = vdr_obs::verbosity_override();
-            let forced = vdr_obs::Verbosity::current() != vdr_obs::Verbosity::Trace;
-            if forced {
-                vdr_obs::set_verbosity(vdr_obs::Verbosity::Trace);
+        use vdr_obs::Verbosity;
+        match stmt {
+            sql::Statement::Trace(inner) => {
+                let seq = vdr_obs::global().trace().current_seq();
+                let (output, _) =
+                    self.run_tracked(inner, sql_text, target, label, Verbosity::Trace)?;
+                let spans: Vec<_> = vdr_obs::global()
+                    .trace()
+                    .spans_since(seq)
+                    .into_iter()
+                    .filter(|s| s.query_id == output.query_id)
+                    .collect();
+                let batch = crate::monitor::trace_batch(&spans)?;
+                Ok(QueryOutput { batch, ..output })
             }
-            let seq = vdr_obs::global().trace().current_seq();
-            let run = self.run_tracked(inner, sql_text, target, label);
-            if forced {
-                match saved {
-                    Some(v) => vdr_obs::set_verbosity(v),
-                    None => vdr_obs::reset_verbosity(),
-                }
+            sql::Statement::Profile(inner) => {
+                let (output, record) =
+                    self.run_tracked(inner, sql_text, target, label, Verbosity::Summary)?;
+                let batch = crate::monitor::profile_batch(&record)?;
+                Ok(QueryOutput { batch, ..output })
             }
-            let (output, _record) = run?;
-            let spans: Vec<_> = vdr_obs::global()
-                .trace()
-                .spans_since(seq)
-                .into_iter()
-                .filter(|s| s.query_id == output.query_id)
-                .collect();
-            let batch = crate::monitor::trace_batch(&spans)?;
-            return Ok(QueryOutput { batch, ..output });
+            _ => self
+                .run_tracked(stmt, sql_text, target, label, Verbosity::Off)
+                .map(|(output, _)| output),
         }
-        if let sql::Statement::Profile(inner) = stmt {
-            let saved = vdr_obs::verbosity_override();
-            let forced = !vdr_obs::Verbosity::current().recording();
-            if forced {
-                vdr_obs::set_verbosity(vdr_obs::Verbosity::Summary);
-            }
-            let run = self.run_tracked(inner, sql_text, target, label);
-            if forced {
-                match saved {
-                    Some(v) => vdr_obs::set_verbosity(v),
-                    None => vdr_obs::reset_verbosity(),
-                }
-            }
-            let (output, record) = run?;
-            let batch = crate::monitor::profile_batch(&record)?;
-            return Ok(QueryOutput { batch, ..output });
-        }
-        self.run_tracked(stmt, sql_text, target, label)
-            .map(|(output, _)| output)
     }
 
     fn run_tracked(
@@ -151,8 +132,9 @@ impl VerticaDb {
         sql_text: Option<&str>,
         target: &Ledger,
         label: Option<String>,
+        force: vdr_obs::Verbosity,
     ) -> Result<(QueryOutput, QueryRecord)> {
-        let window = QueryWindow::open(false);
+        let window = QueryWindow::open(false, force);
         let query_id = window.id();
         let rec = Arc::new(PhaseRecorder::new(
             label.unwrap_or_else(|| statement_label(stmt)),

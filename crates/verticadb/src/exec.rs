@@ -107,17 +107,14 @@ struct Cx<'a> {
     rec: &'a Arc<PhaseRecorder>,
     /// The statement's span, parent of the per-node spans.
     span: u64,
-    query: u64,
+    query: &'a vdr_obs::QueryContext,
 }
 
 impl Cx<'_> {
-    /// Re-enter the query and node scopes on a worker thread, so spans and
-    /// counters stay attributed.
-    fn enter(&self, node: usize) -> (vdr_obs::QueryScope, vdr_obs::NodeScope) {
-        (
-            vdr_obs::QueryScope::enter(self.query),
-            vdr_obs::NodeScope::enter(node),
-        )
+    /// Re-enter the statement's query context, on `node`, on a worker
+    /// thread, so spans and counters stay attributed.
+    fn enter(&self, node: usize) -> vdr_obs::QueryScope {
+        vdr_obs::QueryScope::enter(self.query.on(node))
     }
 
     fn agg(&self) -> Result<&AggPlan> {
@@ -254,6 +251,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
     if let Some(table) = &stmt.from {
         span.record("table", table);
     }
+    let query = vdr_obs::query::current();
     let cx = Cx {
         db,
         plan: &plan,
@@ -261,7 +259,7 @@ fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -
         transform: None,
         rec,
         span: span.id(),
-        query: vdr_obs::current_query_id(),
+        query: &query,
     };
     let out = run(&cx, &plan.root)?;
     span.record("rows_out", out.num_rows());

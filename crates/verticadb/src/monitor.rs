@@ -36,7 +36,9 @@
 //! stamped with a per-database sequence number. `query_requests`,
 //! `execution_engine_profiles`, `PROFILE` and the three `dc_*` tables are
 //! views over it (`tick` is the sequence number), so two databases in one
-//! process each see only their own work.
+//! process each see only their own work. A record's metric delta is the
+//! sink of the query context its [`QueryWindow`] opens: only the unit's
+//! own threads write into it.
 //!
 //! **One read path.** A system table is a per-node source of the plan:
 //! [`SystemTableProvider::batch`] returns node *n*'s rows, the planner holds
@@ -96,7 +98,7 @@ pub fn v_monitor_table(name: &str) -> Option<&str> {
 }
 
 /// One completed unit of work in the query history.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryRecord {
     /// The query id allocated for the unit (see `vdr_obs::query`).
     pub id: u64,
@@ -119,70 +121,55 @@ pub struct QueryRecord {
     pub bytes: u64,
     /// The ledger phases the unit produced.
     pub phases: Vec<PhaseReport>,
-    /// Metrics activity during the unit (snapshot diff).
+    /// What the unit's own threads recorded (its query context's sink).
     pub metrics_delta: MetricsSnapshot,
 }
 
-/// One unit of work on its way into the history: its query id, entered on
-/// this thread for the window's lifetime, its start, and — when recording —
-/// the metrics snapshot its delta is taken against.
+/// One unit of work on its way into the history: its query context,
+/// entered on this thread for the window's lifetime, and its start.
 pub struct QueryWindow {
-    id: u64,
+    ctx: vdr_obs::QueryContext,
     started: Instant,
-    before: Option<MetricsSnapshot>,
     _scope: vdr_obs::QueryScope,
 }
 
 impl QueryWindow {
     /// Open a window under a fresh query id or, with `inherit`, under the
     /// one this thread already runs in (a transfer issued inside a tracked
-    /// statement, or inside a train run, keeps that id).
-    pub fn open(inherit: bool) -> Self {
+    /// statement, or inside a train run, keeps that id), recording at
+    /// `force` or above (`Off`: the process default).
+    pub fn open(inherit: bool, force: vdr_obs::Verbosity) -> Self {
         let id = match vdr_obs::current_query_id() {
             id if inherit && id != 0 => id,
             _ => vdr_obs::next_query_id(),
         };
-        // Attribution costs two registry snapshots plus a diff; with
-        // recording off nothing moves between them, so skip the capture and
-        // keep `VDR_OBS=off` a true zero-overhead path.
-        let recording = vdr_obs::Verbosity::current().recording();
+        let ctx = vdr_obs::QueryContext::open(id, force);
         QueryWindow {
-            id,
             started: Instant::now(),
-            before: recording.then(|| vdr_obs::global().metrics().snapshot()),
-            _scope: vdr_obs::QueryScope::enter(id),
+            _scope: vdr_obs::QueryScope::enter(ctx.clone()),
+            ctx,
         }
     }
 
     pub fn id(&self) -> u64 {
-        self.id
+        self.ctx.id()
     }
 
     /// The window's record so far: id, trigger, label, wall time and metric
     /// delta, status `complete`; the caller fills in rows, bytes, simulated
     /// time and phases. The `query.wall_us` observation lands before the
-    /// after-snapshot, so the unit's own delta includes it.
+    /// sink is read, so the unit's own delta includes it.
     pub fn close(&self, trigger: &'static str, sql: String) -> QueryRecord {
         let wall_ns = self.started.elapsed().as_nanos() as u64;
-        let metrics_delta = match &self.before {
-            Some(before) => {
-                vdr_obs::observe("query.wall_us", wall_ns as f64 / 1e3);
-                vdr_obs::global().metrics().snapshot().diff(before)
-            }
-            None => MetricsSnapshot::default(),
-        };
+        vdr_obs::observe("query.wall_us", wall_ns as f64 / 1e3);
         QueryRecord {
-            id: self.id,
-            seq: 0,
+            id: self.id(),
             trigger,
             sql,
             status: "complete".to_string(),
-            sim_secs: 0.0,
             wall_ns,
-            rows: 0,
-            bytes: 0,
-            phases: Vec::new(),
-            metrics_delta,
+            metrics_delta: self.ctx.metrics(),
+            ..QueryRecord::default()
         }
     }
 }
@@ -522,16 +509,6 @@ fn node_phases(r: &QueryRecord, node: NodeId) -> impl Iterator<Item = (&PhaseRep
     rows.filter(move |(_, n)| n.node == node.0)
 }
 
-/// A metric the window of a delta never touched: every process-lifetime
-/// key passes through a snapshot diff, so the windowed views drop these.
-fn untouched(value: &MetricValue) -> bool {
-    match value {
-        MetricValue::Counter(c) => *c == 0,
-        MetricValue::Histogram(h) => h.count == 0,
-        MetricValue::Gauge(_) => false,
-    }
-}
-
 /// A metric's kind and scalar value (a histogram's count).
 fn kind_value(value: &MetricValue) -> (&'static str, f64) {
     match value {
@@ -825,13 +802,13 @@ fn dfs_objects(db: &VerticaDb, node: NodeId) -> Result<Batch> {
 
 // ------------------------------------------- data-collector views of history
 
-/// Each history entry's touched metric deltas, on the node each belongs to:
+/// Each history entry's metric deltas, on the node each belongs to:
 /// `metrics`' row after the entry's tick, without p999.
 fn dc_metrics_by_tick(db: &VerticaDb, node: NodeId) -> Result<Batch> {
     let mut rows = Rows::new(&[&TICK_COLS[..], &METRIC_COLS[..7]].concat());
     for r in db.monitor().history().snapshot() {
         for (key, value) in r.metrics_delta.iter() {
-            if owns(node, key.node) && !untouched(value) {
+            if owns(node, key.node) {
                 let mut row = tick_row(&r);
                 row.extend(metric_row(key, value).into_iter().take(7));
                 rows.push(row)?;
@@ -953,9 +930,6 @@ pub fn profile_batch(record: &QueryRecord) -> Result<Batch> {
         }
     }
     for (key, value) in record.metrics_delta.iter() {
-        if untouched(value) {
-            continue;
-        }
         let (section, v) = kind_value(value);
         let unit = match value {
             MetricValue::Counter(_) => "count",
@@ -1030,16 +1004,12 @@ mod tests {
     fn record(id: u64) -> QueryRecord {
         QueryRecord {
             id,
-            seq: 0,
             trigger: "statement",
             sql: format!("SELECT {id}"),
             status: "complete".to_string(),
-            sim_secs: 0.0,
-            wall_ns: 0,
             rows: 1,
             bytes: 8,
-            phases: Vec::new(),
-            metrics_delta: MetricsSnapshot::default(),
+            ..QueryRecord::default()
         }
     }
 
@@ -1077,14 +1047,12 @@ mod tests {
     }
 
     #[test]
-    fn profile_batch_stamps_query_id_and_drops_untouched_metrics() {
+    fn profile_batch_stamps_query_id() {
         let mut r = record(77);
         r.metrics_delta
             .insert("scan.cache.miss", Some(1), MetricValue::Counter(3));
-        r.metrics_delta
-            .insert("exec.untouched", None, MetricValue::Counter(0));
         let batch = profile_batch(&r).unwrap();
-        assert_eq!(batch.num_rows(), 1, "zero-delta counter dropped");
+        assert_eq!(batch.num_rows(), 1);
         assert_eq!(batch.row(0)[0], Value::Int64(77));
         assert_eq!(batch.row(0)[2], Value::Varchar("scan.cache.miss".into()));
         assert_eq!(batch.row(0)[4], Value::Float64(3.0));

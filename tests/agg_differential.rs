@@ -27,11 +27,12 @@ use vertica_dr::verticadb::segmentation::hash_value;
 use vertica_dr::verticadb::sql::Statement;
 use vertica_dr::verticadb::{DbError, Segmentation, TableDef, VerticaDb};
 
-/// The metrics registry is process-global and the path census below reads
-/// counter deltas per statement, so the tests of this file run one at a time.
-fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// What statement `query_id` recorded on `db`: its own metric delta, which
+/// the path census reads.
+fn delta_of(db: &VerticaDb, query_id: u64) -> MetricsSnapshot {
+    let history = db.monitor().history().snapshot();
+    let record = history.into_iter().find(|r| r.id == query_id);
+    record.expect("statement in history").metrics_delta
 }
 
 // ------------------------------------------------------------- reference
@@ -291,10 +292,9 @@ fn agg_case(
 /// Run `case` on `db` and hold dtypes and rows to the reference. Returns the
 /// statement's metric delta.
 fn check(db: &VerticaDb, case: &Case, ctx: &str) -> MetricsSnapshot {
-    let metrics = vertica_dr::obs::global().metrics();
-    let before = metrics.snapshot();
-    let out = db.query(&case.sql).unwrap().batch;
-    let delta = metrics.snapshot().diff(&before);
+    let out = db.query(&case.sql).unwrap();
+    let delta = delta_of(db, out.query_id);
+    let out = out.batch;
     let what = format!("{} on {ctx}", case.sql);
     let got_types: Vec<DataType> = out.schema().fields().iter().map(|f| f.dtype).collect();
     assert_eq!(got_types, case.types, "{what}");
@@ -502,7 +502,6 @@ proptest! {
         t in prop::collection::vec(row_strategy(), 0..48),
         d in prop::collection::vec((0..8usize, 0..9usize), 0..12),
     ) {
-        let _guard = metrics_lock();
         let t: Vec<Vec<Value>> = t.into_iter().enumerate().map(|(r, p)| pooled(r, p)).collect();
         let d: Vec<Vec<Value>> = d.into_iter().map(d_row).collect();
         let mut cases = t_cases(&t);
@@ -653,7 +652,6 @@ proptest! {
         t in prop::collection::vec(row_strategy(), 0..40),
         d in prop::collection::vec((0..8usize, 0..9usize), 0..10),
     ) {
-        let _guard = metrics_lock();
         let t: Vec<Vec<Value>> = t.into_iter().enumerate().map(|(r, p)| pooled(r, p)).collect();
         let d: Vec<Vec<Value>> = d.into_iter().map(d_row).collect();
         let cases = ordered_cases(&t, &d);
@@ -906,7 +904,6 @@ fn check_warm(db: &VerticaDb, case: &Case, ctx: &str) {
 /// plan what was decided.
 #[test]
 fn every_physical_path_runs_and_matches_the_reference() {
-    let _guard = metrics_lock();
     // Containers of 36+ rows, so the five strings of `s` pick Dictionary.
     let t: Vec<Vec<Value>> = (0..360)
         .map(|r| pooled(r, (r % 8, r % 7, r % 3, r % 6, r % 9)))
@@ -998,7 +995,6 @@ fn every_physical_path_runs_and_matches_the_reference() {
 /// does; its WHERE runs the dictionary kernel.
 #[test]
 fn count_distinct_over_codes_plans_an_encoded_scan() {
-    let _guard = metrics_lock();
     // Containers of 36+ rows, so the five strings of `s` pick Dictionary.
     let t: Vec<Vec<Value>> = (0..360)
         .map(|r| pooled(r, (r % 8, r % 7, r % 3, r % 6, r % 9)))
@@ -1248,7 +1244,6 @@ proptest! {
         l in prop::collection::vec((0..7usize, 0..7usize), 0..30),
         r in prop::collection::vec((0..7usize, 0..7usize), 0..12),
     ) {
-        let _guard = metrics_lock();
         join_matrix(&l, &r);
     }
 }
@@ -1257,7 +1252,6 @@ proptest! {
 /// shuffle-both on 3 and on 5 nodes — every way the sides can move.
 #[test]
 fn join_matrix_covers_every_strategy_and_an_empty_build_side() {
-    let _guard = metrics_lock();
     let picks = |n: usize| -> Vec<(usize, usize)> { (0..n).map(|i| (i * 5 % 7, i % 7)).collect() };
     let mut seen = BTreeSet::new();
     for (l, r) in [(30, 4), (10, 8), (12, 0)] {
@@ -1280,7 +1274,6 @@ fn join_matrix_covers_every_strategy_and_an_empty_build_side() {
 /// arithmetic, which is exact and errs on overflow.
 #[test]
 fn int64_min_max_and_order_by_compare_as_integers() {
-    let _guard = metrics_lock();
     let db = VerticaDb::new(SimCluster::for_tests(1));
     db.query("CREATE TABLE big (id INTEGER)").unwrap();
     let (lo, hi) = (1i64 << 53, (1i64 << 53) + 1);
@@ -1325,7 +1318,6 @@ fn int64_min_max_and_order_by_compare_as_integers() {
 /// pattern and total order).
 #[test]
 fn nan_compares_equal_to_nothing() {
-    let _guard = metrics_lock();
     let db = VerticaDb::new(SimCluster::for_tests(1));
     let rows = [f64::NAN, 1.5, -0.0].map(|f| vec![Value::Float64(f)]);
     load(
@@ -1354,7 +1346,6 @@ fn nan_compares_equal_to_nothing() {
 /// shuffled merge (round-robin) and the initiator merge (hash on the key).
 #[test]
 fn aggregate_output_dtypes_do_not_depend_on_the_data() {
-    let _guard = metrics_lock();
     let dtypes =
         |b: &Batch| -> Vec<DataType> { b.schema().fields().iter().map(|f| f.dtype).collect() };
     for nodes in [1, 3, 5] {
@@ -1413,7 +1404,6 @@ fn aggregate_output_dtypes_do_not_depend_on_the_data() {
 /// on one schema (found by the oracle above; an exchange error before).
 #[test]
 fn join_after_a_wider_scan_ships_one_schema() {
-    let _guard = metrics_lock();
     let db = VerticaDb::new(SimCluster::for_tests(5));
     db.query("CREATE TABLE t (i INTEGER, f FLOAT, x FLOAT)")
         .unwrap();
@@ -1434,7 +1424,6 @@ fn join_after_a_wider_scan_ships_one_schema() {
 /// everything" the sort was not a total order and left the rows as loaded.
 #[test]
 fn order_by_is_a_total_order_with_nan() {
-    let _guard = metrics_lock();
     let db = VerticaDb::new(SimCluster::for_tests(1));
     let cols = [("v", DataType::Float64)];
     let loaded = [3.0, f64::NAN, 1.0, -f64::NAN, 2.0].map(Value::Float64);
@@ -1484,7 +1473,6 @@ fn column(db: &VerticaDb, sql: &str, col: usize) -> Vec<Value> {
 /// rows in gather order); 0 or a position past the end is a plan error.
 #[test]
 fn order_by_position_names_a_select_item() {
-    let _guard = metrics_lock();
     let db = five_rows();
     let ints = |v: [i64; 5]| v.map(Value::Int64).to_vec();
     let s = |t: &str| Value::Varchar(t.into());
@@ -1526,7 +1514,6 @@ fn order_by_position_names_a_select_item() {
 /// key bytes as writing the expression out.
 #[test]
 fn order_by_a_select_alias_without_group_by() {
-    let _guard = metrics_lock();
     let db = five_rows();
     let ints = |v: [i64; 5]| v.map(Value::Int64).to_vec();
     let by_d = "SELECT id, x * 2 AS d FROM t ORDER BY d";
@@ -1547,13 +1534,8 @@ fn order_by_a_select_alias_without_group_by() {
         ints([5, 4, 3, 2, 1])
     );
     let gathered = |sql: &str| {
-        let metrics = vertica_dr::obs::global().metrics();
-        let before = metrics.snapshot();
-        db.query(sql).unwrap();
-        metrics
-            .snapshot()
-            .diff(&before)
-            .counter_total("exec.gather.bytes")
+        let id = db.query(sql).unwrap().query_id;
+        delta_of(&db, id).counter_total("exec.gather.bytes")
     };
     let written_out = gathered("SELECT id, x * 2 AS d FROM t ORDER BY x * 2");
     assert!(written_out > 0);

@@ -4,19 +4,19 @@
 //! `exchange.*` counters prove payloads actually crossed the wire (and that
 //! dictionary/RLE shuffle columns stayed encoded until the receiver).
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use vertica_dr::cluster::SimCluster;
 use vertica_dr::columnar::{Batch, Column, DataType, Schema, Value};
+use vertica_dr::obs::MetricsSnapshot;
 use vertica_dr::verticadb::{Segmentation, TableDef, VerticaDb};
 
-/// The metrics registry is process-global, so every test here serializes on
-/// this lock — any concurrently running query would bleed into another
-/// test's counter diff.
-fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+/// Run `sql` on `db`: the answer and the statement's own metric delta.
+fn query_delta(db: &VerticaDb, sql: &str) -> (Batch, MetricsSnapshot) {
+    let out = db.query(sql).unwrap();
+    let history = db.monitor().history().snapshot();
+    let record = history.into_iter().find(|r| r.id == out.query_id);
+    let delta = record.expect("statement in history").metrics_delta;
+    (out.batch, delta)
 }
 
 /// Deterministic LCG so "random" tables are reproducible.
@@ -159,7 +159,6 @@ const JOIN_QUERIES: &[&str] = &[
 /// 3-node cluster return exactly what a single-node executor returns.
 #[test]
 fn shuffled_join_matches_single_node_reference() {
-    let _guard = metrics_lock();
     for seed in [7, 1234] {
         let multi = make_db(
             3,
@@ -193,7 +192,6 @@ fn shuffled_join_matches_single_node_reference() {
 /// answers, and *no* exchange traffic.
 #[test]
 fn colocated_join_matches_without_exchange() {
-    let _guard = metrics_lock();
     let multi = make_db(
         3,
         3000,
@@ -212,20 +210,18 @@ fn colocated_join_matches_without_exchange() {
         Segmentation::RoundRobin,
         99,
     );
-    let before = vertica_dr::obs::global().metrics().snapshot();
     for q in &JOIN_QUERIES[..3] {
         // The GROUP BY queries are excluded: their *aggregation* stage
         // legitimately shuffles partials even when the join is co-located.
-        let a = multi.query(q).unwrap().batch;
-        let b = single.query(q).unwrap().batch;
+        let (a, a_delta) = query_delta(&multi, q);
+        let (b, b_delta) = query_delta(&single, q);
         assert_eq!(rows_sorted(&a), rows_sorted(&b), "rows mismatch for {q}");
+        assert_eq!(
+            a_delta.counter_total("exchange.rows") + b_delta.counter_total("exchange.rows"),
+            0,
+            "co-located JOIN must not shuffle rows"
+        );
     }
-    let delta = vertica_dr::obs::global().metrics().snapshot().diff(&before);
-    assert_eq!(
-        delta.counter_total("exchange.rows"),
-        0,
-        "co-located JOIN must not shuffle rows"
-    );
     for q in &JOIN_QUERIES[3..] {
         let a = multi.query(q).unwrap().batch;
         let b = single.query(q).unwrap().batch;
@@ -238,7 +234,6 @@ fn colocated_join_matches_without_exchange() {
 /// the receiver), observable as `exchange.encoded_cols`.
 #[test]
 fn shuffled_join_emits_exchange_counters() {
-    let _guard = metrics_lock();
     let db = make_db(
         3,
         6000,
@@ -248,13 +243,11 @@ fn shuffled_join_emits_exchange_counters() {
         Segmentation::Hash { column: "k".into() },
         5,
     );
-    let before = vertica_dr::obs::global().metrics().snapshot();
-    let out = db
-        .query("SELECT f.k, f.tag, f.v, d.w FROM fact f JOIN dim d ON f.k = d.k")
-        .unwrap()
-        .batch;
+    let (out, delta) = query_delta(
+        &db,
+        "SELECT f.k, f.tag, f.v, d.w FROM fact f JOIN dim d ON f.k = d.k",
+    );
     assert!(out.num_rows() > 0);
-    let delta = vertica_dr::obs::global().metrics().snapshot().diff(&before);
     assert!(
         delta.counter_total("exchange.rows") > 0,
         "no rows exchanged"
@@ -289,7 +282,6 @@ fn shuffled_join_emits_exchange_counters() {
 /// the exchange (build and probe), not just the initiator.
 #[test]
 fn profile_attributes_join_work_to_all_nodes() {
-    let _guard = metrics_lock();
     let db = make_db(
         3,
         3000,
@@ -320,7 +312,6 @@ fn profile_attributes_join_work_to_all_nodes() {
 /// and actually exchanges partial states.
 #[test]
 fn shuffled_group_by_matches_initiator_merge() {
-    let _guard = metrics_lock();
     let q = "SELECT k, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM fact GROUP BY k ORDER BY k";
     let multi = make_db(
         3,
@@ -341,9 +332,7 @@ fn shuffled_group_by_matches_initiator_merge() {
         42,
     );
 
-    let before = vertica_dr::obs::global().metrics().snapshot();
-    let shuffled = multi.query(q).unwrap().batch;
-    let delta = vertica_dr::obs::global().metrics().snapshot().diff(&before);
+    let (shuffled, delta) = query_delta(&multi, q);
     assert!(
         delta.counter_total("exec.groupby.shuffled") > 0,
         "expected the shuffled GROUP BY path"
@@ -361,7 +350,6 @@ fn shuffled_group_by_matches_initiator_merge() {
 /// must skip the shuffle.
 #[test]
 fn seg_aligned_group_by_skips_shuffle() {
-    let _guard = metrics_lock();
     let db = make_db(
         3,
         4000,
@@ -371,13 +359,11 @@ fn seg_aligned_group_by_skips_shuffle() {
         Segmentation::RoundRobin,
         17,
     );
-    let before = vertica_dr::obs::global().metrics().snapshot();
-    let out = db
-        .query("SELECT k, COUNT(*), SUM(v) FROM fact GROUP BY k ORDER BY k")
-        .unwrap()
-        .batch;
+    let (out, delta) = query_delta(
+        &db,
+        "SELECT k, COUNT(*), SUM(v) FROM fact GROUP BY k ORDER BY k",
+    );
     assert!(out.num_rows() > 0);
-    let delta = vertica_dr::obs::global().metrics().snapshot().diff(&before);
     assert_eq!(
         delta.counter_total("exec.groupby.shuffled"),
         0,
@@ -389,7 +375,6 @@ fn seg_aligned_group_by_skips_shuffle() {
 /// exchange intact.
 #[test]
 fn shuffled_group_by_count_distinct() {
-    let _guard = metrics_lock();
     let q = "SELECT tag, COUNT(DISTINCT k) FROM fact GROUP BY tag ORDER BY tag";
     let multi = make_db(
         3,
@@ -417,7 +402,6 @@ fn shuffled_group_by_count_distinct() {
 /// Qualification errors are reported, not silently mis-bound.
 #[test]
 fn join_name_resolution_errors() {
-    let _guard = metrics_lock();
     let db = make_db(
         2,
         100,

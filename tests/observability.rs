@@ -7,7 +7,7 @@ use std::sync::Arc;
 use vertica_dr::cluster::SimCluster;
 use vertica_dr::core::{Model, Session, SessionOptions};
 use vertica_dr::ml::{hpdglm, Family, GlmOptions};
-use vertica_dr::obs::Verbosity;
+use vertica_dr::obs::{self, Verbosity};
 use vertica_dr::verticadb::{Segmentation, TableDef, VerticaDb};
 use vertica_dr::workloads::logistic_data;
 use vertica_dr::yarn::{ResourceManager, SchedulingPolicy};
@@ -48,9 +48,9 @@ fn load_table(db: &Arc<VerticaDb>) {
 fn session_observes_the_whole_figure3_pipeline() {
     // Full span trees (per-partition detail spans included) are a
     // trace-level feature; `summary` keeps only counters, histograms, and
-    // coarse statement spans. Safe to force process-wide: this test has its
-    // own binary.
-    let _verbosity = vertica_dr::obs::verbosity_guard(Verbosity::Trace);
+    // coarse statement spans. Forced for this thread and the work it hands
+    // to other threads, the way `TRACE` forces its own statement.
+    let _verbosity = obs::QueryScope::enter(obs::QueryContext::open(0, Verbosity::Trace));
     let db = VerticaDb::new(SimCluster::for_tests(5));
     // YARN-brokered session so the container lifecycle falls inside the
     // session's metrics window.

@@ -6,22 +6,30 @@
 //! and re-create. Then the readers a wider cached scan used to trip: a JOIN
 //! side, and a `PARTITION BY` routed on a run-length encoded column.
 //!
-//! vdr-obs metrics are process-global: the tests take one lock, so each
-//! sequential story keeps its counter arithmetic exact.
+//! Each step reads its own statements' metric deltas from the database's
+//! query history, so the counter arithmetic stays exact while other tests
+//! run.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use vertica_dr::cluster::{NodeId, SimCluster};
 use vertica_dr::columnar::encoding::Encoding;
 use vertica_dr::columnar::{Batch, Column, DataType, Field, Schema, Value};
 use vertica_dr::core::{Session, SessionOptions};
+use vertica_dr::obs::MetricsSnapshot;
 use vertica_dr::verticadb::{
-    Result, Segmentation, TableDef, TransformFunction, UdxContext, VerticaDb,
+    QueryOutput, QueryRecord, Result, Segmentation, TableDef, TransformFunction, UdxContext,
+    VerticaDb,
 };
 
-fn metrics_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// The metric deltas `db` recorded for `outputs`' statements, merged.
+fn delta_of(db: &VerticaDb, outputs: &[&QueryOutput]) -> MetricsSnapshot {
+    let history = db.monitor().history().snapshot();
+    let ids: Vec<u64> = outputs.iter().map(|out| out.query_id).collect();
+    let own: Vec<_> = history.iter().filter(|r| ids.contains(&r.id)).collect();
+    assert_eq!(own.len(), ids.len(), "every statement is in the history");
+    let merge = |acc: MetricsSnapshot, r: &&QueryRecord| acc.merge(&r.metrics_delta);
+    own.iter().fold(MetricsSnapshot::default(), merge)
 }
 
 const NODES: u64 = 3;
@@ -53,7 +61,6 @@ fn wide_batch(rows: i64) -> Batch {
 
 #[test]
 fn projection_skips_columns_and_cache_skips_decode() {
-    let _guard = metrics_lock();
     let db = VerticaDb::new(SimCluster::for_tests(NODES as usize));
     db.create_table(TableDef {
         name: "w".into(),
@@ -71,7 +78,7 @@ fn projection_skips_columns_and_cache_skips_decode() {
     // container per node, so 5 skipped columns per node.
     let cold = session.sql(narrow).unwrap();
     assert_eq!(cold.batch.row(0)[0], expected_sum);
-    let m1 = session.metrics();
+    let m1 = delta_of(&db, &[&cold]);
     assert_eq!(
         m1.counter_total("exec.scan.cols_skipped"),
         (COLS - 1) * NODES
@@ -88,8 +95,7 @@ fn projection_skips_columns_and_cache_skips_decode() {
     // re-read of every container.
     let warm = session.sql(narrow).unwrap();
     assert_eq!(warm.batch.row(0)[0], expected_sum);
-    let m2 = session.metrics();
-    let delta = m2.diff(&m1);
+    let delta = delta_of(&db, &[&warm]);
     assert_eq!(delta.counter_total("scan.cache.hit"), NODES);
     assert_eq!(delta.counter_total("scan.cache.miss"), 0);
     assert_eq!(delta.counter_total("exec.scan.cols_skipped"), 0);
@@ -115,8 +121,7 @@ fn projection_skips_columns_and_cache_skips_decode() {
     // columns, so each misses and decodes only those five.
     let star = session.sql("SELECT * FROM w").unwrap();
     assert_eq!(star.batch.num_rows(), ROWS as usize);
-    let m3 = session.metrics();
-    let delta = m3.diff(&m2);
+    let delta = delta_of(&db, &[&star]);
     assert_eq!(delta.counter_total("scan.cache.miss"), NODES);
     assert_eq!(delta.counter_total("exec.scan.cols_skipped"), 0);
     let decoded = |report: &vertica_dr::cluster::PhaseReport| {
@@ -128,14 +133,13 @@ fn projection_skips_columns_and_cache_skips_decode() {
     assert_eq!(decoded(star_report), ((COLS - 1) * ROWS as u64) as f64);
 
     // ---- narrow again: every column is resident.
-    session.sql(narrow).unwrap();
-    let m4 = session.metrics();
-    let delta = m4.diff(&m3);
+    let again = session.sql(narrow).unwrap();
+    let delta = delta_of(&db, &[&again]);
     assert_eq!(delta.counter_total("scan.cache.hit"), NODES);
     assert_eq!(delta.counter_total("scan.cache.miss"), 0);
 
     // ---- append: the new container misses while the old ones still hit.
-    session
+    let insert = session
         .sql("INSERT INTO w VALUES (999, 1.5, 0.0, 0.0, 0.0, 0.0)")
         .unwrap();
     let appended = session.sql(narrow).unwrap();
@@ -143,16 +147,15 @@ fn projection_skips_columns_and_cache_skips_decode() {
         appended.batch.row(0)[0],
         Value::Float64((0..ROWS).map(|i| i as f64).sum::<f64>() + 1.5)
     );
-    let m5 = session.metrics();
-    let delta = m5.diff(&m4);
+    let delta = delta_of(&db, &[&insert, &appended]);
     assert_eq!(delta.counter_total("scan.cache.hit"), NODES);
     assert_eq!(delta.counter_total("scan.cache.miss"), 1);
     assert_eq!(delta.counter_total("exec.scan.cols_skipped"), COLS - 1);
 
     // ---- drop: every cached entry for the table is purged (one per
     // container: 3 full + 1 narrow from the append).
-    session.sql("DROP TABLE w").unwrap();
-    let delta = session.metrics().diff(&m5);
+    let dropped = session.sql("DROP TABLE w").unwrap();
+    let delta = delta_of(&db, &[&dropped]);
     assert_eq!(delta.counter_total("scan.cache.invalidated"), NODES + 1);
     assert!(db.storage().block_cache().is_empty());
 
@@ -179,7 +182,6 @@ fn projection_skips_columns_and_cache_skips_decode() {
 /// same schema, and the answer is the cold one.
 #[test]
 fn join_after_select_star_ships_its_planned_schema() {
-    let _guard = metrics_lock();
     let sql = "SELECT count(*), sum(t.x), sum(d.w) FROM t JOIN d ON t.i = d.i";
     let run = |warm: bool| {
         // Five nodes, three `t` rows: two nodes hold no segment of it, and
@@ -200,10 +202,9 @@ fn join_after_select_star_ships_its_planned_schema() {
         let plan = db.query(&format!("EXPLAIN {sql}")).unwrap().batch;
         let strategy = (0..plan.num_rows()).map(|r| plan.row(r)[2].to_string());
         assert!(strategy.into_iter().any(|d| d.contains("shuffle_both")));
-        let metrics = vertica_dr::obs::global().metrics();
-        let before = metrics.snapshot();
-        let out = db.query(sql).unwrap().batch;
-        let delta = metrics.snapshot().diff(&before);
+        let out = db.query(sql).unwrap();
+        let delta = delta_of(&db, &[&out]);
+        let out = out.batch;
         let shipped = (
             delta.counter_total("exchange.rows"),
             delta.counter_total("exchange.bytes"),
@@ -256,7 +257,6 @@ impl TransformFunction for InstanceOf {
 /// `g` stored plain (the same rows, interleaved), under a WHERE too.
 #[test]
 fn partition_by_an_rle_column_routes_as_a_plain_one() {
-    let _guard = metrics_lock();
     let db = VerticaDb::new(SimCluster::for_tests(2));
     db.register_transform(Arc::new(InstanceOf));
     let schema = Schema::of(&[("id", DataType::Int64), ("g", DataType::Int64)]);
