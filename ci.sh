@@ -46,10 +46,12 @@ run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --tes
 
 # Every test that reads a statement's own metric delta, PROFILE rows or
 # TRACE spans (the executor oracle, the block-cache story, the exchange
-# counters, the v_monitor views and the cross-database concurrency test),
-# in release and at 8 test threads: none of them holds a lock, and the
-# default of one thread per core would hide a race on a 2-vCPU host.
-run cargo test --release -q $OFFLINE --test agg_differential --test scan_cache --test distributed_exchange --test system_tables --test data_collector --test concurrent_profiles -- --test-threads 8
+# counters, the v_monitor views, the cross-database concurrency test, the
+# record-equals-registry parity and the operator record the counters are
+# folded from), in release and at 8 test threads: none of them holds a
+# lock, and the default of one thread per core would hide a race on a
+# 2-vCPU host.
+run cargo test --release -q $OFFLINE --test agg_differential --test scan_cache --test distributed_exchange --test system_tables --test data_collector --test concurrent_profiles --test metrics_parity --test operator_actuals -- --test-threads 8
 
 # The benchmark is a package of its own (benchmark/, own lock file), so the
 # workspace build above does not cover it. check.sh builds it offline and

@@ -24,6 +24,8 @@ pub enum ClusterError {
     NoSuchNode { node: NodeId, cluster_size: usize },
     /// A malformed wire stream or a producer failure inside a gather.
     Io(String),
+    /// A node's task panicked inside [`crate::SimCluster::scatter`].
+    NodePanicked { node: NodeId },
 }
 
 impl fmt::Display for ClusterError {
@@ -48,6 +50,7 @@ impl fmt::Display for ClusterError {
                 write!(f, "node {node} does not exist (cluster has {cluster_size} nodes)")
             }
             ClusterError::Io(msg) => write!(f, "{msg}"),
+            ClusterError::NodePanicked { node } => write!(f, "node {node}: task panicked"),
         }
     }
 }
@@ -55,6 +58,7 @@ impl fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -19,7 +19,7 @@ use crate::net::{StreamRx, StreamTx};
 use crate::node::Node;
 use crate::SimCluster;
 use bytes::Bytes;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What one node received from the exchange, plus wall-clock receive
@@ -33,8 +33,6 @@ pub struct ExchangeRecv {
     /// Wall-clock nanoseconds this node spent blocked on `recv` across all
     /// inbound streams.
     pub wait_ns: u64,
-    /// Total payload frames received (excluding headers).
-    pub num_frames: u64,
     /// Total bytes received, headers and framing included.
     pub bytes: u64,
 }
@@ -66,40 +64,21 @@ where
 {
     let n = cluster.num_nodes();
     let network = cluster.network();
-    // Pre-connect the full N×N mesh. txs[src][dst] sends src → dst;
-    // rxs[dst][src] is the matching receive end. Each node's handles are
-    // parked in a mutex slot its scatter closure takes ownership of.
-    let mut tx_slots: Vec<Vec<Option<StreamTx>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    let mut rx_slots: Vec<Vec<Option<StreamRx>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    for src in 0..n {
-        for dst in 0..n {
+    // Pre-connect the full N×N mesh: node `src` owns `txs[src][dst]`, node
+    // `dst` the matching receive end at `rxs[dst][src]`.
+    let mut txs: Vec<Vec<StreamTx>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    let mut rxs: Vec<Vec<StreamRx>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+    for (src, out) in txs.iter_mut().enumerate() {
+        for (dst, into) in rxs.iter_mut().enumerate() {
             let (tx, rx) = network.connect(rec, crate::NodeId(src), crate::NodeId(dst))?;
-            tx_slots[src][dst] = Some(tx);
-            rx_slots[dst][src] = Some(rx);
+            out.push(tx);
+            into.push(rx);
         }
     }
-    let tx_slots: Vec<Mutex<Vec<Option<StreamTx>>>> =
-        tx_slots.into_iter().map(Mutex::new).collect();
-    let rx_slots: Vec<Mutex<Vec<Option<StreamRx>>>> =
-        rx_slots.into_iter().map(Mutex::new).collect();
+    let mesh = txs.into_iter().zip(rxs).collect();
 
-    let results = cluster.scatter(|node| -> Result<R> {
+    let results = cluster.scatter_each(mesh, |node, (txs, rxs)| -> Result<R> {
         let me = node.id().0;
-        let txs: Vec<StreamTx> = tx_slots[me]
-            .lock()
-            .expect("tx slot")
-            .iter_mut()
-            .map(|s| s.take().expect("each node takes its txs once"))
-            .collect();
-        let rxs: Vec<StreamRx> = rx_slots[me]
-            .lock()
-            .expect("rx slot")
-            .iter_mut()
-            .map(|s| s.take().expect("each node takes its rxs once"))
-            .collect();
-
         let (parts, local) = produce(node)?;
         if parts.len() != n {
             return Err(ClusterError::Io(format!(
@@ -127,7 +106,6 @@ where
         let mut recv = ExchangeRecv {
             frames: Vec::with_capacity(n),
             wait_ns: 0,
-            num_frames: 0,
             bytes: 0,
         };
         for (src, rx) in rxs.iter().enumerate() {
@@ -141,7 +119,6 @@ where
                 recv.bytes += chunk.len() as u64;
                 asm.push(chunk);
                 while let Some(frame) = asm.next_frame() {
-                    recv.num_frames += 1;
                     frames.push(frame);
                 }
             }
@@ -154,11 +131,12 @@ where
             recv.frames.push(frames);
         }
         consume(node, local, recv)
-    });
+    })?;
     results.into_iter().collect()
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::ledger::PhaseKind;
@@ -190,7 +168,6 @@ mod tests {
                     assert_eq!(frames.len(), 1);
                     assert_eq!(&frames[0][..], format!("{src}->{me}").as_bytes());
                 }
-                assert_eq!(recv.num_frames, 3);
                 assert!(recv.bytes > 0);
                 Ok(me)
             },

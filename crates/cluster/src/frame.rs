@@ -73,7 +73,7 @@ impl ChunkBuf {
             return Some(Bytes::new());
         }
         self.len -= n;
-        let front = self.chunks.front_mut().expect("len >= n > 0");
+        let front = self.chunks.front_mut()?;
         if front.len() == n {
             return self.chunks.pop_front();
         }
@@ -85,7 +85,7 @@ impl ChunkBuf {
         let mut out = Vec::with_capacity(n);
         let mut need = n;
         while need > 0 {
-            let chunk = self.chunks.pop_front().expect("accounted in len");
+            let chunk = self.chunks.pop_front()?;
             if chunk.len() <= need {
                 need -= chunk.len();
                 out.extend_from_slice(&chunk);
@@ -97,6 +97,11 @@ impl ChunkBuf {
         }
         Some(Bytes::from(out))
     }
+}
+
+/// An 8-byte little-endian word; `None` for any other length.
+fn le_u64(bytes: &[u8]) -> Option<u64> {
+    bytes.try_into().ok().map(u64::from_le_bytes)
 }
 
 /// Incremental splitter for the framed wire format: a 16-byte stream header
@@ -126,16 +131,13 @@ impl FrameAssembler {
     pub fn next_frame(&mut self) -> Option<Bytes> {
         if self.header.is_none() {
             let h = self.buf.take(16)?;
-            let a = u64::from_le_bytes(h[0..8].try_into().expect("8 bytes"));
-            let b = u64::from_le_bytes(h[8..16].try_into().expect("8 bytes"));
-            self.header = Some((a, b));
+            self.header = Some((le_u64(&h[..8])?, le_u64(&h[8..])?));
         }
-        if self.frame_len.is_none() {
-            let l = self.buf.take(8)?;
-            self.frame_len =
-                Some(u64::from_le_bytes(l[0..8].try_into().expect("8 bytes")) as usize);
-        }
-        let body = self.buf.take(self.frame_len.expect("just set"))?;
+        let len = match self.frame_len {
+            Some(len) => len,
+            None => *self.frame_len.insert(le_u64(&self.buf.take(8)?)? as usize),
+        };
+        let body = self.buf.take(len)?;
         self.frame_len = None;
         Some(body)
     }
@@ -161,6 +163,7 @@ impl FrameAssembler {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

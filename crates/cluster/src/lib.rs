@@ -23,6 +23,8 @@
 //! initiator is charged on the ledger by the executor that runs it; system
 //! tables are gathered the same way as any other query's rows.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod disk;
 pub mod error;
 pub mod exchange;
@@ -114,22 +116,45 @@ impl SimCluster {
     /// Run one closure per node concurrently (one real OS thread each) and
     /// collect the results in node order. This is the primitive engines use
     /// for "every node does X with its local data" phases.
-    pub fn scatter<R, F>(&self, f: F) -> Vec<R>
+    pub fn scatter<R, F>(&self, f: F) -> Result<Vec<R>>
     where
         R: Send,
         F: Fn(&Arc<Node>) -> R + Sync,
     {
+        let inputs = self.inner.nodes.iter().map(|_| ()).collect();
+        self.scatter_each(inputs, |node, ()| f(node))
+    }
+
+    /// [`Self::scatter`] handing node *i* the *i*-th of `inputs`, owned. A
+    /// node whose closure panicked fails the whole call with
+    /// [`ClusterError::NodePanicked`] naming the first such node, after
+    /// every node has finished; the other nodes' results are dropped.
+    pub fn scatter_each<I, R, F>(&self, inputs: Vec<I>, f: F) -> Result<Vec<R>>
+    where
+        I: Send,
+        R: Send,
+        F: Fn(&Arc<Node>, I) -> R + Sync,
+    {
+        let nodes = &self.inner.nodes;
+        if inputs.len() != nodes.len() {
+            let (got, n) = (inputs.len(), nodes.len());
+            return Err(ClusterError::Io(format!(
+                "scatter got {got} inputs for {n} nodes"
+            )));
+        }
+        let f = &f;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .inner
-                .nodes
+            let handles: Vec<_> = nodes
                 .iter()
-                .map(|node| scope.spawn(|| f(node)))
+                .zip(inputs)
+                .map(|(node, input)| scope.spawn(move || f(node, input)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node task panicked"))
-                .collect()
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            let mut out = Vec::with_capacity(joined.len());
+            for (i, r) in joined.into_iter().enumerate() {
+                out.push(r.map_err(|_| ClusterError::NodePanicked { node: NodeId(i) })?);
+            }
+            Ok(out)
         })
     }
 }
@@ -143,13 +168,15 @@ impl std::fmt::Debug for SimCluster {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn scatter_runs_on_every_node() {
         let cluster = SimCluster::for_tests(4);
-        let ids = cluster.scatter(|node| node.id().0);
+        let ids = cluster.scatter(|node| node.id().0).unwrap();
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
@@ -157,13 +184,44 @@ mod tests {
     fn scatter_results_in_node_order_despite_concurrency() {
         let cluster = SimCluster::for_tests(8);
         for _ in 0..10 {
-            let ids = cluster.scatter(|node| {
-                // Induce scheduling jitter.
-                std::thread::yield_now();
-                node.id().0 * 10
-            });
+            let ids = cluster
+                .scatter(|node| {
+                    // Induce scheduling jitter.
+                    std::thread::yield_now();
+                    node.id().0 * 10
+                })
+                .unwrap();
             assert_eq!(ids, vec![0, 10, 20, 30, 40, 50, 60, 70]);
         }
+    }
+
+    /// A node whose closure panics fails the scatter with an error naming
+    /// it; every other node still runs to the end, and its result is
+    /// dropped, not leaked.
+    #[test]
+    fn a_panicking_node_is_an_error_naming_it() {
+        static DROPPED: AtomicUsize = AtomicUsize::new(0);
+        struct Counted;
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPPED.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let cluster = SimCluster::for_tests(4);
+        let got = cluster.scatter(|node| {
+            if node.id().0 == 2 {
+                panic!("node 2 fails");
+            }
+            Counted
+        });
+        match got {
+            Err(ClusterError::NodePanicked { node }) => assert_eq!(node, NodeId(2)),
+            Err(other) => panic!("another error: {other}"),
+            Ok(_) => panic!("a panicking node must fail the scatter"),
+        }
+        assert_eq!(DROPPED.load(Ordering::Relaxed), 3, "the other results drop");
+        let err = cluster.scatter_each(vec![1, 2], |_, i| i).unwrap_err();
+        assert!(err.to_string().contains("2 inputs for 4 nodes"), "{err}");
     }
 
     #[test]

@@ -101,6 +101,7 @@ impl StreamRx {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::ledger::PhaseKind;

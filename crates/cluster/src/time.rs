@@ -130,6 +130,7 @@ impl fmt::Display for SimDuration {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -88,6 +88,7 @@ impl SparkContext {
                     columns,
                 }
             })
+            .expect("a spark load task panicked")
             .into_iter()
             .filter(|p| p.rows > 0)
             .collect();

@@ -38,7 +38,8 @@ pub use report::TransferReport;
 pub use train::{glm_while_loading, kmeans_while_loading, LoadFit};
 pub use vft::{install_export_function, BatchObserver, FastTransfer, TransferPolicy};
 
-use vdr_verticadb::{DbError, Result};
+use vdr_cluster::PhaseReport;
+use vdr_verticadb::{DbError, QueryRecord, QueryWindow, Result, VerticaDb};
 
 /// Numeric feature extraction shared by the loaders: a batch's columns as
 /// `f64` vectors, the argument of [`vdr_distr::DArray::fill_columns_on`]
@@ -48,6 +49,26 @@ use vdr_verticadb::{DbError, Result};
 pub(crate) fn f64_columns(batch: &vdr_columnar::Batch) -> Vec<Vec<f64>> {
     let cols = batch.columns().iter();
     cols.map(|c| c.to_f64_cow().into_owned()).collect()
+}
+
+/// Record a completed load as one `trigger` entry (`vft`, `odbc`) of the
+/// database's query history, holding its database-side and client-side
+/// phases.
+pub(crate) fn record_transfer(
+    db: &VerticaDb,
+    window: &QueryWindow,
+    trigger: &'static str,
+    label: String,
+    report: &TransferReport,
+    phases: [PhaseReport; 2],
+) {
+    db.monitor().history().record(QueryRecord {
+        sim_secs: report.total().as_secs(),
+        rows: report.rows,
+        bytes: report.bytes,
+        phases: phases.into(),
+        ..window.close(trigger, label)
+    });
 }
 
 /// A runtime or training failure as a database execution error.

@@ -13,12 +13,12 @@
 //!   destroyed, and the burst queues behind admission control.
 
 use crate::report::TransferReport;
-use crate::{check_features, exec, TransferPolicy};
+use crate::{check_features, exec, record_transfer, TransferPolicy};
 use std::sync::Arc;
 use vdr_cluster::{NodeId, PhaseKind, PhaseRecorder, SimDuration};
 use vdr_columnar::{Batch, ColumnBuilder, DataType, Schema, Value};
 use vdr_distr::{DArray, DistributedR};
-use vdr_verticadb::{DbError, Result, VerticaDb};
+use vdr_verticadb::{DbError, QueryWindow, Result, VerticaDb};
 
 /// The node Vertica result rows flow through on their way to a client (the
 /// query initiator).
@@ -200,6 +200,9 @@ impl OdbcLoader {
     ) -> Result<(DArray, TransferReport)> {
         let def = db.catalog().get(table)?;
         check_features(&def.schema, features)?;
+        // One query id and one history entry for the load, as for a VFT
+        // transfer; a caller already inside a query keeps its id.
+        let window = QueryWindow::open(true, vdr_obs::Verbosity::Off);
         let mut load_span = vdr_obs::span("odbc.load_single");
         load_span.record("table", table);
         let client_node = dr.worker_node(0);
@@ -235,8 +238,17 @@ impl OdbcLoader {
         };
         load_span.record("rows", rows);
         load_span.set_sim_time(report.total());
-        ledger.push(db_report);
-        ledger.push(client_report);
+        ledger.push(db_report.clone());
+        ledger.push(client_report.clone());
+        let label = format!("ODBC load_single {table}");
+        record_transfer(
+            db,
+            &window,
+            "odbc",
+            label,
+            &report,
+            [db_report, client_report],
+        );
         Ok((array, report))
     }
 
@@ -256,6 +268,7 @@ impl OdbcLoader {
         check_features(&def.schema, features)?;
         def.schema.index_of(key)?;
 
+        let window = QueryWindow::open(true, vdr_obs::Verbosity::Off);
         let mut load_span = vdr_obs::span("odbc.load_parallel");
         load_span.record("table", table);
         let load_span_id = load_span.id();
@@ -277,7 +290,9 @@ impl OdbcLoader {
 
         // The burst: all connections fetch concurrently; the admission
         // controller gates real concurrency just as the paper's resource
-        // pools do.
+        // pools do. Each connection thread re-enters the load's query
+        // context, so its spans and counters stay attributed.
+        let query = &vdr_obs::query::current();
         let results: Vec<Result<(usize, Batch)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..connections)
                 .map(|c| {
@@ -291,6 +306,7 @@ impl OdbcLoader {
                     let worker = c / instances_per_node.max(1) % dr.num_workers();
                     let client_node = dr.worker_node(worker);
                     scope.spawn(move || -> Result<(usize, Batch)> {
+                        let _q = vdr_obs::QueryScope::enter(query.clone());
                         let mut conn_span =
                             vdr_obs::span_with_parent("odbc.connection", load_span_id);
                         conn_span.set_node(client_node.0);
@@ -347,8 +363,17 @@ impl OdbcLoader {
         load_span.record("connections", connections);
         load_span.record("rows", rows);
         load_span.set_sim_time(report.total());
-        ledger.push(db_report);
-        ledger.push(client_report);
+        ledger.push(db_report.clone());
+        ledger.push(client_report.clone());
+        let label = format!("ODBC load_parallel {table}");
+        record_transfer(
+            db,
+            &window,
+            "odbc",
+            label,
+            &report,
+            [db_report, client_report],
+        );
         ledger.push(vdr_cluster::PhaseReport::synthetic(
             "odbc-N queue",
             queue_time,
@@ -489,6 +514,53 @@ mod tests {
         assert!(single_disk > 0);
         // Every one of the C ordered range queries scanned the whole table.
         assert_eq!(par_disk, single_disk * conns);
+    }
+
+    /// A parallel load is one `odbc` entry of the query history: its metric
+    /// delta counts every connection's range query scanning the whole
+    /// table, and every span recorded under the load carries its query id.
+    #[test]
+    fn a_parallel_load_is_one_history_entry_owning_its_spans() {
+        let (db, dr, ledger) = setup(3, 600);
+        let seq = vdr_obs::global().trace().current_seq();
+        OdbcLoader::load_parallel(&db, &dr, "t", &["a"], "id", &ledger).unwrap();
+        let history = db.monitor().history().snapshot();
+        assert_eq!(history.len(), 1, "one entry for the whole load");
+        let entry = &history[0];
+        assert_eq!((entry.trigger, entry.phases.len()), ("odbc", 2));
+        let conns = dr.total_instances() as u64;
+        let scanned = entry.metrics_delta.counter_total("exec.scan.rows");
+        assert_eq!(
+            scanned,
+            conns * 600,
+            "each connection's query scans the table"
+        );
+        // The load's span and everything under it, across the connection
+        // threads, by parent links.
+        let spans = vdr_obs::global().trace().spans_since(seq);
+        let load = spans
+            .iter()
+            .find(|s| s.name == "odbc.load_parallel" && s.query_id == entry.id)
+            .expect("the load's span carries its id");
+        let mut tree = vec![load.id];
+        let mut grew = true;
+        while grew {
+            let more: Vec<u64> = spans
+                .iter()
+                .filter(|s| tree.contains(&s.parent) && !tree.contains(&s.id))
+                .map(|s| s.id)
+                .collect();
+            grew = !more.is_empty();
+            tree.extend(more);
+        }
+        let under: Vec<_> = spans.iter().filter(|s| tree.contains(&s.id)).collect();
+        assert!(
+            under.len() as u64 > 2 * conns,
+            "connections and their queries"
+        );
+        for s in under {
+            assert_eq!(s.query_id, entry.id, "{} carries the load's id", s.name);
+        }
     }
 
     #[test]

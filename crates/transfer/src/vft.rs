@@ -42,7 +42,7 @@
 //! [`TransferReport::queue_time`].
 
 use crate::report::TransferReport;
-use crate::{check_features, exec};
+use crate::{check_features, exec, record_transfer};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,9 +55,7 @@ use vdr_cluster::{
 };
 use vdr_columnar::{decode_batch, encode_batch, Batch, Column, DataType, Schema};
 use vdr_distr::{DArray, DFrame, DistributedR};
-use vdr_verticadb::{
-    DbError, QueryRecord, QueryWindow, Result, TransformFunction, UdxContext, VerticaDb,
-};
+use vdr_verticadb::{DbError, QueryWindow, Result, TransformFunction, UdxContext, VerticaDb};
 
 /// How exported data spreads over Distributed R workers (Section 3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -633,7 +631,7 @@ impl FastTransfer {
             queue_time: db_time - client_time,
         };
         let label = format!("VFT db2darray {table}");
-        record_transfer(db, &window, label, &report, [db_report, r_report]);
+        record_transfer(db, &window, "vft", label, &report, [db_report, r_report]);
         Ok((array, report))
     }
 
@@ -723,7 +721,7 @@ impl FastTransfer {
             queue_time: db_time - client_time,
         };
         let label = format!("VFT db2dframe {table}");
-        record_transfer(db, &window, label, &report, [db_report, r_report]);
+        record_transfer(db, &window, "vft", label, &report, [db_report, r_report]);
         Ok((frame, report))
     }
 
@@ -905,24 +903,6 @@ impl FastTransfer {
         ledger.push(db_report.clone());
         Ok((received, db_report, wall))
     }
-}
-
-/// Record a completed transfer as one `vft` entry of the database's query
-/// history, holding its `vft db` and `vft r` phases.
-fn record_transfer(
-    db: &VerticaDb,
-    window: &QueryWindow,
-    label: String,
-    report: &TransferReport,
-    phases: [PhaseReport; 2],
-) {
-    db.monitor().history().record(QueryRecord {
-        sim_secs: report.total().as_secs(),
-        rows: report.rows,
-        bytes: report.bytes,
-        phases: phases.into(),
-        ..window.close("vft", label)
-    });
 }
 
 #[cfg(test)]

@@ -1201,7 +1201,6 @@ mod tests {
         let recv = ExchangeRecv {
             frames: vec![frames.to_vec()],
             wait_ns: 0,
-            num_frames: 0,
             bytes: 0,
         };
         let (mut got, _) = crate::exec::receive(plan.schemas(), Payload::State, &recv)?;

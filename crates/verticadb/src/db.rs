@@ -9,7 +9,7 @@ use crate::dfs::Dfs;
 use crate::error::{DbError, Result};
 use crate::exec;
 use crate::models::ModelStore;
-use crate::monitor::{Monitor, QueryRecord, QueryWindow, SystemTableProvider};
+use crate::monitor::{Monitor, OperatorRecord, QueryRecord, QueryWindow, SystemTableProvider};
 use crate::sql;
 use crate::storage::SegmentStore;
 use crate::udx::{TransformFunction, UdxRegistry};
@@ -142,20 +142,42 @@ impl VerticaDb {
             self.cluster.num_nodes(),
         ));
         rec.set_query_id(query_id);
-        let result = self.execute_with(stmt, &rec);
+        let mut operators = OperatorRecord::default();
+        let result = {
+            let _slot = self.admission.admit();
+            exec::execute(self, stmt, &rec, &mut operators)
+        };
         let stray = || DbError::Exec("a phase recorder outlived its statement".into());
         let report = Arc::into_inner(rec)
             .ok_or_else(stray)?
             .finish(self.cluster.profile());
         let sql = sql_text.map_or_else(|| report.name.clone(), str::to_string);
-        let record = window.close("statement", sql);
+        let record = QueryRecord {
+            operators,
+            ..window.close("statement", sql)
+        };
         match result {
             Ok(batch) => {
                 let sim_time = report.duration();
+                // A SELECT's answer is its plan root's output; any other
+                // statement answers with a status.
+                let select = matches!(stmt, sql::Statement::Select(_));
+                let answer = select.then_some(&batch);
+                debug_assert_eq!(
+                    record.operators.check(&report, answer),
+                    Ok(()),
+                    "{}",
+                    record.sql
+                );
+                let (rows, bytes) = if select {
+                    record.operators.root_output()
+                } else {
+                    (batch.num_rows() as u64, batch.byte_size())
+                };
                 let record = QueryRecord {
                     sim_secs: sim_time.as_secs(),
-                    rows: batch.num_rows() as u64,
-                    bytes: batch.byte_size(),
+                    rows,
+                    bytes,
                     phases: vec![report.clone()],
                     ..record
                 };
@@ -198,7 +220,7 @@ impl VerticaDb {
     /// streams + client-side conversion) as one ledger phase of its own.
     pub fn execute_with(&self, stmt: &sql::Statement, rec: &Arc<PhaseRecorder>) -> Result<Batch> {
         let _slot = self.admission.admit();
-        exec::execute(self, stmt, rec)
+        exec::execute(self, stmt, rec, &mut OperatorRecord::default())
     }
 
     /// Parse and execute with an external recorder (see [`Self::execute_with`]).

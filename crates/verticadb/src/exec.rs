@@ -20,7 +20,7 @@
 //! - **The Exchange operator** (`exchange`): every node encodes what it
 //!   sends each destination through the block codec, the frames cross
 //!   [`vdr_cluster::exchange_framed`], and every receiver decodes them and
-//!   holds each to its planned schema; the `exchange.*` counters and the
+//!   holds each to its planned schema; what each receiver got and the
 //!   ledger charges are taken here once. The shuffled GROUP BY ships
 //!   partials by `AggPlan::split`; the JOIN ships sides by key hash or
 //!   broadcast. Gathers to the initiator are charged by `charge_gather`.
@@ -64,6 +64,25 @@
 //! `LIMIT` is applied only at the initiator, after the gather: the ODBC
 //! baseline's `ORDER BY … LIMIT … OFFSET` range queries are modeled as a
 //! full scan plus a gather of every node's rows.
+//!
+//! # Telemetry
+//!
+//! One record: where an operator makes its ledger charges, the interpreter
+//! writes down once what it did on that node — an [`OpActuals`] of rows in
+//! and out, bytes out and wall time under the operator's `EXPLAIN` path id
+//! (a fused Scan → Filter → sink pipeline times itself once, on its sink; an
+//! Exchange and the gather count the frame bytes they receive). One fold: at
+//! the end of every SELECT and CTAS, failed or not, `fold` turns that record
+//! into the operator-level counters — `exec.scan.rows`, `exec.filter.rows`,
+//! `exec.output.rows`, `exec.gather.bytes`, `exec.groupby.shuffled`,
+//! `exec.join.output_rows`, `exec.transform.rows_{in,out}` and
+//! `exchange.{rows,bytes,frames}` — and nothing else writes them. The
+//! record rides on to the query history, `PROFILE`'s operator section and
+//! `v_monitor.query_plan_profiles`. Counters of kernel work stay where the
+//! work happens, because only the kernel sees it: `scan.encoded.*` (runs
+//! and codes the encoded predicates skipped), `scan.cache.*`,
+//! `exec.scan.cols_skipped` and `scan.decode.ns_per_value` (storage),
+//! `exchange.wait_ns` and `exchange.encoded_cols` (the receive).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -71,15 +90,18 @@ use crate::agg::{AggPlan, Aggregator, Codes, Partial};
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
 use crate::expr::{BinOp, Expr};
+use crate::monitor::{OpActuals, OperatorRecord};
 use crate::plan::{self, Exchange, Op, PhysicalPlan, PlanNode, Transform};
 use crate::segmentation::hash_routes;
 use crate::sort;
 use crate::sql::{OrderKey, Partition, SelectItem, SelectStmt, Statement};
 use crate::udx::UdxContext;
 use bytes::Bytes;
+use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Instant;
 use vdr_cluster::{exchange_framed, ClusterError, ExchangeRecv, Node, NodeId, PhaseRecorder};
 use vdr_columnar::kernels::{self, CmpOp};
 use vdr_columnar::{
@@ -100,17 +122,46 @@ const INITIATOR: NodeId = NodeId(0);
 struct Cx<'a> {
     db: &'a VerticaDb,
     plan: &'a PhysicalPlan,
-    /// The WHERE of the pipeline being run.
-    filter: Option<&'a Expr>,
+    /// The path id of the pipeline being run's sink (Project, PartialAgg or
+    /// Transform), and its WHERE's path id and predicate.
+    sink: usize,
+    filter: Option<(usize, &'a Expr)>,
     /// The UDx the pipeline feeds, in place of projected rows.
     transform: Option<&'a Transform>,
     rec: &'a Arc<PhaseRecorder>,
     /// The statement's span, parent of the per-node spans.
     span: u64,
     query: &'a vdr_obs::QueryContext,
+    /// The statement's operator record, appended to by every node.
+    actuals: &'a Mutex<Vec<OpActuals>>,
 }
 
 impl Cx<'_> {
+    /// Write down that operator `path` took `rows_in` rows on `node` and put
+    /// out `rows_out` rows of `bytes_out` bytes, since `started` if it times
+    /// itself.
+    fn note(
+        &self,
+        node: usize,
+        path: usize,
+        [rows_in, rows_out, bytes_out]: [u64; 3],
+        started: Option<Instant>,
+    ) {
+        let wall_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let (path_id, frames, net_bytes) = (path, 0, 0);
+        let a = OpActuals {
+            node,
+            path_id,
+            rows_in,
+            rows_out,
+            bytes_out,
+            frames,
+            net_bytes,
+            wall_ns,
+        };
+        self.actuals.lock().push(a);
+    }
+
     /// Re-enter the statement's query context, on `node`, on a worker
     /// thread, so spans and counters stay attributed.
     fn enter(&self, node: usize) -> vdr_obs::QueryScope {
@@ -138,12 +189,18 @@ fn input(node: &PlanNode) -> Result<&PlanNode> {
     }
 }
 
-/// Execute any statement against the database, charging `rec`.
-pub fn execute(db: &VerticaDb, stmt: &Statement, rec: &Arc<PhaseRecorder>) -> Result<Batch> {
+/// Execute any statement against the database, charging `rec` and writing
+/// what each plan operator did into `ops`.
+pub fn execute(
+    db: &VerticaDb,
+    stmt: &Statement,
+    rec: &Arc<PhaseRecorder>,
+    ops: &mut OperatorRecord,
+) -> Result<Batch> {
     let mut stmt_span = vdr_obs::span("exec.statement");
     stmt_span.record("stmt", crate::db::statement_label(stmt));
     match stmt {
-        Statement::Select(select) => execute_select(db, select, rec),
+        Statement::Select(select) => execute_select(db, select, rec, ops),
         Statement::Explain(select) => plan::build(db, select)?.explain(),
         Statement::CreateTable {
             name,
@@ -177,7 +234,7 @@ pub fn execute(db: &VerticaDb, stmt: &Statement, rec: &Arc<PhaseRecorder>) -> Re
             status_batch(&format!("CREATE TABLE {name}"))
         }
         Statement::CreateTableAs { name, query } => {
-            let result = execute_select(db, query, rec)?;
+            let result = execute_select(db, query, rec, ops)?;
             db.catalog().create_table(crate::catalog::TableDef {
                 name: name.clone(),
                 schema: result.schema().clone(),
@@ -244,27 +301,97 @@ fn status_batch(msg: &str) -> Result<Batch> {
     )?)
 }
 
-/// Plan and run one SELECT, charging `rec`.
-fn execute_select(db: &VerticaDb, stmt: &SelectStmt, rec: &Arc<PhaseRecorder>) -> Result<Batch> {
+/// Plan and run one SELECT, charging `rec`, then fold its operator record
+/// into the operator-level counters — whether or not it ran to the end.
+fn execute_select(
+    db: &VerticaDb,
+    stmt: &SelectStmt,
+    rec: &Arc<PhaseRecorder>,
+    ops: &mut OperatorRecord,
+) -> Result<Batch> {
     let plan = plan::build(db, stmt)?;
     let mut span = vdr_obs::span("exec.select");
     if let Some(table) = &stmt.from {
         span.record("table", table);
     }
-    let query = vdr_obs::query::current();
+    let (query, actuals) = (vdr_obs::query::current(), Mutex::new(Vec::new()));
     let cx = Cx {
         db,
         plan: &plan,
+        sink: 0,
         filter: None,
         transform: None,
         rec,
         span: span.id(),
         query: &query,
+        actuals: &actuals,
     };
-    let out = run(&cx, &plan.root)?;
-    span.record("rows_out", out.num_rows());
-    vdr_obs::counter("exec.output.rows", out.num_rows() as u64);
-    Ok(out)
+    let out = run(&cx, &plan.root);
+    ops.plan = plan
+        .lines()
+        .into_iter()
+        .map(|l| (l.name, l.detail))
+        .collect();
+    ops.actuals = actuals.into_inner();
+    fold(&plan, &ops.actuals);
+    out
+}
+
+/// Turn a statement's operator record into the operator-level counters, on
+/// the node each belongs to: the one writer of `exec.*` rows and bytes and
+/// of `exchange.{rows,bytes,frames}`. Counters of kernel work
+/// (`scan.encoded.*`, `scan.cache.*`, `exchange.wait_ns`, …) stay where the
+/// work happens.
+fn fold(plan: &PhysicalPlan, actuals: &[OpActuals]) {
+    let root = actuals.iter().filter(|a| a.path_id == plan.root.path);
+    vdr_obs::counter("exec.output.rows", root.map(|a| a.rows_out).sum());
+    fold_node(&plan.root, None, actuals);
+}
+
+fn fold_node(node: &PlanNode, parent: Option<&Op>, actuals: &[OpActuals]) {
+    let mine = || actuals.iter().filter(|a| a.path_id == node.path);
+    let on = |name: &str, v: fn(&OpActuals) -> u64| {
+        mine().for_each(|a| vdr_obs::counter_on(name, a.node, v(a)));
+    };
+    let pipelined = |op: Option<&Op>| {
+        matches!(
+            op,
+            Some(Op::Filter(_) | Op::Project | Op::PartialAgg | Op::Transform(_))
+        )
+    };
+    let below = node.inputs.first();
+    match &node.op {
+        Op::Scan(_) if pipelined(parent) => on("exec.scan.rows", |a| a.rows_out),
+        Op::Project | Op::PartialAgg | Op::Transform(_) => {
+            let source = match below.map(|b| (&b.op, b.inputs.first())) {
+                Some((Op::Filter(_), source)) => source,
+                _ => below,
+            };
+            if let Some(Op::Scan(_)) = source.map(|s| &s.op) {
+                on("exec.filter.rows", |a| a.rows_in);
+            }
+            if let Op::Transform(_) = node.op {
+                on("exec.transform.rows_in", |a| a.rows_in);
+                on("exec.transform.rows_out", |a| a.rows_out);
+            }
+        }
+        Op::HashJoin(_) => on("exec.join.output_rows", |a| a.rows_out),
+        Op::Exchange(Exchange::Gather) => {
+            vdr_obs::counter("exec.gather.bytes", mine().map(|a| a.bytes_out).sum());
+        }
+        Op::Exchange(_) => {
+            on("exchange.rows", |a| a.rows_out);
+            on("exchange.bytes", |a| a.bytes_out);
+            on("exchange.frames", |a| a.frames);
+            if let (Some(Op::PartialAgg), Some(_)) = (below.map(|b| &b.op), mine().next()) {
+                vdr_obs::counter("exec.groupby.shuffled", 1);
+            }
+        }
+        _ => {}
+    }
+    for input in &node.inputs {
+        fold_node(input, Some(&node.op), actuals);
+    }
 }
 
 /// Run the plan to its answer on the initiator: Limit and Sort over a
@@ -274,10 +401,12 @@ fn run(cx: &Cx<'_>, mut node: &PlanNode) -> Result<Batch> {
     let mut tail = Tail::default();
     if let Op::Limit { offset, limit } = &node.op {
         (tail.offset, tail.limit) = (*offset, *limit);
+        tail.paths.push(node.path);
         node = input(node)?;
     }
     if let Op::Sort(keys) = &node.op {
         tail.keys = keys;
+        tail.paths.insert(0, node.path);
         node = input(node)?;
     }
     match &node.op {
@@ -292,45 +421,73 @@ fn run(cx: &Cx<'_>, mut node: &PlanNode) -> Result<Batch> {
             let mut cx = *cx;
             (cx.transform, cx.span) = (Some(t), span.id());
             let (rows, _) = split(fragment(&cx, node)?);
-            let out = Batch::concat(t.out_schema.clone(), &rows)?;
-            span.record("rows_out", out.num_rows());
-            tail.output(out)
+            tail.output(&cx, Batch::concat(t.out_schema.clone(), &rows)?)
         }
         Op::FinalAgg => {
             // FinalAgg ← Exchange(gather) ← partials: merge on the initiator.
-            let (_, partials) = split(fragment(cx, input(input(node)?)?)?);
-            charge_gather(cx.rec, partials.iter().map(Partial::byte_size));
+            let gather = input(node)?;
+            let (_, partials) = split(fragment(cx, input(gather)?)?);
+            let rows_in = charge_gather(cx, gather.path, input(gather)?.path);
+            let started = Instant::now();
             let mut merged = Aggregator::new(cx.agg()?)?;
             for p in &partials {
                 merged.merge(p)?;
             }
-            tail.output(merged.finalize()?)
+            let out = merged.finalize()?;
+            let [rows_out, bytes_out] = size(&out);
+            cx.note(0, node.path, [rows_in, rows_out, bytes_out], Some(started));
+            tail.output(cx, out)
         }
         Op::Exchange(Exchange::Gather) => {
             let below = input(node)?;
             if let Op::FinalAgg = below.op {
                 // Exchange(gather) ← FinalAgg ← Exchange(hash) ← partials.
                 let (_, partials) = split(fragment(cx, input(input(below)?)?)?);
-                return tail.output(shuffle_group_by(cx, partials)?);
+                return tail.output(cx, shuffle_group_by(cx, node, below, partials)?);
             }
             let (rows, _) = split(fragment(cx, below)?);
-            charge_gather(cx.rec, rows.iter().map(Batch::byte_size));
-            tail.rows(rows)
+            charge_gather(cx, node.path, below.path);
+            tail.rows(cx, rows)
         }
         _ => Err(shape()),
     }
 }
 
-/// Charge shipping the `i`-th node's bytes to the initiator.
-fn charge_gather(rec: &Arc<PhaseRecorder>, bytes: impl Iterator<Item = u64>) {
+/// The rows and bytes of `b`.
+fn size(b: &Batch) -> [u64; 2] {
+    [b.num_rows() as u64, b.byte_size()]
+}
+
+/// Charge shipping every node's output of operator `from` — its rows and
+/// bytes as the record holds them — to the initiator, and write down the
+/// gather at `path` receiving them. Returns the rows.
+fn charge_gather(cx: &Cx<'_>, path: usize, from: usize) -> u64 {
     let mut gather_span = vdr_obs::span("exec.gather");
-    let mut total = 0;
-    for (i, b) in bytes.enumerate() {
-        rec.net(NodeId(i), INITIATOR, b);
-        total += b;
+    let mut sent = cx.actuals.lock().clone();
+    sent.retain(|a| a.path_id == from);
+    sent.sort_by_key(|a| a.node);
+    let (mut rows, mut bytes, mut net_bytes) = (0, 0, 0);
+    for a in sent {
+        cx.rec.net(NodeId(a.node), INITIATOR, a.bytes_out);
+        (rows, bytes) = (rows + a.rows_out, bytes + a.bytes_out);
+        net_bytes += if a.node == INITIATOR.0 {
+            0
+        } else {
+            a.bytes_out
+        };
     }
-    gather_span.record("bytes", total);
-    vdr_obs::counter("exec.gather.bytes", total);
+    gather_span.record("bytes", bytes);
+    let (path_id, rows_in, rows_out, bytes_out) = (path, rows, rows, bytes);
+    let got = OpActuals {
+        path_id,
+        rows_in,
+        rows_out,
+        bytes_out,
+        net_bytes,
+        ..OpActuals::default()
+    };
+    cx.actuals.lock().push(got);
+    rows
 }
 
 /// Shuffled two-phase GROUP BY: every node ships each other node the groups
@@ -338,13 +495,20 @@ fn charge_gather(rec: &Arc<PhaseRecorder>, bytes: impl Iterator<Item = u64>) {
 /// in parallel, and the finished rows are gathered, one row per group
 /// instead of (much heavier) aggregate state. Every slice is in the planned
 /// output schema.
-fn shuffle_group_by(cx: &Cx<'_>, partials: Vec<Partial>) -> Result<Batch> {
+fn shuffle_group_by(
+    cx: &Cx<'_>,
+    gather: &PlanNode,
+    finalize: &PlanNode,
+    partials: Vec<Partial>,
+) -> Result<Batch> {
     let agg = cx.agg()?;
     let n = partials.len();
+    let shuffle = input(finalize)?.path;
     let finished = exchange(
         cx,
         "exec.groupby.shuffle",
         agg.schemas(),
+        &vec![shuffle; agg.schemas().len()],
         Payload::State,
         |node, out| {
             let me = node.id().0;
@@ -361,28 +525,37 @@ fn shuffle_group_by(cx: &Cx<'_>, partials: Vec<Partial>) -> Result<Batch> {
             }
             Ok(own)
         },
-        |_, own, received| {
+        |node, own, received| {
+            let started = Instant::now();
             let mut merged = Aggregator::new(agg)?;
-            if let Some(own) = &own {
-                merged.merge(own)?;
+            let mut rows_in = 0;
+            let received = received.into_iter().filter(|b| !b.is_empty());
+            for p in own.into_iter().chain(received.map(Partial::from_batches)) {
+                rows_in += p.num_groups() as u64;
+                merged.merge(&p)?;
             }
-            for batches in received.into_iter().filter(|b| !b.is_empty()) {
-                merged.merge(&Partial::from_batches(batches))?;
-            }
-            merged.finalize()
+            let out = merged.finalize()?;
+            let [rows_out, bytes_out] = size(&out);
+            cx.note(
+                node.id().0,
+                finalize.path,
+                [rows_in, rows_out, bytes_out],
+                Some(started),
+            );
+            Ok(out)
         },
     )?;
-    vdr_obs::counter("exec.groupby.shuffled", 1);
-    charge_gather(cx.rec, finished.iter().map(Batch::byte_size));
+    charge_gather(cx, gather.path, finalize.path);
     Ok(Batch::concat(agg.out_schema().clone(), &finished)?)
 }
 
-/// The initiator's Sort and Limit.
+/// The initiator's Sort and Limit, and their path ids, the Sort's first.
 #[derive(Default)]
 struct Tail<'a> {
     keys: &'a [OrderKey],
     offset: u64,
     limit: Option<u64>,
+    paths: Vec<usize>,
 }
 
 impl Tail<'_> {
@@ -396,47 +569,69 @@ impl Tail<'_> {
         batch.slice(start as usize, end as usize)
     }
 
+    /// Record the Sort (it keeps every row) and the Limit on the initiator,
+    /// the last of them — the plan's root — with the answer and the tail's
+    /// time.
+    fn note(&self, cx: &Cx<'_>, rows_in: u64, out: &Batch, started: Instant) {
+        if let Some((&root, sort)) = self.paths.split_last() {
+            sort.iter()
+                .for_each(|&path| cx.note(0, path, [rows_in, rows_in, 0], None));
+            let [rows_out, bytes_out] = size(out);
+            cx.note(0, root, [rows_in, rows_out, bytes_out], Some(started));
+        }
+    }
+
     /// Projected rows — one batch per node, in node order, each ending in
     /// the hidden sort-key columns, which the answer leaves out. Unordered
     /// rows are concatenated and cut.
-    fn rows(&self, mut rows: Vec<Batch>) -> Result<Batch> {
+    fn rows(&self, cx: &Cx<'_>, mut rows: Vec<Batch>) -> Result<Batch> {
+        let started = Instant::now();
+        let rows_in = rows.iter().map(|b| b.num_rows() as u64).sum();
         if rows.is_empty() {
             return Err(DbError::Exec("no nodes produced results".into()));
         }
-        if self.keys.is_empty() {
+        let out = if self.keys.is_empty() {
             // Append to the first node's rows in place: no second copy.
             let mut gathered = rows.remove(0);
             for b in &rows {
                 gathered.extend(b)?;
             }
-            return Ok(self.cut(gathered));
-        }
-        let width = rows[0].num_columns().saturating_sub(self.keys.len());
-        let mut keys = Vec::with_capacity(self.keys.len());
-        for (i, k) in self.keys.iter().enumerate() {
-            let cols: Option<Vec<&Column>> =
-                rows.iter().map(|b| b.columns().get(width + i)).collect();
-            let cols = cols.ok_or_else(|| DbError::Exec("a node's rows lack a sort key".into()))?;
-            keys.push(sort::Key { cols, desc: k.desc });
-        }
-        sort::sort_limit(&rows, width, &keys, self.offset, self.limit)
+            self.cut(gathered)
+        } else {
+            let width = rows[0].num_columns().saturating_sub(self.keys.len());
+            let mut keys = Vec::with_capacity(self.keys.len());
+            for (i, k) in self.keys.iter().enumerate() {
+                let cols: Option<Vec<&Column>> =
+                    rows.iter().map(|b| b.columns().get(width + i)).collect();
+                let cols =
+                    cols.ok_or_else(|| DbError::Exec("a node's rows lack a sort key".into()))?;
+                keys.push(sort::Key { cols, desc: k.desc });
+            }
+            sort::sort_limit(&rows, width, &keys, self.offset, self.limit)?
+        };
+        self.note(cx, rows_in, &out, started);
+        Ok(out)
     }
 
-    /// Aggregate output, its ORDER BY keys read in place when they name an
-    /// output column.
-    fn output(&self, batch: Batch) -> Result<Batch> {
-        if self.keys.is_empty() {
-            return Ok(self.cut(batch));
-        }
-        let batches = [batch];
-        let cols = self.keys.iter().map(|k| k.expr.eval(&batches[0]));
-        let cols = cols.collect::<Result<Vec<_>>>()?;
-        let keys = cols.iter().zip(self.keys).map(|(col, k)| sort::Key {
-            cols: vec![col.as_ref()],
-            desc: k.desc,
-        });
-        let (keys, width) = (keys.collect::<Vec<_>>(), batches[0].num_columns());
-        sort::sort_limit(&batches, width, &keys, self.offset, self.limit)
+    /// Aggregate or transform output, its ORDER BY keys read in place when
+    /// they name an output column.
+    fn output(&self, cx: &Cx<'_>, batch: Batch) -> Result<Batch> {
+        let (started, rows_in) = (Instant::now(), batch.num_rows() as u64);
+        let out = if self.keys.is_empty() {
+            self.cut(batch)
+        } else {
+            let batches = [batch];
+            let cols = self.keys.iter().map(|k| k.expr.eval(&batches[0]));
+            let cols = cols.collect::<Result<Vec<_>>>()?;
+            let keys = cols.iter().zip(self.keys).map(|(col, k)| sort::Key {
+                cols: vec![col.as_ref()],
+                desc: k.desc,
+            });
+            let (keys, width) = (keys.collect::<Vec<_>>(), batches[0].num_columns());
+            sort::sort_limit(&batches, width, &keys, self.offset, self.limit)?
+        };
+        self.note(cx, rows_in, &out, started);
+        Ok(out)
     }
 }
 
@@ -482,13 +677,16 @@ impl Outbox {
 
 /// The Exchange operator. On every node `send` fills an [`Outbox`] and
 /// returns what stays local; `recv` then runs with that carry and, per
-/// source node, the batches it sent here, decoded and held to `schemas`.
-/// With no schema to ship no stream opens: each node runs `send` and `recv`
-/// back to back.
+/// source node, the batches it sent here, decoded and held to `schemas`;
+/// `paths[i]` is the plan's Exchange the `i`-th frame of every stream
+/// belongs to. With no schema to ship no stream opens: each node runs `send`
+/// and `recv` back to back.
+#[allow(clippy::too_many_arguments)]
 fn exchange<C: Send, T: Send>(
     cx: &Cx<'_>,
     stage: &str,
     schemas: &[Schema],
+    paths: &[usize],
     payload: Payload,
     send: impl Fn(&Arc<Node>, &mut Outbox) -> Result<C> + Sync,
     recv: impl Fn(&Arc<Node>, C, Vec<Vec<Batch>>) -> Result<T> + Sync,
@@ -504,7 +702,7 @@ fn exchange<C: Send, T: Send>(
             let _s = cx.enter(node.id().0);
             recv(node, send(node, &mut outbox())?, Vec::new())
         };
-        return cx.db.cluster().scatter(local).into_iter().collect();
+        return cx.db.cluster().scatter(local)?.into_iter().collect();
     }
     let as_io = |e: DbError| ClusterError::Io(e.to_string());
     let charge = |node: &Arc<Node>, (values, bytes): (u64, u64)| {
@@ -526,16 +724,50 @@ fn exchange<C: Send, T: Send>(
     let consume = |node: &Arc<Node>, carry: C, got: ExchangeRecv| {
         let me = node.id().0;
         let _s = cx.enter(me);
+        let started = Instant::now();
         let (received, stats) = receive(schemas, payload, &got).map_err(as_io)?;
-        // Receive-side telemetry lands on the receiving node.
-        vdr_obs::counter_on("exchange.rows", me, stats.rows);
-        vdr_obs::counter_on("exchange.bytes", me, got.bytes);
-        vdr_obs::counter_on("exchange.frames", me, got.num_frames);
+        // Receive-side kernel telemetry lands on the receiving node.
         vdr_obs::counter_on("exchange.wait_ns", me, got.wait_ns);
         if stats.encoded_cols > 0 {
             vdr_obs::counter_on("exchange.encoded_cols", me, stats.encoded_cols);
         }
         charge(node, (stats.expanded, got.bytes));
+        // What each Exchange operator received: frame `i` of every stream is
+        // `paths[i]`'s, behind an 8-byte length; the 16-byte stream headers
+        // count on the first operator.
+        let first = |i: usize| paths.iter().position(|&p| p == paths[i]).unwrap_or(i);
+        let mut got_by: Vec<OpActuals> = (paths.iter())
+            .map(|&path_id| OpActuals {
+                node: me,
+                path_id,
+                ..OpActuals::default()
+            })
+            .collect();
+        for (src, (frames, batches)) in got.frames.iter().zip(&received).enumerate() {
+            let remote = u64::from(src != me);
+            got_by[0].bytes_out += 16;
+            got_by[0].net_bytes += 16 * remote;
+            for (i, (frame, batch)) in frames.iter().zip(batches).enumerate() {
+                let (a, bytes) = (&mut got_by[first(i)], 8 + frame.len() as u64);
+                a.frames += 1;
+                a.bytes_out += bytes;
+                a.net_bytes += bytes * remote;
+                // Aggregate state counts its groups once, on its first frame.
+                if payload == Payload::Rows || i == 0 {
+                    a.rows_out += batch.num_rows() as u64;
+                }
+            }
+        }
+        got_by[0].wall_ns = started.elapsed().as_nanos() as u64;
+        let got_by = got_by
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| first(*i) == *i);
+        let got_by = got_by.map(|(_, a)| OpActuals {
+            rows_in: a.rows_out,
+            ..a
+        });
+        cx.actuals.lock().extend(got_by);
         recv(node, carry, received).map_err(as_io)
     };
     Ok(exchange_framed(
@@ -637,25 +869,28 @@ fn split(results: Vec<NodeResult>) -> (Vec<Batch>, Vec<Partial>) {
 /// JOIN — on every node that holds its input.
 fn fragment(cx: &Cx<'_>, node: &PlanNode) -> Result<Vec<NodeResult>> {
     let (mut cx, mut source) = (*cx, input(node)?);
+    cx.sink = node.path;
     if let Op::Filter(pred) = &source.op {
-        (cx.filter, source) = (Some(pred), input(source)?);
+        (cx.filter, source) = (Some((source.path, pred)), input(source)?);
     }
     match &source.op {
         Op::Local(per_node) => {
             let local = |(n, rows): (usize, &EncodedBatch)| {
                 let _s = cx.enter(n);
+                let started = Instant::now();
                 let mut acc = NodeAcc::new(&cx, NodeId(n))?;
                 let one = [Ok(rows.clone())];
-                pipeline(&cx, one, &mut acc, &mut EncodedScanStats::default())?;
-                acc.finish()
+                let counts = pipeline(&cx, one, &mut acc, &mut EncodedScanStats::default())?;
+                cx.note(n, source.path, [0, counts.0, rows.byte_size()], None);
+                sink(&cx, n, acc, counts, started)
             };
             per_node.iter().enumerate().map(local).collect()
         }
         Op::Scan(scan) => {
-            let scan_node = |node: &Arc<Node>| scan_node(&cx, node, scan);
-            cx.db.cluster().scatter(scan_node).into_iter().collect()
+            let scan_node = |node: &Arc<Node>| scan_node(&cx, node, scan, source.path);
+            cx.db.cluster().scatter(scan_node)?.into_iter().collect()
         }
-        Op::HashJoin(j) => join::run(&cx, j, &source.inputs),
+        Op::HashJoin(j) => join::run(&cx, j, source),
         _ => Err(shape()),
     }
 }
@@ -670,14 +905,40 @@ fn pipeline(
     stats: &mut EncodedScanStats,
 ) -> Result<(u64, u64)> {
     let (mut rows_in, mut rows_out) = (0u64, 0u64);
+    let pred = cx.filter.map(|(_, pred)| pred);
     for eb in inputs {
         let eb = eb?;
         rows_in += eb.num_rows() as u64;
-        let mask = filter(cx.filter, &eb, stats)?;
+        let mask = filter(pred, &eb, stats)?;
         rows_out += mask.count_set() as u64;
         acc.push(&eb, &mask, stats)?;
     }
     Ok((rows_in, rows_out))
+}
+
+/// Finish node `node`'s pipeline: record its Filter and its sink, which
+/// took the `passed` of the `rows_in` rows and ran since `started`.
+fn sink(
+    cx: &Cx<'_>,
+    node: usize,
+    acc: NodeAcc<'_>,
+    (rows_in, passed): (u64, u64),
+    started: Instant,
+) -> Result<NodeResult> {
+    if let Some((path, _)) = cx.filter {
+        cx.note(node, path, [rows_in, passed, 0], None);
+    }
+    let out = acc.finish()?;
+    let [rows_out, bytes_out] = match &out {
+        NodeResult::Rows(b) => size(b),
+        NodeResult::Emitted(bs) => bs
+            .iter()
+            .map(size)
+            .fold([0, 0], |[r, b], [r2, b2]| [r + r2, b + b2]),
+        NodeResult::Partial(p) => [p.num_groups() as u64, p.byte_size()],
+    };
+    cx.note(node, cx.sink, [passed, rows_out, bytes_out], Some(started));
+    Ok(out)
 }
 
 /// The rows of `eb` a WHERE keeps: all of them without one.
@@ -688,23 +949,23 @@ fn filter(pred: Option<&Expr>, eb: &EncodedBatch, stats: &mut EncodedScanStats) 
     }
 }
 
-/// One node's scan of `scan`'s table through the pipeline.
-fn scan_node(cx: &Cx<'_>, node: &Arc<Node>, scan: &plan::Scan) -> Result<NodeResult> {
+/// One node's scan of `scan`'s table, the plan's operator `path`, through
+/// the pipeline.
+fn scan_node(cx: &Cx<'_>, node: &Arc<Node>, scan: &plan::Scan, path: usize) -> Result<NodeResult> {
     let id = node.id();
     let _s = cx.enter(id.0);
+    let started = Instant::now();
     let mut span = vdr_obs::detail_span_with_parent("exec.scan", cx.span);
     span.set_node(id.0);
     let (table, wanted) = (&scan.table, scan.columns.as_ref());
     let found = cx.db.storage().scan_node(table, id, cx.rec, wanted)?;
+    let bytes_out = found.iter().map(EncodedBatch::byte_size).sum();
     let mut acc = NodeAcc::new(cx, id)?;
     let mut stats = EncodedScanStats::default();
-    let (rows_in, rows_out) = pipeline(cx, found.into_iter().map(Ok), &mut acc, &mut stats)?;
+    let counts = pipeline(cx, found.into_iter().map(Ok), &mut acc, &mut stats)?;
     stats.charge(cx, id);
-    span.record("rows_in", rows_in);
-    span.record("rows_out", rows_out);
-    vdr_obs::counter_on("exec.scan.rows", id.0, rows_in);
-    vdr_obs::counter_on("exec.filter.rows", id.0, rows_out);
-    acc.finish()
+    cx.note(id.0, path, [0, counts.0, bytes_out], None);
+    sink(cx, id.0, acc, counts, started)
 }
 
 // -------------------------------------------------- compressed execution
@@ -1075,15 +1336,9 @@ impl Deal<'_> {
             cluster: cx.db.cluster(),
             rec: cx.rec,
         };
-        let rows_in: u64 = input.iter().map(|b| b.num_rows() as u64).sum();
         let mut out = Vec::new();
         t.func
             .process_partition(&ctx, input, &mut |b| out.push(b))?;
-        let rows_out: u64 = out.iter().map(|b| b.num_rows() as u64).sum();
-        span.record("rows_in", rows_in);
-        span.record("rows_out", rows_out);
-        vdr_obs::counter_on("exec.transform.rows_in", node.0, rows_in);
-        vdr_obs::counter_on("exec.transform.rows_out", node.0, rows_out);
         Ok(out)
     }
 }

@@ -28,16 +28,20 @@ use crate::plan::{Join, Side};
 use crate::segmentation::row_hashes;
 use crate::sql::JoinKind;
 
-/// Run the JOIN on every node: scan both sides, ship the sides the plan
-/// moves through one exchange — the others ride along locally — then join
-/// what each node holds.
-pub(super) fn run(cx: &Cx<'_>, j: &Join, sides: &[PlanNode]) -> Result<Vec<NodeResult>> {
+/// Run the JOIN `node` on every node: scan both sides, ship the sides the
+/// plan moves through one exchange — the others ride along locally — then
+/// join what each node holds.
+pub(super) fn run(cx: &Cx<'_>, j: &Join, node: &PlanNode) -> Result<Vec<NodeResult>> {
     let mut parts = Vec::with_capacity(2);
-    for side in sides {
+    for side in &node.inputs {
         parts.push(match &side.op {
-            Op::Scan(scan) => (scan, None),
-            Op::Exchange(to) => match &input(side)?.op {
-                Op::Scan(scan) => (scan, Some(to)),
+            Op::Scan(scan) => ((scan, side.path), None),
+            Op::Exchange(to) => match input(side)? {
+                PlanNode {
+                    op: Op::Scan(scan),
+                    path,
+                    ..
+                } => ((scan, *path), Some((to, side.path))),
                 _ => return Err(shape()),
             },
             _ => return Err(shape()),
@@ -46,23 +50,30 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, sides: &[PlanNode]) -> Result<Vec<NodeR
     let [(left, to_left), (right, to_right)] = parts.as_slice() else {
         return Err(shape());
     };
+    let join_path = node.path;
     // The moving sides, in the frame order every destination receives.
-    let moving: Vec<usize> = [to_left, to_right]
+    let moving: Vec<(usize, usize)> = [to_left, to_right]
         .iter()
         .enumerate()
-        .filter_map(|(s, to)| to.map(|_| s))
+        .filter_map(|(s, to)| to.map(|(_, path)| (s, path)))
         .collect();
-    let schemas: Vec<Schema> = moving.iter().map(|&s| j.sides[s].clone()).collect();
+    let schemas: Vec<Schema> = moving.iter().map(|&(s, _)| j.sides[s].clone()).collect();
+    let paths: Vec<usize> = moving.iter().map(|&(_, path)| path).collect();
     type Carry = (Option<Vec<EncodedBatch>>, Option<Batch>);
     exchange(
         cx,
         "exec.join.shuffle",
         &schemas,
+        &paths,
         Payload::Rows,
         |node, out| -> Result<Carry> {
-            let scan = |s: &plan::Scan| {
+            let scan = |&(s, path): &(&plan::Scan, usize)| -> Result<Vec<EncodedBatch>> {
                 let (storage, wanted) = (cx.db.storage(), s.columns.as_ref());
-                storage.scan_node(&s.table, node.id(), cx.rec, wanted)
+                let found = storage.scan_node(&s.table, node.id(), cx.rec, wanted)?;
+                let rows = found.iter().map(|eb| eb.num_rows() as u64).sum();
+                let bytes = found.iter().map(EncodedBatch::byte_size).sum();
+                cx.note(node.id().0, path, [0, rows, bytes], None);
+                Ok(found)
             };
             let mut stats = EncodedScanStats::default();
             let left_rows = scan(left)?;
@@ -76,7 +87,7 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, sides: &[PlanNode]) -> Result<Vec<NodeR
                 None => carry.0 = Some(left_rows),
             }
             match to_right {
-                Some(Exchange::Broadcast) => out.broadcast(&right_rows),
+                Some((Exchange::Broadcast, _)) => out.broadcast(&right_rows),
                 Some(_) => partition(&right_rows, &j.keys[1], out)?,
                 None => carry.1 = Some(right_rows),
             }
@@ -87,7 +98,7 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, sides: &[PlanNode]) -> Result<Vec<NodeR
             // Per side, what every source sent here, in source order.
             let mut got = [Vec::new(), Vec::new()];
             for batches in received {
-                for (&s, b) in moving.iter().zip(batches) {
+                for (&(s, _), b) in moving.iter().zip(batches) {
                     got[s].push(b);
                 }
             }
@@ -100,7 +111,7 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, sides: &[PlanNode]) -> Result<Vec<NodeR
                 Some(left) => left,
                 None => got_left.into_iter().map(EncodedBatch::from).collect(),
             };
-            join_node(cx, node, j, left, &right)
+            join_node(cx, node, j, join_path, left, &right)
         },
     )
 }
@@ -138,15 +149,18 @@ fn partition(batch: &Batch, key: &str, out: &mut Outbox) -> Result<()> {
 /// — probe, gather the joined columns — into the per-node pipeline, and
 /// charge the node's build + probe work once. A left batch's decoded columns
 /// are read in place; an encoded key or joined column materializes once.
+/// The JOIN is the plan's operator `path`.
 fn join_node(
     cx: &Cx<'_>,
     node: &Arc<Node>,
     j: &Join,
+    path: usize,
     left: Vec<EncodedBatch>,
     right: &Batch,
 ) -> Result<NodeResult> {
+    let (me, started) = (node.id().0, Instant::now());
     let mut span = vdr_obs::detail_span_with_parent("exec.join.node", cx.span);
-    span.set_node(node.id().0);
+    span.set_node(me);
     let table = BuildTable::new(right.column_by_name(&j.keys[1])?)?;
     let mut acc = NodeAcc::new(cx, node.id())?;
     let mut stats = EncodedScanStats::default();
@@ -166,15 +180,15 @@ fn join_node(
         let chunk = Batch::new(cx.plan.input.clone(), cols.collect::<Result<_>>()?)?;
         Ok(EncodedBatch::from(chunk))
     });
-    pipeline(cx, chunks, &mut acc, &mut stats)?;
+    let counts = pipeline(cx, chunks, &mut acc, &mut stats)?;
     stats.charge(cx, node.id());
     // Build + probe cost: one hash/compare per build row and per probe row,
     // plus per-output-row materialization, at scan-value cost.
-    let work = (left_rows + right.num_rows() + out_rows) as f64;
-    cx.rec.cpu_work(node.id(), work, cx.scan_cost());
-    vdr_obs::counter_on("exec.join.output_rows", node.id().0, out_rows as u64);
-    span.record("rows_out", out_rows);
-    acc.finish()
+    let rows_in = left_rows + right.num_rows();
+    cx.rec
+        .cpu_work(node.id(), (rows_in + out_rows) as f64, cx.scan_cost());
+    cx.note(me, path, [rows_in as u64, out_rows as u64, 0], None);
+    sink(cx, me, acc, counts, started)
 }
 
 /// A right row id that names no row: the right side of an unmatched LEFT
@@ -317,7 +331,6 @@ mod tests {
         ExchangeRecv {
             frames,
             wait_ns: 0,
-            num_frames: 0,
             bytes: 0,
         }
     }

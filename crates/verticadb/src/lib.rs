@@ -48,7 +48,8 @@ pub use dfs::Dfs;
 pub use error::{DbError, Result};
 pub use models::ModelStore;
 pub use monitor::{
-    Monitor, QueryHistory, QueryRecord, QueryWindow, SystemTableProvider, QUERY_HISTORY_CAPACITY,
+    Monitor, OpActuals, OperatorRecord, QueryHistory, QueryRecord, QueryWindow,
+    SystemTableProvider, QUERY_HISTORY_CAPACITY,
 };
 pub use segmentation::Segmentation;
 pub use udx::{TransformFunction, UdxContext};

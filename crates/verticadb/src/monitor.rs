@@ -14,6 +14,8 @@
 //! |-----------------------------|-------------------------------------------|
 //! | `query_requests`            | per-query history (ring of last 1024)     |
 //! | `execution_engine_profiles` | per-query, per-node, per-phase counters   |
+//! | `query_plan_profiles`       | per-query, per-operator (path id), per-   |
+//! |                             | node rows in/out, bytes out and wall time |
 //! | `metrics`                   | live counter/gauge/histogram snapshot     |
 //! |                             | (histograms with p50/p90/p99/p999)        |
 //! | `spans`                     | the vdr-obs trace ring                    |
@@ -31,11 +33,12 @@
 //! |                             | p50/p90/p99 wall latency                  |
 //!
 //! **One store.** The database's [`QueryHistory`] is the one record of what
-//! ran: every SQL statement, VFT transfer and train-while-loading run
-//! appends a [`QueryRecord`] — its trigger, metric delta and ledger phases —
-//! stamped with a per-database sequence number. `query_requests`,
-//! `execution_engine_profiles`, `PROFILE` and the three `dc_*` tables are
-//! views over it (`tick` is the sequence number), so two databases in one
+//! ran: every SQL statement, VFT transfer, ODBC load and train-while-loading
+//! run appends a [`QueryRecord`] — its trigger, metric delta, ledger phases
+//! and, for a statement, its operator record — stamped with a per-database
+//! sequence number. `query_requests`, `execution_engine_profiles`,
+//! `query_plan_profiles`, `PROFILE` and the three `dc_*` tables are views
+//! over it (`tick` is the sequence number), so two databases in one
 //! process each see only their own work. A record's metric delta is the
 //! sink of the query context its [`QueryWindow`] opens: only the unit's
 //! own threads write into it.
@@ -97,6 +100,101 @@ pub fn v_monitor_table(name: &str) -> Option<&str> {
         .then_some(table)
 }
 
+/// What one plan operator did on one node, as the executor records it where
+/// it charges the operator's ledger work. A fused Scan → Filter → sink
+/// pipeline times itself once, on its sink; an Exchange counts what the node
+/// received.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpActuals {
+    pub node: usize,
+    /// The operator's pre-order number in the plan, as `EXPLAIN` prints it.
+    pub path_id: usize,
+    pub rows_in: u64,
+    pub rows_out: u64,
+    pub bytes_out: u64,
+    /// Frames received (exchanges only).
+    pub frames: u64,
+    /// Bytes that reached the node over the network, loopback excluded
+    /// (exchanges and the gather only).
+    pub net_bytes: u64,
+    pub wall_ns: u64,
+}
+
+/// A statement's operators: per path id the `EXPLAIN` name and detail, and
+/// what each did on each node, one entry per operator per node. Empty for
+/// statements without a plan.
+#[derive(Debug, Clone, Default)]
+pub struct OperatorRecord {
+    pub plan: Vec<(&'static str, String)>,
+    pub actuals: Vec<OpActuals>,
+}
+
+impl OperatorRecord {
+    /// One row per operator per node, in path then node order, with the
+    /// operator's `EXPLAIN` label: what `PROFILE` and `query_plan_profiles`
+    /// show.
+    pub(crate) fn rows(&self) -> Vec<(String, OpActuals)> {
+        let label = |a: &OpActuals| match self.plan.get(a.path_id) {
+            Some((name, detail)) => format!("{name} {detail}").trim_end().to_string(),
+            None => String::new(),
+        };
+        let mut rows: Vec<_> = self.actuals.iter().map(|a| (label(a), *a)).collect();
+        rows.sort_by_key(|(_, a)| (a.path_id, a.node));
+        rows
+    }
+
+    /// The root operator's rows and bytes out, over every node.
+    pub(crate) fn root_output(&self) -> (u64, u64) {
+        let root = self.actuals.iter().filter(|a| a.path_id == 0);
+        root.fold((0, 0), |(r, b), a| (r + a.rows_out, b + a.bytes_out))
+    }
+
+    /// Whether the record agrees with itself, the statement's ledger phase
+    /// and its answer: per node, every pipeline operator takes in what its
+    /// input put out (scan out = filter in, filter out = sink in); the
+    /// phase's network bytes are the exchanges' and the gather's (at least,
+    /// when a transform's UDx may move bytes of its own); the answer has the
+    /// root's rows.
+    pub(crate) fn check(
+        &self,
+        phase: &PhaseReport,
+        answer: Option<&Batch>,
+    ) -> std::result::Result<(), String> {
+        let per_node = |path: usize, v: fn(&OpActuals) -> u64| {
+            let mine = self.actuals.iter().filter(|a| a.path_id == path);
+            mine.map(|a| (a.node, v(a))).collect::<BTreeMap<_, _>>()
+        };
+        let fail = |what: String| Err(format!("operator record: {what}"));
+        for (path, (name, _)) in self.plan.iter().enumerate() {
+            if matches!(*name, "Filter" | "Project" | "PartialAgg" | "Transform") {
+                let (fed, took) = (
+                    per_node(path + 1, |a| a.rows_out),
+                    per_node(path, |a| a.rows_in),
+                );
+                if fed != took {
+                    return fail(format!("path {path} took {took:?}, its input gave {fed:?}"));
+                }
+            }
+        }
+        let moved: u64 = self.actuals.iter().map(|a| a.net_bytes).sum();
+        let charged: u64 = phase.nodes.iter().map(|n| n.usage.net_in_bytes).sum();
+        let udx = self.plan.iter().any(|(name, _)| *name == "Transform");
+        if charged != moved && !(udx && charged > moved) {
+            return fail(format!(
+                "{moved} bytes exchanged, the ledger charged {charged}"
+            ));
+        }
+        match answer {
+            Some(b) if self.root_output().0 != b.num_rows() as u64 => fail(format!(
+                "the root put out {} rows, the answer has {}",
+                self.root_output().0,
+                b.num_rows()
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// One completed unit of work in the query history.
 #[derive(Debug, Clone, Default)]
 pub struct QueryRecord {
@@ -105,7 +203,7 @@ pub struct QueryRecord {
     /// The history's sequence number, stamped by [`QueryHistory::record`]
     /// (0 before): the `tick` of the `dc_*` views.
     pub seq: u64,
-    /// What ran: `statement`, `vft` or `train`.
+    /// What ran: `statement`, `vft`, `odbc` or `train`.
     pub trigger: &'static str,
     /// SQL text, or the statement, transfer or train label.
     pub sql: String,
@@ -115,12 +213,16 @@ pub struct QueryRecord {
     pub sim_secs: f64,
     /// Real (host) execution time, nanoseconds.
     pub wall_ns: u64,
-    /// Rows in the statement's result batch (or transferred, or trained on).
+    /// Rows in the statement's result (a SELECT's: its plan root's output),
+    /// or transferred, or trained on.
     pub rows: u64,
-    /// Bytes in the statement's result batch (or transferred).
+    /// Bytes in the statement's result (a SELECT's: its plan root's
+    /// output), or transferred.
     pub bytes: u64,
     /// The ledger phases the unit produced.
     pub phases: Vec<PhaseReport>,
+    /// What each operator of the statement's plan did on each node.
+    pub operators: OperatorRecord,
     /// What the unit's own threads recorded (its query context's sink).
     pub metrics_delta: MetricsSnapshot,
 }
@@ -318,9 +420,10 @@ impl Monitor {
             slow_threshold_ns: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_NS),
             slow: Mutex::new(VecDeque::new()),
         };
-        let builtins: [Builtin; 12] = [
+        let builtins: [Builtin; 13] = [
             Builtin("query_requests", query_requests),
             Builtin("execution_engine_profiles", execution_engine_profiles),
+            Builtin("query_plan_profiles", query_plan_profiles),
             Builtin("metrics", metrics),
             Builtin("spans", spans),
             Builtin("events", events),
@@ -620,6 +723,38 @@ fn execution_engine_profiles(db: &VerticaDb, node: NodeId) -> Result<Batch> {
     rows.finish()
 }
 
+/// Each history entry's operators on the node: one row per operator, its
+/// path id and `EXPLAIN` label, rows in and out, bytes out and wall time.
+fn query_plan_profiles(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let mut rows = Rows::new(&[
+        ("query_id", DataType::Int64),
+        ("path_id", DataType::Int64),
+        ("operator", DataType::Varchar),
+        ("node", DataType::Int64),
+        ("rows_in", DataType::Int64),
+        ("rows_out", DataType::Int64),
+        ("bytes_out", DataType::Int64),
+        ("wall_us", DataType::Float64),
+    ]);
+    for r in db.monitor().history().snapshot() {
+        for (label, a) in r.operators.rows() {
+            if a.node == node.0 {
+                rows.push(vec![
+                    int(r.id),
+                    int(a.path_id as u64),
+                    label.into(),
+                    int(a.node as u64),
+                    int(a.rows_in),
+                    int(a.rows_out),
+                    int(a.bytes_out),
+                    us(a.wall_ns),
+                ])?;
+            }
+        }
+    }
+    rows.finish()
+}
+
 fn metrics(_db: &VerticaDb, node: NodeId) -> Result<Batch> {
     let mut rows = Rows::new(&METRIC_COLS);
     for (key, value) in vdr_obs::global().metrics().snapshot().iter() {
@@ -905,8 +1040,10 @@ fn dc_query_summaries(db: &VerticaDb, node: NodeId) -> Result<Batch> {
 // ----------------------------------------------------------------- PROFILE
 
 /// The result batch of `PROFILE <statement>`: the inner statement's
-/// per-node phase rows followed by its metric deltas, every row stamped
-/// with the inner statement's query id.
+/// per-node phase rows, its metric deltas, then its operator section — per
+/// operator per node one row of each of rows in, rows out, bytes out and
+/// wall µs, named `<path id> <EXPLAIN label>` (the six columns do not widen)
+/// — every row stamped with the inner statement's query id.
 pub fn profile_batch(record: &QueryRecord) -> Result<Batch> {
     let mut rows = Rows::new(&[
         ("query_id", DataType::Int64),
@@ -956,6 +1093,27 @@ pub fn profile_batch(record: &QueryRecord) -> Result<Batch> {
             for (unit, p) in [("p50", h.p50()), ("p99", h.p99())] {
                 rows.push(row("percentile", p, unit))?;
             }
+        }
+    }
+    for (label, a) in record.operators.rows() {
+        let name = Value::from(format!("{} {label}", a.path_id));
+        let measures = [
+            ("rows_in", a.rows_in as f64),
+            ("rows_out", a.rows_out as f64),
+            ("bytes_out", a.bytes_out as f64),
+            ("wall_us", a.wall_ns as f64 / 1e3),
+        ];
+        for (unit, v) in measures {
+            let node = int(a.node as u64);
+            let row = vec![
+                qid.clone(),
+                "operator".into(),
+                name.clone(),
+                node,
+                v.into(),
+                unit.into(),
+            ];
+            rows.push(row)?;
         }
     }
     rows.finish()

@@ -53,6 +53,9 @@ pub(crate) struct PhysicalPlan {
 pub(crate) struct PlanNode {
     pub(crate) op: Op,
     pub(crate) inputs: Vec<PlanNode>,
+    /// The operator's number in pre-order, the root 0: the `path_id` of
+    /// `EXPLAIN`, `PROFILE` and the statement's operator record.
+    pub(crate) path: usize,
 }
 
 pub(crate) enum Op {
@@ -132,7 +135,18 @@ pub(crate) struct Transform {
 }
 
 fn node(op: Op, inputs: Vec<PlanNode>) -> PlanNode {
-    PlanNode { op, inputs }
+    PlanNode {
+        op,
+        inputs,
+        path: 0,
+    }
+}
+
+/// Number `plan`'s operators in pre-order from `next`.
+fn number(plan: &mut PlanNode, next: &mut usize) {
+    plan.path = *next;
+    *next += 1;
+    plan.inputs.iter_mut().for_each(|input| number(input, next));
 }
 
 fn refuse<T>(why: impl Into<String>) -> Result<T> {
@@ -238,6 +252,7 @@ fn finish(
         let (offset, limit) = (stmt.offset.unwrap_or(0), stmt.limit);
         plan = node(Op::Limit { offset, limit }, vec![plan]);
     }
+    number(&mut plan, &mut 0);
     Ok(PhysicalPlan {
         root: plan,
         stmt,
@@ -619,21 +634,49 @@ fn resolve_order_by<'a>(stmt: &'a SelectStmt, input: &Schema) -> Result<Cow<'a, 
 
 // ------------------------------------------------------------------ EXPLAIN
 
+/// One operator as `EXPLAIN` prints it: its depth, name and what it decided.
+pub(crate) struct Line<'a> {
+    pub(crate) depth: usize,
+    pub(crate) name: &'static str,
+    pub(crate) detail: String,
+    pub(crate) node: &'a PlanNode,
+}
+
 impl PhysicalPlan {
+    /// Every operator in pre-order, so the `i`-th is path id `i`.
+    pub(crate) fn lines(&self) -> Vec<Line<'_>> {
+        let mut lines = Vec::new();
+        let group_by: Vec<String> = self.stmt.group_by.iter().map(Expr::to_string).collect();
+        explain_rows(&self.root, 0, &group_by, &mut lines);
+        lines
+    }
+
     /// The tree, one row per operator in pre-order: its depth, its name, what
     /// it decided (scan columns, exchange kind, JOIN strategy, UDx instances),
-    /// and for a scan the rows and stored bytes its container metadata
-    /// records.
+    /// for a scan the rows and stored bytes its container metadata records,
+    /// and its path id.
     pub(crate) fn explain(&self) -> Result<Batch> {
+        let size = |n: u64| Value::Int64(n as i64);
         let mut rows = Vec::new();
-        let group_by: Vec<String> = self.stmt.group_by.iter().map(Expr::to_string).collect();
-        explain_rows(&self.root, 0, &group_by, &mut rows);
+        for l in self.lines() {
+            let (n, bytes) = match &l.node.op {
+                Op::Scan(s) => (size(s.rows), size(s.bytes)),
+                Op::Local(b) => (
+                    size(b.iter().map(|b| b.num_rows() as u64).sum()),
+                    size(b.iter().map(EncodedBatch::byte_size).sum()),
+                ),
+                _ => (Value::Null, Value::Null),
+            };
+            let (depth, path) = (size(l.depth as u64), size(l.node.path as u64));
+            rows.push(vec![depth, l.name.into(), l.detail.into(), n, bytes, path]);
+        }
         let schema = Schema::of(&[
             ("depth", DataType::Int64),
             ("operator", DataType::Varchar),
             ("detail", DataType::Varchar),
             ("rows", DataType::Int64),
             ("bytes", DataType::Int64),
+            ("path_id", DataType::Int64),
         ]);
         Ok(Batch::from_rows(schema, &rows)?)
     }
@@ -654,11 +697,11 @@ fn join_strategy(sides: &[PlanNode]) -> &'static str {
     }
 }
 
-/// `plan`'s rows, then its inputs'; `keys` is what a hash Exchange at
+/// `plan`'s line, then its inputs'; `keys` is what a hash Exchange at
 /// `plan` routes by.
-fn explain_rows(plan: &PlanNode, depth: i64, keys: &[String], out: &mut Vec<Vec<Value>>) {
+fn explain_rows<'a>(plan: &'a PlanNode, depth: usize, keys: &[String], out: &mut Vec<Line<'a>>) {
     let list = |items: &[String]| items.join(", ");
-    let (op, detail) = match &plan.op {
+    let (name, detail) = match &plan.op {
         Op::Local(b) => (
             "Local",
             format!("nodes {:?}", (0..b.len()).collect::<Vec<_>>()),
@@ -701,22 +744,12 @@ fn explain_rows(plan: &PlanNode, depth: i64, keys: &[String], out: &mut Vec<Vec<
             ("Limit", format!("offset {offset} limit {limit}"))
         }
     };
-    let size = |n: u64| Value::Int64(n as i64);
-    let (rows, bytes) = match &plan.op {
-        Op::Scan(s) => (size(s.rows), size(s.bytes)),
-        Op::Local(b) => (
-            size(b.iter().map(|b| b.num_rows() as u64).sum()),
-            size(b.iter().map(EncodedBatch::byte_size).sum()),
-        ),
-        _ => (Value::Null, Value::Null),
-    };
-    out.push(vec![
-        Value::Int64(depth),
-        op.into(),
-        detail.into(),
-        rows,
-        bytes,
-    ]);
+    out.push(Line {
+        depth,
+        name,
+        detail,
+        node: plan,
+    });
     for (s, input) in plan.inputs.iter().enumerate() {
         let keys = match &plan.op {
             Op::HashJoin(j) => &j.keys[s..=s],
@@ -1148,7 +1181,7 @@ mod tests {
         let out = db.query(&format!("EXPLAIN {sql}")).unwrap();
         assert_eq!(
             out.batch.schema().names(),
-            ["depth", "operator", "detail", "rows", "bytes"]
+            ["depth", "operator", "detail", "rows", "bytes", "path_id"]
         );
         let rows: Vec<Vec<Value>> = (0..out.batch.num_rows())
             .map(|r| out.batch.row(r))
@@ -1157,8 +1190,14 @@ mod tests {
         let scan = rows.last().unwrap();
         assert_eq!(scan[..3], [4.into(), "Scan".into(), "fact_rr (tag)".into()]);
         let bytes: u64 = db.storage().segment_bytes("fact_rr").iter().sum();
-        assert_eq!(scan[3..], [256.into(), (bytes as i64).into()]);
+        assert_eq!(scan[3..5], [256.into(), (bytes as i64).into()]);
         assert!(rows[..4].iter().all(|r| r[3].is_null() && r[4].is_null()));
+        let paths: Vec<Value> = rows.iter().map(|r| r[5].clone()).collect();
+        assert_eq!(
+            paths,
+            (0..5).map(Value::Int64).collect::<Vec<_>>(),
+            "pre-order"
+        );
         assert_eq!(out.sim_time.as_secs(), 0.0, "EXPLAIN reads no container");
     }
 }
