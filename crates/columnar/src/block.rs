@@ -25,6 +25,15 @@
 //! never touches the other payloads ([`decode_batch_columns`]). Version 1
 //! blocks (no index) are still readable — the per-column `payload-len`
 //! lets the decoder skip unwanted payloads sequentially.
+//!
+//! There is one writer, `encode_block`. It hands back what it knew while
+//! writing (the crc and each column's encoding and payload length) as a
+//! [`BlockSeal`], so a storage layer records a container's facts without a
+//! second crc pass over the bytes it just wrote ([`encode_batch_sealed`]).
+//! The integrity check belongs to the read path: every decode verifies the
+//! crc once.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::batch::Batch;
 use crate::checksum::crc32;
@@ -91,31 +100,59 @@ impl DecodeStats {
     }
 }
 
+/// What the block writer knows about a block once it has written it, so
+/// no reader has to parse the bytes again to learn it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockSeal {
+    /// The crc32 the block header carries over the body (what
+    /// [`block_checksum`] reads back).
+    pub crc: u32,
+    /// Per column, in block order: what [`block_column_info`] reads back,
+    /// less the name and type, which are the batch schema's.
+    pub columns: Vec<SealedColumn>,
+}
+
+/// One column's entry in a [`BlockSeal`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SealedColumn {
+    /// The encoding the writer chose.
+    pub encoding: Encoding,
+    /// Bytes of the encoded payload inside the block.
+    pub encoded_bytes: u64,
+}
+
 /// Serialize a batch, choosing each column's encoding heuristically.
 pub fn encode_batch(batch: &Batch) -> Bytes {
+    encode_block(batch, None, VERSION_V2).0
+}
+
+/// [`encode_batch`], plus the block's [`BlockSeal`]. The bytes are the same;
+/// the seal costs no pass over them and no allocation beyond the one
+/// per-column list the writer keeps anyway.
+pub fn encode_batch_sealed(batch: &Batch) -> (Bytes, BlockSeal) {
     encode_block(batch, None, VERSION_V2)
 }
 
 /// Serialize a batch forcing one encoding for every column (used by the
 /// encoding ablation bench). `None` selects per-column heuristics.
 pub fn encode_batch_with(batch: &Batch, force: Option<Encoding>) -> Bytes {
-    encode_block(batch, force, VERSION_V2)
+    encode_block(batch, force, VERSION_V2).0
 }
 
 /// Serialize in the legacy v1 layout (no column offset index). Kept so the
 /// backward-compatibility tests can manufacture old-format containers; the
 /// engine itself always writes v2.
 pub fn encode_batch_v1(batch: &Batch) -> Bytes {
-    encode_block(batch, None, VERSION_V1)
+    encode_block(batch, None, VERSION_V1).0
 }
 
 /// Legacy v1 layout with a forced per-column encoding (property tests use
 /// this to cover every `Encoding` variant in both block versions).
 pub fn encode_batch_v1_with(batch: &Batch, force: Option<Encoding>) -> Bytes {
-    encode_block(batch, force, VERSION_V1)
+    encode_block(batch, force, VERSION_V1).0
 }
 
-fn encode_block(batch: &Batch, force: Option<Encoding>, version: u8) -> Bytes {
+fn encode_block(batch: &Batch, force: Option<Encoding>, version: u8) -> (Bytes, BlockSeal) {
     const HEADER_LEN: usize = 9; // magic + version + crc32
     const BODY_FIXED: usize = 8 + 2; // rows + ncols
     const ENTRY_FIXED: usize = 1 + 1 + 8; // dtype + encoding + payload-len
@@ -127,25 +164,29 @@ fn encode_block(batch: &Batch, force: Option<Encoding>, version: u8) -> Bytes {
     // output buffer is allocated at its final size: a `Vec` that doubles its
     // way up would park up to half its capacity, unused, inside the `Bytes`
     // that goes to the simulated disk. A forced encoding that does not apply
-    // to a column's type (Dictionary on floats) falls back to plain.
-    let encodings: Vec<Encoding> = batch
+    // to a column's type (Dictionary on floats) falls back to plain. The
+    // list becomes the seal: each payload length is filled in as it lands.
+    let mut sealed: Vec<SealedColumn> = batch
         .columns()
         .iter()
-        .map(|col| match force {
-            Some(enc) if encoding::supports(col.data_type(), enc) => enc,
-            Some(_) => Encoding::Plain,
-            None => encoding::choose_encoding(col),
+        .map(|col| SealedColumn {
+            encoding: match force {
+                Some(enc) if encoding::supports(col.data_type(), enc) => enc,
+                Some(_) => Encoding::Plain,
+                None => encoding::choose_encoding(col),
+            },
+            encoded_bytes: 0,
         })
         .collect();
     let entries_len: usize = fields
         .iter()
         .zip(batch.columns())
-        .zip(&encodings)
-        .map(|((field, col), &enc)| {
+        .zip(&sealed)
+        .map(|((field, col), s)| {
             uvarint_len(field.name.len() as u64)
                 + field.name.len()
                 + ENTRY_FIXED
-                + encoding::encoded_len_bound(col, enc)
+                + encoding::encoded_len_bound(col, s.encoding)
         })
         .sum();
 
@@ -163,10 +204,10 @@ fn encode_block(batch: &Batch, force: Option<Encoding>, version: u8) -> Bytes {
     let index_pos = out.len();
     out.resize(out.len() + index_len, 0);
 
-    for (c, ((field, col), &enc)) in fields
+    for (c, ((field, col), s)) in fields
         .iter()
         .zip(batch.columns())
-        .zip(&encodings)
+        .zip(&mut sealed)
         .enumerate()
     {
         if version >= VERSION_V2 {
@@ -177,13 +218,18 @@ fn encode_block(batch: &Batch, force: Option<Encoding>, version: u8) -> Bytes {
         write_uvarint(field.name.len() as u64, &mut out);
         out.extend_from_slice(field.name.as_bytes());
         out.push(dtype_to_u8(field.dtype));
-        out.push(enc as u8);
+        out.push(s.encoding as u8);
         let len_pos = out.len();
         out.extend_from_slice(&[0u8; 8]); // payload-len placeholder
         let payload_start = out.len();
-        encoding::encode_column(col, enc, &mut out).expect("encoding fits the column type");
-        let payload_len = (out.len() - payload_start) as u64;
-        out[len_pos..len_pos + 8].copy_from_slice(&payload_len.to_le_bytes());
+        // Cannot fail: `encode_column` refuses only an encoding its column
+        // type does not support, and every encoding above is `supports`-
+        // checked or `choose_encoding`'s. Its `Result` serves its public
+        // callers; threading it out would make every encoder fallible.
+        #[allow(clippy::expect_used)]
+        encoding::encode_column(col, s.encoding, &mut out).expect("encoding fits the column type");
+        s.encoded_bytes = (out.len() - payload_start) as u64;
+        out[len_pos..len_pos + 8].copy_from_slice(&s.encoded_bytes.to_le_bytes());
     }
 
     let crc = crc32(&out[HEADER_LEN..]);
@@ -193,7 +239,11 @@ fn encode_block(batch: &Batch, force: Option<Encoding>, version: u8) -> Bytes {
     if out.capacity() - out.len() > out.capacity() / 8 {
         out.shrink_to_fit();
     }
-    Bytes::from(out)
+    let seal = BlockSeal {
+        crc,
+        columns: sealed,
+    };
+    (Bytes::from(out), seal)
 }
 
 /// Deserialize a block back into a batch (all columns), verifying magic,
@@ -205,10 +255,16 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Batch> {
 /// The crc32 a block header carries over its body, without decoding it.
 /// Storage layers use it as the container's content version tag.
 pub fn block_checksum(bytes: &[u8]) -> Result<u32> {
-    if bytes.len() < 9 || &bytes[0..4] != MAGIC {
-        return Err(ColumnarError::BadBlockHeader("bad magic".into()));
+    match header_crc(bytes) {
+        Some(crc) if bytes.starts_with(MAGIC) => Ok(crc),
+        _ => Err(ColumnarError::BadBlockHeader("bad magic".into())),
     }
-    Ok(u32::from_le_bytes(bytes[5..9].try_into().expect("4 bytes")))
+}
+
+/// The crc field of a header (bytes 5..9), if the block is that long.
+fn header_crc(bytes: &[u8]) -> Option<u32> {
+    let (crc, _) = bytes.get(5..)?.split_first_chunk::<4>()?;
+    Some(u32::from_le_bytes(*crc))
 }
 
 /// Deserialize only the named columns of a block (projection pushdown);
@@ -349,9 +405,9 @@ struct RawEntry {
 /// Verify magic/version/crc and walk every entry header (cheap — name +
 /// 2 bytes + len), remembering where each payload lives.
 fn parse_block(bytes: &[u8]) -> Result<RawBlock<'_>> {
-    if bytes.len() < 9 {
+    let Some(expected) = header_crc(bytes) else {
         return Err(ColumnarError::BadBlockHeader("block too short".into()));
-    }
+    };
     if &bytes[0..4] != MAGIC {
         return Err(ColumnarError::BadBlockHeader("bad magic".into()));
     }
@@ -361,7 +417,6 @@ fn parse_block(bytes: &[u8]) -> Result<RawBlock<'_>> {
             "unsupported version {version}"
         )));
     }
-    let expected = u32::from_le_bytes(bytes[5..9].try_into().expect("4 bytes"));
     let body = &bytes[9..];
     let found = crc32(body);
     if found != expected {
@@ -446,14 +501,14 @@ fn select_entries(entries: &[RawEntry], wanted: Option<&HashSet<String>>) -> Vec
         Some(set) => set.iter().any(|w| w.eq_ignore_ascii_case(name)),
     };
     let mut selected: Vec<bool> = entries.iter().map(|e| is_wanted(&e.name)).collect();
-    if !entries.is_empty() && !selected.iter().any(|&s| s) {
+    if !selected.iter().any(|&s| s) {
         let cheapest = entries
             .iter()
             .enumerate()
-            .min_by_key(|(_, e)| e.payload_end - e.payload_start)
-            .map(|(i, _)| i)
-            .expect("entries non-empty");
-        selected[cheapest] = true;
+            .min_by_key(|(_, e)| e.payload_end - e.payload_start);
+        if let Some((i, _)) = cheapest {
+            selected[i] = true;
+        }
     }
     selected
 }
@@ -476,27 +531,26 @@ fn read_u8(bytes: &[u8], pos: &mut usize) -> Result<u8> {
     Ok(b)
 }
 
+/// The `N` bytes at `*pos`, advancing past them.
+fn read_array<const N: usize>(bytes: &[u8], pos: &mut usize, what: &str) -> Result<[u8; N]> {
+    let (s, _) = bytes
+        .get(*pos..)
+        .and_then(<[u8]>::split_first_chunk::<N>)
+        .ok_or_else(|| ColumnarError::Corrupt(format!("{what} past end")))?;
+    *pos += N;
+    Ok(*s)
+}
+
 fn read_u16_le(bytes: &[u8], pos: &mut usize) -> Result<u16> {
-    let end = *pos + 2;
-    let s = bytes
-        .get(*pos..end)
-        .ok_or_else(|| ColumnarError::Corrupt("u16 past end".into()))?;
-    *pos = end;
-    Ok(u16::from_le_bytes(s.try_into().expect("2 bytes")))
+    read_array(bytes, pos, "u16").map(u16::from_le_bytes)
 }
 
 fn read_u64_le(bytes: &[u8], pos: &mut usize) -> Result<u64> {
-    let end = pos
-        .checked_add(8)
-        .ok_or_else(|| ColumnarError::Corrupt("u64 past end".into()))?;
-    let s = bytes
-        .get(*pos..end)
-        .ok_or_else(|| ColumnarError::Corrupt("u64 past end".into()))?;
-    *pos = end;
-    Ok(u64::from_le_bytes(s.try_into().expect("8 bytes")))
+    read_array(bytes, pos, "u64").map(u64::from_le_bytes)
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::value::Value;
@@ -804,6 +858,99 @@ mod tests {
         // Sizes are the raw payload spans: they sum to less than the block.
         let total: u64 = info.iter().map(|i| i.encoded_bytes).sum();
         assert!(total < bytes.len() as u64);
+    }
+
+    /// A column of `rows` values of `dtype` drawn from `seed`: about one in
+    /// `null_every` NULL, values from `card` distinct ones, so runs and
+    /// repeated strings occur and every forced encoding has work to do.
+    fn arb_column(dtype: DataType, rows: usize, seed: u64, card: u64, null_every: u64) -> Column {
+        let mut x = seed | 1;
+        let mut b = crate::ColumnBuilder::new(dtype);
+        for _ in 0..rows {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(null_every) {
+                b.push_null();
+                continue;
+            }
+            let v = (x >> 8) % card;
+            let value = match dtype {
+                DataType::Int64 => Value::Int64(v as i64 - (card / 2) as i64),
+                DataType::Float64 => Value::Float64(v as f64 / 4.0),
+                DataType::Bool => Value::Bool(v.is_multiple_of(2)),
+                DataType::Varchar => Value::Varchar(format!("s{v}")),
+            };
+            b.push(value).unwrap();
+        }
+        b.finish()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The seal is what a reader of the bytes finds: for random batches
+        /// (NULLs, zero rows, zero columns, every type) under every forced
+        /// encoding and the heuristic, in both layouts, the sealed writer's
+        /// bytes are `encode_batch*`'s, its crc is `block_checksum`'s, and its
+        /// per-column facts (with the schema's names and types) are
+        /// `block_column_info`'s.
+        #[test]
+        fn seal_equals_what_the_readers_parse(
+            rows in 0usize..300,
+            cols in proptest::collection::vec((0u8..4, proptest::prelude::any::<u64>()), 0..6),
+            card in 1u64..40,
+            null_every in 2u64..12,
+        ) {
+            let dtypes = [DataType::Int64, DataType::Float64, DataType::Bool, DataType::Varchar];
+            let fields: Vec<Field> = cols
+                .iter()
+                .enumerate()
+                .map(|(i, &(t, _))| Field::new(format!("c{i}"), dtypes[t as usize]))
+                .collect();
+            let columns = cols
+                .iter()
+                .zip(&fields)
+                .map(|(&(_, seed), f)| arb_column(f.dtype, rows, seed, card, null_every))
+                .collect();
+            let batch = Batch::new(Schema::new(fields), columns).unwrap();
+            let forces = [
+                None,
+                Some(Encoding::Plain),
+                Some(Encoding::Rle),
+                Some(Encoding::Dictionary),
+                Some(Encoding::DeltaVarint),
+            ];
+            for force in forces {
+                for version in [VERSION_V1, VERSION_V2] {
+                    let (bytes, seal) = encode_block(&batch, force, version);
+                    let public = match (force, version) {
+                        (None, VERSION_V2) => encode_batch(&batch),
+                        (f, VERSION_V2) => encode_batch_with(&batch, f),
+                        (f, _) => encode_batch_v1_with(&batch, f),
+                    };
+                    proptest::prop_assert!(bytes == public, "{force:?} v{version}: bytes differ");
+                    proptest::prop_assert_eq!(seal.crc, block_checksum(&bytes).unwrap());
+                    let sealed: Vec<BlockColumnInfo> = batch
+                        .schema()
+                        .fields()
+                        .iter()
+                        .zip(&seal.columns)
+                        .map(|(f, c)| BlockColumnInfo {
+                            name: f.name.clone(),
+                            dtype: f.dtype,
+                            encoding: c.encoding,
+                            encoded_bytes: c.encoded_bytes,
+                        })
+                        .collect();
+                    proptest::prop_assert_eq!(sealed, block_column_info(&bytes).unwrap());
+                    proptest::prop_assert_eq!(seal.columns.len(), batch.num_columns());
+                }
+            }
+            let (bytes, seal) = encode_batch_sealed(&batch);
+            proptest::prop_assert_eq!(&bytes, &encode_batch(&batch));
+            proptest::prop_assert_eq!(seal, encode_block(&batch, None, VERSION_V2).1);
+        }
     }
 
     #[test]

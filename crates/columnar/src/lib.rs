@@ -38,8 +38,8 @@ pub use batch::{Batch, Columns};
 pub use bitmap::Bitmap;
 pub use block::{
     block_checksum, block_column_info, decode_batch, decode_batch_columns, decode_batch_encoded,
-    encode_batch, encode_batch_v1, encode_batch_v1_with, encode_batch_with, BlockColumnInfo,
-    DecodeStats,
+    encode_batch, encode_batch_sealed, encode_batch_v1, encode_batch_v1_with, encode_batch_with,
+    BlockColumnInfo, BlockSeal, DecodeStats, SealedColumn,
 };
 pub use column::{Column, ColumnBuilder};
 pub use encoded::{EncodedBatch, EncodedColumn, EncodedValues, Materialized, ScanColumn};

@@ -29,8 +29,8 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use vdr_cluster::{NodeId, PhaseRecorder, SimCluster};
 use vdr_columnar::{
-    block_checksum, block_column_info, decode_batch_encoded, encode_batch, encoding::Encoding,
-    Batch, EncodedBatch, Field, Schema,
+    decode_batch_encoded, encode_batch_sealed, encoding::Encoding, Batch, EncodedBatch, Field,
+    Schema,
 };
 
 /// Fraction of a node's RAM given to the block cache (1/32 of the
@@ -117,7 +117,9 @@ impl SegmentStore {
     }
 
     /// Append one batch as a new container in `table`'s segment on `node`.
-    /// Charges the disk write to `rec`.
+    /// Charges the disk write to `rec`. The container's crc and per-column
+    /// facts come from the block writer's seal: the bytes are checked when
+    /// a scan reads them, not re-read here.
     pub fn append(
         &self,
         table: &str,
@@ -129,16 +131,18 @@ impl SegmentStore {
             return Ok(());
         }
         let key = Self::key(table);
-        let block = encode_batch(batch);
+        let (block, seal) = encode_batch_sealed(batch);
         let bytes = block.len() as u64;
-        let crc = block_checksum(&block)?;
-        let columns = block_column_info(&block)?
-            .into_iter()
+        let columns = batch
+            .schema()
+            .fields()
+            .iter()
             .zip(batch.columns())
-            .map(|(info, col)| ColumnStat {
-                name: info.name,
-                encoding: info.encoding,
-                encoded_bytes: info.encoded_bytes,
+            .zip(seal.columns)
+            .map(|((field, col), sealed)| ColumnStat {
+                name: field.name.clone(),
+                encoding: sealed.encoding,
+                encoded_bytes: sealed.encoded_bytes,
                 decoded_bytes: col.byte_size(),
             })
             .collect();
@@ -158,7 +162,7 @@ impl SegmentStore {
             path,
             rows: batch.num_rows() as u64,
             bytes,
-            crc,
+            crc: seal.crc,
             columns,
         });
         Ok(())
@@ -338,7 +342,7 @@ mod tests {
     use super::*;
     use crate::segmentation::Segmentation;
     use vdr_cluster::PhaseKind;
-    use vdr_columnar::{Column, DataType, Schema};
+    use vdr_columnar::{block_checksum, block_column_info, Column, DataType, Schema};
 
     fn setup() -> (SimCluster, SegmentStore, TableDef) {
         let cluster = SimCluster::for_tests(3);
