@@ -40,8 +40,10 @@ run cargo test --workspace -q $OFFLINE
 # assembly's pipelined-vs-staged and train-while-loading equivalence tests,
 # the root goldens (training, ledger, figures), and the layout guards (Spark
 # and Distributed R k-means from one start, every loader's row checksums),
-# in that profile.
-run cargo test -p vdr-ml -p vdr-transfer --release -q $OFFLINE
+# in that profile. The columnar tests run there too: the crc32 kernel
+# against the bit-at-a-time reference (lengths 0..=8192 at 16 offsets), the
+# block writer's seal against the readers, and the pinned block fixtures.
+run cargo test -p vdr-ml -p vdr-transfer -p vdr-columnar --release -q $OFFLINE
 run cargo test --release -q $OFFLINE --test glm_golden --test train_golden --test loop_golden --test figures_golden --test figure3_workflow --test training_stacks --test transfer_correctness
 
 # Every test that reads a statement's own metric delta, PROFILE rows or

@@ -252,8 +252,8 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Batch> {
     decode_batch_columns(bytes, None).map(|(batch, _)| batch)
 }
 
-/// The crc32 a block header carries over its body, without decoding it.
-/// Storage layers use it as the container's content version tag.
+/// The crc32 a block header carries over its body, without decoding it or
+/// verifying it: the value the writer handed back in its [`BlockSeal`].
 pub fn block_checksum(bytes: &[u8]) -> Result<u32> {
     match header_crc(bytes) {
         Some(crc) if bytes.starts_with(MAGIC) => Ok(crc),
