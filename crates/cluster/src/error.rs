@@ -24,8 +24,9 @@ pub enum ClusterError {
     NoSuchNode { node: NodeId, cluster_size: usize },
     /// A malformed wire stream or a producer failure inside a gather.
     Io(String),
-    /// A node's task panicked inside [`crate::SimCluster::scatter`].
-    NodePanicked { node: NodeId },
+    /// The task for input `input`, run on `node` by
+    /// [`crate::SimCluster::run_on`], panicked.
+    NodePanicked { node: NodeId, input: usize },
 }
 
 impl fmt::Display for ClusterError {
@@ -50,7 +51,9 @@ impl fmt::Display for ClusterError {
                 write!(f, "node {node} does not exist (cluster has {cluster_size} nodes)")
             }
             ClusterError::Io(msg) => write!(f, "{msg}"),
-            ClusterError::NodePanicked { node } => write!(f, "node {node}: task panicked"),
+            ClusterError::NodePanicked { node, input } => {
+                write!(f, "node {node}: the task for input {input} panicked")
+            }
         }
     }
 }

@@ -42,10 +42,10 @@ pub struct ExchangeRecv {
 /// of type `L` that skips the wire; `consume` then runs on every node with
 /// its carry and everything the other nodes sent it.
 ///
-/// Streams are pre-connected before the scatter, so the whole exchange is a
-/// single parallel phase: each node stages its partitions through shared
-/// memory, streams them out, then drains its own inbound streams in source
-/// order. The channels are unbounded, so senders never block on receivers —
+/// Streams are pre-connected before [`SimCluster::run_on`] starts the
+/// nodes, so the whole exchange is a single parallel phase: each node stages
+/// its partitions through shared memory, streams them out, then drains its
+/// own inbound streams in source order. The channels are unbounded, so senders never block on receivers —
 /// produce-send-then-drain cannot deadlock, and a producer that fails drops
 /// its send handles early, which surfaces at every receiver as a
 /// missing-header error rather than a hang.
@@ -77,7 +77,7 @@ where
     }
     let mesh = txs.into_iter().zip(rxs).collect();
 
-    let results = cluster.scatter_each(mesh, |node, (txs, rxs)| -> Result<R> {
+    let run = |node: &Arc<Node>, (txs, rxs): (Vec<StreamTx>, Vec<StreamRx>)| -> Result<R> {
         let me = node.id().0;
         let (parts, local) = produce(node)?;
         if parts.len() != n {
@@ -131,7 +131,8 @@ where
             recv.frames.push(frames);
         }
         consume(node, local, recv)
-    })?;
+    };
+    let results = cluster.run_on(&cluster.node_ids(), mesh, run, None)?;
     results.into_iter().collect()
 }
 

@@ -17,6 +17,9 @@
 //! (for correctness and measured wall time) while projecting the same
 //! operation counts to the paper's 50–400 GB scale deterministically.
 //!
+//! Every thread that does a node's work starts in [`SimCluster::run_on`],
+//! which carries the calling statement's query context onto it.
+//!
 //! Data moves between nodes two ways, both over [`frame`]'s wire format:
 //! VFT's export lanes, and [`exchange_framed`], the all-to-all exchange the
 //! query executor ships every shuffle and broadcast through. A gather to the
@@ -113,48 +116,64 @@ impl SimCluster {
         &self.inner.profile
     }
 
-    /// Run one closure per node concurrently (one real OS thread each) and
-    /// collect the results in node order. This is the primitive engines use
-    /// for "every node does X with its local data" phases.
+    /// [`Self::run_on`] every node, in node order.
     pub fn scatter<R, F>(&self, f: F) -> Result<Vec<R>>
     where
         R: Send,
         F: Fn(&Arc<Node>) -> R + Sync,
     {
-        let inputs = self.inner.nodes.iter().map(|_| ()).collect();
-        self.scatter_each(inputs, |node, ()| f(node))
+        let inputs = vec![(); self.num_nodes()];
+        self.run_on(&self.node_ids(), inputs, |node, ()| f(node), None)
     }
 
-    /// [`Self::scatter`] handing node *i* the *i*-th of `inputs`, owned. A
-    /// node whose closure panicked fails the whole call with
-    /// [`ClusterError::NodePanicked`] naming the first such node, after
-    /// every node has finished; the other nodes' results are dropped.
-    pub fn scatter_each<I, R, F>(&self, inputs: Vec<I>, f: F) -> Result<Vec<R>>
-    where
-        I: Send,
-        R: Send,
-        F: Fn(&Arc<Node>, I) -> R + Sync,
-    {
-        let nodes = &self.inner.nodes;
-        if inputs.len() != nodes.len() {
-            let (got, n) = (inputs.len(), nodes.len());
-            return Err(ClusterError::Io(format!(
-                "scatter got {got} inputs for {n} nodes"
-            )));
+    /// The one fan-out of per-node work: `f(node, input)` for each of
+    /// `inputs` on a thread of its own, the *i*-th on `nodes[i]` (a subset
+    /// of the cluster, repeats allowed), results in input order. Each thread
+    /// enters the caller's query context [`on`](vdr_obs::QueryContext::on)
+    /// its node; span parents stay explicit. `meanwhile` runs on the calling
+    /// thread, in the caller's context, while the nodes work. A panic fails
+    /// the call with [`ClusterError::NodePanicked`] naming the first such
+    /// input and its node, once every input has finished.
+    #[allow(clippy::disallowed_methods, reason = "the one fan-out")]
+    pub fn run_on<I: Send, R: Send>(
+        &self,
+        nodes: &[NodeId],
+        inputs: Vec<I>,
+        f: impl Fn(&Arc<Node>, I) -> R + Sync,
+        meanwhile: Option<&mut dyn FnMut()>,
+    ) -> Result<Vec<R>> {
+        let (got, n, cluster_size) = (inputs.len(), nodes.len(), self.num_nodes());
+        if got != n {
+            let msg = format!("run_on got {got} inputs for {n} nodes");
+            return Err(ClusterError::Io(msg));
         }
-        let f = &f;
+        let find = |&node: &NodeId| {
+            let found = self.inner.nodes.get(node.0);
+            found.ok_or(ClusterError::NoSuchNode { node, cluster_size })
+        };
+        let nodes = nodes.iter().map(find).collect::<Result<Vec<_>>>()?;
+        let (f, query) = (&f, &vdr_obs::query::current());
         std::thread::scope(|scope| {
-            let handles: Vec<_> = nodes
-                .iter()
-                .zip(inputs)
-                .map(|(node, input)| scope.spawn(move || f(node, input)))
+            let handles: Vec<_> = (nodes.iter().zip(inputs))
+                .map(|(&node, input)| {
+                    scope.spawn(move || {
+                        let _q = vdr_obs::QueryScope::enter(query.on(node.id().0));
+                        f(node, input)
+                    })
+                })
                 .collect();
-            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            let mut out = Vec::with_capacity(joined.len());
-            for (i, r) in joined.into_iter().enumerate() {
-                out.push(r.map_err(|_| ClusterError::NodePanicked { node: NodeId(i) })?);
+            if let Some(meanwhile) = meanwhile {
+                meanwhile();
             }
-            Ok(out)
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            let ran = joined.into_iter().zip(&nodes).enumerate();
+            ran.map(|(input, (r, n))| {
+                r.map_err(|_| ClusterError::NodePanicked {
+                    node: n.id(),
+                    input,
+                })
+            })
+            .collect()
         })
     }
 }
@@ -172,6 +191,8 @@ impl std::fmt::Debug for SimCluster {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use vdr_obs::Verbosity;
 
     #[test]
     fn scatter_runs_on_every_node() {
@@ -215,13 +236,138 @@ mod tests {
             Counted
         });
         match got {
-            Err(ClusterError::NodePanicked { node }) => assert_eq!(node, NodeId(2)),
+            Err(ClusterError::NodePanicked { node, input }) => {
+                assert_eq!((node, input), (NodeId(2), 2))
+            }
             Err(other) => panic!("another error: {other}"),
             Ok(_) => panic!("a panicking node must fail the scatter"),
         }
         assert_eq!(DROPPED.load(Ordering::Relaxed), 3, "the other results drop");
-        let err = cluster.scatter_each(vec![1, 2], |_, i| i).unwrap_err();
+    }
+
+    fn ids(nodes: &[usize]) -> Vec<NodeId> {
+        nodes.iter().copied().map(NodeId).collect()
+    }
+
+    #[test]
+    fn run_on_a_subset_with_a_repeated_node_answers_in_input_order() {
+        let cluster = SimCluster::for_tests(4);
+        let nodes = ids(&[2, 0, 2, 3]);
+        let got = cluster
+            .run_on(
+                &nodes,
+                vec![10, 20, 30, 40],
+                |node, i| (node.id().0, i),
+                None,
+            )
+            .unwrap();
+        assert_eq!(got, vec![(2, 10), (0, 20), (2, 30), (3, 40)]);
+    }
+
+    /// Each node thread records into the caller's query context, on its own
+    /// node: the caller's sink holds every thread's counter, by node.
+    #[test]
+    fn run_on_carries_the_callers_query_context_onto_each_node() {
+        let cluster = SimCluster::for_tests(3);
+        let id = vdr_obs::next_query_id();
+        let open = vdr_obs::QueryContext::open(id, Verbosity::Summary);
+        let _q = vdr_obs::QueryScope::enter(open);
+        let seen = cluster
+            .run_on(
+                &ids(&[1, 2, 1]),
+                vec![1, 10, 100],
+                |_, add| {
+                    let node = vdr_obs::current_node().unwrap();
+                    vdr_obs::counter_on("cluster.test.run_on", node, add);
+                    (vdr_obs::current_query_id(), node)
+                },
+                None,
+            )
+            .unwrap();
+        assert_eq!(seen, vec![(id, 1), (id, 2), (id, 1)]);
+        let own = vdr_obs::query::current().metrics();
+        let by_node = own.counter_by_node("cluster.test.run_on");
+        assert_eq!((by_node[&Some(1)], by_node[&Some(2)]), (101, 10));
+        assert_eq!(vdr_obs::current_node(), None);
+    }
+
+    /// `meanwhile` runs on the calling thread, in its context and on no
+    /// node, while the node threads wait for what it sends them.
+    #[test]
+    fn meanwhile_feeds_the_nodes_from_the_calling_thread() {
+        let cluster = SimCluster::for_tests(2);
+        let id = vdr_obs::next_query_id();
+        let open = vdr_obs::QueryContext::open(id, Verbosity::Summary);
+        let _q = vdr_obs::QueryScope::enter(open);
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| mpsc::channel::<usize>()).unzip();
+        let mut fed_from = None;
+        let mut feed = || {
+            fed_from = Some((vdr_obs::current_query_id(), vdr_obs::current_node()));
+            vdr_obs::counter("cluster.test.meanwhile", 1);
+            for (i, tx) in txs.iter().enumerate() {
+                tx.send(i * 7).unwrap();
+            }
+        };
+        let got = cluster
+            .run_on(
+                &ids(&[0, 1, 0]),
+                rxs,
+                |_, rx| rx.recv().unwrap(),
+                Some(&mut feed),
+            )
+            .unwrap();
+        assert_eq!(got, vec![0, 7, 14]);
+        assert_eq!(fed_from, Some((id, None)));
+        let own = vdr_obs::query::current().metrics();
+        let by_node = own.counter_by_node("cluster.test.meanwhile");
+        assert_eq!(by_node.into_iter().collect::<Vec<_>>(), vec![(None, 1)]);
+    }
+
+    /// A panic names its input's position and node, and is reported only
+    /// once every other input has run to the end: the others wait for the
+    /// panicking input to drop their senders as it unwinds.
+    #[test]
+    fn a_panicking_input_is_named_by_position_and_node() {
+        let cluster = SimCluster::for_tests(4);
+        let finished = AtomicUsize::new(0);
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| mpsc::channel::<()>()).unzip();
+        let mut inputs: Vec<_> = rxs.into_iter().map(Ok).collect();
+        inputs.insert(2, Err(txs));
+        let got = cluster.run_on(
+            &ids(&[1, 3, 3, 0]),
+            inputs,
+            |_, input| match input {
+                Ok(rx) => {
+                    assert!(rx.recv().is_err(), "nothing is sent, the sender drops");
+                    finished.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(_senders) => panic!("input 2 fails"),
+            },
+            None,
+        );
+        let err = got.unwrap_err();
+        let expect = ClusterError::NodePanicked {
+            node: NodeId(3),
+            input: 2,
+        };
+        assert_eq!(err, expect);
+        assert!(err.to_string().contains("node 3") && err.to_string().contains("input 2"));
+        assert_eq!(finished.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn run_on_refuses_a_mismatched_or_unknown_node_list() {
+        let cluster = SimCluster::for_tests(4);
+        let err = cluster.run_on(&ids(&[0, 1, 2, 3]), vec![1, 2], |_, i| i, None);
+        let err = err.unwrap_err();
+        assert!(matches!(err, ClusterError::Io(_)), "{err:?}");
         assert!(err.to_string().contains("2 inputs for 4 nodes"), "{err}");
+        let err = cluster.run_on(&ids(&[4]), vec![()], |_, ()| (), None);
+        let expect = ClusterError::NoSuchNode {
+            node: NodeId(4),
+            cluster_size: 4,
+        };
+        assert_eq!(err.unwrap_err(), expect);
     }
 
     #[test]

@@ -27,10 +27,12 @@ pub mod codec;
 pub mod error;
 pub mod modelcache;
 pub mod predict;
+pub mod report;
 pub mod session;
 
 pub use codec::Model;
 pub use error::{CoreError, Result};
 pub use modelcache::ModelCache;
 pub use predict::{register_prediction_functions, GLM_PREDICT, KMEANS_PREDICT, RF_PREDICT};
+pub use report::TraceReport;
 pub use session::{Session, SessionOptions};

@@ -6,12 +6,9 @@
 //! *structure* — which operators and workers ran inside each phase, on which
 //! node, with what per-span annotations.
 
-use crate::metrics::HistogramSnapshot;
-use crate::table::Table;
-use crate::trace::SpanRecord;
-use crate::Verbosity;
 use serde::{Content, Serialize};
 use vdr_cluster::{PhaseReport, SimDuration};
+use vdr_obs::{HistogramSnapshot, SpanRecord, Table, Verbosity};
 
 /// A joined view over one workload's phases and spans.
 #[derive(Debug, Clone)]
@@ -325,7 +322,7 @@ mod tests {
     fn percentile_table_renders_attached_histograms() {
         let mut h = HistogramSnapshot::default();
         for v in [1.0, 2.0, 3.0, 100.0] {
-            h.buckets[crate::metrics::bucket_index(v)] += 1;
+            h.buckets[vdr_obs::metrics::bucket_index(v)] += 1;
             h.count += 1;
             h.sum += v;
             h.min = h.min.min(v);

@@ -4,6 +4,7 @@
 use crate::codec::Model;
 use crate::error::Result;
 use crate::predict::register_prediction_functions;
+use crate::report::TraceReport;
 use std::sync::Arc;
 use vdr_cluster::{Ledger, NodeId, PhaseKind, PhaseRecorder, SimDuration};
 use vdr_distr::{DArray, DFrame, DistributedR};
@@ -225,7 +226,7 @@ impl Session {
             &rec,
         )?;
         let report = rec.finish(self.db.cluster().profile());
-        deploy_span.set_sim_time(report.duration());
+        deploy_span.set_sim_time(report.duration().as_secs());
         self.ledger.push(report);
         Ok(())
     }
@@ -244,7 +245,7 @@ impl Session {
             .models()
             .load(NodeId(0), name, &self.opts.user, &rec)?;
         let report = rec.finish(self.db.cluster().profile());
-        load_span.set_sim_time(report.duration());
+        load_span.set_sim_time(report.duration().as_secs());
         self.ledger.push(report);
         Model::from_bytes(&blob)
     }
@@ -268,7 +269,7 @@ impl Session {
         sql_span.record("stmt", &verb);
         sql_span.record("rows", output.batch.num_rows());
         sql_span.set_query_id(output.query_id);
-        sql_span.set_sim_time(output.sim_time);
+        sql_span.set_sim_time(output.sim_time.as_secs());
         Ok(output)
     }
 
@@ -292,9 +293,9 @@ impl Session {
     /// authoritative simulated-time accounting — phase durations sum to
     /// [`Session::total_sim_time`]) joined with the span tree recorded since
     /// connect, plus latency percentiles for every histogram the session's
-    /// workload touched. Render with [`vdr_obs::TraceReport::render`] or
-    /// export with [`vdr_obs::TraceReport::to_json`].
-    pub fn trace_report(&self) -> vdr_obs::TraceReport {
+    /// workload touched. Render with [`TraceReport::render`] or export with
+    /// [`TraceReport::to_json`].
+    pub fn trace_report(&self) -> TraceReport {
         let metrics = self.metrics();
         let mut histograms = Vec::new();
         for name in metrics.names() {
@@ -304,7 +305,7 @@ impl Session {
                 }
             }
         }
-        vdr_obs::TraceReport::new(
+        TraceReport::new(
             self.ledger.reports(),
             vdr_obs::global().trace().spans_since(self.obs_base_seq),
             self.ledger.total(),

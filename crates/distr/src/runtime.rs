@@ -9,7 +9,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vdr_cluster::{NodeId, SimCluster};
+use vdr_cluster::{ClusterError, Node, NodeId, SimCluster};
 use vdr_columnar::Batch;
 
 /// One Distributed R worker process group: which cluster node it lives on
@@ -364,42 +364,32 @@ impl DistributedR {
     }
 
     /// Run `f(worker_index)` concurrently for each distinct worker in
-    /// `worker_set`, one thread per worker, and return results keyed by
-    /// worker index. This is the low-level "ship a function to
-    /// workers" primitive; the data structures' `map_partitions` build on
-    /// it, and so do transfer receive pools. A task that panics fails the
-    /// call with [`DistrError::TaskPanicked`].
+    /// `worker_set`, one thread per worker on the worker's node
+    /// ([`SimCluster::run_on`]), and return results keyed by worker index.
+    /// This is the "ship a function to workers" primitive; the data
+    /// structures' `map_partitions` build on it. A task that panics fails
+    /// the call with [`DistrError::TaskPanicked`].
     pub fn run_on_workers<R: Send>(
         &self,
         worker_set: &[usize],
         f: impl Fn(usize) -> R + Sync,
     ) -> Result<Vec<(usize, R)>> {
         let parent_span = vdr_obs::current_span_id();
-        // Worker threads don't inherit thread-locals: carry the query
-        // context across the fan-out so every distr.task (and the spans,
-        // metrics and events the shipped closure records) stays attributed
-        // to the statement.
-        let query = &vdr_obs::query::current();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = worker_set
-                .iter()
-                .map(|&w| {
-                    let node_id = self.inner.workers[w].node;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let _q = vdr_obs::QueryScope::enter(query.on(node_id.0));
-                        let mut task_span =
-                            vdr_obs::detail_span_with_parent("distr.task", parent_span);
-                        task_span.set_node(node_id.0);
-                        task_span.record("worker", w);
-                        (w, f(w))
-                    })
-                })
-                .collect();
-            let joined = handles.into_iter().zip(worker_set);
-            joined
-                .map(|(h, &worker)| h.join().map_err(|_| DistrError::TaskPanicked { worker }))
-                .collect()
+        let nodes: Vec<NodeId> = worker_set.iter().map(|&w| self.worker_node(w)).collect();
+        let task = |node: &Arc<Node>, w: usize| {
+            let mut task_span = vdr_obs::detail_span_with_parent("distr.task", parent_span);
+            task_span.set_node(node.id().0);
+            task_span.record("worker", w);
+            (w, f(w))
+        };
+        let run = self
+            .cluster()
+            .run_on(&nodes, worker_set.to_vec(), task, None);
+        run.map_err(|e| match e {
+            ClusterError::NodePanicked { input, .. } => DistrError::TaskPanicked {
+                worker: worker_set[input],
+            },
+            other => DistrError::Invalid(other.to_string()),
         })
     }
 
@@ -535,5 +525,22 @@ mod tests {
             w
         });
         assert_eq!(out, Err(DistrError::TaskPanicked { worker: 1 }));
+    }
+
+    /// Two workers on one node: the panic names the worker, not the node.
+    #[test]
+    fn a_panic_names_the_worker_when_workers_share_a_node() {
+        let cluster = SimCluster::for_tests(2);
+        let dr = DistributedR::start(cluster, vec![NodeId(0), NodeId(0), NodeId(1)], 1, u64::MAX)
+            .unwrap();
+        let out = dr.run_on_workers(&[2, 1, 0], |w| {
+            if w == 1 {
+                panic!("task on worker {w} failed");
+            }
+            w
+        });
+        assert_eq!(out, Err(DistrError::TaskPanicked { worker: 1 }));
+        let ran = dr.run_on_workers(&[2, 1, 0], |w| w * 10).unwrap();
+        assert_eq!(ran, vec![(2, 20), (1, 10), (0, 0)]);
     }
 }

@@ -139,6 +139,10 @@ pub fn cv_hpdglm(
 
     // Folds are independent models over disjoint hold-outs: run them
     // concurrently and collect in fold order.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "CV folds are model fits, not node work"
+    )]
     let results: Vec<Result<(f64, u64)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..folds).map(|f| s.spawn(move || run_fold(f))).collect();
         handles

@@ -15,10 +15,13 @@
 //! * **Events** ([`events`]) — a bounded structured log of moments (cache
 //!   evictions, admission waits, receive errors) with node and query
 //!   attribution, backing `v_monitor.events`.
-//! * **Reports** ([`report`]) — an `EXPLAIN ANALYZE`-style renderer joining
-//!   the trace with the cost ledger's `PhaseReport`s, as text or JSON.
 //! * **Trace export** ([`chrome`]) — Chrome trace-event JSON so any
 //!   recorded workload opens in `chrome://tracing` / Perfetto.
+//!
+//! The `EXPLAIN ANALYZE`-style report joining the trace with the cost
+//! ledger's phases is `vdr-core`'s `TraceReport`: this crate depends on no
+//! other crate of the workspace, so the cluster substrate can carry a query
+//! context onto the threads it starts.
 //!
 //! That is all [`Obs`] holds: trace, metrics and events. What happened
 //! *per statement over time* (the `v_monitor.dc_*` tables) is not kept
@@ -66,7 +69,6 @@ pub mod events;
 pub mod metrics;
 pub mod prom;
 pub mod query;
-pub mod report;
 pub mod table;
 pub mod trace;
 
@@ -78,7 +80,6 @@ pub use events::{EventLog, EventRecord};
 pub use metrics::{HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use prom::render_prometheus;
 pub use query::{current_node, current_query_id, next_query_id, QueryContext, QueryScope};
-pub use report::TraceReport;
 pub use table::Table;
 pub use trace::{SpanGuard, SpanRecord, TraceSink};
 

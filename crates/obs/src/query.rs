@@ -11,10 +11,11 @@
 //! (`PROFILE` forces `Summary`, `TRACE` forces `Trace`), so no process-wide
 //! setting is flipped on the statement path.
 //!
-//! Worker threads (e.g. `SimCluster::scatter` spawns one OS thread per
-//! node) do not inherit the thread-local: the fanning-out code captures
-//! [`current`] and each worker enters it [`on`](QueryContext::on) its node,
-//! exactly as span parents are passed explicitly across threads.
+//! Worker threads do not inherit the thread-local. Every node thread is
+//! started by one fan-out, `vdr_cluster::SimCluster::run_on`: it captures
+//! [`current`] on the calling thread and each node thread enters it
+//! [`on`](QueryContext::on) its node. Span parents are not carried: they are
+//! passed explicitly across threads.
 
 use crate::metrics::MetricsRegistry;
 use crate::{MetricsSnapshot, Verbosity};
@@ -156,7 +157,12 @@ impl Drop for QueryScope {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods
+)]
 mod tests {
     use super::*;
 

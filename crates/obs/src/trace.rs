@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use vdr_cluster::SimDuration;
 
 /// Process-wide time origin for span start timestamps. All `start_ns`
 /// values are nanoseconds since this instant, so spans recorded on any
@@ -291,9 +290,9 @@ impl SpanGuard<'_> {
         }
     }
 
-    /// Attribute simulated time to this span.
-    pub fn set_sim_time(&mut self, sim: SimDuration) {
-        self.record.sim_secs = sim.as_secs();
+    /// Attribute `secs` seconds of simulated time to this span.
+    pub fn set_sim_time(&mut self, secs: f64) {
+        self.record.sim_secs = secs;
     }
 
     /// Override the query id stamped at open (e.g. when the id is only
@@ -335,7 +334,12 @@ impl Drop for SpanGuard<'_> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods
+)]
 mod tests {
     use super::*;
 
@@ -408,7 +412,7 @@ mod tests {
         let sink = TraceSink::new();
         {
             let mut s = sink.span("p");
-            s.set_sim_time(SimDuration::from_secs(2.5));
+            s.set_sim_time(2.5);
         }
         assert_eq!(sink.snapshot()[0].sim_secs, 2.5);
     }

@@ -6,6 +6,8 @@
 //! shared test binary that window could race other tests that expect
 //! recording to be on.
 
+#![allow(clippy::disallowed_methods)]
+
 use vdr_obs::{global, set_verbosity, QueryContext, QueryScope, Verbosity};
 
 #[test]

@@ -107,6 +107,10 @@ impl SparkMatrix {
 
     /// Map-reduce over partitions: `map` runs on one thread per partition;
     /// results are folded on the driver.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "Spark's executors, not node work"
+    )]
     pub fn map_partitions<R: Send>(&self, map: impl Fn(&SparkPartition) -> R + Sync) -> Vec<R> {
         std::thread::scope(|scope| {
             let handles: Vec<_> = self

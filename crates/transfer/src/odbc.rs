@@ -237,7 +237,7 @@ impl OdbcLoader {
             queue_time: SimDuration::ZERO,
         };
         load_span.record("rows", rows);
-        load_span.set_sim_time(report.total());
+        load_span.set_sim_time(report.total().as_secs());
         ledger.push(db_report.clone());
         ledger.push(client_report.clone());
         let label = format!("ODBC load_single {table}");
@@ -293,6 +293,10 @@ impl OdbcLoader {
         // pools do. Each connection thread re-enters the load's query
         // context, so its spans and counters stay attributed.
         let query = &vdr_obs::query::current();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "ODBC client connections, not node work"
+        )]
         let results: Vec<Result<(usize, Batch)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..connections)
                 .map(|c| {
@@ -362,7 +366,7 @@ impl OdbcLoader {
         };
         load_span.record("connections", connections);
         load_span.record("rows", rows);
-        load_span.set_sim_time(report.total());
+        load_span.set_sim_time(report.total().as_secs());
         ledger.push(db_report.clone());
         ledger.push(client_report.clone());
         let label = format!("ODBC load_parallel {table}");

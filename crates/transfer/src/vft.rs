@@ -50,7 +50,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 use vdr_cluster::{
-    stream_chunks, FrameAssembler, NodeId, PhaseKind, PhaseRecorder, PhaseReport, SharedMem,
+    stream_chunks, FrameAssembler, Node, NodeId, PhaseKind, PhaseRecorder, PhaseReport, SharedMem,
     StreamRx,
 };
 use vdr_columnar::{decode_batch, encode_batch, Batch, Column, DataType, Schema};
@@ -616,7 +616,7 @@ impl FastTransfer {
         let client_time = r_report.duration();
         ledger.push(r_report.clone());
         transfer_span.record("rows", total_rows);
-        transfer_span.set_sim_time(db_time + client_time);
+        transfer_span.set_sim_time((db_time + client_time).as_secs());
 
         let values = total_rows * ncol as u64;
         let report = TransferReport {
@@ -710,7 +710,7 @@ impl FastTransfer {
         let client_time = r_report.duration();
         ledger.push(r_report.clone());
         transfer_span.record("rows", total_rows);
-        transfer_span.set_sim_time(db_time + client_time);
+        transfer_span.set_sim_time((db_time + client_time).as_secs());
 
         let report = TransferReport {
             rows: total_rows,
@@ -772,125 +772,97 @@ impl FastTransfer {
             db.cluster().num_nodes(),
         ));
 
-        // Start the receive pools, then issue the single SQL query.
-        let accepts: Vec<Receiver<StreamRx>> = (0..nworkers)
-            .map(|w| self.hub.listen(transfer, w))
-            .collect();
+        // Listen before the export connects.
+        let pools = (0..nworkers).map(|w| (w, self.hub.listen(transfer, w)));
+        let pools = pools.collect();
 
+        // Each worker's receive pool, on the worker's node: accept streams
+        // and decode their frames as the bytes arrive, so conversion
+        // overlaps the still-running export.
         let pool_parent = db_span.id();
-        let query = &vdr_obs::query::current();
-        let (received, wall) =
-            std::thread::scope(|scope| -> Result<(Vec<Vec<ReceivedStream>>, RecvWall)> {
-                let handles: Vec<_> = accepts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, accept)| {
-                        let node = db.cluster().node(dr.worker_node(w)).clone();
-                        let observer = observer.map(Arc::clone);
-                        scope.spawn(move || -> Result<(Vec<ReceivedStream>, RecvWall)> {
-                            // The worker's receive pool: accept streams and
-                            // decode their frames as the bytes arrive, so
-                            // conversion overlaps the still-running export.
-                            let node_id = dr.worker_node(w);
-                            // Pool threads are spawned fresh: re-enter the
-                            // transfer's query context on the worker's node
-                            // so spans/metrics/events recorded here stay
-                            // attributed.
-                            let _q = vdr_obs::QueryScope::enter(query.on(node_id.0));
-                            let mut pool_span =
-                                vdr_obs::detail_span_with_parent("vft.receive", pool_parent);
-                            pool_span.record("worker", w);
-                            r_rec.set_lanes(node_id, dr.workers()[w].instances);
-                            // Bind the worker index once; streams then only
-                            // see the `(src, inst, batch)` part.
-                            let worker_obs = observer
-                                .map(|o| move |src: u64, inst: u64, b: &Batch| o(w, src, inst, b));
-                            let mut wall = RecvWall::default();
-                            let mut streams: Vec<ReceivedStream> = Vec::new();
-                            let mut idx = 0usize;
-                            loop {
-                                let waited = Instant::now();
-                                let Ok(rx) = accept.recv() else { break };
-                                wall.wait_ns += waited.elapsed().as_nanos() as u64;
-                                let key = format!("vft/{transfer}/{w}/{idx}");
-                                idx += 1;
-                                let (src, inst, batches) = match receive_stream(
-                                    node.shm(),
-                                    &key,
-                                    &rx,
-                                    r_rec,
-                                    node_id,
-                                    convert_cost,
-                                    &mut wall,
-                                    worker_obs.as_ref().map(|f| f as &dyn Fn(u64, u64, &Batch)),
-                                ) {
-                                    Ok(decoded) => decoded,
-                                    Err(e) => {
-                                        vdr_obs::event(
-                                            "vft.receive.error",
-                                            format!("transfer={transfer} worker={w} error={e}"),
-                                        );
-                                        return Err(e);
-                                    }
-                                };
-                                streams.push(ReceivedStream { src, inst, batches });
-                            }
-                            // Sort by (source node, instance) so conversion
-                            // order — and thus partition row order — is
-                            // deterministic across transfers.
-                            streams.sort_by_key(|s| (s.src, s.inst));
-                            vdr_obs::counter_on("vft.receive.wait_ns", node_id.0, wall.wait_ns);
-                            vdr_obs::counter_on("vft.receive.decode_ns", node_id.0, wall.decode_ns);
-                            if wall.observe_ns > 0 {
-                                vdr_obs::counter_on(
-                                    "vft.receive.observe_ns",
-                                    node_id.0,
-                                    wall.observe_ns,
-                                );
-                            }
-                            vdr_obs::counter_on("vft.receive.frames", node_id.0, wall.frames);
-                            vdr_obs::observe_on(
-                                "vft.receive.stream_decode_ms",
-                                node_id.0,
-                                wall.decode_ns as f64 / 1e6,
-                            );
-                            pool_span.record("streams", streams.len());
-                            pool_span.record("frames", wall.frames);
-                            Ok((streams, wall))
-                        })
-                    })
-                    .collect();
-
-                let sql = format!(
-                    "SELECT ExportToDistributedR({cols} USING PARAMETERS transfer='{transfer}', \
-                     workers='{workers_param}', policy='{policy}', psize={psize}) \
-                     OVER (PARTITION BEST) FROM {table}",
-                    cols = columns.join(", "),
-                    policy = policy.as_param(),
+        let pool = |node: &Arc<Node>, (w, accept): (usize, Receiver<StreamRx>)| {
+            let node_id = node.id();
+            let mut pool_span = vdr_obs::detail_span_with_parent("vft.receive", pool_parent);
+            pool_span.record("worker", w);
+            r_rec.set_lanes(node_id, dr.workers()[w].instances);
+            // Bind the worker index once; streams then only see the
+            // `(src, inst, batch)` part.
+            let worker_obs =
+                observer.map(|o| move |src: u64, inst: u64, b: &Batch| o(w, src, inst, b));
+            let mut wall = RecvWall::default();
+            let mut streams: Vec<ReceivedStream> = Vec::new();
+            let mut idx = 0usize;
+            loop {
+                let waited = Instant::now();
+                let Ok(rx) = accept.recv() else { break };
+                wall.wait_ns += waited.elapsed().as_nanos() as u64;
+                let key = format!("vft/{transfer}/{w}/{idx}");
+                idx += 1;
+                let worker_obs = worker_obs.as_ref().map(|f| f as &dyn Fn(u64, u64, &Batch));
+                let decoded = receive_stream(
+                    node.shm(),
+                    &key,
+                    &rx,
+                    r_rec,
+                    node_id,
+                    convert_cost,
+                    &mut wall,
+                    worker_obs,
                 );
-                let query_result = db.query_with(&sql, &db_rec);
-                // Whatever happened, stop accepting so receivers terminate.
-                self.hub.close(transfer);
-                let joined: Vec<Result<(Vec<ReceivedStream>, RecvWall)>> = handles
-                    .into_iter()
-                    .map(|h| {
-                        let panicked = || Err(DbError::Exec("a VFT receive pool panicked".into()));
-                        h.join().unwrap_or_else(|_| panicked())
-                    })
-                    .collect();
-                // A receive-pool error is the root cause: the exporter then
-                // saw a hung-up worker and the query failed after it, so
-                // report the receiver's error first.
-                let mut received = Vec::with_capacity(nworkers);
-                let mut wall = RecvWall::default();
-                for j in joined {
-                    let (streams, w) = j?;
-                    wall.absorb(w);
-                    received.push(streams);
-                }
-                query_result?;
-                Ok((received, wall))
-            })?;
+                let (src, inst, batches) = decoded.inspect_err(|e| {
+                    let detail = format!("transfer={transfer} worker={w} error={e}");
+                    vdr_obs::event("vft.receive.error", detail);
+                })?;
+                streams.push(ReceivedStream { src, inst, batches });
+            }
+            // Sort by (source node, instance) so conversion order — and thus
+            // partition row order — is deterministic across transfers.
+            streams.sort_by_key(|s| (s.src, s.inst));
+            vdr_obs::counter_on("vft.receive.wait_ns", node_id.0, wall.wait_ns);
+            vdr_obs::counter_on("vft.receive.decode_ns", node_id.0, wall.decode_ns);
+            if wall.observe_ns > 0 {
+                vdr_obs::counter_on("vft.receive.observe_ns", node_id.0, wall.observe_ns);
+            }
+            vdr_obs::counter_on("vft.receive.frames", node_id.0, wall.frames);
+            vdr_obs::observe_on(
+                "vft.receive.stream_decode_ms",
+                node_id.0,
+                wall.decode_ns as f64 / 1e6,
+            );
+            pool_span.record("streams", streams.len());
+            pool_span.record("frames", wall.frames);
+            Ok::<_, DbError>((streams, wall))
+        };
+
+        // The single SQL query runs on this thread while the pools drain.
+        let sql = format!(
+            "SELECT ExportToDistributedR({cols} USING PARAMETERS transfer='{transfer}', \
+             workers='{workers_param}', policy='{policy}', psize={psize}) \
+             OVER (PARTITION BEST) FROM {table}",
+            cols = columns.join(", "),
+            policy = policy.as_param(),
+        );
+        let mut exported = Ok(());
+        let mut export = || {
+            exported = db.query_with(&sql, &db_rec).map(drop);
+            // Whatever happened, stop accepting so receivers terminate.
+            self.hub.close(transfer);
+        };
+        let nodes: Vec<NodeId> = dr.workers().iter().map(|w| w.node).collect();
+        let pools = db
+            .cluster()
+            .run_on(&nodes, pools, pool, Some(&mut export))?;
+        // A receive-pool error is the root cause: the exporter then saw a
+        // hung-up worker and the query failed after it, so report the
+        // receiver's error first.
+        let mut received = Vec::with_capacity(nworkers);
+        let mut wall = RecvWall::default();
+        for pool in pools {
+            let (streams, w) = pool?;
+            wall.absorb(w);
+            received.push(streams);
+        }
+        exported?;
 
         let kept = || DbError::Exec("the export query kept its phase recorder".into());
         let db_report = Arc::into_inner(db_rec)
@@ -899,14 +871,19 @@ impl FastTransfer {
         db_span.record("receive_wait_ms", wall.wait_ns / 1_000_000);
         db_span.record("receive_decode_ms", wall.decode_ns / 1_000_000);
         db_span.record("frames", wall.frames);
-        db_span.set_sim_time(db_report.duration());
+        db_span.set_sim_time(db_report.duration().as_secs());
         ledger.push(db_report.clone());
         Ok((received, db_report, wall))
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods
+)]
 mod tests {
     use super::*;
     use crate::f64_columns;

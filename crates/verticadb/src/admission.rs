@@ -95,6 +95,7 @@ impl Drop for AdmissionGuard<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -243,7 +243,7 @@ impl VerticaDb {
         let rows = self.storage.load(&def, batches, &rec)?;
         let report = rec.finish(self.cluster.profile());
         copy_span.record("rows", rows);
-        copy_span.set_sim_time(report.duration());
+        copy_span.set_sim_time(report.duration().as_secs());
         self.ledger.push(report);
         Ok(rows)
     }

@@ -131,7 +131,6 @@ struct Cx<'a> {
     rec: &'a Arc<PhaseRecorder>,
     /// The statement's span, parent of the per-node spans.
     span: u64,
-    query: &'a vdr_obs::QueryContext,
     /// The statement's operator record, appended to by every node.
     actuals: &'a Mutex<Vec<OpActuals>>,
 }
@@ -160,12 +159,6 @@ impl Cx<'_> {
             wall_ns,
         };
         self.actuals.lock().push(a);
-    }
-
-    /// Re-enter the statement's query context, on `node`, on a worker
-    /// thread, so spans and counters stay attributed.
-    fn enter(&self, node: usize) -> vdr_obs::QueryScope {
-        vdr_obs::QueryScope::enter(self.query.on(node))
     }
 
     fn agg(&self) -> Result<&AggPlan> {
@@ -314,7 +307,7 @@ fn execute_select(
     if let Some(table) = &stmt.from {
         span.record("table", table);
     }
-    let (query, actuals) = (vdr_obs::query::current(), Mutex::new(Vec::new()));
+    let actuals = Mutex::new(Vec::new());
     let cx = Cx {
         db,
         plan: &plan,
@@ -323,7 +316,6 @@ fn execute_select(
         transform: None,
         rec,
         span: span.id(),
-        query: &query,
         actuals: &actuals,
     };
     let out = run(&cx, &plan.root);
@@ -698,10 +690,7 @@ fn exchange<C: Send, T: Send>(
         bytes: 0,
     };
     if schemas.is_empty() {
-        let local = |node: &Arc<Node>| {
-            let _s = cx.enter(node.id().0);
-            recv(node, send(node, &mut outbox())?, Vec::new())
-        };
+        let local = |node: &Arc<Node>| recv(node, send(node, &mut outbox())?, Vec::new());
         return cx.db.cluster().scatter(local)?.into_iter().collect();
     }
     let as_io = |e: DbError| ClusterError::Io(e.to_string());
@@ -715,7 +704,6 @@ fn exchange<C: Send, T: Send>(
         }
     };
     let produce = |node: &Arc<Node>| {
-        let _s = cx.enter(node.id().0);
         let mut out = outbox();
         let carry = send(node, &mut out).map_err(as_io)?;
         charge(node, (out.values, out.bytes));
@@ -723,7 +711,6 @@ fn exchange<C: Send, T: Send>(
     };
     let consume = |node: &Arc<Node>, carry: C, got: ExchangeRecv| {
         let me = node.id().0;
-        let _s = cx.enter(me);
         let started = Instant::now();
         let (received, stats) = receive(schemas, payload, &got).map_err(as_io)?;
         // Receive-side kernel telemetry lands on the receiving node.
@@ -875,16 +862,20 @@ fn fragment(cx: &Cx<'_>, node: &PlanNode) -> Result<Vec<NodeResult>> {
     }
     match &source.op {
         Op::Local(per_node) => {
-            let local = |(n, rows): (usize, &EncodedBatch)| {
-                let _s = cx.enter(n);
-                let started = Instant::now();
-                let mut acc = NodeAcc::new(&cx, NodeId(n))?;
+            let local = |node: &Arc<Node>, rows: &EncodedBatch| {
+                let (id, started) = (node.id(), Instant::now());
+                let mut acc = NodeAcc::new(&cx, id)?;
                 let one = [Ok(rows.clone())];
                 let counts = pipeline(&cx, one, &mut acc, &mut EncodedScanStats::default())?;
-                cx.note(n, source.path, [0, counts.0, rows.byte_size()], None);
-                sink(&cx, n, acc, counts, started)
+                cx.note(id.0, source.path, [0, counts.0, rows.byte_size()], None);
+                sink(&cx, id.0, acc, counts, started)
             };
-            per_node.iter().enumerate().map(local).collect()
+            let nodes: Vec<NodeId> = (0..per_node.len()).map(NodeId).collect();
+            let run = cx
+                .db
+                .cluster()
+                .run_on(&nodes, per_node.iter().collect(), local, None);
+            run?.into_iter().collect()
         }
         Op::Scan(scan) => {
             let scan_node = |node: &Arc<Node>| scan_node(&cx, node, scan, source.path);
@@ -953,7 +944,6 @@ fn filter(pred: Option<&Expr>, eb: &EncodedBatch, stats: &mut EncodedScanStats) 
 /// the pipeline.
 fn scan_node(cx: &Cx<'_>, node: &Arc<Node>, scan: &plan::Scan, path: usize) -> Result<NodeResult> {
     let id = node.id();
-    let _s = cx.enter(id.0);
     let started = Instant::now();
     let mut span = vdr_obs::detail_span_with_parent("exec.scan", cx.span);
     span.set_node(id.0);
@@ -1316,8 +1306,6 @@ impl Deal<'_> {
     /// evaluated over them just before it runs.
     fn instance(&self, i: usize, n: usize, share: Share) -> Result<Vec<Batch>> {
         let (cx, t, node) = (&self.cx, self.t, self.node);
-        // Attribute the instance's spans and counters to the query and node.
-        let _s = cx.enter(node.0);
         let mut span = vdr_obs::detail_span_with_parent("exec.transform.instance", cx.span);
         span.set_node(node.0);
         span.record("instance", i);

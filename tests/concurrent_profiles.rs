@@ -4,6 +4,8 @@
 //! of one host would; each statement's counters must still equal its own
 //! table's rows.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use vertica_dr::cluster::SimCluster;

@@ -244,6 +244,31 @@ fn remote_and_colocated_deployments_agree() {
     }
 }
 
+/// Two Distributed R workers on one node and a third on another (workers
+/// may share a node): both policies deliver every id exactly once.
+#[test]
+fn workers_sharing_a_node_receive_every_row_once() {
+    let cluster = SimCluster::for_tests(3);
+    let db = VerticaDb::new(cluster.clone());
+    transfer_table(&db, "t", 4_000, Segmentation::RoundRobin, 9).unwrap();
+    let vft = install_export_function(&db);
+    let ledger = Ledger::new();
+    let node = vertica_dr::cluster::NodeId;
+    let dr = DistributedR::start(cluster, vec![node(0), node(0), node(1)], 2, u64::MAX).unwrap();
+    for policy in [TransferPolicy::Uniform, TransferPolicy::Locality] {
+        let (arr, report) = vft
+            .db2darray(&db, &dr, "t", &["id"], policy, &ledger)
+            .unwrap();
+        assert_eq!(report.rows, 4_000, "{policy:?}");
+        let parts = arr.map_partitions(|_, p| p.column(0).to_vec()).unwrap();
+        let mut ids: Vec<f64> = parts.into_iter().flatten().collect();
+        assert_eq!(ids.iter().sum::<f64>(), id_checksum(4_000), "{policy:?}");
+        ids.sort_by(f64::total_cmp);
+        let once: Vec<f64> = (0..4_000).map(f64::from).collect();
+        assert_eq!(ids, once, "{policy:?}: every id exactly once");
+    }
+}
+
 #[test]
 fn local_file_loader_matches_database_content() {
     let (db, dr) = setup(2, 2_000, Segmentation::RoundRobin);
