@@ -18,6 +18,7 @@ use crate::profile::HardwareProfile;
 use crate::time::SimDuration;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// How a phase's per-node resource times combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +28,7 @@ pub enum PhaseKind {
 }
 
 /// Resource usage recorded against a single node within one phase.
-#[derive(Debug, Clone, Default, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
 pub struct NodeUsage {
     /// Bytes read from cold disk.
     pub disk_read_bytes: u64,
@@ -62,7 +63,7 @@ impl NodeUsage {
     }
 
     /// Per-node duration under `kind` with the given profile.
-    fn duration(&self, profile: &HardwareProfile, kind: PhaseKind) -> SimDuration {
+    pub fn duration(&self, profile: &HardwareProfile, kind: PhaseKind) -> SimDuration {
         let t_disk = SimDuration::from_secs(
             self.disk_read_bytes as f64 / profile.disk_read_bps
                 + self.disk_cached_read_bytes as f64 / profile.disk_cached_read_bps
@@ -87,13 +88,14 @@ impl NodeUsage {
 }
 
 /// Live recorder for one phase; thread-safe so concurrent node tasks can
-/// charge into it.
+/// charge into it, directly or through a [`child`](Self::child).
 pub struct PhaseRecorder {
     name: String,
     kind: PhaseKind,
     usage: Mutex<Vec<NodeUsage>>,
     /// The query this phase belongs to; 0 (the default) means unattributed.
     query_id: AtomicU64,
+    parent: Option<Arc<PhaseRecorder>>,
 }
 
 impl PhaseRecorder {
@@ -103,15 +105,18 @@ impl PhaseRecorder {
             kind,
             usage: Mutex::new(vec![NodeUsage::default(); num_nodes]),
             query_id: AtomicU64::new(0),
+            parent: None,
         }
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn kind(&self) -> PhaseKind {
-        self.kind
+    /// A recorder for one part of this phase (a statement's operator) that
+    /// keeps the part's own per-node usage and forwards each charge to this
+    /// one at once, on the charging thread: this one's sums do not change.
+    pub fn child(self: &Arc<Self>) -> Arc<PhaseRecorder> {
+        let nodes = self.usage.lock().len();
+        let mut child = PhaseRecorder::new(self.name.clone(), self.kind, nodes);
+        child.parent = Some(Arc::clone(self));
+        Arc::new(child)
     }
 
     /// Attribute this phase to a query (see `vdr-obs`'s query ids). The
@@ -121,23 +126,32 @@ impl PhaseRecorder {
         self.query_id.store(query_id, Ordering::Relaxed);
     }
 
-    pub fn query_id(&self) -> u64 {
-        self.query_id.load(Ordering::Relaxed)
+    /// This recorder's own usage so far, per node.
+    pub fn usage(&self) -> Vec<NodeUsage> {
+        self.usage.lock().clone()
+    }
+
+    /// Apply one charge to this recorder's usage, then to its parent's.
+    fn charge(&self, f: impl Fn(&mut [NodeUsage])) {
+        f(&mut self.usage.lock());
+        if let Some(parent) = &self.parent {
+            parent.charge(f);
+        }
     }
 
     /// Record `bytes` read from cold disk on `node`.
     pub fn disk_read(&self, node: NodeId, bytes: u64) {
-        self.usage.lock()[node.0].disk_read_bytes += bytes;
+        self.charge(|u| u[node.0].disk_read_bytes += bytes);
     }
 
     /// Record `bytes` re-read through the page cache on `node`.
     pub fn disk_cached_read(&self, node: NodeId, bytes: u64) {
-        self.usage.lock()[node.0].disk_cached_read_bytes += bytes;
+        self.charge(|u| u[node.0].disk_cached_read_bytes += bytes);
     }
 
     /// Record `bytes` written to disk on `node`.
     pub fn disk_write(&self, node: NodeId, bytes: u64) {
-        self.usage.lock()[node.0].disk_write_bytes += bytes;
+        self.charge(|u| u[node.0].disk_write_bytes += bytes);
     }
 
     /// Record a transfer of `bytes` from `src` to `dst`. Loopback transfers
@@ -147,14 +161,15 @@ impl PhaseRecorder {
         if src == dst {
             return;
         }
-        let mut usage = self.usage.lock();
-        usage[src.0].net_out_bytes += bytes;
-        usage[dst.0].net_in_bytes += bytes;
+        self.charge(|u| {
+            u[src.0].net_out_bytes += bytes;
+            u[dst.0].net_in_bytes += bytes;
+        });
     }
 
     /// Record raw CPU work in core-nanoseconds on `node`.
     pub fn cpu_ns(&self, node: NodeId, core_ns: f64) {
-        self.usage.lock()[node.0].cpu_core_ns += core_ns;
+        self.charge(|u| u[node.0].cpu_core_ns += core_ns);
     }
 
     /// Record `units` of work at `ns_per_unit` on `node`.
@@ -164,13 +179,13 @@ impl PhaseRecorder {
 
     /// Record a serial fixed overhead on `node`.
     pub fn fixed(&self, node: NodeId, d: SimDuration) {
-        self.usage.lock()[node.0].fixed_secs += d.as_secs();
+        let secs = d.as_secs();
+        self.charge(|u| u[node.0].fixed_secs += secs);
     }
 
     /// Declare how many CPU lanes `node` uses in this phase.
     pub fn set_lanes(&self, node: NodeId, lanes: usize) {
-        let mut usage = self.usage.lock();
-        usage[node.0].lanes = usage[node.0].lanes.max(lanes);
+        self.charge(|u| u[node.0].lanes = u[node.0].lanes.max(lanes));
     }
 
     /// Simulated duration of the phase: max over nodes.
@@ -184,26 +199,22 @@ impl PhaseRecorder {
 
     /// Freeze into a report.
     pub fn finish(self, profile: &HardwareProfile) -> PhaseReport {
-        let duration = self.duration(profile);
-        let kind = self.kind;
-        let usage = self.usage.into_inner();
         let mut totals = NodeUsage::default();
-        for u in &usage {
-            totals.merge(u);
-        }
-        let nodes = usage
-            .iter()
-            .enumerate()
-            .map(|(node, u)| NodePhase {
-                node,
-                duration_secs: u.duration(profile, kind).as_secs(),
-                usage: u.clone(),
+        let nodes: Vec<NodePhase> = (self.usage.into_inner().into_iter().enumerate())
+            .map(|(node, usage)| {
+                totals.merge(&usage);
+                let duration_secs = usage.duration(profile, self.kind).as_secs();
+                NodePhase {
+                    node,
+                    duration_secs,
+                    usage,
+                }
             })
             .collect();
         PhaseReport {
             name: self.name,
-            query_id: self.query_id.load(Ordering::Relaxed),
-            duration_secs: duration.as_secs(),
+            query_id: self.query_id.into_inner(),
+            duration_secs: nodes.iter().map(|n| n.duration_secs).fold(0.0, f64::max),
             total_bytes_moved: totals.net_in_bytes,
             total_disk_read: totals.disk_read_bytes + totals.disk_cached_read_bytes,
             total_cpu_core_ns: totals.cpu_core_ns,
@@ -448,6 +459,39 @@ mod tests {
             .map(|n| n.duration_secs)
             .fold(0.0f64, f64::max);
         assert_eq!(report.duration_secs, max);
+    }
+
+    /// A child keeps its own share and its parent ends with the very usage
+    /// the same charges made directly on it would leave, bit for bit.
+    #[test]
+    fn child_keeps_its_share_and_forwards_every_charge() {
+        let p = profile();
+        let direct = PhaseRecorder::new("t", PhaseKind::Pipelined, 2);
+        let parent = std::sync::Arc::new(PhaseRecorder::new("t", PhaseKind::Pipelined, 2));
+        let (a, b) = (parent.child(), parent.child());
+        let charges = |r: &PhaseRecorder, i: f64| {
+            r.disk_read(NodeId(0), 3);
+            r.disk_cached_read(NodeId(1), 5);
+            r.disk_write(NodeId(1), 7);
+            r.net(NodeId(0), NodeId(1), 11);
+            r.net(NodeId(1), NodeId(1), 13);
+            r.cpu_work(NodeId(0), 0.1 * i, 0.3);
+            r.fixed(NodeId(1), SimDuration::from_secs(0.7 * i));
+            r.set_lanes(NodeId(0), i as usize);
+        };
+        for (i, r) in [&a, &b, &a].into_iter().enumerate() {
+            charges(r, i as f64 + 1.0);
+            charges(&direct, i as f64 + 1.0);
+        }
+        let own = a.usage();
+        assert_eq!((own[0].disk_read_bytes, own[0].net_out_bytes), (6, 22));
+        assert_eq!((own[1].net_in_bytes, own[0].lanes), (22, 3));
+        assert_eq!(b.usage()[1].disk_write_bytes, 7);
+        drop((a, b));
+        let parent = std::sync::Arc::into_inner(parent).unwrap();
+        assert_eq!(parent.usage(), direct.usage());
+        let (got, want) = (parent.finish(&p), direct.finish(&p));
+        assert_eq!(got.duration_secs.to_bits(), want.duration_secs.to_bits());
     }
 
     #[test]

@@ -93,11 +93,6 @@ fn process_name_event(pid: u64) -> Content {
     ])
 }
 
-/// Build the Chrome trace document for `spans` as a JSON value.
-pub fn chrome_trace_json(spans: &[SpanRecord]) -> serde_json::Value {
-    chrome_trace_json_with_events(spans, &[])
-}
-
 /// Build the Chrome trace document for `spans` plus event-ring `marks`
 /// rendered as instant events on the owning node's lane.
 pub fn chrome_trace_json_with_events(
@@ -121,14 +116,9 @@ pub fn chrome_trace_json_with_events(
     serde_json::Value::from(doc)
 }
 
-/// Write the Chrome trace document for `spans` to `path`. Open the file in
-/// `chrome://tracing` or Perfetto to browse the tree visually.
-pub fn export_chrome_trace(spans: &[SpanRecord], path: &Path) -> std::io::Result<()> {
-    export_chrome_trace_with_events(spans, &[], path)
-}
-
-/// [`export_chrome_trace`], with event-ring entries included as instant
-/// events.
+/// Write the Chrome trace document for `spans`, with event-ring entries as
+/// instant events, to `path`. Open the file in `chrome://tracing` or
+/// Perfetto to browse the tree visually.
 pub fn export_chrome_trace_with_events(
     spans: &[SpanRecord],
     marks: &[EventRecord],
@@ -168,7 +158,7 @@ mod tests {
             span(2, "exec.scan", Some(0), 7),
             span(3, "exec.scan", Some(2), 7),
         ];
-        let doc = chrome_trace_json(&spans);
+        let doc = chrome_trace_json_with_events(&spans, &[]);
         let events = doc.get("traceEvents").and_then(|e| e.as_array()).unwrap();
         // 3 process_name metadata events (pids 0, 1, 3) + 3 span events.
         assert_eq!(events.len(), 6);
@@ -251,7 +241,7 @@ mod tests {
         let dir = std::env::temp_dir().join("vdr_obs_chrome_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
-        export_chrome_trace(&[span(1, "a", Some(0), 1)], &path).unwrap();
+        export_chrome_trace_with_events(&[span(1, "a", Some(0), 1)], &[], &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = serde_json::from_str(&text).unwrap();
         assert!(doc

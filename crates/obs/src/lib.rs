@@ -72,10 +72,7 @@ pub mod query;
 pub mod table;
 pub mod trace;
 
-pub use chrome::{
-    chrome_trace_json, chrome_trace_json_with_events, export_chrome_trace,
-    export_chrome_trace_with_events,
-};
+pub use chrome::{chrome_trace_json_with_events, export_chrome_trace_with_events};
 pub use events::{EventLog, EventRecord};
 pub use metrics::{HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use prom::render_prometheus;

@@ -67,26 +67,26 @@
 //!
 //! # Telemetry
 //!
-//! One record: where an operator makes its ledger charges, the interpreter
-//! writes down once what it did on that node — an [`OpActuals`] of rows in
-//! and out, bytes out and wall time under the operator's `EXPLAIN` path id
-//! (a fused Scan → Filter → sink pipeline times itself once, on its sink; an
-//! Exchange and the gather count the frame bytes they receive). One fold: at
-//! the end of every SELECT and CTAS, failed or not, `fold` turns that record
-//! into the operator-level counters — `exec.scan.rows`, `exec.filter.rows`,
-//! `exec.output.rows`, `exec.gather.bytes`, `exec.groupby.shuffled`,
-//! `exec.join.output_rows`, `exec.transform.rows_{in,out}` and
-//! `exchange.{rows,bytes,frames}` — and nothing else writes them. The
-//! record rides on to the query history, `PROFILE`'s operator section and
-//! `v_monitor.query_plan_profiles`. Counters of kernel work stay where the
-//! work happens, because only the kernel sees it: `scan.encoded.*` (runs
-//! and codes the encoded predicates skipped), `scan.cache.*`,
-//! `exec.scan.cols_skipped` and `scan.decode.ns_per_value` (storage),
-//! `exchange.wait_ns` and `exchange.encoded_cols` (the receive).
+//! One writer per operator: every plan operator makes its ledger charges on
+//! its own recorder, a child of the statement's (`Cx::op`), and writes down
+//! once per node what it did — an [`OpActuals`] of rows in and out, bytes out
+//! and wall time under its `EXPLAIN` path id (a fused Scan → Filter → sink
+//! pipeline times itself on its sink; an Exchange and the gather count the
+//! frame bytes they receive). At the statement's end, failed or not, each
+//! entry takes its operator's usage on its node, and `fold` turns the record
+//! into the operator counters — `exec.{scan,filter,output}.rows`,
+//! `exec.gather.bytes`, `exec.groupby.shuffled`, `exec.join.output_rows`,
+//! `exec.transform.rows_{in,out}` and `exchange.{rows,bytes,frames}` — which
+//! nothing else writes. The record rides on to the query history, `PROFILE`
+//! and `v_monitor.query_plan_profiles`. Kernel counters stay where the work
+//! is seen: `scan.encoded.*`, `scan.cache.*`, `exec.scan.cols_skipped` and
+//! `scan.decode.ns_per_value` (storage), `exchange.wait_ns` and
+//! `exchange.encoded_cols` (the receive).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::agg::{AggPlan, Aggregator, Codes, Partial};
+use crate::catalog::TableDef;
 use crate::db::VerticaDb;
 use crate::error::{DbError, Result};
 use crate::expr::{BinOp, Expr};
@@ -128,14 +128,22 @@ struct Cx<'a> {
     filter: Option<(usize, &'a Expr)>,
     /// The UDx the pipeline feeds, in place of projected rows.
     transform: Option<&'a Transform>,
-    rec: &'a Arc<PhaseRecorder>,
+    /// Per path id, the operator's own recorder, a child of the statement's:
+    /// every ledger charge of the operator is made on it.
+    ops: &'a [Arc<PhaseRecorder>],
     /// The statement's span, parent of the per-node spans.
     span: u64,
     /// The statement's operator record, appended to by every node.
     actuals: &'a Mutex<Vec<OpActuals>>,
 }
 
-impl Cx<'_> {
+impl<'a> Cx<'a> {
+    /// Operator `path`'s recorder. One serves the operator on every node: a
+    /// gather's and an exchange's network charges land on two nodes at once.
+    fn op(&self, path: usize) -> &'a Arc<PhaseRecorder> {
+        &self.ops[path]
+    }
+
     /// Write down that operator `path` took `rows_in` rows on `node` and put
     /// out `rows_out` rows of `bytes_out` bytes, since `started` if it times
     /// itself.
@@ -147,16 +155,14 @@ impl Cx<'_> {
         started: Option<Instant>,
     ) {
         let wall_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let (path_id, frames, net_bytes) = (path, 0, 0);
         let a = OpActuals {
             node,
-            path_id,
+            path_id: path,
             rows_in,
             rows_out,
             bytes_out,
-            frames,
-            net_bytes,
             wall_ns,
+            ..OpActuals::default()
         };
         self.actuals.lock().push(a);
     }
@@ -192,6 +198,15 @@ pub fn execute(
 ) -> Result<Batch> {
     let mut stmt_span = vdr_obs::span("exec.statement");
     stmt_span.record("stmt", crate::db::statement_label(stmt));
+    // Writing rows is the statement's `Store`, an operator numbered after
+    // the plan's last so `EXPLAIN`'s numbers stay put.
+    let store = |def: &TableDef, batch, ops: &mut OperatorRecord| {
+        let store = rec.child();
+        let loaded = db.storage().load(def, vec![batch], &store);
+        ops.plan.push(("Store", def.name.clone()));
+        ops.settle(ops.plan.len() - 1, &store);
+        loaded
+    };
     match stmt {
         Statement::Select(select) => execute_select(db, select, rec, ops),
         Statement::Explain(select) => plan::build(db, select)?.explain(),
@@ -219,7 +234,7 @@ pub fn execute(
                     crate::segmentation::Segmentation::RoundRobin
                 }
             };
-            db.catalog().create_table(crate::catalog::TableDef {
+            db.catalog().create_table(TableDef {
                 name: name.clone(),
                 schema,
                 segmentation: seg,
@@ -228,14 +243,13 @@ pub fn execute(
         }
         Statement::CreateTableAs { name, query } => {
             let result = execute_select(db, query, rec, ops)?;
-            db.catalog().create_table(crate::catalog::TableDef {
+            db.catalog().create_table(TableDef {
                 name: name.clone(),
                 schema: result.schema().clone(),
                 segmentation: crate::segmentation::Segmentation::RoundRobin,
             })?;
             let n = result.num_rows();
-            let def = db.catalog().get(name)?;
-            db.storage().load(&def, vec![result], rec)?;
+            store(&db.catalog().get(name)?, result, ops)?;
             status_batch(&format!("CREATE TABLE {name} AS SELECT ({n} rows)"))
         }
         Statement::Insert { table, rows } => {
@@ -263,7 +277,7 @@ pub fn execute(
             }
             let batch = Batch::from_rows(def.schema.clone(), &value_rows)?;
             let n = batch.num_rows();
-            db.storage().load(&def, vec![batch], rec)?;
+            store(&def, batch, ops)?;
             status_batch(&format!("INSERT {n}"))
         }
         Statement::DropTable { name, if_exists } => {
@@ -307,6 +321,9 @@ fn execute_select(
     if let Some(table) = &stmt.from {
         span.record("table", table);
     }
+    let lines = plan.lines().into_iter().map(|l| (l.name, l.detail));
+    ops.plan = lines.collect();
+    let children: Vec<_> = ops.plan.iter().map(|_| rec.child()).collect();
     let actuals = Mutex::new(Vec::new());
     let cx = Cx {
         db,
@@ -314,26 +331,21 @@ fn execute_select(
         sink: 0,
         filter: None,
         transform: None,
-        rec,
+        ops: &children,
         span: span.id(),
         actuals: &actuals,
     };
     let out = run(&cx, &plan.root);
-    ops.plan = plan
-        .lines()
-        .into_iter()
-        .map(|l| (l.name, l.detail))
-        .collect();
     ops.actuals = actuals.into_inner();
+    for (path, child) in children.iter().enumerate() {
+        ops.settle(path, child);
+    }
     fold(&plan, &ops.actuals);
     out
 }
 
 /// Turn a statement's operator record into the operator-level counters, on
-/// the node each belongs to: the one writer of `exec.*` rows and bytes and
-/// of `exchange.{rows,bytes,frames}`. Counters of kernel work
-/// (`scan.encoded.*`, `scan.cache.*`, `exchange.wait_ns`, …) stay where the
-/// work happens.
+/// the node each belongs to: their one writer (see the module's Telemetry).
 fn fold(plan: &PhysicalPlan, actuals: &[OpActuals]) {
     let root = actuals.iter().filter(|a| a.path_id == plan.root.path);
     vdr_obs::counter("exec.output.rows", root.map(|a| a.rows_out).sum());
@@ -419,7 +431,10 @@ fn run(cx: &Cx<'_>, mut node: &PlanNode) -> Result<Batch> {
             // FinalAgg ← Exchange(gather) ← partials: merge on the initiator.
             let gather = input(node)?;
             let (_, partials) = split(fragment(cx, input(gather)?)?);
-            let rows_in = charge_gather(cx, gather.path, input(gather)?.path);
+            let sent = partials
+                .iter()
+                .map(|p| [p.num_groups() as u64, p.byte_size()]);
+            let rows_in = charge_gather(cx, gather.path, sent);
             let started = Instant::now();
             let mut merged = Aggregator::new(cx.agg()?)?;
             for p in &partials {
@@ -438,7 +453,7 @@ fn run(cx: &Cx<'_>, mut node: &PlanNode) -> Result<Batch> {
                 return tail.output(cx, shuffle_group_by(cx, node, below, partials)?);
             }
             let (rows, _) = split(fragment(cx, below)?);
-            charge_gather(cx, node.path, below.path);
+            charge_gather(cx, node.path, rows.iter().map(size));
             tail.rows(cx, rows)
         }
         _ => Err(shape()),
@@ -450,35 +465,18 @@ fn size(b: &Batch) -> [u64; 2] {
     [b.num_rows() as u64, b.byte_size()]
 }
 
-/// Charge shipping every node's output of operator `from` — its rows and
-/// bytes as the record holds them — to the initiator, and write down the
-/// gather at `path` receiving them. Returns the rows.
-fn charge_gather(cx: &Cx<'_>, path: usize, from: usize) -> u64 {
+/// Charge the gather at `path` shipping every node's output — the rows and
+/// bytes `sent` holds in node order — to the initiator, and write down the
+/// initiator receiving them. Returns the rows.
+fn charge_gather(cx: &Cx<'_>, path: usize, sent: impl Iterator<Item = [u64; 2]>) -> u64 {
     let mut gather_span = vdr_obs::span("exec.gather");
-    let mut sent = cx.actuals.lock().clone();
-    sent.retain(|a| a.path_id == from);
-    sent.sort_by_key(|a| a.node);
-    let (mut rows, mut bytes, mut net_bytes) = (0, 0, 0);
-    for a in sent {
-        cx.rec.net(NodeId(a.node), INITIATOR, a.bytes_out);
-        (rows, bytes) = (rows + a.rows_out, bytes + a.bytes_out);
-        net_bytes += if a.node == INITIATOR.0 {
-            0
-        } else {
-            a.bytes_out
-        };
+    let (mut rows, mut bytes) = (0, 0);
+    for (node, [r, b]) in sent.enumerate() {
+        cx.op(path).net(NodeId(node), INITIATOR, b);
+        (rows, bytes) = (rows + r, bytes + b);
     }
     gather_span.record("bytes", bytes);
-    let (path_id, rows_in, rows_out, bytes_out) = (path, rows, rows, bytes);
-    let got = OpActuals {
-        path_id,
-        rows_in,
-        rows_out,
-        bytes_out,
-        net_bytes,
-        ..OpActuals::default()
-    };
-    cx.actuals.lock().push(got);
+    cx.note(INITIATOR.0, path, [rows, rows, bytes], None);
     rows
 }
 
@@ -500,7 +498,7 @@ fn shuffle_group_by(
         cx,
         "exec.groupby.shuffle",
         agg.schemas(),
-        &vec![shuffle; agg.schemas().len()],
+        &[shuffle],
         Payload::State,
         |node, out| {
             let me = node.id().0;
@@ -537,7 +535,7 @@ fn shuffle_group_by(
             Ok(out)
         },
     )?;
-    charge_gather(cx, gather.path, finalize.path);
+    charge_gather(cx, gather.path, finished.iter().map(size));
     Ok(Batch::concat(agg.out_schema().clone(), &finished)?)
 }
 
@@ -671,8 +669,8 @@ impl Outbox {
 /// returns what stays local; `recv` then runs with that carry and, per
 /// source node, the batches it sent here, decoded and held to `schemas`;
 /// `paths[i]` is the plan's Exchange the `i`-th frame of every stream
-/// belongs to. With no schema to ship no stream opens: each node runs `send`
-/// and `recv` back to back.
+/// belongs to, the last one every later frame too, and the first is charged.
+/// With no schema to ship no stream opens: `send` and `recv` run back to back.
 #[allow(clippy::too_many_arguments)]
 fn exchange<C: Send, T: Send>(
     cx: &Cx<'_>,
@@ -693,6 +691,7 @@ fn exchange<C: Send, T: Send>(
         let local = |node: &Arc<Node>| recv(node, send(node, &mut outbox())?, Vec::new());
         return cx.db.cluster().scatter(local)?.into_iter().collect();
     }
+    let rec = cx.op(*paths.first().ok_or_else(shape)?);
     let as_io = |e: DbError| ClusterError::Io(e.to_string());
     let charge = |node: &Arc<Node>, (values, bytes): (u64, u64)| {
         let units = match payload {
@@ -700,7 +699,7 @@ fn exchange<C: Send, T: Send>(
             Payload::State => bytes as f64 / 8.0,
         };
         if units > 0.0 {
-            cx.rec.cpu_work(node.id(), units, cx.scan_cost());
+            rec.cpu_work(node.id(), units, cx.scan_cost());
         }
     };
     let produce = |node: &Arc<Node>| {
@@ -722,7 +721,6 @@ fn exchange<C: Send, T: Send>(
         // What each Exchange operator received: frame `i` of every stream is
         // `paths[i]`'s, behind an 8-byte length; the 16-byte stream headers
         // count on the first operator.
-        let first = |i: usize| paths.iter().position(|&p| p == paths[i]).unwrap_or(i);
         let mut got_by: Vec<OpActuals> = (paths.iter())
             .map(|&path_id| OpActuals {
                 node: me,
@@ -730,36 +728,26 @@ fn exchange<C: Send, T: Send>(
                 ..OpActuals::default()
             })
             .collect();
-        for (src, (frames, batches)) in got.frames.iter().zip(&received).enumerate() {
-            let remote = u64::from(src != me);
+        for (frames, batches) in got.frames.iter().zip(&received) {
             got_by[0].bytes_out += 16;
-            got_by[0].net_bytes += 16 * remote;
             for (i, (frame, batch)) in frames.iter().zip(batches).enumerate() {
-                let (a, bytes) = (&mut got_by[first(i)], 8 + frame.len() as u64);
+                let a = &mut got_by[i.min(paths.len() - 1)];
                 a.frames += 1;
-                a.bytes_out += bytes;
-                a.net_bytes += bytes * remote;
+                a.bytes_out += 8 + frame.len() as u64;
                 // Aggregate state counts its groups once, on its first frame.
                 if payload == Payload::Rows || i == 0 {
+                    a.rows_in += batch.num_rows() as u64;
                     a.rows_out += batch.num_rows() as u64;
                 }
             }
         }
         got_by[0].wall_ns = started.elapsed().as_nanos() as u64;
-        let got_by = got_by
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| first(*i) == *i);
-        let got_by = got_by.map(|(_, a)| OpActuals {
-            rows_in: a.rows_out,
-            ..a
-        });
         cx.actuals.lock().extend(got_by);
         recv(node, carry, received).map_err(as_io)
     };
     Ok(exchange_framed(
         cx.db.cluster(),
-        cx.rec,
+        rec,
         stage,
         produce,
         consume,
@@ -769,8 +757,6 @@ fn exchange<C: Send, T: Send>(
 /// Receive-side decode telemetry.
 #[derive(Debug, Default)]
 pub(crate) struct RecvStats {
-    /// Rows received: every frame's, or each aggregate partial's groups.
-    rows: u64,
     encoded_cols: u64,
     expanded: u64,
 }
@@ -818,12 +804,6 @@ pub(crate) fn receive(
         stats.expanded += expanded;
         out[src].push(batch);
     }
-    let counted = match payload {
-        Payload::Rows => schemas.len(),
-        Payload::State => 1,
-    };
-    let rows = out.iter().flat_map(|b| b.iter().take(counted));
-    stats.rows = rows.map(|b| b.num_rows() as u64).sum();
     Ok((out, stats))
 }
 
@@ -948,12 +928,12 @@ fn scan_node(cx: &Cx<'_>, node: &Arc<Node>, scan: &plan::Scan, path: usize) -> R
     let mut span = vdr_obs::detail_span_with_parent("exec.scan", cx.span);
     span.set_node(id.0);
     let (table, wanted) = (&scan.table, scan.columns.as_ref());
-    let found = cx.db.storage().scan_node(table, id, cx.rec, wanted)?;
+    let found = cx.db.storage().scan_node(table, id, cx.op(path), wanted)?;
     let bytes_out = found.iter().map(EncodedBatch::byte_size).sum();
     let mut acc = NodeAcc::new(cx, id)?;
     let mut stats = EncodedScanStats::default();
     let counts = pipeline(cx, found.into_iter().map(Ok), &mut acc, &mut stats)?;
-    stats.charge(cx, id);
+    stats.charge(cx, path, id);
     cx.note(id.0, path, [0, counts.0, bytes_out], None);
     sink(cx, id.0, acc, counts, started)
 }
@@ -999,12 +979,12 @@ impl EncodedScanStats {
         }
     }
 
-    /// Charge the deferred decode at the per-value scan cost the eager
-    /// decoder pays, and count the encoded kernels' work.
-    fn charge(&self, cx: &Cx<'_>, node: NodeId) {
+    /// Charge the deferred decode to operator `path` at the per-value scan
+    /// cost the eager decoder pays, and count the encoded kernels' work.
+    fn charge(&self, cx: &Cx<'_>, path: usize, node: NodeId) {
         if self.expanded_values > 0 {
-            cx.rec
-                .cpu_work(node, self.expanded_values as f64, cx.scan_cost());
+            let values = self.expanded_values as f64;
+            cx.op(path).cpu_work(node, values, cx.scan_cost());
         }
         for (name, n) in [
             ("scan.encoded.runs_skipped", self.runs_skipped),
@@ -1294,7 +1274,7 @@ impl Deal<'_> {
     fn run(mut self) -> Result<Vec<Batch>> {
         let shares = std::mem::take(&mut self.shares);
         let n = shares.len();
-        self.cx.rec.set_lanes(self.node, n);
+        self.cx.op(self.cx.sink).set_lanes(self.node, n);
         let mut out = Vec::new();
         for (i, share) in shares.into_iter().enumerate() {
             out.extend(self.instance(i, n, share)?);
@@ -1322,7 +1302,7 @@ impl Deal<'_> {
             params: &t.params,
             dfs: cx.db.dfs(),
             cluster: cx.db.cluster(),
-            rec: cx.rec,
+            rec: cx.op(cx.sink),
         };
         let mut out = Vec::new();
         t.func
@@ -1649,6 +1629,45 @@ mod tests {
         let mut every: Vec<i64> = got.into_iter().flat_map(|(_, ids)| ids).collect();
         every.sort_unstable();
         assert_eq!(every, (0..next).collect::<Vec<_>>());
+    }
+
+    /// What `receive` refuses, each case as a `DbError::Exec`: a source that
+    /// sent another number of frames than the plan's schemas, a frame with a
+    /// flipped bit, and a crc-valid frame of another schema. An empty stream
+    /// is aggregate state with no group for the node, but missing rows.
+    #[test]
+    fn receive_refuses_what_the_plan_did_not_ship() {
+        let schema = Schema::of(&[("k", DataType::Int64)]);
+        let batch = |s: &Schema, c| encode_batch(&Batch::new(s.clone(), vec![c]).unwrap());
+        let good = batch(&schema, Column::from_i64(vec![1, 2, 3]));
+        let varchar = Schema::of(&[("k", DataType::Varchar)]);
+        let other = batch(&varchar, Column::from_strings(vec!["a"]));
+        let mut flipped = good.to_vec();
+        flipped[good.len() / 2] ^= 1;
+        let got = |payload, frames: Vec<Vec<Bytes>>| {
+            let recv = ExchangeRecv {
+                frames,
+                wait_ns: 0,
+                bytes: 0,
+            };
+            receive(std::slice::from_ref(&schema), payload, &recv)
+        };
+        let refused = |res: Result<_>| matches!(res, Err(DbError::Exec(_)));
+        for payload in [Payload::Rows, Payload::State] {
+            let two = vec![good.clone(), good.clone()];
+            assert!(refused(got(payload, vec![vec![good.clone()], two])));
+            let bad = vec![vec![good.clone()], vec![Bytes::from(flipped.clone())]];
+            assert!(refused(got(payload, bad)));
+            assert!(refused(got(
+                payload,
+                vec![vec![good.clone()], vec![other.clone()]]
+            )));
+            assert!(got(payload, vec![vec![good.clone()]; 2]).is_ok());
+        }
+        let empty = || vec![vec![good.clone()], vec![]];
+        let (state, _) = got(Payload::State, empty()).unwrap();
+        assert_eq!(state.iter().map(Vec::len).collect::<Vec<_>>(), [1, 0]);
+        assert!(refused(got(Payload::Rows, empty())));
     }
 
     // --------------------------------------------- compressed execution

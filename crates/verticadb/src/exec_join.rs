@@ -69,7 +69,7 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, node: &PlanNode) -> Result<Vec<NodeResu
         |node, out| -> Result<Carry> {
             let scan = |&(s, path): &(&plan::Scan, usize)| -> Result<Vec<EncodedBatch>> {
                 let (storage, wanted) = (cx.db.storage(), s.columns.as_ref());
-                let found = storage.scan_node(&s.table, node.id(), cx.rec, wanted)?;
+                let found = storage.scan_node(&s.table, node.id(), cx.op(path), wanted)?;
                 let rows = found.iter().map(|eb| eb.num_rows() as u64).sum();
                 let bytes = found.iter().map(EncodedBatch::byte_size).sum();
                 cx.note(node.id().0, path, [0, rows, bytes], None);
@@ -91,7 +91,8 @@ pub(super) fn run(cx: &Cx<'_>, j: &Join, node: &PlanNode) -> Result<Vec<NodeResu
                 Some(_) => partition(&right_rows, &j.keys[1], out)?,
                 None => carry.1 = Some(right_rows),
             }
-            stats.charge(cx, node.id());
+            // Both sides' materialization, on the right side's scan.
+            stats.charge(cx, right.1, node.id());
             Ok(carry)
         },
         |node, carry, received| {
@@ -181,12 +182,12 @@ fn join_node(
         Ok(EncodedBatch::from(chunk))
     });
     let counts = pipeline(cx, chunks, &mut acc, &mut stats)?;
-    stats.charge(cx, node.id());
+    stats.charge(cx, path, node.id());
     // Build + probe cost: one hash/compare per build row and per probe row,
     // plus per-output-row materialization, at scan-value cost.
     let rows_in = left_rows + right.num_rows();
-    cx.rec
-        .cpu_work(node.id(), (rows_in + out_rows) as f64, cx.scan_cost());
+    let work = (rows_in + out_rows) as f64;
+    cx.op(path).cpu_work(node.id(), work, cx.scan_cost());
     cx.note(me, path, [rows_in as u64, out_rows as u64, 0], None);
     sink(cx, me, acc, counts, started)
 }
@@ -367,8 +368,8 @@ mod tests {
         };
 
         // Two sources, one frame per shipped side each, in side order.
-        let (got, stats) = decode(vec![vec![lf.clone(), rf.clone()]; 2]).unwrap();
-        assert_eq!((rows(&got, 0), rows(&got, 1), stats.rows), (6, 4, 10));
+        let (got, _) = decode(vec![vec![lf.clone(), rf.clone()]; 2]).unwrap();
+        assert_eq!((rows(&got, 0), rows(&got, 1)), (6, 4));
         assert!(got.iter().all(|b| b[0].schema() == left.schema()));
         assert!(got.iter().all(|b| b[1].schema() == right.schema()));
         // A side that did not ship is not expected on the wire.

@@ -15,7 +15,8 @@
 //! | `query_requests`            | per-query history (ring of last 1024)     |
 //! | `execution_engine_profiles` | per-query, per-node, per-phase counters   |
 //! | `query_plan_profiles`       | per-query, per-operator (path id), per-   |
-//! |                             | node rows in/out, bytes out and wall time |
+//! |                             | node rows in/out, bytes out, wall time,   |
+//! |                             | `sim_us` (usage sums, time need not)      |
 //! | `metrics`                   | live counter/gauge/histogram snapshot     |
 //! |                             | (histograms with p50/p90/p99/p999)        |
 //! | `spans`                     | the vdr-obs trace ring                    |
@@ -64,7 +65,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use vdr_cluster::{NodeId, NodePhase, NodeUsage, PhaseReport};
+use vdr_cluster::{NodeId, NodePhase, NodeUsage, PhaseKind, PhaseRecorder, PhaseReport};
 use vdr_columnar::{Batch, Column, ColumnBuilder, DataType, Field, Schema, Value};
 use vdr_obs::metrics::MetricKey;
 use vdr_obs::{MetricValue, MetricsSnapshot, SpanRecord};
@@ -100,11 +101,10 @@ pub fn v_monitor_table(name: &str) -> Option<&str> {
         .then_some(table)
 }
 
-/// What one plan operator did on one node, as the executor records it where
-/// it charges the operator's ledger work. A fused Scan → Filter → sink
-/// pipeline times itself once, on its sink; an Exchange counts what the node
-/// received.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// What one plan operator did on one node, its `usage` the ledger charges it
+/// made there. A fused Scan → Filter → sink pipeline times itself once, on
+/// its sink; an Exchange counts what the node received.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpActuals {
     pub node: usize,
     /// The operator's pre-order number in the plan, as `EXPLAIN` prints it.
@@ -114,15 +114,13 @@ pub struct OpActuals {
     pub bytes_out: u64,
     /// Frames received (exchanges only).
     pub frames: u64,
-    /// Bytes that reached the node over the network, loopback excluded
-    /// (exchanges and the gather only).
-    pub net_bytes: u64,
     pub wall_ns: u64,
+    pub usage: NodeUsage,
 }
 
 /// A statement's operators: per path id the `EXPLAIN` name and detail, and
 /// what each did on each node, one entry per operator per node. Empty for
-/// statements without a plan.
+/// statements without a plan or a store.
 #[derive(Debug, Clone, Default)]
 pub struct OperatorRecord {
     pub plan: Vec<(&'static str, String)>,
@@ -133,12 +131,12 @@ impl OperatorRecord {
     /// One row per operator per node, in path then node order, with the
     /// operator's `EXPLAIN` label: what `PROFILE` and `query_plan_profiles`
     /// show.
-    pub(crate) fn rows(&self) -> Vec<(String, OpActuals)> {
+    pub(crate) fn rows(&self) -> Vec<(String, &OpActuals)> {
         let label = |a: &OpActuals| match self.plan.get(a.path_id) {
             Some((name, detail)) => format!("{name} {detail}").trim_end().to_string(),
             None => String::new(),
         };
-        let mut rows: Vec<_> = self.actuals.iter().map(|a| (label(a), *a)).collect();
+        let mut rows: Vec<_> = self.actuals.iter().map(|a| (label(a), a)).collect();
         rows.sort_by_key(|(_, a)| (a.path_id, a.node));
         rows
     }
@@ -149,11 +147,31 @@ impl OperatorRecord {
         root.fold((0, 0), |(r, b), a| (r + a.rows_out, b + a.bytes_out))
     }
 
+    /// Give operator `path`'s entries the usage its recorder `rec` holds,
+    /// each its own node's; a node the operator charged without an entry
+    /// (a gather's or a UDx's sending side) gets one of usage alone.
+    pub(crate) fn settle(&mut self, path: usize, rec: &PhaseRecorder) {
+        for (node, usage) in rec.usage().into_iter().enumerate() {
+            let mine = |a: &&mut OpActuals| (a.path_id, a.node) == (path, node);
+            match self.actuals.iter_mut().find(mine) {
+                Some(a) => a.usage = usage,
+                None if usage != NodeUsage::default() => self.actuals.push(OpActuals {
+                    node,
+                    path_id: path,
+                    usage,
+                    ..OpActuals::default()
+                }),
+                None => {}
+            }
+        }
+    }
+
     /// Whether the record agrees with itself, the statement's ledger phase
     /// and its answer: per node, every pipeline operator takes in what its
-    /// input put out (scan out = filter in, filter out = sink in); the
-    /// phase's network bytes are the exchanges' and the gather's (at least,
-    /// when a transform's UDx may move bytes of its own); the answer has the
+    /// input put out (scan out = filter in, filter out = sink in); per node
+    /// and per resource the operators' usage sums to the phase's — bytes
+    /// exactly, CPU core-ns and fixed seconds to a relative 1e-9, as float
+    /// sums in another order can differ in the last bits; the answer has the
     /// root's rows.
     pub(crate) fn check(
         &self,
@@ -166,30 +184,33 @@ impl OperatorRecord {
         };
         let fail = |what: String| Err(format!("operator record: {what}"));
         for (path, (name, _)) in self.plan.iter().enumerate() {
-            if matches!(*name, "Filter" | "Project" | "PartialAgg" | "Transform") {
-                let (fed, took) = (
-                    per_node(path + 1, |a| a.rows_out),
-                    per_node(path, |a| a.rows_in),
-                );
-                if fed != took {
-                    return fail(format!("path {path} took {took:?}, its input gave {fed:?}"));
-                }
+            let pipelined = matches!(*name, "Filter" | "Project" | "PartialAgg" | "Transform");
+            let fed = per_node(path + 1, |a| a.rows_out);
+            let took = per_node(path, |a| a.rows_in);
+            if pipelined && fed != took {
+                return fail(format!("path {path} took {took:?}, its input gave {fed:?}"));
             }
         }
-        let moved: u64 = self.actuals.iter().map(|a| a.net_bytes).sum();
-        let charged: u64 = phase.nodes.iter().map(|n| n.usage.net_in_bytes).sum();
-        let udx = self.plan.iter().any(|(name, _)| *name == "Transform");
-        if charged != moved && !(udx && charged > moved) {
-            return fail(format!(
-                "{moved} bytes exchanged, the ledger charged {charged}"
-            ));
+        let mut used = vec![NodeUsage::default(); phase.nodes.len()];
+        for a in &self.actuals {
+            if let Some(u) = used.get_mut(a.node) {
+                u.merge(&a.usage);
+            }
         }
-        match answer {
-            Some(b) if self.root_output().0 != b.num_rows() as u64 => fail(format!(
-                "the root put out {} rows, the answer has {}",
-                self.root_output().0,
-                b.num_rows()
-            )),
+        let near = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+        for (ops, NodePhase { node, usage: u, .. }) in used.iter().zip(&phase.nodes) {
+            // The byte counts, with the phase's floats and lanes.
+            let mut bytes = ops.clone();
+            (bytes.cpu_core_ns, bytes.fixed_secs, bytes.lanes) =
+                (u.cpu_core_ns, u.fixed_secs, u.lanes);
+            let floats = near(ops.cpu_core_ns, u.cpu_core_ns) && near(ops.fixed_secs, u.fixed_secs);
+            if bytes != *u || !floats {
+                return fail(format!("node {node}: operators {ops:?}, phase {u:?}"));
+            }
+        }
+        let root = self.root_output().0;
+        match answer.map(|b| b.num_rows() as u64) {
+            Some(rows) if rows != root => fail(format!("the root put out {root} rows, not {rows}")),
             _ => Ok(()),
         }
     }
@@ -724,8 +745,11 @@ fn execution_engine_profiles(db: &VerticaDb, node: NodeId) -> Result<Batch> {
 }
 
 /// Each history entry's operators on the node: one row per operator, its
-/// path id and `EXPLAIN` label, rows in and out, bytes out and wall time.
+/// path id and `EXPLAIN` label, rows in and out, bytes out, wall time and
+/// `sim_us`, its own usage's time under the statement phase's `Pipelined`
+/// rule: the node's operators' usage sums to its phase's, their time need not.
 fn query_plan_profiles(db: &VerticaDb, node: NodeId) -> Result<Batch> {
+    let profile = db.cluster().profile();
     let mut rows = Rows::new(&[
         ("query_id", DataType::Int64),
         ("path_id", DataType::Int64),
@@ -735,10 +759,12 @@ fn query_plan_profiles(db: &VerticaDb, node: NodeId) -> Result<Batch> {
         ("rows_out", DataType::Int64),
         ("bytes_out", DataType::Int64),
         ("wall_us", DataType::Float64),
+        ("sim_us", DataType::Float64),
     ]);
     for r in db.monitor().history().snapshot() {
         for (label, a) in r.operators.rows() {
             if a.node == node.0 {
+                let sim = a.usage.duration(profile, PhaseKind::Pipelined);
                 rows.push(vec![
                     int(r.id),
                     int(a.path_id as u64),
@@ -748,6 +774,7 @@ fn query_plan_profiles(db: &VerticaDb, node: NodeId) -> Result<Batch> {
                     int(a.rows_out),
                     int(a.bytes_out),
                     us(a.wall_ns),
+                    (sim.as_secs() * 1e6).into(),
                 ])?;
             }
         }
@@ -1053,17 +1080,15 @@ pub fn profile_batch(record: &QueryRecord) -> Result<Batch> {
         ("value", DataType::Float64),
         ("unit", DataType::Varchar),
     ]);
+    // One row of section `s`: what `name` measured on `node`, `v` in `u`.
     let qid = int(record.id);
+    let row = |s: &str, name: &str, node: Value, v: f64, u: &str| {
+        vec![qid.clone(), s.into(), name.into(), node, v.into(), u.into()]
+    };
     for phase in &record.phases {
         for n in &phase.nodes {
-            rows.push(vec![
-                qid.clone(),
-                "phase".into(),
-                phase.name.as_str().into(),
-                int(n.node as u64),
-                (n.duration_secs * 1e6).into(),
-                "sim_us".into(),
-            ])?;
+            let (node, sim_us) = (int(n.node as u64), n.duration_secs * 1e6);
+            rows.push(row("phase", &phase.name, node, sim_us, "sim_us"))?;
         }
     }
     for (key, value) in record.metrics_delta.iter() {
@@ -1073,30 +1098,18 @@ pub fn profile_batch(record: &QueryRecord) -> Result<Batch> {
             MetricValue::Gauge(_) => "level",
             MetricValue::Histogram(_) => "events",
         };
-        let name = Value::from(key.name.as_str());
-        let row = |section: &str, v: f64, unit: &str| {
-            let section = Value::from(section);
-            vec![
-                qid.clone(),
-                section,
-                name.clone(),
-                opt_node(key.node),
-                v.into(),
-                unit.into(),
-            ]
-        };
-        rows.push(row(section, v, unit))?;
+        rows.push(row(section, &key.name, opt_node(key.node), v, unit))?;
         // Histograms the query touched additionally report their tail: one
         // p50 and one p99 row each, extracted from the windowed delta (so
         // the percentiles describe *this* statement's observations only).
         if let MetricValue::Histogram(h) = value {
             for (unit, p) in [("p50", h.p50()), ("p99", h.p99())] {
-                rows.push(row("percentile", p, unit))?;
+                rows.push(row("percentile", &key.name, opt_node(key.node), p, unit))?;
             }
         }
     }
     for (label, a) in record.operators.rows() {
-        let name = Value::from(format!("{} {label}", a.path_id));
+        let name = format!("{} {label}", a.path_id);
         let measures = [
             ("rows_in", a.rows_in as f64),
             ("rows_out", a.rows_out as f64),
@@ -1104,16 +1117,7 @@ pub fn profile_batch(record: &QueryRecord) -> Result<Batch> {
             ("wall_us", a.wall_ns as f64 / 1e3),
         ];
         for (unit, v) in measures {
-            let node = int(a.node as u64);
-            let row = vec![
-                qid.clone(),
-                "operator".into(),
-                name.clone(),
-                node,
-                v.into(),
-                unit.into(),
-            ];
-            rows.push(row)?;
+            rows.push(row("operator", &name, int(a.node as u64), v, unit))?;
         }
     }
     rows.finish()

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vertica_dr::cluster::SimCluster;
+use vertica_dr::cluster::{NodeUsage, SimCluster};
 use vertica_dr::columnar::{Batch, Column, DataType, Schema, Value};
 use vertica_dr::core::{Model, Session, SessionOptions};
 use vertica_dr::ml::{hpdglm, Family, GlmOptions};
@@ -315,4 +315,103 @@ fn every_plan_shape_counts_from_its_operator_record() {
     let predict =
         "SELECT glmPredict(x USING PARAMETERS model='actuals') OVER (PARTITION BEST) FROM hot";
     holds(&db, predict, created);
+}
+
+/// The SELECT shapes of `every_plan_shape_counts_from_its_operator_record`.
+const SHAPES: [&str; 13] = [
+    "SELECT id, x FROM facts WHERE grp = 3",
+    "SELECT count(*) FROM facts WHERE tag = 'bee' AND x > 0.0",
+    "SELECT id FROM facts WHERE x < -0.5",
+    "SELECT id, x FROM facts ORDER BY x DESC, id LIMIT 25",
+    "SELECT tag, count(*), sum(x) FROM facts GROUP BY tag",
+    "SELECT grp, avg(x) FROM facts WHERE tag <> 'ant' GROUP BY grp ORDER BY grp",
+    "SELECT k, count(*), sum(v) FROM byk GROUP BY k",
+    "SELECT count(DISTINCT tag), count(DISTINCT grp) FROM facts",
+    "SELECT count(*), sum(b.v) FROM byk b JOIN dims_k d ON b.k = d.k",
+    "SELECT f.id, d.w FROM facts f JOIN dims d ON f.grp = d.k WHERE f.x > 0.5",
+    "SELECT f.tag, count(*) FROM facts f JOIN other o ON f.id = o.id GROUP BY f.tag",
+    "SELECT count(*), count(d.w) FROM facts f LEFT JOIN dims_k d ON f.id = d.k",
+    "SELECT table_name, column_name FROM v_monitor.storage_containers WHERE node = 2",
+];
+
+/// Run `sql` and check that, per node and per resource, its operators'
+/// usage sums to its ledger phase's: bytes exactly, CPU and fixed seconds to
+/// a relative 1e-9 (the sums add the same charges in another order). Returns
+/// the phase's disk, NIC and CPU totals.
+fn usage_sums_to_phase(db: &VerticaDb, sql: &str) -> [f64; 3] {
+    let id = db.query(sql).unwrap().query_id;
+    let history = db.monitor().history().snapshot();
+    let record = history.iter().find(|r| r.id == id).unwrap();
+    let [phase] = record.phases.as_slice() else {
+        panic!("{sql}: one phase, got {}", record.phases.len());
+    };
+    let bytes = |u: &NodeUsage| {
+        let disk = [
+            u.disk_read_bytes,
+            u.disk_cached_read_bytes,
+            u.disk_write_bytes,
+        ];
+        (disk, [u.net_in_bytes, u.net_out_bytes])
+    };
+    let near = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+    let mut totals = [0.0; 3];
+    for n in &phase.nodes {
+        let mut ops = NodeUsage::default();
+        let mine = record.operators.actuals.iter().filter(|a| a.node == n.node);
+        mine.for_each(|a| ops.merge(&a.usage));
+        let (p, node) = (&n.usage, n.node);
+        assert_eq!(bytes(&ops), bytes(p), "{sql}: node {node} bytes");
+        assert!(
+            near(ops.cpu_core_ns, p.cpu_core_ns),
+            "{sql}: node {node} {ops:?} {p:?}"
+        );
+        assert!(
+            near(ops.fixed_secs, p.fixed_secs),
+            "{sql}: node {node} {ops:?} {p:?}"
+        );
+        let (disk, [net_in, _]) = bytes(p);
+        totals[0] += disk.iter().sum::<u64>() as f64;
+        totals[1] += net_in as f64;
+        totals[2] += p.cpu_core_ns;
+    }
+    totals
+}
+
+#[test]
+fn operator_usage_sums_to_the_phase_per_node_and_resource() {
+    let db = db();
+    let mut seen = [0.0; 3];
+    for sql in SHAPES {
+        let totals = usage_sums_to_phase(&db, sql);
+        seen.iter_mut().zip(totals).for_each(|(s, t)| *s += t);
+    }
+    // The shapes read disk, cross the NIC and charge CPU: the sums are not
+    // of zeros.
+    assert!(seen.iter().all(|&t| t > 0.0), "{seen:?}");
+
+    // CTAS: the SELECT's operators and the Store's writes.
+    let ctas = "CREATE TABLE hot AS SELECT id, x, y FROM facts WHERE x > 0.0";
+    let [disk, _, _] = usage_sums_to_phase(&db, ctas);
+    assert!(disk > 0.0, "the CTAS writes its table");
+
+    // In-database prediction: the UDx's model fetch and scoring charge the
+    // Transform.
+    let session = Session::connect_colocated(Arc::clone(&db), SessionOptions::default()).unwrap();
+    let (data, _) = session.db2darray("hot", &["y", "x"]).unwrap();
+    let x = data.split_columns(&[1]).unwrap();
+    let y = data.split_columns(&[0]).unwrap();
+    let model = hpdglm(&x, &y, Family::Gaussian, &GlmOptions::default()).unwrap();
+    session
+        .deploy_model(&Model::Glm(model), "usage", "operator usage test")
+        .unwrap();
+    let predict =
+        "SELECT glmPredict(x USING PARAMETERS model='usage') OVER (PARTITION BEST) FROM hot";
+    let [_, _, cpu] = usage_sums_to_phase(&db, predict);
+    assert!(cpu > 0.0, "prediction charges CPU");
+    // `query_plan_profiles` puts each operator's modeled time beside its
+    // wall time: the scoring Transform's is not zero.
+    let sim = "SELECT sum(sim_us) FROM v_monitor.query_plan_profiles \
+               WHERE operator LIKE 'Transform%'";
+    let sim = db.query(sim).unwrap().batch.row(0)[0].as_f64().unwrap();
+    assert!(sim > 0.0, "{sim}");
 }
